@@ -4,8 +4,9 @@ Heavy artefacts (GPU power traces, co-simulation runs) are cached at
 session scope and shared across the table/figure benchmarks, so the
 whole harness regenerates every figure in a few minutes.  Each driver
 prints its paper-style table through ``emit`` (captured by pytest; run
-with ``-s`` to stream) and also appends it to
-``benchmarks/results/report.txt``.
+with ``-s`` to stream) and also writes it to its own
+``===== name =====`` section of ``benchmarks/results/report.txt``,
+replacing that section's previous copy in place.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import sys
 from pathlib import Path
+from typing import Dict, List
 
 import pytest
 
@@ -44,13 +46,41 @@ PENALTY_MODE_K1 = 15.0
 DIWS_ONLY = WeightedActuation(w1=1.0, w2=0.0, w3=0.0)
 
 
+def _report_sections(text: str) -> Dict[str, str]:
+    """``===== name =====`` sections of a report, in first-seen order.
+
+    A name that occurs more than once keeps its latest body.
+    """
+    sections: Dict[str, str] = {}
+    name = None
+    body: List[str] = []
+    for line in text.splitlines():
+        if line.startswith("===== ") and line.endswith(" ====="):
+            if name is not None:
+                sections[name] = "\n".join(body).strip("\n")
+            name, body = line[6:-6], []
+        elif name is not None:
+            body.append(line)
+    if name is not None:
+        sections[name] = "\n".join(body).strip("\n")
+    return sections
+
+
 def emit(name: str, text: str) -> None:
-    """Print a rendered table and persist it under benchmarks/results."""
+    """Print a rendered table and persist it under benchmarks/results.
+
+    ``report.txt`` holds one section per name: a re-run replaces its
+    section in place (and folds any duplicate copies into one).
+    """
     print()
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / "report.txt", "a") as handle:
-        handle.write(f"\n===== {name} =====\n{text}\n")
+    path = RESULTS_DIR / "report.txt"
+    sections = _report_sections(path.read_text() if path.exists() else "")
+    sections[name] = text
+    path.write_text("".join(
+        f"\n===== {key} =====\n{body}\n" for key, body in sections.items()
+    ))
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,11 @@ that contract, against the oracle:
   faster than the same 8 scenarios run through the serial oracle;
 * ``run_cosim`` (the loop at B=1) must run at least ``B1_SPEEDUP_FLOOR``
   times faster than the oracle on one hotspot run;
-* both must be byte-equal to the oracle's results.
+* a B=8 batch of acting controllers with fault injectors on half the
+  lanes (the repo benchmark's ``b8_active_faulted`` recipe, shorter)
+  must run at least ``FAULTED_SPEEDUP_FLOOR`` times faster than its 8
+  oracle runs;
+* all must be byte-equal to the oracle's results.
 
 Timing is min-of-``TIMING_ROUNDS`` (robust on a noisy shared CI core).
 Writes ``benchmarks/results/perf_cosim_batch.json`` so CI can upload
@@ -24,7 +28,12 @@ import numpy as np
 
 from conftest import RESULTS_DIR, emit
 from repro.analysis.report import format_table
+from repro.core.actuators import WeightedActuation
+from repro.core.controller import ControllerConfig
+from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.sim.cosim import CosimConfig, CosimLane, run_cosim, run_cosim_batch
+from repro.sim.sweep import point_seed
+from repro.workloads.benchmarks import BENCHMARK_NAMES
 from tests.oracles.serial_cosim import run_cosim_reference
 
 BATCH = 8
@@ -41,6 +50,11 @@ LANE_BENCHMARKS = (
     "hotspot", "backprop", "bfs", "srad",
     "pathfinder", "heartwall", "hotspot", "bfs",
 )
+# Faulted lanes ride the banked controller (injector hooks feed its
+# seen/observed inputs) and the fused GPU step (halted SMs included);
+# the oracle pays a scalar controller and per-cycle setters per lane.
+FAULTED_SPEEDUP_FLOOR = 2.5
+FAULTED_SEED = 1
 
 
 def _lanes():
@@ -50,6 +64,26 @@ def _lanes():
             config=CosimConfig(cycles=CYCLES, warmup_cycles=WARMUP, seed=i),
         )
         for i, name in enumerate(LANE_BENCHMARKS)
+    ]
+
+
+def _faulted_lanes():
+    """The ``b8_active_faulted`` recipe: an acting controller with DCC
+    on, and the four canned fault schedules on lanes 0/2/4/6."""
+    controller = ControllerConfig(v_threshold=0.97, k1=15.0)
+    actuation = WeightedActuation(w1=1.0, w2=1.0, w3=1.0)
+    scenarios = list(CANNED_SCENARIOS.values())
+    return [
+        CosimLane(
+            benchmark=BENCHMARK_NAMES[i],
+            config=CosimConfig(
+                cycles=CYCLES, warmup_cycles=WARMUP,
+                seed=point_seed(FAULTED_SEED, i), controller=controller,
+                actuation=actuation,
+                faults=scenarios[i // 2]() if i % 2 == 0 else None,
+            ),
+        )
+        for i in range(BATCH)
     ]
 
 
@@ -159,6 +193,51 @@ def test_b1_speedup_floor():
     assert speedup >= B1_SPEEDUP_FLOOR, (
         f"run_cosim is only {speedup:.2f}x faster than the serial oracle "
         f"(floor {B1_SPEEDUP_FLOOR}x)"
+    )
+
+
+def test_faulted_batch_speedup_floor():
+    """Fault-injected, acting lanes on the batched paths vs the oracle."""
+    batch = run_cosim_batch(_faulted_lanes())
+    for lane, result in zip(_faulted_lanes(), batch):
+        oracle = run_cosim_reference(lane.benchmark, config=lane.config)
+        assert _digest(result) == _digest(oracle), lane.benchmark
+        assert result.fault_report == oracle.fault_report, lane.benchmark
+
+    batch_s = _time_best(lambda: run_cosim_batch(_faulted_lanes()))
+    oracle_s = _time_best(
+        lambda: [
+            run_cosim_reference(l.benchmark, config=l.config)
+            for l in _faulted_lanes()
+        ]
+    )
+    speedup = oracle_s / batch_s
+    lane_cycles = BATCH * (CYCLES + WARMUP)
+    emit(
+        f"Faulted co-sim throughput (B={BATCH}, acting controller)",
+        format_table(
+            ["path", "wall s", "lane-cycles/s"],
+            [
+                ["serial oracle x8", f"{oracle_s:.2f}",
+                 f"{lane_cycles / oracle_s:,.0f}"],
+                [f"batched B={BATCH}", f"{batch_s:.2f}",
+                 f"{lane_cycles / batch_s:,.0f}"],
+                ["speedup", f"{speedup:.2f}x", ""],
+            ],
+            title="b8_active_faulted recipe vs the serial oracle loop",
+        ),
+    )
+    _write_results({
+        "faulted_lane_benchmarks": list(BENCHMARK_NAMES[:BATCH]),
+        "faulted_oracle_s": oracle_s,
+        "faulted_batch_s": batch_s,
+        "faulted_speedup": speedup,
+        "faulted_lane_cycles_per_s": lane_cycles / batch_s,
+        "faulted_speedup_floor": FAULTED_SPEEDUP_FLOOR,
+    })
+    assert speedup >= FAULTED_SPEEDUP_FLOOR, (
+        f"faulted B={BATCH} batch is only {speedup:.2f}x faster than the "
+        f"serial oracle (floor {FAULTED_SPEEDUP_FLOOR}x)"
     )
 
 

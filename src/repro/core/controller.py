@@ -373,9 +373,9 @@ class VoltageSmoothingController:
         decisions are bit-identical to the per-object path.  Non-finite
         samples never enter the filter state.
 
-        Split out of :meth:`observe` so :class:`ControllerBank` can run
-        the same arithmetic batched over lanes (broadcasting over a
-        leading batch axis is elementwise, hence bit-identical per row).
+        :class:`ControllerBank` runs the same arithmetic batched over
+        lanes (broadcasting over a leading batch axis is elementwise,
+        hence bit-identical per row).
         """
         cfg = self.config
         finite = np.isfinite(sm_voltages)
@@ -532,9 +532,9 @@ class VoltageSmoothingController:
         """The Algorithm 1 loop body over all (layer, column) positions.
 
         ``decision`` lets :class:`ControllerBank` pass a preallocated
-        default decision (rows of a wave-shared array) instead of
-        allocating one per lane; its arrays must hold the default
-        commands on entry.
+        default decision (rows of a wave-shared array) for a lane whose
+        subclassed actuation keeps it off the banked law; its arrays
+        must hold the default commands on entry.
 
         Two symmetric boundary triggers implement eq. (6)'s
         ``P_i = k V_i`` around the deadband:
@@ -664,26 +664,33 @@ class VoltageSmoothingController:
         }
 
 
+# Columns of ControllerBank._params.
+(_P_THR, _P_THR_HIGH, _P_WIDEN, _P_IWMAX, _P_V_NOM, _P_K1W1, _P_K2W2,
+ _P_K3W3, _P_UNIT, _P_MAX_CODE) = range(10)
+
+
 class ControllerBank:
     """Lock-stepped sensor/decision front end over B independent lanes.
 
     The batched co-simulator steps B scenarios per cycle; this bank
     vectorizes the per-cycle RC filter advance and the per-decision
-    threshold/slew arithmetic of B :class:`VoltageSmoothingController`
+    Algorithm 1 / slew arithmetic of B :class:`VoltageSmoothingController`
     instances by re-homing each lane's filter/fallback state as one row
     of shared ``(B, num_sms)`` arrays.  All batched operations are
     elementwise with per-lane ``(B, 1)`` broadcasts (or row-wise
     reductions), so each row is bit-identical to the serial controller;
-    everything scalar or rarely taken — the Algorithm 1 per-SM loop of
-    a *triggered* lane, watchdog streaks, pipelines, counters — still
-    runs on the owning controller.  Observable state after
-    ``bank.observe(cycle, voltages)`` is therefore byte-equal to
-    calling ``lane.observe(cycle, voltages[i])`` per lane.
+    the scalar remainder — watchdog streaks, pipelines, counters — still
+    updates the owning controller.  Observable state after
+    ``bank.observe(cycle, seen, observed)`` is therefore byte-equal to
+    calling ``lane.observe(cycle, seen[i])`` for every lane ``i`` with
+    ``observed[i]`` set, and nothing for the others.
 
-    Lanes may differ in gains, thresholds, detectors, periods and
-    actuation — only ``num_sms`` must match.  The bank takes over the
-    lanes' ``observe`` duty; do not call ``lane.observe`` directly while
-    a bank owns the lane.
+    Lanes may differ in gains, thresholds, detectors, periods, sensor
+    fallback and actuation — only ``num_sms`` must match.  A lane whose
+    actuation or DAC is a subclass (which may override the command
+    math) runs its own ``_decide`` inside the banked wave.  The bank
+    takes over the lanes' ``observe`` duty; do not call
+    ``lane.observe`` directly while a bank owns the lane.
     """
 
     def __init__(self, controllers: List[VoltageSmoothingController]) -> None:
@@ -717,98 +724,125 @@ class ControllerBank:
 
         self._alpha = col([c._filter_alpha for c in ctrls])
         self._step_v = col([c._resolution_v for c in ctrls])
-        self._thr = col([c.config.v_threshold for c in ctrls])
-        self._thr_high = col([c.config.v_high_threshold for c in ctrls])
-        self._widen = col([c.config.fallback_widen_v for c in ctrls])
-        self._default_w = col([c._default_issue_width for c in ctrls])
-        self._slew = {
-            "issue": col([c.config.slew_issue for c in ctrls]),
-            "fake": col([c.config.slew_fake for c in ctrls]),
-            "dcc": col([c.config.slew_dcc_w for c in ctrls]),
-        }
-        # Banked Algorithm 1 columns: when every lane runs the stock
-        # WeightedActuation / CurrentCompensationDAC pair, a full
-        # wave's per-SM proportional law vectorizes as (B, num_sms)
-        # array ops (see _decide_banked).  A lane with a subclassed
-        # actuation or DAC may override the command math, so any such
-        # lane disables the banked path for the whole bank.
-        if all(
+        self._fb_on = np.array(
+            [c.config.sensor_fallback_enabled for c in ctrls]
+        ).reshape(-1, 1)
+        self._fb_all = bool(self._fb_on.all())
+        # Banked Algorithm 1 columns: the stock WeightedActuation /
+        # CurrentCompensationDAC pair's per-SM proportional law
+        # vectorizes as (B, num_sms) array ops (see _decide_banked).  A
+        # lane with a subclassed actuation or DAC may override the
+        # command math, so its rows are masked out of the banked law and
+        # it runs its own _decide (its law columns are placeholders).
+        stock = [
             type(c.actuation) is WeightedActuation
             and type(c.actuation.dac) is CurrentCompensationDAC
             for c in ctrls
-        ):
-            self._bank_cols: Optional[Dict[str, np.ndarray]] = {
-                "v_nom": col([c.config.v_nominal for c in ctrls]),
-                "iwmax": col([c.actuation.issue_width_max for c in ctrls]),
-                "k1w1": col([c.config.k1 * c.actuation.w1 for c in ctrls]),
-                "k2w2": col([c.config.k2 * c.actuation.w2 for c in ctrls]),
-                "k3w3": col([c.config.k3 * c.actuation.w3 for c in ctrls]),
-                "unit": col([c.actuation.dac.unit_power_w for c in ctrls]),
-                "max_code": col([c.actuation.dac.max_code for c in ctrls]),
-            }
-        else:
-            self._bank_cols = None
+        ]
+        self._stock = None if all(stock) else np.array(stock).reshape(-1, 1)
+
+        def law(fn, placeholder):
+            return [
+                fn(c) if ok else placeholder for c, ok in zip(ctrls, stock)
+            ]
+
+        # Per-lane wave parameters, one column each (the _P_* indices),
+        # so a partial wave gathers its lanes' rows with one take.
+        self._params = np.column_stack([
+            [c.config.v_threshold for c in ctrls],
+            [c.config.v_high_threshold for c in ctrls],
+            [c.config.fallback_widen_v for c in ctrls],
+            [c._default_issue_width for c in ctrls],
+            [c.config.v_nominal for c in ctrls],
+            law(lambda c: c.config.k1 * c.actuation.w1, 0.0),
+            law(lambda c: c.config.k2 * c.actuation.w2, 0.0),
+            law(lambda c: c.config.k3 * c.actuation.w3, 0.0),
+            law(lambda c: c.actuation.dac.unit_power_w, 1.0),
+            law(lambda c: c.actuation.dac.max_code, 0.0),
+        ]).astype(float)
+        self._thr = self._params[:, _P_THR:_P_THR + 1]
+        self._thr_high = self._params[:, _P_THR_HIGH:_P_THR_HIGH + 1]
         self._period = np.array(
             [c.config.control_period_cycles for c in ctrls], dtype=np.int64
         )
         self._last_decision = np.array(
             [c._last_decision_cycle for c in ctrls], dtype=np.int64
         )
-        # Uniform-cadence fast path: when every lane shares one control
-        # period and decision phase, the whole bank is due at the same
-        # cycles, so the due test is one integer compare instead of a
-        # (B,) reduction and the wave always covers all lanes.
+        # Due bookkeeping: the next cycle any lane is due.  While every
+        # lane shares one control period and decision phase (uniform
+        # cadence) the whole bank is due together, so a due cycle needs
+        # no (B,) reduction and the wave covers all lanes.  An observed
+        # mask that drops a lane's due cycle splits the phases, as in a
+        # serial run, and the bank falls back to per-lane due tests.
         periods = {c.config.control_period_cycles for c in ctrls}
         lasts = {c._last_decision_cycle for c in ctrls}
-        if len(periods) == 1 and len(lasts) == 1:
-            self._uniform_period: Optional[int] = periods.pop()
-            self._next_due = lasts.pop() + self._uniform_period
-        else:
-            self._uniform_period = None
-            self._next_due = 0
+        self._uniform_period: Optional[int] = (
+            periods.pop() if len(periods) == 1 and len(lasts) == 1 else None
+        )
+        self._next_due = int((self._last_decision + self._period).min())
         self._any_fallback = bool(self._fallback.any())
         # Per-cycle observe scratch (the filter advance is dispatch-
         # bound at small B; out= ufuncs avoid five temporaries a cycle).
         self._obs_buf = np.empty_like(self._state)
         self._finite_buf = np.empty(self._state.shape, dtype=bool)
-        # Full-wave working set: the three actuator command blocks live
-        # side by side in one (B, 3*num_sms) array, so the slew clamp
-        # and its saturation test run as single ufunc calls; each
-        # lane's ControlDecision holds row-slice views of the blocks.
+        # Wave working set: the three actuator command blocks live side
+        # by side in one (B, 3*num_sms) array, so the slew clamp and its
+        # saturation test run as single ufunc calls; each lane's
+        # ControlDecision holds row-slice views of the blocks.
         n = self.num_sms
         n_lanes = len(ctrls)
         self._cat_default = np.zeros((n_lanes, 3 * n))
-        self._cat_default[:, :n] = self._default_w
+        self._cat_default[:, :n] = self._params[:, _P_IWMAX:_P_IWMAX + 1]
         self._slew_cat = np.empty((n_lanes, 3 * n))
-        self._slew_cat[:, :n] = self._slew["issue"]
-        self._slew_cat[:, n:2 * n] = self._slew["fake"]
-        self._slew_cat[:, 2 * n:] = self._slew["dcc"]
-        self._prev_at_default = bool(
-            (self._gather_prev_cat() == self._cat_default).all()
-        )
+        self._slew_cat[:, :n] = col([c.config.slew_issue for c in ctrls])
+        self._slew_cat[:, n:2 * n] = col([c.config.slew_fake for c in ctrls])
+        self._slew_cat[:, 2 * n:] = col([c.config.slew_dcc_w for c in ctrls])
+        # Each lane's last enqueued command, as one bank-owned row kept
+        # current by the waves (the bank is the lanes' only enqueuer),
+        # and whether it sits exactly at the default decision (gates
+        # the idle-lane re-enqueue).
+        self._prev_cat = np.stack([
+            np.concatenate(
+                (d.issue_widths, d.fake_rates, d.dcc_powers_w)
+            )
+            for d in (c._last_enqueued for c in ctrls)
+        ])
+        self._at_default = (self._prev_cat == self._cat_default).all(axis=1)
+        self._all_at_default = bool(self._at_default.all())
 
     # ------------------------------------------------------------------
-    def observe(self, cycle: int, sm_voltages: np.ndarray) -> None:
+    def observe(
+        self,
+        cycle: int,
+        seen: np.ndarray,
+        observed: Optional[np.ndarray] = None,
+    ) -> None:
         """Batched equivalent of per-lane ``observe`` for one cycle.
 
-        ``sm_voltages`` has shape ``(B, num_sms)`` — row i is lane i's
-        true SM voltages this cycle.
+        ``seen`` has shape ``(B, num_sms)``: row i is what lane i's
+        detectors see this cycle — the true SM voltages, or a fault
+        injector's corrupted copy with NaN for dropped samples.
+        ``observed`` (``(B,)`` bool, default all) marks the lanes that
+        observe at all this cycle; the other rows are left untouched,
+        exactly as a serial run that skips ``lane.observe``.
         """
-        sm_voltages = np.asarray(sm_voltages, dtype=float)
+        seen = np.asarray(seen, dtype=float)
         expected = (len(self.controllers), self.num_sms)
-        if sm_voltages.shape != expected:
+        if seen.shape != expected:
             raise ValueError(
-                f"expected voltages of shape {expected}, got "
-                f"{sm_voltages.shape}"
+                f"expected voltages of shape {expected}, got {seen.shape}"
             )
-        np.isfinite(sm_voltages, out=self._finite_buf)
-        if self._finite_buf.all():
-            # The all-finite fast path of _advance_filters, broadcast
-            # over lanes.  Clearing an all-False fallback row is a
-            # no-op, so one global clear matches the per-lane clears.
+        if observed is not None and observed.all():
+            observed = None
+        finite = self._finite_buf
+        np.isfinite(seen, out=finite)
+        if observed is None and finite.all():
+            # The all-finite path of _advance_filters, broadcast over
+            # lanes.  Clearing an all-False fallback row is a no-op, so
+            # one global clear matches the per-lane clears.
             state = self._state
             buf = self._obs_buf
-            np.subtract(sm_voltages, state, out=buf)
+            np.subtract(seen, state, out=buf)
             buf *= self._alpha
             state += buf
             # Quantize straight into _last_good (rows alias the lanes'
@@ -821,97 +855,147 @@ class ControllerBank:
             if self._any_fallback:
                 self._fallback[:] = False
                 self._any_fallback = False
-            finite = True
+            has_nan = False
         else:
-            measured = np.empty_like(sm_voltages)
-            for i, c in enumerate(self.controllers):
-                measured[i] = c._advance_filters(sm_voltages[i])
-            self._any_fallback = bool(self._fallback.any())
-            finite = bool(np.isfinite(measured).all())
-        if self._uniform_period is not None:
-            if cycle < self._next_due:
-                return
+            measured, has_nan = self._advance_masked(seen, finite, observed)
+        if cycle < self._next_due:
+            return
+        if self._uniform_period is not None and observed is None:
             self._next_due = cycle + self._uniform_period
             self._last_decision[:] = cycle
-            if finite:
-                self._decide_wave_full(cycle, measured)
-            else:
-                self._prev_at_default = False
-                for i, c in enumerate(self.controllers):
-                    c._last_decision_cycle = cycle
-                    c._make_decision(cycle, measured[i])
+            self._wave(cycle, measured, None, has_nan)
             return
-        due = np.nonzero(cycle - self._last_decision >= self._period)[0]
-        if due.size == 0:
-            return
-        self._last_decision[due] = cycle
-        self._prev_at_default = False
-        if finite:
-            self._decide_wave(cycle, due, measured)
+        self._uniform_period = None
+        due = cycle - self._last_decision >= self._period
+        if observed is not None:
+            due &= observed
+        rows = np.flatnonzero(due)
+        if rows.size:
+            self._last_decision[rows] = cycle
+            self._wave(
+                cycle, measured, None if rows.size == len(due) else rows,
+                has_nan,
+            )
+        self._next_due = int((self._last_decision + self._period).min())
+
+    def _advance_masked(
+        self,
+        seen: np.ndarray,
+        finite: np.ndarray,
+        observed: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, bool]:
+        """Filter advance for blocks with NaN samples or unobserved rows.
+
+        Row-for-row the arithmetic of ``_advance_filters``: only fresh
+        (finite, observed) samples enter the RC filter, the held
+        measurement updates where they do, and a dropped sample either
+        holds its last good value (fallback on, thresholds widened) or
+        reads NaN.  Unobserved rows change nowhere.  Returns the
+        measurement block and whether it holds any NaN.
+        """
+        state = self._state
+        if observed is None:
+            rows = True
+            fresh = finite
+            dropped = ~finite
         else:
-            # Sensor dropout without fallback leaves NaN in measured;
-            # replicate the serial decision path exactly for this wave.
-            for i in due:
+            rows = observed.reshape(-1, 1)
+            fresh = finite & rows
+            dropped = fresh ^ rows
+        np.copyto(state, state + self._alpha * (seen - state), where=fresh)
+        measured = np.rint(state / self._step_v) * self._step_v
+        np.copyto(self._last_good, measured, where=fresh)
+        held = dropped if self._fb_all else dropped & self._fb_on
+        np.copyto(measured, self._last_good, where=held)
+        # An observed SM is fallback-held exactly where its sample was
+        # dropped under an enabled fallback (a disabled lane's flags
+        # never leave False).
+        np.copyto(self._fallback, held, where=rows)
+        has_nan = False
+        if not self._fb_all:
+            blind = dropped & ~self._fb_on
+            if blind.any():
+                measured[blind] = np.nan
+                has_nan = True
+        counts = dropped.sum(axis=1).tolist()
+        fb_on = self._fb_on
+        for i, count in enumerate(counts):
+            if count:
                 c = self.controllers[i]
-                c._last_decision_cycle = cycle
-                c._make_decision(cycle, measured[i])
+                c.nan_samples_seen += count
+                if fb_on[i, 0]:
+                    c.sensor_fallback_samples += count
+        self._any_fallback = bool(self._fallback.any())
+        return measured, has_nan
 
     # ------------------------------------------------------------------
-    def _gather_prev_cat(self) -> np.ndarray:
-        """Previous enqueued commands as one (B, 3*num_sms) array.
+    def _wave(
+        self,
+        cycle: int,
+        measured: np.ndarray,
+        rows: Optional[np.ndarray],
+        has_nan: bool,
+    ) -> None:
+        """One decision wave over the due lanes ``rows`` (None = all).
 
-        Decisions produced by full waves carry their concatenated row
-        (``_cat``), so the usual gather is a single ``np.stack``; any
-        other decision (the initial default, a serial-path decision) is
-        concatenated on the fly.
+        Per lane this is ``_make_decision``: watchdog, Algorithm 1 (or
+        the safe state), slew limiting, statistics and enqueueing.  An
+        *idle* lane — nothing triggered, not in the safe state, and its
+        previous command exactly the default — would enqueue a command
+        value-identical to its previous one, so it re-enqueues that same
+        decision object instead: downstream consumers can then skip
+        actuation on an identity check, and a wave of idle lanes skips
+        the clamp entirely.
         """
-        prevs = []
-        for c in self.controllers:
-            d = c._last_enqueued
-            pcat = getattr(d, "_cat", None)
-            if pcat is None:
-                pcat = np.concatenate(
-                    (d.issue_widths, d.fake_rates, d.dcc_powers_w)
-                )
-            prevs.append(pcat)
-        return np.stack(prevs)
-
-    # ------------------------------------------------------------------
-    def _decide_wave_full(self, cycle: int, measured: np.ndarray) -> None:
-        """A decision wave covering every lane (uniform cadence path).
-
-        Semantically identical to :meth:`_decide_wave` with all lanes
-        due, with two extra amortizations: the three actuator command
-        blocks share one ``(B, 3*num_sms)`` array so the slew clamp and
-        saturation test are single ufunc calls, and a wave where no
-        lane triggered while every previous command sat exactly at the
-        default decision skips the clamp entirely (a no-op clamp of the
-        default against itself).
-        """
-        ctrls = self.controllers
-        m = measured
-        worst = m.min(axis=1).tolist()
-        for i, c in enumerate(ctrls):
-            c._last_decision_cycle = cycle
-            c._note_worst_measurement(worst[i])
-        n = self.num_sms
-        if self._any_fallback:
-            widen = np.where(self._fallback, self._widen, 0.0)
-            low = m < self._thr + widen
-            high = m > self._thr_high + widen
+        if rows is None:
+            ctrls = self.controllers
+            m = measured
+            P = self._params
+            thr = self._thr
+            thr_high = self._thr_high
         else:
-            low = m < self._thr
-            high = m > self._thr_high
+            ctrls = [self.controllers[i] for i in rows]
+            m = measured[rows]
+            P = self._params[rows]
+            thr = P[:, _P_THR:_P_THR + 1]
+            thr_high = P[:, _P_THR_HIGH:_P_THR_HIGH + 1]
+        # Watchdog streaks advance on each lane's worst measured SM; an
+        # all-NaN row (total sensor loss without fallback) is no
+        # evidence either way.
+        if has_nan:
+            worst = np.where(np.isfinite(m), m, np.inf).min(axis=1).tolist()
+        else:
+            worst = m.min(axis=1).tolist()
+        inf = np.inf
+        for c, w in zip(ctrls, worst):
+            c._last_decision_cycle = cycle
+            if w != inf:
+                c._note_worst_measurement(w)
+        # A fallback-held SM's thresholds widen: protective throttling
+        # engages earlier on stale data, power-adding boosts later.
+        # NaN fails both comparisons — it never actuates.
+        if self._any_fallback:
+            fb = self._fallback if rows is None else self._fallback[rows]
+            widen = np.where(fb, P[:, _P_WIDEN:_P_WIDEN + 1], 0.0)
+            low = m < thr + widen
+            high = m > thr_high + widen
+        else:
+            low = m < thr
+            high = m > thr_high
+        safe = [c.in_safe_state for c in ctrls]
+        any_safe = any(safe)
+        if any_safe:
+            # The safe state replaces Algorithm 1 outright.
+            live = ~np.array(safe).reshape(-1, 1)
+            low &= live
+            high &= live
         trig_mask = low | high
         trig = trig_mask.any(axis=1).tolist()
-        any_safe = any(c.in_safe_state for c in ctrls)
-        active = any(trig) or any_safe
-        if not active and self._prev_at_default:
-            # Idle wave: every previous command sits exactly at the
-            # default and nothing triggered, so the new command is
-            # value-identical to the previous one.  Re-enqueue the same
-            # decision object — downstream consumers can then skip
-            # actuation entirely on an identity check.
+        any_trig = any(trig)
+        if not any_trig and not any_safe and (
+            self._all_at_default if rows is None
+            else self._at_default[rows].all()
+        ):
             for c in ctrls:
                 c.decisions_made += 1
                 c._track_limit_cycle(False)
@@ -919,54 +1003,98 @@ class ControllerBank:
                     (cycle + c.config.total_latency_cycles, c._last_enqueued)
                 )
             return
-        cat = self._cat_default.copy()
+        at_default = (
+            self._at_default if rows is None else self._at_default[rows]
+        ).tolist()
+        idle = [
+            a and not t and not s for a, t, s in zip(at_default, trig, safe)
+        ]
+        n = self.num_sms
+        if rows is None:
+            cat_default = self._cat_default
+            slew = self._slew_cat
+        else:
+            cat_default = self._cat_default[rows]
+            slew = self._slew_cat[rows]
+        cat = cat_default.copy()
         widths = cat[:, :n]
         fakes = cat[:, n:2 * n]
         dcc = cat[:, 2 * n:]
-        decisions = []
-        for j in range(len(ctrls)):
-            d = ControlDecision(
+        decisions: List[Optional[ControlDecision]] = [
+            None if idle[j] else ControlDecision(
                 issue_widths=widths[j], fake_rates=fakes[j],
                 dcc_powers_w=dcc[j],
             )
-            d._cat = cat[j]
-            decisions.append(d)
-        if self._bank_cols is not None and not any_safe:
-            if any(trig):
-                self._decide_banked(
-                    m, low, high, trig_mask, trig, decisions,
-                    widths, fakes, dcc,
-                )
-        else:
+            for j in range(len(ctrls))
+        ]
+        if any_trig:
+            stock = self._stock
+            if stock is not None:
+                stock = stock if rows is None else stock[rows]
+                low &= stock
+                high &= stock
+            self._decide_banked(m, low, high, P, widths, fakes, dcc)
             for j, c in enumerate(ctrls):
-                if c.in_safe_state:
+                if not trig[j]:
+                    continue
+                if stock is None or stock[j, 0]:
+                    decisions[j].triggered_sms = np.flatnonzero(
+                        trig_mask[j]
+                    ).tolist()
+                else:
+                    c._decide(m[j], decision=decisions[j])
+        if any_safe:
+            for j, c in enumerate(ctrls):
+                if safe[j]:
                     widths[j] = float(c.config.safe_issue_width)
                     c.safe_state_decisions += 1
-                elif trig[j]:
-                    c._decide(m[j], decision=decisions[j])
-        prev_cat = self._gather_prev_cat()
-        clamped = np.clip(
-            cat, prev_cat - self._slew_cat, prev_cat + self._slew_cat
-        )
-        changed = clamped != cat
+        k = len(ctrls)
+        prev_cat = self._prev_cat if rows is None else self._prev_cat[rows]
+        clamped = np.clip(cat, prev_cat - slew, prev_cat + slew)
+        # Per lane and actuator (issue, fake, dcc): did the clamp bite?
+        saturated = (clamped != cat).reshape(k, 3, n).any(axis=2).tolist()
         cat[:] = clamped
-        sat_i = changed[:, :n].any(axis=1).tolist()
-        sat_f = changed[:, n:2 * n].any(axis=1).tolist()
-        sat_d = changed[:, 2 * n:].any(axis=1).tolist()
-        throttling = (widths < self._default_w).any(axis=1).tolist()
-        fii_active = (fakes > 0.0).any(axis=1).tolist()
-        dcc_active = (dcc > 0.0).any(axis=1).tolist()
-        self._prev_at_default = bool((cat == self._cat_default).all())
+        throttling = (
+            (widths < P[:, _P_IWMAX:_P_IWMAX + 1]).any(axis=1).tolist()
+        )
+        # Per lane: FII engaged, DCC engaged.
+        boosting = (cat[:, n:] > 0.0).reshape(k, 2, n).any(axis=2).tolist()
+        now_default = (cat == cat_default).all(axis=1)
+        if rows is None:
+            self._prev_cat[:] = cat
+            self._at_default = now_default
+        else:
+            self._prev_cat[rows] = cat
+            self._at_default[rows] = now_default
+        self._all_at_default = bool(self._at_default.all())
+        relaxed = now_default.tolist()
         for j, c in enumerate(ctrls):
+            c.decisions_made += 1
             d = decisions[j]
-            if sat_i[j]:
+            if d is None:
+                c._track_limit_cycle(False)
+                c._pipeline.append(
+                    (cycle + c.config.total_latency_cycles, c._last_enqueued)
+                )
+                continue
+            if relaxed[j]:
+                # Idle waves may re-enqueue a default decision for the
+                # rest of the run: give it its own arrays, so it does
+                # not keep this wave's (k, 3n) block alive.
+                d = ControlDecision(
+                    issue_widths=d.issue_widths.copy(),
+                    fake_rates=d.fake_rates.copy(),
+                    dcc_powers_w=d.dcc_powers_w.copy(),
+                    triggered_sms=d.triggered_sms,
+                )
+            sat_i, sat_f, sat_d = saturated[j]
+            if sat_i:
                 c.slew_saturations["issue"] += 1
-            if sat_f[j]:
+            if sat_f:
                 c.slew_saturations["fake"] += 1
-            if sat_d[j]:
+            if sat_d:
                 c.slew_saturations["dcc"] += 1
             c._last_enqueued = d
-            c.decisions_made += 1
             if d.triggered_sms:
                 c.triggers += 1
             throttled = throttling[j]
@@ -974,11 +1102,12 @@ class ControllerBank:
             if throttled:
                 c.throttle_decisions += 1
                 c.actuator_decisions["diws"] += 1
-            if fii_active[j]:
+            fii_active, dcc_active = boosting[j]
+            if fii_active:
                 c.actuator_decisions["fii"] += 1
-            if dcc_active[j]:
+            if dcc_active:
                 c.actuator_decisions["dcc"] += 1
-            if fii_active[j] or dcc_active[j]:
+            if fii_active or dcc_active:
                 c.boost_decisions += 1
             c._pipeline.append((cycle + c.config.total_latency_cycles, d))
 
@@ -988,18 +1117,17 @@ class ControllerBank:
         m: np.ndarray,
         low: np.ndarray,
         high: np.ndarray,
-        trig_mask: np.ndarray,
-        trig: List[bool],
-        decisions: List[ControlDecision],
+        P: np.ndarray,
         widths: np.ndarray,
         fakes: np.ndarray,
         dcc: np.ndarray,
     ) -> None:
-        """Vectorized Algorithm 1 body across every triggered lane.
+        """Vectorized Algorithm 1 body across the wave's triggered SMs.
 
         Bit-identical to ``c._decide(m[j])`` per triggered lane, for
         the stock :class:`WeightedActuation` /
-        :class:`CurrentCompensationDAC` pair:
+        :class:`CurrentCompensationDAC` pair (``P`` holds the wave's
+        rows of ``_params``):
 
         * low side writes ``min(iwmax, max(0, iwmax - (k1*w1)*err))``
           (the clamps collapse to ``iwmax`` exactly where ``err <= 0``,
@@ -1013,26 +1141,28 @@ class ControllerBank:
         ``k1*w1`` etc. are precomputed per lane so the product
         associates exactly as the serial ``k1 * self.w1 * error_v``.
         """
-        cols = self._bank_cols
-        iwmax = cols["iwmax"]
-        err = cols["v_nom"] - m
+        iwmax = P[:, _P_IWMAX:_P_IWMAX + 1]
+        v_nom = P[:, _P_V_NOM:_P_V_NOM + 1]
+        err = v_nom - m
         w_raw = np.minimum(
-            iwmax, np.maximum(0.0, iwmax - cols["k1w1"] * err)
+            iwmax, np.maximum(0.0, iwmax - P[:, _P_K1W1:_P_K1W1 + 1] * err)
         )
         np.copyto(widths, np.where(err > 0, w_raw, iwmax), where=low)
         high_eff = high & ~low
         if high_eff.any():
-            over = m - cols["v_nom"]
+            over = m - v_nom
             pos = over > 0
-            fake = np.minimum(2.0, np.maximum(0.0, cols["k2w2"] * over))
+            fake = np.minimum(
+                2.0, np.maximum(0.0, P[:, _P_K2W2:_P_K2W2 + 1] * over)
+            )
             np.copyto(fakes, np.where(pos, fake, 0.0), where=high_eff)
-            p = cols["k3w3"] * over
-            code = np.minimum(cols["max_code"], np.rint(p / cols["unit"]))
-            power = np.where(pos & (p > 0), code * cols["unit"], 0.0)
+            unit = P[:, _P_UNIT:_P_UNIT + 1]
+            p = P[:, _P_K3W3:_P_K3W3 + 1] * over
+            code = np.minimum(
+                P[:, _P_MAX_CODE:_P_MAX_CODE + 1], np.rint(p / unit)
+            )
+            power = np.where(pos & (p > 0), code * unit, 0.0)
             np.copyto(dcc, power, where=high_eff)
-        for j, d in enumerate(decisions):
-            if trig[j]:
-                d.triggered_sms = np.flatnonzero(trig_mask[j]).tolist()
 
     # ------------------------------------------------------------------
     def compact(self, keep: List[int]) -> "ControllerBank":
@@ -1049,82 +1179,3 @@ class ControllerBank:
         being advanced).
         """
         return ControllerBank([self.controllers[i] for i in keep])
-
-    # ------------------------------------------------------------------
-    def _decide_wave(self, cycle: int, due: np.ndarray, measured) -> None:
-        """One decision wave over the due lanes (all measurements finite)."""
-        ctrls = self.controllers
-        m = measured[due]
-        n_due, n_sms = m.shape
-        worst = m.min(axis=1)
-        for j, i in enumerate(due):
-            c = ctrls[i]
-            c._last_decision_cycle = cycle
-            c._note_worst_measurement(float(worst[j]))
-        # Wave-owned decision arrays: each lane's decision holds row
-        # views of arrays allocated for this wave only, so decisions
-        # stay immutable after enqueue (the commands_for cache relies
-        # on that) without per-lane allocations.
-        widths = np.empty((n_due, n_sms))
-        widths[:] = self._default_w[due]
-        fakes = np.zeros((n_due, n_sms))
-        dcc = np.zeros((n_due, n_sms))
-        decisions = [
-            ControlDecision(
-                issue_widths=widths[j], fake_rates=fakes[j],
-                dcc_powers_w=dcc[j],
-            )
-            for j in range(n_due)
-        ]
-        # Trigger pre-check: a lane enters the per-SM Algorithm 1 loop
-        # only if some SM crosses a (possibly fallback-widened)
-        # threshold — the exact condition under which the serial
-        # _decide deviates from the default decision.
-        widen = np.where(self._fallback[due], self._widen[due], 0.0)
-        trig = (
-            (m < self._thr[due] + widen) | (m > self._thr_high[due] + widen)
-        ).any(axis=1)
-        for j, i in enumerate(due):
-            c = ctrls[i]
-            if c.in_safe_state:
-                widths[j] = float(c.config.safe_issue_width)
-                c.safe_state_decisions += 1
-            elif trig[j]:
-                c._decide(m[j], decision=decisions[j])
-        # Batched per-actuator slew limiting: same np.clip ufunc, with
-        # per-lane previous commands and (B, 1) slew limits.
-        for key, values, prev in (
-            ("issue", widths,
-             np.stack([ctrls[i]._last_enqueued.issue_widths for i in due])),
-            ("fake", fakes,
-             np.stack([ctrls[i]._last_enqueued.fake_rates for i in due])),
-            ("dcc", dcc,
-             np.stack([ctrls[i]._last_enqueued.dcc_powers_w for i in due])),
-        ):
-            slew = self._slew[key][due]
-            clamped = np.clip(values, prev - slew, prev + slew)
-            saturated = (clamped != values).any(axis=1)
-            values[:] = clamped
-            for j in np.nonzero(saturated)[0]:
-                ctrls[due[j]].slew_saturations[key] += 1
-        throttling = (widths < self._default_w[due]).any(axis=1)
-        fii_active = (fakes > 0.0).any(axis=1)
-        dcc_active = (dcc > 0.0).any(axis=1)
-        for j, i in enumerate(due):
-            c = ctrls[i]
-            d = decisions[j]
-            c._last_enqueued = d
-            c.decisions_made += 1
-            if d.triggered_sms:
-                c.triggers += 1
-            c._track_limit_cycle(bool(throttling[j]))
-            if throttling[j]:
-                c.throttle_decisions += 1
-                c.actuator_decisions["diws"] += 1
-            if fii_active[j]:
-                c.actuator_decisions["fii"] += 1
-            if dcc_active[j]:
-                c.actuator_decisions["dcc"] += 1
-            if fii_active[j] or dcc_active[j]:
-                c.boost_decisions += 1
-            c._pipeline.append((cycle + c.config.total_latency_cycles, d))

@@ -81,6 +81,8 @@ class FaultInjector:
             if isinstance(e, (SensorNoise, SensorQuantization, SensorStuck,
                               SensorDropout))
         ]
+        # Target-SM index arrays, resolved once (read-only per cycle).
+        self._sensor_idx = [self._sm_indices(e) for e in self._sensor_events]
         self._jitter_events: List[ControlLoopJitter] = [
             e for e in ev if isinstance(e, ControlLoopJitter)
         ]
@@ -280,12 +282,12 @@ class FaultInjector:
         noise fault overrides it on the shared SMs — scenario files
         control the composition.
         """
-        active = [e for e in self._sensor_events if e.active(cycle)]
-        if not active:
-            return voltages
-        seen = voltages.copy()
-        for event in active:
-            idx = self._sm_indices(event)
+        seen = None
+        for event, idx in zip(self._sensor_events, self._sensor_idx):
+            if not event.active(cycle):
+                continue
+            if seen is None:
+                seen = voltages.copy()
             if isinstance(event, SensorNoise):
                 seen[idx] += self.rng.normal(0.0, event.sigma_v, size=len(idx))
                 self.counters["sensor_samples_corrupted"] += len(idx)
@@ -300,7 +302,7 @@ class FaultInjector:
                 if len(dropped):
                     seen[dropped] = np.nan
                     self.counters["sensor_samples_dropped"] += len(dropped)
-        return seen
+        return voltages if seen is None else seen
 
     def observation_allowed(self, cycle: int) -> bool:
         """False when loop jitter drops this cycle's observation."""
@@ -401,6 +403,14 @@ class FaultInjector:
     @property
     def touches_actuation(self) -> bool:
         return bool(self._actuator_events)
+
+    @property
+    def halts_sms(self) -> bool:
+        return bool(self._halt_events)
+
+    @property
+    def scales_frequency(self) -> bool:
+        return bool(self._dfs_events)
 
     @property
     def touches_timing(self) -> bool:

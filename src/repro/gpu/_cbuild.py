@@ -89,6 +89,7 @@ class CEngineState(ctypes.Structure):
         ("s_src2_col", _PTR),
         ("miss_table", _PTR),
         ("powers", _PTR),
+        ("done", _PTR),
     ]
 
 

@@ -106,6 +106,7 @@ typedef struct {
     u8 *miss_table; /* (W,max_pc) */
     /* output */
     double *powers; /* (S,) */
+    u8 *done;       /* (S,) per-SM kernel-done flags of the last census */
 } EngineState;
 
 static inline int warp_ready(const EngineState *st, i64 s, i64 w, i64 cycle) {
@@ -366,16 +367,18 @@ i64 engine_step(EngineState *st, i64 cycle) {
         st->powers[s] = st->leakage[s] + energy * freq;
     }
 
-    /* Kernel-done census for the GPU's launch barrier. */
+    /* Kernel-done census for the GPU's launch barrier: the count, plus
+     * per-SM flags so a barrier-exempt set can be OR-ed in by the caller. */
     i64 ndone = 0;
     for (i64 s = 0; s < S; s++) {
-        int done = 1;
+        u8 done = 1;
         for (i64 w = 0; w < W; w++) {
             if (!st->warp_done[s * W + w] || st->outstanding[s * W + w] != 0) {
                 done = 0;
                 break;
             }
         }
+        st->done[s] = done;
         ndone += done;
     }
     return ndone;

@@ -12,9 +12,10 @@ lanes through one ``engine_step_batch`` call per cycle instead of B
 ``engine_step`` calls — the per-lane C work is unchanged (lanes share
 nothing, so cross-lane order cannot affect results); only the Python
 and ctypes dispatch around it is amortized.  Lanes with a non-empty
-barrier-exempt set (power-gating faults) or a NumPy engine fall back to
-the per-lane path for that cycle, preserving the serial protocol
-exactly.
+barrier-exempt set (halted SMs) stay on that call: the C census leaves
+per-SM kernel-done flags in a shared ``(B, num_sms)`` block, and such a
+lane's launch barrier fires on ``done | exempt``.  A batch holding a
+NumPy engine steps every lane through ``GPU.step_into``.
 """
 
 from __future__ import annotations
@@ -31,31 +32,36 @@ from repro.gpu.gpu import GPU
 class _FusedDispatch:
     """Cached ctypes plumbing for the one-call-per-cycle batch step.
 
-    Re-homes each engine's memory-queue slot, counter pair and power
-    output as rows of shared ``(B, ...)`` arrays (then repoints the C
-    structs), so the per-cycle shuttles run as one vectorized store per
-    direction instead of B NumPy scalar stores.
+    Re-homes each engine's memory-queue slot, counter pair, power output
+    and kernel-done flags as rows of shared ``(B, ...)`` arrays (then
+    repoints the C structs), so the per-cycle shuttles run as one
+    vectorized store per direction instead of B NumPy scalar stores.
+    The lanes must be stepped only through this dispatch from then on:
+    the mirrors below are not resynced from engine state.
     """
 
-    __slots__ = ("lib", "ptrs", "ndone", "engines", "lanes", "slots",
-                 "counters", "powers", "call", "B", "ndone_ptr", "nsms",
-                 "last_ndone", "stale")
+    __slots__ = ("lib", "ptrs", "ndone", "lanes", "slots", "counters",
+                 "powers", "done", "call", "B", "ndone_ptr", "nsms",
+                 "last_ndone")
 
     def __init__(self, lib: ctypes.CDLL, gpus: Sequence[GPU]) -> None:
         self.lib = lib
         engines = [gpu.engine for gpu in gpus]
-        self.engines = engines
         B = len(engines)
+        S = engines[0].num_sms
         self.slots = np.zeros(B)
         self.counters = np.zeros((B, 2), dtype=np.int64)
-        self.powers = np.zeros((B, engines[0].num_sms))
+        self.powers = np.zeros((B, S))
+        self.done = np.zeros((B, S), dtype=bool)
         for i, eng in enumerate(engines):
-            self.slots[i] = eng._mem_slot[0]
+            self.slots[i] = eng.memory._next_service_slot
             self.counters[i] = eng._mem_counters
             self.powers[i] = eng._powers_buf
+            self.done[i] = eng._done_buf
             eng._mem_slot = self.slots[i : i + 1]
             eng._mem_counters = self.counters[i]
             eng._powers_buf = self.powers[i]
+            eng._done_buf = self.done[i]
             eng._rebuild_cstate()
         self.ptrs = (ctypes.POINTER(CEngineState) * B)(
             *[eng._cstate_ptr for eng in engines]
@@ -67,13 +73,10 @@ class _FusedDispatch:
         self.call = lib.engine_step_batch
         self.B = B
         self.ndone_ptr = self.ndone.ctypes.data
-        self.nsms = engines[0].num_sms
+        self.nsms = S
         # last_ndone mirrors each engine's _c_ndone as plain ints so
         # the per-cycle launch check reads list slots, not attributes.
-        # stale=True forces a resync from engine state (first fused
-        # cycle, and after any per-lane fallback cycle).
-        self.last_ndone: list = []
-        self.stale = True
+        self.last_ndone = [eng._c_ndone for eng in engines]
 
 
 class GPUBatch:
@@ -107,9 +110,9 @@ class GPUBatch:
             for gpu in self.gpus
         ):
             return None
-        # Alignment is invariant once established: both the fused and
-        # the per-lane fallback path advance every lane exactly one
-        # cycle per step_into, so checking once here suffices.
+        # Alignment is invariant once established: the fused step
+        # advances every lane exactly one cycle per step_into, so
+        # checking once here suffices.
         if len({gpu.cycle for gpu in self.gpus}) != 1:
             return None
         lib = load_engine_lib()
@@ -125,17 +128,12 @@ class GPUBatch:
         emitted powers (a copy — callers may mutate rows freely, e.g.
         for fault power scaling).
         """
-        gpus = self.gpus
         fused = self._fused
         if fused is None and not self._fused_probed:
             fused = self._probe_fused()
-        if fused is not None and not any(gpu.barrier_exempt for gpu in gpus):
-            return self._step_fused(fused, gpus[0].cycle, out)
         if fused is not None:
-            # Per-lane stepping advances engine/memory state outside
-            # the fused mirrors; resync before the next fused cycle.
-            fused.stale = True
-        for i, gpu in enumerate(gpus):
+            return self._step_fused(fused, self.gpus[0].cycle, out)
+        for i, gpu in enumerate(self.gpus):
             gpu.step_into(out[i])
         return out
 
@@ -150,27 +148,27 @@ class GPUBatch:
         """
         lanes = fused.lanes
         ptrs = fused.ptrs
-        if fused.stale:
-            # First fused cycle, or a fallback cycle ran since: pull
-            # the authoritative per-lane state back into the mirrors.
-            fused.slots[:] = [mem._next_service_slot for _, _, mem in lanes]
-            last = [eng._c_ndone for _, eng, _ in lanes]
-            fused.stale = False
-        else:
-            # Steady state: the C kernel stepped through the shared
-            # arrays last cycle and nothing else touched them, so the
-            # mirrors (slots rows, last_ndone ints) are already current.
-            last = fused.last_ndone
+        last = fused.last_ndone
         nsms = fused.nsms
-        for i, nd in enumerate(last):
-            if nd == nsms:
-                gpu, eng, mem = lanes[i]
-                eng._load_generation(eng.generation + 1)
-                # _rebuild_cstate allocated a fresh struct; repoint.
-                ptrs[i] = eng._cstate_ptr
-                gpu._generation = eng.generation
-                gpu.kernels_launched += 1
-                gpu.kernel_launch_cycles.append(gpu.cycle)
+        done = fused.done
+        for i, (gpu, eng, _) in enumerate(lanes):
+            nd = last[i]
+            if nd != nsms:
+                # Halted SMs do not block the barrier: OR the exempt
+                # mask into the last census's per-SM flags (the current
+                # kernel_done_mask) — unless too few SMs are done for
+                # the exempt ones to close the gap.
+                exempt = gpu.barrier_exempt
+                if not exempt or nd + len(exempt) < nsms or not bool(
+                    np.all(done[i] | gpu._refresh_exempt_mask())
+                ):
+                    continue
+            eng._load_generation(eng.generation + 1)
+            # _rebuild_cstate allocated a fresh struct; repoint.
+            ptrs[i] = eng._cstate_ptr
+            gpu._generation = eng.generation
+            gpu.kernels_launched += 1
+            gpu.kernel_launch_cycles.append(gpu.cycle)
         rc = fused.call(ptrs, fused.B, cycle, fused.ndone_ptr)
         if rc < 0:
             raise RuntimeError("C engine pending-load heap overflow")

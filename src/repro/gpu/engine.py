@@ -200,6 +200,9 @@ class VectorizedGPUEngine:
             self._mem_slot = np.zeros(1)
             self._mem_counters = np.zeros(2, dtype=np.int64)
             self._powers_buf = np.zeros(S)
+            # The C census's per-SM kernel-done flags (count in _c_ndone):
+            # the launch barrier ORs a barrier-exempt mask into them.
+            self._done_buf = np.zeros(S, dtype=bool)
             self._c_ndone = 0
         self._load_generation(0, first=True)
 
@@ -244,6 +247,7 @@ class VectorizedGPUEngine:
         if self.backend == "c":
             self._rebuild_cstate()
             self._c_ndone = 0
+            self._done_buf[:] = False
             return
         timings = self.memory.timings
         self._site_latency = np.where(
@@ -319,6 +323,7 @@ class VectorizedGPUEngine:
             s_src2_col=ptr(st.src2_col),
             miss_table=ptr(self._miss_table),
             powers=ptr(self._powers_buf),
+            done=ptr(self._done_buf),
         )
         self._cstate = cs
         self._cstate_ptr = ctypes.pointer(cs)
@@ -456,7 +461,9 @@ class VectorizedGPUEngine:
     ) -> Tuple[np.ndarray, bool]:
         launched = False
         if exempt_any:
-            if bool(np.all(self.kernel_done_mask() | exempt)):
+            # _done_buf is the last step's census, i.e. the current
+            # kernel_done_mask(): nothing else moves warps between steps.
+            if bool(np.all(self._done_buf | exempt)):
                 launched = True
         elif self._c_ndone == self.num_sms:
             launched = True

@@ -568,9 +568,10 @@ def run_cosim_batch(
     suite keeps: every array op that crosses the batch axis is
     elementwise with per-lane broadcasts (or a row-wise reduction), the
     circuit back-substitution stays one LAPACK call per lane, and
-    everything data-dependent (kernel scheduling, fault RNG, triggered
-    controller decisions) runs on per-lane objects.  The batch exists
-    for throughput (one NumPy dispatch per array op instead of B).
+    everything data-dependent (kernel scheduling, fault RNG, controller
+    watchdogs and latency pipelines) runs on per-lane objects.  The
+    batch exists for throughput (one NumPy dispatch per array op
+    instead of B).
 
     All lanes must share the topology-family fields of
     :class:`CosimLane`.  ``telemetry`` records batch-level stage timings
@@ -768,23 +769,40 @@ def _simulate(
     alive: List[_LaneState] = list(states)
     alive_idx: Optional[np.ndarray] = None
 
-    # Batched sensor/decision front end for the "fast" lanes: the stock
-    # controller with an uncorrupted sensor path.  Lanes with injectors
-    # (corrupted/delayed observations) or duck-typed controller objects
-    # keep the serial per-lane code path.
+    # Batched sensor/decision front end: every stock-controller lane is
+    # a bank row.  The bank is fed what each lane's detectors *see*:
+    # the true voltages, or the fault injector's corrupted copy, with a
+    # per-lane observed mask for loop-jitter drops.  Only duck-typed
+    # controller objects observe on their own, per lane.
     bank = None
-    bank_rows: List[int] = []
-    for ln in states:
-        if (
-            ln.injector is None
-            and isinstance(ln.controller, VoltageSmoothingController)
-        ):
-            ln.in_bank = True
-            bank_rows.append(ln.index)
-    if bank_rows:
-        bank = ControllerBank([states[i].controller for i in bank_rows])
-    bank_members = [states[i] for i in bank_rows]
-    bank_rows_arr = np.array(bank_rows, dtype=np.intp)
+    bank_members = [
+        ln for ln in states
+        if isinstance(ln.controller, VoltageSmoothingController)
+    ]
+    for ln in bank_members:
+        ln.in_bank = True
+    if bank_members:
+        bank = ControllerBank([ln.controller for ln in bank_members])
+
+    def _bank_feeds():
+        """Batch rows and injector hooks of the bank's current lanes.
+
+        Sensor-fault lanes rewrite their row of the seen block; jitter
+        lanes set their slot of the observed mask.  Lanes without such
+        faults skip those hooks, which are no-ops for them.
+        """
+        rows = np.array([ln.row for ln in bank_members], dtype=np.intp)
+        sensor = [
+            (j, ln) for j, ln in enumerate(bank_members)
+            if ln.injector is not None and ln.injector.touches_sensors
+        ]
+        jitter = [
+            (j, ln) for j, ln in enumerate(bank_members)
+            if ln.injector is not None and ln.injector.touches_timing
+        ]
+        return rows, sensor, jitter
+
+    bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
 
     # Per-SM voltage readout indices — identical across lanes (same
     # netlist builder); verified against lane 0 at setup.
@@ -828,23 +846,40 @@ def _simulate(
     # channel (its only reader).
     trace_dcc = timing and serial
     dcc_trace_bt = np.zeros((num_lanes, cycles)) if trace_dcc else None
-    event_lanes = [
+    # Per-hook lane lists: each injector hook is called only on lanes
+    # whose schedule has events of its kind (elsewhere it is a no-op).
+    # Halting lanes rebuild their barrier-exempt set every cycle.
+    halt_lanes = [
         ln for ln in states
-        if ln.injector is not None or ln.config.shutoff is not None
+        if ln.config.shutoff is not None
+        or (ln.injector is not None and ln.injector.halts_sms)
     ]
-    injector_lanes = [ln for ln in states if ln.injector is not None]
-    # Fast lanes — bank-controlled, never halted — apply actuation only
-    # when a decision pops out of the latency pipeline (decisions are
-    # immutable once enqueued, so nothing can change between pops); the
-    # rest replicate the serial per-cycle commands_for path.
-    # (A pre-used controller object that already counted cycles keeps
-    # the serial per-cycle path: its commands_for skips cycles at or
-    # below _counted_through_cycle, which span accounting cannot see.)
+    circuit_lanes = [
+        ln for ln in states
+        if ln.injector is not None and ln.injector.touches_circuit
+    ]
+    dfs_lanes = [
+        ln for ln in states
+        if ln.injector is not None and ln.injector.scales_frequency
+    ]
+    # Fast lanes — bank-controlled, never halted, commands read on time
+    # and applied undistorted — apply actuation only when a decision
+    # pops out of the latency pipeline (decisions are immutable once
+    # enqueued, so nothing can change between pops); faults that touch
+    # only the sensors or the circuit leave that path intact.  The rest
+    # replicate the serial per-cycle commands_for path.  (A pre-used
+    # controller object that already counted cycles keeps the per-cycle
+    # path: its commands_for skips cycles at or below
+    # _counted_through_cycle, which span accounting cannot see.)
     fast_lanes = [
         ln for ln in states
         if ln.in_bank
         and ln.config.shutoff is None
         and ln.controller._counted_through_cycle < 0
+        and not (ln.injector is not None and (
+            ln.injector.halts_sms or ln.injector.touches_timing
+            or ln.injector.touches_actuation
+        ))
     ]
     slow_ctrl_lanes = [
         ln for ln in states
@@ -873,7 +908,7 @@ def _simulate(
         return w3 is None or w3 != 0.0
 
     dcc_possible = any(_lane_dcc_possible(ln) for ln in states)
-    all_banked = len(bank_rows) == num_lanes
+    all_banked = len(bank_members) == num_lanes
 
     # Droop flight recorders: one per lane alongside telemetry (or as
     # passed), observation-only so bit-identity with serial runs holds.
@@ -963,15 +998,15 @@ def _simulate(
         if timing:
             t0 = perf_counter()
         gpu_batch.step_into(powers_bt)
-        for ln in injector_lanes:
+        for ln in circuit_lanes:
             # Circuit faults mutate element values (one re-factorization
             # per activation edge, before this cycle's solve); process
-            # variation scales the emitted powers *before* they become
-            # currents or records, keeping the PDE ledger closed.
+            # variation scales the emitted powers (in place) *before*
+            # they become currents or records, keeping the PDE ledger
+            # closed.
             ln.injector.apply_circuit_faults(recorded_cycle)
-            powers_bt[ln.row] = ln.injector.scale_powers(
-                recorded_cycle, powers_bt[ln.row]
-            )
+            ln.injector.scale_powers(recorded_cycle, powers_bt[ln.row])
+        for ln in dfs_lanes:
             scales = ln.injector.frequency_scales(recorded_cycle)
             if scales is not None:
                 ln.gpu.set_frequency_scales(scales)
@@ -1030,10 +1065,11 @@ def _simulate(
                     if timing and not serial:
                         tele.event("lane_quarantined", **info)
                 survivors = [ln for ln in alive if not ln.dead]
-                event_lanes = [ln for ln in event_lanes if not ln.dead]
-                injector_lanes = [
-                    ln for ln in injector_lanes if not ln.dead
+                halt_lanes = [ln for ln in halt_lanes if not ln.dead]
+                circuit_lanes = [
+                    ln for ln in circuit_lanes if not ln.dead
                 ]
+                dfs_lanes = [ln for ln in dfs_lanes if not ln.dead]
                 fast_lanes = [ln for ln in fast_lanes if not ln.dead]
                 slow_ctrl_lanes = [
                     ln for ln in slow_ctrl_lanes if not ln.dead
@@ -1079,9 +1115,7 @@ def _simulate(
                     elif len(keep) != len(bank_members):
                         bank = bank.compact(keep)
                         bank_members = [bank_members[j] for j in keep]
-                    bank_rows_arr = np.array(
-                        [bln.row for bln in bank_members], dtype=np.intp
-                    )
+                    bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
                 all_banked = len(bank_members) == len(survivors)
                 powers_bt = powers_bt[old_rows]
                 dcc_bt = dcc_bt[old_rows]
@@ -1107,7 +1141,7 @@ def _simulate(
 
         # Halted SMs per lane (shutoff events + fault-scheduled halts)
         # must not block the kernel-launch barrier.
-        for ln in event_lanes:
+        for ln in halt_lanes:
             halted: set = set()
             shutoff = ln.config.shutoff
             if shutoff is not None and shutoff.active(recorded_cycle):
@@ -1118,19 +1152,33 @@ def _simulate(
             ln.halted_idx = sorted(halted)
 
         # 4. Detection + control.  Bank lanes advance their RC filters
-        # and decision waves batched; the rest replicate the serial
-        # paths verbatim.  Actuation application is gated on decision
-        # identity (setters are idempotent; decisions are immutable
-        # once enqueued), except under actuation-distorting faults
-        # which may perturb every cycle.  Ownership contract: decision
-        # arrays belong to the controller, so every array this loop
-        # mutates (halted widths, distorted commands) or retains (DCC,
-        # in dcc_bt) is a copy.
+        # and decision waves batched, on what their detectors see; each
+        # injector keeps its serial RNG call order (corrupt_sensors,
+        # observation_allowed, then extra_latency at the command read).
+        # Duck-typed controllers replicate the serial path verbatim.
+        # Actuation application is gated on decision identity (setters
+        # are idempotent; decisions are immutable once enqueued), except
+        # under actuation-distorting faults which may perturb every
+        # cycle.  Ownership contract: decision arrays belong to the
+        # controller, so every array this loop mutates (halted widths,
+        # distorted commands) or retains (DCC, in dcc_bt) is a copy.
         if bank is not None:
-            if all_banked:
-                bank.observe(cycle, voltages_bt)
-            else:
-                bank.observe(cycle, voltages_bt[bank_rows_arr])
+            seen = voltages_bt if all_banked else voltages_bt[bank_rows_arr]
+            if sensor_lanes:
+                if seen is voltages_bt:
+                    seen = seen.copy()  # never write the physical voltages
+                for j, ln in sensor_lanes:
+                    seen[j] = ln.injector.corrupt_sensors(
+                        recorded_cycle, seen[j]
+                    )
+            observed = None
+            if jitter_lanes:
+                observed = np.ones(len(bank_members), dtype=bool)
+                for j, ln in jitter_lanes:
+                    observed[j] = ln.injector.observation_allowed(
+                        recorded_cycle
+                    )
+            bank.observe(cycle, seen, observed)
         for ln in fast_lanes:
             controller = ln.controller
             pipeline = controller._pipeline
@@ -1138,7 +1186,7 @@ def _simulate(
                 while pipeline and pipeline[0][0] <= cycle:
                     _, decision = pipeline.popleft()
                 if decision is ln.applied_decision:
-                    # An idle wave re-enqueued the object already
+                    # An idle lane re-enqueued the object already
                     # applied: same values, same throttle flag — the
                     # open span simply continues.
                     continue
@@ -1171,20 +1219,21 @@ def _simulate(
                 ln.applied_decision = decision
         for ln in slow_ctrl_lanes:
             controller = ln.controller
-            if ln.in_bank:
-                decision = controller.commands_for(cycle)
-            elif ln.injector is None:
-                controller.observe(cycle, voltages_bt[ln.row])
-                decision = controller.commands_for(cycle)
-            else:
-                seen = ln.injector.corrupt_sensors(
-                    recorded_cycle, voltages_bt[ln.row]
-                )
-                if ln.injector.observation_allowed(recorded_cycle):
+            inj = ln.injector
+            if not ln.in_bank:
+                # A duck-typed controller observes on its own, through
+                # the same injector hooks that feed the bank.
+                seen = voltages_bt[ln.row]
+                if inj is not None:
+                    seen = inj.corrupt_sensors(recorded_cycle, seen)
+                if inj is None or inj.observation_allowed(recorded_cycle):
                     controller.observe(cycle, seen)
+            if inj is not None and inj.touches_timing:
                 decision = controller.commands_for(
-                    cycle - ln.injector.extra_latency(recorded_cycle)
+                    cycle - inj.extra_latency(recorded_cycle)
                 )
+            else:
+                decision = controller.commands_for(cycle)
             ln.last_decision = decision
             if ln.injector is not None and ln.injector.touches_actuation:
                 widths = decision.issue_widths.copy()
@@ -1212,7 +1261,7 @@ def _simulate(
                     np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
                     ln.applied_decision = decision
                     ln.applied_halted = halted_sig
-        for ln in event_lanes:
+        for ln in halt_lanes:
             if ln.controller is None:
                 halted_sig = tuple(ln.halted_idx)
                 if ln.applied_decision is None or halted_sig != ln.applied_halted:

@@ -94,7 +94,8 @@ class TestRandomizedEquivalence:
     )
     @settings(max_examples=15, deadline=None)
     def test_actuation_dfs_and_gating(self, seed, sched_seed, cycles):
-        """Random per-cycle DIWS/FII/DFS commands and gating flips."""
+        """Random per-cycle DIWS/FII/DFS commands, gating flips and
+        barrier-exempt (halted) SM sets."""
         spec = KernelSpec("sched", body_length=120, warps_per_sm=6)
         rng = np.random.default_rng(sched_seed)
         events = {
@@ -105,6 +106,7 @@ class TestRandomizedEquivalence:
                 int(rng.integers(0, 16)),
                 ExecUnit(list(ExecUnit)[int(rng.integers(0, 3))]),
                 bool(rng.integers(0, 2)),
+                set(rng.choice(16, int(rng.integers(0, 6)), replace=False)),
             )
             for c in rng.integers(0, cycles, 12)
         }
@@ -112,7 +114,8 @@ class TestRandomizedEquivalence:
         def actuate(gpu, cycle):
             if cycle not in events:
                 return
-            widths, fakes, freqs, sm, unit, gate = events[cycle]
+            widths, fakes, freqs, sm, unit, gate, exempt = events[cycle]
+            gpu.barrier_exempt = {int(s) for s in exempt}
             gpu.set_issue_widths(widths)
             gpu.set_fake_rates(fakes)
             gpu.set_frequency_scales(freqs)

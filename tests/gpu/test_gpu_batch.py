@@ -20,6 +20,13 @@ def _gpu(seed, vectorized=True, body=250):
     )
 
 
+def _launches_without_exempt(seed, cycles):
+    gpu = _gpu(seed)
+    for _ in range(cycles):
+        gpu.step()
+    return gpu.kernel_launch_cycles
+
+
 class TestStepInto:
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_matches_step(self, vectorized):
@@ -64,6 +71,50 @@ class TestGPUBatch:
         )
         assert batch.total_fake_instructions() == sum(
             g.total_fake_instructions() for g in serial
+        )
+
+    def test_exempt_lanes_stay_fused(self):
+        """Lanes gaining and losing barrier-exempt sets mid-run stay on
+        the fused step and equal per-lane ``GPU.step_into`` stepping."""
+        seeds = [2, 4, 6, 8]
+        # lane -> [(from_cycle, exempt set)]; lane 3 never halts.
+        schedule = {
+            0: [(40, {12, 13, 14, 15}), (500, set())],
+            1: [(0, {0}), (90, set()), (260, {3, 7, 11, 15})],
+            2: [(150, set(range(16))), (420, {5})],
+        }
+
+        def exempt_at(lane, cycle):
+            current = set()
+            for start, sms in schedule.get(lane, []):
+                if cycle >= start:
+                    current = sms
+            return current
+
+        serial = [_gpu(s) for s in seeds]
+        batched = [_gpu(s) for s in seeds]
+        batch = GPUBatch(batched)
+        out = np.empty((len(seeds), batch.num_sms))
+        ref = np.empty(batch.num_sms)
+        for cycle in range(700):
+            for i in range(len(seeds)):
+                serial[i].barrier_exempt = exempt_at(i, cycle)
+                batched[i].barrier_exempt = exempt_at(i, cycle)
+            batch.step_into(out)
+            for i, gpu in enumerate(serial):
+                assert np.array_equal(out[i], gpu.step_into(ref)), (i, cycle)
+        assert batch._fused is not None, "batch left the fused step"
+        for a, b in zip(serial, batched):
+            assert a.kernel_launch_cycles == b.kernel_launch_cycles
+            assert a.kernels_launched == b.kernels_launched
+            assert a.memory.requests_served == b.memory.requests_served
+            assert a.memory.misses == b.memory.misses
+            assert a.memory._next_service_slot == b.memory._next_service_slot
+            assert a.total_instructions() == b.total_instructions()
+        # The schedule really moved launches: exempt lanes relaunch
+        # while their halted SMs are still busy.
+        assert serial[2].kernel_launch_cycles != _launches_without_exempt(
+            seeds[2], 700
         )
 
     def test_empty_batch_rejected(self):

@@ -11,18 +11,26 @@ scenarios.  These tests drive both paths side by side (randomized via
 hypothesis and through canned scenarios) and pin the three accounting
 bugfixes: decision-array ownership at the control boundary, completed
 kernel-interval counting, and applied-vs-commanded DCC ledgering.
+
+The lane-independence property closes the loop: for any lane mix, lane
+i of a batch equals the same lane run alone (``run_cosim``, the loop at
+B=1) and the oracle, byte for byte.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import pde_loss_ledger
+from repro.core.actuators import WeightedActuation
 from repro.core.controller import ControlDecision, ControllerConfig
+from repro.core.prior_art import GlobalThrottleController
+from repro.faults.events import ActuatorStuck, FaultSchedule
 from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.sim.cosim import (
     CosimConfig,
     CosimLane,
+    LayerShutoffEvent,
     run_cosim,
     run_cosim_batch,
 )
@@ -141,7 +149,7 @@ class TestRandomizedBatchEquivalence:
 
 
 class TestCannedFaultBatch:
-    @pytest.mark.parametrize("scenario", ["guardband-breaker", "sensor-storm"])
+    @pytest.mark.parametrize("scenario", sorted(CANNED_SCENARIOS))
     def test_fault_lane_batches_bit_identically(self, scenario):
         cyc, wu = 700, 80
         _check_batch([
@@ -152,6 +160,110 @@ class TestCannedFaultBatch:
             CosimLane("bfs", CosimConfig(
                 cycles=cyc, warmup_cycles=wu, use_controller=False)),
         ])
+
+
+# ---------------------------------------------------------------------------
+# Lane independence: B=k equals k runs at B=1 (and the oracle)
+# ---------------------------------------------------------------------------
+PROP_CYCLES = 520
+PROP_WARMUP = 60
+LANE_KINDS = (
+    "plain", *sorted(CANNED_SCENARIOS), "actuator-stuck", "shutoff",
+    "watchdog", "no-fallback", "global-throttle",
+)
+
+
+def _lane_config(kind, seed, active):
+    """A fresh config for one lane recipe (controller objects are
+    stateful, so every run gets its own)."""
+    controller = (
+        ControllerConfig(v_threshold=0.97, k1=15.0) if active
+        else ControllerConfig()
+    )
+    kwargs = dict(
+        cycles=PROP_CYCLES, warmup_cycles=PROP_WARMUP, seed=seed,
+        controller=controller,
+        actuation=WeightedActuation(w1=1.0, w2=1.0, w3=1.0 if active else 0.0),
+    )
+    if kind in CANNED_SCENARIOS:
+        kwargs["faults"] = CANNED_SCENARIOS[kind]()
+    elif kind == "actuator-stuck":
+        kwargs["faults"] = FaultSchedule(name="stuck", seed=seed, events=(
+            ActuatorStuck(start_cycle=40, actuator="diws", sms=(1, 5)),
+            ActuatorStuck(start_cycle=120, end_cycle=320, actuator="dcc",
+                          sms=(2, 6), value=0.5),
+        ))
+    elif kind == "shutoff":
+        kwargs["shutoff"] = LayerShutoffEvent(layer=3, start_cycle=150)
+    elif kind == "watchdog":
+        kwargs["controller"] = ControllerConfig(
+            v_threshold=controller.v_threshold, k1=controller.k1,
+            watchdog_enabled=True, watchdog_patience=2,
+            safe_state_release_decisions=20,
+        )
+        kwargs["faults"] = CANNED_SCENARIOS["guardband-breaker"]()
+    elif kind == "no-fallback":
+        kwargs["controller"] = ControllerConfig(
+            v_threshold=controller.v_threshold, k1=controller.k1,
+            sensor_fallback_enabled=False,
+        )
+        kwargs["faults"] = CANNED_SCENARIOS["sensor-storm"]()
+    elif kind == "global-throttle":
+        kwargs["controller_object"] = GlobalThrottleController(
+            v_threshold=controller.v_threshold
+        )
+    return CosimConfig(**kwargs)
+
+
+def _assert_result_bytes_equal(a, b, label):
+    """Byte-equality of every CosimResult field plus the fault report."""
+    for name in ("sm_voltages", "supply_current", "kernel_durations"):
+        assert np.ascontiguousarray(getattr(a, name)).tobytes() == (
+            np.ascontiguousarray(getattr(b, name)).tobytes()
+        ), f"{label}: {name}"
+    assert a.power_trace.data.tobytes() == b.power_trace.data.tobytes(), (
+        f"{label}: power trace"
+    )
+    for name in ("benchmark", "stack", "instructions", "fake_instructions",
+                 "throttled_cycles", "controller_power_w",
+                 "kernels_completed", "mean_dcc_power_w", "fault_report",
+                 "divergence"):
+        assert getattr(a, name) == getattr(b, name), f"{label}: {name}"
+
+
+class TestLaneIndependence:
+    """ROADMAP item 5's invariant over the fault and controller mix."""
+
+    @settings(max_examples=10, deadline=None)
+    @example(lanes=[  # every kind in one batch, half of them acting
+        (kind, 100 + i, i % 2 == 0, BENCHMARKS[i % len(BENCHMARKS)])
+        for i, kind in enumerate(LANE_KINDS)
+    ])
+    @given(lanes=st.lists(
+        st.tuples(
+            st.sampled_from(LANE_KINDS),
+            st.integers(0, 2**16),
+            st.booleans(),
+            st.sampled_from(BENCHMARKS),
+        ),
+        min_size=1, max_size=4,
+    ))
+    def test_batch_lane_equals_solo_run(self, lanes):
+        def build():
+            return [
+                CosimLane(bench, _lane_config(kind, seed, active))
+                for kind, seed, active, bench in lanes
+            ]
+
+        batch = run_cosim_batch(build())
+        for i, lane in enumerate(build()):
+            label = f"lane {i} {lanes[i][0]}"
+            solo = run_cosim(lane.benchmark, lane.config)
+            _assert_result_bytes_equal(batch[i], solo, f"{label} vs solo")
+            oracle = run_cosim_reference(
+                lane.benchmark, config=build()[i].config
+            )
+            _assert_result_bytes_equal(batch[i], oracle, f"{label} vs oracle")
 
 
 # ---------------------------------------------------------------------------
