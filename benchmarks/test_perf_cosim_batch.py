@@ -7,7 +7,9 @@ bit-identical to the one-scenario serial loop kept as the oracle in
 that contract, against the oracle:
 
 * a B=8 mixed-benchmark batch must run at least ``SPEEDUP_FLOOR`` times
-  faster than the same 8 scenarios run through the serial oracle;
+  faster than the same 8 scenarios run through the serial oracle, with
+  every one of its cycles in the compiled cycle kernel (a silent drop
+  to the loop's NumPy body fails the gate);
 * ``run_cosim`` (the loop at B=1) must run at least ``B1_SPEEDUP_FLOOR``
   times faster than the oracle on one hotspot run;
 * a B=8 batch of acting controllers with fault injectors on half the
@@ -31,7 +33,13 @@ from repro.analysis.report import format_table
 from repro.core.actuators import WeightedActuation
 from repro.core.controller import ControllerConfig
 from repro.faults.scenarios import CANNED_SCENARIOS
-from repro.sim.cosim import CosimConfig, CosimLane, run_cosim, run_cosim_batch
+from repro.sim.cosim import (
+    CosimConfig,
+    CosimLane,
+    last_batch_solver_info,
+    run_cosim,
+    run_cosim_batch,
+)
 from repro.sim.sweep import point_seed
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 from tests.oracles.serial_cosim import run_cosim_reference
@@ -119,6 +127,7 @@ def test_batch_speedup_floor(benchmark):
         lambda: _time_best(lambda: run_cosim_batch(_lanes())),
         rounds=1, iterations=1,
     )
+    fused_cycles = last_batch_solver_info()["fused_cycles"]
     serial_s = _time_best(
         lambda: [
             run_cosim_reference(l.benchmark, config=l.config)
@@ -151,7 +160,12 @@ def test_batch_speedup_floor(benchmark):
         "speedup": speedup,
         "lane_cycles_per_s_batched": lane_cycles / batch_s,
         "speedup_floor": SPEEDUP_FLOOR,
+        "fused_cycles": fused_cycles,
     })
+    assert fused_cycles == CYCLES + WARMUP, (
+        f"only {fused_cycles} of {CYCLES + WARMUP} cycles of the clean "
+        "B=8 batch ran through the cycle kernel"
+    )
     assert speedup >= SPEEDUP_FLOOR, (
         f"B={BATCH} batch is only {speedup:.2f}x faster than the serial "
         f"oracle (floor {SPEEDUP_FLOOR}x)"

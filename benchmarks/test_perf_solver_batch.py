@@ -99,6 +99,7 @@ def _run(backend, cycles, record=False):
             if record:
                 volts[k] = node_v
         assert batch.active_backend == backend
+    batch.fold_lanes()  # lane step counts are deferred to the batch clock
     return volts, batch
 
 

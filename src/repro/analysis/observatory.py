@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.spectral import band_power, imbalance_series
+from repro.analysis.spectral import band_powers, imbalance_series
 from repro.config import StackConfig
 from repro.pdn.efficiency import layer_shuffle_power, pde_voltage_stacked
 from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
@@ -116,13 +116,16 @@ def band_decomposition(
     """
     worst_trace = np.asarray(sm_voltages, dtype=float).min(axis=1)
     series = imbalance_series(per_sm_power, stack)
+    edges = [(band.low_hz, band.high_hz) for band in bands]
+    v_bands = band_powers(worst_trace, sample_rate_hz, edges)
+    comp_bands = {
+        name: band_powers(values, sample_rate_hz, edges)
+        for name, values in series.items()
+    }
     rows: List[Dict[str, object]] = []
-    for band in bands:
-        v_rms = band_power(worst_trace, sample_rate_hz, band.low_hz, band.high_hz)
-        comp_rms = {
-            name: band_power(values, sample_rate_hz, band.low_hz, band.high_hz)
-            for name, values in series.items()
-        }
+    for k, band in enumerate(bands):
+        v_rms = v_bands[k]
+        comp_rms = {name: powers[k] for name, powers in comp_bands.items()}
         energy = sum(r**2 for r in comp_rms.values())
         shares = {
             name: (r**2 / energy if energy > 0 else 0.0)

@@ -6,7 +6,8 @@ low-to-middle band, and the effective impedance profile says which is
 which.  This module provides the measurement side of that argument:
 
 * :func:`power_spectrum` — one-sided amplitude spectrum of a signal;
-* :func:`band_power` — RMS content of a signal inside a frequency band;
+* :func:`band_power` — RMS content of a signal inside a frequency band
+  (:func:`band_powers` for several bands from one spectrum);
 * :func:`imbalance_spectrum` — the spectrum of the *residual* current
   component specifically (the one with the dangerous impedance);
 * :func:`dominant_frequency` — where a workload concentrates its
@@ -15,7 +16,7 @@ which.  This module provides the measurement side of that argument:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,13 +53,28 @@ def band_power(
     high_hz: float,
 ) -> float:
     """RMS amplitude of the signal's content within [low, high] Hz."""
-    if not 0 <= low_hz < high_hz:
-        raise ValueError("need 0 <= low < high")
+    return band_powers(signal, sample_rate_hz, [(low_hz, high_hz)])[0]
+
+
+def band_powers(
+    signal: np.ndarray,
+    sample_rate_hz: float,
+    bands: Sequence[Tuple[float, float]],
+) -> List[float]:
+    """:func:`band_power` of each ``(low_hz, high_hz)`` band, from one
+    spectrum of the signal."""
+    for low_hz, high_hz in bands:
+        if not 0 <= low_hz < high_hz:
+            raise ValueError("need 0 <= low < high")
     freqs, amplitudes = power_spectrum(signal, sample_rate_hz)
-    mask = (freqs >= low_hz) & (freqs <= high_hz)
-    if not np.any(mask):
-        return 0.0
-    return float(np.sqrt(0.5 * np.sum(amplitudes[mask] ** 2)))
+    powers = []
+    for low_hz, high_hz in bands:
+        mask = (freqs >= low_hz) & (freqs <= high_hz)
+        if not np.any(mask):
+            powers.append(0.0)
+        else:
+            powers.append(float(np.sqrt(0.5 * np.sum(amplitudes[mask] ** 2))))
+    return powers
 
 
 def dominant_frequency(signal: np.ndarray, sample_rate_hz: float) -> float:

@@ -695,8 +695,11 @@ class BatchTransientSolver:
 
     Each lane's dynamic state (``_react_v`` / ``_react_i`` / ``solution``)
     is re-homed as a row view of the batch arrays, so per-lane reads
-    (``vsource_current``, ``inductor_current``, telemetry) stay coherent.
-    Do not call ``lane.step()`` directly while a batch owns the lanes.
+    (``vsource_current``, ``inductor_current``) stay coherent.  The
+    lanes' ``time`` and ``stats.steps`` are mirrors of one shared batch
+    clock that the compiled path advances; call :meth:`fold_lanes`
+    before reading them.  Do not call ``lane.step()`` directly while a
+    batch owns the lanes.
 
     ``shared_current_base`` is an optional ``(B, num_sources)`` array
     whose row i is lane i's bound current buffer (see
@@ -774,8 +777,14 @@ class BatchTransientSolver:
             s.solution = self._sol_bt[i]
             s._vs_values = self._vs_bt[i]
 
-        # Stats objects are per-solver singletons; cache the list so the
-        # per-cycle step accounting reads list slots, not attributes.
+        # The shared batch clock: ``_clock`` is [time, time at the start
+        # of the last compiled step] and ``_csteps`` counts the substeps
+        # compiled steps took.  Compiled steps advance only these (one
+        # clock, not B lane updates); fold_lanes() writes them into the
+        # lanes, and ``_folded`` holds each lane's count at its last fold.
+        self._clock = np.array([first.time, first.time])
+        self._csteps = np.zeros(1, dtype=np.int64)
+        self._folded = [0] * n_lanes
         self._stats_list = [s.stats for s in self.solvers]
 
         self._vals_bt = np.zeros((n_lanes, first._vals.size), dtype=float)
@@ -823,7 +832,6 @@ class BatchTransientSolver:
         self._lane_shard: List[_SolverShard] = []
         for s in self.solvers:
             s._batch_owner = self
-        self._last_rhs_bt: Optional[np.ndarray] = None
         self._scatter_gain = first._scatter_gain
         self._scatter_src = first._scatter_src
         self._vs_row_idx = first._vs_row_idx
@@ -969,6 +977,7 @@ class BatchTransientSolver:
         Returns the ``(B, num_nodes)`` node voltages at the new time (a
         view into batch state — copy before mutating).
         """
+        self.fold_lanes()
         solvers = self.solvers
         t_next = solvers[0].time + self.dt
 
@@ -1003,7 +1012,6 @@ class BatchTransientSolver:
                 for slot, source in s._vs_callable:
                     s._vs_values[slot] = source.voltage_at(t_next)
         rhs[:, self._vs_row_idx] = self._vs_bt
-        self._last_rhs_bt = rhs
 
         # Back-substitute per shard: every lane solves against its
         # shard's shared LU (value-identical matrices factorize to
@@ -1068,6 +1076,7 @@ class BatchTransientSolver:
             self._react_g_bt * v_new + self._react_sign * ieq
         )
         self._react_v_bt[:] = v_new
+        self._clock[0] = t_next
         return sol[:, : self.num_nodes]
 
     # ------------------------------------------------------------------
@@ -1284,18 +1293,36 @@ class BatchTransientSolver:
                 "C solver kernel: dgetrs rejected its arguments "
                 f"on lane {-rc - 1}"
             )
-        self._last_rhs_bt = self._rhs_bt
-        # Times advance by the same sequential accumulation the
+        # The clock advances by the same sequential accumulation the
         # per-step path performs (t += dt, n times), keeping every
         # recovered-lane/time comparison bit-aligned.
-        t = self.solvers[0].time
+        clock = self._clock
+        t = float(clock[0])
+        clock[1] = t
         dt = self.dt
         for _ in range(n):
             t = t + dt
-        for s, st in zip(self.solvers, self._stats_list):
-            st.steps += n
-            s.time = t
+        clock[0] = t
+        self._csteps[0] += n
         return rc
+
+    def fold_lanes(self, rows: Optional[Sequence[int]] = None) -> None:
+        """Write the batch clock back into the lanes (``rows``, or all).
+
+        Each lane behind on compiled steps gets the clock's time and the
+        substeps it has not yet counted in ``stats.steps``.
+        """
+        n = int(self._csteps[0])
+        folded = self._folded
+        t = None
+        for i in range(self._n_lanes) if rows is None else rows:
+            pending = n - folded[i]
+            if pending:
+                if t is None:
+                    t = float(self._clock[0])
+                folded[i] = n
+                self._stats_list[i].steps += pending
+                self.solvers[i].time = t
 
     # ------------------------------------------------------------------
     def vsource_currents(
@@ -1711,51 +1738,64 @@ class BatchSolverGuard:
         if substeps <= 0:
             raise ValueError(f"substeps must be positive, got {substeps}")
         batch = self.batch
-        solvers = batch.solvers
         # The step snapshots both reactive planes into ``snap`` (the
         # batch keeps v/i stacked in a single (2, B, R) block for this)
         # and counts the rows failing the cheap health proof: a sum of
         # squares under ``limit^2`` certifies every entry is inside the
         # spike limit (NaN/Inf contaminate the row's dot and fail).
-        snap = self._snap_vi
-        t0 = solvers[0].time
-
-        blown = False
+        t0 = float(batch._clock[0])
         try:
-            suspects = batch.step_n_checked(substeps, snap, self._limit_sq)
+            suspects = batch.step_n_checked(
+                substeps, self._snap_vi, self._limit_sq
+            )
         except _SOLVE_ERRORS:
-            blown = True
-
-        if blown:
             # The fused step died partway through a substep, so every
             # lane's state is suspect: roll them all back and redo each
             # serially (bit-identical to the fused path for lanes that
             # behave).
-            bad_rows = np.arange(len(solvers))
-            batch._react_vi_bt[:] = snap
-            for s in solvers:
-                s.time = t0
-        else:
-            if not suspects:
-                return self._nodes, {}
-            # Suspicious batch: precise temp-free per-row extrema
-            # (NaN rows fail both compares).
-            sol = batch._sol_bt
-            sol.max(axis=1, out=self._mx)
-            sol.min(axis=1, out=self._mn)
-            healthy = (self._mx < self._limits) & (self._mn > -self._limits)
-            if healthy.all():
-                return self._nodes, {}
-            bad_rows = np.flatnonzero(~healthy)
-            # The fused attempt is discarded for these rows: uncount it,
-            # so a redone lane's step count matches a serial guard's.
-            for row in bad_rows:
-                solvers[int(row)].stats.steps -= substeps
+            batch._react_vi_bt[:] = self._snap_vi
+            return self._nodes, self._redo(
+                range(len(batch.solvers)), substeps, cycle, t0
+            )
+        if not suspects:
+            return self._nodes, {}
+        return self._nodes, self.resolve(substeps, cycle, t0)
 
-        failures: Dict[int, NumericalDivergence] = {}
-        v0, i0 = snap[0], snap[1]
+    def resolve(
+        self, substeps: int, cycle: Optional[int], t0: float
+    ) -> Dict[int, NumericalDivergence]:
+        """Settle a stepped cycle whose cheap health proof flagged rows.
+
+        ``t0`` is the cycle's start time.  Precise temp-free per-row
+        extrema (NaN rows fail both compares) pick the truly bad rows;
+        those are rolled back to the cycle-start snapshot and redone
+        through their per-lane guard.  Returns the rows whose recovery
+        ladder was exhausted.
+        """
+        batch = self.batch
+        batch.fold_lanes()
+        sol = batch._sol_bt
+        sol.max(axis=1, out=self._mx)
+        sol.min(axis=1, out=self._mn)
+        healthy = (self._mx < self._limits) & (self._mn > -self._limits)
+        if healthy.all():
+            return {}
+        bad_rows = np.flatnonzero(~healthy).tolist()
+        # The fused attempt is discarded for these rows: uncount it, so
+        # a redone lane's step count matches a serial guard's.
         for row in bad_rows:
-            row = int(row)
+            batch.solvers[row].stats.steps -= substeps
+        return self._redo(bad_rows, substeps, cycle, t0)
+
+    def _redo(
+        self, rows, substeps: int, cycle: Optional[int], t0: float
+    ) -> Dict[int, NumericalDivergence]:
+        """Redo ``rows`` serially from the cycle-start snapshot."""
+        batch = self.batch
+        solvers = batch.solvers
+        failures: Dict[int, NumericalDivergence] = {}
+        v0, i0 = self._snap_vi[0], self._snap_vi[1]
+        for row in rows:
             solver = solvers[row]
             solver._react_v[:] = v0[row]
             solver._react_i[:] = i0[row]
@@ -1764,4 +1804,9 @@ class BatchSolverGuard:
                 self.guards[row].step_cycle(substeps, cycle=cycle)
             except NumericalDivergence as exc:
                 failures[row] = exc
-        return self._nodes, failures
+        # Recovered lanes land on the nominal grid; so does the clock.
+        t = t0
+        for _ in range(substeps):
+            t = t + batch.dt
+        batch._clock[0] = t
+        return failures

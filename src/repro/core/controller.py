@@ -781,6 +781,15 @@ class ControllerBank:
         )
         self._next_due = int((self._last_decision + self._period).min())
         self._any_fallback = bool(self._fallback.any())
+        # Each lane's loop latency, cached: the config is frozen, and the
+        # property re-derives it from the detector on every read.
+        self._latency = [c.config.total_latency_cycles for c in ctrls]
+        self._min_latency = min(self._latency)
+        # A lower bound on the next cycle any lane's pipeline head pops:
+        # waves lower it, and the consumer that pops the pipelines
+        # raises it again (see repro.sim.cosim); cycles before it need
+        # no pipeline scan.
+        self.next_pop = 0
         # Per-cycle observe scratch (the filter advance is dispatch-
         # bound at small B; out= ufuncs avoid five temporaries a cycle).
         self._obs_buf = np.empty_like(self._state)
@@ -838,8 +847,7 @@ class ControllerBank:
         np.isfinite(seen, out=finite)
         if observed is None and finite.all():
             # The all-finite path of _advance_filters, broadcast over
-            # lanes.  Clearing an all-False fallback row is a no-op, so
-            # one global clear matches the per-lane clears.
+            # lanes.
             state = self._state
             buf = self._obs_buf
             np.subtract(seen, state, out=buf)
@@ -852,12 +860,36 @@ class ControllerBank:
             np.divide(state, self._step_v, out=measured)
             np.rint(measured, out=measured)
             measured *= self._step_v
-            if self._any_fallback:
-                self._fallback[:] = False
-                self._any_fallback = False
-            has_nan = False
-        else:
-            measured, has_nan = self._advance_masked(seen, finite, observed)
+            self.observe_filtered(cycle)
+            return
+        measured, has_nan = self._advance_masked(seen, finite, observed)
+        self._decide_due(cycle, measured, observed, has_nan)
+
+    def observe_filtered(self, cycle: int) -> None:
+        """The rest of an all-finite, all-observed :meth:`observe`.
+
+        For a caller that has already advanced every row's RC filter
+        and quantizer on finite samples into ``_state`` / ``_last_good``
+        with ``observe``'s exact arithmetic (the co-sim's cycle kernel
+        does).  Clears the fallback flags and runs a decision wave when
+        one is due.
+        """
+        if self._any_fallback:
+            # Clearing an all-False fallback row is a no-op, so one
+            # global clear matches the per-lane clears.
+            self._fallback[:] = False
+            self._any_fallback = False
+        if cycle >= self._next_due:
+            self._decide_due(cycle, self._last_good, None, False)
+
+    def _decide_due(
+        self,
+        cycle: int,
+        measured: np.ndarray,
+        observed: Optional[np.ndarray],
+        has_nan: bool,
+    ) -> None:
+        """Run the decision wave of the lanes due at ``cycle``."""
         if cycle < self._next_due:
             return
         if self._uniform_period is not None and observed is None:
@@ -947,14 +979,17 @@ class ControllerBank:
         actuation on an identity check, and a wave of idle lanes skips
         the clamp entirely.
         """
+        self.next_pop = min(self.next_pop, cycle + self._min_latency)
         if rows is None:
             ctrls = self.controllers
+            latency = self._latency
             m = measured
             P = self._params
             thr = self._thr
             thr_high = self._thr_high
         else:
             ctrls = [self.controllers[i] for i in rows]
+            latency = [self._latency[i] for i in rows]
             m = measured[rows]
             P = self._params[rows]
             thr = P[:, _P_THR:_P_THR + 1]
@@ -996,12 +1031,10 @@ class ControllerBank:
             self._all_at_default if rows is None
             else self._at_default[rows].all()
         ):
-            for c in ctrls:
+            for c, lat in zip(ctrls, latency):
                 c.decisions_made += 1
                 c._track_limit_cycle(False)
-                c._pipeline.append(
-                    (cycle + c.config.total_latency_cycles, c._last_enqueued)
-                )
+                c._pipeline.append((cycle + lat, c._last_enqueued))
             return
         at_default = (
             self._at_default if rows is None else self._at_default[rows]
@@ -1073,9 +1106,7 @@ class ControllerBank:
             d = decisions[j]
             if d is None:
                 c._track_limit_cycle(False)
-                c._pipeline.append(
-                    (cycle + c.config.total_latency_cycles, c._last_enqueued)
-                )
+                c._pipeline.append((cycle + latency[j], c._last_enqueued))
                 continue
             if relaxed[j]:
                 # Idle waves may re-enqueue a default decision for the
@@ -1109,7 +1140,7 @@ class ControllerBank:
                 c.actuator_decisions["dcc"] += 1
             if fii_active or dcc_active:
                 c.boost_decisions += 1
-            c._pipeline.append((cycle + c.config.total_latency_cycles, d))
+            c._pipeline.append((cycle + latency[j], d))
 
     # ------------------------------------------------------------------
     def _decide_banked(

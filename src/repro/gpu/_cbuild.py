@@ -99,7 +99,9 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.engine_step_batch.argtypes = [
         ctypes.POINTER(ctypes.POINTER(CEngineState)),
         _I64,
-        _I64,
+        _PTR,
+        _PTR,
+        _PTR,
         _PTR,
     ]
     lib.engine_step_batch.restype = _I64

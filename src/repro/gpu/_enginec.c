@@ -387,17 +387,51 @@ i64 engine_step(EngineState *st, i64 cycle) {
 /* Step a batch of independent engines one nominal clock in a single
  * call — the co-simulator's B-lane hot path.  Each lane is the exact
  * engine_step() above on its own state struct; lanes share nothing, so
- * ordering across lanes cannot affect results.  Per-lane kernel-done
- * censuses land in ndone_out; returns -(lane + 1) on the first lane
- * whose pending-load heap overflows, else 0.
+ * ordering across lanes cannot affect results.
+ *
+ * The launch barrier comes first: a lane whose last census has every
+ * SM kernel-done or barrier-exempt (exempt is a (nlanes, S) mask) needs
+ * its next kernel launched, which the caller does.  Such lanes get
+ * relaunch[b] = 1 and their count is returned, with nothing stepped.
+ * The caller launches them and calls again: a lane entering with
+ * relaunch[b] set skips the census (it was just launched — an
+ * all-exempt lane would otherwise re-flag forever).  Then every lane
+ * steps at cycle *clock, the per-lane kernel-done counts land in
+ * ndone[], the flags clear, *clock advances, and 0 is returned — or
+ * -(lane + 1) on the first lane whose pending-load heap overflows.
  */
-i64 engine_step_batch(EngineState **sts, i64 nlanes, i64 cycle,
-                      i64 *ndone_out) {
+i64 engine_step_batch(EngineState **sts, i64 nlanes, i64 *clock,
+                      i64 *ndone, const u8 *exempt, u8 *relaunch) {
+    i64 due = 0;
     for (i64 b = 0; b < nlanes; b++) {
-        i64 ndone = engine_step(sts[b], cycle);
-        if (ndone < 0)
-            return -(b + 1);
-        ndone_out[b] = ndone;
+        if (relaunch[b])
+            continue;
+        const EngineState *st = sts[b];
+        const i64 S = st->num_sms;
+        u8 full = ndone[b] == S;
+        if (!full) {
+            const u8 *ex = exempt + b * S;
+            full = 1;
+            for (i64 s = 0; s < S; s++) {
+                if (!st->done[s] && !ex[s]) {
+                    full = 0;
+                    break;
+                }
+            }
+        }
+        relaunch[b] = full;
+        due += full;
     }
+    if (due)
+        return due;
+    const i64 cycle = *clock;
+    for (i64 b = 0; b < nlanes; b++) {
+        i64 n = engine_step(sts[b], cycle);
+        if (n < 0)
+            return -(b + 1);
+        ndone[b] = n;
+        relaunch[b] = 0;
+    }
+    *clock = cycle + 1;
     return 0;
 }

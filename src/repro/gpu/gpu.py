@@ -100,18 +100,34 @@ class GPU:
         self.kernels_launched = 1
         self.kernel_launch_cycles = [0]
         self._generation = 0
-        # SMs listed here do not block the kernel-launch barrier (used
-        # to model halted/powered-off SMs in worst-case experiments).
-        self.barrier_exempt: set = set()
         self._exempt_mask = np.zeros(config.gpu.num_sms, dtype=bool)
-        # True while _exempt_mask may hold stale True entries from a
-        # previous cycle's barrier_exempt set; lets the common no-exempt
-        # case skip the per-cycle mask clear.
-        self._mask_dirty = False
+        self._barrier_exempt: frozenset = frozenset()
 
     @property
     def num_sms(self) -> int:
         return len(self.sms)
+
+    @property
+    def barrier_exempt(self) -> frozenset:
+        """SMs that do not block the kernel-launch barrier.
+
+        Used to model halted/powered-off SMs in worst-case experiments.
+        Assign a new set to change it: the setter keeps the per-SM mask
+        the engines (and a :class:`repro.gpu.batch.GPUBatch`) read in
+        step with it.
+        """
+        return self._barrier_exempt
+
+    @barrier_exempt.setter
+    def barrier_exempt(self, sms) -> None:
+        sms = frozenset(sms)
+        if sms == self._barrier_exempt:
+            return
+        self._barrier_exempt = sms
+        mask = self._exempt_mask
+        mask[:] = False
+        if sms:
+            mask[list(sms)] = True
 
     def step(self) -> np.ndarray:
         """Advance one clock; return per-SM power (watts, flat SM order).
@@ -124,7 +140,7 @@ class GPU:
         """
         if self.vectorized:
             powers, launched = self.engine.step(
-                self.cycle, self._refresh_exempt_mask(), bool(self.barrier_exempt)
+                self.cycle, self._exempt_mask, bool(self._barrier_exempt)
             )
             if launched:
                 self._generation = self.engine.generation
@@ -147,18 +163,6 @@ class GPU:
         self.cycle += 1
         return powers
 
-    def _refresh_exempt_mask(self) -> np.ndarray:
-        """Sync ``_exempt_mask`` with ``barrier_exempt``, lazily."""
-        mask = self._exempt_mask
-        if self.barrier_exempt:
-            mask[:] = False
-            mask[list(self.barrier_exempt)] = True
-            self._mask_dirty = True
-        elif self._mask_dirty:
-            mask[:] = False
-            self._mask_dirty = False
-        return mask
-
     def step_into(self, out: np.ndarray) -> np.ndarray:
         """Advance one clock, writing per-SM powers into ``out``.
 
@@ -170,10 +174,7 @@ class GPU:
             out[:] = self.step()
             return out
         _, launched = self.engine.step(
-            self.cycle,
-            self._refresh_exempt_mask(),
-            bool(self.barrier_exempt),
-            out=out,
+            self.cycle, self._exempt_mask, bool(self._barrier_exempt), out=out
         )
         if launched:
             self._generation = self.engine.generation

@@ -17,10 +17,12 @@ fallback counter that the co-sim telemetry surfaces (e.g. as
 silently running 10x slower shows up in the first manifest instead of a
 profiler session.
 
-Setting the kernel's env var (``REPRO_GPU_CBUILD`` /
+Setting a kernel's env var (``REPRO_GPU_CBUILD`` /
 ``REPRO_SOLVER_CBUILD``) to ``fail`` forces the build to fail (test hook
 for the fallback path); ``quiet`` suppresses the warning while keeping
-the counter.
+the counter.  A kernel built without one (the co-sim cycle kernel,
+which falls back whenever either of its two libraries does) has no
+such hook.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class KernelBuild:
         Path to the ``.c`` translation unit.
     env_var:
         Override variable (``fail`` forces the fallback path, ``quiet``
-        suppresses the warn-once).
+        suppresses the warn-once), or ``None`` for none.
     what:
         Human name used in the fallback warning ("C step kernel").
     fallback:
@@ -77,7 +79,7 @@ class KernelBuild:
     def __init__(
         self,
         source: Path,
-        env_var: str,
+        env_var: Optional[str],
         what: str,
         fallback: str,
         counter: str,
@@ -110,7 +112,7 @@ class KernelBuild:
 
     def note_fallback(self, reason: str) -> None:
         self.fallbacks["count"] += 1
-        if self.fallbacks["warned"] or os.environ.get(self.env_var) == "quiet":
+        if self.fallbacks["warned"] or self._env() == "quiet":
             return
         self.fallbacks["warned"] = True
         warnings.warn(
@@ -120,6 +122,9 @@ class KernelBuild:
             RuntimeWarning,
             stacklevel=4,
         )
+
+    def _env(self) -> Optional[str]:
+        return os.environ.get(self.env_var) if self.env_var else None
 
     # ------------------------------------------------------------------
     # Build + load
@@ -163,7 +168,7 @@ class KernelBuild:
             return None
         if cached is not None:
             return cached
-        if os.environ.get(self.env_var) == "fail":
+        if self._env() == "fail":
             # Forced-failure test hook: behaves exactly like a failed
             # build (short-circuits before the cached-.so check so a
             # previously built artifact cannot mask the fallback path).

@@ -55,6 +55,16 @@ from repro.pdn.efficiency import (
     pde_voltage_stacked,
 )
 from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
+from repro.sim._cyclec import (
+    NONFINITE,
+    STAGE_GPU,
+    STAGE_SOLVE,
+    STAGE_TAIL,
+    SUSPECT,
+    CycleKernel,
+    build_fallback_count as cycle_kernel_fallbacks,
+    load_cycle_lib,
+)
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.traces import PowerTrace
 
@@ -73,8 +83,11 @@ def last_batch_solver_info() -> Dict[str, object]:
     """Solver backend/shard info from the most recent batch run.
 
     Returns a copy of ``{"backend": "c"|"numpy", "shards": int,
-    "lanes": int}``, or an empty dict until :func:`run_cosim_batch`
-    has completed once in this process.
+    "lanes": int, "fused_cycles": int}`` — ``fused_cycles`` counts the
+    loop cycles that ran through the compiled cycle kernel (all of
+    them on a batch whose lanes all step on the C backends) — or an
+    empty dict until :func:`run_cosim_batch` has completed once in this
+    process.
     """
     return dict(_LAST_BATCH_SOLVER)
 
@@ -314,7 +327,7 @@ def run_cosim(
             )
     # None (a recorder only alongside telemetry) and False pass through.
     flights = flight if flight is None or flight is False else [flight]
-    (ln,), _ = _simulate(
+    (ln,), _, _ = _simulate(
         [CosimLane(benchmark, config, kernel)], system, params, tele,
         flights, serial=True,
     )
@@ -385,6 +398,7 @@ def _record_cosim_telemetry(
     solver_fallbacks = _solver_fb()
     if solver_fallbacks:
         tele.incr("solver.backend_fallback", solver_fallbacks)
+    _count_cycle_kernel_fallbacks(tele)
     if result.divergence is not None:
         tele.event("numerical_divergence", **result.divergence)
     if controller is not None:
@@ -454,6 +468,13 @@ def _record_cosim_telemetry(
     )
 
 
+def _count_cycle_kernel_fallbacks(tele) -> None:
+    """Surface cycle-kernel build fallbacks (the NumPy loop body ran)."""
+    fallbacks = cycle_kernel_fallbacks()
+    if fallbacks:
+        tele.incr("sim.cycle_kernel_fallback", fallbacks)
+
+
 def run_crosslayer_cosim(
     benchmark: str = "hotspot", cycles: int = 2000, **kwargs
 ) -> CosimResult:
@@ -488,7 +509,9 @@ _LANE_SHARED_FIELDS = (
     "solver_guard",
 )
 # Cycles of flight-recorder state the co-sim loop stages per hand-over.
-_FLIGHT_BLOCK = 64
+_FLIGHT_BLOCK = 256
+# ControllerBank.next_pop when no fast lane has a queued decision.
+_NO_POP = 1 << 62
 
 
 class _LaneState:
@@ -502,7 +525,7 @@ class _LaneState:
         "count_from", "active_throttling",
         "in_fast", "last_decision", "flight", "flight_safe",
         "row", "dead", "dead_at", "divergence", "guard",
-        "result", "dcc_trace", "flight_meta",
+        "result", "dcc_trace", "flight_row", "flight_marks",
     )
 
     def __init__(self, index: int) -> None:
@@ -531,9 +554,11 @@ class _LaneState:
         self.last_decision = None
         self.flight = None
         self.flight_safe = False
-        # Staged (decision, fault kinds, safe) rows not yet handed to
+        # The lane's current (decision, fault kinds, safe) flight row,
+        # and the (cycle, row) marks of its changes not yet handed to
         # the flight recorder.
-        self.flight_meta: list = []
+        self.flight_row = None
+        self.flight_marks: list = []
         self.shutoff_sms: List[int] = []
         self.instructions_at_start = 0
         self.fakes_at_start = 0
@@ -606,7 +631,9 @@ def run_cosim_batch(
             warmup_cycles=first_cfg.warmup_cycles,
             benchmarks=[lane.benchmark for lane in lanes],
         )
-    states, batch_solver = _simulate(lanes, system, params, tele, flights)
+    states, batch_solver, fused_cycles = _simulate(
+        lanes, system, params, tele, flights
+    )
     results = [ln.result for ln in states]
     if tele is not None:
         if first_cfg.solver_guard:
@@ -631,6 +658,7 @@ def run_cosim_batch(
         solver_fallbacks = _solver_fb()
         if solver_fallbacks:
             tele.incr("solver.backend_fallback", solver_fallbacks)
+        _count_cycle_kernel_fallbacks(tele)
         for ln, result in zip(states, results):
             tele.event(
                 "cosim_batch_lane_done", lane=ln.index,
@@ -648,6 +676,7 @@ def run_cosim_batch(
         backend=batch_solver.active_backend,
         shards=batch_solver.shard_count,
         lanes=len(lanes),
+        fused_cycles=fused_cycles,
     )
     return results
 
@@ -659,13 +688,28 @@ def _simulate(
     tele: Optional["Telemetry"],
     flights,
     serial: bool = False,
-) -> Tuple[List[_LaneState], BatchTransientSolver]:
+) -> Tuple[List[_LaneState], BatchTransientSolver, int]:
     """The co-sim loop: step topology-compatible lanes lock-stepped.
 
-    Returns the per-lane states, each carrying its ``result``, and the
-    batch solver that finished the run.  ``tele`` (an enabled recorder
-    or ``None``) gets the stage split; ``None`` keeps the loop untimed.
-    ``flights`` follows :func:`run_cosim_batch`.
+    When every lane steps on the compiled GPU engine and the compiled
+    PDN solver, a clean cycle is one call into the cycle kernel
+    (:mod:`repro.sim._cyclec`): GPU step, currents, guarded substeps,
+    SM-voltage readout, the bank's RC filter and the recording row.
+    Python keeps the event work around it — kernel relaunches the
+    GPU census flags, due decision waves and pipeline pops, fault
+    hooks (circuit and DFS hooks or a chaos event split the cycle into
+    two kernel calls with the hooks in between), guard recovery and
+    lane quarantine, the warmup snapshot and flight-recorder blocks.
+    Lanes' deferred mirrors (GPU cycle and memory queue, solver time
+    and step count) are folded back before hooks read them, at a
+    quarantine and at the end.  A batch holding a NumPy backend runs
+    the phased NumPy body instead, byte for byte the same results.
+
+    Returns the per-lane states, each carrying its ``result``, the
+    batch solver that finished the run, and how many cycles ran through
+    the cycle kernel.  ``tele`` (an enabled recorder or ``None``) gets
+    the stage split (the kernel times its own stages); ``None`` keeps
+    the loop untimed.  ``flights`` follows :func:`run_cosim_batch`.
 
     ``serial`` gives a single lane :func:`run_cosim`'s contract rather
     than a batch lane's: lane-targeted chaos events are ignored, and a
@@ -825,6 +869,10 @@ def _simulate(
                     "lanes do not share a topology family (SM terminal "
                     "naming differs)"
                 )
+    # The cycle kernel's readout map: -1 marks a grounded bottom.
+    kernel_bot_idx = np.where(bot_is_ground, -1, bot_idx).astype(np.int64)
+    kernel_top_idx = top_idx.astype(np.int64)
+    vdd_row = s0.solver.structure.branch_index["vdd"]
 
     powers_bt = np.empty((num_lanes, num))
     dcc_bt = np.zeros((num_lanes, num))
@@ -939,34 +987,134 @@ def _simulate(
             if fr is not None:
                 ln.flight_safe = hasattr(ln.controller, "in_safe_state")
                 flight_lanes.append(ln)
-    # Recorders take the loop's state in blocks: each cycle a lane only
-    # stages its (decision, fault kinds, safe) row, and every
-    # _FLIGHT_BLOCK cycles the rows go over with their voltages, read
-    # back from the recorded waveform (or a warmup buffer).
+    # Recorders take the loop's state in blocks: a lane marks the cycle
+    # its (decision, fault kinds, safe) row changes, and every
+    # _FLIGHT_BLOCK cycles the rows go over as runs with their
+    # voltages, read back from the recorded waveform (or a warmup
+    # buffer).  A fast lane without an injector changes row only when
+    # a pop applies a new decision or (watchdog on) a wave flips its
+    # safe state, so only those cycles look at it; the other lanes
+    # look every cycle.
     flight_warm_bt = (
         np.empty((num_lanes, warmup, num)) if flight_lanes else None
     )
     flight_sent = 0  # cycles handed over to the live lanes' recorders
+    flight_every = [
+        ln for ln in flight_lanes
+        if not (ln.in_fast and ln.injector is None)
+    ]
+    # Quiet lanes whose safe state can flip: only the watchdog sets it.
+    flight_watch = [
+        ln for ln in flight_lanes
+        if ln not in flight_every and ln.controller.config.watchdog_enabled
+    ]
+    # The next cycle whose end hands a block to the recorders.
+    flight_due = _FLIGHT_BLOCK - 1 if flight_lanes else total_cycles
 
-    def _flush_flight(ln: _LaneState, start: int) -> None:
-        meta = ln.flight_meta
-        if not meta:
+    def _flight_mark(ln: _LaneState, cycle: int) -> None:
+        """Mark ``cycle`` when the lane's flight row changed."""
+        ctrl = ln.controller
+        row = (
+            ctrl.active_decision if ln.in_fast else ln.last_decision,
+            ln.injector.active_kinds(cycle - warmup)
+            if ln.injector is not None
+            else None,
+            ctrl.in_safe_state if ln.flight_safe else False,
+        )
+        last = ln.flight_row
+        if (
+            last is not None and row[0] is last[0] and row[1] is last[1]
+            and row[2] == last[2]
+        ):
             return
-        split = min(max(warmup - start, 0), len(meta))
-        if split:
-            ln.flight.observe_block(
-                flight_warm_bt[ln.index, start:start + split], meta[:split]
-            )
-        if split < len(meta):
-            k = start + split - warmup
-            ln.flight.observe_block(
-                sm_voltages_bt[ln.index, k:k + len(meta) - split],
-                meta[split:],
-            )
-        ln.flight_meta = []
+        ln.flight_row = row
+        marks = ln.flight_marks
+        if marks and marks[-1][0] == cycle:
+            marks[-1] = (cycle, row)
+        else:
+            marks.append((cycle, row))
 
-    # Stage accumulators.  ``timing`` gates five perf_counter reads per
-    # cycle; with telemetry off the loop body is branch-only.
+    def _flush_flight(ln: _LaneState, start: int, end: int) -> None:
+        """Hand cycles [start, end) to the lane's recorder."""
+        if end <= start:
+            return
+        marks = ln.flight_marks
+        runs = []
+        for i, (first, row) in enumerate(marks):
+            stop = marks[i + 1][0] if i + 1 < len(marks) else end
+            count = min(stop, end) - max(first, start)
+            if count > 0:
+                runs.append((count, row))
+        ln.flight_marks = marks[-1:]
+        if end <= warmup:
+            volts = flight_warm_bt[ln.index, start:end]
+        elif start >= warmup:
+            volts = sm_voltages_bt[ln.index, start - warmup:end - warmup]
+        else:
+            volts = np.concatenate((
+                flight_warm_bt[ln.index, start:],
+                sm_voltages_bt[ln.index, :end - warmup],
+            ))
+        ln.flight.observe_runs(volts, runs)
+
+    # The cycle kernel: when every lane steps on the C engine and the C
+    # solver, each clean cycle — GPU step, currents, guarded solve,
+    # readout, the bank's RC filter and the recording row — is one call
+    # into compiled code (repro.sim._cyclec), and Python keeps only the
+    # event work around it.  Batches holding a NumPy backend run the
+    # phased NumPy body below.  The kernel binds the current batch
+    # shape and is rebuilt when a quarantine compacts it.  The bank's
+    # filter stays in Python while sensor-fault or jitter lanes feed it.
+    stage_s = np.zeros(4) if timing else None
+
+    def _bind_kernel() -> Optional[CycleKernel]:
+        if (
+            gpu_batch.fused() is None
+            or batch_solver.active_backend != "c"
+            or not batch_solver._c_ready()
+        ):
+            return None
+        lib = load_cycle_lib()
+        if lib is None:
+            return None
+        in_kernel = not (sensor_lanes or jitter_lanes)
+        return CycleKernel(
+            lib, gpu_batch, batch_solver, batch_guard,
+            dcc=dcc_bt, currents=batch_currents, volts=volt_buf,
+            sm_voltage=stack.sm_voltage, conductance_bias=conductance_bias,
+            substeps=substeps, top_idx=kernel_top_idx,
+            bot_idx=kernel_bot_idx,
+            bank=bank if in_kernel else None, bank_rows=bank_rows_arr,
+            warmup=warmup, cycles=cycles,
+            lane_index=(
+                np.arange(num_lanes) if alive_idx is None else alive_idx
+            ),
+            rec_powers=powers_rec_bt, rec_volts=sm_voltages_bt,
+            rec_supply=supply_bt, vdd_row=vdd_row,
+            dcc_possible=dcc_possible, dcc_accum=dcc_accum,
+            dcc_trace=dcc_trace_bt, flight_warm=flight_warm_bt,
+            stage_s=stage_s,
+        )
+
+    kernel = _bind_kernel()
+    kernel_filter = False
+    if kernel is not None:
+        powers_bt = gpu_batch.fused().powers
+        kernel_filter = kernel.state.bank_lanes > 0
+    fused_cycles = 0
+    # Lanes whose per-cycle hooks run between the GPU step and the
+    # solve (the kernel splits those cycles in two halves), and their
+    # rows, folded before the hooks read them.
+    hook_lanes = circuit_lanes + [
+        ln for ln in dfs_lanes if ln not in circuit_lanes
+    ]
+    hook_rows = [ln.row for ln in hook_lanes]
+    halt_rows = [ln.row for ln in halt_lanes]
+    status = 0
+
+    # Stage accumulators.  ``timing`` gates the perf_counter reads; with
+    # telemetry off the loop body is branch-only.  The cycle kernel
+    # times its own stages into stage_s.
     t_gpu = t_circuit = t_controller = t_record = 0.0
     if timing:
         tele.add_time("setup", perf_counter() - setup_start)
@@ -993,26 +1141,41 @@ def _simulate(
         # Fault-event timing shares the shutoff convention: cycle 0 of
         # an event window is the end of warmup.
         recorded_cycle = cycle - warmup
+        chaos_now = chaos_cycles is not None and recorded_cycle in chaos_cycles
+        # A clean cycle is one kernel call; hooks and chaos split it.
+        split = kernel is None or bool(hook_lanes) or chaos_now
 
         # 1. GPU cycle per lane (independent engines, lock-stepped).
-        if timing:
-            t0 = perf_counter()
-        gpu_batch.step_into(powers_bt)
-        for ln in circuit_lanes:
-            # Circuit faults mutate element values (one re-factorization
-            # per activation edge, before this cycle's solve); process
-            # variation scales the emitted powers (in place) *before*
-            # they become currents or records, keeping the PDE ledger
-            # closed.
-            ln.injector.apply_circuit_faults(recorded_cycle)
-            ln.injector.scale_powers(recorded_cycle, powers_bt[ln.row])
-        for ln in dfs_lanes:
-            scales = ln.injector.frequency_scales(recorded_cycle)
-            if scales is not None:
-                ln.gpu.set_frequency_scales(scales)
-        if timing:
-            t1 = perf_counter()
-            t_gpu += t1 - t0
+        # Python-side timing covers the Python work only: the kernel
+        # times its own stages.
+        if split:
+            if timing:
+                t0 = perf_counter()
+            if kernel is None:
+                gpu_batch.step_into(powers_bt)
+            else:
+                kernel.run(cycle, STAGE_GPU, STAGE_GPU)
+                if timing:
+                    t0 = perf_counter()
+            if hook_lanes:
+                # The hooks may read their lane's GPU and solver mirrors.
+                gpu_batch.fold(hook_rows)
+                batch_solver.fold_lanes(hook_rows)
+            for ln in circuit_lanes:
+                # Circuit faults mutate element values (one
+                # re-factorization per activation edge, before this
+                # cycle's solve); process variation scales the emitted
+                # powers (in place) *before* they become currents or
+                # records, keeping the PDE ledger closed.
+                ln.injector.apply_circuit_faults(recorded_cycle)
+                ln.injector.scale_powers(recorded_cycle, powers_bt[ln.row])
+            for ln in dfs_lanes:
+                scales = ln.injector.frequency_scales(recorded_cycle)
+                if scales is not None:
+                    ln.gpu.set_frequency_scales(scales)
+            if timing:
+                t1 = perf_counter()
+                t_gpu += t1 - t0
 
         # 2. Powers -> PDN currents, all lanes at once.  Per the paper's
         # convention each SM is a time-varying *ideal* current source:
@@ -1021,17 +1184,19 @@ def _simulate(
         # destabilize the grid.)  The netlist's small-signal load
         # conductance already draws ~g*V per SM, so that bias is
         # deducted from the source to keep the total SM draw equal to
-        # P / V_nominal.
-        np.add(powers_bt, dcc_bt, out=cur_buf)
-        cur_buf /= stack.sm_voltage
-        cur_buf -= conductance_bias
-        np.maximum(cur_buf, 0.0, out=batch_currents)
-        if recording and dcc_possible:
-            # The DCC power *applied* this cycle (the last decision's
-            # command, just injected as current), captured before the
-            # controller updates it: mean_dcc_power_w ledgers what the
-            # PDN saw, not the final cycle's never-applied command.
-            dcc_bt.sum(axis=1, out=dcc_applied)
+        # P / V_nominal.  (The cycle kernel does the same in C.)
+        if kernel is None:
+            np.add(powers_bt, dcc_bt, out=cur_buf)
+            cur_buf /= stack.sm_voltage
+            cur_buf -= conductance_bias
+            np.maximum(cur_buf, 0.0, out=batch_currents)
+            if recording and dcc_possible:
+                # The DCC power *applied* this cycle (the last
+                # decision's command, just injected as current),
+                # captured before the controller updates it:
+                # mean_dcc_power_w ledgers what the PDN saw, not the
+                # final cycle's never-applied command.
+                dcc_bt.sum(axis=1, out=dcc_applied)
 
         # 3. Circuit transient over one clock period, batched.  With the
         # guard on, a diverged lane is quarantined: marked dead, its row
@@ -1039,7 +1204,7 @@ def _simulate(
         # lock-stepped (bit-identical to their serial runs — the guard
         # redoes suspect cycles per-lane, and compaction only rebuilds
         # views/wrappers around untouched per-lane state).
-        if chaos_cycles is not None and recorded_cycle in chaos_cycles:
+        if chaos_now:
             for event in monkey.take_cycle(recorded_cycle):
                 if event.action != "nan_poison" or (
                     serial and event.lane is not None
@@ -1048,99 +1213,140 @@ def _simulate(
                 for ln in alive:
                     if event.lane is None or event.lane == ln.index:
                         ln.solver._react_v[:] = np.nan
-        if batch_guard is not None:
+        failures = None
+        if kernel is not None:
+            if circuit_lanes:
+                kernel.sync_solver()  # a circuit fault may refactor
+            fused_cycles += 1
+            status = kernel.run(
+                cycle, STAGE_SOLVE if split else STAGE_GPU, STAGE_TAIL
+            )
+            if status == SUSPECT:
+                if timing:
+                    t1 = perf_counter()
+                failures = batch_guard.resolve(
+                    substeps, recorded_cycle, float(batch_solver._clock[1])
+                )
+        elif batch_guard is not None:
             node_bt, failures = batch_guard.step_cycle(
                 substeps, cycle=recorded_cycle
             )
-            if failures:
-                for row in sorted(failures):
-                    ln = alive[row]
-                    ln.dead = True
-                    ln.dead_at = max(0, recorded_cycle)
-                    info = failures[row].forensics()
-                    if not serial:
-                        info["lane"] = ln.index
-                    info["benchmark"] = ln.name
-                    ln.divergence = info
-                    if timing and not serial:
-                        tele.event("lane_quarantined", **info)
-                survivors = [ln for ln in alive if not ln.dead]
-                halt_lanes = [ln for ln in halt_lanes if not ln.dead]
-                circuit_lanes = [
-                    ln for ln in circuit_lanes if not ln.dead
-                ]
-                dfs_lanes = [ln for ln in dfs_lanes if not ln.dead]
-                fast_lanes = [ln for ln in fast_lanes if not ln.dead]
-                slow_ctrl_lanes = [
-                    ln for ln in slow_ctrl_lanes if not ln.dead
-                ]
-                for ln in flight_lanes:
-                    if ln.dead:
-                        _flush_flight(ln, flight_sent)
-                flight_lanes = [ln for ln in flight_lanes if not ln.dead]
-                if not survivors:
-                    alive = []
-                    break
-                # Compact the batch axis around the survivors: new
-                # shared current base, re-bound PDN sources + solver
-                # gather maps, rebuilt batch solver/guard/GPU front
-                # ends, compacted controller bank.  Per-lane objects
-                # (solver state, controllers, GPU engines) carry over
-                # untouched, so survivor physics continues bit-exactly.
-                old_rows = [ln.row for ln in survivors]
-                batch_currents = batch_currents[old_rows].copy()
-                cur_buf = np.empty((len(survivors), num))
-                bot_buf = np.empty((len(survivors), num))
-                volt_buf = np.empty((len(survivors), num))
-                for new_row, ln in enumerate(survivors):
-                    ln.row = new_row
-                    ln.pdn.bind_current_buffer(batch_currents[new_row])
-                    ln.solver.rebind_sources()
-                batch_solver = BatchTransientSolver(
-                    [ln.solver for ln in survivors],
-                    shared_current_base=batch_currents,
-                )
-                batch_guard = BatchSolverGuard(
-                    batch_solver, guards=[ln.guard for ln in survivors]
-                )
-                gpu_batch = GPUBatch([ln.gpu for ln in survivors])
-                if bank is not None:
-                    keep = [
-                        j for j, bln in enumerate(bank_members)
-                        if not bln.dead
-                    ]
-                    if not keep:
-                        bank = None
-                        bank_members = []
-                    elif len(keep) != len(bank_members):
-                        bank = bank.compact(keep)
-                        bank_members = [bank_members[j] for j in keep]
-                    bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
-                all_banked = len(bank_members) == len(survivors)
-                powers_bt = powers_bt[old_rows]
-                dcc_bt = dcc_bt[old_rows]
-                dcc_applied = dcc_applied[old_rows]
-                alive = survivors
-                alive_idx = np.array(
-                    [ln.index for ln in survivors], dtype=np.intp
-                )
-                node_bt = batch_solver._sol_bt[:, : batch_solver.num_nodes]
         else:
             node_bt = batch_solver.step_n(substeps)
-        # Bound-method take skips np.take's dispatch wrapper — this
-        # runs twice per recorded cycle on the hot path.
-        node_bt.take(bot_idx, axis=1, out=bot_buf)
-        if ground_cols.size:
-            bot_buf[:, ground_cols] = 0.0
-        node_bt.take(top_idx, axis=1, out=volt_buf)
-        volt_buf -= bot_buf
+        if failures:
+            for row in sorted(failures):
+                ln = alive[row]
+                ln.dead = True
+                ln.dead_at = max(0, recorded_cycle)
+                info = failures[row].forensics()
+                if not serial:
+                    info["lane"] = ln.index
+                info["benchmark"] = ln.name
+                ln.divergence = info
+                if timing and not serial:
+                    tele.event("lane_quarantined", **info)
+            # Every lane's deferred mirrors go back to its objects
+            # before the batch front ends are rebuilt around them.
+            gpu_batch.fold()
+            batch_solver.fold_lanes()
+            survivors = [ln for ln in alive if not ln.dead]
+            halt_lanes = [ln for ln in halt_lanes if not ln.dead]
+            circuit_lanes = [
+                ln for ln in circuit_lanes if not ln.dead
+            ]
+            dfs_lanes = [ln for ln in dfs_lanes if not ln.dead]
+            hook_lanes = [ln for ln in hook_lanes if not ln.dead]
+            fast_lanes = [ln for ln in fast_lanes if not ln.dead]
+            slow_ctrl_lanes = [
+                ln for ln in slow_ctrl_lanes if not ln.dead
+            ]
+            for ln in flight_lanes:
+                if ln.dead:
+                    _flush_flight(ln, flight_sent, cycle)
+            flight_lanes = [ln for ln in flight_lanes if not ln.dead]
+            flight_every = [ln for ln in flight_every if not ln.dead]
+            flight_watch = [ln for ln in flight_watch if not ln.dead]
+            if not survivors:
+                alive = []
+                break
+            # Compact the batch axis around the survivors: new
+            # shared current base, re-bound PDN sources + solver
+            # gather maps, rebuilt batch solver/guard/GPU front
+            # ends, compacted controller bank.  Per-lane objects
+            # (solver state, controllers, GPU engines) carry over
+            # untouched, so survivor physics continues bit-exactly.
+            old_rows = [ln.row for ln in survivors]
+            batch_currents = batch_currents[old_rows].copy()
+            cur_buf = np.empty((len(survivors), num))
+            bot_buf = np.empty((len(survivors), num))
+            volt_buf = np.empty((len(survivors), num))
+            for new_row, ln in enumerate(survivors):
+                ln.row = new_row
+                ln.pdn.bind_current_buffer(batch_currents[new_row])
+                ln.solver.rebind_sources()
+            hook_rows = [ln.row for ln in hook_lanes]
+            halt_rows = [ln.row for ln in halt_lanes]
+            batch_solver = BatchTransientSolver(
+                [ln.solver for ln in survivors],
+                shared_current_base=batch_currents,
+            )
+            batch_guard = BatchSolverGuard(
+                batch_solver, guards=[ln.guard for ln in survivors]
+            )
+            gpu_batch = GPUBatch([ln.gpu for ln in survivors])
+            if bank is not None:
+                keep = [
+                    j for j, bln in enumerate(bank_members)
+                    if not bln.dead
+                ]
+                if not keep:
+                    bank = None
+                    bank_members = []
+                elif len(keep) != len(bank_members):
+                    bank = bank.compact(keep)
+                    bank_members = [bank_members[j] for j in keep]
+                bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
+            all_banked = len(bank_members) == len(survivors)
+            powers_bt = powers_bt[old_rows]
+            dcc_bt = dcc_bt[old_rows]
+            dcc_applied = dcc_applied[old_rows]
+            alive = survivors
+            alive_idx = np.array(
+                [ln.index for ln in survivors], dtype=np.intp
+            )
+            node_bt = batch_solver._sol_bt[:, : batch_solver.num_nodes]
+            if kernel is not None:
+                kernel = _bind_kernel()
+                powers_bt = gpu_batch.fused().powers
+                kernel_filter = kernel.state.bank_lanes > 0
+        if kernel is None:
+            # Bound-method take skips np.take's dispatch wrapper — this
+            # runs twice per recorded cycle on the hot path.
+            node_bt.take(bot_idx, axis=1, out=bot_buf)
+            if ground_cols.size:
+                bot_buf[:, ground_cols] = 0.0
+            node_bt.take(top_idx, axis=1, out=volt_buf)
+            volt_buf -= bot_buf
+            if timing:
+                t2 = perf_counter()
+                t_circuit += t2 - t1
+        else:
+            if status == SUSPECT:
+                # The guard settled the suspects (and a quarantine the
+                # batch): the cycle's tail runs on the survivors.
+                kernel.sync_solver()
+                if timing:
+                    t_circuit += perf_counter() - t1
+                status = kernel.run(cycle, STAGE_TAIL, STAGE_TAIL)
+            if timing:
+                t2 = perf_counter()
         voltages_bt = volt_buf
-        if timing:
-            t2 = perf_counter()
-            t_circuit += t2 - t1
 
         # Halted SMs per lane (shutoff events + fault-scheduled halts)
         # must not block the kernel-launch barrier.
+        if halt_lanes:
+            gpu_batch.fold(halt_rows)
+            batch_solver.fold_lanes(halt_rows)
         for ln in halt_lanes:
             halted: set = set()
             shutoff = ln.config.shutoff
@@ -1155,6 +1361,7 @@ def _simulate(
         # and decision waves batched, on what their detectors see; each
         # injector keeps its serial RNG call order (corrupt_sensors,
         # observation_allowed, then extra_latency at the command read).
+        # The cycle kernel has already advanced an all-finite filter.
         # Duck-typed controllers replicate the serial path verbatim.
         # Actuation application is gated on decision identity (setters
         # are idempotent; decisions are immutable once enqueued), except
@@ -1162,7 +1369,11 @@ def _simulate(
         # cycle.  Ownership contract: decision arrays belong to the
         # controller, so every array this loop mutates (halted widths,
         # distorted commands) or retains (DCC, in dcc_bt) is a copy.
-        if bank is not None:
+        waved = bank is not None and cycle >= bank._next_due
+        if kernel_filter and status != NONFINITE:
+            if waved or bank._any_fallback:
+                bank.observe_filtered(cycle)
+        elif bank is not None:
             seen = voltages_bt if all_banked else voltages_bt[bank_rows_arr]
             if sensor_lanes:
                 if seen is voltages_bt:
@@ -1179,44 +1390,57 @@ def _simulate(
                         recorded_cycle
                     )
             bank.observe(cycle, seen, observed)
-        for ln in fast_lanes:
-            controller = ln.controller
-            pipeline = controller._pipeline
-            if pipeline and pipeline[0][0] <= cycle:
-                while pipeline and pipeline[0][0] <= cycle:
-                    _, decision = pipeline.popleft()
-                if decision is ln.applied_decision:
-                    # An idle lane re-enqueued the object already
-                    # applied: same values, same throttle flag — the
-                    # open span simply continues.
-                    continue
-                throttling = bool(
-                    np.any(
-                        decision.issue_widths
-                        < controller._default_issue_width
+        if fast_lanes and cycle >= bank.next_pop:
+            next_pop = _NO_POP
+            for ln in fast_lanes:
+                controller = ln.controller
+                pipeline = controller._pipeline
+                if pipeline and pipeline[0][0] <= cycle:
+                    while pipeline and pipeline[0][0] <= cycle:
+                        _, decision = pipeline.popleft()
+                    if pipeline and pipeline[0][0] < next_pop:
+                        next_pop = pipeline[0][0]
+                    if decision is ln.applied_decision:
+                        # An idle lane re-enqueued the object already
+                        # applied: same values, same throttle flag — the
+                        # open span simply continues.
+                        continue
+                    throttling = bool(
+                        np.any(
+                            decision.issue_widths
+                            < controller._default_issue_width
+                        )
                     )
-                )
-                controller.active_decision = decision
-                controller._active_throttling = throttling
-                if ln.active_throttling:
-                    controller.throttled_cycles += cycle - ln.count_from
-                ln.count_from = cycle
-                ln.active_throttling = throttling
-                if decision is not ln.applied_decision:
+                    controller.active_decision = decision
+                    controller._active_throttling = throttling
+                    if ln.active_throttling:
+                        controller.throttled_cycles += cycle - ln.count_from
+                    ln.count_from = cycle
+                    ln.active_throttling = throttling
                     # Never halted, so the decision arrays pass through
                     # unmutated (the engine setters copy internally).
                     ln.gpu.set_issue_widths(decision.issue_widths)
                     ln.gpu.set_fake_rates(decision.fake_rates)
                     np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
                     ln.applied_decision = decision
-            elif ln.applied_decision is None:
-                # First cycles before any pop: the initial active
-                # decision (what serial commands_for returns) applies.
-                decision = controller.active_decision
-                ln.gpu.set_issue_widths(decision.issue_widths)
-                ln.gpu.set_fake_rates(decision.fake_rates)
-                np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-                ln.applied_decision = decision
+                    if ln.flight is not None:
+                        _flight_mark(ln, cycle)
+                    continue
+                if pipeline and pipeline[0][0] < next_pop:
+                    next_pop = pipeline[0][0]
+                if ln.applied_decision is None:
+                    # First cycles before any pop: the initial active
+                    # decision (what serial commands_for returns)
+                    # applies.
+                    decision = controller.active_decision
+                    ln.gpu.set_issue_widths(decision.issue_widths)
+                    ln.gpu.set_fake_rates(decision.fake_rates)
+                    np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
+                    ln.applied_decision = decision
+                    if ln.flight is not None:
+                        _flight_mark(ln, cycle)
+            # No fast lane pops again before the earliest pipeline head.
+            bank.next_pop = next_pop
         for ln in slow_ctrl_lanes:
             controller = ln.controller
             inj = ln.injector
@@ -1275,22 +1499,22 @@ def _simulate(
             t3 = perf_counter()
             t_controller += t3 - t2
 
-        for ln in flight_lanes:
-            ctrl = ln.controller
-            ln.flight_meta.append((
-                ctrl.active_decision if ln.in_fast else ln.last_decision,
-                ln.injector.active_kinds(recorded_cycle)
-                if ln.injector is not None
-                else None,
-                ctrl.in_safe_state if ln.flight_safe else False,
-            ))
-        if flight_warm_bt is not None and not recording:
-            if alive_idx is None:
-                flight_warm_bt[:, cycle] = voltages_bt
-            else:
-                flight_warm_bt[alive_idx, cycle] = voltages_bt
+        if flight_every or flight_watch or (
+            flight_lanes and kernel is None and not recording
+        ):
+            if waved and flight_watch:
+                for ln in flight_watch:
+                    if ln.controller.in_safe_state != ln.flight_row[2]:
+                        _flight_mark(ln, cycle)
+            for ln in flight_every:
+                _flight_mark(ln, cycle)
+            if kernel is None and not recording:
+                if alive_idx is None:
+                    flight_warm_bt[:, cycle] = voltages_bt
+                else:
+                    flight_warm_bt[alive_idx, cycle] = voltages_bt
 
-        if recording:
+        if recording and kernel is None:
             k = recorded_cycle
             if alive_idx is None:
                 powers_rec_bt[:, k, :] = powers_bt
@@ -1313,25 +1537,36 @@ def _simulate(
                     dcc_accum[alive_idx] += dcc_applied
                     if trace_dcc:
                         dcc_trace_bt[alive_idx, k] = dcc_applied
-        if flight_lanes and cycle + 1 - flight_sent >= _FLIGHT_BLOCK:
+        if cycle == flight_due:
             for ln in flight_lanes:
-                _flush_flight(ln, flight_sent)
+                _flush_flight(ln, flight_sent, cycle + 1)
             flight_sent = cycle + 1
+            flight_due = cycle + _FLIGHT_BLOCK
         if timing:
             t_record += perf_counter() - t3
     for ln in flight_lanes:
-        _flush_flight(ln, flight_sent)
+        _flush_flight(ln, flight_sent, total_cycles)
     # Settle the remaining event-driven throttle spans so lane
     # controllers end bit-equal to serial post-run state.
     for ln in fast_lanes:
         if ln.active_throttling:
             ln.controller.throttled_cycles += total_cycles - ln.count_from
         ln.controller._counted_through_cycle = total_cycles - 1
+    if alive:
+        # The surviving lanes' deferred mirrors (quarantined lanes were
+        # folded at their eviction).
+        gpu_batch.fold()
+        batch_solver.fold_lanes()
     if timing:
-        # Attribute the loop's residual (iteration overhead, warmup
-        # bookkeeping, the timing reads themselves) to its own stage so
-        # the stage sum reconciles with wall-clock time.
+        # The cycle kernel's own stage times join the Python-side ones;
+        # the loop's residual (iteration overhead, kernel crossings,
+        # warmup bookkeeping, the timing reads themselves) gets its own
+        # stage so the stage sum reconciles with wall-clock time.
         loop_wall = perf_counter() - loop_start
+        t_gpu += stage_s[0]
+        t_circuit += stage_s[1]
+        t_controller += stage_s[2]
+        t_record += stage_s[3]
         tele.add_time("gpu_model", t_gpu)
         tele.add_time("transient_solve", t_circuit)
         tele.add_time("controller", t_controller)
@@ -1402,4 +1637,4 @@ def _simulate(
             ln.dcc_trace = dcc_trace_bt[ln.index]
     if timing:
         tele.add_time("finalize", perf_counter() - finalize_start)
-    return states, batch_solver
+    return states, batch_solver, fused_cycles

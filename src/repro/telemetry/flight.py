@@ -18,8 +18,10 @@ Cost discipline (the live plane must stay honest about "always-on"):
 the per-cycle :meth:`FlightRecorder.observe` is one ring-row copy plus
 a tuple store; all detection is deferred to a vectorized scan every
 ``scan_interval`` cycles.  Loops that already keep the voltages can
-stage only the per-cycle metadata and hand whole blocks to
-:meth:`FlightRecorder.observe_block` (the co-sim loop does).
+hand whole blocks to :meth:`FlightRecorder.observe_block`, or to
+:meth:`FlightRecorder.observe_runs` with the metadata as runs of
+unchanged rows (the co-sim loop does), and a quiet block skips its
+scans in one step.
 ``benchmarks/test_perf_observability.py``
 gates the whole thing at <= 2% of the hot co-sim loop.
 
@@ -126,6 +128,33 @@ class FlightDump:
         }
 
 
+class _RunCursor:
+    """Walks ``(count, row)`` runs a given number of cycles at a time."""
+
+    __slots__ = ("runs", "i", "left")
+
+    def __init__(self, runs) -> None:
+        self.runs = runs
+        self.i = 0
+        self.left = runs[0][0] if runs else 0
+
+    def take(self, k: int) -> List[Tuple[int, object]]:
+        out = []
+        while k:
+            if not self.left:
+                self.i += 1
+                self.left = self.runs[self.i][0]
+                continue
+            m = min(k, self.left)
+            out.append((m, self.runs[self.i][1]))
+            self.left -= m
+            k -= m
+        return out
+
+    def skip(self, k: int) -> None:
+        self.take(k)
+
+
 class FlightRecorder:
     """Always-on ring buffer + edge-triggered window dumper.
 
@@ -167,10 +196,14 @@ class FlightRecorder:
         # pre_cycles of history behind it, plus the unscanned block.
         self._W = self.pre_cycles + 2 * self.scan_interval
         self._volts = np.empty((self._W, self.num_sms))
+        # Each row's minimum SM voltage, kept beside the ring so a scan
+        # reduces a vector, not the whole block.
+        self._mins = np.empty(self._W)
         self._meta: List[Optional[Tuple[object, object, bool]]] = (
             [None] * self._W
         )
         self._safe = np.zeros(self._W, dtype=bool)
+        self._safe_unscanned = 0  # safe-state rows since the last scan
         self._n = 0  # observed cycles
         self._scanned = 0  # cycles processed by the scanner
         self._prev_below = False
@@ -188,8 +221,11 @@ class FlightRecorder:
         n = self._n
         slot = n % self._W
         self._volts[slot] = voltages
+        self._mins[slot] = self._volts[slot].min()
         self._meta[slot] = (decision, fault_kinds, safe)
         self._safe[slot] = safe
+        if safe:
+            self._safe_unscanned += 1
         self._n = n = n + 1
         if n - self._scanned >= self.scan_interval:
             self._scan()
@@ -200,62 +236,146 @@ class FlightRecorder:
 
         ``voltages`` is the ``(len(meta), num_sms)`` block of per-SM
         voltages and ``meta`` the matching ``(decision, fault_kinds,
-        safe)`` rows.  Exactly equivalent to one :meth:`observe` per
-        cycle — scans fire at the same cycles — but the ring takes block
-        copies, so a hot loop can stage rows and hand them over every
-        few dozen cycles instead of paying a call per cycle.
+        safe)`` rows: :meth:`observe_runs` with one run per cycle.
         """
-        total = len(meta)
+        self.observe_runs(voltages, [(1, row) for row in meta])
+
+    def observe_runs(self, voltages: np.ndarray,
+                     runs: Sequence[Tuple[int, Tuple[object, object, bool]]]
+                     ) -> None:
+        """Record ``len(voltages)`` consecutive cycles in one call.
+
+        ``runs`` lists ``(count, (decision, fault_kinds, safe))`` in
+        cycle order, the counts summing to ``len(voltages)``: a hot loop
+        whose metadata changes only now and then hands over a block with
+        a handful of runs instead of a row per cycle.  Exactly
+        equivalent to one :meth:`observe` per cycle — scans fire at the
+        same cycles — but the ring takes block copies and slice fills.
+        Once the recorder has settled (no open window, no edge pending),
+        a quiet stretch (every SM at or above the guardband, no safe
+        state) up to the next row that is not is skipped in one step:
+        its scans could only advance the scan mark.
+        """
+        total = len(voltages)
+        if not total:
+            return
+        mins = voltages.min(axis=1)
+        # Rows that could fire a trigger: below the guardband (NaN
+        # fails the comparison too) or in the safe state.
+        loud = ~(mins >= self.guardband_v)
+        pos = 0
+        for count, row in runs:
+            if row[2]:
+                loud[pos:pos + count] = True
+            pos += count
+        loud_at = np.flatnonzero(loud).tolist() + [total]
+        cursor = _RunCursor(runs)
+        nxt = 0  # index into loud_at: the first loud row at or after done
         done = 0
         while done < total:
+            while loud_at[nxt] < done:
+                nxt += 1
+            quiet_to = loud_at[nxt]
+            if quiet_to > done and self._settled():
+                self._skip(voltages[done:quiet_to], mins[done:quiet_to],
+                           cursor)
+                done = quiet_to
+                continue
             n = self._n
             # Stop each chunk at the next scan point (never longer than
             # the ring, since scan_interval < _W).
             take = min(total - done, self.scan_interval - (n - self._scanned))
-            slot = n % self._W
-            first = min(take, self._W - slot)
             end = done + take
-            safe = [s for _, _, s in meta[done:end]]
-            self._volts[slot:slot + first] = voltages[done:done + first]
-            self._meta[slot:slot + first] = meta[done:done + first]
-            self._safe[slot:slot + first] = safe[:first]
-            if take > first:
-                rest = take - first
-                self._volts[:rest] = voltages[done + first:end]
-                self._meta[:rest] = meta[done + first:end]
-                self._safe[:rest] = safe[first:]
+            self._put(n, voltages[done:end], mins[done:end], cursor.take(take))
             self._n = n = n + take
             done = end
             if n - self._scanned >= self.scan_interval:
                 self._scan()
 
+    def _settled(self) -> bool:
+        """No open window, no edge pending, nothing unscanned that could
+        fire: while the input stays quiet, scans only advance the mark."""
+        if (
+            self._pending or self._prev_below or self._prev_safe
+            or self._safe_unscanned
+        ):
+            return False
+        if self._n > self._scanned:
+            return bool(
+                self._ring(self._mins, self._scanned, self._n).min()
+                >= self.guardband_v
+            )
+        return True
+
+    def _skip(self, voltages: np.ndarray, mins: np.ndarray,
+              cursor: _RunCursor) -> None:
+        """Fast-forward a quiet stretch: keep its last ``_W`` rows (all a
+        later backfill can reach) and advance the scan mark as its
+        scans would have."""
+        total = len(voltages)
+        keep = min(total, self._W)
+        cursor.skip(total - keep)
+        self._put(self._n + total - keep, voltages[total - keep:],
+                  mins[total - keep:], cursor.take(keep))
+        n = self._n + total
+        self._scanned += (
+            (n - self._scanned) // self.scan_interval * self.scan_interval
+        )
+        self._n = n
+
+    def _put(self, n: int, voltages: np.ndarray, mins: np.ndarray,
+             runs) -> None:
+        """Write observed cycles ``n, n+1, ...`` into the ring."""
+        W = self._W
+        k = len(voltages)
+        slot = n % W
+        first = min(k, W - slot)
+        self._volts[slot:slot + first] = voltages[:first]
+        self._mins[slot:slot + first] = mins[:first]
+        if k > first:
+            self._volts[:k - first] = voltages[first:]
+            self._mins[:k - first] = mins[first:]
+        for count, row in runs:
+            if row[2]:
+                self._safe_unscanned += count
+            while count:
+                m = min(count, W - slot)
+                self._meta[slot:slot + m] = [row] * m
+                self._safe[slot:slot + m] = row[2]
+                count -= m
+                slot = (slot + m) % W
+
     # -- deferred detection --------------------------------------------
+    def _ring(self, ring: np.ndarray, start: int, end: int) -> np.ndarray:
+        """``ring`` entries for observed cycles [start, end) (may wrap)."""
+        lo = start % self._W
+        hi = lo + (end - start)
+        if hi <= self._W:
+            return ring[lo:hi]
+        return np.concatenate([ring[lo:], ring[: hi - self._W]])
+
     def _rows(self, start: int, end: int) -> np.ndarray:
         """Ring rows for observed cycles [start, end) (may wrap)."""
-        lo = start % self._W
-        hi = lo + (end - start)
-        if hi <= self._W:
-            return self._volts[lo:hi]
-        return np.concatenate([self._volts[lo:], self._volts[: hi - self._W]])
+        return self._ring(self._volts, start, end)
 
-    def _safe_flags(self, start: int, end: int) -> np.ndarray:
+    def _meta_rows(self, start: int, end: int) -> list:
         lo = start % self._W
         hi = lo + (end - start)
         if hi <= self._W:
-            return self._safe[lo:hi]
-        return np.concatenate([self._safe[lo:], self._safe[: hi - self._W]])
+            return self._meta[lo:hi]
+        return self._meta[lo:] + self._meta[: hi - self._W]
 
     def _scan(self) -> None:
         start, end = self._scanned, self._n
         if end <= start:
             return
-        rows = self._rows(start, end)
-        safe = self._safe_flags(start, end)
+        mins = self._ring(self._mins, start, end)
+        any_safe = self._safe_unscanned or self._prev_safe
+        self._safe_unscanned = 0
         if (
             not self._prev_below
-            and not self._prev_safe
-            and rows.min() >= self.guardband_v
-            and not safe.any()
+            and not any_safe
+            and mins.min() >= self.guardband_v
         ):
             # Quiet block (the common case): above the guardband and out
             # of the safe state throughout, after a quiet cycle — no edge
@@ -264,16 +384,12 @@ class FlightRecorder:
             self._scanned = end
             self._extend_pending(end)
             return
-        mins = rows.min(axis=1)
         below = mins < self.guardband_v
 
         # Edges vs the previous scanned cycle (block-boundary carry).
         prev_below = np.empty_like(below)
         prev_below[0] = self._prev_below
         prev_below[1:] = below[:-1]
-        prev_safe = np.empty_like(safe)
-        prev_safe[0] = self._prev_safe
-        prev_safe[1:] = safe[:-1]
 
         triggers: List[Tuple[int, str, float]] = []
         first_recorded = max(0, -self.cycle_offset - start)
@@ -283,17 +399,21 @@ class FlightRecorder:
                 continue  # warmup settling, context only
             self.onsets += 1
             triggers.append((start + int(pos), ONSET, float(mins[pos])))
-        edge_pos = np.flatnonzero(safe != prev_safe)
-        for pos in edge_pos:
-            if pos < first_recorded:
-                continue
-            self.safe_edges += 1
-            kind = SAFE_ENTER if safe[pos] else SAFE_EXIT
-            triggers.append((start + int(pos), kind, float(mins[pos])))
-        triggers.sort(key=lambda t: t[0])
+        if any_safe:
+            safe = self._ring(self._safe, start, end)
+            prev_safe = np.empty_like(safe)
+            prev_safe[0] = self._prev_safe
+            prev_safe[1:] = safe[:-1]
+            for pos in np.flatnonzero(safe != prev_safe):
+                if pos < first_recorded:
+                    continue
+                self.safe_edges += 1
+                kind = SAFE_ENTER if safe[pos] else SAFE_EXIT
+                triggers.append((start + int(pos), kind, float(mins[pos])))
+            triggers.sort(key=lambda t: t[0])
+            self._prev_safe = bool(safe[-1])
 
         self._prev_below = bool(below[-1])
-        self._prev_safe = bool(safe[-1])
         self._scanned = end
 
         for cycle, kind, min_v in triggers:
@@ -327,9 +447,7 @@ class FlightRecorder:
         )
         take_to = min(self._scanned, close_at)
         dump.voltages.append(self._rows(start, take_to).copy())
-        dump.meta.extend(
-            self._meta[c % self._W] for c in range(start, take_to)
-        )
+        dump.meta.extend(self._meta_rows(start, take_to))
         dump.end_cycle = take_to
         self._pending.append(dump)
 
@@ -346,10 +464,7 @@ class FlightRecorder:
                 dump.voltages.append(
                     self._rows(dump.end_cycle, take_to).copy()
                 )
-                dump.meta.extend(
-                    self._meta[c % self._W]
-                    for c in range(dump.end_cycle, take_to)
-                )
+                dump.meta.extend(self._meta_rows(dump.end_cycle, take_to))
                 dump.end_cycle = take_to
             if now >= close_at:
                 self.dumps.append(dump)

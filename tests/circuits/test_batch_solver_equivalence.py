@@ -95,6 +95,9 @@ def _run_batch(backend_name, schedules, cycles, mutate=None):
                 lanes[i][0].set_sm_currents(schedules[i][k])
             volts.append(batch.step_n(SUBSTEPS).copy())
             supply.append(batch.vsource_currents("vdd").copy())
+    # The compiled path defers each lane's time/step count to the batch
+    # clock; fold them back before the lanes are read.
+    batch.fold_lanes()
     return np.array(volts), np.array(supply), batch
 
 

@@ -1,9 +1,9 @@
 """Tests for the lock-stepped GPU batch facade and ``step_into``.
 
 ``GPU.step_into(out)`` must be bit-identical to ``out[:] = gpu.step()``
-— including around barrier-exempt changes, which exercise the lazy
-exempt-mask refresh — and ``GPUBatch`` must keep B independent lanes
-byte-equal to B serial GPUs.
+— including around barrier-exempt changes, which exercise the exempt
+mask the ``barrier_exempt`` setter maintains — and ``GPUBatch`` must
+keep B independent lanes byte-equal to B serial GPUs.
 """
 
 import numpy as np
@@ -41,7 +41,7 @@ class TestStepInto:
 
     def test_exempt_mask_refresh_round_trip(self):
         """Setting then clearing barrier_exempt must not leave stale
-        mask bits behind (the lazy refresh's dirty-flag contract)."""
+        mask bits behind."""
         a = _gpu(7)
         b = _gpu(7)
         out = np.empty(a.num_sms)
@@ -104,7 +104,11 @@ class TestGPUBatch:
             for i, gpu in enumerate(serial):
                 assert np.array_equal(out[i], gpu.step_into(ref)), (i, cycle)
         assert batch._fused is not None, "batch left the fused step"
+        # The fused step defers each lane's cycle and memory-queue
+        # mirrors to the batch; fold them back before reading lanes.
+        batch.fold()
         for a, b in zip(serial, batched):
+            assert a.cycle == b.cycle
             assert a.kernel_launch_cycles == b.kernel_launch_cycles
             assert a.kernels_launched == b.kernels_launched
             assert a.memory.requests_served == b.memory.requests_served

@@ -5,6 +5,7 @@ guardband-violation onset a run experiences must land inside some
 dump's window, for the serial and the batched co-sim engines alike.
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -140,6 +141,62 @@ class TestObserveBlock:
         assert [d.to_dict() for d in rec.dumps] == [
             d.to_dict() for d in ref.dumps
         ]
+
+
+class TestObserveRuns:
+    """``observe_runs`` (and its quiet skip) leaves a recorder exactly as
+    per-cycle ``observe``, with the metadata handed over as runs."""
+
+    @pytest.mark.parametrize("block", [5, 32, 64, 250])
+    def test_matches_per_cycle_observe(self, block):
+        n = 600
+        rng = np.random.default_rng(9)
+        volts = 0.95 + 0.01 * rng.standard_normal((n, 3))
+        volts[[100, 101, 400], 2] = 0.7
+        volts[520, 0] = np.nan
+        decisions = [
+            SimpleNamespace(
+                issue_widths=[2.0, 1.0 + j], fake_rates=[0.0, 0.1 * j],
+                dcc_powers_w=[0.0, 0.0],
+            )
+            for j in range(4)
+        ]
+        kinds = ("pdn_drift",)
+
+        def row(c):
+            return (
+                decisions[min(c // 160, 3)],
+                kinds if 300 <= c < 310 else None,
+                450 <= c < 470,
+            )
+
+        geometry = dict(num_sms=3, guardband_v=GUARD, pre_cycles=10,
+                        post_cycles=6, scan_interval=8, cycle_offset=-40)
+        ref = FlightRecorder(**geometry)
+        rec = FlightRecorder(**geometry)
+        # An odd first block, and a forced dump off the scan grid.
+        edges = sorted({0, 3, 203, n} | set(range(3, n, block)))
+        for start, stop in zip(edges, edges[1:]):
+            for c in range(start, stop):
+                ref.observe(volts[c], *row(c))
+            runs = []
+            for c in range(start, stop):
+                r = row(c)
+                if runs and all(a is b for a, b in zip(runs[-1][1], r)):
+                    runs[-1][0] += 1
+                else:
+                    runs.append([1, r])
+            rec.observe_runs(volts[start:stop], runs)
+            if stop == 203:
+                ref.force_dump("numerical_divergence")
+                rec.force_dump("numerical_divergence")
+        ref.finalize()
+        rec.finalize()
+        assert ref.onsets >= 2 and ref.safe_edges == 2
+        assert rec.summary() == ref.summary()
+        assert json.dumps([d.to_dict() for d in rec.dumps]) == json.dumps(
+            [d.to_dict() for d in ref.dumps]
+        )
 
 
 class TestWarmupOffset:
