@@ -1,10 +1,11 @@
 """Transient-solver hot-path performance on the production netlist.
 
-Times the vectorized scatter/gather stepping path against the retained
-naive per-element loop on the full 4x4 stacked PDN, asserting both the
-speedup floor and bit-compatibility (the vectorized path emits its RHS
-accumulation in the naive path's execution order, so the waveforms
-must agree to well below 1e-12 — in practice exactly).
+Times the vectorized scatter/gather stepping path against the naive
+per-element loop the test suite keeps as its oracle
+(``tests/oracles/naive_solver.py``) on the full 4x4 stacked PDN,
+asserting both the speedup floor and bit-compatibility (the vectorized
+path emits its RHS accumulation in the naive path's execution order, so
+the waveforms must agree to well below 1e-12 — in practice exactly).
 
 Writes ``benchmarks/results/perf_solver.json`` so CI can upload the
 steps/s numbers as an artifact.
@@ -19,6 +20,7 @@ from conftest import RESULTS_DIR, emit
 from repro.analysis.report import format_table
 from repro.circuits import TransientSolver
 from repro.pdn.builder import build_stacked_pdn
+from tests.oracles.naive_solver import NaiveTransientSolver
 
 DT = 1e-10
 COMPARE_STEPS = 400
@@ -28,7 +30,8 @@ SPEEDUP_FLOOR = 3.0
 
 def _make(vectorized: bool):
     pdn = build_stacked_pdn()
-    solver = TransientSolver(pdn.circuit, dt=DT, vectorized=vectorized)
+    solver_cls = TransientSolver if vectorized else NaiveTransientSolver
+    solver = solver_cls(pdn.circuit, dt=DT)
     solver.initialize_dc()
     return pdn, solver
 

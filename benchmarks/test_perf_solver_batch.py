@@ -1,10 +1,11 @@
 """Batched transient-solver throughput: fused C kernel vs NumPy path.
 
 ``BatchTransientSolver.step_n`` ships two backends: the fused substep
-kernel (``_solverc.c``, one C call per co-sim cycle) and the pure-NumPy
-per-step loop that serves as its bit-identity oracle.  This driver
-gates both halves of that contract at the solver layer, below the
-co-sim loop:
+kernel (``_solverc.c``, one C call per co-sim cycle, whenever the
+native library loaded) and the pure-NumPy per-step loop that serves as
+its bit-identity oracle (forced through the test suite's one seam,
+``tests.conftest.forced_fallback``).  This benchmark gates both halves
+of that contract at the solver layer, below the co-sim loop:
 
 * the C backend must reproduce the NumPy backend byte for byte over a
   mixed random load schedule (including the LAPACK back-substitution,
@@ -18,20 +19,21 @@ solver-steps/s as an artifact.
 """
 
 import json
-import os
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from conftest import RESULTS_DIR, emit
+from repro import native
 from repro.analysis.report import format_table
-from repro.circuits import BatchTransientSolver, _solverc
+from repro.circuits import BatchTransientSolver
 from repro.circuits.transient import TransientSolver
 from repro.config import StackConfig
 from repro.pdn.builder import build_stacked_pdn
 from repro.pdn.parameters import DEFAULT_PDN
+from tests.conftest import forced_fallback
 
 BATCH = 8
 CYCLES = 1500
@@ -45,17 +47,9 @@ NUM_SMS = StackConfig().num_sms
 NOMINAL_A = 40.0 / NUM_SMS
 
 
-@contextmanager
 def _backend(name):
-    old = os.environ.get(_solverc.BACKEND_ENV)
-    os.environ[_solverc.BACKEND_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(_solverc.BACKEND_ENV, None)
-        else:
-            os.environ[_solverc.BACKEND_ENV] = old
+    """The compiled backend as loaded, or the NumPy one through the seam."""
+    return nullcontext() if name == "c" else forced_fallback()
 
 
 def _build_batch():
@@ -78,14 +72,7 @@ def _schedule(cycles):
 
 
 def _c_missing() -> bool:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return (
-            _solverc.load_solver_lib() is None
-            or _solverc.dgetrs_pointer() is None
-        )
+    return native.load() is None
 
 
 def _run(backend, cycles, record=False):

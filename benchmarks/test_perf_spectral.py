@@ -1,7 +1,7 @@
 """Imbalance-series decomposition performance.
 
 Times the vectorized ``imbalance_series`` against the retained
-per-cycle reference loop (``_imbalance_series_reference``) on a
+per-cycle reference loop (``tests/oracles/spectral_reference.py``) on a
 2500-cycle x 16-SM power matrix, asserting both the speedup floor and
 exact bit-compatibility (the vectorized path mirrors the reference's
 reduction order, so every sample must match with ``np.array_equal``).
@@ -17,10 +17,8 @@ import numpy as np
 
 from conftest import RESULTS_DIR, emit
 from repro.analysis.report import format_table
-from repro.analysis.spectral import (
-    _imbalance_series_reference,
-    imbalance_series,
-)
+from repro.analysis.spectral import imbalance_series
+from tests.oracles.spectral_reference import imbalance_series_reference
 
 CYCLES = 2500
 TIMING_ROUNDS = 3
@@ -46,7 +44,7 @@ def _cycles_per_second(func, power: np.ndarray) -> float:
 def test_bit_compatibility():
     power = _power_matrix()
     fast = imbalance_series(power)
-    slow = _imbalance_series_reference(power)
+    slow = imbalance_series_reference(power)
     for name in ("global", "stack", "residual"):
         assert np.array_equal(fast[name], slow[name]), name
 
@@ -54,7 +52,7 @@ def test_bit_compatibility():
 def test_imbalance_series_cycles_per_second(benchmark):
     power = _power_matrix()
     naive = benchmark.pedantic(
-        _cycles_per_second, args=(_imbalance_series_reference, power),
+        _cycles_per_second, args=(imbalance_series_reference, power),
         rounds=1, iterations=1,
     )
     fast = _cycles_per_second(imbalance_series, power)

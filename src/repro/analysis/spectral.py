@@ -21,7 +21,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.config import StackConfig
-from repro.pdn.impedance import decompose_currents
 
 
 def power_spectrum(
@@ -95,8 +94,8 @@ def imbalance_series(
     first SM's residual.  Vectorized over cycles, but each scalar is
     produced by the same reduction (order and operand count) that
     :func:`repro.pdn.impedance.decompose_currents` applies per frame,
-    so the output matches the retained per-cycle reference loop
-    (:func:`_imbalance_series_reference`) bit for bit.
+    so the output matches the per-cycle reference loop the test suite
+    keeps (``tests/oracles/spectral_reference.py``) bit for bit.
     """
     per_sm_power = np.atleast_2d(np.asarray(per_sm_power, dtype=float))
     if per_sm_power.shape[1] != stack.num_sms:
@@ -114,39 +113,6 @@ def imbalance_series(
     # r[0] in decompose_currents is (grid - global_part) - stack_part;
     # mirror that two-subtraction order for exact agreement.
     residual_series = (grid[:, 0, 0] - global_series) - stack_series
-    return {
-        "global": global_series,
-        "stack": stack_series,
-        "residual": residual_series,
-    }
-
-
-def _imbalance_series_reference(
-    per_sm_power: np.ndarray,
-    stack: StackConfig = StackConfig(),
-) -> Dict[str, np.ndarray]:
-    """Per-cycle reference loop behind :func:`imbalance_series`.
-
-    Calls :func:`decompose_currents` once per cycle.  Retained as the
-    ground truth the vectorized path is locked against in tests and the
-    perf harness (``benchmarks/test_perf_spectral.py``).
-    """
-    per_sm_power = np.atleast_2d(np.asarray(per_sm_power, dtype=float))
-    if per_sm_power.shape[1] != stack.num_sms:
-        raise ValueError(
-            f"expected {stack.num_sms} SM columns, got {per_sm_power.shape[1]}"
-        )
-    cycles = per_sm_power.shape[0]
-    global_series = np.empty(cycles)
-    stack_series = np.empty(cycles)
-    residual_series = np.empty(cycles)
-    for k in range(cycles):
-        g, st, r = decompose_currents(
-            per_sm_power[k], stack.num_layers, stack.num_columns
-        )
-        global_series[k] = g[0]
-        stack_series[k] = st[0]
-        residual_series[k] = r[0]
     return {
         "global": global_series,
         "stack": stack_series,

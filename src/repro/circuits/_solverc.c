@@ -1,10 +1,10 @@
 /* Fused batched trapezoidal substep kernel for the PDN co-simulator.
  *
- * Compiled on demand by repro.circuits._solverc (plain cc, no Python
- * headers) and driven through ctypes.  Operates in place on the NumPy
- * buffers of repro.circuits.transient.BatchTransientSolver; one call
- * advances every lane `nsub` trapezoidal steps — the whole co-sim
- * cycle's worth of substeps in a single crossing of the ctypes
+ * Compiled on demand into the native library (repro.native: plain cc,
+ * no Python headers) and driven through ctypes.  Operates in place on
+ * the NumPy buffers of repro.circuits.transient.BatchTransientSolver;
+ * one call advances every lane `nsub` trapezoidal steps — the whole
+ * co-sim cycle's worth of substeps in a single crossing of the ctypes
  * boundary.
  *
  * The contract is bit-identical equivalence with the NumPy batch step
@@ -39,7 +39,7 @@ typedef void (*dgetrs_t)(char *trans, int *n, int *nrhs, double *a,
                          int *lda, int *ipiv, double *b, int *ldb,
                          int *info);
 
-typedef struct {
+typedef struct SolverState {
     /* dimensions */
     i64 n_lanes;    /* B */
     i64 size;       /* MNA system size per lane */

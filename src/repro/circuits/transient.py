@@ -8,12 +8,11 @@ co-simulations (hundreds of thousands of steps) cheap.
 
 Per-step work is fully vectorized: reactive companion currents, their
 scatter into the RHS, current-source gathers and companion-state updates
-are all precomputed integer-index NumPy operations (``np.add.at`` over
-scatter arrays, fancy-indexed gathers), so a step costs a handful of
-array ops plus one back-substitution regardless of element count.  The
-original per-element Python loops are retained as a reference
-implementation (``vectorized=False``) and the perf benchmark asserts the
-two paths agree to 1e-12.
+are all precomputed integer-index NumPy operations (one ``bincount``
+over scatter arrays, fancy-indexed gathers), so a step costs a handful
+of array ops plus one back-substitution regardless of element count.
+The original per-element Python loops are the test suite's reference
+(``tests/oracles/naive_solver.py``); the two agree bit for bit.
 
 The solver exposes two usage styles:
 
@@ -25,13 +24,14 @@ The solver exposes two usage styles:
 from __future__ import annotations
 
 import ctypes
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor
 
+from repro import native
+from repro.circuits._solverc import CSolverState
 from repro.circuits.elements import Capacitor, Inductor
 from repro.circuits.mna import MNAStructure
 from repro.circuits.netlist import Circuit
@@ -91,13 +91,7 @@ def _terminal_gather_arrays(
 
 
 class TransientSolver:
-    """Trapezoidal integrator over a fixed-topology linear circuit.
-
-    ``vectorized`` selects the scatter-index fast path (default); the
-    retained loop-based reference path exists for differential testing
-    and produces waveforms identical to within floating-point
-    accumulation order (< 1e-12).
-    """
+    """Trapezoidal integrator over a fixed-topology linear circuit."""
 
     # Conductance used to treat inductors as shorts in the DC solve.
     _DC_SHORT_SIEMENS = 1e9
@@ -107,12 +101,11 @@ class TransientSolver:
     # (far more common) un-batched hot path.
     _batch_owner = None
 
-    def __init__(self, circuit: Circuit, dt: float, vectorized: bool = True) -> None:
+    def __init__(self, circuit: Circuit, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.circuit = circuit
         self.dt = dt
-        self.vectorized = bool(vectorized)
         self.structure = MNAStructure(circuit)
         self.capacitors: List[Capacitor] = circuit.elements_of_type(Capacitor)  # type: ignore[assignment]
         self.inductors: List[Inductor] = circuit.elements_of_type(Inductor)  # type: ignore[assignment]
@@ -134,7 +127,7 @@ class TransientSolver:
         # injection is ieq = g*v + i for both, and the post-solve current
         # update is i' = g*v' + s*ieq with s = -1 (capacitor) / +1
         # (inductor).  State is therefore held in combined arrays, with
-        # per-kind views kept for the naive path and external queries.
+        # per-kind views kept for restamping and external queries.
         self._react_g = np.concatenate([
             np.array([2.0 * c.capacitance / dt for c in self.capacitors], dtype=float),
             np.array([dt / (2.0 * l.inductance) for l in self.inductors], dtype=float),
@@ -156,7 +149,7 @@ class TransientSolver:
         self._matrix = matrix
         self._lu = lu_factor(matrix)
         self.stats.factorizations += 1
-        # The vectorized step calls LAPACK ``getrs`` directly — the same
+        # The step calls LAPACK ``getrs`` directly — the same
         # routine ``scipy.linalg.lu_solve`` wraps (bit-identical result),
         # minus per-call validation that would dominate small systems.
         self._getrs = get_lapack_funcs(("getrs",), (self._lu[0],))[0]
@@ -197,13 +190,13 @@ class TransientSolver:
         self._last_rhs: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Precomputed index machinery for the vectorized path
+    # Precomputed index machinery for the step
     # ------------------------------------------------------------------
     def _build_scatter_arrays(self) -> None:
-        """Integer scatter/gather indices driving the vectorized step.
+        """Integer scatter/gather indices driving the step.
 
         One concatenated value vector per step holds
-        ``[ieq_cap | ieq_ind | i_source]``; a single ``np.add.at`` with
+        ``[ieq_cap | ieq_ind | i_source]``; a single ``bincount`` with
         precomputed ``(rhs_index, gain, value_index)`` triples scatters
         every companion/source contribution into the RHS at once.
         """
@@ -231,7 +224,7 @@ class TransientSolver:
         # (rhs[p] += ieq); the inductor's flows out (rhs[p] -= ieq); an
         # independent source draws current off its positive node.
         # Triples are emitted in the reference path's execution order
-        # (sources, capacitors, inductors) so ``np.add.at`` accumulates
+        # (sources, capacitors, inductors) so ``bincount`` accumulates
         # each node in the same sequence and the result is bit-identical.
         for k, (p, n) in enumerate(zip(self._cs_pos, self._cs_neg)):
             scatter(self._cs_offset + k, p, n, -1.0)
@@ -339,7 +332,7 @@ class TransientSolver:
         Lane quarantine re-binds a surviving PDN's current sources to a
         row of a freshly compacted batch array
         (``StackedPDN.bind_current_buffer``); this refreshes the cached
-        buffer handles the vectorized gather reads from.
+        buffer handles the step's gather reads from.
         """
         self._build_cs_gathers()
 
@@ -377,65 +370,31 @@ class TransientSolver:
         )
         return solution[: self.structure.num_nodes]
 
-    @staticmethod
-    def _across(solution: np.ndarray, pos, neg) -> float:
-        vp = solution[pos] if pos is not None else 0.0
-        vn = solution[neg] if neg is not None else 0.0
-        return float(vp - vn)
-
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def _gather_source_currents(self, t: float) -> None:
-        """Fill the current-source segment of the step value vector."""
-        vals = self._vals
-        for slot, source in self._cs_plain:
-            vals[slot] = source.current_at(t)
-        for buffer, slots, gidx in self._cs_batches:
-            vals[slots] = np.asarray(buffer)[gidx]
-
-    def _fast_rhs(self, t: float) -> np.ndarray:
-        """RHS from independent sources using the cached index maps.
-
-        (Reference path; the vectorized step assembles sources and
-        companion currents in one scatter instead.)
-        """
-        rhs = np.zeros(self.structure.size, dtype=float)
-        for source, pos, neg in zip(self._current_sources, self._cs_pos, self._cs_neg):
-            current = source.current_at(t)
-            if pos is not None:
-                rhs[pos] -= current
-            if neg is not None:
-                rhs[neg] += current
-        for row, source in self._vs_rows:
-            rhs[row] = source.voltage_at(t)
-        return rhs
-
     def step(self) -> np.ndarray:
         """Advance one trapezoidal step; return node voltages at the new time."""
-        self.stats.steps += 1
-        if self.vectorized:
-            return self._step_vectorized()
-        return self._step_naive()
+        return self.step_n(1)
 
     def step_n(self, n: int) -> np.ndarray:
         """Advance ``n`` trapezoidal steps; return the final node voltages.
 
-        Bit-identical to ``n`` calls of :meth:`step` — the same NumPy
-        operations run in the same order on the same operands.  The
-        per-step Python overhead (method dispatch, attribute lookups)
-        is hoisted out of the loop, and the RHS scatter uses one
-        ``bincount`` instead of ``zeros`` + ``np.add.at`` (bincount,
-        like ``add.at``, accumulates weights in input order, so the
-        per-index float summation sequence is unchanged).  This is the
-        guard's clean-path stepping: the fusion pays for the guard's
-        snapshot/scan bookkeeping (see ``benchmarks/test_perf_guard``).
+        Bit-identical to ``n`` calls of :meth:`step`.  The per-step
+        Python overhead (method dispatch, attribute lookups) is hoisted
+        out of the loop, and the RHS scatter is one ``bincount``
+        (which, like ``np.add.at``, accumulates weights in input order,
+        so the per-index float summation sequence is the reference
+        loop's).  This is the guard's clean-path stepping: the fusion
+        pays for the guard's snapshot/scan bookkeeping (see
+        ``benchmarks/test_perf_guard``).
 
-        Defers to the plain per-step loop when the solver is in naive
-        mode or ``step`` has been instance-patched (fault hooks and
-        tests wrap ``solver.step``; a fused path must not bypass them).
+        A multi-step call defers to a per-step loop when ``step`` has
+        been instance-patched (fault hooks and tests wrap
+        ``solver.step``, and call the original, which lands here with
+        ``n == 1``; a fused path must not bypass them).
         """
-        if not self.vectorized or "step" in self.__dict__:
+        if n > 1 and "step" in self.__dict__:
             node_v = None
             for _ in range(n):
                 node_v = self.step()
@@ -502,74 +461,6 @@ class TransientSolver:
             self.time = t_next
             self.solution = solution
         return solution[:num_nodes]
-
-    def _step_vectorized(self) -> np.ndarray:
-        t_next = self.time + self.dt
-
-        # Companion injections ieq = g*v + i for every reactive element,
-        # then one scatter of [ieq | source currents] into the RHS.
-        vals = self._vals
-        ieq = self._react_g * self._react_v + self._react_i
-        vals[: self._cs_offset] = ieq
-        self._gather_source_currents(t_next)
-
-        rhs = np.zeros(self.structure.size, dtype=float)
-        np.add.at(rhs, self._scatter_idx, self._scatter_gain * vals[self._scatter_src])
-        if self._vs_callable:
-            for slot, source in self._vs_callable:
-                self._vs_values[slot] = source.voltage_at(t_next)
-        rhs[self._vs_row_idx] = self._vs_values
-
-        solution, _info = self._getrs(self._lu[0], self._lu[1], rhs)
-        self._last_rhs = rhs
-
-        # Companion-state update: v' gathered across all terminals at
-        # once, i' = g*v' + s*ieq (s = -1 capacitors, +1 inductors).
-        v_new = (
-            solution[self._react_pos] * self._react_pos_mask
-            - solution[self._react_neg] * self._react_neg_mask
-        )
-        self._react_i[:] = self._react_g * v_new + self._react_sign * ieq
-        self._react_v[:] = v_new
-
-        self.time = t_next
-        self.solution = solution
-        return solution[: self.structure.num_nodes]
-
-    def _step_naive(self) -> np.ndarray:
-        """Reference per-element loop implementation (pre-vectorization)."""
-        t_next = self.time + self.dt
-        rhs = self._fast_rhs(t_next)
-
-        ieq_cap = self._g_cap * self._cap_v + self._cap_i
-        for (p, n), ieq in zip(self._cap_nodes, ieq_cap):
-            if p is not None:
-                rhs[p] += ieq
-            if n is not None:
-                rhs[n] -= ieq
-
-        ieq_ind = self._ind_i + self._g_ind * self._ind_v
-        for (p, n), ieq in zip(self._ind_nodes, ieq_ind):
-            if p is not None:
-                rhs[p] -= ieq
-            if n is not None:
-                rhs[n] += ieq
-
-        solution = lu_solve(self._lu, rhs)
-        self._last_rhs = rhs
-
-        for k, (p, n) in enumerate(self._cap_nodes):
-            v_new = self._across(solution, p, n)
-            self._cap_i[k] = self._g_cap[k] * v_new - ieq_cap[k]
-            self._cap_v[k] = v_new
-        for k, (p, n) in enumerate(self._ind_nodes):
-            v_new = self._across(solution, p, n)
-            self._ind_i[k] = self._g_ind[k] * v_new + ieq_ind[k]
-            self._ind_v[k] = v_new
-
-        self.time = t_next
-        self.solution = solution
-        return solution[: self.structure.num_nodes]
 
     def node_voltage(self, node: str) -> float:
         """Voltage of ``node`` at the current solver time."""
@@ -639,25 +530,16 @@ class _SolverShard:
     The representative lane's factorization serves every member:
     ``lu_factor`` is deterministic, so value-identical matrices produce
     bit-identical LU blocks and solving any member against the shared
-    block is bit-identical to solving against its own.  ``multi`` is
-    the adaptive multi-RHS verdict — ``None`` until the first solve
-    probes whether a single multi-RHS ``getrs`` over the shard's
-    ``(n, B_shard)`` Fortran-ordered block reproduces the per-column
-    solves bit for bit on this BLAS (see ``BatchTransientSolver.step``).
+    block is bit-identical to solving against its own.
     """
 
-    __slots__ = ("getrs", "lu", "piv", "piv1", "rows", "rows_idx",
-                 "entries", "multi")
+    __slots__ = ("getrs", "lu", "piv", "piv1")
 
     def __init__(self, getrs, lu: np.ndarray, piv: np.ndarray) -> None:
         self.getrs = getrs
         self.lu = lu
         self.piv = piv
         self.piv1: Optional[np.ndarray] = None  # 1-based int32, C kernel
-        self.rows: List[int] = []
-        self.rows_idx: Optional[np.ndarray] = None
-        self.entries: list = []
-        self.multi: Optional[bool] = None
 
 
 class BatchTransientSolver:
@@ -669,29 +551,26 @@ class BatchTransientSolver:
     index maps are equal) — while element *values*, source waveforms and
     per-lane fault refactorizations may differ.  This class fuses the
     per-step NumPy dispatch across lanes: companion currents, the RHS
-    scatter (one flat-index ``np.add.at`` over all lanes) and the
+    scatter (one flat-index ``bincount`` over all lanes) and the
     companion-state update run on ``(B, ...)`` arrays, while the LAPACK
     back-substitution runs per shard of value-identical matrices
-    (:class:`_SolverShard`): one shared ``lu_factor`` per shard, and
-    a multi-RHS ``getrs`` over the shard's ``(n, B_shard)`` block
-    *only when a first-step probe proves it bit-identical* to the
-    per-column solves.  On BLAS builds whose blocked ``trsm`` reorders
-    dot-product accumulations for NRHS > 1 (every OpenBLAS tested), the
-    probe fails and the shard stays on per-lane NRHS=1 solves against
-    the shared LU — bit-identity against ``run_cosim`` is this engine's
-    correctness oracle and always wins over the batched solve.  A
-    mid-run :meth:`TransientSolver.refactor` marks the lane map dirty,
-    and the next step regroups: the refactored lane splits into its own
-    shard and the surviving shard is untouched, so fault injection and
-    guard recovery keep working unchanged.
+    (:class:`_SolverShard`): one shared ``lu_factor`` per shard and
+    per-lane NRHS=1 solves against it.  (A multi-RHS ``getrs`` over a
+    shard's block reorders dot-product accumulation in a blocked BLAS
+    ``trsm`` and breaks bit-identity against ``run_cosim``.)  A mid-run
+    :meth:`TransientSolver.refactor` marks the lane map dirty, and the
+    next step regroups: the refactored lane splits into its own shard
+    and the surviving shard is untouched, so fault injection and guard
+    recovery keep working unchanged.
 
-    ``step_n`` additionally offers a compiled backend
-    (``REPRO_SOLVER_BACKEND=c``, the default when eligible): the whole
-    cycle's substeps — companion update, source gather, RHS scatter,
-    voltage-source stamp, per-lane LAPACK back-substitution through the
-    genuine ``dgetrs`` pointer, and the reactive-state update — run in
-    one crossing into ``_solverc.c``.  The NumPy path remains the
-    bit-identity oracle (``REPRO_SOLVER_BACKEND=numpy``).
+    ``step_n`` and ``step_n_checked`` run compiled whenever the native
+    library (:mod:`repro.native`) loaded and the circuit is eligible
+    (one shared C-contiguous current base, no plain current sources, no
+    callable voltage sources): the whole cycle's substeps — companion
+    update, source gather, RHS scatter, voltage-source stamp, per-lane
+    LAPACK back-substitution through the genuine ``dgetrs`` pointer,
+    and the reactive-state update — run in one crossing into
+    ``_solverc.c``.  The NumPy path remains the bit-identity oracle.
 
     Each lane's dynamic state (``_react_v`` / ``_react_i`` / ``solution``)
     is re-homed as a row view of the batch arrays, so per-lane reads
@@ -717,10 +596,6 @@ class BatchTransientSolver:
             raise ValueError("need at least one lane solver")
         first = self.solvers[0]
         for s in self.solvers:
-            if not s.vectorized:
-                raise ValueError(
-                    "batch stepping requires vectorized lane solvers"
-                )
             if s.dt != first.dt:
                 raise ValueError(
                     f"lanes must share dt: {s.dt} != {first.dt}"
@@ -900,7 +775,6 @@ class BatchTransientSolver:
         # Compiled-backend state (resolved lazily on the first step_n).
         self._backend: Optional[str] = None
         self._clib = None
-        self._dgetrs_ptr: Optional[int] = None
         self._c_state = None
         self._c_state_ptr = None
         self._c_refs: list = []
@@ -948,13 +822,10 @@ class BatchTransientSolver:
             # getrs wrapper, probed on its own first solve (a wrapper
             # that copies for one lane must never be assumed in-place
             # for another).
-            entry = [shard.getrs, shard.lu, shard.piv, sol[i], s, None]
-            shard.rows.append(i)
-            shard.entries.append(entry)
-            lane_entries.append(entry)
+            lane_entries.append(
+                [shard.getrs, shard.lu, shard.piv, sol[i], s, None]
+            )
             lane_shard.append(shard)
-        for shard in shards:
-            shard.rows_idx = np.array(shard.rows, dtype=np.intp)
         self._shards = shards
         self._lane_solve = lane_entries
         self._lane_shard = lane_shard
@@ -1020,50 +891,21 @@ class BatchTransientSolver:
         # lane's first solve probes whether its wrapper really solved
         # in place (it copies when it must) and that lane alone falls
         # back to an explicit copy-back — the verdict is never assumed
-        # across lanes or shards.  Multi-lane shards additionally probe
-        # one multi-RHS getrs over their (n, B_shard) Fortran block on
-        # the first step and keep it only if it reproduced the
-        # per-column solves bit for bit (blocked BLAS trsm paths
-        # usually reorder accumulation for NRHS > 1, failing the probe
-        # — the per-column oracle always wins).
+        # across lanes or shards.
         sol = self._sol_bt
         sol[:] = rhs
         if self._lanes_dirty:
             self._rebuild_lanes()
-        for shard in self._shards:
-            entries = shard.entries
-            if shard.multi and len(entries) > 1:
-                block = sol[shard.rows_idx].T  # (n, B_shard), F-order
-                solved, _info = shard.getrs(
-                    shard.lu, shard.piv, block, overwrite_b=True
-                )
-                sol[shard.rows_idx] = solved.T
-                for entry in entries:
-                    s = entry[4]
-                    s.stats.steps += 1
-                    s.time = t_next
-                continue
-            probe_block = None
-            if shard.multi is None and len(entries) > 1:
-                probe_block = sol[shard.rows_idx].T  # pre-solve RHS copy
-            for entry in entries:
-                getrs_f, lu, piv, row, s, inplace = entry
-                solution, _info = getrs_f(lu, piv, row, overwrite_b=True)
-                if inplace is None:
-                    inplace = bool(np.shares_memory(solution, row))
-                    entry[5] = inplace
-                if not inplace:
-                    row[:] = solution
-                s.stats.steps += 1
-                s.time = t_next
-            if probe_block is not None:
-                solved, _info = shard.getrs(
-                    shard.lu, shard.piv, probe_block, overwrite_b=True
-                )
-                shard.multi = bool(np.array_equal(
-                    solved.T.view(np.uint64),
-                    sol[shard.rows_idx].view(np.uint64),
-                ))
+        for entry in self._lane_solve:
+            getrs_f, lu, piv, row, s, inplace = entry
+            solution, _info = getrs_f(lu, piv, row, overwrite_b=True)
+            if inplace is None:
+                inplace = bool(np.shares_memory(solution, row))
+                entry[5] = inplace
+            if not inplace:
+                row[:] = solution
+            s.stats.steps += 1
+            s.time = t_next
 
         n_react = self._n_react
         v_new = (
@@ -1090,35 +932,16 @@ class BatchTransientSolver:
         return self._backend
 
     def _resolve_backend(self) -> None:
-        """Pick the ``step_n`` backend once, loudly on degradation.
+        """Pick the ``step_n`` backend once: C when the native library
+        loaded and the circuit configuration is eligible.
 
-        ``REPRO_SOLVER_BACKEND=c|numpy`` overrides the default (``c``
-        when the circuit configuration is eligible).  Requesting ``c``
-        loads the compiled kernel and extracts the LAPACK ``dgetrs``
-        pointer; either failing falls back to NumPy through the
-        warn-once + ``solver.backend_fallback`` counter machinery.
         Ineligible configurations (plain current sources, callable
         voltage sources, no shared current base) stay on NumPy without
-        a warning — that is a modeling choice, not a degradation.
+        consulting the library — that is a modeling choice, not a
+        degradation.
         """
-        from repro.circuits import _solverc
-
-        env = os.environ.get(_solverc.BACKEND_ENV, "").strip().lower()
-        choice = env if env in ("c", "numpy") else "c"
-        if choice == "c" and self._c_eligible:
-            lib = _solverc.load_solver_lib()
-            if lib is not None:
-                ptr = _solverc.dgetrs_pointer()
-                if ptr is None:
-                    _solverc.note_fallback(
-                        "scipy dgetrs capsule unavailable"
-                    )
-                else:
-                    self._clib = lib
-                    self._dgetrs_ptr = ptr
-                    self._backend = "c"
-                    return
-        self._backend = "numpy"
+        self._clib = native.load() if self._c_eligible else None
+        self._backend = "numpy" if self._clib is None else "c"
 
     def _build_c_state(self) -> None:
         """Wire the C kernel's state struct to the batch buffers.
@@ -1128,8 +951,6 @@ class BatchTransientSolver:
         and 1-based pivot vector.  Every referenced array is pinned in
         ``_c_refs`` for the struct's lifetime.
         """
-        from repro.circuits._solverc import CSolverState
-
         n_lanes = self._n_lanes
         size = self._size
         if self._rhs_bt is None:
@@ -1168,7 +989,7 @@ class BatchTransientSolver:
             n_scatter=self._flat_idx.size,
             n_cs=cs_dst.size,
             n_vs=vs_rows.size,
-            dgetrs=self._dgetrs_ptr,
+            dgetrs=native.dgetrs_pointer(),
             lu_addr=ptr(lu_addr),
             piv_addr=ptr(piv_addr),
             react_g=ptr(self._react_g_bt),

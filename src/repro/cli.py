@@ -424,30 +424,35 @@ def _chaos_torn_store(seed: int):
 
 
 def _chaos_cbuild_fail(seed: int):
-    """A forced C-kernel build failure falls back to NumPy loudly: one
-    RuntimeWarning and a ``gpu.backend_fallback`` telemetry counter."""
+    """A forced native-library build failure falls back to NumPy loudly:
+    one RuntimeWarning and a ``native.backend_fallback`` counter."""
     import os
     import warnings
 
-    from repro.gpu import _cbuild
+    from repro import native
     from repro.sim.cosim import CosimConfig, run_cosim
     from repro.telemetry import Telemetry
 
-    _cbuild.reset_fallback_state()
-    os.environ[_cbuild.CBUILD_ENV] = "fail"
+    saved = os.environ.get(native.CBUILD_ENV)
+    native.reset()
+    os.environ[native.CBUILD_ENV] = "fail"
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lib = _cbuild.load_engine_lib()
+            lib = native.load()
             tele = Telemetry(run_id="chaos-cbuild")
             run_cosim(
                 "hotspot",
                 CosimConfig(cycles=60, warmup_cycles=20, seed=seed),
                 telemetry=tele,
             )
+        fallback_count = native.fallback_count()
     finally:
-        del os.environ[_cbuild.CBUILD_ENV]
-        _cbuild.reset_fallback_state()
+        if saved is None:
+            del os.environ[native.CBUILD_ENV]
+        else:
+            os.environ[native.CBUILD_ENV] = saved
+        native.reset()
     fallback_warnings = [
         w for w in caught if issubclass(w.category, RuntimeWarning)
         and "falling back" in str(w.message)
@@ -456,11 +461,11 @@ def _chaos_cbuild_fail(seed: int):
         "build_forced_to_fail": lib is None,
         "fallback_warned_once": len(fallback_warnings) == 1,
         "telemetry_counter_present": (
-            tele.counters.get("gpu.backend_fallback", 0) > 0
+            tele.counters.get(native.COUNTER, 0) > 0
         ),
     }
     return checks, {
-        "fallback_count": _cbuild.build_fallback_count(),
+        "fallback_count": fallback_count,
         "counters": {
             k: v for k, v in tele.counters.items() if "fallback" in k
         },

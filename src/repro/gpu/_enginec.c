@@ -1,9 +1,9 @@
 /* Per-cycle GPU step kernel for the struct-of-arrays engine.
  *
- * Compiled on demand by repro.gpu._cbuild (plain cc, no Python headers)
- * and driven through ctypes.  Operates in place on the NumPy buffers of
- * repro.gpu.engine.VectorizedGPUEngine; one call advances all SMs one
- * nominal clock cycle.
+ * Compiled on demand into the native library (repro.native: plain cc,
+ * no Python headers) and driven through ctypes.  Operates in place on
+ * the NumPy buffers of repro.gpu.engine.VectorizedGPUEngine; one call
+ * advances all SMs one nominal clock cycle.
  *
  * The contract is bit-identical equivalence with the per-object Python
  * reference (repro.gpu.sm.StreamingMultiprocessor).  This file is a
@@ -43,7 +43,7 @@ typedef uint8_t u8;
 #define HEAP_WARP(e) (((e) >> 8) & 0xFFFF)
 #define HEAP_REG(e) ((e) & 0xFF)
 
-typedef struct {
+typedef struct EngineState {
     /* dimensions and scalar constants */
     i64 num_sms;
     i64 num_warps;

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.gpu._cbuild import CEngineState, load_engine_lib
+from repro.gpu.engine import CEngineState
 from repro.gpu.gpu import GPU
 
 
@@ -45,9 +45,9 @@ class _FusedDispatch:
                  "done", "exempt", "ndone", "relaunch", "clock", "call",
                  "args")
 
-    def __init__(self, lib: ctypes.CDLL, gpus: Sequence[GPU]) -> None:
-        self.lib = lib
+    def __init__(self, gpus: Sequence[GPU]) -> None:
         engines = [gpu.engine for gpu in gpus]
+        self.lib = engines[0]._clib
         B = len(engines)
         S = engines[0].num_sms
         self.slots = np.zeros(B)
@@ -76,7 +76,7 @@ class _FusedDispatch:
         self.lanes = list(zip(gpus, engines, [e.memory for e in engines]))
         # Hot-path prebinds: the per-cycle call crosses ctypes once, so
         # everything constant about it is resolved here, not per cycle.
-        self.call = lib.engine_step_batch
+        self.call = self.lib.engine_step_batch
         self.args = (
             self.ptrs, B, self.clock.ctypes.data, self.ndone.ctypes.data,
             self.exempt.ctypes.data, self.relaunch.ctypes.data,
@@ -125,10 +125,7 @@ class GPUBatch:
             # advances every lane exactly one cycle per call.
             if len({gpu.cycle for gpu in self.gpus}) != 1:
                 return None
-            lib = load_engine_lib()
-            if lib is None:
-                return None
-            self._fused = _FusedDispatch(lib, self.gpus)
+            self._fused = _FusedDispatch(self.gpus)
         return self._fused
 
     def step_into(self, out: np.ndarray) -> np.ndarray:

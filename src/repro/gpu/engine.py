@@ -46,12 +46,11 @@ from __future__ import annotations
 
 import ctypes
 import heapq
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.gpu._cbuild import CEngineState, load_engine_lib
+from repro import native
 from repro.gpu.isa import ENERGY, ExecUnit, InstructionClass
 from repro.gpu.kernels import (
     KernelSpec,
@@ -79,26 +78,68 @@ _PENDING = 1 << 62
 _FAR = 1 << 62  # done-warp ready cycle / argmin mask value
 
 
-def _resolve_backend(backend: str, num_warps: int) -> str:
-    """Pick the step backend: compiled C kernel when available.
+_PTR = ctypes.c_void_p
+_I64 = ctypes.c_longlong
+_F64 = ctypes.c_double
 
-    ``REPRO_GPU_BACKEND`` (``c`` | ``numpy``) overrides the caller; the
-    C kernel additionally requires fields to fit its packed heap keys.
-    Both backends produce bit-identical results — the C path is just an
-    order of magnitude faster.
-    """
-    env = os.environ.get("REPRO_GPU_BACKEND", "").strip().lower()
-    if env in ("c", "numpy"):
-        backend = env
-    if backend == "c" or backend == "auto":
-        if num_warps < (1 << 16) and load_engine_lib() is not None:
-            return "c"
-        if backend == "c":
-            raise RuntimeError(
-                "C engine backend requested but unavailable "
-                "(no working compiler, or kernel too large)"
-            )
-    return "numpy"
+
+class CEngineState(ctypes.Structure):
+    """Mirror of ``EngineState`` in ``_enginec.c`` (field order matters)."""
+
+    _fields_ = [
+        ("num_sms", _I64),
+        ("num_warps", _I64),
+        ("body", _I64),
+        ("heap_cap", _I64),
+        ("max_pc", _I64),
+        ("dram_cycles", _I64),
+        ("l2_cycles", _I64),
+        ("clock_hz", _F64),
+        ("idle_energy", _F64),
+        ("fake_energy", _F64),
+        ("slot_width", _F64),
+        ("issue_width", _PTR),
+        ("fake_rate", _PTR),
+        ("freq_scale", _PTR),
+        ("gated", _PTR),
+        ("waking", _PTR),
+        ("unit_idle", _PTR),
+        ("leakage", _PTR),
+        ("window_start", _PTR),
+        ("budget", _PTR),
+        ("fake_acc", _PTR),
+        ("clock_acc", _PTR),
+        ("wheel", _PTR),
+        ("wheel_pos", _PTR),
+        ("st_cycles", _PTR),
+        ("st_active", _PTR),
+        ("st_inst", _PTR),
+        ("st_fake", _PTR),
+        ("st_stall", _PTR),
+        ("pc", _PTR),
+        ("length", _PTR),
+        ("outstanding", _PTR),
+        ("warp_done", _PTR),
+        ("ready_at", _PTR),
+        ("last_warp", _PTR),
+        ("heap", _PTR),
+        ("heap_len", _PTR),
+        ("mem_slot", _PTR),
+        ("mem_counters", _PTR),
+        ("totals", _PTR),
+        ("s_unit", _PTR),
+        ("s_latency", _PTR),
+        ("s_dest", _PTR),
+        ("s_is_load", _PTR),
+        ("s_span", _PTR),
+        ("s_share", _PTR),
+        ("s_dest_col", _PTR),
+        ("s_src1_col", _PTR),
+        ("s_src2_col", _PTR),
+        ("miss_table", _PTR),
+        ("powers", _PTR),
+        ("done", _PTR),
+    ]
 
 
 class VectorizedGPUEngine:
@@ -115,7 +156,6 @@ class VectorizedGPUEngine:
         power_model: SMPowerModel,
         seed: int = 0,
         jitter: float = 0.0,
-        backend: str = "auto",
     ) -> None:
         self.kernel = kernel
         self.num_sms = num_sms
@@ -192,9 +232,12 @@ class VectorizedGPUEngine:
         self._streams: Optional[StreamArrays] = None
         self._miss_table: Optional[np.ndarray] = None
 
-        self.backend = _resolve_backend(backend, self.num_warps)
+        # The C kernel runs whenever the native library loaded and the
+        # warp index fits its packed heap keys; both step paths are
+        # bit-identical, the C one an order of magnitude faster.
+        self._clib = native.load() if self.num_warps < (1 << 16) else None
+        self.backend = "numpy" if self._clib is None else "c"
         if self.backend == "c":
-            self._clib = load_engine_lib()
             self._cheap = np.zeros((S, self.HEAP_CAPACITY), dtype=np.int64)
             self._cheap_len = np.zeros(S, dtype=np.int64)
             self._mem_slot = np.zeros(1)

@@ -1,17 +1,18 @@
 /* One co-simulation cycle for every lane in a single call.
  *
- * Compiled on demand by repro.sim._cyclec (plain cc, no Python headers)
- * and driven through ctypes by the co-sim loop (repro.sim.cosim).  The
- * kernel owns no physics of its own: it calls the GPU engine's
- * engine_step_batch (repro/gpu/_enginec.c) and the PDN solver's
- * solver_step_n[_checked] (repro/circuits/_solverc.c) through function
- * pointers taken from those two libraries, and glues them with the
- * loop's array work — currents, SM-voltage readout, the controller
- * bank's RC filter and quantizer, and the recording row — that the
- * loop would otherwise dispatch as ~25 small NumPy calls per cycle.
+ * Compiled on demand into the native library (repro.native: plain cc,
+ * no Python headers) and driven through ctypes by the co-sim loop
+ * (repro.sim.cosim, via repro.sim._cyclec).  The kernel owns no physics
+ * of its own: it calls the GPU engine's engine_step_batch
+ * (repro/gpu/_enginec.c) and the PDN solver's solver_step_n[_checked]
+ * (repro/circuits/_solverc.c), linked into the same library, and glues
+ * them with the loop's array work — currents, SM-voltage readout, the
+ * controller bank's RC filter and quantizer, and the recording row —
+ * that the loop would otherwise dispatch as ~25 small NumPy calls per
+ * cycle.
  *
  * The contract is bit-identical equivalence with the loop's NumPy
- * body (the phased path, kept for NumPy-backend batches):
+ * body (the phased path, which runs without the native library):
  *
  *   - compile with -ffp-contract=off and without -ffast-math, so each
  *     double expression rounds exactly as NumPy's unfused ufuncs;
@@ -53,18 +54,19 @@ typedef uint8_t u8;
 #define CYC_GPU_ERROR (-1)
 #define CYC_SOLVER_ERROR (-2)
 
-typedef i64 (*engine_step_batch_t)(void **sts, i64 nlanes, i64 *clock,
-                                   i64 *ndone, const u8 *exempt,
-                                   u8 *relaunch);
-typedef i64 (*solver_step_n_t)(void *st, i64 nsub);
-typedef i64 (*solver_step_n_checked_t)(void *st, i64 nsub, double *snap,
-                                       const double *limit_sq);
+/* Defined in _enginec.c and _solverc.c. */
+struct EngineState;
+struct SolverState;
+i64 engine_step_batch(struct EngineState **sts, i64 nlanes, i64 *clock,
+                      i64 *ndone, const u8 *exempt, u8 *relaunch);
+i64 solver_step_n(struct SolverState *st, i64 nsub);
+i64 solver_step_n_checked(struct SolverState *st, i64 nsub, double *snap,
+                          const double *limit_sq);
 
 typedef struct {
     i64 n_lanes; /* B: rows of every per-row block below */
     i64 num_sms; /* S */
     /* stage 0: the GPU batch's fused dispatch */
-    void *engine_step_batch;
     void *engine_states; /* EngineState *[B] */
     void *gpu_clock;     /* i64[1] */
     void *ndone;         /* i64[B] */
@@ -76,11 +78,9 @@ typedef struct {
     double conductance_bias;
     void *dcc;      /* double[B*S] applied DCC power */
     void *currents; /* double[B*S], the solver's shared current base */
-    void *solver_step_n;
-    void *solver_step_n_checked; /* NULL: guard off */
     void *solver_state;
     i64 substeps;
-    void *snap;     /* guard snapshot block */
+    void *snap;     /* guard snapshot block, NULL: guard off */
     void *limit_sq; /* double[B] */
     void *clock;    /* double[2]: time, time at the last step's start */
     void *csteps;   /* i64[1] */
@@ -150,9 +150,10 @@ static double pairwise_sum(const double *a, i64 n) {
 }
 
 static i64 stage_gpu(CycleState *cs) {
-    i64 rc = ((engine_step_batch_t)cs->engine_step_batch)(
-        (void **)cs->engine_states, cs->n_lanes, (i64 *)cs->gpu_clock,
-        (i64 *)cs->ndone, (const u8 *)cs->exempt, (u8 *)cs->relaunch);
+    i64 rc = engine_step_batch(
+        (struct EngineState **)cs->engine_states, cs->n_lanes,
+        (i64 *)cs->gpu_clock, (i64 *)cs->ndone, (const u8 *)cs->exempt,
+        (u8 *)cs->relaunch);
     if (rc > 0)
         return CYC_RELAUNCH;
     if (rc < 0) {
@@ -175,14 +176,11 @@ static i64 stage_solve(CycleState *cs) {
         c = c - bias;
         cur[k] = (c >= 0.0 || isnan(c)) ? c : 0.0;
     }
-    i64 rc;
-    if (cs->solver_step_n_checked)
-        rc = ((solver_step_n_checked_t)cs->solver_step_n_checked)(
-            cs->solver_state, cs->substeps, (double *)cs->snap,
-            (const double *)cs->limit_sq);
-    else
-        rc = ((solver_step_n_t)cs->solver_step_n)(cs->solver_state,
-                                                  cs->substeps);
+    struct SolverState *st = (struct SolverState *)cs->solver_state;
+    i64 rc = cs->snap ? solver_step_n_checked(st, cs->substeps,
+                                              (double *)cs->snap,
+                                              (const double *)cs->limit_sq)
+                      : solver_step_n(st, cs->substeps);
     if (rc < 0) {
         cs->err_lane = -rc - 1;
         return CYC_SOLVER_ERROR;

@@ -1,32 +1,21 @@
-"""The co-sim cycle kernel (``_cyclec.c``): loader and ctypes plumbing.
+"""The co-sim cycle kernel (``_cyclec.c``): ctypes plumbing.
 
 One :meth:`CycleKernel.run` call advances every lane of a batch through
 one co-sim cycle — GPU step, PDN currents, guarded solver substeps,
 SM-voltage readout, the controller bank's RC filter and the recording
-row — in compiled code.  The kernel reaches the GPU engine and the PDN
-solver through function pointers taken from their own libraries
-(``repro.gpu._cbuild``, ``repro.circuits._solverc``), the way
-``_solverc.c`` reaches LAPACK's ``dgetrs``.
-
-Shares the build/cache/loud-fallback machinery of
-:class:`repro.native.cbuild.KernelBuild`.  When the kernel cannot be
-built, the co-sim loop runs its NumPy body instead — same results, more
-Python per cycle; the co-sim telemetry surfaces the count as
-``sim.cycle_kernel_fallback``.
+row — in compiled code.  The kernel is part of the native library
+(:mod:`repro.native`) and calls the GPU engine and the PDN solver
+kernels linked beside it.  When the library is unavailable, the co-sim
+loop runs its NumPy body instead — same results, more Python per cycle.
 """
 
 from __future__ import annotations
 
 import ctypes
-from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
 import numpy as np
-
-from repro.native.cbuild import KernelBuild
-
-_C_SOURCE = Path(__file__).with_name("_cyclec.c")
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_longlong
@@ -44,7 +33,6 @@ class CCycleState(ctypes.Structure):
     _fields_ = [
         ("n_lanes", _I64),
         ("num_sms", _I64),
-        ("engine_step_batch", _PTR),
         ("engine_states", _PTR),
         ("gpu_clock", _PTR),
         ("ndone", _PTR),
@@ -55,8 +43,6 @@ class CCycleState(ctypes.Structure):
         ("conductance_bias", _F64),
         ("dcc", _PTR),
         ("currents", _PTR),
-        ("solver_step_n", _PTR),
-        ("solver_step_n_checked", _PTR),
         ("solver_state", _PTR),
         ("substeps", _I64),
         ("snap", _PTR),
@@ -92,35 +78,6 @@ class CCycleState(ctypes.Structure):
     ]
 
 
-def _configure(lib: ctypes.CDLL) -> None:
-    lib.cosim_cycle.argtypes = [ctypes.POINTER(CCycleState), _I64, _I64, _I64]
-    lib.cosim_cycle.restype = _I64
-
-
-_BUILD = KernelBuild(
-    source=_C_SOURCE,
-    env_var=None,
-    what="C co-sim cycle kernel",
-    fallback="the co-sim loop's NumPy body",
-    counter="sim.cycle_kernel_fallback",
-    configure=_configure,
-)
-
-
-def load_cycle_lib() -> Optional[ctypes.CDLL]:
-    """The compiled cycle kernel, or ``None`` when unavailable."""
-    return _BUILD.load()
-
-
-def build_fallback_count() -> int:
-    """How many times this process fell back to the NumPy loop body."""
-    return _BUILD.fallback_count()
-
-
-def _fn(lib: ctypes.CDLL, name: str) -> int:
-    return ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
-
-
 def _addr(arr: Optional[np.ndarray]) -> Optional[int]:
     return None if arr is None else arr.ctypes.data
 
@@ -137,7 +94,6 @@ class CycleKernel:
 
     def __init__(
         self,
-        lib: ctypes.CDLL,
         gpu_batch,
         solver,
         guard,
@@ -169,12 +125,13 @@ class CycleKernel:
         self.gpu_batch = gpu_batch
         self.solver = solver
         self.stage_s = stage_s
+        if not solver._c_ready():
+            raise RuntimeError("batch solver is not on its compiled backend")
         n_lanes, num_sms = fused.powers.shape
         for name, arr in (("dcc", dcc), ("currents", currents),
                           ("volts", volts)):
             if arr.shape != (n_lanes, num_sms) or not arr.flags.c_contiguous:
                 raise ValueError(f"{name} must be a C-contiguous (B, S) block")
-        clib = solver._clib
         bank_lanes = 0 if bank is None else len(bank.controllers)
         lane_index = np.ascontiguousarray(lane_index, dtype=np.int64)
         if bank_lanes:
@@ -187,7 +144,6 @@ class CycleKernel:
         self.state = CCycleState(
             n_lanes=n_lanes,
             num_sms=num_sms,
-            engine_step_batch=_fn(fused.lib, "engine_step_batch"),
             engine_states=ctypes.addressof(fused.ptrs),
             gpu_clock=_addr(fused.clock),
             ndone=_addr(fused.ndone),
@@ -198,10 +154,7 @@ class CycleKernel:
             conductance_bias=conductance_bias,
             dcc=_addr(dcc),
             currents=_addr(currents),
-            solver_step_n=_fn(clib, "solver_step_n"),
-            solver_step_n_checked=(
-                None if guard is None else _fn(clib, "solver_step_n_checked")
-            ),
+            solver_state=ctypes.addressof(solver._c_state),
             substeps=substeps,
             snap=None if guard is None else _addr(guard._snap_vi),
             limit_sq=None if guard is None else _addr(guard._limit_sq),
@@ -234,10 +187,7 @@ class CycleKernel:
             stage_s=_addr(stage_s),
         )
         self.ptr = ctypes.pointer(self.state)
-        self.call = lib.cosim_cycle
-        if not solver._c_ready():
-            raise RuntimeError("batch solver is not on its compiled backend")
-        self.state.solver_state = ctypes.addressof(solver._c_state)
+        self.call = fused.lib.cosim_cycle
 
     def sync_solver(self) -> None:
         """Repoint the kernel at the solver's current C state.

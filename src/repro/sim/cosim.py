@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.circuits import (
     BatchSolverGuard,
     BatchTransientSolver,
@@ -62,8 +63,6 @@ from repro.sim._cyclec import (
     STAGE_TAIL,
     SUSPECT,
     CycleKernel,
-    build_fallback_count as cycle_kernel_fallbacks,
-    load_cycle_lib,
 )
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.traces import PowerTrace
@@ -85,7 +84,7 @@ def last_batch_solver_info() -> Dict[str, object]:
     Returns a copy of ``{"backend": "c"|"numpy", "shards": int,
     "lanes": int, "fused_cycles": int}`` — ``fused_cycles`` counts the
     loop cycles that ran through the compiled cycle kernel (all of
-    them on a batch whose lanes all step on the C backends) — or an
+    them on an eligible batch when the native library loaded) — or an
     empty dict until :func:`run_cosim_batch` has completed once in this
     process.
     """
@@ -383,22 +382,7 @@ def _record_cosim_telemetry(
     if guard is not None:
         for key, value in guard.counters().items():
             tele.incr(f"guard_{key}", value)
-    # GPU C-backend fallback accounting: a failed on-demand build of
-    # _enginec.c is warned about once and surfaced here as a counter so
-    # campaigns notice the silent perf cliff.
-    from repro.gpu._cbuild import build_fallback_count
-
-    fallbacks = build_fallback_count()
-    if fallbacks:
-        tele.incr("gpu.backend_fallback", fallbacks)
-    # Same accounting for the batched solver kernel (_solverc.c): the
-    # NumPy fallback is bit-identical but slow, so fleets need to see it.
-    from repro.circuits._solverc import build_fallback_count as _solver_fb
-
-    solver_fallbacks = _solver_fb()
-    if solver_fallbacks:
-        tele.incr("solver.backend_fallback", solver_fallbacks)
-    _count_cycle_kernel_fallbacks(tele)
+    _count_native_fallbacks(tele)
     if result.divergence is not None:
         tele.event("numerical_divergence", **result.divergence)
     if controller is not None:
@@ -468,11 +452,12 @@ def _record_cosim_telemetry(
     )
 
 
-def _count_cycle_kernel_fallbacks(tele) -> None:
-    """Surface cycle-kernel build fallbacks (the NumPy loop body ran)."""
-    fallbacks = cycle_kernel_fallbacks()
-    if fallbacks:
-        tele.incr("sim.cycle_kernel_fallback", fallbacks)
+def _count_native_fallbacks(tele) -> None:
+    """Count a run that ran on the NumPy fallback (the native library
+    failed to build or load): bit-identical but slow, so campaigns must
+    see the perf cliff.  One per run, so merged counters count runs."""
+    if native.fallback_count():
+        tele.incr(native.COUNTER)
 
 
 def run_crosslayer_cosim(
@@ -650,15 +635,7 @@ def run_cosim_batch(
         quarantined = sum(1 for ln in states if ln.dead)
         if quarantined:
             tele.incr("lanes_quarantined", quarantined)
-        # Batched-solver backend accounting: the NumPy fallback is
-        # bit-identical but slow, so surface both the live backend and
-        # any build-failure fallbacks that forced it.
-        from repro.circuits._solverc import build_fallback_count as _solver_fb
-
-        solver_fallbacks = _solver_fb()
-        if solver_fallbacks:
-            tele.incr("solver.backend_fallback", solver_fallbacks)
-        _count_cycle_kernel_fallbacks(tele)
+        _count_native_fallbacks(tele)
         for ln, result in zip(states, results):
             tele.event(
                 "cosim_batch_lane_done", lane=ln.index,
@@ -691,8 +668,9 @@ def _simulate(
 ) -> Tuple[List[_LaneState], BatchTransientSolver, int]:
     """The co-sim loop: step topology-compatible lanes lock-stepped.
 
-    When every lane steps on the compiled GPU engine and the compiled
-    PDN solver, a clean cycle is one call into the cycle kernel
+    When the native library loaded and the batch is eligible (every
+    lane on the vectorized GPU engine, the co-sim's shared current
+    base), a clean cycle is one call into the cycle kernel
     (:mod:`repro.sim._cyclec`): GPU step, currents, guarded substeps,
     SM-voltage readout, the bank's RC filter and the recording row.
     Python keeps the event work around it — kernel relaunches the
@@ -702,8 +680,8 @@ def _simulate(
     lane quarantine, the warmup snapshot and flight-recorder blocks.
     Lanes' deferred mirrors (GPU cycle and memory queue, solver time
     and step count) are folded back before hooks read them, at a
-    quarantine and at the end.  A batch holding a NumPy backend runs
-    the phased NumPy body instead, byte for byte the same results.
+    quarantine and at the end.  Any other batch runs the phased NumPy
+    body instead, byte for byte the same results.
 
     Returns the per-lane states, each carrying its ``result``, the
     batch solver that finished the run, and how many cycles ran through
@@ -1057,29 +1035,22 @@ def _simulate(
             ))
         ln.flight.observe_runs(volts, runs)
 
-    # The cycle kernel: when every lane steps on the C engine and the C
-    # solver, each clean cycle — GPU step, currents, guarded solve,
+    # The cycle kernel: when the native library loaded and the batch is
+    # eligible, each clean cycle — GPU step, currents, guarded solve,
     # readout, the bank's RC filter and the recording row — is one call
     # into compiled code (repro.sim._cyclec), and Python keeps only the
-    # event work around it.  Batches holding a NumPy backend run the
-    # phased NumPy body below.  The kernel binds the current batch
-    # shape and is rebuilt when a quarantine compacts it.  The bank's
-    # filter stays in Python while sensor-fault or jitter lanes feed it.
+    # event work around it.  Other batches run the phased NumPy body
+    # below.  The kernel binds the current batch shape and is rebuilt
+    # when a quarantine compacts it.  The bank's filter stays in Python
+    # while sensor-fault or jitter lanes feed it.
     stage_s = np.zeros(4) if timing else None
 
     def _bind_kernel() -> Optional[CycleKernel]:
-        if (
-            gpu_batch.fused() is None
-            or batch_solver.active_backend != "c"
-            or not batch_solver._c_ready()
-        ):
-            return None
-        lib = load_cycle_lib()
-        if lib is None:
+        if gpu_batch.fused() is None or not batch_solver._c_ready():
             return None
         in_kernel = not (sensor_lanes or jitter_lanes)
         return CycleKernel(
-            lib, gpu_batch, batch_solver, batch_guard,
+            gpu_batch, batch_solver, batch_guard,
             dcc=dcc_bt, currents=batch_currents, volts=volt_buf,
             sm_voltage=stack.sm_voltage, conductance_bias=conductance_bias,
             substeps=substeps, top_idx=kernel_top_idx,

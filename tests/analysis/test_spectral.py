@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.spectral import (
-    _imbalance_series_reference,
     band_power,
     dominant_frequency,
     imbalance_series,
@@ -12,6 +11,7 @@ from repro.analysis.spectral import (
     low_frequency_fraction,
     power_spectrum,
 )
+from tests.oracles.spectral_reference import imbalance_series_reference
 
 FS = 700e6
 
@@ -95,7 +95,7 @@ class TestImbalanceSeriesVectorization:
         rng = np.random.default_rng(17)
         power = rng.uniform(0.0, 8.0, (2048, 16))
         fast = imbalance_series(power)
-        slow = _imbalance_series_reference(power)
+        slow = imbalance_series_reference(power)
         assert set(fast) == set(slow) == {"global", "stack", "residual"}
         for name in fast:
             assert np.array_equal(fast[name], slow[name]), name
@@ -105,14 +105,14 @@ class TestImbalanceSeriesVectorization:
         rng = np.random.default_rng(3)
         power = np.abs(rng.lognormal(mean=0.0, sigma=3.0, size=(500, 16)))
         fast = imbalance_series(power)
-        slow = _imbalance_series_reference(power)
+        slow = imbalance_series_reference(power)
         for name in fast:
             assert np.array_equal(fast[name], slow[name]), name
 
     def test_single_cycle_row_vector(self):
         power = np.arange(16.0)
         fast = imbalance_series(power)
-        slow = _imbalance_series_reference(power)
+        slow = imbalance_series_reference(power)
         for name in fast:
             assert np.array_equal(fast[name], slow[name])
             assert fast[name].shape == (1,)

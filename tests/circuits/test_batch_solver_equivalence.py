@@ -1,7 +1,8 @@
 """Cross-backend bit-identity of the compiled batch solver.
 
 ``BatchTransientSolver.step_n`` has two backends: the fused C substep
-kernel (``_solverc.c``, default) and the pure-NumPy per-step path.  The
+kernel (``_solverc.c``, whenever the native library loaded) and the
+pure-NumPy per-step path (forced here through ``forced_fallback``).  The
 NumPy path is the bit-identity oracle, and both must reproduce B
 independent serial :class:`TransientSolver` runs byte for byte —
 through randomized lane counts / seeds / current schedules, a mid-run
@@ -14,24 +15,19 @@ lane's copy-back without corrupting any other lane's solution row,
 even when copying and in-place shards coexist.
 """
 
-import os
-import warnings
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits import (
-    BatchSolverGuard,
-    BatchTransientSolver,
-    _solverc,
-)
+from repro.circuits import BatchSolverGuard, BatchTransientSolver
 from repro.circuits.elements import Resistor
 from repro.circuits.transient import TransientSolver
 from repro.config import StackConfig
 from repro.pdn.builder import build_stacked_pdn
 from repro.pdn.parameters import DEFAULT_PDN
+from tests.conftest import forced_fallback
 
 DT = 1.0 / 700e6
 NUM_SMS = StackConfig().num_sms
@@ -39,31 +35,13 @@ NOMINAL_A = 40.0 / NUM_SMS
 SUBSTEPS = 2
 
 
-def _c_available() -> bool:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return (
-            _solverc.load_solver_lib() is not None
-            and _solverc.dgetrs_pointer() is not None
-        )
+#: The two legs of each cross-backend test; the C leg needs the library.
+BACKENDS = [pytest.param("c", marks=pytest.mark.native), "numpy"]
 
 
-needs_c = pytest.mark.skipif(
-    not _c_available(), reason="compiled solver kernel unavailable"
-)
-
-
-@contextmanager
 def forced_backend(name):
-    old = os.environ.get(_solverc.BACKEND_ENV)
-    os.environ[_solverc.BACKEND_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(_solverc.BACKEND_ENV, None)
-        else:
-            os.environ[_solverc.BACKEND_ENV] = old
+    """The compiled backend as loaded, or the NumPy one through the seam."""
+    return nullcontext() if name == "c" else forced_fallback()
 
 
 def _make_lane(buffer=None):
@@ -133,7 +111,7 @@ def _assert_stats_match(batch, serial_lanes):
 class TestCrossBackendStepN:
     """Randomized lanes/seeds: c == numpy == serial, byte for byte."""
 
-    @needs_c
+    @pytest.mark.native
     @settings(max_examples=5, deadline=None)
     @given(
         n_lanes=st.integers(1, 3),
@@ -160,8 +138,7 @@ class TestCrossBackendStepN:
 class TestMidRunRefactor:
     """A fault refactorization splits one lane's shard mid-run."""
 
-    @needs_c
-    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_refactored_lane_stays_serial_identical(self, backend):
         cycles, refactor_at = 24, 10
         rng = np.random.default_rng(13)
@@ -186,8 +163,7 @@ class TestMidRunRefactor:
 
 
 class TestGuardRecoveryAndQuarantine:
-    @needs_c
-    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_poisoned_lu_recovers_via_refactor(self, backend):
         """Stage-1 guard recovery (refactorize + redo) across backends.
 
@@ -249,8 +225,7 @@ class TestGuardRecoveryAndQuarantine:
         for g in guard.guards[1:]:
             assert g.recoveries == 0
 
-    @needs_c
-    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_nan_state_lane_is_quarantined(self, backend):
         """Unrecoverable reactive-state damage fails only its own lane."""
         cycles, poison_at = 12, 5
@@ -356,7 +331,7 @@ class TestInplaceProbeRegression:
 class TestCosimCrossBackend:
     """End-to-end: run_cosim_batch under each backend == serial oracle."""
 
-    @needs_c
+    @pytest.mark.native
     @settings(max_examples=3, deadline=None)
     @given(
         seeds=st.lists(st.integers(0, 2**10), min_size=2, max_size=3),

@@ -1,122 +1,81 @@
-"""Loud-fallback contract of the C solver build (repro.circuits._solverc).
+"""Loud-fallback contract of the batched transient solver.
 
-Mirror of ``tests/gpu/test_backend_fallback.py`` for the batched
-transient-solver kernel: a failed ``_solverc.c`` build must never
-silently degrade a campaign to the NumPy batch step — the first
-failure warns (once), every consumer landing on the slow path is
-counted, and a batched co-simulation run with telemetry carries the
-count as the ``solver.backend_fallback`` counter.  The
-``REPRO_SOLVER_CBUILD`` env var forces the failure deterministically
-(``fail``) or silences the warning (``quiet``).
+``BatchTransientSolver.step_n`` runs its compiled kernel from the native
+library (:mod:`repro.native`).  When that library fails to build, every
+eligible batch solver must land on its NumPy batch step loudly: the
+first failure warns (once), each solver landing there is counted, and
+``native.reset`` rearms the warning.  ``forced_fallback`` forces the
+failure deterministically.
 """
 
 import warnings
 
+import numpy as np
 import pytest
 
-from repro.circuits import _solverc
+from repro import native
+from repro.circuits import BatchTransientSolver
+from repro.circuits.transient import TransientSolver
+from repro.config import StackConfig
+from repro.pdn.builder import build_stacked_pdn
+from repro.pdn.parameters import DEFAULT_PDN
+from tests.conftest import forced_fallback
+
+DT = 1.0 / 700e6
+NUM_SMS = StackConfig().num_sms
 
 
 @pytest.fixture
-def forced_failure(monkeypatch):
-    """Force the build to fail, with clean counter state either side."""
-    _solverc.reset_fallback_state()
-    monkeypatch.setenv(_solverc.CBUILD_ENV, "fail")
-    yield
-    _solverc.reset_fallback_state()
+def forced_failure():
+    with forced_fallback():
+        yield
+
+
+def _eligible_batch(n_lanes=2):
+    """A batch solver whose circuit qualifies for the compiled kernel."""
+    currents = np.zeros((n_lanes, NUM_SMS))
+    solvers = []
+    for i in range(n_lanes):
+        pdn = build_stacked_pdn(stack=StackConfig(), params=DEFAULT_PDN)
+        pdn.bind_current_buffer(currents[i])
+        solvers.append(TransientSolver(pdn.circuit, dt=DT))
+    return BatchTransientSolver(solvers, shared_current_base=currents)
+
+
+def _fallback_warnings(caught):
+    return [
+        w for w in caught
+        if issubclass(w.category, RuntimeWarning)
+        and "falling back" in str(w.message)
+    ]
 
 
 class TestForcedFailure:
     def test_forced_build_failure_returns_none(self, forced_failure):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert _solverc.load_solver_lib() is None
-        assert _solverc.build_fallback_count() == 1
+        batch = _eligible_batch()
+        assert batch.active_backend == "numpy"
+        assert batch._clib is None
+        assert native.fallback_count() == 1
+        # The NumPy batch step still runs.
+        assert np.all(np.isfinite(batch.step_n(2)))
 
     def test_first_failure_warns_once(self, forced_failure):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _solverc.load_solver_lib()
-            _solverc.load_solver_lib()
-        fallback = [
-            w for w in caught
-            if issubclass(w.category, RuntimeWarning)
-            and "falling back" in str(w.message)
-        ]
-        assert len(fallback) == 1
-        # ... but every consumer landing on the slow path is counted.
-        assert _solverc.build_fallback_count() == 2
-
-    def test_quiet_mode_counts_without_warning(self, monkeypatch):
-        _solverc.reset_fallback_state()
-        monkeypatch.setenv(_solverc.CBUILD_ENV, "quiet")
-        # 'quiet' does not force a failure; force one via the cached
-        # failed-load state instead.
-        monkeypatch.setitem(
-            _solverc._LIB_CACHE, "lib", _solverc._LOAD_FAILED
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert _solverc.load_solver_lib() is None
-        assert caught == []
-        assert _solverc.build_fallback_count() == 1
-        _solverc.reset_fallback_state()
+            assert _eligible_batch().active_backend == "numpy"
+            assert _eligible_batch().active_backend == "numpy"
+        assert len(_fallback_warnings(caught)) == 1
+        # ... but every solver landing on the slow path is counted.
+        assert native.fallback_count() == 2
 
     def test_reset_rearms_the_warning(self, forced_failure):
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
-            _solverc.load_solver_lib()
-        _solverc.reset_fallback_state()
-        assert _solverc.build_fallback_count() == 0
+            assert _eligible_batch().active_backend == "numpy"
+        native.reset()
+        assert native.fallback_count() == 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _solverc.load_solver_lib()
-        assert any("falling back" in str(w.message) for w in caught)
-
-
-class TestBackendSelection:
-    def test_forced_failure_lands_on_numpy_backend(self, forced_failure):
-        from repro.sim.cosim import CosimConfig, CosimLane, run_cosim_batch
-
-        cfg = CosimConfig(cycles=40, warmup_cycles=10, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            from repro.sim import cosim
-
-            results = run_cosim_batch(
-                [CosimLane(benchmark="hotspot", config=cfg)]
-            )
-            info = cosim.last_batch_solver_info()
-        assert len(results) == 1 and not results[0].diverged
-        assert info["backend"] == "numpy"
-        assert _solverc.build_fallback_count() >= 1
-
-    def test_env_numpy_override_is_not_a_fallback(self, monkeypatch):
-        """Explicitly requesting numpy is a choice, not a degradation."""
-        _solverc.reset_fallback_state()
-        monkeypatch.setenv(_solverc.BACKEND_ENV, "numpy")
-        from repro.sim.cosim import CosimConfig, CosimLane, run_cosim_batch
-
-        cfg = CosimConfig(cycles=40, warmup_cycles=10, seed=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_cosim_batch([CosimLane(benchmark="hotspot", config=cfg)])
-        assert not any("falling back" in str(w.message) for w in caught)
-        assert _solverc.build_fallback_count() == 0
-
-
-class TestCosimTelemetry:
-    def test_fallback_count_lands_in_batch_telemetry(self, forced_failure):
-        from repro.sim.cosim import CosimConfig, CosimLane, run_cosim_batch
-        from repro.telemetry import Telemetry
-
-        tele = Telemetry(run_id="solver-fallback-test")
-        cfg = CosimConfig(cycles=40, warmup_cycles=10, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            results = run_cosim_batch(
-                [CosimLane(benchmark="hotspot", config=cfg)],
-                telemetry=tele,
-            )
-        assert not results[0].diverged
-        assert tele.counters.get("solver.backend_fallback", 0) >= 1
+            assert _eligible_batch().active_backend == "numpy"
+        assert _fallback_warnings(caught)
+        assert native.fallback_count() == 1

@@ -1,87 +1,64 @@
-"""Loud-fallback contract of the C engine build (repro.gpu._cbuild).
+"""Loud-fallback contract of the vectorized GPU engine.
 
-A failed C kernel build must never silently degrade a campaign to the
-slow path: the first failure warns (once), every consumer landing on
-the NumPy path is counted, and a co-simulation run with telemetry
-carries the count as the ``gpu.backend_fallback`` counter.  The
-``REPRO_GPU_CBUILD`` env var forces the failure deterministically
-(``fail``) or silences the warning (``quiet``) for tests and CI.
+The engine's step kernel lives in the native library
+(:mod:`repro.native`).  When that library fails to build, every
+vectorized engine must land on its NumPy step loudly: the first failure
+warns (once), each engine landing there is counted, and
+``native.reset`` rearms the warning.  ``forced_fallback`` forces the
+failure deterministically.
 """
 
 import warnings
 
 import pytest
 
-from repro.gpu import _cbuild
+from repro import native
+from repro.gpu import GPU, KernelSpec
+from tests.conftest import forced_fallback
 
 
 @pytest.fixture
-def forced_failure(monkeypatch):
-    """Force the build to fail, with clean counter state either side."""
-    _cbuild.reset_fallback_state()
-    monkeypatch.setenv(_cbuild.CBUILD_ENV, "fail")
-    yield
-    _cbuild.reset_fallback_state()
+def forced_failure():
+    with forced_fallback():
+        yield
+
+
+def _engine(name):
+    return GPU(KernelSpec(name, body_length=40), vectorized=True).engine
+
+
+def _fallback_warnings(caught):
+    return [
+        w for w in caught
+        if issubclass(w.category, RuntimeWarning)
+        and "falling back" in str(w.message)
+    ]
 
 
 class TestForcedFailure:
     def test_forced_build_failure_returns_none(self, forced_failure):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert _cbuild.load_engine_lib() is None
-        assert _cbuild.build_fallback_count() == 1
+        engine = _engine("fail-none")
+        assert engine._clib is None
+        assert engine.backend == "numpy"
+        assert native.fallback_count() == 1
 
     def test_first_failure_warns_once(self, forced_failure):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _cbuild.load_engine_lib()
-            _cbuild.load_engine_lib()
-        fallback = [
-            w for w in caught
-            if issubclass(w.category, RuntimeWarning)
-            and "falling back" in str(w.message)
-        ]
-        assert len(fallback) == 1
-        # ... but every consumer landing on the slow path is counted.
-        assert _cbuild.build_fallback_count() == 2
-
-    def test_quiet_mode_counts_without_warning(self, monkeypatch):
-        _cbuild.reset_fallback_state()
-        monkeypatch.setenv(_cbuild.CBUILD_ENV, "quiet")
-        # 'quiet' does not force a failure; force one via the cached
-        # failed-load state instead.
-        monkeypatch.setitem(_cbuild._LIB_CACHE, "lib", _cbuild._LOAD_FAILED)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert _cbuild.load_engine_lib() is None
-        assert caught == []
-        assert _cbuild.build_fallback_count() == 1
-        _cbuild.reset_fallback_state()
+            assert _engine("warn-a").backend == "numpy"
+            assert _engine("warn-b").backend == "numpy"
+        assert len(_fallback_warnings(caught)) == 1
+        # ... but every engine landing on the slow path is counted.
+        assert native.fallback_count() == 2
 
     def test_reset_rearms_the_warning(self, forced_failure):
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
-            _cbuild.load_engine_lib()
-        _cbuild.reset_fallback_state()
-        assert _cbuild.build_fallback_count() == 0
+            assert _engine("rearm-a").backend == "numpy"
+        native.reset()
+        assert native.fallback_count() == 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _cbuild.load_engine_lib()
-        assert any("falling back" in str(w.message) for w in caught)
-
-
-class TestCosimTelemetry:
-    def test_fallback_count_lands_in_run_telemetry(self, forced_failure):
-        from repro.sim.cosim import CosimConfig, run_cosim
-        from repro.telemetry import Telemetry
-
-        tele = Telemetry(run_id="fallback-test")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run_cosim(
-                "hotspot",
-                CosimConfig(cycles=40, warmup_cycles=10, seed=1),
-                telemetry=tele,
-            )
-        assert not result.diverged
-        assert tele.counters.get("gpu.backend_fallback", 0) >= 1
+            assert _engine("rearm-b").backend == "numpy"
+        assert _fallback_warnings(caught)
+        assert native.fallback_count() == 1

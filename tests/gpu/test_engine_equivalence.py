@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.faults.scenarios import CANNED_SCENARIOS
-from repro.gpu.engine import VectorizedGPUEngine, _resolve_backend
 from repro.gpu.gpu import GPU
 from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import KernelSpec
 from repro.sim.cosim import CosimConfig, run_cosim
+from tests.conftest import forced_fallback
 from tests.oracles.serial_cosim import run_cosim_reference
 
 STAT_FIELDS = (
@@ -156,34 +156,26 @@ class TestFaultScenarioEquivalence:
 
 
 class TestBackends:
-    def test_env_override_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GPU_BACKEND", "numpy")
-        assert _resolve_backend("auto", 12) == "numpy"
-        gpu = GPU(KernelSpec("np-backend", body_length=50), vectorized=True)
+    def test_forced_fallback_selects_numpy(self):
+        with forced_fallback():
+            gpu = GPU(KernelSpec("np-backend", body_length=50),
+                      vectorized=True)
         assert gpu.engine.backend == "numpy"
 
-    def test_numpy_and_c_backends_agree(self, monkeypatch):
-        from repro.gpu._cbuild import load_engine_lib
-
-        if load_engine_lib() is None:
-            pytest.skip("no C compiler available")
+    @pytest.mark.native
+    def test_numpy_and_c_backends_agree(self):
         spec = KernelSpec("xback", body_length=90, warps_per_sm=5)
-        traces = {}
-        for backend in ("numpy", "c"):
-            monkeypatch.setenv("REPRO_GPU_BACKEND", backend)
+
+        def run():
             gpu = GPU(spec, seed=5, miss_ratio=0.4, jitter=0.1,
                       vectorized=True)
-            traces[backend] = gpu.run(800)
-        assert np.array_equal(traces["numpy"], traces["c"])
+            return gpu.engine.backend, gpu.run(800)
 
-    def test_explicit_c_unavailable_raises(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GPU_BACKEND", raising=False)
-        monkeypatch.setattr(
-            "repro.gpu.engine.load_engine_lib", lambda: None
-        )
-        with pytest.raises(RuntimeError):
-            _resolve_backend("c", 12)
-        assert _resolve_backend("auto", 12) == "numpy"
+        with forced_fallback():
+            backend_np, trace_np = run()
+        backend_c, trace_c = run()
+        assert (backend_np, backend_c) == ("numpy", "c")
+        assert np.array_equal(trace_np, trace_c)
 
 
 class TestEngineSurface:

@@ -1,31 +1,29 @@
 """The compiled co-sim cycle kernel against the phased NumPy body.
 
-A batch whose lanes all step on the C engine and the C solver runs each
-clean co-sim cycle as one call into ``repro/sim/_cyclec.c``.  Forcing a
-NumPy backend (``REPRO_SOLVER_BACKEND=numpy`` or
-``REPRO_GPU_BACKEND=numpy``) runs the loop's phased NumPy body instead.
-The two must be byte-equal on every :class:`CosimResult` field, and equal
-to the serial oracle, through same-cycle relaunches, barrier-exempt
-shutoffs, a lane quarantine, circuit- and sensor-fault lanes and flight
-recorders.  The lanes' deferred mirrors (GPU cycle, memory-queue
-counters, solver time and step count) must read the same from a fault
-hook and after the run.
+With the native library loaded, a batch runs each clean co-sim cycle as
+one call into ``repro/sim/_cyclec.c``.  Forcing the library's fallback
+(``forced_fallback``) runs the loop's phased NumPy body instead, on the
+NumPy GPU engine and solver.  The two must be byte-equal on every
+:class:`CosimResult` field, and equal to the serial oracle, through
+same-cycle relaunches, barrier-exempt shutoffs, a lane quarantine,
+circuit- and sensor-fault lanes and flight recorders.  The lanes'
+deferred mirrors (GPU cycle, memory-queue counters, solver time and
+step count) must read the same from a fault hook and after the run.
 """
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.circuits import TransientSolver
-from repro.circuits._solverc import load_solver_lib
 from repro.core.actuators import WeightedActuation
 from repro.core.controller import ControllerConfig, VoltageSmoothingController
 from repro.faults.chaos import ChaosEvent, ChaosPlan
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.gpu import GPU, KernelSpec
-from repro.gpu._cbuild import load_engine_lib
 from repro.gpu.isa import InstructionClass
 from repro.sim.cosim import (
     CosimConfig,
@@ -34,25 +32,17 @@ from repro.sim.cosim import (
     last_batch_solver_info,
     run_cosim_batch,
 )
-from repro.sim._cyclec import load_cycle_lib
 from repro.telemetry import Telemetry
 from repro.telemetry.flight import FlightRecorder
+from tests.conftest import forced_fallback
 from tests.oracles.serial_cosim import run_cosim_reference
 from tests.sim.test_cosim_batch import _assert_result_bytes_equal
 
 CYCLES = 260
 WARMUP = 40
 TOTAL = CYCLES + WARMUP
-PHASED = {
-    "numpy-solver": ("REPRO_SOLVER_BACKEND", "numpy"),
-    "numpy-gpu": ("REPRO_GPU_BACKEND", "numpy"),
-}
 
-pytestmark = pytest.mark.skipif(
-    load_cycle_lib() is None or load_engine_lib() is None
-    or load_solver_lib() is None,
-    reason="compiled kernels unavailable",
-)
+pytestmark = pytest.mark.native
 
 # An ALU-only kernel: lanes relaunch about every hundred cycles.
 SHORT = KernelSpec(
@@ -83,9 +73,10 @@ def _same(a, b, label):
         a.divergence, b.divergence = verdicts
 
 
-def _run(build, monkeypatch, env=None, controllers=None, **kwargs):
+def _run(build, monkeypatch, phased=False, controllers=None, **kwargs):
     """One batch run; returns (results, last_batch_solver_info()).
 
+    ``phased`` forces the library's fallback (the phased NumPy body).
     ``controllers`` (a list) collects each stock controller's end state:
     RC filter, held measurement and statistics.
     """
@@ -98,9 +89,8 @@ def _run(build, monkeypatch, env=None, controllers=None, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(VoltageSmoothingController, "__init__", register)
-        if env is not None:
-            m.setenv(*env)
-        results = run_cosim_batch(build(), **kwargs)
+        with forced_fallback() if phased else nullcontext():
+            results = run_cosim_batch(build(), **kwargs)
         info = last_batch_solver_info()
     if controllers is not None:
         controllers.extend(
@@ -111,21 +101,20 @@ def _run(build, monkeypatch, env=None, controllers=None, **kwargs):
 
 
 def _check(build, monkeypatch, oracle=True, **kwargs):
-    """Fused == each phased body (== oracle), byte for byte; returns the
+    """Fused == the phased body (== oracle), byte for byte; returns the
     fused results."""
     ctrl = []
     fused, info = _run(build, monkeypatch, controllers=ctrl, **kwargs)
     assert info["fused_cycles"] == TOTAL, "the batch left the cycle kernel"
-    for name, env in PHASED.items():
-        phased_ctrl = []
-        phased, pinfo = _run(
-            build, monkeypatch, env, controllers=phased_ctrl, **kwargs
-        )
-        assert pinfo["fused_cycles"] == 0, name
-        for i, (a, b) in enumerate(zip(fused, phased)):
-            _same(a, b, f"lane {i} fused vs {name}")
-        for i, (a, b) in enumerate(zip(ctrl, phased_ctrl)):
-            assert a == b, f"controller {i}: filter/stats, fused vs {name}"
+    phased_ctrl = []
+    phased, pinfo = _run(
+        build, monkeypatch, phased=True, controllers=phased_ctrl, **kwargs
+    )
+    assert pinfo["fused_cycles"] == 0
+    for i, (a, b) in enumerate(zip(fused, phased)):
+        _same(a, b, f"lane {i} fused vs phased")
+    for i, (a, b) in enumerate(zip(ctrl, phased_ctrl)):
+        assert a == b, f"controller {i}: filter/stats, fused vs phased"
     if oracle:
         for i, lane in enumerate(build()):
             _same(fused[i], _oracle(lane), f"lane {i} vs oracle")
@@ -232,21 +221,20 @@ def test_flight_recorders_ride_the_kernel(monkeypatch):
     def windows(result):
         return json.dumps([d.to_dict() for d in result.flight.dumps])
 
-    def run(env=None):
+    def run(phased=False):
         results, info = _run(
-            build, monkeypatch, env, flights=[_recorder(), _recorder()]
+            build, monkeypatch, phased, flights=[_recorder(), _recorder()]
         )
         return results, info["fused_cycles"]
 
     fused, fused_cycles = run()
     assert fused_cycles == TOTAL
     assert any(r.flight.dumps for r in fused)
-    for name, env in PHASED.items():
-        phased, _ = run(env)
-        for i, (a, b) in enumerate(zip(fused, phased)):
-            _same(a, b, f"lane {i} fused vs {name}")
-            assert a.flight.summary() == b.flight.summary(), name
-            assert windows(a) == windows(b), name
+    phased, _ = run(phased=True)
+    for i, (a, b) in enumerate(zip(fused, phased)):
+        _same(a, b, f"lane {i} fused vs phased")
+        assert a.flight.summary() == b.flight.summary()
+        assert windows(a) == windows(b)
 
 
 def test_telemetry_keeps_the_stage_names(monkeypatch):
@@ -269,7 +257,7 @@ def test_telemetry_keeps_the_stage_names(monkeypatch):
 # ---------------------------------------------------------------------------
 # Deferred mirrors
 # ---------------------------------------------------------------------------
-def _mirror_runs(monkeypatch, build, env=None, oracle=False):
+def _mirror_runs(monkeypatch, build, phased=False, oracle=False):
     """Run once, recording each circuit hook's view of its own lane and
     every lane's mirrors at the end: (hook reads, final reads)."""
     gpus, solvers, owner, reads = [], [], {}, []
@@ -303,13 +291,12 @@ def _mirror_runs(monkeypatch, build, env=None, oracle=False):
         m.setattr(TransientSolver, "__init__", solver_new)
         m.setattr(FaultInjector, "__init__", inj_new)
         m.setattr(FaultInjector, "apply_circuit_faults", hook)
-        if env is not None:
-            m.setenv(*env)
         if oracle:
             for lane in build():
                 _oracle(lane)
         else:
-            run_cosim_batch(build())
+            with forced_fallback() if phased else nullcontext():
+                run_cosim_batch(build())
     final = [view(g, s) for g, s in zip(gpus, solvers)]
     return reads, final
 
@@ -326,8 +313,7 @@ def test_deferred_mirrors_fold_for_hooks_and_finalize(monkeypatch):
 
     reads, final = _mirror_runs(monkeypatch, build)
     assert len(reads) == 2 * TOTAL
-    for name, env in PHASED.items():
-        assert _mirror_runs(monkeypatch, build, env) == (reads, final), name
+    assert _mirror_runs(monkeypatch, build, phased=True) == (reads, final)
     oracle_reads, oracle_final = _mirror_runs(
         monkeypatch, build, oracle=True
     )
