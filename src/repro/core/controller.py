@@ -1,9 +1,10 @@
 """Algorithm 1: the boundary-triggered voltage smoothing controller.
 
-Every control period the controller reads the filtered boundary-node
-voltages from the per-SM detectors, derives each SM's layer voltage
-``V_sm(i,j) = V(i,j) - V(i-1,j)``, and — only when an SM droops below
-``v_threshold`` — computes proportional actuation:
+Every cycle each SM's layer voltage ``V_sm(i,j) = V(i,j) - V(i-1,j)``
+passes through its detector's RC filter and quantizer (one array
+advance for all SMs).  Every control period the controller reads the
+measurements and — only when an SM droops below ``v_threshold`` —
+computes proportional actuation:
 
 * the drooping SM's issue width is cut by ``k1 * w1 * (V_nom - V_sm)``;
 * fake instructions at rate ``k2 * w2 * (V_nom - V_sm)`` are injected
@@ -15,6 +16,12 @@ voltages from the per-SM detectors, derives each SM's layer voltage
 Commands take effect after the loop latency (detector + compute +
 actuate + wire delay), modeled by a delay queue.  When the SM recovers
 above the threshold its commands relax back to defaults.
+
+:class:`ControllerBank` is the one implementation of the filter
+advance and the decision arithmetic, vectorized over lanes; a
+:class:`VoltageSmoothingController` holds one lane's state, and its
+``observe`` steps the lane's one-lane bank.  The per-SM scalar path the
+bank replaced is the test oracle ``tests/oracles/scalar_controller.py``.
 """
 
 from __future__ import annotations
@@ -26,11 +33,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.config import StackConfig
-from repro.core.actuators import (
-    ActuationCommand,
-    CurrentCompensationDAC,
-    WeightedActuation,
-)
+from repro.core.actuators import CurrentCompensationDAC, WeightedActuation
 from repro.core.detectors import DETECTOR_OPTIONS, DetectorSpec, VoltageDetector
 from repro.core.overheads import control_latency_cycles
 
@@ -242,7 +245,14 @@ class ControlDecision:
 
 
 class VoltageSmoothingController:
-    """Algorithm 1 with detectors, latency pipeline and statistics."""
+    """One Algorithm 1 lane: config, sensor state, latency pipeline, stats.
+
+    :class:`ControllerBank` advances the lane's filters and runs its
+    decisions; :meth:`observe` steps the lane's own one-lane bank.
+    Only the stock :class:`WeightedActuation` /
+    :class:`CurrentCompensationDAC` law is vectorized there, so other
+    actuation classes are rejected.
+    """
 
     def __init__(
         self,
@@ -254,24 +264,29 @@ class VoltageSmoothingController:
         self.stack = stack
         self.config = config
         self.actuation = actuation or WeightedActuation()
+        if (
+            type(self.actuation) is not WeightedActuation
+            or type(self.actuation.dac) is not CurrentCompensationDAC
+        ):
+            raise TypeError(
+                "the controller runs the stock WeightedActuation / "
+                "CurrentCompensationDAC law, got "
+                f"{type(self.actuation).__name__} / "
+                f"{type(self.actuation.dac).__name__}"
+            )
         self.dt_s = dt_s
-        self.detectors = [
-            VoltageDetector(config.detector, filter_initial_v=stack.sm_voltage)
-            for _ in range(stack.num_sms)
-        ]
-        # Vectorized sensor front-end: one array holds every SM's RC
-        # filter state; observe() advances them all with three ufunc
-        # calls instead of num_sms Python method calls.  The per-object
-        # detectors above remain the spec source and the documented
-        # front-end model; their scalar ``sample`` is what the array
-        # update replicates operation-for-operation.
         if dt_s <= 0:
             raise ValueError("dt must be positive")
-        filt = self.detectors[0].filter
+        # Sensor front end: one array holds every SM's RC filter state
+        # (the detector's RC filter, stepped as RCLowPassFilter.step
+        # does), quantized at the detector's resolution.
+        filt = VoltageDetector(config.detector).filter
         tau = filt.r_ohm * filt.c_farad
         self._filter_alpha = dt_s / (tau + dt_s)
         self._filter_state = np.full(stack.num_sms, stack.sm_voltage)
         self._resolution_v = config.detector.resolution_v
+        # The bank that steps this lane (set by ControllerBank).
+        self._bank: Optional[ControllerBank] = None
         # (apply_at_cycle, decision) queue modelling the loop latency.
         self._pipeline: Deque[Tuple[int, ControlDecision]] = deque()
         self._last_decision_cycle = -config.control_period_cycles
@@ -351,6 +366,10 @@ class VoltageSmoothingController:
         the sensor fallback enabled the SM's last good measurement is
         held instead, with widened trigger thresholds; otherwise the SM
         simply cannot trigger until a real sample returns.
+
+        This is the one-lane case of :class:`ControllerBank`: the first
+        call builds the lane's own bank and every call steps it.  A lane
+        of a multi-lane bank is stepped through that bank only.
         """
         sm_voltages = np.asarray(sm_voltages, dtype=float)
         if sm_voltages.shape != (self.stack.num_sms,):
@@ -358,105 +377,16 @@ class VoltageSmoothingController:
                 f"expected {self.stack.num_sms} SM voltages, got "
                 f"{sm_voltages.shape}"
             )
-        measured = self._advance_filters(sm_voltages)
-        if cycle - self._last_decision_cycle < self.config.control_period_cycles:
-            return
-        self._last_decision_cycle = cycle
-        self._make_decision(cycle, measured)
-
-    def _advance_filters(self, sm_voltages: np.ndarray) -> np.ndarray:
-        """Advance every SM's RC filter one cycle; return the measurement.
-
-        RC filter + quantization for all SMs at once.  The elementwise
-        float64 ops match RCLowPassFilter.step / VoltageDetector.sample
-        exactly (np.rint is round-half-even, like Python's round), so
-        decisions are bit-identical to the per-object path.  Non-finite
-        samples never enter the filter state.
-
-        :class:`ControllerBank` runs the same arithmetic batched over
-        lanes (broadcasting over a leading batch axis is elementwise,
-        hence bit-identical per row).
-        """
-        cfg = self.config
-        finite = np.isfinite(sm_voltages)
-        state = self._filter_state
-        alpha = self._filter_alpha
-        step = self._resolution_v
-        if finite.all():
-            state += alpha * (sm_voltages - state)
-            measured = np.rint(state / step) * step
-            self._last_good[:] = measured
-            if self._fallback_active.any():
-                self._fallback_active[:] = False
-        else:
-            bad = ~finite
-            self.nan_samples_seen += int(bad.sum())
-            np.copyto(state, state + alpha * (sm_voltages - state), where=finite)
-            measured = np.rint(state / step) * step
-            np.copyto(self._last_good, measured, where=finite)
-            self._fallback_active[finite] = False
-            if cfg.sensor_fallback_enabled:
-                np.copyto(measured, self._last_good, where=bad)
-                self._fallback_active[bad] = True
-                self.sensor_fallback_samples += int(bad.sum())
-            else:
-                measured[bad] = np.nan
-        return measured
-
-    def _make_decision(self, cycle: int, measured: np.ndarray) -> None:
-        """Watchdog, Algorithm 1 body, slew limiting and enqueueing.
-
-        The caller has already updated ``_last_decision_cycle`` — this
-        is the per-decision tail of :meth:`observe`.
-        """
-        self._update_watchdog(measured)
-        if self.in_safe_state:
-            decision = self._safe_decision()
-            self.safe_state_decisions += 1
-        else:
-            decision = self._decide(measured)
-        self._apply_slew_limit(decision)
-        self._last_enqueued = decision
-        self.decisions_made += 1
-        if decision.triggered_sms:
-            self.triggers += 1
-        # Per-actuator engagement accounting, on the post-slew decision
-        # actually enqueued.  A throttle decision is one that cuts issue
-        # width below the default — overvoltage boosts (which *inject*
-        # work) are counted separately, so the Fig. 12 throttling proxy
-        # is not inflated by power-adding actuation.
-        throttling = bool(
-            np.any(decision.issue_widths < self._default_issue_width)
-        )
-        self._track_limit_cycle(throttling)
-        fii_active = bool(np.any(decision.fake_rates > 0.0))
-        dcc_active = bool(np.any(decision.dcc_powers_w > 0.0))
-        if throttling:
-            self.throttle_decisions += 1
-            self.actuator_decisions["diws"] += 1
-        if fii_active:
-            self.actuator_decisions["fii"] += 1
-        if dcc_active:
-            self.actuator_decisions["dcc"] += 1
-        if fii_active or dcc_active:
-            self.boost_decisions += 1
-        self._pipeline.append(
-            (cycle + self.config.total_latency_cycles, decision)
-        )
-
-    def _update_watchdog(self, measured: np.ndarray) -> None:
-        """Track sub-guardband streaks; escalate / release the safe state.
-
-        The streaks advance on *decisions* (not cycles), so
-        ``watchdog_patience`` is a count of consecutive control
-        decisions whose worst measured SM sits below the guardband.
-        All-NaN measurements (total sensor loss without fallback) leave
-        the streaks untouched: no evidence either way.
-        """
-        finite = measured[np.isfinite(measured)]
-        if finite.size == 0:
-            return
-        self._note_worst_measurement(float(finite.min()))
+        bank = self._bank
+        if bank is None:
+            bank = ControllerBank([self])
+        elif len(bank.controllers) != 1:
+            raise RuntimeError(
+                "this controller is one of the "
+                f"{len(bank.controllers)} lanes of a ControllerBank; step "
+                "it through ControllerBank.observe"
+            )
+        bank.observe(cycle, sm_voltages[None, :])
 
     def _note_worst_measurement(self, worst: float) -> None:
         """Advance the watchdog streaks given this decision's worst SM."""
@@ -480,23 +410,6 @@ class VoltageSmoothingController:
             and self._healthy_streak >= cfg.safe_state_release_decisions
         ):
             self.in_safe_state = False
-
-    def _safe_decision(self) -> ControlDecision:
-        """The emergency safe state: minimal, uniform, boost-free draw.
-
-        Every SM's issue width is clamped to ``safe_issue_width`` and
-        all power-adding actuation (FII, DCC) is clamped off: a small
-        uniform current per layer restores the series balance no matter
-        which layer caused the imbalance, at a known throughput cost.
-        The decision still passes through the normal slew limiter and
-        latency pipeline — the safe state must not itself ring the PDN.
-        """
-        n = self.stack.num_sms
-        return ControlDecision(
-            issue_widths=np.full(n, float(self.config.safe_issue_width)),
-            fake_rates=np.zeros(n),
-            dcc_powers_w=np.zeros(n),
-        )
 
     def _track_limit_cycle(self, throttling: bool) -> None:
         """Flag sustained on/off flapping of the throttle engagement.
@@ -523,88 +436,6 @@ class VoltageSmoothingController:
                 self.limit_cycle_events += 1
         elif flips <= cfg.limit_cycle_min_flips // 2:
             self._limit_cycle_flagged = False
-
-    def _decide(
-        self,
-        measured: np.ndarray,
-        decision: Optional[ControlDecision] = None,
-    ) -> ControlDecision:
-        """The Algorithm 1 loop body over all (layer, column) positions.
-
-        ``decision`` lets :class:`ControllerBank` pass a preallocated
-        default decision (rows of a wave-shared array) for a lane whose
-        subclassed actuation keeps it off the banked law; its arrays
-        must hold the default commands on entry.
-
-        Two symmetric boundary triggers implement eq. (6)'s
-        ``P_i = k V_i`` around the deadband:
-
-        * an SM below ``v_threshold`` is overdrawing — DIWS throttles it
-          proportionally to its droop;
-        * an SM above ``v_high_threshold`` is underdrawing — FII / DCC
-          raise its power proportionally to its overvoltage.  (In a
-          series stack the overvolted SM is exactly the ``SM(i+1, j)``
-          neighbour of a drooping SM that Algorithm 1 names as the
-          injection target; triggering on its own voltage keeps the
-          boost engaged until balance is actually restored instead of
-          releasing as soon as the drooping SM crosses back over its
-          threshold.)
-        """
-        cfg = self.config
-        if decision is None:
-            decision = self._default_decision()
-        for sm in range(self.stack.num_sms):
-            v_sm = measured[sm]
-            # Sensor-loss fallback widens this SM's thresholds: with a
-            # held (stale) measurement, protective throttling engages
-            # earlier and power-adding boosts engage later.  NaN (no
-            # fallback) fails both comparisons — never actuates.
-            widen = (
-                cfg.fallback_widen_v if self._fallback_active[sm] else 0.0
-            )
-            if v_sm < cfg.v_threshold + widen:
-                decision.triggered_sms.append(sm)
-                error = cfg.v_nominal - v_sm
-                command = self.actuation.commands(
-                    error, cfg.k1, cfg.k2, cfg.k3
-                )
-                decision.issue_widths[sm] = command.issue_width
-            elif v_sm > cfg.v_high_threshold + widen:
-                decision.triggered_sms.append(sm)
-                boost = self.actuation.boost_commands(
-                    v_sm - cfg.v_nominal, cfg.k2, cfg.k3
-                )
-                decision.fake_rates[sm] = max(
-                    decision.fake_rates[sm], boost.fake_rate
-                )
-                decision.dcc_powers_w[sm] = max(
-                    decision.dcc_powers_w[sm],
-                    self.actuation.dac.power_for_code(boost.dcc_code),
-                )
-        return decision
-
-    def _apply_slew_limit(self, decision: ControlDecision) -> None:
-        """Clamp each command within its actuator's per-decision slew.
-
-        Each actuator is limited in its own natural units (issue slots,
-        fakes/cycle, watts); saturation of a clamp — the proportional
-        law asking for a bigger step than the slew allows — is counted
-        per actuator for telemetry.
-        """
-        cfg = self.config
-        previous = self._last_enqueued
-        for key, values, prev, slew in (
-            ("issue", decision.issue_widths, previous.issue_widths,
-             cfg.slew_issue),
-            ("fake", decision.fake_rates, previous.fake_rates,
-             cfg.slew_fake),
-            ("dcc", decision.dcc_powers_w, previous.dcc_powers_w,
-             cfg.slew_dcc_w),
-        ):
-            clamped = np.clip(values, prev - slew, prev + slew)
-            if np.any(clamped != values):
-                self.slew_saturations[key] += 1
-            values[:] = clamped
 
     def commands_for(self, cycle: int) -> ControlDecision:
         """The actuation in force at ``cycle`` (after loop latency)."""
@@ -670,27 +501,25 @@ class VoltageSmoothingController:
 
 
 class ControllerBank:
-    """Lock-stepped sensor/decision front end over B independent lanes.
+    """Algorithm 1 over B lock-stepped, independent lanes.
 
-    The batched co-simulator steps B scenarios per cycle; this bank
-    vectorizes the per-cycle RC filter advance and the per-decision
-    Algorithm 1 / slew arithmetic of B :class:`VoltageSmoothingController`
-    instances by re-homing each lane's filter/fallback state as one row
-    of shared ``(B, num_sms)`` arrays.  All batched operations are
-    elementwise with per-lane ``(B, 1)`` broadcasts (or row-wise
-    reductions), so each row is bit-identical to the serial controller;
-    the scalar remainder — watchdog streaks, pipelines, counters — still
-    updates the owning controller.  Observable state after
-    ``bank.observe(cycle, seen, observed)`` is therefore byte-equal to
-    calling ``lane.observe(cycle, seen[i])`` for every lane ``i`` with
-    ``observed[i]`` set, and nothing for the others.
+    The one implementation of the per-cycle RC filter advance and the
+    per-decision Algorithm 1 / slew arithmetic: each lane's
+    :class:`VoltageSmoothingController` filter/fallback state is
+    re-homed as one row of shared ``(B, num_sms)`` arrays, and the
+    scalar remainder — watchdog streaks, pipelines, counters — updates
+    the owning controller.  All batched operations are elementwise with
+    per-lane ``(B, 1)`` broadcasts (or row-wise reductions), so each row
+    is bit-identical to the per-SM scalar reference
+    (``tests/oracles/scalar_controller.py``) and B=1 is the serial case:
+    observable state after ``bank.observe(cycle, seen, observed)`` is
+    byte-equal to that reference observing ``seen[i]`` for every lane
+    ``i`` with ``observed[i]`` set, and nothing for the others.
 
     Lanes may differ in gains, thresholds, detectors, periods, sensor
-    fallback and actuation — only ``num_sms`` must match.  A lane whose
-    actuation or DAC is a subclass (which may override the command
-    math) runs its own ``_decide`` inside the banked wave.  The bank
-    takes over the lanes' ``observe`` duty; do not call
-    ``lane.observe`` directly while a bank owns the lane.
+    fallback and actuation weights — only ``num_sms`` must match.  The
+    bank owns its lanes' ``observe`` duty: ``lane.observe`` raises while
+    a multi-lane bank owns the lane.
     """
 
     def __init__(self, controllers: List[VoltageSmoothingController]) -> None:
@@ -703,14 +532,17 @@ class ControllerBank:
                     "ControllerBank requires VoltageSmoothingController "
                     f"lanes, got {type(c).__name__}"
                 )
+        if len({id(c) for c in self.controllers}) != len(self.controllers):
+            raise ValueError("a controller can be only one lane of a bank")
         sizes = {c.stack.num_sms for c in self.controllers}
         if len(sizes) != 1:
             raise ValueError(f"lanes must share num_sms, got {sorted(sizes)}")
         self.num_sms = sizes.pop()
         ctrls = self.controllers
         # Re-home per-lane filter/fallback state as rows of batch arrays
-        # (np.stack copies current values; rows stay views so the serial
-        # per-lane code paths keep operating on the same storage).
+        # and take over the lanes.  np.stack copies current values and
+        # the lanes keep row views, so a later bank over the same lanes
+        # (a compaction) starts from the state this one leaves.
         self._state = np.stack([c._filter_state for c in ctrls])
         self._last_good = np.stack([c._last_good for c in ctrls])
         self._fallback = np.stack([c._fallback_active for c in ctrls])
@@ -718,6 +550,7 @@ class ControllerBank:
             c._filter_state = self._state[i]
             c._last_good = self._last_good[i]
             c._fallback_active = self._fallback[i]
+            c._bank = self
 
         def col(values) -> np.ndarray:
             return np.asarray(values, dtype=float).reshape(-1, 1)
@@ -728,37 +561,21 @@ class ControllerBank:
             [c.config.sensor_fallback_enabled for c in ctrls]
         ).reshape(-1, 1)
         self._fb_all = bool(self._fb_on.all())
-        # Banked Algorithm 1 columns: the stock WeightedActuation /
-        # CurrentCompensationDAC pair's per-SM proportional law
-        # vectorizes as (B, num_sms) array ops (see _decide_banked).  A
-        # lane with a subclassed actuation or DAC may override the
-        # command math, so its rows are masked out of the banked law and
-        # it runs its own _decide (its law columns are placeholders).
-        stock = [
-            type(c.actuation) is WeightedActuation
-            and type(c.actuation.dac) is CurrentCompensationDAC
-            for c in ctrls
-        ]
-        self._stock = None if all(stock) else np.array(stock).reshape(-1, 1)
-
-        def law(fn, placeholder):
-            return [
-                fn(c) if ok else placeholder for c, ok in zip(ctrls, stock)
-            ]
-
         # Per-lane wave parameters, one column each (the _P_* indices),
-        # so a partial wave gathers its lanes' rows with one take.
+        # so a partial wave gathers its lanes' rows with one take.  The
+        # stock actuation's per-SM proportional law vectorizes as
+        # (B, num_sms) array ops over these (see _decide_banked).
         self._params = np.column_stack([
             [c.config.v_threshold for c in ctrls],
             [c.config.v_high_threshold for c in ctrls],
             [c.config.fallback_widen_v for c in ctrls],
             [c._default_issue_width for c in ctrls],
             [c.config.v_nominal for c in ctrls],
-            law(lambda c: c.config.k1 * c.actuation.w1, 0.0),
-            law(lambda c: c.config.k2 * c.actuation.w2, 0.0),
-            law(lambda c: c.config.k3 * c.actuation.w3, 0.0),
-            law(lambda c: c.actuation.dac.unit_power_w, 1.0),
-            law(lambda c: c.actuation.dac.max_code, 0.0),
+            [c.config.k1 * c.actuation.w1 for c in ctrls],
+            [c.config.k2 * c.actuation.w2 for c in ctrls],
+            [c.config.k3 * c.actuation.w3 for c in ctrls],
+            [c.actuation.dac.unit_power_w for c in ctrls],
+            [c.actuation.dac.max_code for c in ctrls],
         ]).astype(float)
         self._thr = self._params[:, _P_THR:_P_THR + 1]
         self._thr_high = self._params[:, _P_THR_HIGH:_P_THR_HIGH + 1]
@@ -826,14 +643,14 @@ class ControllerBank:
         seen: np.ndarray,
         observed: Optional[np.ndarray] = None,
     ) -> None:
-        """Batched equivalent of per-lane ``observe`` for one cycle.
+        """Advance every lane one cycle; decide for the lanes due.
 
         ``seen`` has shape ``(B, num_sms)``: row i is what lane i's
         detectors see this cycle — the true SM voltages, or a fault
         injector's corrupted copy with NaN for dropped samples.
         ``observed`` (``(B,)`` bool, default all) marks the lanes that
         observe at all this cycle; the other rows are left untouched,
-        exactly as a serial run that skips ``lane.observe``.
+        exactly as a serial run that skips the lane's observe.
         """
         seen = np.asarray(seen, dtype=float)
         expected = (len(self.controllers), self.num_sms)
@@ -846,7 +663,7 @@ class ControllerBank:
         finite = self._finite_buf
         np.isfinite(seen, out=finite)
         if observed is None and finite.all():
-            # The all-finite path of _advance_filters, broadcast over
+            # The reference's all-finite filter advance, broadcast over
             # lanes.
             state = self._state
             buf = self._obs_buf
@@ -854,8 +671,8 @@ class ControllerBank:
             buf *= self._alpha
             state += buf
             # Quantize straight into _last_good (rows alias the lanes'
-            # held-measurement arrays, which the serial path updates
-            # with exactly this value on every finite sample).
+            # held-measurement arrays, which the reference updates with
+            # exactly this value on every finite sample).
             measured = self._last_good
             np.divide(state, self._step_v, out=measured)
             np.rint(measured, out=measured)
@@ -918,7 +735,9 @@ class ControllerBank:
     ) -> Tuple[np.ndarray, bool]:
         """Filter advance for blocks with NaN samples or unobserved rows.
 
-        Row-for-row the arithmetic of ``_advance_filters``: only fresh
+        Row-for-row the reference's filter advance
+        (``ScalarController._advance_filters`` in
+        ``tests/oracles/scalar_controller.py``): only fresh
         (finite, observed) samples enter the RC filter, the held
         measurement updates where they do, and a dropped sample either
         holds its last good value (fallback on, thresholds widened) or
@@ -970,8 +789,9 @@ class ControllerBank:
     ) -> None:
         """One decision wave over the due lanes ``rows`` (None = all).
 
-        Per lane this is ``_make_decision``: watchdog, Algorithm 1 (or
-        the safe state), slew limiting, statistics and enqueueing.  An
+        Per lane this is the reference's ``_make_decision``
+        (``tests/oracles/scalar_controller.py``): watchdog, Algorithm 1
+        (or the safe state), slew limiting, statistics and enqueueing.  An
         *idle* lane — nothing triggered, not in the safe state, and its
         previous command exactly the default — would enqueue a command
         value-identical to its previous one, so it re-enqueues that same
@@ -1061,21 +881,12 @@ class ControllerBank:
             for j in range(len(ctrls))
         ]
         if any_trig:
-            stock = self._stock
-            if stock is not None:
-                stock = stock if rows is None else stock[rows]
-                low &= stock
-                high &= stock
             self._decide_banked(m, low, high, P, widths, fakes, dcc)
-            for j, c in enumerate(ctrls):
-                if not trig[j]:
-                    continue
-                if stock is None or stock[j, 0]:
+            for j, t in enumerate(trig):
+                if t:
                     decisions[j].triggered_sms = np.flatnonzero(
                         trig_mask[j]
                     ).tolist()
-                else:
-                    c._decide(m[j], decision=decisions[j])
         if any_safe:
             for j, c in enumerate(ctrls):
                 if safe[j]:
@@ -1155,22 +966,25 @@ class ControllerBank:
     ) -> None:
         """Vectorized Algorithm 1 body across the wave's triggered SMs.
 
-        Bit-identical to ``c._decide(m[j])`` per triggered lane, for
-        the stock :class:`WeightedActuation` /
-        :class:`CurrentCompensationDAC` pair (``P`` holds the wave's
+        Bit-identical per triggered lane to the reference's per-SM
+        ``_decide`` (``tests/oracles/scalar_controller.py``) over the
+        stock :class:`WeightedActuation` /
+        :class:`CurrentCompensationDAC` law (``P`` holds the wave's
         rows of ``_params``):
 
         * low side writes ``min(iwmax, max(0, iwmax - (k1*w1)*err))``
           (the clamps collapse to ``iwmax`` exactly where ``err <= 0``,
-          matching the serial early return, which the ``np.where``
-          keeps exact even for pathological negative gains);
+          matching ``WeightedActuation.commands``'s early return, which
+          the ``np.where`` keeps exact even for pathological negative
+          gains);
         * high side max-merges FII/DCC into default-zero rows, i.e.
           plain masked assignment; the DAC quantization
           ``min(max_code, round(p / unit))`` uses ``np.rint``, whose
           half-to-even tie-breaking matches Python's ``round``.
 
         ``k1*w1`` etc. are precomputed per lane so the product
-        associates exactly as the serial ``k1 * self.w1 * error_v``.
+        associates exactly as ``WeightedActuation.commands``'s
+        ``k1 * self.w1 * error_v``.
         """
         iwmax = P[:, _P_IWMAX:_P_IWMAX + 1]
         v_nom = P[:, _P_V_NOM:_P_V_NOM + 1]
@@ -1205,8 +1019,7 @@ class ControllerBank:
         row *view* of the bank arrays — so the constructor's
         ``np.stack`` reads current values — and the due bookkeeping is
         reconstructed from ``_last_decision_cycle + period``, which is
-        exactly the serial controller's cadence.  Dropped lanes'
-        controllers are left untouched (their state rows simply stop
-        being advanced).
+        exactly a lane's own cadence.  Dropped lanes' controllers are
+        left untouched (their state rows simply stop being advanced).
         """
         return ControllerBank([self.controllers[i] for i in keep])

@@ -36,11 +36,7 @@ from repro.sim.sweep import (
     run_sweep,
 )
 from repro.sim.store import ResultStore, point_key
-from repro.sim.trace_cosim import (
-    apply_actuation_replay,
-    replay_trace,
-    run_current_pattern,
-)
+from repro.sim.trace_cosim import run_current_pattern
 
 __all__ = [
     "CosimConfig",
@@ -55,10 +51,8 @@ __all__ = [
     "SweepPointResult",
     "SweepResult",
     "SweepRunner",
-    "apply_actuation_replay",
     "expand_grid",
     "point_key",
-    "replay_trace",
     "round_schedule",
     "run_baseline",
     "run_cosim",

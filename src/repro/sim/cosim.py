@@ -608,6 +608,18 @@ def run_cosim_batch(
                     f"{field_name} differs ({a} != {b}); run incompatible "
                     "scenarios in separate batches"
                 )
+    # A controller object carries one lane's state: two lanes stepping
+    # the same one would corrupt each other.
+    owner: Dict[int, int] = {}
+    for i, lane in enumerate(lanes):
+        obj = lane.config.controller_object
+        if obj is not None and lane.config.use_controller:
+            j = owner.setdefault(id(obj), i)
+            if j != i:
+                raise ValueError(
+                    f"lanes {j} and {i} share one controller_object; give "
+                    "each lane its own controller"
+                )
 
     tele = telemetry if telemetry is not None and telemetry.enabled else None
     if tele is not None:

@@ -1,112 +1,33 @@
-"""Trace-driven PDN simulation (the fast path for sweeps).
+"""Open-loop PDN simulation driven by a synthetic current pattern.
 
-Replays a recorded :class:`~repro.workloads.traces.PowerTrace` through
-the stacked PDN without re-running the GPU timing model.  Open-loop by
-construction (the controller cannot change a pre-recorded workload), so
-it is used where the paper's methodology is also trace-driven:
-impedance validation, PDE sweeps across many CR-IVR sizes, and quick
-what-if studies.
-
-A simple *actuation replay* option approximates the smoothing
-controller's effect on the trace: DIWS scales the trace's dynamic power
-and defers the shaved energy to later cycles (work is delayed, not
-destroyed), and FII adds fake-instruction power — useful to estimate
-controller impact across sweeps at a fraction of the closed-loop cost.
+Drives the stacked PDN with per-SM currents given as a function of
+time, without the GPU timing model or the controller.  Used where the
+paper's methodology is open loop: time-domain validation of the
+impedance analysis (resonance search, residual vs global droop).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.circuits import TransientSolver
-from repro.config import PowerConfig, StackConfig
+from repro.config import StackConfig
 from repro.pdn.builder import build_stacked_pdn
 from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
-from repro.workloads.traces import PowerTrace
 
 
 @dataclass
 class TraceCosimResult:
-    """Waveforms from a trace replay."""
+    """Waveforms from an open-loop current-pattern run."""
 
-    sm_voltages: np.ndarray  # (cycles, num_sms)
-    supply_current: np.ndarray  # (cycles,)
-    trace: PowerTrace
+    sm_voltages: np.ndarray  # (steps, num_sms)
+    supply_current: np.ndarray  # (steps,)
 
     @property
     def min_voltage(self) -> float:
         return float(self.sm_voltages.min())
-
-    def worst_sm_voltage_trace(self) -> np.ndarray:
-        return self.sm_voltages.min(axis=1)
-
-    def noise_std(self) -> float:
-        return float(self.sm_voltages.std())
-
-
-def replay_trace(
-    trace: PowerTrace,
-    cr_ivr_area_mm2: float = 105.8,
-    stack: StackConfig = StackConfig(),
-    params: PDNParameters = DEFAULT_PDN,
-    circuit_substeps: int = 2,
-    settle_cycles: int = 200,
-) -> TraceCosimResult:
-    """Drive the stacked PDN with a recorded per-SM power trace.
-
-    The circuit settles for ``settle_cycles`` at the trace's initial
-    power level before recording begins.
-    """
-    if trace.num_sms != stack.num_sms:
-        raise ValueError(
-            f"trace has {trace.num_sms} SMs, stack expects {stack.num_sms}"
-        )
-    if circuit_substeps <= 0:
-        raise ValueError("need at least one circuit substep")
-    pdn = build_stacked_pdn(
-        stack=stack, params=params, cr_ivr_area_mm2=cr_ivr_area_mm2
-    )
-    solver = TransientSolver(
-        pdn.circuit, dt=trace.dt / circuit_substeps
-    )
-    conductance_bias = params.sm_conductance * stack.sm_voltage
-    initial = np.maximum(
-        trace.data[0] / stack.sm_voltage - conductance_bias, 0.0
-    )
-    pdn.set_sm_currents(initial)
-    solver.initialize_dc()
-    for _ in range(settle_cycles * circuit_substeps):
-        solver.step()
-
-    num = stack.num_sms
-    top_idx = np.empty(num, dtype=int)
-    bot_idx = np.empty(num, dtype=int)
-    bot_is_ground = np.zeros(num, dtype=bool)
-    for sm in range(num):
-        top, bottom = pdn.sm_terminals(sm)
-        top_idx[sm] = solver.structure.node(top)
-        if bottom == "0":
-            bot_is_ground[sm] = True
-            bot_idx[sm] = 0
-        else:
-            bot_idx[sm] = solver.structure.node(bottom)
-
-    voltages = np.empty((trace.num_cycles, num))
-    supply = np.empty(trace.num_cycles)
-    for cycle in range(trace.num_cycles):
-        currents = np.maximum(
-            trace.data[cycle] / stack.sm_voltage - conductance_bias, 0.0
-        )
-        pdn.set_sm_currents(currents)
-        for _ in range(circuit_substeps):
-            node_v = solver.step()
-        bottoms = np.where(bot_is_ground, 0.0, node_v[bot_idx])
-        voltages[cycle] = node_v[top_idx] - bottoms
-        supply[cycle] = solver.vsource_current("vdd")
-    return TraceCosimResult(voltages, supply, trace)
 
 
 def run_current_pattern(
@@ -132,7 +53,13 @@ def run_current_pattern(
         stack=stack, params=params, cr_ivr_area_mm2=cr_ivr_area_mm2
     )
     solver = TransientSolver(pdn.circuit, dt=dt_s)
-    pdn.set_sm_currents(np.asarray(pattern(0.0), dtype=float))
+    first = np.asarray(pattern(0.0), dtype=float)
+    if first.shape != (stack.num_sms,):
+        raise ValueError(
+            f"pattern gives {first.shape} currents, the stack has "
+            f"{stack.num_sms} SMs"
+        )
+    pdn.set_sm_currents(first)
     solver.initialize_dc()
     for _ in range(int(settle_s / dt_s)):
         pdn.set_sm_currents(np.asarray(pattern(solver.time), dtype=float))
@@ -162,44 +89,4 @@ def run_current_pattern(
         bottoms = np.where(bot_is_ground, 0.0, node_v[bot_idx])
         voltages[k] = node_v[top_idx] - bottoms
         supply[k] = solver.vsource_current("vdd")
-    placeholder = PowerTrace(
-        np.maximum(voltages * 0.0 + 1.0, 0.0), frequency_hz=1.0 / dt_s,
-        name="synthetic",
-    )
-    return TraceCosimResult(voltages, supply, placeholder)
-
-
-def apply_actuation_replay(
-    trace: PowerTrace,
-    issue_scale: float = 1.0,
-    fake_power_w: float = 0.0,
-    leakage_w: float = PowerConfig().sm_leakage_power_w,
-) -> PowerTrace:
-    """Approximate DIWS / FII effects on a recorded trace.
-
-    ``issue_scale`` in (0, 1] scales each SM's *dynamic* power; the
-    shaved energy is carried forward and released in later cycles
-    (throttled work is deferred, not destroyed), extending activity the
-    way DIWS stretches execution.  ``fake_power_w`` adds a constant FII
-    power per SM.
-    """
-    if not 0.0 < issue_scale <= 1.0:
-        raise ValueError(f"issue_scale must be in (0,1], got {issue_scale}")
-    if fake_power_w < 0:
-        raise ValueError("fake power cannot be negative")
-    dynamic = np.clip(trace.data - leakage_w, 0.0, None)
-    scaled = dynamic * issue_scale
-    deferred = np.zeros(trace.num_sms)
-    adjusted = np.empty_like(trace.data)
-    peak_dynamic = float(dynamic.max()) if dynamic.size else 0.0
-    for cycle in range(trace.num_cycles):
-        shaved = dynamic[cycle] - scaled[cycle]
-        deferred += shaved
-        # Release deferred work into remaining headroom this cycle.
-        headroom = np.maximum(peak_dynamic * issue_scale - scaled[cycle], 0.0)
-        release = np.minimum(deferred, headroom)
-        deferred -= release
-        adjusted[cycle] = leakage_w + scaled[cycle] + release + fake_power_w
-    return PowerTrace(
-        adjusted, frequency_hz=trace.frequency_hz, name=f"{trace.name}+act"
-    )
+    return TraceCosimResult(voltages, supply)

@@ -18,10 +18,9 @@ Cost discipline (the live plane must stay honest about "always-on"):
 the per-cycle :meth:`FlightRecorder.observe` is one ring-row copy plus
 a tuple store; all detection is deferred to a vectorized scan every
 ``scan_interval`` cycles.  Loops that already keep the voltages can
-hand whole blocks to :meth:`FlightRecorder.observe_block`, or to
-:meth:`FlightRecorder.observe_runs` with the metadata as runs of
-unchanged rows (the co-sim loop does), and a quiet block skips its
-scans in one step.
+hand whole blocks to :meth:`FlightRecorder.observe_runs`, with the
+metadata as runs of unchanged rows (the co-sim loop does), and a quiet
+block skips its scans in one step.
 ``benchmarks/test_perf_observability.py``
 gates the whole thing at <= 2% of the hot co-sim loop.
 
@@ -229,16 +228,6 @@ class FlightRecorder:
         self._n = n = n + 1
         if n - self._scanned >= self.scan_interval:
             self._scan()
-
-    def observe_block(self, voltages: np.ndarray,
-                      meta: Sequence[Tuple[object, object, bool]]) -> None:
-        """Record ``len(meta)`` consecutive cycles in one call.
-
-        ``voltages`` is the ``(len(meta), num_sms)`` block of per-SM
-        voltages and ``meta`` the matching ``(decision, fault_kinds,
-        safe)`` rows: :meth:`observe_runs` with one run per cycle.
-        """
-        self.observe_runs(voltages, [(1, row) for row in meta])
 
     def observe_runs(self, voltages: np.ndarray,
                      runs: Sequence[Tuple[int, Tuple[object, object, bool]]]

@@ -1,31 +1,41 @@
-"""Bit-identity contract of the batched controller front end.
+"""Bit-identity contract of the controller against its scalar oracle.
 
-``ControllerBank.observe(cycle, seen, observed)`` must leave every
-lane's observable state byte-equal to serial per-lane ``observe`` calls
-(skipped where ``observed`` is False) — for uniform and mixed control
-periods, through quiet stretches (idle lanes re-enqueue the same
-decision object), droop storms, NaN sensor dropouts with the fallback
-on and off, observation drops that split the lanes' decision phases,
-the watchdog's safe state, and subclassed actuation.
+``ControllerBank`` is the library's one Algorithm 1.  After
+``bank.observe(cycle, seen, observed)`` every lane's observable state
+must be byte-equal to the per-SM scalar reference
+(``tests/oracles/scalar_controller.ScalarController``) observing
+``seen[i]`` where ``observed[i]`` is set — for uniform and mixed
+control periods, through quiet stretches (idle lanes re-enqueue the
+same decision object), droop storms, NaN sensor dropouts with the
+fallback on and off, observation drops that split the lanes' decision
+phases, and the watchdog's safe state.  ``VoltageSmoothingController.
+observe`` is the bank's one-lane case and meets the same contract.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.config import StackConfig
-from repro.core.actuators import ActuationCommand, WeightedActuation
+from repro.core.actuators import (
+    ActuationCommand,
+    CurrentCompensationDAC,
+    WeightedActuation,
+)
 from repro.core.controller import (
     ControllerBank,
     ControllerConfig,
     VoltageSmoothingController,
 )
+from repro.core.detectors import DETECTOR_OPTIONS
+from tests.oracles.scalar_controller import ScalarController
 
 NUM_SMS = StackConfig().num_sms
 DT = 1.0 / 700e6
 
 
-def _make_lane(config, actuation=None):
-    return VoltageSmoothingController(
+def _make_lane(config, actuation=None, cls=VoltageSmoothingController):
+    return cls(
         stack=StackConfig(), config=config,
         actuation=actuation or WeightedActuation(), dt_s=DT,
     )
@@ -55,7 +65,7 @@ def _assert_lane_states_equal(serial, banked, cycle=None):
 def _run_pair(configs, cycles=400, seed=0):
     rng = np.random.default_rng(seed)
     stream = _voltage_stream(rng, cycles)
-    serial = [_make_lane(c) for c in configs]
+    serial = [_make_lane(c, cls=ScalarController) for c in configs]
     banked = [_make_lane(c) for c in configs]
     bank = ControllerBank(banked)
     for cycle in range(cycles):
@@ -128,17 +138,16 @@ def _assert_full_state_equal(serial, banked, tag):
     ], f"{tag}: pipeline"
 
 
-def _run_blocks(configs, seen, observed=None, actuations=None):
-    """Drive serial lanes and a bank over per-lane ``seen`` streams.
+def _run_blocks(configs, seen, observed=None):
+    """Drive scalar lanes and a bank over per-lane ``seen`` streams.
 
     ``seen`` is (lanes, cycles, num_sms); ``observed`` (lanes, cycles)
     bool skips a lane's observe on False cycles.  State is compared
     after every cycle; each lane's history of (active issue widths,
     safe-state flag) is returned alongside the lanes and the bank.
     """
-    actuations = actuations or [None] * len(configs)
-    serial = [_make_lane(c, a) for c, a in zip(configs, actuations)]
-    banked = [_make_lane(c, a) for c, a in zip(configs, actuations)]
+    serial = [_make_lane(c, cls=ScalarController) for c in configs]
+    banked = [_make_lane(c) for c in configs]
     bank = ControllerBank(banked)
     history = [[] for _ in configs]
     for cycle in range(seen.shape[1]):
@@ -223,34 +232,6 @@ class TestFaultedLanes:
         assert serial[0].safe_state_decisions > 0
         assert serial[1].watchdog_engagements == 0
 
-    def test_subclassed_actuation_lane(self):
-        configs = [ControllerConfig(), ControllerConfig(),
-                   ControllerConfig(sensor_fallback_enabled=False)]
-        actuations = [None, _GentleActuation(), _GentleActuation(w3=1.0)]
-        seen = _faulty_streams(len(configs), 300, seed=5)
-        seen[1] = seen[0]  # stock vs subclass on the same stream
-        observed = np.ones((len(configs), 300), dtype=bool)
-        observed[2, 100:103] = False
-        serial, bank, history = _run_blocks(
-            configs, seen, observed, actuations
-        )
-        assert bank._stock is not None
-        assert serial[1].triggers > 0
-        # The override really changed the command math.
-        assert [w for w, _ in history[1]] != [w for w, _ in history[0]]
-
-
-class _GentleActuation(WeightedActuation):
-    """Throttles half as hard as the stock law (overrides ``commands``)."""
-
-    def commands(self, error_v, k1, k2, k3):
-        stock = super().commands(error_v, k1, k2, k3)
-        return ActuationCommand(
-            issue_width=(stock.issue_width + self.issue_width_max) / 2,
-            fake_rate=stock.fake_rate,
-            dcc_code=stock.dcc_code,
-        )
-
 
 class TestIdleWaveShortcut:
     """Quiet stretches re-enqueue the previous decision object."""
@@ -272,7 +253,7 @@ class TestIdleWaveShortcut:
 
     def test_idle_then_droop_recovers_full_wave(self):
         config = ControllerConfig()
-        serial = _make_lane(config)
+        serial = _make_lane(config, cls=ScalarController)
         banked = _make_lane(config)
         bank = ControllerBank([banked])
         for cycle in range(300):
@@ -287,6 +268,22 @@ class TestIdleWaveShortcut:
         _assert_lane_states_equal(serial, banked)
 
 
+class _GentleActuation(WeightedActuation):
+    """Throttles half as hard as the stock law (overrides ``commands``)."""
+
+    def commands(self, error_v, k1, k2, k3):
+        stock = super().commands(error_v, k1, k2, k3)
+        return ActuationCommand(
+            issue_width=(stock.issue_width + self.issue_width_max) / 2,
+            fake_rate=stock.fake_rate,
+            dcc_code=stock.dcc_code,
+        )
+
+
+class _CoarseDAC(CurrentCompensationDAC):
+    """A DAC subclass: the bank could not see an override here either."""
+
+
 class TestBankValidation:
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -295,3 +292,144 @@ class TestBankValidation:
     def test_non_controller_lane_rejected(self):
         with pytest.raises(TypeError, match="VoltageSmoothingController"):
             ControllerBank([object()])
+
+    def test_same_controller_twice_rejected(self):
+        lane = _make_lane(ControllerConfig())
+        with pytest.raises(ValueError, match="only one lane"):
+            ControllerBank([lane, _make_lane(ControllerConfig()), lane])
+
+    def test_subclassed_actuation_rejected(self):
+        """The bank's law is the stock actuation's command math, so an
+        actuation or DAC subclass (which may override it) is refused
+        when the lane is built, not silently run on the stock law."""
+        with pytest.raises(TypeError, match="_GentleActuation"):
+            _make_lane(ControllerConfig(), _GentleActuation())
+        with pytest.raises(TypeError, match="_CoarseDAC"):
+            _make_lane(
+                ControllerConfig(), WeightedActuation(dac=_CoarseDAC())
+            )
+
+
+class TestLaneOwnership:
+    """``VoltageSmoothingController.observe`` is the one-lane bank."""
+
+    def test_observe_builds_and_reuses_a_one_lane_bank(self):
+        lane = _make_lane(ControllerConfig())
+        lane.observe(0, np.ones(NUM_SMS))
+        bank = lane._bank
+        assert bank.controllers == [lane]
+        lane.observe(1, np.ones(NUM_SMS))
+        assert lane._bank is bank
+
+    def test_observe_on_a_multi_lane_bank_lane_raises(self):
+        lanes = [_make_lane(ControllerConfig()) for _ in range(2)]
+        bank = ControllerBank(lanes)
+        bank.observe(0, np.ones((2, NUM_SMS)))
+        with pytest.raises(RuntimeError, match="2 lanes"):
+            lanes[1].observe(1, np.ones(NUM_SMS))
+        # The refused call changed nothing the bank keeps in step.
+        assert lanes[1].decisions_made == lanes[0].decisions_made == 1
+
+    def test_a_compacted_one_lane_bank_hands_observe_back(self):
+        lanes = [_make_lane(ControllerConfig()) for _ in range(2)]
+        ControllerBank(lanes).compact([1])
+        lanes[1].observe(0, np.ones(NUM_SMS))
+        assert lanes[1].decisions_made == 1
+
+
+# Random lanes for the equivalence property: any gains and slews (the
+# stability gate is off — the property is arithmetic identity, not
+# stability), either fallback setting, the watchdog on or off.
+lane_configs = st.builds(
+    ControllerConfig,
+    v_threshold=st.floats(0.85, 0.99),
+    v_high_threshold=st.floats(1.0, 1.2),
+    k1=st.floats(0.0, 20.0),
+    k2=st.floats(0.0, 20.0),
+    k3=st.floats(0.0, 40.0),
+    control_period_cycles=st.integers(1, 6),
+    latency_cycles=st.integers(1, 30),
+    slew_issue=st.floats(0.01, 2.0),
+    slew_fake=st.floats(0.01, 2.0),
+    slew_dcc_w=st.floats(0.05, 2.0),
+    sensor_fallback_enabled=st.booleans(),
+    fallback_widen_v=st.floats(0.0, 0.1),
+    guardband_v=st.floats(0.6, 0.95),
+    detector=st.sampled_from(sorted(DETECTOR_OPTIONS.values(),
+                                    key=lambda d: d.name)),
+    watchdog_enabled=st.booleans(),
+    watchdog_patience=st.integers(1, 4),
+    safe_state_release_decisions=st.integers(1, 10),
+    allow_unstable=st.just(True),
+)
+weights = st.tuples(
+    st.floats(0.1, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def voltage_streams(draw, cycles=160):
+    """Noise plus random droop / overshoot ramps and NaN holes.
+
+    Ramps sweep the filtered measurement through every quantization
+    level between nominal and their depth, so trigger, guardband and
+    DAC-code boundaries are crossed, not jumped over.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = draw(st.sampled_from([0.0, 0.004, 0.02]))
+    v = 1.0 + sigma * rng.standard_normal((cycles, NUM_SMS))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, cycles - 1))
+        length = min(draw(st.integers(1, 80)), cycles - start)
+        sms = draw(st.lists(st.integers(0, NUM_SMS - 1), min_size=1,
+                            max_size=NUM_SMS, unique=True))
+        depth = draw(st.floats(-0.35, 0.3))
+        ramp = np.linspace(0.0, depth, length)[:, None]
+        v[start:start + length, sms] += ramp
+    holes = rng.random(v.shape) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    v[holes] = np.nan
+    return v
+
+
+def _sweep_stream(cycles=160):
+    """SMs 8-15 ramp up to 1.3 V over the first half, SMs 0-7 down to
+    0.6 V over the whole stream (the guardband falls in the second
+    half): every quantization level on the way crosses the thresholds
+    (plain and fallback-widened: every fifth cycle drops the even SMs),
+    the DAC's code boundaries and the guardband at some decision."""
+    v = np.ones((cycles, NUM_SMS))
+    v[:, :8] = np.linspace(1.0, 0.6, cycles)[:, None]
+    v[:, 8:] = 1.3
+    v[:cycles // 2, 8:] = np.linspace(1.0, 1.3, cycles // 2)[:, None]
+    v[3::5, ::2] = np.nan
+    return v
+
+
+class TestScalarEquivalenceProperty:
+    @given(config=lane_configs, w=weights, stream=voltage_streams())
+    @example(
+        config=ControllerConfig(
+            control_period_cycles=1, latency_cycles=5, k3=10.0,
+            slew_dcc_w=2.0, guardband_v=0.8, watchdog_enabled=True,
+            watchdog_patience=3, safe_state_release_decisions=5,
+            detector=DETECTOR_OPTIONS["adc"], allow_unstable=True,
+        ),
+        w=(1.0, 0.5, 1.0),
+        stream=_sweep_stream(),
+    )
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_observe_matches_the_scalar_oracle(self, config, w, stream):
+        """After every observe + commands_for, the one-lane bank behind
+        ``VoltageSmoothingController.observe`` leaves the lane byte-equal
+        to ``ScalarController``."""
+        actuation = WeightedActuation(w1=w[0], w2=w[1], w3=w[2])
+        ref = _make_lane(config, actuation, cls=ScalarController)
+        lane = _make_lane(config, actuation)
+        for cycle, row in enumerate(stream):
+            ref.observe(cycle, row)
+            lane.observe(cycle, row)
+            assert _decision_bytes(ref.commands_for(cycle)) == (
+                _decision_bytes(lane.commands_for(cycle))
+            ), f"cycle {cycle}: active decision"
+            _assert_full_state_equal(ref, lane, f"cycle {cycle}")

@@ -4,12 +4,15 @@
 This module keeps the one-scenario loop that loop replaced: a scalar
 ``observe`` + ``commands_for`` each cycle, ``SolverGuard`` over the
 NumPy ``TransientSolver.step_n``, and both GPU setters every cycle.
-It shares nothing with the batched loop beyond the per-object models
-(GPU, netlist, controller, fault injector), so the equivalence suites
-compare ``run_cosim`` and ``run_cosim_batch`` against it byte for byte.
+Stock controller lanes run the per-SM scalar Algorithm 1
+(:class:`tests.oracles.scalar_controller.ScalarController`), not the
+library's controller bank.  It shares nothing with the batched loop
+beyond the per-object models (GPU, netlist, fault injector), so the
+equivalence suites compare ``run_cosim`` and ``run_cosim_batch``
+against it byte for byte.
 
-The body below is the former shipped loop verbatim; only its name
-changed.
+The body below is the former shipped loop verbatim; only its name and
+its stock controller's class changed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 
 from repro.circuits import NumericalDivergence, SolverGuard, TransientSolver
 from repro.config import SystemConfig
-from repro.core.controller import VoltageSmoothingController
 from repro.faults import chaos
 from repro.gpu.gpu import GPU
 from repro.gpu.kernels import KernelSpec
@@ -30,6 +32,7 @@ from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
 from repro.sim.cosim import CosimConfig, CosimResult, _record_cosim_telemetry
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.traces import PowerTrace
+from tests.oracles.scalar_controller import ScalarController
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.telemetry import Telemetry
@@ -120,7 +123,7 @@ def run_cosim_reference(
         if config.controller_object is not None:
             controller = config.controller_object
         else:
-            controller = VoltageSmoothingController(
+            controller = ScalarController(
                 stack=stack,
                 config=config.controller,
                 actuation=config.actuation,

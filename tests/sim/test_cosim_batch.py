@@ -17,13 +17,19 @@ i of a batch equals the same lane run alone (``run_cosim``, the loop at
 B=1) and the oracle, byte for byte.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import pde_loss_ledger
 from repro.core.actuators import WeightedActuation
-from repro.core.controller import ControlDecision, ControllerConfig
+from repro.core.controller import (
+    ControlDecision,
+    ControllerConfig,
+    VoltageSmoothingController,
+)
 from repro.core.prior_art import GlobalThrottleController
 from repro.faults.events import ActuatorStuck, FaultSchedule
 from repro.faults.scenarios import CANNED_SCENARIOS
@@ -100,6 +106,28 @@ class TestBatchValidation:
             CosimLane(benchmark="hotspot", config=CosimConfig(**odd)),
         ]
         with pytest.raises(ValueError, match=field):
+            run_cosim_batch(lanes)
+
+    @pytest.mark.parametrize("make", [
+        lambda: GlobalThrottleController(v_threshold=0.95),
+        lambda: VoltageSmoothingController(
+            config=ControllerConfig(v_threshold=0.99, k1=2)
+        ),
+    ], ids=["duck_typed", "stock"])
+    def test_shared_controller_object_rejected(self, make):
+        """``dataclasses.replace(config, seed=s)`` hands every lane the
+        same controller object; two lanes stepping one object would
+        corrupt each other's state and counters."""
+        shared = CosimConfig(cycles=CYCLES, warmup_cycles=WARMUP,
+                             controller_object=make())
+        lanes = [
+            CosimLane(benchmark="hotspot", config=replace(shared, seed=s))
+            for s in (3, 4, 5)
+        ]
+        lanes[1] = CosimLane(benchmark="hotspot", config=replace(
+            shared, seed=4, controller_object=make()
+        ))
+        with pytest.raises(ValueError, match="lanes 0 and 2 share"):
             run_cosim_batch(lanes)
 
 

@@ -1,97 +1,68 @@
-"""Tests for the trace-driven fast PDN simulation."""
+"""Tests for the open-loop current-pattern PDN simulation."""
 
 import numpy as np
 import pytest
 
 from repro.config import StackConfig
-from repro.sim.trace_cosim import (
-    apply_actuation_replay,
-    replay_trace,
-)
-from repro.workloads.traces import PowerTrace
+from repro.pdn.parameters import DEFAULT_PDN
+from repro.sim.trace_cosim import run_current_pattern
+from repro.workloads.synthetic import layer_shutoff_currents
 
 
-def balanced_trace(cycles=200, watts=4.0):
-    return PowerTrace(np.full((cycles, 16), watts), name="flat")
+def flat_pattern(amps=3.0):
+    return lambda t: np.full(16, amps)
 
 
-def imbalanced_trace(cycles=400):
-    data = np.full((cycles, 16), 4.0)
-    data[cycles // 2 :, 12:] = 1.2  # top layer drops mid-trace
-    return PowerTrace(data, name="imbalanced")
+def shutoff_run(area_mm2):
+    """The top layer drops to leakage: the worst stack imbalance."""
+    return run_current_pattern(
+        layer_shutoff_currents(0.2e-6), 0.6e-6, cr_ivr_area_mm2=area_mm2
+    )
 
 
 class TestReplay:
     def test_balanced_trace_stays_near_nominal(self):
-        result = replay_trace(balanced_trace(), cr_ivr_area_mm2=105.8)
-        assert result.sm_voltages.shape == (200, 16)
-        assert abs(np.median(result.sm_voltages) - 1.025) < 0.03
-        assert result.noise_std() < 0.02
+        result = run_current_pattern(flat_pattern(), 0.3e-6)
+        assert result.sm_voltages.shape == (420, 16)
+        assert np.median(result.sm_voltages) == pytest.approx(1.022, abs=0.005)
+        assert np.ptp(result.sm_voltages) < 1e-9
 
     def test_imbalance_droops_without_cr_ivr(self):
-        result = replay_trace(imbalanced_trace(), cr_ivr_area_mm2=0.0)
-        assert result.min_voltage < 0.8
+        assert shutoff_run(0.0).min_voltage < 0.2
 
     def test_cr_ivr_improves_imbalanced_replay(self):
-        bare = replay_trace(imbalanced_trace(), cr_ivr_area_mm2=0.0)
-        regulated = replay_trace(imbalanced_trace(), cr_ivr_area_mm2=900.0)
-        assert regulated.min_voltage > bare.min_voltage + 0.1
+        bare = shutoff_run(0.0)
+        regulated = shutoff_run(900.0)
+        assert regulated.min_voltage > 0.75
+        assert regulated.min_voltage > bare.min_voltage + 0.5
 
     def test_supply_current_tracks_load(self):
-        result = replay_trace(balanced_trace(watts=4.0))
-        expected = 4.0 * 16 / 4.1
-        assert result.supply_current.mean() == pytest.approx(expected, rel=0.2)
+        """The series stack draws one column current per column: each
+        SM's source current plus its conductance's, not their sum over
+        the layers."""
+        result = run_current_pattern(flat_pattern(3.0), 0.3e-6)
+        v_sm = float(np.median(result.sm_voltages))
+        columns = StackConfig().num_columns
+        expected = columns * (3.0 + DEFAULT_PDN.sm_conductance * v_sm)
+        assert result.supply_current.mean() == pytest.approx(expected, rel=1e-6)
 
     def test_validates_stack_match(self):
-        trace = PowerTrace(np.ones((10, 16)))
         with pytest.raises(ValueError, match="SMs"):
-            replay_trace(
-                trace, stack=StackConfig(num_layers=2, num_columns=2)
+            run_current_pattern(
+                flat_pattern(), 0.1e-6,
+                stack=StackConfig(num_layers=2, num_columns=2),
             )
 
-    def test_validates_substeps(self):
-        with pytest.raises(ValueError, match="substep"):
-            replay_trace(balanced_trace(), circuit_substeps=0)
-
-
-class TestActuationReplay:
-    def test_identity_when_no_actuation(self):
-        trace = balanced_trace()
-        out = apply_actuation_replay(trace, issue_scale=1.0, fake_power_w=0.0)
-        assert np.allclose(out.data, trace.data)
-
-    def test_fake_power_added_uniformly(self):
-        trace = balanced_trace()
-        out = apply_actuation_replay(trace, fake_power_w=0.5)
-        assert np.allclose(out.data, trace.data + 0.5)
-
-    def test_diws_preserves_total_energy_when_deferrable(self):
-        # A trace with headroom: shaved energy is re-released, so total
-        # energy is (nearly) conserved.
-        rng = np.random.default_rng(5)
-        data = 1.2 + rng.uniform(0.0, 3.0, (500, 16))
-        trace = PowerTrace(data, name="bursty")
-        out = apply_actuation_replay(trace, issue_scale=0.8)
-        assert out.data.sum() == pytest.approx(trace.data.sum(), rel=0.05)
-
-    def test_diws_caps_peak_dynamic_power(self):
-        trace = balanced_trace(watts=6.0)
-        out = apply_actuation_replay(trace, issue_scale=0.5)
-        leakage = 1.2
-        peak_dynamic_before = trace.data.max() - leakage
-        assert out.data.max() - leakage <= peak_dynamic_before * 0.5 + 1e-9
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            apply_actuation_replay(balanced_trace(), issue_scale=0.0)
-        with pytest.raises(ValueError):
-            apply_actuation_replay(balanced_trace(), fake_power_w=-1.0)
+    def test_validates_duration(self):
+        with pytest.raises(ValueError, match="duration"):
+            run_current_pattern(flat_pattern(), 0.0)
 
 
 class TestConsistencyWithClosedLoop:
     def test_replay_matches_cosim_noise_scale(self):
-        """Open-loop replay of a cosim's own trace lands in the same
-        noise regime (the trace-driven methodology sanity check)."""
+        """Re-driving a cosim's own per-SM currents open loop lands in
+        the same noise regime (the open-loop methodology sanity
+        check)."""
         from repro.sim.cosim import CosimConfig, run_cosim
 
         closed = run_cosim(
@@ -99,7 +70,17 @@ class TestConsistencyWithClosedLoop:
             CosimConfig(cycles=800, warmup_cycles=200, seed=5,
                         use_controller=False),
         )
-        replay = replay_trace(closed.power_trace, cr_ivr_area_mm2=105.8)
+        stack = StackConfig()
+        bias = DEFAULT_PDN.sm_conductance * stack.sm_voltage
+        currents = np.maximum(
+            closed.power_trace.data / stack.sm_voltage - bias, 0.0
+        )
+        f = closed.power_trace.frequency_hz
+        n = len(currents)
+        replay = run_current_pattern(
+            lambda t: currents[min(int(t * f), n - 1)], n / f,
+            cr_ivr_area_mm2=105.8,
+        )
         closed_std = float(closed.sm_voltages.std())
-        replay_std = replay.noise_std()
-        assert replay_std == pytest.approx(closed_std, rel=0.5)
+        replay_std = float(replay.sm_voltages.std())
+        assert replay_std == pytest.approx(closed_std, rel=0.1)

@@ -101,7 +101,8 @@ class TestOnsetDetection:
 
 
 class TestObserveBlock:
-    """``observe_block`` leaves a recorder exactly as per-cycle ``observe``."""
+    """A block handed to ``observe_runs`` with one run per row leaves a
+    recorder exactly as per-cycle ``observe``."""
 
     @pytest.mark.parametrize("block", [1, 3, 8, 13, 64, 500])
     def test_matches_per_cycle_observe(self, block):
@@ -131,8 +132,9 @@ class TestObserveBlock:
             ref.observe(volts[c], *meta[c])
         rec = FlightRecorder(**geometry)
         for start in range(0, n, block):
-            rec.observe_block(
-                volts[start:start + block], meta[start:start + block]
+            rec.observe_runs(
+                volts[start:start + block],
+                [(1, row) for row in meta[start:start + block]],
             )
         ref.finalize()
         rec.finalize()

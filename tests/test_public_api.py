@@ -43,8 +43,8 @@ class TestSubpackageSurfaces:
     def test_sim_exports(self):
         from repro.sim import (
             PDS_CONFIGS,
-            replay_trace,
             run_cosim,
+            run_current_pattern,
             run_dfs_experiment,
         )
 
