@@ -58,10 +58,11 @@ LANE_BENCHMARKS = (
     "hotspot", "backprop", "bfs", "srad",
     "pathfinder", "heartwall", "hotspot", "bfs",
 )
-# Faulted lanes ride the banked controller (injector hooks feed its
-# seen/observed inputs) and the fused GPU step (halted SMs included);
-# the oracle pays a scalar controller and per-cycle setters per lane.
-FAULTED_SPEEDUP_FLOOR = 2.5
+# Faulted lanes stay on the cycle kernel: process variation and the
+# masked sensor filter run in it, the circuit, DFS and halt hooks only
+# on their edge cycles, and halted lanes apply actuation on pops; the
+# oracle pays a scalar controller, every hook and setter per cycle.
+FAULTED_SPEEDUP_FLOOR = 3.5
 FAULTED_SEED = 1
 
 

@@ -742,7 +742,9 @@ class ControllerBank:
         measurement updates where they do, and a dropped sample either
         holds its last good value (fallback on, thresholds widened) or
         reads NaN.  Unobserved rows change nowhere.  Returns the
-        measurement block and whether it holds any NaN.
+        measurement block and whether it holds any NaN.  The co-sim's
+        cycle kernel (``repro/sim/_cyclec.c``) repeats this arithmetic
+        element for element; this body is its oracle.
         """
         state = self._state
         if observed is None:
@@ -768,16 +770,33 @@ class ControllerBank:
             if blind.any():
                 measured[blind] = np.nan
                 has_nan = True
-        counts = dropped.sum(axis=1).tolist()
+        self._count_dropped(dropped.sum(axis=1))
+        self._any_fallback = bool(self._fallback.any())
+        return measured, has_nan
+
+    def _count_dropped(self, counts: np.ndarray) -> None:
+        """Credit per-lane dropped-sample counts to the lanes' stats."""
         fb_on = self._fb_on
-        for i, count in enumerate(counts):
+        for i, count in enumerate(counts.tolist()):
             if count:
                 c = self.controllers[i]
                 c.nan_samples_seen += count
                 if fb_on[i, 0]:
                     c.sensor_fallback_samples += count
-        self._any_fallback = bool(self._fallback.any())
-        return measured, has_nan
+
+    def observe_measured(
+        self,
+        cycle: int,
+        measured: np.ndarray,
+        observed: Optional[np.ndarray],
+        has_nan: bool,
+        any_fallback: bool,
+    ) -> None:
+        """The rest of a masked :meth:`observe`, for a caller that ran
+        :meth:`_advance_masked`'s arithmetic (the co-sim's cycle kernel
+        does) and passes what it leaves; runs a due decision wave."""
+        self._any_fallback = any_fallback
+        self._decide_due(cycle, measured, observed, has_nan)
 
     # ------------------------------------------------------------------
     def _wave(

@@ -50,9 +50,15 @@ class FaultInjector:
     """Applies a :class:`FaultSchedule` to one co-simulation's objects.
 
     Built once per run from the schedule plus handles to the live PDN
-    and solver; ``run_cosim`` calls the per-cycle hooks with *recorded*
-    cycle numbers (0 = end of warmup).  All hooks are cheap no-ops when
-    no event of their category is scheduled.
+    and solver; the co-sim loop calls the hooks with *recorded* cycle
+    numbers (0 = end of warmup).  All hooks are cheap no-ops when no
+    event of their category is scheduled.
+
+    Event windows are fixed, so the deterministic hooks (circuit,
+    power scales, frequency scales, halted SMs) can change their result
+    only on the first cycle and on :meth:`edge_cycles`, where the loop
+    calls them alone; the random draws happen only while an event of
+    their kind is active (:meth:`sensing`).
     """
 
     def __init__(
@@ -195,6 +201,9 @@ class FaultInjector:
             "halted_sm_cycles": 0,
             "latency_jitter_cycles": 0,
         }
+        # The last halted set's size, credited through _halted_through.
+        self._halted_count = 0
+        self._halted_through = 0
 
         # Active-kind signature cache for the flight recorder: event
         # windows are fixed, so the kinds tuple only changes at edges.
@@ -216,6 +225,20 @@ class FaultInjector:
                 e.kind for e, on in zip(self.schedule.events, sig) if on
             )
         return self._kinds_active
+
+    def edge_cycles(self) -> List[int]:
+        """Recorded cycles at which an event window opens or closes."""
+        return sorted({
+            c for e in self.schedule.events
+            for c in (e.start_cycle, e.end_cycle)
+        })
+
+    def sensing(self, cycle: int) -> Tuple[bool, bool]:
+        """Whether sensor-corruption / loop-jitter events are active."""
+        return (
+            any(e.active(cycle) for e in self._sensor_events),
+            any(e.active(cycle) for e in self._jitter_events),
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -265,11 +288,17 @@ class FaultInjector:
         self.counters["refactorizations"] += 1
         return True
 
+    def power_scales(self, cycle: int) -> List[np.ndarray]:
+        """The active process-variation factor rows, in schedule order."""
+        return [
+            scales for event, scales in zip(self._pv_events, self._pv_scales)
+            if event.active(cycle)
+        ]
+
     def scale_powers(self, cycle: int, powers: np.ndarray) -> np.ndarray:
         """Apply active process-variation scaling (in place)."""
-        for event, scales in zip(self._pv_events, self._pv_scales):
-            if event.active(cycle):
-                powers *= scales
+        for scales in self.power_scales(cycle):
+            powers *= scales
         return powers
 
     # ------------------------------------------------------------------
@@ -364,7 +393,12 @@ class FaultInjector:
     # System layer
     # ------------------------------------------------------------------
     def halted_sms(self, cycle: int) -> Set[int]:
-        """SMs forced idle this cycle (layer shutoff + power gating)."""
+        """SMs forced idle this cycle (layer shutoff + power gating).
+
+        ``halted_sm_cycles`` credits each set for the span it stays in
+        force, through the next call or :meth:`credit_halted`.
+        """
+        self.credit_halted(cycle - 1)
         halted: Set[int] = set()
         for event in self._halt_events:
             if not event.active(cycle):
@@ -373,9 +407,16 @@ class FaultInjector:
                 halted.update(self.stack.sms_in_layer(event.layer))
             else:
                 halted.update(event.sms)
-        if halted:
-            self.counters["halted_sm_cycles"] += len(halted)
+        self._halted_count = len(halted)
+        self.credit_halted(cycle)
         return halted
+
+    def credit_halted(self, through: int) -> None:
+        """Credit the last halted set through recorded cycle ``through``."""
+        self.counters["halted_sm_cycles"] += self._halted_count * (
+            through - self._halted_through
+        )
+        self._halted_through = through
 
     def frequency_scales(self, cycle: int) -> Optional[np.ndarray]:
         """Per-SM frequency scales, or None when unchanged since last call."""
@@ -395,10 +436,6 @@ class FaultInjector:
     @property
     def touches_circuit(self) -> bool:
         return bool(self._netlist_events or self._pv_events)
-
-    @property
-    def touches_sensors(self) -> bool:
-        return bool(self._sensor_events)
 
     @property
     def touches_actuation(self) -> bool:

@@ -6,10 +6,10 @@
  * of its own: it calls the GPU engine's engine_step_batch
  * (repro/gpu/_enginec.c) and the PDN solver's solver_step_n[_checked]
  * (repro/circuits/_solverc.c), linked into the same library, and glues
- * them with the loop's array work — currents, SM-voltage readout, the
- * controller bank's RC filter and quantizer, and the recording row —
- * that the loop would otherwise dispatch as ~25 small NumPy calls per
- * cycle.
+ * them with the loop's array work — process-variation scaling,
+ * currents, SM-voltage readout, the controller bank's RC filter and
+ * quantizer, and the recording row — that the loop would otherwise
+ * dispatch as ~25 small NumPy calls per cycle.
  *
  * The contract is bit-identical equivalence with the loop's NumPy
  * body (the phased path, which runs without the native library):
@@ -25,19 +25,25 @@
  *
  * Stages (a call runs stages first..last):
  *
- *   0  GPU: launch barrier census, then one engine_step_batch;
+ *   0  GPU: launch barrier census, then one engine_step_batch, then
+ *      each lane's active process-variation rows (FaultInjector.
+ *      scale_powers);
  *   1  solve: powers + applied DCC -> PDN currents, then the guarded
  *      substeps (snapshot + health proof) on the shared batch clock;
- *   2  tail: SM-voltage readout, the bank's all-finite RC filter and
- *      quantizer, and the recording row (in warmup, the flight
- *      recorders' voltage row when they ride along).
+ *   2  readout: SM voltages; a call that stops here also copies the
+ *      bank lanes' rows into the seen block, for the caller to corrupt;
+ *   3  filter: the bank's RC filter and quantizer (reading the seen
+ *      block when the call starts here, the SM voltages otherwise),
+ *      then the recording row (in warmup, the flight recorders'
+ *      voltage row when they ride along).
  *
- * Returns 0 when every requested stage ran, CYC_NONFINITE (stage 2 ran
- * but left the filter to the caller: a seen sample is non-finite),
+ * Returns 0 when every requested stage ran, CYC_MASKED (stage 3 ran
+ * the masked filter: a seen sample was non-finite or a row unobserved;
+ * measurement block in `measured`, flags in has_nan / any_fallback),
  * CYC_RELAUNCH (stage 0 flagged lanes for a kernel launch; nothing
  * ran), CYC_SUSPECT (stage 1 ran and the health proof flagged lanes;
- * stage 2 did not run), or a negative error code with the offending
- * lane in err_lane.
+ * later stages did not run), or a negative error code with the
+ * offending lane in err_lane.
  */
 
 #include <math.h>
@@ -48,7 +54,7 @@
 typedef int64_t i64;
 typedef uint8_t u8;
 
-#define CYC_NONFINITE 1
+#define CYC_MASKED 1
 #define CYC_RELAUNCH 2
 #define CYC_SUSPECT 3
 #define CYC_GPU_ERROR (-1)
@@ -73,6 +79,9 @@ typedef struct {
     void *exempt;        /* u8[B*S] */
     void *relaunch;      /* u8[B] */
     void *powers;        /* double[B*S] */
+    i64 pv_k;            /* process-variation rows per lane, 0: none */
+    void *pv_rows;       /* double[B*pv_k*S] */
+    void *pv_count;      /* i64[B] active rows of each lane */
     /* stage 1: currents and the solve */
     double sm_voltage;
     double conductance_bias;
@@ -91,14 +100,22 @@ typedef struct {
     void *top_idx; /* i64[S] */
     void *bot_idx; /* i64[S], -1 for a grounded bottom terminal */
     void *volts;   /* double[B*S] */
-    /* stage 2: the controller bank's filter (bank_lanes 0: none) */
+    /* stage 3: the controller bank's filter (bank_lanes 0: none) */
     i64 bank_lanes;
     void *bank_rows;    /* i64[bank_lanes] batch row of each bank row */
     void *filter_state; /* double[bank_lanes*S] */
     void *last_good;    /* double[bank_lanes*S] */
     void *alpha;        /* double[bank_lanes] */
     void *step_v;       /* double[bank_lanes] */
-    /* stage 2: the recording row */
+    void *seen;         /* double[bank_lanes*S] what the detectors see */
+    void *observed;     /* u8[bank_lanes] */
+    void *fb_on;        /* u8[bank_lanes] sensor fallback enabled */
+    void *fallback;     /* u8[bank_lanes*S] fallback-held flags */
+    void *measured;     /* double[bank_lanes*S] masked measurement block */
+    void *dropped;      /* i64[bank_lanes] dropped samples, accumulated */
+    i64 has_nan;
+    i64 any_fallback;
+    /* stage 3: the recording row */
     i64 warmup;
     i64 cycles;     /* recorded window length */
     void *lane_index; /* i64[B] recording row of each batch row */
@@ -160,6 +177,17 @@ static i64 stage_gpu(CycleState *cs) {
         cs->err_lane = -rc - 1;
         return CYC_GPU_ERROR;
     }
+    /* powers *= scales, per active row in schedule order. */
+    const i64 S = cs->num_sms, K = cs->pv_k;
+    const i64 *count = (const i64 *)cs->pv_count;
+    double *powers = (double *)cs->powers;
+    for (i64 b = 0; b < (K ? cs->n_lanes : 0); b++)
+        for (i64 k = 0; k < count[b]; k++) {
+            const double *r = (const double *)cs->pv_rows + (b * K + k) * S;
+            double *p = powers + b * S;
+            for (i64 s = 0; s < S; s++)
+                p[s] = p[s] * r[s];
+        }
     return 0;
 }
 
@@ -196,7 +224,7 @@ static i64 stage_solve(CycleState *cs) {
     return rc > 0 ? CYC_SUSPECT : 0;
 }
 
-static void stage_readout(CycleState *cs) {
+static void stage_readout(CycleState *cs, int to_seen) {
     /* V_sm = V(top) - V(bottom), a grounded bottom reading 0.0. */
     const i64 S = cs->num_sms;
     const double *sol = (const double *)cs->sol;
@@ -209,39 +237,63 @@ static void stage_readout(CycleState *cs) {
         for (i64 s = 0; s < S; s++)
             v[s] = node[top[s]] - (bot[s] < 0 ? 0.0 : node[bot[s]]);
     }
+    /* The bank lanes' rows, for the caller to corrupt. */
+    const i64 *rows = (const i64 *)cs->bank_rows;
+    for (i64 j = 0; j < (to_seen ? cs->bank_lanes : 0); j++)
+        memcpy((double *)cs->seen + j * S, volts + rows[j] * S,
+               (size_t)S * sizeof(double));
 }
 
-/* The bank's RC filter and quantizer, only on an all-finite block
- * (anything else takes the bank's masked NumPy advance). */
-static i64 stage_filter(CycleState *cs) {
-    const i64 S = cs->num_sms, BB = cs->bank_lanes;
+/* The bank's RC filter and quantizer: ControllerBank._advance_masked,
+ * element for element.  Only fresh (finite, observed) samples enter the
+ * filter; a dropped sample holds its last good value (fallback on) or
+ * reads NaN; an unobserved row changes nowhere.  An all-fresh block is
+ * ControllerBank.observe's plain advance (its measurement is last_good). */
+static i64 stage_filter(CycleState *cs, int from_seen) {
+    const i64 S = cs->num_sms;
     const i64 *rows = (const i64 *)cs->bank_rows;
-    const double *volts = (const double *)cs->volts;
-    for (i64 j = 0; j < BB; j++) {
-        const double *seen = volts + rows[j] * S;
-        for (i64 s = 0; s < S; s++)
-            if (!isfinite(seen[s]))
-                return CYC_NONFINITE;
-    }
-    double *state = (double *)cs->filter_state;
-    double *good = (double *)cs->last_good;
-    const double *alpha = (const double *)cs->alpha;
-    const double *step = (const double *)cs->step_v;
-    for (i64 j = 0; j < BB; j++) {
-        const double *seen = volts + rows[j] * S;
-        double *st = state + j * S;
-        double *m = good + j * S;
-        const double a = alpha[j], q = step[j];
+    const u8 *observed = (const u8 *)cs->observed;
+    const u8 *fb_on = (const u8 *)cs->fb_on;
+    int masked = 0, has_nan = 0, any_fb = 0;
+    for (i64 j = 0; j < cs->bank_lanes; j++) {
+        const double *seen = from_seen
+                                 ? (const double *)cs->seen + j * S
+                                 : (const double *)cs->volts + rows[j] * S;
+        double *st = (double *)cs->filter_state + j * S;
+        double *m = (double *)cs->last_good + j * S;
+        double *out = (double *)cs->measured + j * S;
+        u8 *f = (u8 *)cs->fallback + j * S;
+        const double a = ((const double *)cs->alpha)[j];
+        const double q = ((const double *)cs->step_v)[j];
+        const int obs = !from_seen || observed[j];
+        i64 drops = 0;
         for (i64 s = 0; s < S; s++) {
-            double d = seen[s] - st[s];
-            d = d * a;
-            st[s] = st[s] + d;
+            const int fresh = obs && isfinite(seen[s]);
+            if (fresh) {
+                double d = seen[s] - st[s];
+                d = d * a;
+                st[s] = st[s] + d;
+            }
             double v = st[s] / q;
             v = rint(v);
-            m[s] = v * q;
+            v = v * q;
+            if (fresh) {
+                m[s] = v;
+                f[s] = 0;
+            } else if (obs) {
+                drops++;
+                f[s] = fb_on[j];
+                has_nan |= !fb_on[j];
+            }
+            out[s] = fresh || !obs ? v : fb_on[j] ? m[s] : NAN;
+            any_fb |= f[s];
         }
+        ((i64 *)cs->dropped)[j] += drops;
+        masked |= !obs || drops;
     }
-    return 0;
+    cs->has_nan = has_nan;
+    cs->any_fallback = any_fb;
+    return masked ? CYC_MASKED : 0;
 }
 
 static void stage_record(CycleState *cs, i64 cycle) {
@@ -307,15 +359,14 @@ i64 cosim_cycle(CycleState *cs, i64 cycle, i64 first, i64 last) {
             return rc;
         }
     }
-    if (last < 2) {
-        lap(cs, &t0, 1);
-        return 0;
-    }
-    stage_readout(cs);
+    if (first <= 2 && last >= 2)
+        stage_readout(cs, last == 2);
     lap(cs, &t0, 1);
+    if (last < 3)
+        return 0;
     i64 status = 0;
     if (cs->bank_lanes) {
-        status = stage_filter(cs);
+        status = stage_filter(cs, first == 3);
         lap(cs, &t0, 2);
     }
     if (cycle >= cs->warmup)

@@ -1,12 +1,14 @@
 """The co-sim cycle kernel (``_cyclec.c``): ctypes plumbing.
 
 One :meth:`CycleKernel.run` call advances every lane of a batch through
-one co-sim cycle — GPU step, PDN currents, guarded solver substeps,
-SM-voltage readout, the controller bank's RC filter and the recording
-row — in compiled code.  The kernel is part of the native library
-(:mod:`repro.native`) and calls the GPU engine and the PDN solver
-kernels linked beside it.  When the library is unavailable, the co-sim
-loop runs its NumPy body instead — same results, more Python per cycle.
+one co-sim cycle — GPU step and process-variation scaling, PDN
+currents, guarded solver substeps, SM-voltage readout, the controller
+bank's RC filter (masked for dropped samples and unobserved lanes) and
+the recording row — in compiled code.  The kernel is part of the
+native library (:mod:`repro.native`) and calls the GPU engine and the
+PDN solver kernels linked beside it.  When the library is unavailable,
+the co-sim loop runs its NumPy body instead — same results, more Python
+per cycle.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ _I64 = ctypes.c_longlong
 _F64 = ctypes.c_double
 
 #: Stages of :meth:`CycleKernel.run` (see ``_cyclec.c``).
-STAGE_GPU, STAGE_SOLVE, STAGE_TAIL = 0, 1, 2
+STAGE_GPU, STAGE_SOLVE, STAGE_READOUT, STAGE_FILTER = 0, 1, 2, 3
 #: Non-error return codes of ``cosim_cycle``.
-NONFINITE, RELAUNCH, SUSPECT = 1, 2, 3
+MASKED, RELAUNCH, SUSPECT = 1, 2, 3
 
 
 class CCycleState(ctypes.Structure):
@@ -39,6 +41,9 @@ class CCycleState(ctypes.Structure):
         ("exempt", _PTR),
         ("relaunch", _PTR),
         ("powers", _PTR),
+        ("pv_k", _I64),
+        ("pv_rows", _PTR),
+        ("pv_count", _PTR),
         ("sm_voltage", _F64),
         ("conductance_bias", _F64),
         ("dcc", _PTR),
@@ -61,6 +66,14 @@ class CCycleState(ctypes.Structure):
         ("last_good", _PTR),
         ("alpha", _PTR),
         ("step_v", _PTR),
+        ("seen", _PTR),
+        ("observed", _PTR),
+        ("fb_on", _PTR),
+        ("fallback", _PTR),
+        ("measured", _PTR),
+        ("dropped", _PTR),
+        ("has_nan", _I64),
+        ("any_fallback", _I64),
         ("warmup", _I64),
         ("cycles", _I64),
         ("lane_index", _PTR),
@@ -90,6 +103,10 @@ class CycleKernel:
     arrays into one ``CycleState``.  Built per batch shape: the loop
     rebuilds it after a lane quarantine compacts the batch.  Every
     array it points at is kept alive here.
+
+    With a bank it owns the filter's blocks: ``seen`` (filled by a
+    call that stops after the readout), ``observed``, ``measured`` and
+    ``dropped`` (accumulated until :meth:`fold_dropped`).
     """
 
     def __init__(
@@ -108,6 +125,8 @@ class CycleKernel:
         bot_idx: np.ndarray,
         bank,
         bank_rows: Optional[np.ndarray],
+        pv_rows: np.ndarray,
+        pv_count: np.ndarray,
         warmup: int,
         cycles: int,
         lane_index: np.ndarray,
@@ -132,14 +151,23 @@ class CycleKernel:
                           ("volts", volts)):
             if arr.shape != (n_lanes, num_sms) or not arr.flags.c_contiguous:
                 raise ValueError(f"{name} must be a C-contiguous (B, S) block")
+        if (pv_rows.shape[::2] != (n_lanes, num_sms)
+                or not pv_rows.flags.c_contiguous
+                or pv_count.shape != (n_lanes,) or pv_count.dtype != np.int64):
+            raise ValueError("pv_rows/pv_count must be (B, K, S) / (B,) int64")
         bank_lanes = 0 if bank is None else len(bank.controllers)
         lane_index = np.ascontiguousarray(lane_index, dtype=np.int64)
+        self.bank = bank
         if bank_lanes:
             bank_rows = np.ascontiguousarray(bank_rows, dtype=np.int64)
+            self.seen = np.empty((bank_lanes, num_sms))
+            self.measured = np.empty((bank_lanes, num_sms))
+            self.observed = np.ones(bank_lanes, dtype=bool)
+            self.dropped = np.zeros(bank_lanes, dtype=np.int64)
         self._refs = [
             fused, dcc, currents, volts, top_idx, bot_idx, bank_rows,
             lane_index, rec_powers, rec_volts, rec_supply, dcc_accum,
-            dcc_trace, flight_warm, stage_s, guard, bank,
+            dcc_trace, flight_warm, stage_s, guard, bank, pv_rows, pv_count,
         ]
         self.state = CCycleState(
             n_lanes=n_lanes,
@@ -150,6 +178,9 @@ class CycleKernel:
             exempt=_addr(fused.exempt),
             relaunch=_addr(fused.relaunch),
             powers=_addr(fused.powers),
+            pv_k=pv_rows.shape[1],
+            pv_rows=_addr(pv_rows),
+            pv_count=_addr(pv_count),
             sm_voltage=sm_voltage,
             conductance_bias=conductance_bias,
             dcc=_addr(dcc),
@@ -172,6 +203,12 @@ class CycleKernel:
             last_good=_addr(bank._last_good) if bank_lanes else None,
             alpha=_addr(bank._alpha) if bank_lanes else None,
             step_v=_addr(bank._step_v) if bank_lanes else None,
+            seen=_addr(self.seen) if bank_lanes else None,
+            observed=_addr(self.observed) if bank_lanes else None,
+            fb_on=_addr(bank._fb_on) if bank_lanes else None,
+            fallback=_addr(bank._fallback) if bank_lanes else None,
+            measured=_addr(self.measured) if bank_lanes else None,
+            dropped=_addr(self.dropped) if bank_lanes else None,
             warmup=warmup,
             cycles=cycles,
             lane_index=_addr(lane_index),
@@ -201,13 +238,19 @@ class CycleKernel:
                 raise RuntimeError("batch solver left its compiled backend")
             self.state.solver_state = ctypes.addressof(solver._c_state)
 
+    def fold_dropped(self) -> None:
+        """Credit the accumulated dropped samples to the bank's lanes."""
+        if self.bank is not None and self.dropped.any():
+            self.bank._count_dropped(self.dropped)
+            self.dropped[:] = 0
+
     def run(
-        self, cycle: int, first: int = STAGE_GPU, last: int = STAGE_TAIL
+        self, cycle: int, first: int = STAGE_GPU, last: int = STAGE_FILTER
     ) -> int:
         """Run stages ``first``..``last`` of one cycle.
 
         Relaunches the lanes the GPU stage's census flags, then retries.
-        Returns 0, :data:`NONFINITE` or :data:`SUSPECT`.
+        Returns 0, :data:`MASKED` or :data:`SUSPECT`.
         """
         rc = self.call(self.ptr, cycle, first, last)
         while rc == RELAUNCH:

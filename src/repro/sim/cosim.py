@@ -57,10 +57,11 @@ from repro.pdn.efficiency import (
 )
 from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
 from repro.sim._cyclec import (
-    NONFINITE,
+    MASKED,
+    STAGE_FILTER,
     STAGE_GPU,
+    STAGE_READOUT,
     STAGE_SOLVE,
-    STAGE_TAIL,
     SUSPECT,
     CycleKernel,
 )
@@ -98,6 +99,13 @@ class LayerShutoffEvent:
     layer: int = 3
     start_cycle: int = 2000
     end_cycle: int = 10**9
+
+    def __post_init__(self) -> None:
+        if self.end_cycle <= self.start_cycle:
+            raise ValueError(
+                f"LayerShutoffEvent: end_cycle ({self.end_cycle}) must be "
+                f"after start_cycle ({self.start_cycle})"
+            )
 
     def active(self, cycle: int) -> bool:
         return self.start_cycle <= cycle < self.end_cycle
@@ -472,6 +480,15 @@ def run_crosslayer_cosim(
 # ---------------------------------------------------------------------------
 # The co-sim loop: B lock-stepped lanes (run_cosim is B=1)
 # ---------------------------------------------------------------------------
+def _halted(widths: np.ndarray, halted_idx: List[int]) -> np.ndarray:
+    """Issue widths with the halted SMs' zeroed, on a copy when any are."""
+    if not halted_idx:
+        return widths
+    widths = widths.copy()
+    widths[halted_idx] = 0.0
+    return widths
+
+
 @dataclass(frozen=True)
 class CosimLane:
     """One scenario of a batched co-simulation.
@@ -506,7 +523,7 @@ class _LaneState:
         "index", "name", "config", "gpu", "pdn", "solver", "injector",
         "controller", "controller_power", "in_bank", "shutoff_sms",
         "instructions_at_start", "fakes_at_start", "throttled_at_start",
-        "applied_decision", "applied_halted", "halted_idx",
+        "applied_decision", "halted_idx", "sensor_on", "jitter_on",
         "count_from", "active_throttling",
         "in_fast", "last_decision", "flight", "flight_safe",
         "row", "dead", "dead_at", "divergence", "guard",
@@ -548,13 +565,17 @@ class _LaneState:
         self.instructions_at_start = 0
         self.fakes_at_start = 0
         self.throttled_at_start = 0
-        # Actuation gating: the last applied (decision, halted set).
-        # GPU setters are idempotent for identical values, so re-applying
-        # an unchanged decision is skipped; holding a strong reference to
-        # the applied decision keeps the identity check sound.
+        # Actuation gating: the last applied decision.  GPU setters are
+        # idempotent for identical values, so re-applying an unchanged
+        # decision is skipped; holding a strong reference to the applied
+        # decision keeps the identity check sound.  A halt edge re-applies
+        # it under the new halted set.
         self.applied_decision = None
-        self.applied_halted: tuple = ()
         self.halted_idx: List[int] = []
+        # Whether the injector's sensor-corruption / loop-jitter events
+        # are active (set on the lane's edge cycles).
+        self.sensor_on = False
+        self.jitter_on = False
         # Event-driven throttle accounting (fast lanes): the active
         # decision's throttle flag covers the half-open cycle span
         # [count_from, next pop); the span length is credited to
@@ -683,17 +704,23 @@ def _simulate(
     When the native library loaded and the batch is eligible (every
     lane on the vectorized GPU engine, the co-sim's shared current
     base), a clean cycle is one call into the cycle kernel
-    (:mod:`repro.sim._cyclec`): GPU step, currents, guarded substeps,
-    SM-voltage readout, the bank's RC filter and the recording row.
-    Python keeps the event work around it — kernel relaunches the
-    GPU census flags, due decision waves and pipeline pops, fault
-    hooks (circuit and DFS hooks or a chaos event split the cycle into
-    two kernel calls with the hooks in between), guard recovery and
-    lane quarantine, the warmup snapshot and flight-recorder blocks.
-    Lanes' deferred mirrors (GPU cycle and memory queue, solver time
-    and step count) are folded back before hooks read them, at a
-    quarantine and at the end.  Any other batch runs the phased NumPy
-    body instead, byte for byte the same results.
+    (:mod:`repro.sim._cyclec`): GPU step and process-variation
+    scaling, currents, guarded substeps, SM-voltage readout, the bank's
+    RC filter (masked for dropped samples and unobserved lanes) and the
+    recording row.  Python keeps the event work around it — kernel
+    relaunches the GPU census flags, due decision waves and pipeline
+    pops, the fault hooks on each lane's edge cycles (its first cycle
+    and every fault or shutoff window start or end: circuit and DFS
+    hooks, like a chaos event, split the cycle after the GPU stage;
+    halt hooks re-apply actuation after the solve), the injectors'
+    sensor and jitter draws on sensor cycles (the kernel stops after
+    the readout and a second call runs the filter and recording row),
+    guard recovery and lane quarantine, the warmup snapshot and
+    flight-recorder blocks.  Lanes' deferred mirrors (GPU cycle and
+    memory queue, solver time and step count) are folded back before
+    hooks read them, at a quarantine and at the end.  Any other batch
+    runs the phased NumPy body instead (same edge schedule), byte for
+    byte the same results.
 
     Returns the per-lane states, each carrying its ``result``, the
     batch solver that finished the run, and how many cycles ran through
@@ -819,24 +846,18 @@ def _simulate(
         bank = ControllerBank([ln.controller for ln in bank_members])
 
     def _bank_feeds():
-        """Batch rows and injector hooks of the bank's current lanes.
-
-        Sensor-fault lanes rewrite their row of the seen block; jitter
-        lanes set their slot of the observed mask.  Lanes without such
-        faults skip those hooks, which are no-ops for them.
+        """Batch rows of the bank's current lanes, and the (bank row,
+        lane) pairs whose sensor-corruption / loop-jitter events are
+        active: those rewrite their row of the seen block / set their
+        slot of the observed mask.  Elsewhere the hooks are no-ops.
         """
         rows = np.array([ln.row for ln in bank_members], dtype=np.intp)
-        sensor = [
-            (j, ln) for j, ln in enumerate(bank_members)
-            if ln.injector is not None and ln.injector.touches_sensors
-        ]
-        jitter = [
-            (j, ln) for j, ln in enumerate(bank_members)
-            if ln.injector is not None and ln.injector.touches_timing
-        ]
+        sensor = [(j, ln) for j, ln in enumerate(bank_members) if ln.sensor_on]
+        jitter = [(j, ln) for j, ln in enumerate(bank_members) if ln.jitter_on]
         return rows, sensor, jitter
 
     bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
+    sensing = False  # a sensor cycle: some bank lane senses a fault
 
     # Per-SM voltage readout indices — identical across lanes (same
     # netlist builder); verified against lane 0 at setup.
@@ -884,39 +905,52 @@ def _simulate(
     # channel (its only reader).
     trace_dcc = timing and serial
     dcc_trace_bt = np.zeros((num_lanes, cycles)) if trace_dcc else None
-    # Per-hook lane lists: each injector hook is called only on lanes
-    # whose schedule has events of its kind (elsewhere it is a no-op).
-    # Halting lanes rebuild their barrier-exempt set every cycle.
-    halt_lanes = [
-        ln for ln in states
-        if ln.config.shutoff is not None
-        or (ln.injector is not None and ln.injector.halts_sms)
+    # The edge schedule.  Fault and shutoff windows are fixed, so the
+    # circuit, DFS and halt hooks, the process-variation rows and the
+    # lanes' sensing flags can change only on a lane's edge cycles: its
+    # first cycle and every window start or end inside the run.  The
+    # hooks run there alone (keyed by loop cycle).
+    edges: Dict[int, List[_LaneState]] = {}
+    for ln in states:
+        marks = set()
+        if ln.injector is not None:
+            marks.update(ln.injector.edge_cycles())
+        if ln.config.shutoff is not None:
+            marks.update((ln.config.shutoff.start_cycle,
+                          ln.config.shutoff.end_cycle))
+        if marks:
+            marks.add(-warmup)
+        for mark in marks:
+            if -warmup <= mark < cycles:
+                edges.setdefault(mark + warmup, []).append(ln)
+    edge_order = iter(sorted(edges))
+    next_edge = next(edge_order, total_cycles)
+    # Process variation: the phased body scales powers per lane each
+    # cycle; the cycle kernel multiplies each lane's active rows of a
+    # (B, K, S) block, rewritten on the lane's edges.
+    pv_k = [
+        len(ln.injector.schedule.of_kind("process_variation"))
+        if ln.injector is not None else 0 for ln in states
     ]
-    circuit_lanes = [
-        ln for ln in states
-        if ln.injector is not None and ln.injector.touches_circuit
-    ]
-    dfs_lanes = [
-        ln for ln in states
-        if ln.injector is not None and ln.injector.scales_frequency
-    ]
-    # Fast lanes — bank-controlled, never halted, commands read on time
-    # and applied undistorted — apply actuation only when a decision
-    # pops out of the latency pipeline (decisions are immutable once
-    # enqueued, so nothing can change between pops); faults that touch
-    # only the sensors or the circuit leave that path intact.  The rest
-    # replicate the serial per-cycle commands_for path.  (A pre-used
-    # controller object that already counted cycles keeps the per-cycle
-    # path: its commands_for skips cycles at or below
-    # _counted_through_cycle, which span accounting cannot see.)
+    pv_lanes = [ln for ln, k in zip(states, pv_k) if k]
+    pv_rows_bt = np.zeros((num_lanes, max(pv_k), num))
+    pv_count = np.zeros(num_lanes, dtype=np.int64)
+    # Fast lanes — bank-controlled, commands read on time and applied
+    # undistorted — apply actuation only when a decision pops out of
+    # the latency pipeline (decisions are immutable once enqueued, so
+    # nothing can change between pops) or a halt edge changes the
+    # halted set; faults that touch the sensors, the circuit or the
+    # halted SMs leave that path intact.  The rest replicate the serial
+    # per-cycle commands_for path.  (A pre-used controller object that
+    # already counted cycles keeps the per-cycle path: its commands_for
+    # skips cycles at or below _counted_through_cycle, which span
+    # accounting cannot see.)
     fast_lanes = [
         ln for ln in states
         if ln.in_bank
-        and ln.config.shutoff is None
         and ln.controller._counted_through_cycle < 0
         and not (ln.injector is not None and (
-            ln.injector.halts_sms or ln.injector.touches_timing
-            or ln.injector.touches_actuation
+            ln.injector.touches_timing or ln.injector.touches_actuation
         ))
     ]
     slow_ctrl_lanes = [
@@ -1048,26 +1082,25 @@ def _simulate(
         ln.flight.observe_runs(volts, runs)
 
     # The cycle kernel: when the native library loaded and the batch is
-    # eligible, each clean cycle — GPU step, currents, guarded solve,
-    # readout, the bank's RC filter and the recording row — is one call
-    # into compiled code (repro.sim._cyclec), and Python keeps only the
-    # event work around it.  Other batches run the phased NumPy body
-    # below.  The kernel binds the current batch shape and is rebuilt
-    # when a quarantine compacts it.  The bank's filter stays in Python
-    # while sensor-fault or jitter lanes feed it.
+    # eligible, each clean cycle — GPU step and process variation,
+    # currents, guarded solve, readout, the bank's RC filter and the
+    # recording row — is one call into compiled code
+    # (repro.sim._cyclec), and Python keeps only the event work around
+    # it.  Other batches run the phased NumPy body below.  The kernel
+    # binds the current batch shape and is rebuilt when a quarantine
+    # compacts it.
     stage_s = np.zeros(4) if timing else None
 
     def _bind_kernel() -> Optional[CycleKernel]:
         if gpu_batch.fused() is None or not batch_solver._c_ready():
             return None
-        in_kernel = not (sensor_lanes or jitter_lanes)
         return CycleKernel(
             gpu_batch, batch_solver, batch_guard,
             dcc=dcc_bt, currents=batch_currents, volts=volt_buf,
             sm_voltage=stack.sm_voltage, conductance_bias=conductance_bias,
             substeps=substeps, top_idx=kernel_top_idx,
-            bot_idx=kernel_bot_idx,
-            bank=bank if in_kernel else None, bank_rows=bank_rows_arr,
+            bot_idx=kernel_bot_idx, bank=bank, bank_rows=bank_rows_arr,
+            pv_rows=pv_rows_bt, pv_count=pv_count,
             warmup=warmup, cycles=cycles,
             lane_index=(
                 np.arange(num_lanes) if alive_idx is None else alive_idx
@@ -1080,19 +1113,9 @@ def _simulate(
         )
 
     kernel = _bind_kernel()
-    kernel_filter = False
     if kernel is not None:
         powers_bt = gpu_batch.fused().powers
-        kernel_filter = kernel.state.bank_lanes > 0
     fused_cycles = 0
-    # Lanes whose per-cycle hooks run between the GPU step and the
-    # solve (the kernel splits those cycles in two halves), and their
-    # rows, folded before the hooks read them.
-    hook_lanes = circuit_lanes + [
-        ln for ln in dfs_lanes if ln not in circuit_lanes
-    ]
-    hook_rows = [ln.row for ln in hook_lanes]
-    halt_rows = [ln.row for ln in halt_lanes]
     status = 0
 
     # Stage accumulators.  ``timing`` gates the perf_counter reads; with
@@ -1125,8 +1148,34 @@ def _simulate(
         # an event window is the end of warmup.
         recorded_cycle = cycle - warmup
         chaos_now = chaos_cycles is not None and recorded_cycle in chaos_cycles
-        # A clean cycle is one kernel call; hooks and chaos split it.
-        split = kernel is None or bool(hook_lanes) or chaos_now
+        # Edge cycles: refresh the edge lanes' sensing flags and PV
+        # rows (before the GPU stage scales this cycle's powers); the
+        # circuit and DFS hooks run after the GPU stage, the halt hooks
+        # after the solve.
+        edge = hooks = ()
+        if cycle == next_edge:
+            next_edge = next(edge_order, total_cycles)
+            edge = [ln for ln in edges[cycle] if not ln.dead]
+            for ln in edge:
+                inj = ln.injector
+                if inj is None:
+                    continue
+                ln.sensor_on, ln.jitter_on = inj.sensing(recorded_cycle)
+                scales = inj.power_scales(recorded_cycle)
+                pv_count[ln.row] = len(scales)
+                for k, row in enumerate(scales):
+                    pv_rows_bt[ln.row, k] = row
+            bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
+            sensing = bool(sensor_lanes or jitter_lanes)
+            hooks = [
+                ln for ln in edge if ln.injector is not None and (
+                    ln.injector.touches_circuit
+                    or ln.injector.scales_frequency
+                )
+            ]
+        # A clean cycle is one kernel call; edge hooks and chaos split
+        # it after the GPU stage, a sensor cycle after the readout.
+        split = kernel is None or bool(hooks) or chaos_now
 
         # 1. GPU cycle per lane (independent engines, lock-stepped).
         # Python-side timing covers the Python work only: the kernel
@@ -1140,22 +1189,28 @@ def _simulate(
                 kernel.run(cycle, STAGE_GPU, STAGE_GPU)
                 if timing:
                     t0 = perf_counter()
-            if hook_lanes:
+            if hooks:
                 # The hooks may read their lane's GPU and solver mirrors.
-                gpu_batch.fold(hook_rows)
-                batch_solver.fold_lanes(hook_rows)
-            for ln in circuit_lanes:
+                rows = [ln.row for ln in hooks]
+                gpu_batch.fold(rows)
+                batch_solver.fold_lanes(rows)
+            for ln in hooks:
                 # Circuit faults mutate element values (one
                 # re-factorization per activation edge, before this
-                # cycle's solve); process variation scales the emitted
-                # powers (in place) *before* they become currents or
-                # records, keeping the PDE ledger closed.
+                # cycle's solve); DFS steps the GPU's frequency scales.
                 ln.injector.apply_circuit_faults(recorded_cycle)
-                ln.injector.scale_powers(recorded_cycle, powers_bt[ln.row])
-            for ln in dfs_lanes:
                 scales = ln.injector.frequency_scales(recorded_cycle)
                 if scales is not None:
                     ln.gpu.set_frequency_scales(scales)
+            if kernel is None:
+                # Process variation scales the emitted powers (in
+                # place) *before* they become currents or records,
+                # keeping the PDE ledger closed (the kernel does it in
+                # its GPU stage).
+                for ln in pv_lanes:
+                    ln.injector.scale_powers(
+                        recorded_cycle, powers_bt[ln.row]
+                    )
             if timing:
                 t1 = perf_counter()
                 t_gpu += t1 - t0
@@ -1198,11 +1253,12 @@ def _simulate(
                         ln.solver._react_v[:] = np.nan
         failures = None
         if kernel is not None:
-            if circuit_lanes:
+            if hooks:
                 kernel.sync_solver()  # a circuit fault may refactor
             fused_cycles += 1
             status = kernel.run(
-                cycle, STAGE_SOLVE if split else STAGE_GPU, STAGE_TAIL
+                cycle, STAGE_SOLVE if split else STAGE_GPU,
+                STAGE_READOUT if sensing else STAGE_FILTER,
             )
             if status == SUSPECT:
                 if timing:
@@ -1228,17 +1284,19 @@ def _simulate(
                 ln.divergence = info
                 if timing and not serial:
                     tele.event("lane_quarantined", **info)
-            # Every lane's deferred mirrors go back to its objects
-            # before the batch front ends are rebuilt around them.
+                if ln.injector is not None:
+                    # Its last completed cycle closes its halt span.
+                    ln.injector.credit_halted(recorded_cycle - 1)
+            # Every lane's deferred mirrors and dropped-sample counts go
+            # back to its objects before the batch front ends are
+            # rebuilt around them.
             gpu_batch.fold()
             batch_solver.fold_lanes()
+            if kernel is not None:
+                kernel.fold_dropped()
             survivors = [ln for ln in alive if not ln.dead]
-            halt_lanes = [ln for ln in halt_lanes if not ln.dead]
-            circuit_lanes = [
-                ln for ln in circuit_lanes if not ln.dead
-            ]
-            dfs_lanes = [ln for ln in dfs_lanes if not ln.dead]
-            hook_lanes = [ln for ln in hook_lanes if not ln.dead]
+            edge = [ln for ln in edge if not ln.dead]
+            pv_lanes = [ln for ln in pv_lanes if not ln.dead]
             fast_lanes = [ln for ln in fast_lanes if not ln.dead]
             slow_ctrl_lanes = [
                 ln for ln in slow_ctrl_lanes if not ln.dead
@@ -1267,8 +1325,6 @@ def _simulate(
                 ln.row = new_row
                 ln.pdn.bind_current_buffer(batch_currents[new_row])
                 ln.solver.rebind_sources()
-            hook_rows = [ln.row for ln in hook_lanes]
-            halt_rows = [ln.row for ln in halt_lanes]
             batch_solver = BatchTransientSolver(
                 [ln.solver for ln in survivors],
                 shared_current_base=batch_currents,
@@ -1289,7 +1345,10 @@ def _simulate(
                     bank = bank.compact(keep)
                     bank_members = [bank_members[j] for j in keep]
                 bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
+                sensing = bool(sensor_lanes or jitter_lanes)
             all_banked = len(bank_members) == len(survivors)
+            pv_rows_bt = pv_rows_bt[old_rows]
+            pv_count = pv_count[old_rows]
             powers_bt = powers_bt[old_rows]
             dcc_bt = dcc_bt[old_rows]
             dcc_applied = dcc_applied[old_rows]
@@ -1301,7 +1360,6 @@ def _simulate(
             if kernel is not None:
                 kernel = _bind_kernel()
                 powers_bt = gpu_batch.fused().powers
-                kernel_filter = kernel.state.bank_lanes > 0
         if kernel is None:
             # Bound-method take skips np.take's dispatch wrapper — this
             # runs twice per recorded cycle on the hot path.
@@ -1320,59 +1378,102 @@ def _simulate(
                 kernel.sync_solver()
                 if timing:
                     t_circuit += perf_counter() - t1
-                status = kernel.run(cycle, STAGE_TAIL, STAGE_TAIL)
+                status = kernel.run(
+                    cycle, STAGE_READOUT,
+                    STAGE_READOUT if sensing else STAGE_FILTER,
+                )
             if timing:
                 t2 = perf_counter()
         voltages_bt = volt_buf
 
-        # Halted SMs per lane (shutoff events + fault-scheduled halts)
-        # must not block the kernel-launch barrier.
-        if halt_lanes:
-            gpu_batch.fold(halt_rows)
-            batch_solver.fold_lanes(halt_rows)
-        for ln in halt_lanes:
-            halted: set = set()
+        # Halted SMs per lane (shutoff windows + fault-scheduled halts)
+        # must not block the kernel-launch barrier.  The set changes only
+        # on the lane's edges; a change re-applies the actuation in force
+        # under it: a lane without a controller runs at full width, a
+        # fast lane re-applies its decision, a slow lane re-applies at
+        # its next command read.
+        for ln in edge:
+            inj = ln.injector
+            halts = inj is not None and inj.halts_sms
             shutoff = ln.config.shutoff
+            if shutoff is None and not halts:
+                continue
+            halted: set = set()
             if shutoff is not None and shutoff.active(recorded_cycle):
                 halted.update(ln.shutoff_sms)
-            if ln.injector is not None:
-                halted.update(ln.injector.halted_sms(recorded_cycle))
+            if halts:
+                halted.update(inj.halted_sms(recorded_cycle))
+            halted_idx = sorted(halted)
+            if halted_idx == ln.halted_idx:
+                continue
             ln.gpu.barrier_exempt = halted
-            ln.halted_idx = sorted(halted)
+            ln.halted_idx = halted_idx
+            if ln.controller is None:
+                ln.gpu.set_issue_widths(
+                    _halted(np.full(num, 2.0), ln.halted_idx)
+                )
+            elif not ln.in_fast:
+                ln.applied_decision = None
+            elif ln.applied_decision is not None:
+                ln.gpu.set_issue_widths(_halted(
+                    ln.applied_decision.issue_widths, ln.halted_idx
+                ))
 
         # 4. Detection + control.  Bank lanes advance their RC filters
         # and decision waves batched, on what their detectors see; each
         # injector keeps its serial RNG call order (corrupt_sensors,
-        # observation_allowed, then extra_latency at the command read).
-        # The cycle kernel has already advanced an all-finite filter.
-        # Duck-typed controllers replicate the serial path verbatim.
-        # Actuation application is gated on decision identity (setters
-        # are idempotent; decisions are immutable once enqueued), except
-        # under actuation-distorting faults which may perturb every
-        # cycle.  Ownership contract: decision arrays belong to the
-        # controller, so every array this loop mutates (halted widths,
-        # distorted commands) or retains (DCC, in dcc_bt) is a copy.
+        # observation_allowed, then extra_latency at the command read),
+        # called only while an event of its kind is active.  On a sensor
+        # cycle the kernel stopped after the readout: the injectors
+        # write the seen block and observed mask, and a second call runs
+        # the filter (masked for dropped samples or unobserved lanes)
+        # and the recording row.  Duck-typed controllers replicate the
+        # serial path verbatim.  Actuation application is gated on
+        # decision identity (setters are idempotent; decisions are
+        # immutable once enqueued), except under actuation-distorting
+        # faults which may perturb every cycle.  Ownership contract:
+        # decision arrays belong to the controller, so every array this
+        # loop mutates (halted widths, distorted commands) or retains
+        # (DCC, in dcc_bt) is a copy.
         waved = bank is not None and cycle >= bank._next_due
-        if kernel_filter and status != NONFINITE:
-            if waved or bank._any_fallback:
-                bank.observe_filtered(cycle)
-        elif bank is not None:
+        observed = None
+        if sensing:
+            if kernel is not None:
+                seen = kernel.seen
+            elif all_banked:
+                seen = voltages_bt.copy()  # never write the physical voltages
+            else:
+                seen = voltages_bt[bank_rows_arr]
+            for j, ln in sensor_lanes:
+                seen[j] = ln.injector.corrupt_sensors(recorded_cycle, seen[j])
+            for j, ln in jitter_lanes:
+                if not ln.injector.observation_allowed(recorded_cycle):
+                    if observed is None:
+                        observed = (
+                            np.ones(len(bank_members), dtype=bool)
+                            if kernel is None else kernel.observed
+                        )
+                    observed[j] = False
+            if kernel is not None:
+                if timing:
+                    tk = perf_counter()
+                status = kernel.run(cycle, STAGE_FILTER, STAGE_FILTER)
+                if timing:
+                    t2 += perf_counter() - tk  # the kernel's own time
+        elif kernel is None and bank is not None:
             seen = voltages_bt if all_banked else voltages_bt[bank_rows_arr]
-            if sensor_lanes:
-                if seen is voltages_bt:
-                    seen = seen.copy()  # never write the physical voltages
-                for j, ln in sensor_lanes:
-                    seen[j] = ln.injector.corrupt_sensors(
-                        recorded_cycle, seen[j]
-                    )
-            observed = None
-            if jitter_lanes:
-                observed = np.ones(len(bank_members), dtype=bool)
-                for j, ln in jitter_lanes:
-                    observed[j] = ln.injector.observation_allowed(
-                        recorded_cycle
-                    )
-            bank.observe(cycle, seen, observed)
+        if kernel is None:
+            if bank is not None:
+                bank.observe(cycle, seen, observed)
+        elif status == MASKED:
+            bank.observe_measured(
+                cycle, kernel.measured, observed,
+                bool(kernel.state.has_nan), bool(kernel.state.any_fallback),
+            )
+        elif bank is not None and (waved or bank._any_fallback):
+            bank.observe_filtered(cycle)
+        if observed is not None:
+            observed[:] = True
         if fast_lanes and cycle >= bank.next_pop:
             next_pop = _NO_POP
             for ln in fast_lanes:
@@ -1400,9 +1501,11 @@ def _simulate(
                         controller.throttled_cycles += cycle - ln.count_from
                     ln.count_from = cycle
                     ln.active_throttling = throttling
-                    # Never halted, so the decision arrays pass through
-                    # unmutated (the engine setters copy internally).
-                    ln.gpu.set_issue_widths(decision.issue_widths)
+                    # The engine setters copy internally, so unhalted
+                    # decision arrays pass through unmutated.
+                    ln.gpu.set_issue_widths(
+                        _halted(decision.issue_widths, ln.halted_idx)
+                    )
                     ln.gpu.set_fake_rates(decision.fake_rates)
                     np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
                     ln.applied_decision = decision
@@ -1416,7 +1519,9 @@ def _simulate(
                     # decision (what serial commands_for returns)
                     # applies.
                     decision = controller.active_decision
-                    ln.gpu.set_issue_widths(decision.issue_widths)
+                    ln.gpu.set_issue_widths(
+                        _halted(decision.issue_widths, ln.halted_idx)
+                    )
                     ln.gpu.set_fake_rates(decision.fake_rates)
                     np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
                     ln.applied_decision = decision
@@ -1435,49 +1540,30 @@ def _simulate(
                     seen = inj.corrupt_sensors(recorded_cycle, seen)
                 if inj is None or inj.observation_allowed(recorded_cycle):
                     controller.observe(cycle, seen)
-            if inj is not None and inj.touches_timing:
+            if ln.jitter_on:
                 decision = controller.commands_for(
                     cycle - inj.extra_latency(recorded_cycle)
                 )
             else:
                 decision = controller.commands_for(cycle)
             ln.last_decision = decision
-            if ln.injector is not None and ln.injector.touches_actuation:
+            if inj is not None and inj.touches_actuation:
                 widths = decision.issue_widths.copy()
                 fakes = decision.fake_rates.copy()
                 dcc = decision.dcc_powers_w.copy()
-                ln.injector.distort_actuation(
-                    recorded_cycle, widths, fakes, dcc
-                )
+                inj.distort_actuation(recorded_cycle, widths, fakes, dcc)
                 if ln.halted_idx:
                     widths[ln.halted_idx] = 0.0
                 ln.gpu.set_issue_widths(widths)
                 ln.gpu.set_fake_rates(fakes)
                 np.copyto(dcc_bt[ln.row], dcc)
-            else:
-                halted_sig = tuple(ln.halted_idx)
-                if (
-                    decision is not ln.applied_decision
-                    or halted_sig != ln.applied_halted
-                ):
-                    widths = decision.issue_widths.copy()
-                    if ln.halted_idx:
-                        widths[ln.halted_idx] = 0.0
-                    ln.gpu.set_issue_widths(widths)
-                    ln.gpu.set_fake_rates(decision.fake_rates)
-                    np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-                    ln.applied_decision = decision
-                    ln.applied_halted = halted_sig
-        for ln in halt_lanes:
-            if ln.controller is None:
-                halted_sig = tuple(ln.halted_idx)
-                if ln.applied_decision is None or halted_sig != ln.applied_halted:
-                    widths = np.full(num, 2.0)
-                    if ln.halted_idx:
-                        widths[ln.halted_idx] = 0.0
-                    ln.gpu.set_issue_widths(widths)
-                    ln.applied_decision = widths
-                    ln.applied_halted = halted_sig
+            elif decision is not ln.applied_decision:
+                ln.gpu.set_issue_widths(
+                    _halted(decision.issue_widths, ln.halted_idx)
+                )
+                ln.gpu.set_fake_rates(decision.fake_rates)
+                np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
+                ln.applied_decision = decision
         if timing:
             t3 = perf_counter()
             t_controller += t3 - t2
@@ -1529,8 +1615,14 @@ def _simulate(
             t_record += perf_counter() - t3
     for ln in flight_lanes:
         _flush_flight(ln, flight_sent, total_cycles)
-    # Settle the remaining event-driven throttle spans so lane
-    # controllers end bit-equal to serial post-run state.
+    # Settle the kernel's dropped-sample counts, the open halt spans and
+    # the remaining event-driven throttle spans so lane controllers and
+    # injectors end bit-equal to serial post-run state.
+    if kernel is not None and alive:
+        kernel.fold_dropped()
+    for ln in alive:
+        if ln.injector is not None:
+            ln.injector.credit_halted(cycles - 1)
     for ln in fast_lanes:
         if ln.active_throttling:
             ln.controller.throttled_cycles += total_cycles - ln.count_from

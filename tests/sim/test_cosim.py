@@ -254,6 +254,13 @@ class TestLayerShutoff:
         assert event.active(10)
         assert not event.active(20)
 
+    @pytest.mark.parametrize("start, end", [(50, 10), (30, 30)])
+    def test_empty_or_inverted_window_rejected(self, start, end):
+        # Such a window never shuts the layer off: a Fig. 9 scenario
+        # would silently run as a plain one.  FaultEvent rejects it too.
+        with pytest.raises(ValueError, match="end_cycle"):
+            LayerShutoffEvent(layer=3, start_cycle=start, end_cycle=end)
+
 
 class TestDCCEngagement:
     """Regression for the shared-slew unit bug (satellite of the

@@ -6,32 +6,60 @@ one call into ``repro/sim/_cyclec.c``.  Forcing the library's fallback
 NumPy GPU engine and solver.  The two must be byte-equal on every
 :class:`CosimResult` field, and equal to the serial oracle, through
 same-cycle relaunches, barrier-exempt shutoffs, a lane quarantine,
-circuit- and sensor-fault lanes and flight recorders.  The lanes'
-deferred mirrors (GPU cycle, memory-queue counters, solver time and
-step count) must read the same from a fault hook and after the run.
+circuit- and sensor-fault lanes, random edge schedules and flight
+recorders.  The lanes' deferred mirrors (GPU cycle, memory-queue
+counters, solver time and step count) must read the same from a fault
+hook and after the run.  Call-count gates pin the edge schedule: fault
+hooks run on edge cycles only, and a cycle makes a second kernel call
+only on an edge with circuit or DFS hooks or a sensor cycle.
 """
 
 import json
+from collections import Counter
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.circuits import TransientSolver
 from repro.core.actuators import WeightedActuation
-from repro.core.controller import ControllerConfig, VoltageSmoothingController
+from repro.core.controller import (
+    ControllerBank,
+    ControllerConfig,
+    VoltageSmoothingController,
+)
 from repro.faults.chaos import ChaosEvent, ChaosPlan
+from repro.faults.events import (
+    ActuatorStuck,
+    ControlLoopJitter,
+    CRIVRPhaseLoss,
+    DFSTransient,
+    FaultSchedule,
+    LayerShutoff,
+    PDNDrift,
+    PowerGateTransient,
+    ProcessVariation,
+    SensorDropout,
+    SensorNoise,
+    SensorQuantization,
+    SensorStuck,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.gpu import GPU, KernelSpec
 from repro.gpu.isa import InstructionClass
+from repro.sim._cyclec import CycleKernel
 from repro.sim.cosim import (
     CosimConfig,
     CosimLane,
     LayerShutoffEvent,
     last_batch_solver_info,
+    run_cosim,
     run_cosim_batch,
 )
+from repro.sim.sweep import point_seed
+from repro.workloads.benchmarks import BENCHMARK_NAMES
 from repro.telemetry import Telemetry
 from repro.telemetry.flight import FlightRecorder
 from tests.conftest import forced_fallback
@@ -179,6 +207,9 @@ def test_quarantine_mid_run_then_fused_survivors(monkeypatch, chaos_plan):
 
 @pytest.mark.parametrize("scenario", ["pdn-aging", "guardband-breaker"])
 def test_circuit_fault_lanes_take_two_halves(monkeypatch, scenario):
+    """Circuit-fault lanes split a cycle into two kernel calls (the
+    hooks between the GPU stage and the solve) on their edge cycles
+    only; the kernel scales process variation itself."""
     def build():
         return [
             CosimLane("hotspot", _cfg(2, faults=CANNED_SCENARIOS[scenario](),
@@ -191,6 +222,10 @@ def test_circuit_fault_lanes_take_two_halves(monkeypatch, scenario):
 
 
 def test_sensor_fault_lanes_keep_the_python_filter(monkeypatch):
+    """Sensor-fault and jitter lanes keep their injector draws in
+    Python, between a call that stops after the readout and one that
+    runs the kernel's masked filter; ControllerBank.observe stays the
+    phased body's filter."""
     def build():
         return [
             CosimLane("hotspot", _cfg(2, faults=CANNED_SCENARIOS[
@@ -312,15 +347,222 @@ def test_deferred_mirrors_fold_for_hooks_and_finalize(monkeypatch):
         ]
 
     reads, final = _mirror_runs(monkeypatch, build)
-    assert len(reads) == 2 * TOTAL
+    # The loop calls the hook on its lanes' edge cycles only: the first
+    # cycle, pdn-aging's process variation at 0 and guardband-breaker's
+    # CR-IVR loss at 100 (their other windows open after the run).
+    assert sorted(r[0] for r in reads) == [-WARMUP, -WARMUP, 0, 100]
     assert _mirror_runs(monkeypatch, build, phased=True) == (reads, final)
     oracle_reads, oracle_final = _mirror_runs(
         monkeypatch, build, oracle=True
     )
-    # The oracle calls the hook on its own lanes one run at a time.
-    assert sorted(oracle_reads, key=lambda r: r[0]) == sorted(
-        reads, key=lambda r: r[0]
-    )
+    # The oracle calls the hook on every cycle of its own lanes, one run
+    # at a time: each edge read is one of those.
+    assert len(oracle_reads) == 2 * TOTAL
+    assert all(read in oracle_reads for read in reads)
     assert oracle_final == final
     # The reads cover real traffic, not idle mirrors.
     assert final[0][1] > 0 and final[0][5] == 2 * TOTAL
+
+
+# ---------------------------------------------------------------------------
+# The edge schedule
+# ---------------------------------------------------------------------------
+# Window bounds around the run's landmarks (recorded cycles; the run
+# spans -WARMUP .. CYCLES - 1): before and inside warmup, the recorded
+# start, mid-run, the last cycle, the end and past it.
+MARKS = (-60, -WARMUP, -10, 0, 25, 60, 90, CYCLES - 1, CYCLES, CYCLES + 50)
+FOREVER = 10**9
+
+
+@st.composite
+def _window(draw):
+    start = draw(st.sampled_from(MARKS[:-1]))
+    end = draw(st.sampled_from([m for m in MARKS if m > start] + [FOREVER]))
+    return {"start_cycle": start, "end_cycle": end}
+
+
+_EVENT = st.one_of([_window().map(make) for make in (
+    lambda w: ProcessVariation(sigma=0.1, **w),
+    lambda w: CRIVRPhaseLoss(capacity_fraction=0.3, **w),
+    lambda w: PDNDrift(element_prefix="r_link", resistance_scale=4.0, **w),
+    lambda w: SensorNoise(sigma_v=0.01, **w),
+    lambda w: SensorQuantization(step_v=0.02, sms=(2, 9), **w),
+    lambda w: SensorStuck(sms=(0, 3), value_v=1.0, **w),
+    lambda w: SensorDropout(probability=0.3, **w),
+    lambda w: ControlLoopJitter(
+        drop_probability=0.2, extra_latency_cycles=3, **w
+    ),
+    lambda w: ActuatorStuck(actuator="diws", sms=(1, 5), **w),
+    lambda w: LayerShutoff(layer=3, **w),
+    lambda w: PowerGateTransient(sms=(0, 6), **w),
+    lambda w: DFSTransient(frequency_scale=0.5, sms=(4, 12), **w),
+)])
+# (events, shutoff, controller, seed, benchmark) of one lane.
+_LANE = st.tuples(
+    st.lists(_EVENT, max_size=4),
+    st.one_of(st.none(), st.builds(
+        lambda w, layer: LayerShutoffEvent(layer=layer, **w),
+        _window(), st.sampled_from((0, 3)),
+    )),
+    st.sampled_from(("default", "active", "none")),
+    st.integers(0, 2**16),
+    st.sampled_from(("hotspot", "bfs", "srad", "backprop")),
+)
+
+
+@settings(max_examples=6, deadline=None)
+@example(lanes=[
+    # Overlapping process variation (one opening before warmup), then
+    # CR-IVR loss, a DFS step and power gating opening on one cycle,
+    # and a shutoff window inside the run.
+    ([ProcessVariation(sigma=0.1, start_cycle=-60),
+      ProcessVariation(sigma=0.2, start_cycle=0, end_cycle=90),
+      CRIVRPhaseLoss(capacity_fraction=0.3, start_cycle=25, end_cycle=90),
+      DFSTransient(frequency_scale=0.5, start_cycle=25, end_cycle=60),
+      PowerGateTransient(sms=(0, 6), start_cycle=25)],
+     LayerShutoffEvent(layer=3, start_cycle=60, end_cycle=90),
+     "active", 3, "hotspot"),
+    # Sensor noise closing inside warmup, dropout and jitter opening
+    # mid-run, drift opening past the end.
+    ([SensorNoise(sigma_v=0.01, start_cycle=-60, end_cycle=-10),
+      SensorDropout(probability=0.3, start_cycle=60),
+      ControlLoopJitter(drop_probability=0.2, extra_latency_cycles=3,
+                        start_cycle=25, end_cycle=CYCLES + 50),
+      PDNDrift(element_prefix="r_link", resistance_scale=4.0,
+               start_cycle=CYCLES)],
+     None, "active", 5, "bfs"),
+    # A stuck actuator, stuck sensors through warmup and a scheduled
+    # layer shutoff on a lane whose own shutoff window closes early.
+    ([ActuatorStuck(actuator="diws", sms=(1, 5), start_cycle=0,
+                    end_cycle=90),
+      SensorStuck(sms=(0, 3), value_v=1.0, start_cycle=-WARMUP,
+                  end_cycle=25),
+      LayerShutoff(layer=1, start_cycle=90)],
+     LayerShutoffEvent(layer=0, start_cycle=-10, end_cycle=25),
+     "default", 7, "srad"),
+    # No controller: the halt edges set the widths themselves.
+    ([PowerGateTransient(sms=(0, 6), start_cycle=-10, end_cycle=60)],
+     LayerShutoffEvent(layer=3, start_cycle=0), "none", 9, "backprop"),
+])
+@given(lanes=st.lists(_LANE, min_size=1, max_size=3))
+def test_edge_schedules_match_solo_runs_and_the_oracle(lanes):
+    """Random fault schedules and shutoff windows: every lane of the
+    kernel batch equals its solo run, the oracle and the phased body."""
+    def build():
+        return [
+            CosimLane(bench, _cfg(
+                seed,
+                faults=(FaultSchedule(events=tuple(events), seed=seed)
+                        if events else None),
+                shutoff=shutoff, use_controller=ctrl != "none",
+                **(ACTIVE if ctrl == "active" else {}),
+            ))
+            for events, shutoff, ctrl, seed, bench in lanes
+        ]
+
+    fused = run_cosim_batch(build())
+    assert last_batch_solver_info()["fused_cycles"] == TOTAL
+    with forced_fallback():
+        phased = run_cosim_batch(build())
+    for i, lane in enumerate(build()):
+        _same(fused[i], phased[i], f"lane {i} fused vs phased")
+        _same(fused[i], run_cosim(lane.benchmark, lane.config),
+              f"lane {i} vs solo")
+        _same(fused[i], _oracle(lane), f"lane {i} vs oracle")
+
+
+def _log_calls(monkeypatch, owner, name, log, key):
+    """Wrap ``owner.name`` to append ``key(self, *args)`` per call."""
+    original = getattr(owner, name)
+
+    def wrapper(self, *args, **kwargs):
+        log.append(key(self, *args))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_fig9_shaped_batch_makes_one_kernel_call_per_cycle(monkeypatch):
+    """Fig. 9's layer shutoff on every lane, half cross-layer (default
+    controller), half circuit-only: the halt edges stay off the kernel
+    call, so every cycle is exactly one."""
+    def build():
+        return [
+            CosimLane(bench, _cfg(
+                seed, shutoff=LayerShutoffEvent(layer=3, start_cycle=60),
+                use_controller=seed % 2 == 0,
+            ))
+            for seed, bench in enumerate((
+                "hotspot", "bfs", "srad", "backprop",
+                "pathfinder", "heartwall", "hotspot", "bfs",
+            ))
+        ]
+
+    calls = []
+    _log_calls(monkeypatch, CycleKernel, "run", calls,
+               lambda self, cycle, *stages: cycle)
+    _check(build, monkeypatch)
+    assert calls == list(range(TOTAL))
+
+
+SENSING = (SensorNoise, SensorQuantization, SensorStuck, SensorDropout,
+           ControlLoopJitter)
+
+
+def test_faulted_recipe_runs_hooks_only_on_edges(monkeypatch):
+    """The ``b8_active_faulted`` recipe, long enough to cross every
+    canned window: no ControllerBank.observe or scale_powers call, the
+    circuit, DFS and halt hooks once per edge cycle at most, and a
+    second kernel call only on a sensor cycle (a third on an edge with
+    circuit or DFS hooks)."""
+    cycles, warmup = 900, 60
+    scenarios = list(CANNED_SCENARIOS.values())
+    lanes = [
+        CosimLane(BENCHMARK_NAMES[i], CosimConfig(
+            cycles=cycles, warmup_cycles=warmup, seed=point_seed(1, i),
+            faults=scenarios[i // 2]() if i % 2 == 0 else None, **ACTIVE,
+        ))
+        for i in range(8)
+    ]
+    runs, hooks, banned = [], [], []
+    _log_calls(monkeypatch, CycleKernel, "run", runs,
+               lambda self, cycle, *stages: cycle)
+    for name in ("apply_circuit_faults", "frequency_scales", "halted_sms"):
+        _log_calls(monkeypatch, FaultInjector, name, hooks,
+                   lambda self, cycle, name=name:
+                   (name, self.schedule.name, cycle))
+    _log_calls(monkeypatch, ControllerBank, "observe", banned,
+               lambda self, *args: "observe")
+    _log_calls(monkeypatch, FaultInjector, "scale_powers", banned,
+               lambda self, *args: "scale_powers")
+    run_cosim_batch(lanes)
+    assert banned == []
+
+    schedules = [ln.config.faults for ln in lanes if ln.config.faults]
+    edges = {
+        s.name: {-warmup} | {
+            c for e in s.events for c in (e.start_cycle, e.end_cycle)
+            if -warmup <= c < cycles
+        }
+        for s in schedules
+    }
+    for name in ("apply_circuit_faults", "frequency_scales", "halted_sms"):
+        assert any(h[0] == name for h in hooks), name
+    seen = Counter(hooks)
+    for (name, lane, cycle), count in seen.items():
+        assert count == 1 and cycle in edges[lane], (name, lane, cycle)
+
+    hook_edges = {
+        c + warmup for s in schedules
+        if any(isinstance(e, (CRIVRPhaseLoss, PDNDrift, ProcessVariation,
+                              DFSTransient)) for e in s.events)
+        for c in edges[s.name]
+    }
+    calls = Counter(runs)
+    for cycle in range(cycles + warmup):
+        sensing = any(
+            isinstance(e, SENSING) and e.active(cycle - warmup)
+            for s in schedules for e in s.events
+        )
+        expected = 1 + (cycle in hook_edges) + sensing
+        assert calls[cycle] == expected, cycle

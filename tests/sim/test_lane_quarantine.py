@@ -17,10 +17,18 @@ import numpy as np
 import pytest
 
 from repro.faults.chaos import ChaosEvent, ChaosPlan
+from repro.faults.events import (
+    FaultSchedule,
+    LayerShutoff,
+    PowerGateTransient,
+    ProcessVariation,
+    SensorDropout,
+)
 from repro.sim.cosim import CosimConfig, CosimLane, run_cosim, run_cosim_batch
 from repro.telemetry import Telemetry
 from repro.telemetry.flight import FlightRecorder
 from tests.oracles.serial_cosim import run_cosim_reference
+from tests.sim.test_cosim_batch import _assert_result_bytes_equal
 
 CYCLES = 120
 WARMUP = 30
@@ -147,6 +155,43 @@ class TestEviction:
         assert batch[1].throttled_cycles == serial.throttled_cycles
         # The survivors crossed the boundary normally.
         assert batch[0].num_cycles == CYCLES
+
+
+class TestFaultedLaneQuarantine:
+    def test_dead_lane_fault_report_matches_its_oracle(self, chaos_plan):
+        """A lane carrying process variation, sensor dropout, a layer
+        shutoff and a power-gating window is poisoned mid-run.  Its
+        fault report equals the oracle run under the same poison,
+        untargeted: dropped samples and halted SM-cycles count through
+        its last completed cycle, though the batch only calls the halt
+        hook on edge cycles."""
+        faults = FaultSchedule(name="quarantined-faults", seed=21, events=(
+            ProcessVariation(sigma=0.05),
+            SensorDropout(probability=0.3, start_cycle=-10),
+            LayerShutoff(layer=3, start_cycle=20),
+            PowerGateTransient(sms=(0, 1), start_cycle=-10, end_cycle=40),
+        ))
+        lanes = three_lanes()
+        lanes[1] = CosimLane("bfs", cfg(5, faults=faults))
+        survivors = [
+            run_cosim_reference(lanes[i].benchmark, lanes[i].config)
+            for i in (0, 2)
+        ]
+        chaos_plan(ChaosPlan("faulted-lane", [poison(at=60, lane=1)]))
+        batch = run_cosim_batch(lanes)
+        chaos_plan(ChaosPlan("faulted-serial", [poison(at=60)]))
+        oracle = run_cosim_reference(lanes[1].benchmark, lanes[1].config)
+
+        for row, expected in zip((0, 2), survivors):
+            _assert_result_bytes_equal(batch[row], expected, f"lane {row}")
+        dead = batch[1]
+        assert dead.diverged and oracle.diverged and dead.num_cycles == 60
+        assert dead.sm_voltages.tobytes() == oracle.sm_voltages.tobytes()
+        assert dead.fault_report == oracle.fault_report
+        counters = dead.fault_report["counters"]
+        # Four shut-off SMs over cycles 20..59, two gated SMs over -10..39.
+        assert counters["halted_sm_cycles"] == 4 * 40 + 2 * 50
+        assert counters["sensor_samples_dropped"] > 0
 
 
 def _recorder():
