@@ -49,20 +49,20 @@ CYCLES = 2000
 WARMUP = 200
 TIMING_ROUNDS = 3
 SPEEDUP_FLOOR = 6.0
-# run_cosim steps the batched loop with one lane: the banked controller,
-# the fused C solver step (guard included) and actuation applied only
-# when a decision changes, where the oracle pays a scalar controller,
-# the NumPy solver and two GPU setter calls every cycle.
-B1_SPEEDUP_FLOOR = 1.8
+# run_cosim steps the batched loop with one lane: every cycle one call
+# into the cycle kernel (decision waves and pops included) and actuation
+# applied only when a decision changes, where the oracle pays a scalar
+# controller, the NumPy solver and two GPU setter calls every cycle.
+B1_SPEEDUP_FLOOR = 4.0
 LANE_BENCHMARKS = (
     "hotspot", "backprop", "bfs", "srad",
     "pathfinder", "heartwall", "hotspot", "bfs",
 )
-# Faulted lanes stay on the cycle kernel: process variation and the
-# masked sensor filter run in it, the circuit, DFS and halt hooks only
-# on their edge cycles, and halted lanes apply actuation on pops; the
-# oracle pays a scalar controller, every hook and setter per cycle.
-FAULTED_SPEEDUP_FLOOR = 3.5
+# Faulted lanes stay on the cycle kernel: process variation, the masked
+# sensor filter, the decision waves and the fast lanes' pops run in it,
+# the circuit, DFS and halt hooks only on their edge cycles; the oracle
+# pays a scalar controller, every hook and setter per cycle.
+FAULTED_SPEEDUP_FLOOR = 5.0
 FAULTED_SEED = 1
 
 

@@ -18,20 +18,24 @@ actuate + wire delay), modeled by a delay queue.  When the SM recovers
 above the threshold its commands relax back to defaults.
 
 :class:`ControllerBank` is the one implementation of the filter
-advance and the decision arithmetic, vectorized over lanes; a
-:class:`VoltageSmoothingController` holds one lane's state, and its
-``observe`` steps the lane's one-lane bank.  The per-SM scalar path the
-bank replaced is the test oracle ``tests/oracles/scalar_controller.py``.
+advance and the decision arithmetic: it owns every lane's state as
+``(B, ...)`` arrays, and its decision wave runs in C (the native
+library's ``bank_wave``, also called by the co-sim's cycle kernel) or,
+without the library, in NumPy.  A :class:`VoltageSmoothingController`
+is a view of its bank row, and its ``observe`` steps its one-lane bank.
+The per-SM scalar path the bank replaced is the test oracle
+``tests/oracles/scalar_controller.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import ctypes
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.config import StackConfig
 from repro.core.actuators import CurrentCompensationDAC, WeightedActuation
 from repro.core.detectors import DETECTOR_OPTIONS, DetectorSpec, VoltageDetector
@@ -117,6 +121,12 @@ class ControllerConfig:
             raise ValueError("v_high_threshold must be >= v_nominal")
         if self.control_period_cycles <= 0:
             raise ValueError("control period must be positive")
+        # A decision applies no earlier than the cycle after it is made
+        # (the 2C/T bound below also divides by this latency).
+        if self.latency_cycles is not None and self.latency_cycles < 1:
+            raise ValueError(
+                f"latency_cycles must be at least 1, got {self.latency_cycles}"
+            )
         if min(self.k1, self.k2, self.k3) < 0:
             raise ValueError("proportional factors must be non-negative")
         if self.slew_per_decision <= 0:
@@ -244,12 +254,54 @@ class ControlDecision:
     triggered_sms: List[int] = field(default_factory=list)
 
 
-class VoltageSmoothingController:
-    """One Algorithm 1 lane: config, sensor state, latency pipeline, stats.
+# Columns of ControllerBank._ints: each lane's decision state, counters
+# and pipeline-ring bookkeeping.  The C wave (repro/sim/_cyclec.c)
+# indexes the same columns, as it does _iparams, _params and _scal.
+(_I_LAST, _I_DECISIONS, _I_TRIGGERS, _I_THROTTLE, _I_BOOST, _I_THROTTLED,
+ _I_COUNTED, _I_ACT_DIWS, _I_ACT_FII, _I_ACT_DCC, _I_SAT_ISSUE,
+ _I_SAT_FAKE, _I_SAT_DCC, _I_WD_ENGAGE, _I_SAFE_DEC, _I_SAFE,
+ _I_SUBGUARD, _I_HEALTHY, _I_FB_SAMPLES, _I_NAN_SAMPLES, _I_LC_EVENTS,
+ _I_LC_FLAGGED, _I_FLIPS, _I_FLAP_HEAD, _I_FLAP_LEN, _I_ACTIVE,
+ _I_LAST_ID, _I_RING_HEAD, _I_RING_LEN, _I_ACTIVE_THR,
+ _I_AT_DEFAULT, _NI) = range(32)
+# Columns of ControllerBank._iparams (per-lane integer config).
+(_Q_PERIOD, _Q_LATENCY, _Q_WATCHDOG, _Q_PATIENCE, _Q_RELEASE, _Q_WINDOW,
+ _Q_MIN_FLIPS) = range(7)
+# Columns of ControllerBank._params (per-lane float config).
+(_P_THR, _P_THR_HIGH, _P_WIDEN, _P_IWMAX, _P_V_NOM, _P_K1W1, _P_K2W2,
+ _P_K3W3, _P_UNIT, _P_MAX_CODE, _P_GUARD, _P_SAFE_W) = range(12)
+# Slots of ControllerBank._scal (bank-wide due and pop bookkeeping).
+_S_NEXT_DUE, _S_UNIFORM, _S_NEXT_POP, _S_MIN_LATENCY = range(4)
+#: Status of a wave that found a due lane's ring or store full.
+_WAVE_GROW = 2
+# ControllerBank next-pop bound when no lane has a queued decision.
+_NO_POP = 1 << 62
 
-    :class:`ControllerBank` advances the lane's filters and runs its
-    decisions; :meth:`observe` steps the lane's own one-lane bank.
-    Only the stock :class:`WeightedActuation` /
+
+def _lane_int(col: int, doc: str) -> property:
+    return property(
+        lambda self: int(self._bank._ints[self._row, col]), doc=doc
+    )
+
+
+def _lane_flag(col: int, doc: str) -> property:
+    return property(
+        lambda self: bool(self._bank._ints[self._row, col]), doc=doc
+    )
+
+
+class VoltageSmoothingController:
+    """One Algorithm 1 lane: its config, and a view of its bank row.
+
+    Every piece of the lane's mutable state — RC filters, decision
+    counters, watchdog and limit-cycle state, the latency pipeline —
+    lives in one row of its :class:`ControllerBank`'s arrays.  A lane
+    gets its own one-lane bank when it is built; joining a multi-lane
+    bank (or being compacted) moves the row there.  The attributes below
+    read that row: counters as Python ``int`` / ``bool``, decisions as
+    :class:`ControlDecision` objects built once per (lane, decision id)
+    and kept while the id is live, so an unchanged command is the same
+    object.  Only the stock :class:`WeightedActuation` /
     :class:`CurrentCompensationDAC` law is vectorized there, so other
     actuation classes are rejected.
     """
@@ -277,82 +329,118 @@ class VoltageSmoothingController:
         self.dt_s = dt_s
         if dt_s <= 0:
             raise ValueError("dt must be positive")
-        # Sensor front end: one array holds every SM's RC filter state
-        # (the detector's RC filter, stepped as RCLowPassFilter.step
-        # does), quantized at the detector's resolution.
+        # Sensor front end: the detector's RC filter (stepped as
+        # RCLowPassFilter.step does), quantized at its resolution.
         filt = VoltageDetector(config.detector).filter
         tau = filt.r_ohm * filt.c_farad
         self._filter_alpha = dt_s / (tau + dt_s)
-        self._filter_state = np.full(stack.num_sms, stack.sm_voltage)
         self._resolution_v = config.detector.resolution_v
-        # The bank that steps this lane (set by ControllerBank).
-        self._bank: Optional[ControllerBank] = None
-        # (apply_at_cycle, decision) queue modelling the loop latency.
-        self._pipeline: Deque[Tuple[int, ControlDecision]] = deque()
-        self._last_decision_cycle = -config.control_period_cycles
         self._default_issue_width = float(self.actuation.issue_width_max)
-        self.active_decision = self._default_decision()
-        self._last_enqueued = self._default_decision()
-        # Statistics for performance-penalty accounting.  throttled_cycles
-        # counts *simulated* cycles (commands_for may be called more than
-        # once for the same cycle without double counting).
-        self.throttled_cycles = 0
-        self._counted_through_cycle = -1
-        self.decisions_made = 0
-        self.triggers = 0
-        # Per-actuator telemetry: decisions in which each actuator was
-        # engaged, and decisions in which its slew clamp saturated (the
-        # commanded change exceeded the per-decision limit).
-        self.actuator_decisions: Dict[str, int] = {
-            "diws": 0, "fii": 0, "dcc": 0
-        }
-        self.slew_saturations: Dict[str, int] = {
-            "issue": 0, "fake": 0, "dcc": 0
-        }
-        self.throttle_decisions = 0
-        self.boost_decisions = 0
-        # Graceful-degradation state: sensor-loss fallback holds the
-        # last good filtered measurement per SM; the guardband watchdog
-        # tracks consecutive sub-guardband decisions and escalates to
-        # the safe state; limit-cycle detection watches the throttle
-        # flag flap.
-        self._last_good = np.full(stack.num_sms, config.v_nominal)
-        self._fallback_active = np.zeros(stack.num_sms, dtype=bool)
-        self.sensor_fallback_samples = 0
-        self.nan_samples_seen = 0
-        self.watchdog_engagements = 0
-        self.safe_state_decisions = 0
-        self.in_safe_state = False
-        self._subguard_streak = 0
-        self._healthy_streak = 0
-        self._flap_history: Deque[bool] = deque(
-            maxlen=config.limit_cycle_window
-        )
-        # Incrementally maintained count of adjacent flag flips inside
-        # the history window (O(1) per decision vs re-scanning the
-        # window).
-        self._flap_flips = 0
-        self.limit_cycle_events = 0
-        self._limit_cycle_flagged = False
-        # Cached "active decision throttles" flag, refreshed whenever a
-        # new decision is popped from the pipeline; commands_for()
-        # consults it instead of re-scanning issue widths every cycle.
-        # Decision arrays are controller-owned and never mutated after
-        # enqueue (callers copy at the boundary — see run_cosim), so the
-        # cache cannot go stale.
-        self._active_throttling = bool(
-            np.any(self.active_decision.issue_widths < self._default_issue_width)
-        )
+        # Decision objects of the lane's live ids (see _decision).
+        self._decisions: Dict[int, ControlDecision] = {}
+        self._bank: Optional[ControllerBank] = None
+        self._row = 0
+        ControllerBank([self])
+
+    # -- the lane's bank row ----------------------------------------------
+    decisions_made = _lane_int(_I_DECISIONS, "Decisions made.")
+    triggers = _lane_int(_I_TRIGGERS, "Decisions that triggered an SM.")
+    throttle_decisions = _lane_int(_I_THROTTLE, "Decisions cutting issue.")
+    boost_decisions = _lane_int(_I_BOOST, "Decisions engaging FII or DCC.")
+    # Simulated cycles under a throttling command; commands_for may be
+    # called more than once for the same cycle without double counting.
+    throttled_cycles = _lane_int(_I_THROTTLED, "Throttled simulated cycles.")
+    _counted_through_cycle = _lane_int(_I_COUNTED, "Last counted cycle.")
+    _last_decision_cycle = _lane_int(_I_LAST, "Cycle of the last decision.")
+    watchdog_engagements = _lane_int(_I_WD_ENGAGE, "Safe-state entries.")
+    safe_state_decisions = _lane_int(_I_SAFE_DEC, "Decisions in safe state.")
+    in_safe_state = _lane_flag(_I_SAFE, "Whether the watchdog holds the lane.")
+    _subguard_streak = _lane_int(_I_SUBGUARD, "Sub-guardband decision streak.")
+    _healthy_streak = _lane_int(_I_HEALTHY, "Healthy decision streak.")
+    sensor_fallback_samples = _lane_int(_I_FB_SAMPLES, "Held samples.")
+    nan_samples_seen = _lane_int(_I_NAN_SAMPLES, "Dropped samples.")
+    limit_cycle_events = _lane_int(_I_LC_EVENTS, "Limit cycles flagged.")
+    _limit_cycle_flagged = _lane_flag(_I_LC_FLAGGED, "In a limit cycle.")
+    _flap_flips = _lane_int(_I_FLIPS, "Throttle-flag flips in the window.")
+    _active_throttling = _lane_flag(_I_ACTIVE_THR, "Active command throttles.")
+
+    @property
+    def actuator_decisions(self) -> Dict[str, int]:
+        """Decisions in which each actuator was engaged."""
+        row = self._bank._ints[self._row]
+        return {"diws": int(row[_I_ACT_DIWS]), "fii": int(row[_I_ACT_FII]),
+                "dcc": int(row[_I_ACT_DCC])}
+
+    @property
+    def slew_saturations(self) -> Dict[str, int]:
+        """Decisions in which each actuator's slew clamp saturated."""
+        row = self._bank._ints[self._row]
+        return {"issue": int(row[_I_SAT_ISSUE]), "fake": int(row[_I_SAT_FAKE]),
+                "dcc": int(row[_I_SAT_DCC])}
+
+    @property
+    def _filter_state(self) -> np.ndarray:
+        return self._bank._state[self._row]
+
+    @property
+    def _last_good(self) -> np.ndarray:
+        return self._bank._last_good[self._row]
+
+    @property
+    def _fallback_active(self) -> np.ndarray:
+        return self._bank._fallback[self._row]
+
+    @property
+    def _flap_history(self) -> List[bool]:
+        """The throttle flags of the limit-cycle window, oldest first."""
+        row = self._bank._ints[self._row]
+        width = self.config.limit_cycle_window
+        flags = self._bank._flap[self._row]
+        head = int(row[_I_FLAP_HEAD])
+        return [bool(flags[(head + k) % width])
+                for k in range(int(row[_I_FLAP_LEN]))]
+
+    @property
+    def active_decision(self) -> ControlDecision:
+        return self._decision(int(self._bank._ints[self._row, _I_ACTIVE]))
+
+    @property
+    def _last_enqueued(self) -> ControlDecision:
+        return self._decision(int(self._bank._ints[self._row, _I_LAST_ID]))
+
+    @property
+    def _pipeline(self) -> List[Tuple[int, ControlDecision]]:
+        """(apply_at_cycle, decision) entries modelling the loop latency."""
+        at, ids = self._bank._ring(self._row)[:2]
+        return [(int(a), self._decision(int(i)))
+                for a, i in zip(at.tolist(), ids.tolist())]
+
+    def _decision(self, ident: int) -> ControlDecision:
+        """The object of live decision ``ident``, built on first use.
+
+        It owns copies of its store rows: the slot is reused once the id
+        retires, while consumers (flight recorders) may keep it longer.
+        """
+        cache = self._decisions
+        decision = cache.get(ident)
+        if decision is None:
+            bank, row = self._bank, self._row
+            active = bank._ints[row, _I_ACTIVE]
+            for old in [k for k in cache if k < active]:
+                del cache[old]
+            slot = ident % (bank._cap + 1)
+            cat = bank._store[row, slot].copy()
+            n = bank.num_sms
+            decision = cache[ident] = ControlDecision(
+                issue_widths=cat[:n], fake_rates=cat[n:2 * n],
+                dcc_powers_w=cat[2 * n:],
+                triggered_sms=np.flatnonzero(
+                    bank._store_trig[row, slot]
+                ).tolist(),
+            )
+        return decision
 
     # ------------------------------------------------------------------
-    def _default_decision(self) -> ControlDecision:
-        n = self.stack.num_sms
-        return ControlDecision(
-            issue_widths=np.full(n, self._default_issue_width),
-            fake_rates=np.zeros(n),
-            dcc_powers_w=np.zeros(n),
-        )
-
     def observe(self, cycle: int, sm_voltages: np.ndarray) -> None:
         """Feed this cycle's true SM voltages through the detectors.
 
@@ -367,9 +455,9 @@ class VoltageSmoothingController:
         held instead, with widened trigger thresholds; otherwise the SM
         simply cannot trigger until a real sample returns.
 
-        This is the one-lane case of :class:`ControllerBank`: the first
-        call builds the lane's own bank and every call steps it.  A lane
-        of a multi-lane bank is stepped through that bank only.
+        This is the one-lane case of :class:`ControllerBank`: it steps
+        the lane's own bank.  A lane of a multi-lane bank is stepped
+        through that bank only.
         """
         sm_voltages = np.asarray(sm_voltages, dtype=float)
         if sm_voltages.shape != (self.stack.num_sms,):
@@ -378,9 +466,7 @@ class VoltageSmoothingController:
                 f"{sm_voltages.shape}"
             )
         bank = self._bank
-        if bank is None:
-            bank = ControllerBank([self])
-        elif len(bank.controllers) != 1:
+        if len(bank.controllers) != 1:
             raise RuntimeError(
                 "this controller is one of the "
                 f"{len(bank.controllers)} lanes of a ControllerBank; step "
@@ -388,73 +474,22 @@ class VoltageSmoothingController:
             )
         bank.observe(cycle, sm_voltages[None, :])
 
-    def _note_worst_measurement(self, worst: float) -> None:
-        """Advance the watchdog streaks given this decision's worst SM."""
-        cfg = self.config
-        if worst < cfg.guardband_v:
-            self._subguard_streak += 1
-            self._healthy_streak = 0
-        else:
-            self._subguard_streak = 0
-            self._healthy_streak += 1
-        if (
-            cfg.watchdog_enabled
-            and not self.in_safe_state
-            and self._subguard_streak >= cfg.watchdog_patience
-        ):
-            self.in_safe_state = True
-            self.watchdog_engagements += 1
-            self._healthy_streak = 0
-        elif (
-            self.in_safe_state
-            and self._healthy_streak >= cfg.safe_state_release_decisions
-        ):
-            self.in_safe_state = False
-
-    def _track_limit_cycle(self, throttling: bool) -> None:
-        """Flag sustained on/off flapping of the throttle engagement.
-
-        The adjacent-flip count is maintained incrementally: appending
-        to the full window evicts ``history[0]`` — removing the
-        ``(history[0], history[1])`` adjacency — and adds the
-        ``(history[-1], new)`` one, so each decision costs O(1) instead
-        of re-scanning the window.
-        """
-        cfg = self.config
-        hist = self._flap_history
-        if len(hist) == cfg.limit_cycle_window and hist[0] != hist[1]:
-            self._flap_flips -= 1
-        if hist and hist[-1] != throttling:
-            self._flap_flips += 1
-        hist.append(throttling)
-        if len(hist) < cfg.limit_cycle_window:
-            return
-        flips = self._flap_flips
-        if flips >= cfg.limit_cycle_min_flips:
-            if not self._limit_cycle_flagged:
-                self._limit_cycle_flagged = True
-                self.limit_cycle_events += 1
-        elif flips <= cfg.limit_cycle_min_flips // 2:
-            self._limit_cycle_flagged = False
-
     def commands_for(self, cycle: int) -> ControlDecision:
         """The actuation in force at ``cycle`` (after loop latency)."""
-        while self._pipeline and self._pipeline[0][0] <= cycle:
-            _, decision = self._pipeline.popleft()
-            self.active_decision = decision
-            # Decisions are immutable once enqueued (ownership contract:
-            # actuation consumers copy at the boundary), so the throttle
-            # scan happens once per decision pop, not once per cycle.
-            self._active_throttling = bool(
-                np.any(decision.issue_widths < self._default_issue_width)
-            )
+        bank, row = self._bank, self._row
+        state = bank._ints[row]
+        if state[_I_RING_LEN] and (
+            bank._ring_at[row, state[_I_RING_HEAD]] <= cycle
+        ):
+            bank._pop_lane(row, cycle)
         # Count each simulated cycle at most once, so callers that read
         # the same cycle's commands twice do not double-count.
-        if cycle > self._counted_through_cycle:
-            self._counted_through_cycle = cycle
-            if self._active_throttling:
-                self.throttled_cycles += 1
-        return self.active_decision
+        if cycle > state[_I_COUNTED]:
+            state[_I_COUNTED] = cycle
+            if state[_I_ACTIVE_THR]:
+                state[_I_THROTTLED] += 1
+        ident = int(state[_I_ACTIVE])
+        return self._decisions.get(ident) or self._decision(ident)
 
     # ------------------------------------------------------------------
     @property
@@ -478,43 +513,68 @@ class VoltageSmoothingController:
 
     def stats(self) -> Dict[str, object]:
         """Controller statistics snapshot for telemetry manifests."""
+        row = self._bank._ints[self._row].tolist()
         return {
-            "decisions_made": self.decisions_made,
-            "triggers": self.triggers,
-            "throttle_decisions": self.throttle_decisions,
-            "boost_decisions": self.boost_decisions,
-            "throttled_cycles": self.throttled_cycles,
-            "actuator_decisions": dict(self.actuator_decisions),
-            "slew_saturations": dict(self.slew_saturations),
-            "watchdog_engagements": self.watchdog_engagements,
-            "safe_state_decisions": self.safe_state_decisions,
-            "in_safe_state": self.in_safe_state,
-            "sensor_fallback_samples": self.sensor_fallback_samples,
-            "nan_samples_seen": self.nan_samples_seen,
-            "limit_cycle_events": self.limit_cycle_events,
+            "decisions_made": row[_I_DECISIONS],
+            "triggers": row[_I_TRIGGERS],
+            "throttle_decisions": row[_I_THROTTLE],
+            "boost_decisions": row[_I_BOOST],
+            "throttled_cycles": row[_I_THROTTLED],
+            "actuator_decisions": self.actuator_decisions,
+            "slew_saturations": self.slew_saturations,
+            "watchdog_engagements": row[_I_WD_ENGAGE],
+            "safe_state_decisions": row[_I_SAFE_DEC],
+            "in_safe_state": bool(row[_I_SAFE]),
+            "sensor_fallback_samples": row[_I_FB_SAMPLES],
+            "nan_samples_seen": row[_I_NAN_SAMPLES],
+            "limit_cycle_events": row[_I_LC_EVENTS],
         }
 
 
-# Columns of ControllerBank._params.
-(_P_THR, _P_THR_HIGH, _P_WIDEN, _P_IWMAX, _P_V_NOM, _P_K1W1, _P_K2W2,
- _P_K3W3, _P_UNIT, _P_MAX_CODE) = range(10)
+# ControllerBank arrays the C wave reads, in BankState's field order.
+_C_ARRAYS = (
+    "_ints", "_iparams", "_params", "_cat_default", "_slew_cat",
+    "_fallback", "_flap", "_ring_at", "_ring_id", "_store", "_store_trig",
+    "_store_thr", "_scal", "_due", "_state", "_last_good", "_alpha",
+    "_step_v", "_fb_on",
+)
+
+
+class _CBank(ctypes.Structure):
+    """Mirror of ``BankState`` in ``repro/sim/_cyclec.c`` (field order
+    matters): the bank's sizes, then its arrays."""
+
+    _fields_ = [
+        (name, ctypes.c_longlong)
+        for name in ("n_lanes", "num_sms", "cap", "flap_width")
+    ] + [(name, ctypes.c_void_p) for name in _C_ARRAYS]
 
 
 class ControllerBank:
     """Algorithm 1 over B lock-stepped, independent lanes.
 
     The one implementation of the per-cycle RC filter advance and the
-    per-decision Algorithm 1 / slew arithmetic: each lane's
-    :class:`VoltageSmoothingController` filter/fallback state is
-    re-homed as one row of shared ``(B, num_sms)`` arrays, and the
-    scalar remainder — watchdog streaks, pipelines, counters — updates
-    the owning controller.  All batched operations are elementwise with
-    per-lane ``(B, 1)`` broadcasts (or row-wise reductions), so each row
-    is bit-identical to the per-SM scalar reference
-    (``tests/oracles/scalar_controller.py``) and B=1 is the serial case:
-    observable state after ``bank.observe(cycle, seen, observed)`` is
-    byte-equal to that reference observing ``seen[i]`` for every lane
-    ``i`` with ``observed[i]`` set, and nothing for the others.
+    per-decision wave, over struct-of-arrays state: each lane's filter,
+    counters, watchdog and limit-cycle state and latency pipeline are
+    one row of ``(B, ...)`` arrays (the ``_I_*`` columns of ``_ints``;
+    :class:`VoltageSmoothingController` is a view of its row).  The
+    pipeline is a per-lane ring of ``(apply cycle, decision id)``
+    entries beside a store of each live id's ``3 * num_sms`` command row,
+    triggered-SM mask and throttle flag.  A lane's live ids — active,
+    queued, last enqueued — span at most the ring depth plus one, so the
+    store is indexed by ``id % (cap + 1)``; a wave that would overrun
+    either grows both (``_grow``) first.
+
+    A wave runs compiled (``bank_wave`` in ``repro/sim/_cyclec.c``, which
+    the co-sim's cycle kernel also calls) whenever the native library
+    loaded, and in NumPy (:meth:`_wave`) otherwise; the NumPy wave is
+    the C wave's oracle.  Every operation is elementwise per lane (or a
+    row-wise reduction), so each row is bit-identical to the per-SM
+    scalar reference (``tests/oracles/scalar_controller.py``) and B=1 is
+    the serial case: observable state after ``bank.observe(cycle, seen,
+    observed)`` is byte-equal to that reference observing ``seen[i]``
+    for every lane ``i`` with ``observed[i]`` set, and nothing for the
+    others.
 
     Lanes may differ in gains, thresholds, detectors, periods, sensor
     fallback and actuation weights — only ``num_sms`` must match.  The
@@ -537,20 +597,9 @@ class ControllerBank:
         sizes = {c.stack.num_sms for c in self.controllers}
         if len(sizes) != 1:
             raise ValueError(f"lanes must share num_sms, got {sorted(sizes)}")
-        self.num_sms = sizes.pop()
+        self.num_sms = n = sizes.pop()
         ctrls = self.controllers
-        # Re-home per-lane filter/fallback state as rows of batch arrays
-        # and take over the lanes.  np.stack copies current values and
-        # the lanes keep row views, so a later bank over the same lanes
-        # (a compaction) starts from the state this one leaves.
-        self._state = np.stack([c._filter_state for c in ctrls])
-        self._last_good = np.stack([c._last_good for c in ctrls])
-        self._fallback = np.stack([c._fallback_active for c in ctrls])
-        for i, c in enumerate(ctrls):
-            c._filter_state = self._state[i]
-            c._last_good = self._last_good[i]
-            c._fallback_active = self._fallback[i]
-            c._bank = self
+        n_lanes = len(ctrls)
 
         def col(values) -> np.ndarray:
             return np.asarray(values, dtype=float).reshape(-1, 1)
@@ -561,10 +610,10 @@ class ControllerBank:
             [c.config.sensor_fallback_enabled for c in ctrls]
         ).reshape(-1, 1)
         self._fb_all = bool(self._fb_on.all())
-        # Per-lane wave parameters, one column each (the _P_* indices),
-        # so a partial wave gathers its lanes' rows with one take.  The
-        # stock actuation's per-SM proportional law vectorizes as
-        # (B, num_sms) array ops over these (see _decide_banked).
+        # Per-lane wave parameters, one column each (the _P_* / _Q_*
+        # indices).  The stock actuation's per-SM proportional law
+        # vectorizes as (B, num_sms) array ops over these (see
+        # _decide_banked).
         self._params = np.column_stack([
             [c.config.v_threshold for c in ctrls],
             [c.config.v_high_threshold for c in ctrls],
@@ -576,65 +625,164 @@ class ControllerBank:
             [c.config.k3 * c.actuation.w3 for c in ctrls],
             [c.actuation.dac.unit_power_w for c in ctrls],
             [c.actuation.dac.max_code for c in ctrls],
+            [c.config.guardband_v for c in ctrls],
+            [c.config.safe_issue_width for c in ctrls],
         ]).astype(float)
-        self._thr = self._params[:, _P_THR:_P_THR + 1]
-        self._thr_high = self._params[:, _P_THR_HIGH:_P_THR_HIGH + 1]
-        self._period = np.array(
-            [c.config.control_period_cycles for c in ctrls], dtype=np.int64
-        )
-        self._last_decision = np.array(
-            [c._last_decision_cycle for c in ctrls], dtype=np.int64
-        )
-        # Due bookkeeping: the next cycle any lane is due.  While every
-        # lane shares one control period and decision phase (uniform
-        # cadence) the whole bank is due together, so a due cycle needs
-        # no (B,) reduction and the wave covers all lanes.  An observed
-        # mask that drops a lane's due cycle splits the phases, as in a
-        # serial run, and the bank falls back to per-lane due tests.
-        periods = {c.config.control_period_cycles for c in ctrls}
-        lasts = {c._last_decision_cycle for c in ctrls}
-        self._uniform_period: Optional[int] = (
-            periods.pop() if len(periods) == 1 and len(lasts) == 1 else None
-        )
-        self._next_due = int((self._last_decision + self._period).min())
-        self._any_fallback = bool(self._fallback.any())
-        # Each lane's loop latency, cached: the config is frozen, and the
-        # property re-derives it from the detector on every read.
-        self._latency = [c.config.total_latency_cycles for c in ctrls]
-        self._min_latency = min(self._latency)
-        # A lower bound on the next cycle any lane's pipeline head pops:
-        # waves lower it, and the consumer that pops the pipelines
-        # raises it again (see repro.sim.cosim); cycles before it need
-        # no pipeline scan.
-        self.next_pop = 0
-        # Per-cycle observe scratch (the filter advance is dispatch-
-        # bound at small B; out= ufuncs avoid five temporaries a cycle).
-        self._obs_buf = np.empty_like(self._state)
-        self._finite_buf = np.empty(self._state.shape, dtype=bool)
-        # Wave working set: the three actuator command blocks live side
-        # by side in one (B, 3*num_sms) array, so the slew clamp and its
-        # saturation test run as single ufunc calls; each lane's
-        # ControlDecision holds row-slice views of the blocks.
-        n = self.num_sms
-        n_lanes = len(ctrls)
+        self._iparams = np.array([
+            (c.config.control_period_cycles, c.config.total_latency_cycles,
+             c.config.watchdog_enabled, c.config.watchdog_patience,
+             c.config.safe_state_release_decisions,
+             c.config.limit_cycle_window, c.config.limit_cycle_min_flips)
+            for c in ctrls
+        ], dtype=np.int64)
+        self._period = self._iparams[:, _Q_PERIOD]
+        # The three actuator command blocks live side by side in one
+        # (B, 3*num_sms) row, so the slew clamp and its saturation test
+        # run as single ufunc calls.
         self._cat_default = np.zeros((n_lanes, 3 * n))
         self._cat_default[:, :n] = self._params[:, _P_IWMAX:_P_IWMAX + 1]
         self._slew_cat = np.empty((n_lanes, 3 * n))
         self._slew_cat[:, :n] = col([c.config.slew_issue for c in ctrls])
         self._slew_cat[:, n:2 * n] = col([c.config.slew_fake for c in ctrls])
         self._slew_cat[:, 2 * n:] = col([c.config.slew_dcc_w for c in ctrls])
-        # Each lane's last enqueued command, as one bank-owned row kept
-        # current by the waves (the bank is the lanes' only enqueuer),
-        # and whether it sits exactly at the default decision (gates
-        # the idle-lane re-enqueue).
-        self._prev_cat = np.stack([
-            np.concatenate(
-                (d.issue_widths, d.fake_rates, d.dcc_powers_w)
+        # A fresh lane's state: filters at their initial voltage, the
+        # default decision active (id 0) and last enqueued (id 1, a
+        # distinct object), nothing queued.
+        self._state = np.repeat(col([c.stack.sm_voltage for c in ctrls]), n, 1)
+        self._last_good = np.repeat(
+            col([c.config.v_nominal for c in ctrls]), n, 1
+        )
+        self._fallback = np.zeros((n_lanes, n), dtype=bool)
+        self._ints = np.zeros((n_lanes, _NI), dtype=np.int64)
+        self._ints[:, _I_LAST] = -self._period
+        self._ints[:, _I_COUNTED] = -1
+        self._ints[:, _I_LAST_ID] = 1
+        self._ints[:, _I_AT_DEFAULT] = 1
+        self._flap = np.zeros(
+            (n_lanes, int(self._iparams[:, _Q_WINDOW].max())), dtype=np.uint8
+        )
+        self._cap = max(
+            [int(lat // period) + 2 for period, lat
+             in self._iparams[:, :_Q_LATENCY + 1].tolist()]
+            + [c._bank._cap for c in ctrls if c._bank is not None]
+        )
+        self._alloc_ring(self._cap)
+        self._store[:, :2] = self._cat_default[:, None, :]
+        # Lanes that already had a bank bring their rows along; every
+        # lane becomes a view of its row here.
+        for i, c in enumerate(ctrls):
+            if c._bank is not None:
+                self._adopt(i, c._bank, c._row)
+            c._bank, c._row = self, i
+        # Due bookkeeping (_S_* slots): the next cycle any lane is due.
+        # While every lane shares one control period and decision phase
+        # (uniform cadence) the whole bank is due together, so a due
+        # cycle needs no per-lane test and the wave covers all lanes.
+        # An observed mask that drops a lane's due cycle splits the
+        # phases, as in a serial run, and the bank falls back to
+        # per-lane due tests.  NEXT_POP is a lower bound on the next
+        # cycle a lane's pipeline head pops: waves lower it, the pop
+        # consumer raises it again.
+        last = self._ints[:, _I_LAST]
+        self._scal = np.zeros(4, dtype=np.int64)
+        periods = set(self._period.tolist())
+        if len(periods) == 1 and len(set(last.tolist())) == 1:
+            self._scal[_S_UNIFORM] = periods.pop()
+        self._scal[_S_NEXT_DUE] = (last + self._period).min()
+        self._scal[_S_MIN_LATENCY] = self._iparams[:, _Q_LATENCY].min()
+        self._due = np.zeros(n_lanes, dtype=np.uint8)  # C wave scratch
+        # Per-cycle observe scratch (the filter advance is dispatch-
+        # bound at small B; out= ufuncs avoid five temporaries a cycle).
+        self._obs_buf = np.empty_like(self._state)
+        self._finite_buf = np.empty(self._state.shape, dtype=bool)
+        self._c: Optional[_CBank] = None
+        # The C wave, resolved on first use (False: no native library).
+        self._wave_fn = None
+
+    # -- ring and store layout ------------------------------------------
+    def _alloc_ring(self, cap: int) -> None:
+        n_lanes, n3 = self._cat_default.shape
+        self._cap = cap
+        self._ring_at = np.zeros((n_lanes, cap), dtype=np.int64)
+        self._ring_id = np.zeros((n_lanes, cap), dtype=np.int64)
+        self._store = np.zeros((n_lanes, cap + 1, n3))
+        self._store_trig = np.zeros(
+            (n_lanes, cap + 1, self.num_sms), dtype=np.uint8
+        )
+        self._store_thr = np.zeros((n_lanes, cap + 1), dtype=np.uint8)
+
+    def _ring(self, row: int):
+        """Lane ``row``'s queued entries in pop order, then its live ids
+        (active through last enqueued) with their store rows."""
+        state = self._ints[row]
+        cap = self._cap
+        queued = (state[_I_RING_HEAD] + np.arange(state[_I_RING_LEN])) % cap
+        ids = np.arange(state[_I_ACTIVE], state[_I_LAST_ID] + 1)
+        slots = ids % (cap + 1)
+        return (
+            self._ring_at[row, queued], self._ring_id[row, queued], ids,
+            self._store[row, slots], self._store_trig[row, slots],
+            self._store_thr[row, slots],
+        )
+
+    def _place(self, row: int, ring) -> None:
+        """Lay ``ring`` (as :meth:`_ring` returns it) out in ``row``."""
+        at, ident, ids, store, trig, thr = ring
+        self._ring_at[row, :len(at)] = at
+        self._ring_id[row, :len(at)] = ident
+        self._ints[row, _I_RING_HEAD] = 0
+        slots = ids % (self._cap + 1)
+        self._store[row, slots] = store
+        self._store_trig[row, slots] = trig
+        self._store_thr[row, slots] = thr
+
+    def _adopt(self, row: int, old: "ControllerBank", old_row: int) -> None:
+        """Take over a lane's state from its previous bank's row."""
+        for name in ("_state", "_last_good", "_fallback", "_ints"):
+            getattr(self, name)[row] = getattr(old, name)[old_row]
+        width = int(self._iparams[row, _Q_WINDOW])
+        self._flap[row, :width] = old._flap[old_row, :width]
+        self._place(row, old._ring(old_row))
+
+    def _grow(self) -> None:
+        """Double the ring depth (and the store), keeping every entry."""
+        rings = [self._ring(row) for row in range(len(self.controllers))]
+        self._alloc_ring(2 * self._cap)
+        for row, ring in enumerate(rings):
+            self._place(row, ring)
+        if self._c is not None:
+            self._bind_c()
+
+    def _bind_c(self) -> _CBank:
+        """The C wave's view of this bank, (re)pointed at its arrays."""
+        if self._c is None:
+            self._c = _CBank(
+                n_lanes=len(self.controllers), num_sms=self.num_sms
             )
-            for d in (c._last_enqueued for c in ctrls)
-        ])
-        self._at_default = (self._prev_cat == self._cat_default).all(axis=1)
-        self._all_at_default = bool(self._at_default.all())
+        self._c.cap = self._cap
+        self._c.flap_width = self._flap.shape[1]
+        for name in _C_ARRAYS:
+            setattr(self._c, name, getattr(self, name).ctypes.data)
+        return self._c
+
+    def _native_wave(self):
+        """The compiled wave, or ``None`` without the native library."""
+        if self._wave_fn is None:
+            lib = native.load()
+            self._wave_fn = False if lib is None else lib.bank_wave
+            if lib is not None:
+                self._c_ptr = ctypes.pointer(self._bind_c())
+        return self._wave_fn or None
+
+    @property
+    def next_due(self) -> int:
+        """The next cycle any lane is due to decide."""
+        return int(self._scal[_S_NEXT_DUE])
+
+    @property
+    def _uniform_period(self) -> Optional[int]:
+        """The shared control period while the lanes decide in phase."""
+        return int(self._scal[_S_UNIFORM]) or None
 
     # ------------------------------------------------------------------
     def observe(
@@ -658,8 +806,10 @@ class ControllerBank:
             raise ValueError(
                 f"expected voltages of shape {expected}, got {seen.shape}"
             )
-        if observed is not None and observed.all():
-            observed = None
+        if observed is not None:
+            observed = np.ascontiguousarray(observed, dtype=bool)
+            if observed.all():
+                observed = None
         finite = self._finite_buf
         np.isfinite(seen, out=finite)
         if observed is None and finite.all():
@@ -670,34 +820,18 @@ class ControllerBank:
             np.subtract(seen, state, out=buf)
             buf *= self._alpha
             state += buf
-            # Quantize straight into _last_good (rows alias the lanes'
-            # held-measurement arrays, which the reference updates with
-            # exactly this value on every finite sample).
+            # Quantize straight into _last_good (the reference updates
+            # the held measurement with exactly this value on every
+            # finite sample), and clear the fallback flags.
             measured = self._last_good
             np.divide(state, self._step_v, out=measured)
             np.rint(measured, out=measured)
             measured *= self._step_v
-            self.observe_filtered(cycle)
+            self._fallback[:] = False
+            self._decide_due(cycle, measured, None, False)
             return
         measured, has_nan = self._advance_masked(seen, finite, observed)
         self._decide_due(cycle, measured, observed, has_nan)
-
-    def observe_filtered(self, cycle: int) -> None:
-        """The rest of an all-finite, all-observed :meth:`observe`.
-
-        For a caller that has already advanced every row's RC filter
-        and quantizer on finite samples into ``_state`` / ``_last_good``
-        with ``observe``'s exact arithmetic (the co-sim's cycle kernel
-        does).  Clears the fallback flags and runs a decision wave when
-        one is due.
-        """
-        if self._any_fallback:
-            # Clearing an all-False fallback row is a no-op, so one
-            # global clear matches the per-lane clears.
-            self._fallback[:] = False
-            self._any_fallback = False
-        if cycle >= self._next_due:
-            self._decide_due(cycle, self._last_good, None, False)
 
     def _decide_due(
         self,
@@ -707,25 +841,45 @@ class ControllerBank:
         has_nan: bool,
     ) -> None:
         """Run the decision wave of the lanes due at ``cycle``."""
-        if cycle < self._next_due:
+        scal = self._scal
+        if cycle < scal[_S_NEXT_DUE]:
             return
-        if self._uniform_period is not None and observed is None:
-            self._next_due = cycle + self._uniform_period
-            self._last_decision[:] = cycle
+        wave = self._native_wave()
+        if wave is not None:
+            obs = None if observed is None else observed.ctypes.data
+            while wave(self._c_ptr, cycle, measured.ctypes.data, obs) == (
+                _WAVE_GROW
+            ):
+                self._grow()
+            return
+        ints = self._ints
+        if scal[_S_UNIFORM] and observed is None:
+            rows = None
+        else:
+            due = cycle - ints[:, _I_LAST] >= self._period
+            if observed is not None:
+                due &= observed
+            rows = np.flatnonzero(due)
+        lanes = ints if rows is None else ints[rows]
+        cap = self._cap
+        if (
+            (lanes[:, _I_RING_LEN] >= cap)
+            | (lanes[:, _I_LAST_ID] - lanes[:, _I_ACTIVE] >= cap)
+        ).any():
+            self._grow()
+        if rows is None:
+            scal[_S_NEXT_DUE] = cycle + scal[_S_UNIFORM]
+            ints[:, _I_LAST] = cycle
             self._wave(cycle, measured, None, has_nan)
             return
-        self._uniform_period = None
-        due = cycle - self._last_decision >= self._period
-        if observed is not None:
-            due &= observed
-        rows = np.flatnonzero(due)
+        scal[_S_UNIFORM] = 0
         if rows.size:
-            self._last_decision[rows] = cycle
+            ints[rows, _I_LAST] = cycle
             self._wave(
-                cycle, measured, None if rows.size == len(due) else rows,
+                cycle, measured, None if rows.size == len(ints) else rows,
                 has_nan,
             )
-        self._next_due = int((self._last_decision + self._period).min())
+        scal[_S_NEXT_DUE] = (ints[:, _I_LAST] + self._period).min()
 
     def _advance_masked(
         self,
@@ -770,33 +924,10 @@ class ControllerBank:
             if blind.any():
                 measured[blind] = np.nan
                 has_nan = True
-        self._count_dropped(dropped.sum(axis=1))
-        self._any_fallback = bool(self._fallback.any())
+        counts = dropped.sum(axis=1)
+        self._ints[:, _I_NAN_SAMPLES] += counts
+        self._ints[:, _I_FB_SAMPLES] += counts * self._fb_on[:, 0]
         return measured, has_nan
-
-    def _count_dropped(self, counts: np.ndarray) -> None:
-        """Credit per-lane dropped-sample counts to the lanes' stats."""
-        fb_on = self._fb_on
-        for i, count in enumerate(counts.tolist()):
-            if count:
-                c = self.controllers[i]
-                c.nan_samples_seen += count
-                if fb_on[i, 0]:
-                    c.sensor_fallback_samples += count
-
-    def observe_measured(
-        self,
-        cycle: int,
-        measured: np.ndarray,
-        observed: Optional[np.ndarray],
-        has_nan: bool,
-        any_fallback: bool,
-    ) -> None:
-        """The rest of a masked :meth:`observe`, for a caller that ran
-        :meth:`_advance_masked`'s arithmetic (the co-sim's cycle kernel
-        does) and passes what it leaves; runs a due decision wave."""
-        self._any_fallback = any_fallback
-        self._decide_due(cycle, measured, observed, has_nan)
 
     # ------------------------------------------------------------------
     def _wave(
@@ -810,167 +941,152 @@ class ControllerBank:
 
         Per lane this is the reference's ``_make_decision``
         (``tests/oracles/scalar_controller.py``): watchdog, Algorithm 1
-        (or the safe state), slew limiting, statistics and enqueueing.  An
-        *idle* lane — nothing triggered, not in the safe state, and its
-        previous command exactly the default — would enqueue a command
-        value-identical to its previous one, so it re-enqueues that same
-        decision object instead: downstream consumers can then skip
-        actuation on an identity check, and a wave of idle lanes skips
-        the clamp entirely.
+        (or the safe state), slew limiting, statistics and enqueueing.
+        An *idle* lane — nothing triggered, not in the safe state, and
+        its last command exactly the default — would enqueue a command
+        value-identical to its last one, so it re-enqueues that id
+        instead; every other lane stores its command under a new id.
+        ``bank_wave`` in ``repro/sim/_cyclec.c`` is this body in C.
         """
-        self.next_pop = min(self.next_pop, cycle + self._min_latency)
-        if rows is None:
-            ctrls = self.controllers
-            latency = self._latency
-            m = measured
-            P = self._params
-            thr = self._thr
-            thr_high = self._thr_high
-        else:
-            ctrls = [self.controllers[i] for i in rows]
-            latency = [self._latency[i] for i in rows]
-            m = measured[rows]
-            P = self._params[rows]
-            thr = P[:, _P_THR:_P_THR + 1]
-            thr_high = P[:, _P_THR_HIGH:_P_THR_HIGH + 1]
+        scal = self._scal
+        scal[_S_NEXT_POP] = min(
+            scal[_S_NEXT_POP], cycle + scal[_S_MIN_LATENCY]
+        )
+        idx = np.arange(len(self.controllers)) if rows is None else rows
+        m = measured[idx]
+        P = self._params[idx]
+        Q = self._iparams[idx]
+        state = self._ints[idx]
         # Watchdog streaks advance on each lane's worst measured SM; an
         # all-NaN row (total sensor loss without fallback) is no
         # evidence either way.
         if has_nan:
-            worst = np.where(np.isfinite(m), m, np.inf).min(axis=1).tolist()
+            worst = np.where(np.isfinite(m), m, np.inf).min(axis=1)
         else:
-            worst = m.min(axis=1).tolist()
-        inf = np.inf
-        for c, w in zip(ctrls, worst):
-            c._last_decision_cycle = cycle
-            if w != inf:
-                c._note_worst_measurement(w)
+            worst = m.min(axis=1)
+        seen = worst != np.inf
+        below = worst < P[:, _P_GUARD]
+        sub = state[:, _I_SUBGUARD]
+        healthy = state[:, _I_HEALTHY]
+        safe = state[:, _I_SAFE] != 0
+        sub = np.where(seen, np.where(below, sub + 1, 0), sub)
+        healthy = np.where(seen, np.where(below, 0, healthy + 1), healthy)
+        engage = seen & (Q[:, _Q_WATCHDOG] != 0) & ~safe & (
+            sub >= Q[:, _Q_PATIENCE]
+        )
+        release = seen & ~engage & safe & (healthy >= Q[:, _Q_RELEASE])
+        safe = (safe | engage) & ~release
+        state[:, _I_SUBGUARD] = sub
+        state[:, _I_HEALTHY] = np.where(engage, 0, healthy)
+        state[:, _I_SAFE] = safe
+        state[:, _I_WD_ENGAGE] += engage
         # A fallback-held SM's thresholds widen: protective throttling
         # engages earlier on stale data, power-adding boosts later.
-        # NaN fails both comparisons — it never actuates.
-        if self._any_fallback:
-            fb = self._fallback if rows is None else self._fallback[rows]
-            widen = np.where(fb, P[:, _P_WIDEN:_P_WIDEN + 1], 0.0)
-            low = m < thr + widen
-            high = m > thr_high + widen
-        else:
-            low = m < thr
-            high = m > thr_high
-        safe = [c.in_safe_state for c in ctrls]
-        any_safe = any(safe)
-        if any_safe:
-            # The safe state replaces Algorithm 1 outright.
-            live = ~np.array(safe).reshape(-1, 1)
-            low &= live
-            high &= live
+        # NaN fails both comparisons — it never actuates.  The safe
+        # state replaces Algorithm 1 outright.
+        widen = np.where(
+            self._fallback[idx], P[:, _P_WIDEN:_P_WIDEN + 1], 0.0
+        )
+        live = ~safe[:, None]
+        low = (m < P[:, _P_THR:_P_THR + 1] + widen) & live
+        high = (m > P[:, _P_THR_HIGH:_P_THR_HIGH + 1] + widen) & live
         trig_mask = low | high
-        trig = trig_mask.any(axis=1).tolist()
-        any_trig = any(trig)
-        if not any_trig and not any_safe and (
-            self._all_at_default if rows is None
-            else self._at_default[rows].all()
-        ):
-            for c, lat in zip(ctrls, latency):
-                c.decisions_made += 1
-                c._track_limit_cycle(False)
-                c._pipeline.append((cycle + lat, c._last_enqueued))
-            return
-        at_default = (
-            self._at_default if rows is None else self._at_default[rows]
-        ).tolist()
-        idle = [
-            a and not t and not s for a, t, s in zip(at_default, trig, safe)
-        ]
+        trig = trig_mask.any(axis=1)
+        state[:, _I_DECISIONS] += 1
+        busy = np.flatnonzero(
+            (state[:, _I_AT_DEFAULT] == 0) | trig | safe
+        )
+        throttling = np.zeros(len(idx), dtype=bool)
+        if busy.size:
+            throttling[busy] = self._commands(
+                idx[busy], state, busy, m[busy], low[busy], high[busy],
+                P[busy], safe[busy], trig_mask[busy],
+            )
+            state[busy, _I_TRIGGERS] += trig[busy]
+        self._track_flaps(idx, state, Q, throttling)
+        cap = self._cap
+        slot = (state[:, _I_RING_HEAD] + state[:, _I_RING_LEN]) % cap
+        self._ring_at[idx, slot] = cycle + Q[:, _Q_LATENCY]
+        self._ring_id[idx, slot] = state[:, _I_LAST_ID]
+        state[:, _I_RING_LEN] += 1
+        self._ints[idx] = state
+
+    def _commands(self, lanes, state, busy, m, low, high, P, safe, trig_mask):
+        """Store the slew-limited commands of the non-idle ``lanes``
+        under new ids and count them; returns their throttle flags."""
         n = self.num_sms
-        if rows is None:
-            cat_default = self._cat_default
-            slew = self._slew_cat
-        else:
-            cat_default = self._cat_default[rows]
-            slew = self._slew_cat[rows]
+        cat_default = self._cat_default[lanes]
         cat = cat_default.copy()
         widths = cat[:, :n]
-        fakes = cat[:, n:2 * n]
-        dcc = cat[:, 2 * n:]
-        decisions: List[Optional[ControlDecision]] = [
-            None if idle[j] else ControlDecision(
-                issue_widths=widths[j], fake_rates=fakes[j],
-                dcc_powers_w=dcc[j],
+        if low.any() or high.any():
+            self._decide_banked(
+                m, low, high, P, widths, cat[:, n:2 * n], cat[:, 2 * n:]
             )
-            for j in range(len(ctrls))
-        ]
-        if any_trig:
-            self._decide_banked(m, low, high, P, widths, fakes, dcc)
-            for j, t in enumerate(trig):
-                if t:
-                    decisions[j].triggered_sms = np.flatnonzero(
-                        trig_mask[j]
-                    ).tolist()
-        if any_safe:
-            for j, c in enumerate(ctrls):
-                if safe[j]:
-                    widths[j] = float(c.config.safe_issue_width)
-                    c.safe_state_decisions += 1
-        k = len(ctrls)
-        prev_cat = self._prev_cat if rows is None else self._prev_cat[rows]
-        clamped = np.clip(cat, prev_cat - slew, prev_cat + slew)
+        if safe.any():
+            widths[safe] = P[safe, _P_SAFE_W:_P_SAFE_W + 1]
+            state[busy[safe], _I_SAFE_DEC] += 1
+        last = state[busy, _I_LAST_ID]
+        slots = self._cap + 1
+        prev = self._store[lanes, last % slots]
+        slew = self._slew_cat[lanes]
+        clamped = np.clip(cat, prev - slew, prev + slew)
+        k = len(lanes)
         # Per lane and actuator (issue, fake, dcc): did the clamp bite?
-        saturated = (clamped != cat).reshape(k, 3, n).any(axis=2).tolist()
-        cat[:] = clamped
+        saturated = (clamped != cat).reshape(k, 3, n).any(axis=2)
+        cat = clamped
         throttling = (
-            (widths < P[:, _P_IWMAX:_P_IWMAX + 1]).any(axis=1).tolist()
-        )
+            cat[:, :n] < P[:, _P_IWMAX:_P_IWMAX + 1]
+        ).any(axis=1)
         # Per lane: FII engaged, DCC engaged.
-        boosting = (cat[:, n:] > 0.0).reshape(k, 2, n).any(axis=2).tolist()
-        now_default = (cat == cat_default).all(axis=1)
-        if rows is None:
-            self._prev_cat[:] = cat
-            self._at_default = now_default
-        else:
-            self._prev_cat[rows] = cat
-            self._at_default[rows] = now_default
-        self._all_at_default = bool(self._at_default.all())
-        relaxed = now_default.tolist()
-        for j, c in enumerate(ctrls):
-            c.decisions_made += 1
-            d = decisions[j]
-            if d is None:
-                c._track_limit_cycle(False)
-                c._pipeline.append((cycle + latency[j], c._last_enqueued))
-                continue
-            if relaxed[j]:
-                # Idle waves may re-enqueue a default decision for the
-                # rest of the run: give it its own arrays, so it does
-                # not keep this wave's (k, 3n) block alive.
-                d = ControlDecision(
-                    issue_widths=d.issue_widths.copy(),
-                    fake_rates=d.fake_rates.copy(),
-                    dcc_powers_w=d.dcc_powers_w.copy(),
-                    triggered_sms=d.triggered_sms,
-                )
-            sat_i, sat_f, sat_d = saturated[j]
-            if sat_i:
-                c.slew_saturations["issue"] += 1
-            if sat_f:
-                c.slew_saturations["fake"] += 1
-            if sat_d:
-                c.slew_saturations["dcc"] += 1
-            c._last_enqueued = d
-            if d.triggered_sms:
-                c.triggers += 1
-            throttled = throttling[j]
-            c._track_limit_cycle(throttled)
-            if throttled:
-                c.throttle_decisions += 1
-                c.actuator_decisions["diws"] += 1
-            fii_active, dcc_active = boosting[j]
-            if fii_active:
-                c.actuator_decisions["fii"] += 1
-            if dcc_active:
-                c.actuator_decisions["dcc"] += 1
-            if fii_active or dcc_active:
-                c.boost_decisions += 1
-            c._pipeline.append((cycle + latency[j], d))
+        boosting = (cat[:, n:] > 0.0).reshape(k, 2, n).any(axis=2)
+        new = (last + 1) % slots
+        self._store[lanes, new] = cat
+        self._store_trig[lanes, new] = trig_mask
+        self._store_thr[lanes, new] = throttling
+        state[busy, _I_LAST_ID] = last + 1
+        state[busy, _I_AT_DEFAULT] = (cat == cat_default).all(axis=1)
+        state[busy, _I_SAT_ISSUE] += saturated[:, 0]
+        state[busy, _I_SAT_FAKE] += saturated[:, 1]
+        state[busy, _I_SAT_DCC] += saturated[:, 2]
+        state[busy, _I_THROTTLE] += throttling
+        state[busy, _I_ACT_DIWS] += throttling
+        state[busy, _I_ACT_FII] += boosting[:, 0]
+        state[busy, _I_ACT_DCC] += boosting[:, 1]
+        state[busy, _I_BOOST] += boosting.any(axis=1)
+        return throttling
+
+    def _track_flaps(self, idx, state, Q, throttling) -> None:
+        """Flag sustained on/off flapping of the throttle engagement.
+
+        Each lane keeps its last ``limit_cycle_window`` throttle flags in
+        a ring and an incrementally maintained count of adjacent flips:
+        appending to a full window evicts the oldest flag — removing the
+        (oldest, second) adjacency — and adds the (newest, new) one.
+        """
+        width = Q[:, _Q_WINDOW]
+        head = state[:, _I_FLAP_HEAD]
+        length = state[:, _I_FLAP_LEN]
+        flags = throttling.astype(np.uint8)
+        full = length == width
+        first = self._flap[idx, head]
+        second = self._flap[idx, (head + 1) % width]
+        newest = self._flap[idx, (head + length - 1) % width]
+        flips = (
+            state[:, _I_FLIPS] - (full & (first != second))
+            + ((length > 0) & (newest != flags))
+        )
+        self._flap[idx, (head + length) % width] = flags
+        state[:, _I_FLAP_HEAD] = np.where(full, (head + 1) % width, head)
+        length = np.where(full, length, length + 1)
+        state[:, _I_FLAP_LEN] = length
+        state[:, _I_FLIPS] = flips
+        ready = length == width
+        min_flips = Q[:, _Q_MIN_FLIPS]
+        on = ready & (flips >= min_flips)
+        off = ready & ~on & (flips <= min_flips // 2)
+        flagged = state[:, _I_LC_FLAGGED] != 0
+        state[:, _I_LC_EVENTS] += on & ~flagged
+        state[:, _I_LC_FLAGGED] = (flagged | on) & ~off
 
     # ------------------------------------------------------------------
     def _decide_banked(
@@ -1029,16 +1145,64 @@ class ControllerBank:
             np.copyto(dcc, power, where=high_eff)
 
     # ------------------------------------------------------------------
+    def _pop_lane(self, row: int, cycle: int) -> None:
+        """Pop lane ``row``'s entries due by ``cycle``; the last popped
+        id becomes active (its throttle flag with it)."""
+        state = self._ints[row]
+        cap = self._cap
+        head, length = int(state[_I_RING_HEAD]), int(state[_I_RING_LEN])
+        at, ids = self._ring_at[row], self._ring_id[row]
+        popped = -1
+        while length and at[head] <= cycle:
+            popped = int(ids[head])
+            head = (head + 1) % cap
+            length -= 1
+        state[_I_RING_HEAD] = head
+        state[_I_RING_LEN] = length
+        if popped >= 0 and popped != state[_I_ACTIVE]:
+            state[_I_ACTIVE] = popped
+            state[_I_ACTIVE_THR] = self._store_thr[row, popped % (cap + 1)]
+
+    def pop_fast(
+        self, cycle: int, fast: np.ndarray, applied: np.ndarray
+    ) -> List[int]:
+        """Advance the ``fast`` lanes' pipelines to ``cycle``.
+
+        The co-sim's cycle kernel runs this stage in C.  ``fast``
+        (``(B,)`` bool) marks the lanes whose actuation the caller applies
+        only when a new decision pops; ``applied`` (``(B,)`` int64) holds
+        the id each last applied (-1: none) and is updated here.  Pops
+        each fast lane's due entries, counts the cycle as
+        :meth:`VoltageSmoothingController.commands_for` does, and returns
+        the rows whose active decision the caller must now apply.
+        """
+        ints = self._ints
+        scal = self._scal
+        if cycle >= scal[_S_NEXT_POP]:
+            next_pop = _NO_POP
+            for row in np.flatnonzero(fast).tolist():
+                self._pop_lane(row, cycle)
+                if ints[row, _I_RING_LEN]:
+                    next_pop = min(next_pop, int(
+                        self._ring_at[row, ints[row, _I_RING_HEAD]]
+                    ))
+            scal[_S_NEXT_POP] = next_pop
+        count = fast & (cycle > ints[:, _I_COUNTED])
+        ints[count & (ints[:, _I_ACTIVE_THR] != 0), _I_THROTTLED] += 1
+        ints[count, _I_COUNTED] = cycle
+        changed = fast & (ints[:, _I_ACTIVE] != applied)
+        applied[changed] = ints[changed, _I_ACTIVE]
+        return np.flatnonzero(changed).tolist()
+
+    # ------------------------------------------------------------------
     def compact(self, keep: List[int]) -> "ControllerBank":
         """Rebuild the bank over the ``keep`` lanes (batch quarantine).
 
-        Mid-run re-homing is exact: every piece of mutable lane state
-        either lives on the controller object itself (pipelines,
-        counters, ``_last_decision_cycle``, ``_last_enqueued``) or is a
-        row *view* of the bank arrays — so the constructor's
-        ``np.stack`` reads current values — and the due bookkeeping is
-        reconstructed from ``_last_decision_cycle + period``, which is
-        exactly a lane's own cadence.  Dropped lanes' controllers are
-        left untouched (their state rows simply stop being advanced).
+        Mid-run re-homing is exact: every piece of mutable lane state is
+        a row of this bank's arrays, which the new bank adopts — due
+        bookkeeping is reconstructed from each lane's last decision
+        cycle plus its period, exactly its own cadence.  Dropped lanes'
+        controllers are left untouched (their rows simply stop being
+        advanced).
         """
         return ControllerBank([self.controllers[i] for i in keep])

@@ -2,8 +2,9 @@
 
 The GPU step kernel (``repro/gpu/_enginec.c``), the batched PDN solver
 kernel (``repro/circuits/_solverc.c``) and the co-sim cycle kernel
-(``repro/sim/_cyclec.c``, which calls the other two directly) are
-linked into one shared object, compiled by the system toolchain at
+(``repro/sim/_cyclec.c``, which calls the other two directly and also
+exports the controller bank's decision wave) are linked into one
+shared object, compiled by the system toolchain at
 first use and driven through :mod:`ctypes`.  Whether that library
 loaded is the only compiled-or-NumPy decision: every layer asks
 :func:`load`, and keeps only its own input-eligibility checks.
@@ -40,6 +41,7 @@ _SYMBOLS = {
     "solver_step_n": [_PTR, _I64],
     "solver_step_n_checked": [_PTR, _I64, _PTR, _PTR],
     "cosim_cycle": [_PTR, _I64, _I64, _I64],
+    "bank_wave": [_PTR, _I64, _PTR, _PTR],
 }
 
 _DGETRS: dict = {}

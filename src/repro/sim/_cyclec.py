@@ -3,10 +3,11 @@
 One :meth:`CycleKernel.run` call advances every lane of a batch through
 one co-sim cycle — GPU step and process-variation scaling, PDN
 currents, guarded solver substeps, SM-voltage readout, the controller
-bank's RC filter (masked for dropped samples and unobserved lanes) and
-the recording row — in compiled code.  The kernel is part of the
-native library (:mod:`repro.native`) and calls the GPU engine and the
-PDN solver kernels linked beside it.  When the library is unavailable,
+bank's RC filter (masked for dropped samples and unobserved lanes), its
+decision wave and the fast lanes' pipeline pops, and the recording row
+— in compiled code.  The kernel is part of the native library
+(:mod:`repro.native`) and calls the GPU engine and the PDN solver
+kernels linked beside it.  When the library is unavailable,
 the co-sim loop runs its NumPy body instead — same results, more Python
 per cycle.
 """
@@ -24,9 +25,9 @@ _I64 = ctypes.c_longlong
 _F64 = ctypes.c_double
 
 #: Stages of :meth:`CycleKernel.run` (see ``_cyclec.c``).
-STAGE_GPU, STAGE_SOLVE, STAGE_READOUT, STAGE_FILTER = 0, 1, 2, 3
+STAGE_GPU, STAGE_SOLVE, STAGE_READOUT, STAGE_FILTER, STAGE_DECIDE = range(5)
 #: Non-error return codes of ``cosim_cycle``.
-MASKED, RELAUNCH, SUSPECT = 1, 2, 3
+RELAUNCH, SUSPECT, GROW = 2, 3, 4
 
 
 class CCycleState(ctypes.Structure):
@@ -61,19 +62,18 @@ class CCycleState(ctypes.Structure):
         ("bot_idx", _PTR),
         ("volts", _PTR),
         ("bank_lanes", _I64),
+        ("bank", _PTR),
         ("bank_rows", _PTR),
-        ("filter_state", _PTR),
-        ("last_good", _PTR),
-        ("alpha", _PTR),
-        ("step_v", _PTR),
         ("seen", _PTR),
         ("observed", _PTR),
-        ("fb_on", _PTR),
-        ("fallback", _PTR),
         ("measured", _PTR),
-        ("dropped", _PTR),
-        ("has_nan", _I64),
-        ("any_fallback", _I64),
+        ("masked", _I64),
+        ("unobserved", _I64),
+        ("fast", _PTR),
+        ("applied", _PTR),
+        ("apply", _PTR),
+        ("n_apply", _I64),
+        ("waved", _I64),
         ("warmup", _I64),
         ("cycles", _I64),
         ("lane_index", _PTR),
@@ -104,9 +104,12 @@ class CycleKernel:
     rebuilds it after a lane quarantine compacts the batch.  Every
     array it points at is kept alive here.
 
-    With a bank it owns the filter's blocks: ``seen`` (filled by a
-    call that stops after the readout), ``observed``, ``measured`` and
-    ``dropped`` (accumulated until :meth:`fold_dropped`).
+    With a bank it owns the filter's blocks — ``seen`` (filled by a
+    call that stops after the readout), ``observed`` and ``measured`` —
+    and the decide stage's ``apply`` flags (bank rows whose active
+    decision the loop must apply; ``state.n_apply`` counts them).  The
+    loop passes ``fast`` (the bank rows the kernel pops) and ``applied``
+    (each row's last applied decision id, updated by the kernel).
     """
 
     def __init__(
@@ -125,6 +128,8 @@ class CycleKernel:
         bot_idx: np.ndarray,
         bank,
         bank_rows: Optional[np.ndarray],
+        fast: Optional[np.ndarray],
+        applied: Optional[np.ndarray],
         pv_rows: np.ndarray,
         pv_count: np.ndarray,
         warmup: int,
@@ -163,11 +168,14 @@ class CycleKernel:
             self.seen = np.empty((bank_lanes, num_sms))
             self.measured = np.empty((bank_lanes, num_sms))
             self.observed = np.ones(bank_lanes, dtype=bool)
-            self.dropped = np.zeros(bank_lanes, dtype=np.int64)
+            self.apply = np.zeros(bank_lanes, dtype=bool)
+            if fast.dtype != bool or applied.dtype != np.int64:
+                raise ValueError("fast/applied must be bool / int64")
         self._refs = [
             fused, dcc, currents, volts, top_idx, bot_idx, bank_rows,
             lane_index, rec_powers, rec_volts, rec_supply, dcc_accum,
             dcc_trace, flight_warm, stage_s, guard, bank, pv_rows, pv_count,
+            fast, applied,
         ]
         self.state = CCycleState(
             n_lanes=n_lanes,
@@ -198,17 +206,14 @@ class CycleKernel:
             bot_idx=_addr(bot_idx),
             volts=_addr(volts),
             bank_lanes=bank_lanes,
+            bank=ctypes.addressof(bank._bind_c()) if bank_lanes else None,
             bank_rows=_addr(bank_rows) if bank_lanes else None,
-            filter_state=_addr(bank._state) if bank_lanes else None,
-            last_good=_addr(bank._last_good) if bank_lanes else None,
-            alpha=_addr(bank._alpha) if bank_lanes else None,
-            step_v=_addr(bank._step_v) if bank_lanes else None,
             seen=_addr(self.seen) if bank_lanes else None,
             observed=_addr(self.observed) if bank_lanes else None,
-            fb_on=_addr(bank._fb_on) if bank_lanes else None,
-            fallback=_addr(bank._fallback) if bank_lanes else None,
             measured=_addr(self.measured) if bank_lanes else None,
-            dropped=_addr(self.dropped) if bank_lanes else None,
+            fast=_addr(fast) if bank_lanes else None,
+            applied=_addr(applied) if bank_lanes else None,
+            apply=_addr(self.apply) if bank_lanes else None,
             warmup=warmup,
             cycles=cycles,
             lane_index=_addr(lane_index),
@@ -238,19 +243,14 @@ class CycleKernel:
                 raise RuntimeError("batch solver left its compiled backend")
             self.state.solver_state = ctypes.addressof(solver._c_state)
 
-    def fold_dropped(self) -> None:
-        """Credit the accumulated dropped samples to the bank's lanes."""
-        if self.bank is not None and self.dropped.any():
-            self.bank._count_dropped(self.dropped)
-            self.dropped[:] = 0
-
     def run(
         self, cycle: int, first: int = STAGE_GPU, last: int = STAGE_FILTER
     ) -> int:
         """Run stages ``first``..``last`` of one cycle.
 
-        Relaunches the lanes the GPU stage's census flags, then retries.
-        Returns 0, :data:`MASKED` or :data:`SUSPECT`.
+        Relaunches the lanes the GPU stage's census flags, then retries;
+        grows the bank's pipeline ring when the decide stage asks, then
+        resumes there.  Returns 0 or :data:`SUSPECT`.
         """
         rc = self.call(self.ptr, cycle, first, last)
         while rc == RELAUNCH:
@@ -259,6 +259,9 @@ class CycleKernel:
             if self.stage_s is not None:
                 self.stage_s[0] += perf_counter() - start
             rc = self.call(self.ptr, cycle, first, last)
+        while rc == GROW:
+            self.bank._grow()
+            rc = self.call(self.ptr, cycle, STAGE_DECIDE, STAGE_DECIDE)
         if rc < 0:
             lane = self.state.err_lane
             if rc == -1:

@@ -57,7 +57,6 @@ from repro.pdn.efficiency import (
 )
 from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
 from repro.sim._cyclec import (
-    MASKED,
     STAGE_FILTER,
     STAGE_GPU,
     STAGE_READOUT,
@@ -512,8 +511,6 @@ _LANE_SHARED_FIELDS = (
 )
 # Cycles of flight-recorder state the co-sim loop stages per hand-over.
 _FLIGHT_BLOCK = 256
-# ControllerBank.next_pop when no fast lane has a queued decision.
-_NO_POP = 1 << 62
 
 
 class _LaneState:
@@ -524,7 +521,6 @@ class _LaneState:
         "controller", "controller_power", "in_bank", "shutoff_sms",
         "instructions_at_start", "fakes_at_start", "throttled_at_start",
         "applied_decision", "halted_idx", "sensor_on", "jitter_on",
-        "count_from", "active_throttling",
         "in_fast", "last_decision", "flight", "flight_safe",
         "row", "dead", "dead_at", "divergence", "guard",
         "result", "dcc_trace", "flight_row", "flight_marks",
@@ -576,13 +572,6 @@ class _LaneState:
         # are active (set on the lane's edge cycles).
         self.sensor_on = False
         self.jitter_on = False
-        # Event-driven throttle accounting (fast lanes): the active
-        # decision's throttle flag covers the half-open cycle span
-        # [count_from, next pop); the span length is credited to
-        # throttled_cycles at the next pop/flush, replicating the
-        # serial one-count-per-cycle commands_for bookkeeping.
-        self.count_from = 0
-        self.active_throttling = False
 
 
 def run_cosim_batch(
@@ -936,15 +925,15 @@ def _simulate(
     pv_rows_bt = np.zeros((num_lanes, max(pv_k), num))
     pv_count = np.zeros(num_lanes, dtype=np.int64)
     # Fast lanes — bank-controlled, commands read on time and applied
-    # undistorted — apply actuation only when a decision pops out of
+    # undistorted — apply actuation only when a new decision pops out of
     # the latency pipeline (decisions are immutable once enqueued, so
     # nothing can change between pops) or a halt edge changes the
     # halted set; faults that touch the sensors, the circuit or the
-    # halted SMs leave that path intact.  The rest replicate the serial
-    # per-cycle commands_for path.  (A pre-used controller object that
-    # already counted cycles keeps the per-cycle path: its commands_for
-    # skips cycles at or below _counted_through_cycle, which span
-    # accounting cannot see.)
+    # halted SMs leave that path intact.  The bank pops their pipelines
+    # (in the cycle kernel, or pop_fast) and counts their cycles as
+    # commands_for would; the loop applies the rows it flags.  The rest
+    # replicate the serial per-cycle commands_for path.  (A pre-used
+    # controller object that already counted cycles keeps that path.)
     fast_lanes = [
         ln for ln in states
         if ln.in_bank
@@ -957,13 +946,12 @@ def _simulate(
         ln for ln in states
         if ln.controller is not None and ln not in fast_lanes
     ]
-    for ln in fast_lanes:
-        ln.active_throttling = bool(
-            np.any(
-                ln.controller.active_decision.issue_widths
-                < ln.controller._default_issue_width
-            )
-        )
+    # Per bank row: whether the lane is fast, and the id of the decision
+    # the loop applied to it last (-1: none yet).
+    fast_rows = np.array(
+        [ln in fast_lanes for ln in bank_members], dtype=bool
+    )
+    applied_ids = np.full(len(bank_members), -1, dtype=np.int64)
     # Skip the per-cycle applied-DCC reduction when no lane can ever
     # command nonzero DCC power (w3 == 0 and no actuation-distorting
     # faults): the serial ledger accumulates exact 0.0 adds, which is
@@ -1100,6 +1088,7 @@ def _simulate(
             sm_voltage=stack.sm_voltage, conductance_bias=conductance_bias,
             substeps=substeps, top_idx=kernel_top_idx,
             bot_idx=kernel_bot_idx, bank=bank, bank_rows=bank_rows_arr,
+            fast=fast_rows, applied=applied_ids,
             pv_rows=pv_rows_bt, pv_count=pv_count,
             warmup=warmup, cycles=cycles,
             lane_index=(
@@ -1128,13 +1117,6 @@ def _simulate(
     for cycle in range(total_cycles):
         recording = cycle >= warmup
         if cycle == warmup:
-            # Settle the event-driven throttle spans through warmup-1
-            # before snapshotting (serial counts those cycles one by
-            # one before its warmup-boundary read).
-            for ln in fast_lanes:
-                if ln.active_throttling:
-                    ln.controller.throttled_cycles += cycle - ln.count_from
-                ln.count_from = cycle
             # Work counters cover the recorded window only: snapshot
             # them here, subtract at the end.  Lanes quarantined during
             # warmup keep a zero baseline, as a serial run that stopped
@@ -1292,8 +1274,6 @@ def _simulate(
             # rebuilt around them.
             gpu_batch.fold()
             batch_solver.fold_lanes()
-            if kernel is not None:
-                kernel.fold_dropped()
             survivors = [ln for ln in alive if not ln.dead]
             edge = [ln for ln in edge if not ln.dead]
             pv_lanes = [ln for ln in pv_lanes if not ln.dead]
@@ -1344,6 +1324,8 @@ def _simulate(
                 elif len(keep) != len(bank_members):
                     bank = bank.compact(keep)
                     bank_members = [bank_members[j] for j in keep]
+                    fast_rows = fast_rows[keep]
+                    applied_ids = applied_ids[keep]
                 bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
                 sensing = bool(sensor_lanes or jitter_lanes)
             all_banked = len(bank_members) == len(survivors)
@@ -1426,8 +1408,10 @@ def _simulate(
         # called only while an event of its kind is active.  On a sensor
         # cycle the kernel stopped after the readout: the injectors
         # write the seen block and observed mask, and a second call runs
-        # the filter (masked for dropped samples or unobserved lanes)
-        # and the recording row.  Duck-typed controllers replicate the
+        # the filter (masked for dropped samples or unobserved lanes),
+        # the wave, the fast lanes' pops and the recording row.  The
+        # fast rows it flags (pop_fast's, on the phased body) get their
+        # new decision applied.  Duck-typed controllers replicate the
         # serial path verbatim.  Actuation application is gated on
         # decision identity (setters are idempotent; decisions are
         # immutable once enqueued), except under actuation-distorting
@@ -1435,7 +1419,6 @@ def _simulate(
         # decision arrays belong to the controller, so every array this
         # loop mutates (halted widths, distorted commands) or retains
         # (DCC, in dcc_bt) is a copy.
-        waved = bank is not None and cycle >= bank._next_due
         observed = None
         if sensing:
             if kernel is not None:
@@ -1457,78 +1440,38 @@ def _simulate(
             if kernel is not None:
                 if timing:
                     tk = perf_counter()
-                status = kernel.run(cycle, STAGE_FILTER, STAGE_FILTER)
+                kernel.run(cycle, STAGE_FILTER, STAGE_FILTER)
                 if timing:
                     t2 += perf_counter() - tk  # the kernel's own time
         elif kernel is None and bank is not None:
             seen = voltages_bt if all_banked else voltages_bt[bank_rows_arr]
-        if kernel is None:
-            if bank is not None:
-                bank.observe(cycle, seen, observed)
-        elif status == MASKED:
-            bank.observe_measured(
-                cycle, kernel.measured, observed,
-                bool(kernel.state.has_nan), bool(kernel.state.any_fallback),
-            )
-        elif bank is not None and (waved or bank._any_fallback):
-            bank.observe_filtered(cycle)
+        applies = ()
+        if bank is None:
+            waved = False
+        elif kernel is None:
+            waved = cycle >= bank.next_due
+            bank.observe(cycle, seen, observed)
+            if fast_lanes:
+                applies = bank.pop_fast(cycle, fast_rows, applied_ids)
+        else:
+            waved = kernel.state.waved
+            if kernel.state.n_apply:
+                applies = np.flatnonzero(kernel.apply).tolist()
         if observed is not None:
             observed[:] = True
-        if fast_lanes and cycle >= bank.next_pop:
-            next_pop = _NO_POP
-            for ln in fast_lanes:
-                controller = ln.controller
-                pipeline = controller._pipeline
-                if pipeline and pipeline[0][0] <= cycle:
-                    while pipeline and pipeline[0][0] <= cycle:
-                        _, decision = pipeline.popleft()
-                    if pipeline and pipeline[0][0] < next_pop:
-                        next_pop = pipeline[0][0]
-                    if decision is ln.applied_decision:
-                        # An idle lane re-enqueued the object already
-                        # applied: same values, same throttle flag — the
-                        # open span simply continues.
-                        continue
-                    throttling = bool(
-                        np.any(
-                            decision.issue_widths
-                            < controller._default_issue_width
-                        )
-                    )
-                    controller.active_decision = decision
-                    controller._active_throttling = throttling
-                    if ln.active_throttling:
-                        controller.throttled_cycles += cycle - ln.count_from
-                    ln.count_from = cycle
-                    ln.active_throttling = throttling
-                    # The engine setters copy internally, so unhalted
-                    # decision arrays pass through unmutated.
-                    ln.gpu.set_issue_widths(
-                        _halted(decision.issue_widths, ln.halted_idx)
-                    )
-                    ln.gpu.set_fake_rates(decision.fake_rates)
-                    np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-                    ln.applied_decision = decision
-                    if ln.flight is not None:
-                        _flight_mark(ln, cycle)
-                    continue
-                if pipeline and pipeline[0][0] < next_pop:
-                    next_pop = pipeline[0][0]
-                if ln.applied_decision is None:
-                    # First cycles before any pop: the initial active
-                    # decision (what serial commands_for returns)
-                    # applies.
-                    decision = controller.active_decision
-                    ln.gpu.set_issue_widths(
-                        _halted(decision.issue_widths, ln.halted_idx)
-                    )
-                    ln.gpu.set_fake_rates(decision.fake_rates)
-                    np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-                    ln.applied_decision = decision
-                    if ln.flight is not None:
-                        _flight_mark(ln, cycle)
-            # No fast lane pops again before the earliest pipeline head.
-            bank.next_pop = next_pop
+        for j in applies:
+            ln = bank_members[j]
+            decision = ln.controller.active_decision
+            # The engine setters copy internally, so unhalted decision
+            # arrays pass through unmutated.
+            ln.gpu.set_issue_widths(
+                _halted(decision.issue_widths, ln.halted_idx)
+            )
+            ln.gpu.set_fake_rates(decision.fake_rates)
+            np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
+            ln.applied_decision = decision
+            if ln.flight is not None:
+                _flight_mark(ln, cycle)
         for ln in slow_ctrl_lanes:
             controller = ln.controller
             inj = ln.injector
@@ -1615,18 +1558,11 @@ def _simulate(
             t_record += perf_counter() - t3
     for ln in flight_lanes:
         _flush_flight(ln, flight_sent, total_cycles)
-    # Settle the kernel's dropped-sample counts, the open halt spans and
-    # the remaining event-driven throttle spans so lane controllers and
-    # injectors end bit-equal to serial post-run state.
-    if kernel is not None and alive:
-        kernel.fold_dropped()
+    # Settle the open halt spans so injectors end bit-equal to serial
+    # post-run state.
     for ln in alive:
         if ln.injector is not None:
             ln.injector.credit_halted(cycles - 1)
-    for ln in fast_lanes:
-        if ln.active_throttling:
-            ln.controller.throttled_cycles += total_cycles - ln.count_from
-        ln.controller._counted_through_cycle = total_cycles - 1
     if alive:
         # The surviving lanes' deferred mirrors (quarantined lanes were
         # folded at their eviction).

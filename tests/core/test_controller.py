@@ -41,6 +41,22 @@ class TestConfig:
     def test_explicit_latency_wins(self):
         assert ControllerConfig(latency_cycles=42).total_latency_cycles == 42
 
+    @pytest.mark.parametrize("latency", [0, -4])
+    def test_latency_below_one_cycle_rejected(self, latency):
+        """A zero latency used to divide by zero in the 2C/T check, and
+        a negative one failed it with a misleading gain message."""
+        with pytest.raises(ValueError, match="latency_cycles"):
+            ControllerConfig(latency_cycles=latency)
+
+    @pytest.mark.parametrize("latency", [0, -4])
+    def test_latency_below_one_cycle_rejected_when_unstable_allowed(
+        self, latency
+    ):
+        """The loop cannot apply a decision before the cycle after it is
+        made, stability check or not."""
+        with pytest.raises(ValueError, match="latency_cycles"):
+            ControllerConfig(latency_cycles=latency, allow_unstable=True)
+
 
 class TestTriggering:
     def test_no_action_above_threshold(self):

@@ -9,7 +9,9 @@ control periods, through quiet stretches (idle lanes re-enqueue the
 same decision object), droop storms, NaN sensor dropouts with the
 fallback on and off, observation drops that split the lanes' decision
 phases, and the watchdog's safe state.  ``VoltageSmoothingController.
-observe`` is the bank's one-lane case and meets the same contract.
+observe`` is the bank's one-lane case and meets the same contract.  The
+bank's wave runs compiled whenever the native library loaded; the NumPy
+wave (under ``forced_fallback``) must match it and the oracle too.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.core.controller import (
     VoltageSmoothingController,
 )
 from repro.core.detectors import DETECTOR_OPTIONS
+from tests.conftest import forced_fallback
 from tests.oracles.scalar_controller import ScalarController
 
 NUM_SMS = StackConfig().num_sms
@@ -339,7 +342,8 @@ class TestLaneOwnership:
 
 # Random lanes for the equivalence property: any gains and slews (the
 # stability gate is off — the property is arithmetic identity, not
-# stability), either fallback setting, the watchdog on or off.
+# stability), either fallback setting, the watchdog on or off, and
+# limit-cycle windows short enough to fill and flag within a stream.
 lane_configs = st.builds(
     ControllerConfig,
     v_threshold=st.floats(0.85, 0.99),
@@ -360,6 +364,8 @@ lane_configs = st.builds(
     watchdog_enabled=st.booleans(),
     watchdog_patience=st.integers(1, 4),
     safe_state_release_decisions=st.integers(1, 10),
+    limit_cycle_window=st.integers(4, 12),
+    limit_cycle_min_flips=st.integers(1, 3),
     allow_unstable=st.just(True),
 )
 weights = st.tuples(
@@ -433,3 +439,67 @@ class TestScalarEquivalenceProperty:
                 _decision_bytes(lane.commands_for(cycle))
             ), f"cycle {cycle}: active decision"
             _assert_full_state_equal(ref, lane, f"cycle {cycle}")
+
+
+@st.composite
+def bank_runs(draw, cycles=120):
+    """2-5 random lanes, each with its own voltage stream, an observed
+    mask that may drop any lane's cycles (a dropped due cycle splits the
+    lanes' decision phases), and a per-lane lag on the command read
+    (as loop jitter does) that lets the pipelines outgrow their rings."""
+    lanes = draw(st.integers(2, 5))
+    configs = [draw(lane_configs) for _ in range(lanes)]
+    actuations = [
+        WeightedActuation(w1=w[0], w2=w[1], w3=w[2])
+        for w in (draw(weights) for _ in range(lanes))
+    ]
+    streams = np.stack(
+        [draw(voltage_streams(cycles)) for _ in range(lanes)]
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    observed = rng.random((lanes, cycles)) >= draw(
+        st.sampled_from([0.0, 0.1, 0.4])
+    )
+    lags = [draw(st.sampled_from([0, 0, 7, 40])) for _ in range(lanes)]
+    return configs, actuations, streams, observed, lags
+
+
+class TestCompiledWaveProperty:
+    @pytest.mark.native
+    @given(run=bank_runs())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_compiled_wave_matches_numpy_wave_and_oracle(self, run):
+        """Multi-lane banks: after every cycle the compiled wave's lanes,
+        the NumPy wave's lanes and one ``ScalarController`` per lane are
+        byte-equal in their full state and their command reads, and the
+        two banks agree on every decision id and ring position."""
+        configs, actuations, streams, observed, lags = run
+        pairs = list(zip(configs, actuations))
+        refs = [_make_lane(c, a, cls=ScalarController) for c, a in pairs]
+        compiled = ControllerBank([_make_lane(c, a) for c, a in pairs])
+        assert compiled._native_wave() is not None
+        with forced_fallback():
+            numpy_bank = ControllerBank([_make_lane(c, a) for c, a in pairs])
+            assert numpy_bank._native_wave() is None
+        for cycle in range(streams.shape[1]):
+            mask = observed[:, cycle].copy()
+            for i, ref in enumerate(refs):
+                if mask[i]:
+                    ref.observe(cycle, streams[i, cycle])
+            compiled.observe(cycle, streams[:, cycle], mask)
+            numpy_bank.observe(cycle, streams[:, cycle], mask)
+            for i, ref in enumerate(refs):
+                tag = f"lane {i} cycle {cycle}"
+                read = cycle - lags[i]
+                expected = _decision_bytes(ref.commands_for(read))
+                for name, bank in (("compiled", compiled),
+                                   ("numpy", numpy_bank)):
+                    lane = bank.controllers[i]
+                    assert _decision_bytes(lane.commands_for(read)) == (
+                        expected
+                    ), f"{tag} {name}: active decision"
+                    _assert_full_state_equal(ref, lane, f"{tag} {name}")
+            assert compiled._ints.tobytes() == numpy_bank._ints.tobytes(), (
+                f"cycle {cycle}: bank state"
+            )

@@ -2,15 +2,18 @@
 
 Exercised on throwaway sources in a temporary directory, so nothing
 here touches the repo's own native library or its fallback counter
-(nor obeys a ``REPRO_CBUILD=fail`` set for it).
+(nor obeys a ``REPRO_CBUILD=fail`` set for it).  The repo's own sources
+are only compiled to objects, to keep them warning-free.
 """
 
 import ctypes
+import subprocess
 import warnings
 
 import pytest
 
-from repro.native.cbuild import CBUILD_ENV, KernelBuild, find_compiler
+from repro import native
+from repro.native.cbuild import CBUILD_ENV, CFLAGS, KernelBuild, find_compiler
 
 pytestmark = pytest.mark.skipif(
     find_compiler() is None, reason="no C compiler available"
@@ -77,3 +80,16 @@ def test_failed_load_is_a_counted_fallback(tmp_path, kwargs):
         assert build.load() is None
     assert build.fallback_count() == 2
     assert sum("falling back" in str(w.message) for w in caught) == 1
+
+
+@pytest.mark.parametrize("source", native.SOURCES, ids=lambda p: p.name)
+def test_native_sources_compile_without_warnings(tmp_path, source):
+    """Each native source compiles cleanly under the build's IEEE flags
+    with every common warning turned into an error."""
+    flags = [f for f in CFLAGS if f != "-shared"]
+    result = subprocess.run(
+        [find_compiler(), *flags, "-Wall", "-Wextra", "-Werror", "-c",
+         str(source), "-o", str(tmp_path / "source.o")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

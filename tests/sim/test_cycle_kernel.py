@@ -11,7 +11,9 @@ recorders.  The lanes' deferred mirrors (GPU cycle, memory-queue
 counters, solver time and step count) must read the same from a fault
 hook and after the run.  Call-count gates pin the edge schedule: fault
 hooks run on edge cycles only, and a cycle makes a second kernel call
-only on an edge with circuit or DFS hooks or a sensor cycle.
+only on an edge with circuit or DFS hooks or a sensor cycle; the
+kernel makes every decision (the NumPy wave never runs) and leaves the
+loop the same GPU setter calls as the phased body.
 """
 
 import json
@@ -509,6 +511,21 @@ SENSING = (SensorNoise, SensorQuantization, SensorStuck, SensorDropout,
            ControlLoopJitter)
 
 
+def _faulted_lanes(cycles, warmup, faults=True):
+    """The ``b8_active_faulted`` recipe (``faults=False``: its clean
+    twin): an acting controller with DCC on, and the four canned fault
+    schedules on lanes 0/2/4/6."""
+    scenarios = list(CANNED_SCENARIOS.values())
+    return [
+        CosimLane(BENCHMARK_NAMES[i], CosimConfig(
+            cycles=cycles, warmup_cycles=warmup, seed=point_seed(1, i),
+            faults=scenarios[i // 2]() if faults and i % 2 == 0 else None,
+            **ACTIVE,
+        ))
+        for i in range(8)
+    ]
+
+
 def test_faulted_recipe_runs_hooks_only_on_edges(monkeypatch):
     """The ``b8_active_faulted`` recipe, long enough to cross every
     canned window: no ControllerBank.observe or scale_powers call, the
@@ -516,14 +533,7 @@ def test_faulted_recipe_runs_hooks_only_on_edges(monkeypatch):
     second kernel call only on a sensor cycle (a third on an edge with
     circuit or DFS hooks)."""
     cycles, warmup = 900, 60
-    scenarios = list(CANNED_SCENARIOS.values())
-    lanes = [
-        CosimLane(BENCHMARK_NAMES[i], CosimConfig(
-            cycles=cycles, warmup_cycles=warmup, seed=point_seed(1, i),
-            faults=scenarios[i // 2]() if i % 2 == 0 else None, **ACTIVE,
-        ))
-        for i in range(8)
-    ]
+    lanes = _faulted_lanes(cycles, warmup)
     runs, hooks, banned = [], [], []
     _log_calls(monkeypatch, CycleKernel, "run", runs,
                lambda self, cycle, *stages: cycle)
@@ -566,3 +576,39 @@ def test_faulted_recipe_runs_hooks_only_on_edges(monkeypatch):
         )
         expected = 1 + (cycle in hook_edges) + sensing
         assert calls[cycle] == expected, cycle
+
+
+def _decision_traffic(monkeypatch, lanes, phased):
+    """One run's NumPy waves (their cycles) and GPU setter calls (lane's
+    benchmark, setter, argument bytes), in call order."""
+    waves, setters = [], []
+    with monkeypatch.context() as m:
+        _log_calls(m, ControllerBank, "_wave", waves,
+                   lambda self, cycle, *args: cycle)
+        for name in ("set_issue_widths", "set_fake_rates"):
+            _log_calls(m, GPU, name, setters,
+                       lambda self, values, name=name: (
+                           self.kernel.name, name,
+                           np.asarray(values, dtype=float).tobytes(),
+                       ))
+        with forced_fallback() if phased else nullcontext():
+            run_cosim_batch(lanes)
+    return waves, setters
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulted"])
+def test_decisions_run_in_the_kernel(monkeypatch, faults):
+    """A clean B=8 batch with an acting controller and the
+    ``b8_active_faulted`` recipe (shortened): on the kernel path every
+    wave and pop runs compiled — the NumPy wave is never called — and
+    Python applies exactly the setter calls of the phased body, lane by
+    lane, argument bytes included."""
+    lanes = _faulted_lanes(500, 60, faults=faults)
+    waves, setters = _decision_traffic(monkeypatch, lanes, phased=False)
+    assert waves == []
+    phased_waves, phased_setters = _decision_traffic(
+        monkeypatch, lanes, phased=True
+    )
+    assert phased_waves, "the phased body decides in NumPy"
+    assert len(setters) == len(phased_setters)
+    assert setters == phased_setters
