@@ -6,8 +6,9 @@ speedup floor and exact bit-identity of the per-cycle power traces (the
 engine's equivalence contract — see ``docs/performance.md``).
 
 The engine has two step backends (a compiled C kernel and a pure-NumPy
-fallback); the floor applies to whatever backend resolves on this
-machine, and the active backend is recorded in the results JSON.
+fallback), each with its own floor; the floor of whichever backend
+resolves on this machine applies, and the active backend is recorded in
+the results JSON.
 
 Writes ``benchmarks/results/perf_gpu.json`` so CI can upload the
 cycles/s numbers as an artifact.
@@ -27,7 +28,9 @@ from repro.workloads.benchmarks import get_benchmark
 BENCHMARK = "hotspot"
 COMPARE_CYCLES = 1500
 TIMING_ROUNDS = 3
-SPEEDUP_FLOOR = 5.0
+# Per step backend: the C floor is about half its measured speedup
+# (52.9x on hotspot); the NumPy fallback keeps the original 5x.
+SPEEDUP_FLOOR = {"c": 25.0, "numpy": 5.0}
 
 
 def _make(vectorized: bool) -> GPU:
@@ -92,10 +95,10 @@ def test_gpu_cycles_per_second(benchmark):
                 "reference_cycles_per_s": reference,
                 "vectorized_cycles_per_s": fast,
                 "speedup": speedup,
-                "floor": SPEEDUP_FLOOR,
+                "floor": SPEEDUP_FLOOR[backend],
             },
             handle,
             indent=2,
         )
         handle.write("\n")
-    assert speedup >= SPEEDUP_FLOOR
+    assert speedup >= SPEEDUP_FLOOR[backend]

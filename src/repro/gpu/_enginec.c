@@ -20,13 +20,21 @@
  *
  * Scoreboards are the engine's (sms, warps, 17) ready-at table with
  * sentinels RA_NEVER (never written -> always ready) and RA_PENDING
- * (load in flight -> never ready); readiness is max(cols) <= cycle.
+ * (load in flight -> never ready).  Readiness is cached per warp in the
+ * engine's head caches, shared with the NumPy step: ready_cycle is the
+ * max of the head instruction's dest/src1/src2 columns (RA_PENDING once
+ * the warp is done) and head_unit its execution unit, so a warp is
+ * ready iff ready_cycle <= cycle.  A warp's caches change only when it
+ * issues or one of its loads completes; both refresh them here, and
+ * the launch refreshes every warp (VectorizedGPUEngine._refresh_heads).
+ * live[s] counts SM s's warps that are not done or have loads
+ * outstanding; the SM is drained when it reaches 0.
+ *
  * Pending loads live in per-SM binary heaps of packed
  * (completion << 24 | warp << 8 | reg) keys — packed-integer order
  * equals the reference's (completion, warp, reg) tuple order, so pop
- * order is identical, and stale entries survive kernel relaunch with
- * reference semantics (release-if-pending, unconditional outstanding
- * decrement).
+ * order is identical.  A launch empties the heaps: loads still in
+ * flight belong to the kernel that issued them.
  */
 
 #include <math.h>
@@ -84,6 +92,9 @@ typedef struct EngineState {
     i64 *outstanding;
     u8 *warp_done;
     i64 *ready_at;
+    i64 *ready_cycle; /* (S,W) head caches */
+    i64 *head_unit;
+    i64 *live;      /* (S,) live warps */
     i64 *last_warp; /* (S,) */
     /* pending-load heaps, (S,cap) packed */
     i64 *heap;
@@ -110,18 +121,31 @@ typedef struct EngineState {
 } EngineState;
 
 static inline int warp_ready(const EngineState *st, i64 s, i64 w, i64 cycle) {
+    return st->ready_cycle[s * st->num_warps + w] <= cycle;
+}
+
+/* Recompute warp w's head caches after it issued or a load of its
+ * completed: the same values as the engine's _refresh_heads. */
+static void refresh_head(EngineState *st, i64 s, i64 w) {
+    const i64 body = st->body;
     i64 sw = s * st->num_warps + w;
     i64 p = st->pc[sw];
-    if (p >= st->length[sw])
-        return 0; /* done: peek() is None */
-    i64 e = p >= st->body ? p - st->body : p;
-    i64 pos = w * st->body + e;
+    i64 e = p >= body ? p - body : p;
+    if (e > body - 1)
+        e = body - 1; /* a done warp's stream ran to twice the body */
+    i64 pos = w * body + e;
+    st->head_unit[sw] = st->s_unit[pos];
+    if (p >= st->length[sw]) {
+        st->ready_cycle[sw] = RA_PENDING; /* done: peek() is None */
+        return;
+    }
     const i64 *ra = st->ready_at + sw * 17;
-    if (ra[st->s_dest_col[pos]] > cycle)
-        return 0;
-    if (ra[st->s_src1_col[pos]] > cycle)
-        return 0;
-    return ra[st->s_src2_col[pos]] <= cycle;
+    i64 rc = ra[st->s_dest_col[pos]];
+    if (ra[st->s_src1_col[pos]] > rc)
+        rc = ra[st->s_src1_col[pos]];
+    if (ra[st->s_src2_col[pos]] > rc)
+        rc = ra[st->s_src2_col[pos]];
+    st->ready_cycle[sw] = rc;
 }
 
 static inline int unit_avail(const EngineState *st, i64 s, i64 u, i64 cycle) {
@@ -210,27 +234,23 @@ i64 engine_step(EngineState *st, i64 cycle) {
         st->clock_acc[s] -= 1.0;
         st->st_active[s]++;
 
-        /* Complete arrived loads (stale relaunch entries included). */
+        /* Complete arrived loads. */
         i64 *heap = st->heap + s * st->heap_cap;
         i64 *hlen = st->heap_len + s;
         while (*hlen > 0 && HEAP_COMP(heap[0]) <= cycle) {
             i64 entry = heap_pop(heap, hlen);
             i64 w = HEAP_WARP(entry), reg = HEAP_REG(entry);
-            i64 *ra = st->ready_at + (s * W + w) * 17;
+            i64 sw = s * W + w;
+            i64 *ra = st->ready_at + sw * 17;
             if (ra[reg] == RA_PENDING)
                 ra[reg] = cycle;
-            st->outstanding[s * W + w]--;
+            if (--st->outstanding[sw] == 0 && st->warp_done[sw])
+                st->live[s]--;
+            refresh_head(st, s, w);
         }
 
         /* Drained kernel: idle at base power until the launch barrier. */
-        int done = 1;
-        for (i64 w = 0; w < W; w++) {
-            if (!st->warp_done[s * W + w] || st->outstanding[s * W + w] != 0) {
-                done = 0;
-                break;
-            }
-        }
-        if (done) {
+        if (st->live[s] == 0) {
             double freq = st->clock_hz * st->freq_scale[s];
             double energy = st->idle_energy + 0.0;
             st->powers[s] = st->leakage[s] + energy * freq;
@@ -253,9 +273,7 @@ i64 engine_step(EngineState *st, i64 cycle) {
             i64 w = gto_select(st, s, cycle);
             if (w < 0)
                 break;
-            i64 p = st->pc[s * W + w];
-            i64 e = p >= body ? p - body : p;
-            i64 unit = st->s_unit[w * body + e];
+            i64 unit = st->head_unit[s * W + w];
             if (ports[unit] <= 0 || !unit_avail(st, s, unit, cycle)) {
                 /* Structural hazard: oldest ready warp (excluding the
                  * blocked one) whose head unit has a free, live port. */
@@ -263,11 +281,10 @@ i64 engine_step(EngineState *st, i64 cycle) {
                 for (i64 v = 0; v < W; v++) {
                     if (v == w || !warp_ready(st, s, v, cycle))
                         continue;
-                    i64 pv = st->pc[s * W + v];
-                    i64 ev = pv >= body ? pv - body : pv;
-                    i64 uv = st->s_unit[v * body + ev];
+                    i64 uv = st->head_unit[s * W + v];
                     if (ports[uv] <= 0 || !unit_avail(st, s, uv, cycle))
                         continue;
+                    i64 pv = st->pc[s * W + v];
                     if (alt < 0 || pv < alt_pc) {
                         alt = v;
                         alt_pc = pv;
@@ -276,15 +293,17 @@ i64 engine_step(EngineState *st, i64 cycle) {
                 if (alt < 0)
                     break;
                 w = alt;
-                p = st->pc[s * W + w];
-                e = p >= body ? p - body : p;
-                unit = st->s_unit[w * body + e];
+                unit = st->head_unit[s * W + w];
             }
+            i64 sw = s * W + w;
+            i64 p = st->pc[sw];
+            i64 e = p >= body ? p - body : p;
             ports[unit]--;
             used[unit] = 1;
-            st->pc[s * W + w] = p + 1;
-            if (p + 1 >= st->length[s * W + w])
-                st->warp_done[s * W + w] = 1;
+            st->pc[sw] = p + 1;
+            int finished = p + 1 >= st->length[sw];
+            if (finished)
+                st->warp_done[sw] = 1;
             st->last_warp[s] = w;
             st->budget[s]--;
             st->st_inst[s]++;
@@ -309,16 +328,18 @@ i64 engine_step(EngineState *st, i64 cycle) {
                     st->mem_counters[0]++;
                     i64 comp =
                         (i64)(((double)cycle + queue_delay) + (double)lat);
-                    st->ready_at[(s * W + w) * 17 + dest] = RA_PENDING;
-                    st->outstanding[s * W + w]++;
+                    st->ready_at[sw * 17 + dest] = RA_PENDING;
+                    st->outstanding[sw]++;
                     if (*hlen >= st->heap_cap)
                         return -1;
                     heap_push(heap, hlen, HEAP_PACK(comp, w, dest));
                 } else {
-                    st->ready_at[(s * W + w) * 17 + dest] =
-                        cycle + st->s_latency[spos];
+                    st->ready_at[sw * 17 + dest] = cycle + st->s_latency[spos];
                 }
             }
+            if (finished && st->outstanding[sw] == 0)
+                st->live[s]--;
+            refresh_head(st, s, w);
             iss_span[issued] = st->s_span[spos];
             iss_share[issued] = st->s_share[spos];
             issued++;
@@ -371,13 +392,7 @@ i64 engine_step(EngineState *st, i64 cycle) {
      * per-SM flags so a barrier-exempt set can be OR-ed in by the caller. */
     i64 ndone = 0;
     for (i64 s = 0; s < S; s++) {
-        u8 done = 1;
-        for (i64 w = 0; w < W; w++) {
-            if (!st->warp_done[s * W + w] || st->outstanding[s * W + w] != 0) {
-                done = 0;
-                break;
-            }
-        }
+        u8 done = st->live[s] == 0;
         st->done[s] = done;
         ndone += done;
     }

@@ -34,7 +34,8 @@ class _FusedDispatch:
 
     Re-homes each engine's memory-queue slot, counter pair, power
     output, kernel-done flags and each GPU's barrier-exempt mask as rows
-    of shared arrays (then repoints the C structs).  While the batch
+    of shared arrays (then repoints those fields of the C structs in
+    place).  While the batch
     steps, the per-lane mirrors — ``gpu.cycle``, the memory slot and
     counters, the engine's kernel-done count — live only in these arrays
     (``clock``, ``slots``, ``counters``, ``ndone``);
@@ -66,7 +67,11 @@ class _FusedDispatch:
             eng._powers_buf = self.powers[i]
             eng._done_buf = self.done[i]
             gpu._exempt_mask = self.exempt[i]
-            eng._rebuild_cstate()
+            cs = eng._cstate
+            cs.mem_slot = eng._mem_slot.ctypes.data
+            cs.mem_counters = eng._mem_counters.ctypes.data
+            cs.powers = eng._powers_buf.ctypes.data
+            cs.done = eng._done_buf.ctypes.data
         self.ptrs = (ctypes.POINTER(CEngineState) * B)(
             *[eng._cstate_ptr for eng in engines]
         )
@@ -153,9 +158,9 @@ class GPUBatch:
         """Launch the next kernel on every lane the census flagged.
 
         Mirrors ``VectorizedGPUEngine._step_c``'s launch: a fresh
-        generation (a new C state struct, repointed in the batch's
-        pointer array), the done count cleared, and the launch recorded
-        at the batch clock's cycle.  The flags stay set: the next
+        generation (the lane's C state struct repointed in place), the
+        done count cleared, and the launch recorded at the batch clock's
+        cycle.  The flags stay set: the next
         ``engine_step_batch`` call steps these lanes without a census,
         then clears them.
         """
@@ -164,7 +169,6 @@ class GPUBatch:
         for i in np.flatnonzero(fused.relaunch).tolist():
             gpu, eng, _ = fused.lanes[i]
             eng._load_generation(eng.generation + 1)
-            fused.ptrs[i] = eng._cstate_ptr
             fused.ndone[i] = 0
             gpu._generation = eng.generation
             gpu.kernels_launched += 1

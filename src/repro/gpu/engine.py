@@ -31,9 +31,11 @@ ordering it is preserving:
 Scoreboards become a ``(sms, warps, 17)`` ready-at table (column 16 is
 a dummy register for dest-less instructions, so readiness is a plain
 fancy-indexed ``max``), with sentinels for "never written" and "load in
-flight".  Stale pending-load heap entries survive kernel relaunch with
-the reference's exact semantics (release-if-pending against the *new*
-warp's scoreboard, unconditional outstanding-count decrement).
+flight".  Both step backends keep each warp's head readiness and head
+unit cached (``_ready_cycle``, ``_head_unit``; see
+:meth:`VectorizedGPUEngine._refresh_heads`).  A launch drops the loads
+still in flight, as the reference does: they belong to the kernel that
+issued them.
 
 The GPU facade (:class:`repro.gpu.gpu.GPU`) selects this engine by
 default (``vectorized=True``) and exposes per-SM views so existing
@@ -121,6 +123,9 @@ class CEngineState(ctypes.Structure):
         ("outstanding", _PTR),
         ("warp_done", _PTR),
         ("ready_at", _PTR),
+        ("ready_cycle", _PTR),
+        ("head_unit", _PTR),
+        ("live", _PTR),
         ("last_warp", _PTR),
         ("heap", _PTR),
         ("heap_len", _PTR),
@@ -140,6 +145,14 @@ class CEngineState(ctypes.Structure):
         ("powers", _PTR),
         ("done", _PTR),
     ]
+
+
+# The current generation's stream columns, repointed in the C state at
+# every launch as ``s_<column>``.
+_STREAM_COLUMNS = (
+    "unit", "latency", "dest", "is_load", "span", "share",
+    "dest_col", "src1_col", "src2_col",
+)
 
 
 class VectorizedGPUEngine:
@@ -216,14 +229,16 @@ class VectorizedGPUEngine:
         self._last_warp = np.full(S, -1, dtype=np.int64)
 
         # Pending loads: per-SM heaps of (completion, warp, reg) exactly
-        # like the reference (stale entries survive kernel relaunch);
-        # _next_pending caches each heap's minimum for a vector gate.
+        # like the reference; _next_pending caches each heap's minimum
+        # for a vector gate.
         self._pending: List[List[Tuple[int, int, int]]] = [[] for _ in range(S)]
         self._next_pending = np.full(S, _FAR, dtype=np.int64)
 
         # Preallocated per-cycle scratch ----------------------------------
         self._rows = np.arange(S)
         self._wids = np.arange(W)
+        self._all_s = np.repeat(self._rows, W)
+        self._all_w = np.tile(self._wids, S)
         self._ports = np.empty((S, 3), dtype=np.int64)
         self._used = np.zeros((S, 3), dtype=bool)
         self._dyn = np.zeros(S)
@@ -243,6 +258,9 @@ class VectorizedGPUEngine:
             self._mem_slot = np.zeros(1)
             self._mem_counters = np.zeros(2, dtype=np.int64)
             self._powers_buf = np.zeros(S)
+            # Live warps per SM (not done, or loads outstanding); the C
+            # step keeps it, and its census reads it.
+            self._live = np.zeros(S, dtype=np.int64)
             # The C census's per-SM kernel-done flags (count in _c_ndone):
             # the launch barrier ORs a barrier-exempt mask into them.
             self._done_buf = np.zeros(S, dtype=bool)
@@ -265,8 +283,9 @@ class VectorizedGPUEngine:
 
         Matches :meth:`StreamingMultiprocessor.start_new_kernel`: fresh
         warps (PCs, scoreboards, outstanding counts), scheduler reset,
-        ``kernels_completed`` bumped — while the pending-load heaps keep
-        their stale entries, exactly like the reference.
+        ``kernels_completed`` bumped, and the loads still in flight
+        dropped — they belong to the kernel that issued them (their
+        bandwidth slot and miss were booked at issue).
         """
         self.generation = generation
         seed = self._base_seed + 7919 * generation
@@ -279,7 +298,6 @@ class VectorizedGPUEngine:
         self._pc[:] = 0
         self._ready_at[:] = _NEVER
         self._outstanding[:] = 0
-        self._warp_done[:] = False
         self._last_warp[:] = -1
         if not first:
             self.stat_kernels += 1
@@ -287,28 +305,34 @@ class VectorizedGPUEngine:
             self.num_warps, int(self._length.max()) + 1, generation
         )
         self._miss_table = miss
+        self._refresh_heads(self._all_s, self._all_w)  # also clears done
         if self.backend == "c":
-            self._rebuild_cstate()
+            self._cheap_len[:] = 0
+            self._live[:] = self.num_warps
             self._c_ndone = 0
             self._done_buf[:] = False
+            if first:
+                self._build_cstate()
+            else:
+                self._point_cstate_at_generation()
             return
+        for heap in self._pending:
+            heap.clear()
+        self._next_pending[:] = _FAR
         timings = self.memory.timings
         self._site_latency = np.where(
             miss, timings.dram_cycles, timings.l2_hit_cycles
         ).astype(np.int64)
-        all_s = np.repeat(self._rows, self.num_warps)
-        all_w = np.tile(self._wids, self.num_sms)
-        self._refresh_heads(all_s, all_w)
 
-    def _rebuild_cstate(self) -> None:
-        """Point the C kernel's state struct at the current buffers.
+    def _build_cstate(self) -> None:
+        """Build the C kernel's state struct over the engine's buffers.
 
-        Rebuilt at every kernel generation (the stream arrays and miss
-        table change); all other pointers are stable but cheap to
-        re-derive.  Holding the arrays as attributes keeps every pointer
-        alive for the struct's lifetime.
+        Built once, at construction.  A launch repoints the generation's
+        fields in place (:meth:`_point_cstate_at_generation`), and a
+        :class:`repro.gpu.batch.GPUBatch` the buffers it re-homes.
+        Holding the arrays as attributes keeps every pointer alive for
+        the struct's lifetime.
         """
-        st = self._streams
         timings = self.memory.timings
 
         def ptr(arr: np.ndarray) -> int:
@@ -317,9 +341,7 @@ class VectorizedGPUEngine:
         cs = CEngineState(
             num_sms=self.num_sms,
             num_warps=self.num_warps,
-            body=st.body_length,
             heap_cap=self.HEAP_CAPACITY,
-            max_pc=self._miss_table.shape[1],
             dram_cycles=timings.dram_cycles,
             l2_cycles=timings.l2_hit_cycles,
             clock_hz=self._clock_hz,
@@ -349,27 +371,30 @@ class VectorizedGPUEngine:
             outstanding=ptr(self._outstanding),
             warp_done=ptr(self._warp_done),
             ready_at=ptr(self._ready_at),
+            ready_cycle=ptr(self._ready_cycle),
+            head_unit=ptr(self._head_unit),
+            live=ptr(self._live),
             last_warp=ptr(self._last_warp),
             heap=ptr(self._cheap),
             heap_len=ptr(self._cheap_len),
             mem_slot=ptr(self._mem_slot),
             mem_counters=ptr(self._mem_counters),
             totals=ptr(self._totals),
-            s_unit=ptr(st.unit),
-            s_latency=ptr(st.latency),
-            s_dest=ptr(st.dest),
-            s_is_load=ptr(st.is_load),
-            s_span=ptr(st.span),
-            s_share=ptr(st.share),
-            s_dest_col=ptr(st.dest_col),
-            s_src1_col=ptr(st.src1_col),
-            s_src2_col=ptr(st.src2_col),
-            miss_table=ptr(self._miss_table),
             powers=ptr(self._powers_buf),
             done=ptr(self._done_buf),
         )
         self._cstate = cs
         self._cstate_ptr = ctypes.pointer(cs)
+        self._point_cstate_at_generation()
+
+    def _point_cstate_at_generation(self) -> None:
+        """Repoint the C state at this generation's streams and miss table."""
+        cs, st = self._cstate, self._streams
+        cs.body = st.body_length
+        cs.max_pc = self._miss_table.shape[1]
+        cs.miss_table = self._miss_table.ctypes.data
+        for name in _STREAM_COLUMNS:
+            setattr(cs, "s_" + name, getattr(st, name).ctypes.data)
 
     def _refresh_heads(self, s_idx: np.ndarray, w_idx: np.ndarray) -> None:
         """Recompute head instruction and readiness for the given warps.
@@ -377,6 +402,8 @@ class VectorizedGPUEngine:
         Called after any event that moves a warp's head or touches a
         register its head reads/writes: issue (PC advance + dest marked
         pending), load completion (register released), kernel relaunch.
+        The C step keeps the same caches with its own refresh_head; the
+        launch calls this on both backends.
         """
         if len(s_idx) == 0:
             return
@@ -731,8 +758,6 @@ class VectorizedGPUEngine:
             heap = self._pending[s]
             while heap and heap[0][0] <= cycle:
                 _, w, reg = heapq.heappop(heap)
-                # Stale entries from before a relaunch hit the *new*
-                # warp's scoreboard and count, like the reference.
                 if self._ready_at[s, w, reg] == _PENDING:
                     self._ready_at[s, w, reg] = cycle
                 self._outstanding[s, w] -= 1

@@ -77,14 +77,21 @@ class KernelSpec:
             raise ValueError(f"body_length must be positive")
 
 
-def _draw_stream_fields(spec: KernelSpec, rng: np.random.Generator, length: int):
-    """The random draws behind one instruction stream, vectorized.
+def _draw_stream_fields(
+    spec: KernelSpec, rng: np.random.Generator, count: int, length: int
+):
+    """The random draws behind ``count`` instruction streams.
 
-    Shared by the per-object stream builder (:func:`_sample_stream`) and
-    the struct-of-arrays builder (:func:`stream_arrays`) so both consume
-    the generator identically — the draws, not the container, define the
-    workload.  Returns ``(classes, op_indices, use_chain, random_src1,
-    add_src2, random_src2)``.
+    Shared by the per-object stream builder (:func:`_sample_stream`, one
+    row) and the struct-of-arrays builder (:func:`stream_arrays`, one
+    row per warp) so both consume the generator identically — the draws,
+    not the container, define the workload.  Each stream makes its own
+    five generator calls, in order, into its row of the ``(count,
+    length)`` blocks; calls are never merged across streams, because
+    ``integers`` draws 32-bit halves and an odd ``length`` leaves one
+    buffered for the next call.  The class lookup then runs once on the
+    whole block.  Returns ``(classes, op_indices, use_chain,
+    random_src1, add_src2, random_src2)``.
     """
     classes = list(spec.mix.keys())
     weights = np.array([spec.mix[c] for c in classes], dtype=float)
@@ -106,7 +113,18 @@ def _draw_stream_fields(spec: KernelSpec, rng: np.random.Generator, length: int)
         boosted = base_probs
         in_memory_phase = np.zeros(length, dtype=bool)
 
-    uniform = rng.random(length)
+    uniform = np.empty((count, length))
+    chain_draw = np.empty((count, length))
+    src2_draw = np.empty((count, length))
+    random_src1 = np.empty((count, length), dtype=np.int64)
+    random_src2 = np.empty((count, length), dtype=np.int64)
+    for row in range(count):
+        rng.random(out=uniform[row])
+        rng.random(out=chain_draw[row])
+        random_src1[row] = rng.integers(0, _NUM_REGS, size=length)
+        rng.random(out=src2_draw[row])
+        random_src2[row] = rng.integers(0, _NUM_REGS, size=length)
+
     cum_base = np.cumsum(base_probs)
     cum_boost = np.cumsum(boosted)
     idx_base = np.searchsorted(cum_base, uniform, side="right")
@@ -114,10 +132,8 @@ def _draw_stream_fields(spec: KernelSpec, rng: np.random.Generator, length: int)
     op_indices = np.where(in_memory_phase, idx_boost, idx_base)
     op_indices = np.clip(op_indices, 0, len(classes) - 1)
 
-    use_chain = rng.random(length) < spec.dependence
-    random_src1 = rng.integers(0, _NUM_REGS, size=length)
-    add_src2 = rng.random(length) < 0.5
-    random_src2 = rng.integers(0, _NUM_REGS, size=length)
+    use_chain = chain_draw < spec.dependence
+    add_src2 = src2_draw < 0.5
     return classes, op_indices, use_chain, random_src1, add_src2, random_src2
 
 
@@ -129,8 +145,9 @@ def _sample_stream(
     All random draws are vectorized — streams run to thousands of
     instructions and this is the hot path of GPU construction.
     """
-    classes, op_indices, use_chain, random_src1, add_src2, random_src2 = (
-        _draw_stream_fields(spec, rng, length)
+    classes, *rows = _draw_stream_fields(spec, rng, 1, length)
+    op_indices, use_chain, random_src1, add_src2, random_src2 = (
+        row[0] for row in rows
     )
 
     stream: List[Instruction] = []
@@ -163,9 +180,11 @@ _STREAM_CACHE_LIMIT = 64
 
 
 def _spec_cache_key(spec: KernelSpec, seed: int, count: int) -> tuple:
+    # The mix in insertion order: the draws map uniforms to classes in
+    # that order, so two orders of one mix are different streams.
     return (
         spec.name,
-        tuple(sorted((c.value, w) for c, w in spec.mix.items())),
+        tuple((c.value, w) for c, w in spec.mix.items()),
         spec.dependence,
         spec.body_length,
         spec.phase_period,
@@ -275,17 +294,18 @@ class StreamArrays:
     src2_col: np.ndarray
 
 
-def _stream_fields_to_arrays(
-    spec: KernelSpec, rng: np.random.Generator, length: int
-) -> dict:
-    """One warp's stream directly as column arrays.
+def _stream_block(spec: KernelSpec, seed: int, count: int) -> dict:
+    """``count`` warps' streams as ``(count, body)`` column arrays.
 
-    Consumes the generator exactly like :func:`_sample_stream` (both call
-    :func:`_draw_stream_fields`); the sequential dest/chain recurrence is
-    replaced by a running-maximum over writer positions.
+    Consumes the generator exactly like :func:`_base_streams` (both draw
+    through :func:`_draw_stream_fields`), then does the array work once
+    for the whole block; the sequential dest/chain recurrence of
+    :func:`_sample_stream` becomes a running maximum over writer
+    positions along the body axis.
     """
+    length = spec.body_length
     classes, op_indices, use_chain, random_src1, add_src2, random_src2 = (
-        _draw_stream_fields(spec, rng, length)
+        _draw_stream_fields(spec, np.random.default_rng(seed), count, length)
     )
     lat_lut = np.array([LATENCY[c] for c in classes], dtype=np.int64)
     energy_lut = np.array([ENERGY[c] for c in classes], dtype=float)
@@ -310,10 +330,9 @@ def _stream_fields_to_arrays(
     # src1 chains to the most recent written register strictly before the
     # current position (the reference's running ``last_dest``).
     writer_pos = np.where(has_dest, positions, -1)
-    last_writer = np.empty(length, dtype=np.int64)
-    if length:
-        last_writer[0] = -1
-        np.maximum.accumulate(writer_pos[:-1], out=last_writer[1:])
+    last_writer = np.empty((count, length), dtype=np.int64)
+    last_writer[:, 0] = -1
+    np.maximum.accumulate(writer_pos[:, :-1], axis=1, out=last_writer[:, 1:])
     src1 = np.where(
         use_chain & (last_writer >= 0), last_writer % _NUM_REGS, random_src1
     )
@@ -330,8 +349,8 @@ def _stream_fields_to_arrays(
         "is_load": is_load_lut[op_indices],
         "dest": dest,
         "dest_col": np.where(has_dest, dest, _NUM_REGS),
-        "src1_col": src1.astype(np.int64),
-        "src2_col": np.where(add_src2, random_src2, _NUM_REGS).astype(np.int64),
+        "src1_col": src1,
+        "src2_col": np.where(add_src2, random_src2, _NUM_REGS),
     }
 
 
@@ -349,18 +368,10 @@ def stream_arrays(spec: KernelSpec, seed: int, count: int) -> StreamArrays:
     key = _spec_cache_key(spec, seed, count)
     cached = _ARRAY_CACHE.get(key)
     if cached is None:
-        rng = np.random.default_rng(seed)
-        columns = [
-            _stream_fields_to_arrays(spec, rng, spec.body_length)
-            for _ in range(count)
-        ]
         cached = StreamArrays(
             num_warps=count,
             body_length=spec.body_length,
-            **{
-                name: np.stack([c[name] for c in columns])
-                for name in columns[0]
-            },
+            **_stream_block(spec, seed, count),
         )
         if len(_ARRAY_CACHE) >= _STREAM_CACHE_LIMIT:
             _ARRAY_CACHE.clear()
@@ -377,17 +388,16 @@ def jittered_lengths(
 ) -> np.ndarray:
     """Per-warp stream lengths exactly as :func:`build_warps` assigns them.
 
-    Replays the same jitter-generator consumption (one scalar draw per
-    warp, only when ``jitter > 0``); lengths beyond ``body_length`` mean
-    the stream wraps around to its own head.
+    Replays the same jitter-generator consumption (one draw per warp,
+    only when ``jitter > 0``) as one vector draw, which yields the same
+    values as ``count`` scalar draws; ``np.rint`` rounds half to even as
+    ``round`` does.  Lengths beyond ``body_length`` mean the stream wraps
+    around to its own head.
     """
     if jitter < 0 or jitter >= 1:
         raise ValueError(f"jitter must be in [0,1), got {jitter}")
     if jitter == 0:
         return np.full(count, spec.body_length, dtype=np.int64)
     jitter_rng = np.random.default_rng(seed if jitter_seed is None else jitter_seed)
-    lengths = np.empty(count, dtype=np.int64)
-    for warp_id in range(count):
-        scale = 1.0 + jitter * float(jitter_rng.uniform(-1.0, 1.0))
-        lengths[warp_id] = max(1, int(round(spec.body_length * scale)))
-    return lengths
+    scale = 1.0 + jitter * jitter_rng.uniform(-1.0, 1.0, size=count)
+    return np.maximum(1, np.rint(spec.body_length * scale)).astype(np.int64)

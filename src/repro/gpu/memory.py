@@ -118,17 +118,23 @@ class MemorySystem:
         """
         mask = (1 << 32) - 1
         c1, c2 = 0x7F4A7C15, 0x85EBCA6B
-        table = np.empty((num_warps, max_pc), dtype=bool)
+        # First mixing step in Python ints: the seed product is taken
+        # unreduced in the reference, so it may exceed 64 bits.
+        h1 = np.array(
+            [
+                ((self._seed * 0x9E3779B1) ^ (warp_id + c1)) * c2 & mask
+                for warp_id in range(num_warps)
+            ],
+            dtype=np.uint64,
+        )
+        # The rest wraps in uint64 on the whole (warp, pc) grid: only the
+        # low 32 bits of each product survive the mask.
         pcs = np.arange(max_pc, dtype=np.uint64)
-        for warp_id in range(num_warps):
-            # First mixing step in Python ints: the seed product is taken
-            # unreduced in the reference, so it may exceed 64 bits.
-            h1 = ((self._seed * 0x9E3779B1) ^ (warp_id + c1)) * c2 & mask
-            h2 = ((np.uint64(h1) ^ (pcs + np.uint64(c1))) * np.uint64(c2)) & np.uint64(mask)
-            h3 = ((h2 ^ np.uint64((int(generation) + c1) & ((1 << 64) - 1))) * np.uint64(c2)) & np.uint64(mask)
-            draws = h3.astype(float) / float(1 << 32)
-            table[warp_id] = draws < self.miss_ratio
-        return table
+        u_c2, u_mask = np.uint64(c2), np.uint64(mask)
+        h2 = ((h1[:, None] ^ (pcs + np.uint64(c1))) * u_c2) & u_mask
+        h3 = ((h2 ^ np.uint64((int(generation) + c1) & ((1 << 64) - 1))) * u_c2) & u_mask
+        draws = h3.astype(float) / float(1 << 32)
+        return draws < self.miss_ratio
 
     def _site_hash(self, key: tuple) -> float:
         """Stable uniform draw in [0, 1) from an access-site key."""

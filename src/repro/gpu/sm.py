@@ -190,9 +190,13 @@ class StreamingMultiprocessor:
 
         Called by the GPU at kernel-boundary barriers so all SMs launch
         together — the global synchronization a real kernel launch
-        provides, which bounds SM-to-SM phase drift.
+        provides, which bounds SM-to-SM phase drift.  Loads still in
+        flight (a barrier-exempt SM may have some) belong to the kernel
+        that issued them and are dropped; their bandwidth slot and miss
+        were booked at issue.
         """
         self._kernel_generation = generation
+        self._pending_loads = []
         seed = self._base_seed + 7919 * generation
         self.warps = build_warps(
             self.kernel,

@@ -6,7 +6,9 @@ power traces, statistics, kernel-launch accounting and shared-memory
 counters — under any kernel shape, actuation schedule, DFS setting,
 power gating sequence and fault scenario.  These tests drive both
 implementations side by side through randomized schedules (hypothesis)
-and through each canned cross-layer fault scenario.
+and through each canned cross-layer fault scenario.  The compiled step
+also keeps per-warp readiness caches and a per-SM live-warp count,
+checked here against a full recomputation after every step.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.faults.scenarios import CANNED_SCENARIOS
+from repro.gpu.engine import _FAR
 from repro.gpu.gpu import GPU
 from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import KernelSpec
@@ -32,23 +35,63 @@ STAT_FIELDS = (
 )
 
 
-def _assert_equivalent(ref: GPU, vec: GPU, cycles: int, actuate=None) -> None:
+def _assert_equivalent(ref: GPU, vec, cycles: int, actuate=None) -> None:
+    """Step ``ref`` and ``vec`` (one GPU or a list) in lock-step."""
+    vecs = vec if isinstance(vec, list) else [vec]
     for cycle in range(cycles):
         if actuate is not None:
-            actuate(ref, cycle)
-            actuate(vec, cycle)
+            for gpu in [ref] + vecs:
+                actuate(gpu, cycle)
         pr = ref.step()
-        pv = vec.step()
-        assert np.array_equal(pr, pv), f"power trace diverged at cycle {cycle}"
-    for ref_sm, vec_sm in zip(ref.sms, vec.sms):
-        for field in STAT_FIELDS:
-            assert getattr(ref_sm.stats, field) == getattr(vec_sm.stats, field)
-    assert ref.kernels_launched == vec.kernels_launched
-    assert ref.kernel_launch_cycles == vec.kernel_launch_cycles
-    assert ref.total_instructions() == vec.total_instructions()
-    assert ref.total_fake_instructions() == vec.total_fake_instructions()
-    assert ref.memory.requests_served == vec.memory.requests_served
-    assert ref.memory.misses == vec.memory.misses
+        for gpu in vecs:
+            pv = gpu.step()
+            assert np.array_equal(pr, pv), f"power trace diverged at cycle {cycle}"
+    for vec in vecs:
+        for ref_sm, vec_sm in zip(ref.sms, vec.sms):
+            for field in STAT_FIELDS:
+                assert getattr(ref_sm.stats, field) == getattr(vec_sm.stats, field)
+        assert ref.kernels_launched == vec.kernels_launched
+        assert ref.kernel_launch_cycles == vec.kernel_launch_cycles
+        assert ref.total_instructions() == vec.total_instructions()
+        assert ref.total_fake_instructions() == vec.total_fake_instructions()
+        assert ref.memory.requests_served == vec.memory.requests_served
+        assert ref.memory.misses == vec.memory.misses
+
+
+def _halting_schedule(rng: np.random.Generator, cycles: int, events: int):
+    """Random issue widths, DFS scales and gating flips, plus a
+    barrier-exempt set that changes over the run; half of it is halted
+    (issue width 0).  Launches then fire while exempt SMs still have
+    loads in flight — on every cycle while all 16 are exempt."""
+    plan = {}
+    for c in rng.integers(0, cycles, events):
+        size = 16 if rng.random() < 0.25 else int(rng.integers(0, 16))
+        exempt = rng.permutation(16)[:size]
+        widths = rng.uniform(0.0, 2.4, 16)
+        widths[exempt[: len(exempt) // 2]] = 0.0
+        plan[int(c)] = (
+            widths,
+            rng.uniform(0.3, 1.0, 16) if rng.random() < 0.3 else None,
+            int(rng.integers(0, 16)),
+            ExecUnit(list(ExecUnit)[int(rng.integers(0, 3))]),
+            bool(rng.integers(0, 2)),
+            set(exempt.tolist()),
+        )
+
+    def actuate(gpu, cycle):
+        if cycle not in plan:
+            return
+        widths, freqs, sm, unit, gate, exempt = plan[cycle]
+        gpu.barrier_exempt = exempt
+        gpu.set_issue_widths(widths)
+        if freqs is not None:
+            gpu.set_frequency_scales(freqs)
+        if gate:
+            gpu.sms[sm].gate_unit(unit)
+        else:
+            gpu.sms[sm].ungate_unit(unit, cycle)
+
+    return actuate
 
 
 kernel_specs = st.builds(
@@ -127,6 +170,89 @@ class TestRandomizedEquivalence:
         ref = GPU(spec, seed=seed, miss_ratio=0.3, vectorized=False)
         vec = GPU(spec, seed=seed, miss_ratio=0.3, vectorized=True)
         _assert_equivalent(ref, vec, cycles, actuate)
+
+    @given(
+        warps=st.integers(13, 40),
+        body=st.integers(9, 40),
+        seed=st.integers(0, 2**31),
+        sched_seed=st.integers(0, 2**31),
+        jitter=st.sampled_from([0.0, 0.25]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_paper_warp_counts_with_halts(
+        self, warps, body, seed, sched_seed, jitter
+    ):
+        """The warp counts the paper kernels run (bfs 32, scalarprod and
+        simpleatomic 20, pathfinder and fastwalsh 16) under random issue
+        widths and halted sets that change across launches: the compiled
+        step and the NumPy fallback against the per-object reference."""
+        spec = KernelSpec("wide", body_length=body, warps_per_sm=warps)
+        cycles = 320
+        actuate = _halting_schedule(np.random.default_rng(sched_seed), cycles, 8)
+
+        def build(vectorized):
+            return GPU(spec, seed=seed, miss_ratio=0.5, jitter=jitter,
+                       vectorized=vectorized)
+
+        vecs = [build(True)]
+        with forced_fallback():
+            vecs.append(build(True))
+        assert vecs[1].engine.backend == "numpy"
+        _assert_equivalent(build(False), vecs, cycles, actuate)
+
+
+def _recomputed_caches(engine):
+    """Head caches, live counts and done flags from scratch, as
+    ``_refresh_heads`` defines them: ``(ready_cycle, head_unit, live,
+    done)``."""
+    st = engine._streams
+    pc = engine._pc
+    done = pc >= engine._length
+    body = st.body_length
+    eff = np.minimum(np.where(pc >= body, pc - body, pc), body - 1)
+    s_idx = np.arange(engine.num_sms)[:, None]
+    w_idx = np.arange(engine.num_warps)[None, :]
+    ra = engine._ready_at
+    ready = np.maximum(
+        np.maximum(
+            ra[s_idx, w_idx, st.dest_col[w_idx, eff]],
+            ra[s_idx, w_idx, st.src1_col[w_idx, eff]],
+        ),
+        ra[s_idx, w_idx, st.src2_col[w_idx, eff]],
+    )
+    live = (~done | (engine._outstanding != 0)).sum(axis=1)
+    return np.where(done, _FAR, ready), st.unit[w_idx, eff], live, done
+
+
+@pytest.mark.native
+class TestCompiledHeadCaches:
+    @given(
+        warps=st.integers(1, 40),
+        body=st.integers(5, 60),
+        seed=st.integers(0, 2**31),
+        sched_seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_caches_match_a_full_recompute(self, warps, body, seed, sched_seed):
+        """After every compiled step the head caches and live counts
+        equal a recomputation from the PCs, scoreboards and counts —
+        under DIWS, DFS, gating, halts and launches with loads in
+        flight (jitter 0.9 makes streams wrap past their body)."""
+        spec = KernelSpec("caches", body_length=body, warps_per_sm=warps)
+        gpu = GPU(spec, seed=seed, miss_ratio=0.6, jitter=0.9, vectorized=True)
+        engine = gpu.engine
+        assert engine.backend == "c"
+        cycles = 400
+        actuate = _halting_schedule(np.random.default_rng(sched_seed), cycles, 10)
+        for cycle in range(cycles):
+            actuate(gpu, cycle)
+            gpu.step()
+            ready, unit, live, done = _recomputed_caches(engine)
+            assert np.array_equal(engine._warp_done, done), cycle
+            assert np.array_equal(engine._ready_cycle, ready), cycle
+            assert np.array_equal(engine._head_unit, unit), cycle
+            assert np.array_equal(engine._live, live), cycle
+            assert (engine._outstanding >= 0).all(), cycle
 
 
 class TestFaultScenarioEquivalence:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpu.memory import MemorySystem, MemoryTimings
+from tests.oracles import stream_reference
 
 
 class TestTimings:
@@ -60,3 +61,17 @@ class TestBandwidth:
         m.reset_statistics()
         assert m.requests_served == 0
         assert m.observed_miss_ratio == 0.0
+
+
+class TestSiteMissTable:
+    @pytest.mark.parametrize("seed", [0, 3, 2**40])
+    def test_grid_hash_matches_the_per_warp_oracle(self, seed):
+        """One pass over the (warp, pc) grid equals hashing warp by warp,
+        including seeds whose first mixing product exceeds 64 bits."""
+        for miss_ratio in (0.0, 0.3, 0.75, 1.0):
+            m = MemorySystem(miss_ratio=miss_ratio, seed=seed)
+            for warps, max_pc, generation in ((1, 1, 0), (12, 241, 3), (40, 97, 2**63)):
+                got = m.site_miss_table(warps, max_pc, generation)
+                want = stream_reference.site_miss_table(m, warps, max_pc, generation)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()

@@ -16,6 +16,8 @@ import pytest
 from repro.gpu import GPU, KernelSpec
 from repro.gpu.kernels import build_warps
 from repro.gpu.memory import MemorySystem
+from repro.workloads.benchmarks import get_benchmark
+from tests.conftest import forced_fallback
 
 
 class TestSharedStreams:
@@ -100,6 +102,35 @@ class TestKernelBarrier:
         gpu.sms[0].set_issue_width(0.0)
         gpu.run(2000)
         assert gpu.kernels_launched == 1  # stuck behind SM 0
+
+    @pytest.mark.parametrize(
+        "engine", [pytest.param("c", marks=pytest.mark.native), "numpy", "reference"]
+    )
+    def test_launch_with_loads_in_flight_keeps_launching(self, engine):
+        """Halting SMs 1-15 mid-kernel lets the barrier fire at once
+        (SM 0 has drained) with their loads in flight.  Those loads
+        belong to the old kernel: completing them into the new warps
+        left outstanding counts at -1, and no kernel launched again."""
+        bench = get_benchmark("hotspot")
+
+        def build():
+            return GPU(bench.kernel, seed=3, miss_ratio=bench.miss_ratio,
+                       jitter=bench.jitter, vectorized=engine != "reference")
+
+        if engine == "numpy":
+            with forced_fallback():
+                gpu = build()
+        else:
+            gpu = build()
+        assert getattr(gpu.engine, "backend", "reference") == engine
+        gpu.run(2198)
+        gpu.set_issue_widths([2.0] + [0.0] * 15)
+        gpu.barrier_exempt = set(range(1, 16))
+        gpu.run(600)
+        gpu.set_issue_widths([2.0] * 16)
+        gpu.barrier_exempt = set()
+        gpu.run(3200)
+        assert gpu.kernel_launch_cycles == [0, 2198, 5891]
 
     def test_launch_cycles_recorded(self):
         spec = KernelSpec("short", body_length=30, warps_per_sm=2)
