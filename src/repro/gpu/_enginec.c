@@ -3,7 +3,8 @@
  * Compiled on demand into the native library (repro.native: plain cc,
  * no Python headers) and driven through ctypes.  Operates in place on
  * the NumPy buffers of repro.gpu.engine.VectorizedGPUEngine; one call
- * advances all SMs one nominal clock cycle.
+ * advances all SMs one nominal clock cycle.  engine_actuate serves the
+ * co-sim cycle kernel's apply stage, keeping EngineState private here.
  *
  * The contract is bit-identical equivalence with the per-object Python
  * reference (repro.gpu.sm.StreamingMultiprocessor).  This file is a
@@ -448,5 +449,23 @@ i64 engine_step_batch(EngineState **sts, i64 nlanes, i64 *clock,
         relaunch[b] = 0;
     }
     *clock = cycle + 1;
+    return 0;
+}
+
+/* VectorizedGPUEngine._clamp02: x > 0 ? x : 0, capped at 2 (NaN and
+ * -0.0 become 0.0, as the reference's min(2.0, max(0.0, x))). */
+static double clamp02(double x) {
+    double low = x > 0.0 ? x : 0.0;
+    return low < 2.0 ? low : 2.0;
+}
+
+/* Actuate one engine as set_issue_widths / set_fake_rates do, with the
+ * halted SMs' widths zeroed first.  Returns 0. */
+i64 engine_actuate(EngineState *st, const double *widths,
+                   const double *fakes, const u8 *halted) {
+    for (i64 s = 0; s < st->num_sms; s++) {
+        st->issue_width[s] = clamp02(halted[s] ? 0.0 : widths[s]);
+        st->fake_rate[s] = clamp02(fakes[s]);
+    }
     return 0;
 }

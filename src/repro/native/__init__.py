@@ -2,8 +2,9 @@
 
 The GPU step kernel (``repro/gpu/_enginec.c``), the batched PDN solver
 kernel (``repro/circuits/_solverc.c``) and the co-sim cycle kernel
-(``repro/sim/_cyclec.c``, which calls the other two directly and also
-exports the controller bank's decision wave) are linked into one
+(``repro/sim/_cyclec.c``, which calls the other two directly, runs
+one cycle or a span of cycles per call, and also exports the controller
+bank's decision wave) are linked into one
 shared object, compiled by the system toolchain at
 first use and driven through :mod:`ctypes`.  Whether that library
 loaded is the only compiled-or-NumPy decision: every layer asks
@@ -38,9 +39,11 @@ _I64 = ctypes.c_longlong
 _SYMBOLS = {
     "engine_step": [_PTR, _I64],
     "engine_step_batch": [_PTR, _I64, _PTR, _PTR, _PTR, _PTR],
+    "engine_actuate": [_PTR, _PTR, _PTR, _PTR],
     "solver_step_n": [_PTR, _I64],
     "solver_step_n_checked": [_PTR, _I64, _PTR, _PTR],
     "cosim_cycle": [_PTR, _I64, _I64, _I64],
+    "cosim_span": [_PTR, _I64, _I64],
     "bank_wave": [_PTR, _I64, _PTR, _PTR],
 }
 

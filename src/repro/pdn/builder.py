@@ -18,6 +18,7 @@ read per-SM voltages without knowing the naming scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -173,6 +174,12 @@ class ConventionalPDN:
 # ---------------------------------------------------------------------------
 # Voltage-stacked netlist
 # ---------------------------------------------------------------------------
+def check_cr_ivr_area(area_mm2: float) -> None:
+    """A CR-IVR area is a finite, non-negative mm² (0: no CR-IVR)."""
+    if not (math.isfinite(area_mm2) and area_mm2 >= 0):
+        raise ValueError(f"cr_ivr_area_mm2 must be finite, >= 0: {area_mm2}")
+
+
 def build_stacked_pdn(
     stack: StackConfig = StackConfig(),
     params: PDNParameters = DEFAULT_PDN,
@@ -185,6 +192,7 @@ def build_stacked_pdn(
     ``include_load_conductance`` stamps each SM's small-signal conductance
     (``params.sm_conductance``); disable to study the pure passive grid.
     """
+    check_cr_ivr_area(cr_ivr_area_mm2)
     ckt = Circuit("stacked_pdn")
     ckt.add_voltage_source(SUPPLY_SOURCE, "board", "0", stack.board_voltage)
     ckt.add_resistor("r_board", "board", "pkg_in", params.board_resistance)

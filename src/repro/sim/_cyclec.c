@@ -1,4 +1,4 @@
-/* One co-simulation cycle for every lane in a single call.
+/* Co-simulation cycles for every lane: one, or a span, per call.
  *
  * Compiled on demand into the native library (repro.native: plain cc,
  * no Python headers) and driven through ctypes by the co-sim loop
@@ -8,9 +8,9 @@
  * (repro/circuits/_solverc.c), linked into the same library, and glues
  * them with the loop's array work — process-variation scaling,
  * currents, SM-voltage readout, the controller bank's RC filter and
- * quantizer, Algorithm 1's decision wave and the fast lanes' latency-
- * pipeline pops, and the recording row — that the loop would otherwise
- * dispatch as many small NumPy calls and Python loops per cycle.  The
+ * quantizer, Algorithm 1's decision wave, the fast lanes' latency-
+ * pipeline pops and applies, the recording row — that the loop would
+ * otherwise dispatch as many small NumPy calls and Python loops.  The
  * wave is also exported on its own (bank_wave), for ControllerBank.
  * observe (repro/core/controller.py).
  *
@@ -44,16 +44,24 @@
  *      masked when a seen sample is non-finite or a row unobserved;
  *   4  decide: the bank's decision wave when a lane is due, then the
  *      fast lanes' pops: each flags its lane in `apply` when its active
- *      decision differs from the one the loop applied last;
+ *      decision differs from the one applied last;
  *   then the recording row (in warmup, the flight recorders' voltage
- *   row when they ride along).  A call with last >= 3 runs to the end.
+ *   row when they ride along), which ledgers this cycle's DCC, then
+ *   the apply stage: each flagged lane's active command row into its
+ *   engine (engine_actuate; its halted SMs, which are its barrier-exempt
+ *   row, get width 0) and its dcc row.  A call with last >= 3 runs to
+ *   the end.
  *
- * Returns 0 when every requested stage ran, CYC_RELAUNCH (stage 0
- * flagged lanes for a kernel launch; nothing ran), CYC_SUSPECT (stage 1
- * ran and the health proof flagged lanes; later stages did not run),
- * CYC_GROW (stage 4 found a due lane's pipeline full and changed
+ * cosim_cycle returns 0 when every requested stage ran, CYC_RELAUNCH
+ * (stage 0 flagged lanes for a kernel launch; nothing ran), CYC_SUSPECT
+ * (stage 1 ran and the health proof flagged lanes; later stages did not
+ * run), CYC_GROW (stage 4 found a due lane's pipeline full and changed
  * nothing: the caller grows the bank's ring and resumes at stage 4), or
  * a negative error code with the offending lane in err_lane.
+ *
+ * cosim_span runs whole cycles start..stop-1 and stops at the first that
+ * returns non-zero, or (stop_on_apply) with CYC_APPLY after one that
+ * applied; span_at is the cycle it stopped at, stop when all ran.
  */
 
 #include <math.h>
@@ -67,6 +75,7 @@ typedef uint8_t u8;
 #define CYC_RELAUNCH 2
 #define CYC_SUSPECT 3
 #define CYC_GROW 4
+#define CYC_APPLY 5
 #define CYC_GPU_ERROR (-1)
 #define CYC_SOLVER_ERROR (-2)
 
@@ -78,6 +87,8 @@ i64 engine_step_batch(struct EngineState **sts, i64 nlanes, i64 *clock,
 i64 solver_step_n(struct SolverState *st, i64 nsub);
 i64 solver_step_n_checked(struct SolverState *st, i64 nsub, double *snap,
                           const double *limit_sq);
+i64 engine_actuate(struct EngineState *st, const double *widths,
+                   const double *fakes, const u8 *halted);
 
 /* Columns of ControllerBank._ints / _iparams / _params and slots of
  * its _scal (repro/core/controller.py; the orders must match). */
@@ -130,7 +141,7 @@ typedef struct {
     void *engine_states; /* EngineState *[B] */
     void *gpu_clock;     /* i64[1] */
     void *ndone;         /* i64[B] */
-    void *exempt;        /* u8[B*S] */
+    void *exempt;        /* u8[B*S], also each lane's halted SMs */
     void *relaunch;      /* u8[B] */
     void *powers;        /* double[B*S] */
     i64 pv_k;            /* process-variation rows per lane, 0: none */
@@ -165,9 +176,11 @@ typedef struct {
     i64 unobserved;     /* ... and a row was unobserved */
     void *fast;         /* u8[bank_lanes] lanes whose pipeline stage 4 pops */
     void *applied;      /* i64[bank_lanes] decision id applied last, -1 none */
-    void *apply;        /* u8[bank_lanes] out: lanes to apply */
+    void *apply;        /* u8[bank_lanes] out: lanes applied this cycle */
     i64 n_apply;        /* out: how many */
     i64 waved;          /* out: a wave ran */
+    i64 stop_on_apply;  /* cosim_span stops after a cycle that applied */
+    i64 span_at;        /* out: the cycle cosim_span stopped at */
     /* stage 3: the recording row */
     i64 warmup;
     i64 cycles;     /* recorded window length */
@@ -587,6 +600,24 @@ static void stage_pop(CycleState *cs, i64 cycle) {
     cs->n_apply = n_apply;
 }
 
+/* The flagged fast lanes' active decisions, as the phased body's
+ * setters and DCC row copy apply them. */
+static void stage_apply(CycleState *cs) {
+    const BankState *bs = (const BankState *)cs->bank;
+    const i64 S = cs->num_sms, R = bs->cap + 1;
+    const i64 *rows = (const i64 *)cs->bank_rows;
+    for (i64 j = 0; j < cs->bank_lanes; j++) {
+        if (!((const u8 *)cs->apply)[j])
+            continue;
+        const i64 b = rows[j], id = bs->ints[j * NI + I_ACTIVE];
+        const double *cat = bs->store + (j * R + id % R) * 3 * S;
+        engine_actuate(((struct EngineState **)cs->engine_states)[b], cat,
+                       cat + S, (const u8 *)cs->exempt + b * S);
+        memcpy((double *)cs->dcc + b * S, cat + 2 * S,
+               (size_t)S * sizeof(double));
+    }
+}
+
 static void stage_record(CycleState *cs, i64 cycle) {
     const i64 S = cs->num_sms, k = cycle - cs->warmup, C = cs->cycles;
     const i64 *lane = (const i64 *)cs->lane_index;
@@ -676,5 +707,20 @@ i64 cosim_cycle(CycleState *cs, i64 cycle, i64 first, i64 last) {
     else if (cs->flight_warm)
         stage_warm(cs, cycle);
     lap(cs, &t0, 3);
+    if (cs->bank_lanes && cs->n_apply) {
+        stage_apply(cs);
+        lap(cs, &t0, 2);
+    }
     return 0;
+}
+
+i64 cosim_span(CycleState *cs, i64 start, i64 stop) {
+    i64 rc = 0;
+    for (cs->span_at = start; cs->span_at < stop && !rc; cs->span_at++) {
+        rc = cosim_cycle(cs, cs->span_at, 0, 3);
+        if (!rc && cs->stop_on_apply && cs->n_apply)
+            rc = CYC_APPLY;
+    }
+    cs->span_at -= rc != 0;
+    return rc;
 }

@@ -4,19 +4,19 @@ One :meth:`CycleKernel.run` call advances every lane of a batch through
 one co-sim cycle — GPU step and process-variation scaling, PDN
 currents, guarded solver substeps, SM-voltage readout, the controller
 bank's RC filter (masked for dropped samples and unobserved lanes), its
-decision wave and the fast lanes' pipeline pops, and the recording row
-— in compiled code.  The kernel is part of the native library
-(:mod:`repro.native`) and calls the GPU engine and the PDN solver
-kernels linked beside it.  When the library is unavailable,
-the co-sim loop runs its NumPy body instead — same results, more Python
-per cycle.
+decision wave, the fast lanes' pipeline pops and applies, and the
+recording row — in compiled code; :meth:`CycleKernel.span` runs many.
+The kernel is part of the native library (:mod:`repro.native`) and
+calls the GPU engine and the PDN solver kernels linked beside it.  When
+the library is unavailable, the co-sim loop runs its NumPy body instead
+— same results, more Python per cycle.
 """
 
 from __future__ import annotations
 
 import ctypes
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +26,8 @@ _F64 = ctypes.c_double
 
 #: Stages of :meth:`CycleKernel.run` (see ``_cyclec.c``).
 STAGE_GPU, STAGE_SOLVE, STAGE_READOUT, STAGE_FILTER, STAGE_DECIDE = range(5)
-#: Non-error return codes of ``cosim_cycle``.
-RELAUNCH, SUSPECT, GROW = 2, 3, 4
+#: Non-error return codes of ``cosim_cycle`` (APPLY: ``cosim_span``'s).
+RELAUNCH, SUSPECT, GROW, APPLY = 2, 3, 4, 5
 
 
 class CCycleState(ctypes.Structure):
@@ -74,6 +74,8 @@ class CCycleState(ctypes.Structure):
         ("apply", _PTR),
         ("n_apply", _I64),
         ("waved", _I64),
+        ("stop_on_apply", _I64),
+        ("span_at", _I64),
         ("warmup", _I64),
         ("cycles", _I64),
         ("lane_index", _PTR),
@@ -106,10 +108,11 @@ class CycleKernel:
 
     With a bank it owns the filter's blocks — ``seen`` (filled by a
     call that stops after the readout), ``observed`` and ``measured`` —
-    and the decide stage's ``apply`` flags (bank rows whose active
-    decision the loop must apply; ``state.n_apply`` counts them).  The
-    loop passes ``fast`` (the bank rows the kernel pops) and ``applied``
-    (each row's last applied decision id, updated by the kernel).
+    and the decide stage's ``apply`` flags (bank rows whose new active
+    decision the kernel applied; ``state.n_apply`` counts them).  The
+    loop passes ``fast`` (the bank rows the kernel pops and applies) and
+    ``applied`` (each row's last applied decision id, updated by the
+    kernel), and sets ``state.stop_on_apply`` for its recorders.
     """
 
     def __init__(
@@ -230,6 +233,7 @@ class CycleKernel:
         )
         self.ptr = ctypes.pointer(self.state)
         self.call = fused.lib.cosim_cycle
+        self.span_call = fused.lib.cosim_span
 
     def sync_solver(self) -> None:
         """Repoint the kernel at the solver's current C state.
@@ -254,11 +258,41 @@ class CycleKernel:
         """
         rc = self.call(self.ptr, cycle, first, last)
         while rc == RELAUNCH:
-            start = perf_counter()
-            self.gpu_batch.relaunch()
-            if self.stage_s is not None:
-                self.stage_s[0] += perf_counter() - start
+            self._relaunch()
             rc = self.call(self.ptr, cycle, first, last)
+        return self._finish(rc, cycle)
+
+    def span(self, start: int, stop: int) -> Tuple[int, int]:
+        """Run whole cycles ``start``..``stop - 1``, each as :meth:`run`
+        does (relaunches and ring growth included).  Returns ``(0, stop)``,
+        ``(APPLY, at)`` (``state.stop_on_apply``: cycle ``at`` applied a
+        new decision) or ``(SUSPECT, at)`` (cycle ``at`` ran through the
+        health proof, which flagged lanes)."""
+        state = self.state
+        while True:
+            rc = self.span_call(self.ptr, start, stop)
+            at = state.span_at
+            if rc == RELAUNCH:
+                self._relaunch()
+                start = at
+            elif rc == GROW:
+                self._finish(rc, at)
+                if state.stop_on_apply and state.n_apply:
+                    return APPLY, at
+                start = at + 1
+                if start == stop:
+                    return 0, stop
+            else:
+                return self._finish(rc, at), at
+
+    def _relaunch(self) -> None:
+        start = perf_counter()
+        self.gpu_batch.relaunch()
+        if self.stage_s is not None:
+            self.stage_s[0] += perf_counter() - start
+
+    def _finish(self, rc: int, cycle: int) -> int:
+        """Grow the ring and finish ``cycle`` on GROW; raise on errors."""
         while rc == GROW:
             self.bank._grow()
             rc = self.call(self.ptr, cycle, STAGE_DECIDE, STAGE_DECIDE)

@@ -26,6 +26,7 @@ keeps running.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -49,7 +50,9 @@ from repro.core.controller import (
 )
 from repro.gpu.gpu import GPU
 from repro.gpu.kernels import KernelSpec
-from repro.pdn.builder import StackedPDN, build_stacked_pdn
+from repro.pdn.builder import (
+    StackedPDN, build_stacked_pdn, check_cr_ivr_area,
+)
 from repro.pdn.efficiency import (
     EfficiencyBreakdown,
     layer_shuffle_power,
@@ -162,6 +165,7 @@ class CosimConfig:
             )
         if self.circuit_substeps <= 0:
             raise ValueError("need at least one circuit substep")
+        check_cr_ivr_area(self.cr_ivr_area_mm2)
 
 
 class CosimResult:
@@ -561,11 +565,11 @@ class _LaneState:
         self.instructions_at_start = 0
         self.fakes_at_start = 0
         self.throttled_at_start = 0
-        # Actuation gating: the last applied decision.  GPU setters are
-        # idempotent for identical values, so re-applying an unchanged
-        # decision is skipped; holding a strong reference to the applied
-        # decision keeps the identity check sound.  A halt edge re-applies
-        # it under the new halted set.
+        # Actuation gating of a slow lane: the last applied decision.
+        # GPU setters are idempotent for identical values, so re-applying
+        # an unchanged decision is skipped; holding a strong reference to
+        # the applied decision keeps the identity check sound.  A halt
+        # edge clears it.
         self.applied_decision = None
         self.halted_idx: List[int] = []
         # Whether the injector's sensor-corruption / loop-jitter events
@@ -692,24 +696,26 @@ def _simulate(
 
     When the native library loaded and the batch is eligible (every
     lane on the vectorized GPU engine, the co-sim's shared current
-    base), a clean cycle is one call into the cycle kernel
-    (:mod:`repro.sim._cyclec`): GPU step and process-variation
-    scaling, currents, guarded substeps, SM-voltage readout, the bank's
-    RC filter (masked for dropped samples and unobserved lanes) and the
-    recording row.  Python keeps the event work around it — kernel
-    relaunches the GPU census flags, due decision waves and pipeline
-    pops, the fault hooks on each lane's edge cycles (its first cycle
-    and every fault or shutoff window start or end: circuit and DFS
-    hooks, like a chaos event, split the cycle after the GPU stage;
-    halt hooks re-apply actuation after the solve), the injectors'
-    sensor and jitter draws on sensor cycles (the kernel stops after
-    the readout and a second call runs the filter and recording row),
-    guard recovery and lane quarantine, the warmup snapshot and
-    flight-recorder blocks.  Lanes' deferred mirrors (GPU cycle and
-    memory queue, solver time and step count) are folded back before
-    hooks read them, at a quarantine and at the end.  Any other batch
-    runs the phased NumPy body instead (same edge schedule), byte for
-    byte the same results.
+    base), clean cycles run in the cycle kernel (:mod:`repro.sim.
+    _cyclec`): GPU step and process-variation scaling, currents, guarded
+    substeps, SM-voltage readout, the bank's RC filter (masked for
+    dropped samples and unobserved lanes), waves and pops, the
+    recording row and the fast lanes' new commands — a span of cycles
+    per call, up to the next event: a lane's edge cycle (its first
+    cycle and every fault or shutoff window start or end), the warmup
+    snapshot, a chaos cycle, a flight hand-over or (recorders attached)
+    an apply.  A lane that needs Python every cycle (sensing, a slow
+    controller, recorder marks) cuts spans to one cycle.  Python keeps
+    the event work: fault hooks (circuit and DFS hooks, like a chaos
+    event, split the cycle after the GPU stage; halt hooks re-apply
+    actuation after it), the injectors' sensor and jitter draws (the
+    kernel stops after the readout, a second call runs the rest), slow
+    lanes' commands, guard recovery and lane quarantine, the warmup
+    snapshot and flight-recorder blocks.  Lanes' deferred mirrors (GPU
+    cycle and memory queue, solver time and step count) are folded back
+    before hooks read them, at a quarantine and at the end.  Any other
+    batch runs the phased NumPy body instead (same edge schedule), byte
+    for byte the same results.
 
     Returns the per-lane states, each carrying its ``result``, the
     batch solver that finished the run, and how many cycles ran through
@@ -930,8 +936,8 @@ def _simulate(
     # nothing can change between pops) or a halt edge changes the
     # halted set; faults that touch the sensors, the circuit or the
     # halted SMs leave that path intact.  The bank pops their pipelines
-    # (in the cycle kernel, or pop_fast) and counts their cycles as
-    # commands_for would; the loop applies the rows it flags.  The rest
+    # and counts their cycles as commands_for would; the cycle kernel
+    # applies the rows it flags (pop_fast's: the loop).  The rest
     # replicate the serial per-cycle commands_for path.  (A pre-used
     # controller object that already counted cycles keeps that path.)
     fast_lanes = [
@@ -1070,11 +1076,9 @@ def _simulate(
         ln.flight.observe_runs(volts, runs)
 
     # The cycle kernel: when the native library loaded and the batch is
-    # eligible, each clean cycle — GPU step and process variation,
-    # currents, guarded solve, readout, the bank's RC filter and the
-    # recording row — is one call into compiled code
-    # (repro.sim._cyclec), and Python keeps only the event work around
-    # it.  Other batches run the phased NumPy body below.  The kernel
+    # eligible, clean cycles run in compiled code (repro.sim._cyclec), a
+    # span of them per call, and Python keeps only the event work around
+    # them.  Other batches run the phased NumPy body below.  The kernel
     # binds the current batch shape and is rebuilt when a quarantine
     # compacts it.
     stage_s = np.zeros(4) if timing else None
@@ -1082,7 +1086,7 @@ def _simulate(
     def _bind_kernel() -> Optional[CycleKernel]:
         if gpu_batch.fused() is None or not batch_solver._c_ready():
             return None
-        return CycleKernel(
+        bound = CycleKernel(
             gpu_batch, batch_solver, batch_guard,
             dcc=dcc_bt, currents=batch_currents, volts=volt_buf,
             sm_voltage=stack.sm_voltage, conductance_bias=conductance_bias,
@@ -1100,12 +1104,20 @@ def _simulate(
             dcc_trace=dcc_trace_bt, flight_warm=flight_warm_bt,
             stage_s=stage_s,
         )
+        # A recorder marks the cycle a fast lane applies a new decision.
+        bound.state.stop_on_apply = bool(flight_lanes)
+        return bound
 
     kernel = _bind_kernel()
     if kernel is not None:
         powers_bt = gpu_batch.fused().powers
     fused_cycles = 0
     status = 0
+    # Cycles a span stops short of, besides edges and flight hand-overs:
+    # the warmup snapshot, the chaos harness's cycles and the end.
+    span_stops = sorted(
+        {warmup, total_cycles}.union(c + warmup for c in chaos_cycles or ())
+    )
 
     # Stage accumulators.  ``timing`` gates the perf_counter reads; with
     # telemetry off the loop body is branch-only.  The cycle kernel
@@ -1114,7 +1126,8 @@ def _simulate(
     if timing:
         tele.add_time("setup", perf_counter() - setup_start)
     loop_start = perf_counter()
-    for cycle in range(total_cycles):
+    cycle = 0
+    while cycle < total_cycles:
         recording = cycle >= warmup
         if cycle == warmup:
             # Work counters cover the recorded window only: snapshot
@@ -1237,11 +1250,26 @@ def _simulate(
         if kernel is not None:
             if hooks:
                 kernel.sync_solver()  # a circuit fault may refactor
-            fused_cycles += 1
-            status = kernel.run(
-                cycle, STAGE_SOLVE if split else STAGE_GPU,
-                STAGE_READOUT if sensing else STAGE_FILTER,
-            )
+            # Without partial-stage calls or per-cycle work, cycles run
+            # as one span up to the next event; the rest of this body
+            # then runs for the span's last cycle.
+            stop = cycle + 1
+            if not (split or sensing or edge or slow_ctrl_lanes
+                    or flight_every or flight_watch):
+                stop = min(next_edge, flight_due + 1,
+                           span_stops[bisect_right(span_stops, cycle)])
+            if stop > cycle + 1:
+                status, at = kernel.span(cycle, stop)
+                last = at if status else at - 1
+            else:
+                status = kernel.run(
+                    cycle, STAGE_SOLVE if split else STAGE_GPU,
+                    STAGE_READOUT if sensing else STAGE_FILTER,
+                )
+                last = cycle
+            fused_cycles += last + 1 - cycle
+            cycle = last
+            recorded_cycle = cycle - warmup
             if status == SUSPECT:
                 if timing:
                     t1 = perf_counter()
@@ -1372,8 +1400,9 @@ def _simulate(
         # must not block the kernel-launch barrier.  The set changes only
         # on the lane's edges; a change re-applies the actuation in force
         # under it: a lane without a controller runs at full width, a
-        # fast lane re-applies its decision, a slow lane re-applies at
-        # its next command read.
+        # fast lane re-applies its active decision once one was applied
+        # (the kernel's apply this cycle used the old set), a slow lane
+        # re-applies at its next command read.
         for ln in edge:
             inj = ln.injector
             halts = inj is not None and inj.halts_sms
@@ -1396,9 +1425,10 @@ def _simulate(
                 )
             elif not ln.in_fast:
                 ln.applied_decision = None
-            elif ln.applied_decision is not None:
+            elif applied_ids[bank_members.index(ln)] >= 0:
                 ln.gpu.set_issue_widths(_halted(
-                    ln.applied_decision.issue_widths, ln.halted_idx
+                    ln.controller.active_decision.issue_widths,
+                    ln.halted_idx,
                 ))
 
         # 4. Detection + control.  Bank lanes advance their RC filters
@@ -1409,12 +1439,12 @@ def _simulate(
         # cycle the kernel stopped after the readout: the injectors
         # write the seen block and observed mask, and a second call runs
         # the filter (masked for dropped samples or unobserved lanes),
-        # the wave, the fast lanes' pops and the recording row.  The
-        # fast rows it flags (pop_fast's, on the phased body) get their
-        # new decision applied.  Duck-typed controllers replicate the
-        # serial path verbatim.  Actuation application is gated on
-        # decision identity (setters are idempotent; decisions are
-        # immutable once enqueued), except under actuation-distorting
+        # the wave, the fast lanes' pops and applies and the recording
+        # row; the phased body applies the rows pop_fast flags.  A
+        # flagged row's recorder marks the cycle.  Duck-typed controllers
+        # replicate the serial path verbatim.  Actuation application is
+        # gated on decision identity (setters are idempotent; decisions
+        # are immutable once enqueued), except under actuation-distorting
         # faults which may perturb every cycle.  Ownership contract:
         # decision arrays belong to the controller, so every array this
         # loop mutates (halted widths, distorted commands) or retains
@@ -1455,21 +1485,21 @@ def _simulate(
                 applies = bank.pop_fast(cycle, fast_rows, applied_ids)
         else:
             waved = kernel.state.waved
-            if kernel.state.n_apply:
+            if flight_lanes and kernel.state.n_apply:
                 applies = np.flatnonzero(kernel.apply).tolist()
         if observed is not None:
             observed[:] = True
         for j in applies:
             ln = bank_members[j]
-            decision = ln.controller.active_decision
-            # The engine setters copy internally, so unhalted decision
-            # arrays pass through unmutated.
-            ln.gpu.set_issue_widths(
-                _halted(decision.issue_widths, ln.halted_idx)
-            )
-            ln.gpu.set_fake_rates(decision.fake_rates)
-            np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-            ln.applied_decision = decision
+            if kernel is None:
+                decision = ln.controller.active_decision
+                # The engine setters copy internally, so unhalted
+                # decision arrays pass through unmutated.
+                ln.gpu.set_issue_widths(
+                    _halted(decision.issue_widths, ln.halted_idx)
+                )
+                ln.gpu.set_fake_rates(decision.fake_rates)
+                np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
             if ln.flight is not None:
                 _flight_mark(ln, cycle)
         for ln in slow_ctrl_lanes:
@@ -1556,6 +1586,7 @@ def _simulate(
             flight_due = cycle + _FLIGHT_BLOCK
         if timing:
             t_record += perf_counter() - t3
+        cycle += 1
     for ln in flight_lanes:
         _flush_flight(ln, flight_sent, total_cycles)
     # Settle the open halt spans so injectors end bit-equal to serial

@@ -539,6 +539,8 @@ def _run_point_batch(
         ]
         results = run_cosim_batch(lanes)
     except Exception:  # noqa: BLE001 — per-point serial fallback
+        results = None
+    if results is None:  # outside the handler: errors read as serially
         return [_run_point((p, base)) for p in points]
     per_lane = (time.perf_counter() - start) / len(points)
     out: List[SweepPointResult] = []
@@ -912,11 +914,17 @@ class SweepRunner:
         co-simulate: lanes of one batch must agree on the topology-family
         fields ``run_cosim_batch`` validates (cycle counts, substeps,
         CR-IVR area).  Grouping is stable — batches come out in first-seen
-        order and points keep their grid order within a batch."""
+        order and points keep their grid order within a batch.  A point
+        whose config cannot be built gets a batch of its own, which
+        records the failure as the serial path does."""
         buckets: Dict[Tuple, List[SweepPoint]] = {}
         batches: List[Tuple[SweepPoint, ...]] = []
         for point in points:
-            config = point.config(self.base_config)
+            try:
+                config = point.config(self.base_config)
+            except Exception:  # noqa: BLE001 — failed in its own batch
+                batches.append((point,))
+                continue
             key = tuple(
                 getattr(config, name) for name in _BATCH_COMPAT_FIELDS
             )

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import native
 from repro.config import SystemConfig
 from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.gpu.engine import _FAR
@@ -326,6 +327,38 @@ class TestEngineSurface:
             == vec.sms[0].issue_width_setting
             == 0.0
         )
+
+    @pytest.mark.native
+    def test_compiled_actuation_matches_the_setters(self):
+        """engine_actuate (the cycle kernel's apply stage) leaves the
+        bytes set_issue_widths / set_fake_rates leave after the halted
+        SMs' widths are zeroed: _clamp02 turns NaN, -0.0, negatives and
+        -inf into 0.0 and caps 2.5 and +inf at 2.0."""
+        special = [np.nan, -0.0, 0.0, -1.5, 0.7, 1.999, 2.0, 2.5, np.inf,
+                   -np.inf, 5e-324, -5e-324, 1.0, np.nan, -0.0, 3.0]
+        rng = np.random.default_rng(3)
+        for widths in (np.array(special), rng.uniform(-3.0, 3.0, 16)):
+            fakes = widths[::-1].copy()
+            halted = np.zeros(16, dtype=np.uint8)
+            halted[[0, 3, 8, 15]] = 1
+            spec = KernelSpec("actuate", body_length=40)
+            ref, vec = (GPU(spec, vectorized=True) for _ in range(2))
+            zeroed = widths.copy()
+            zeroed[halted.astype(bool)] = 0.0
+            ref.set_issue_widths(zeroed)
+            ref.set_fake_rates(fakes)
+            vec.set_issue_widths(np.full(16, 1.25))
+            vec.set_fake_rates(np.full(16, 0.5))
+            assert native.load().engine_actuate(
+                vec.engine._cstate_ptr, widths.ctypes.data,
+                fakes.ctypes.data, halted.ctypes.data,
+            ) == 0
+            for name in ("issue_width", "fake_rate"):
+                written = getattr(vec.engine, name)
+                assert written.tobytes() == (
+                    getattr(ref.engine, name).tobytes()
+                ), name
+                assert not np.signbit(written).any(), name
 
     def test_gated_units_view(self):
         gpu = GPU(KernelSpec("gate", body_length=40), vectorized=True)

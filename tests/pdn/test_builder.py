@@ -37,6 +37,15 @@ class TestStackedTopology:
         assert pdn.cr_ivr is None
         assert not any(e.name.startswith("crivr") for e in pdn.circuit)
 
+    @pytest.mark.parametrize("area", [-5.0, -1e-9, np.nan, np.inf, -np.inf])
+    def test_rejects_negative_or_non_finite_area(self, area):
+        """Such an area used to build a stack without a CR-IVR."""
+        with pytest.raises(ValueError, match="cr_ivr_area_mm2"):
+            build_stacked_pdn(cr_ivr_area_mm2=area)
+
+    def test_zero_area_means_no_cr_ivr(self):
+        assert build_stacked_pdn(cr_ivr_area_mm2=0.0).cr_ivr is None
+
     def test_load_conductance_optional(self):
         with_g = build_stacked_pdn(include_load_conductance=True)
         without_g = build_stacked_pdn(include_load_conductance=False)

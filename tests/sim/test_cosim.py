@@ -44,6 +44,16 @@ class TestConfigValidation:
     def test_warmup_just_below_window_accepted(self):
         CosimConfig(cycles=10, warmup_cycles=9)
 
+    @pytest.mark.parametrize("area", [-5.0, -100.0, float("nan"),
+                                      float("inf")])
+    def test_rejects_negative_or_non_finite_cr_ivr_area(self, area):
+        """Such an area used to simulate a stack without a CR-IVR."""
+        with pytest.raises(ValueError, match="cr_ivr_area_mm2"):
+            CosimConfig(cr_ivr_area_mm2=area)
+
+    def test_zero_cr_ivr_area_accepted(self):
+        CosimConfig(cr_ivr_area_mm2=0.0)
+
 
 class TestCoupledRun:
     def test_shapes(self, short_run):

@@ -1,22 +1,27 @@
 """The compiled co-sim cycle kernel against the phased NumPy body.
 
-With the native library loaded, a batch runs each clean co-sim cycle as
-one call into ``repro/sim/_cyclec.c``.  Forcing the library's fallback
+With the native library loaded, a batch runs clean co-sim cycles in
+``repro/sim/_cyclec.c``: a span of whole cycles per call up to the next
+cycle at which the loop has work, or one call per cycle while a lane
+needs Python every cycle.  Forcing the library's fallback
 (``forced_fallback``) runs the loop's phased NumPy body instead, on the
 NumPy GPU engine and solver.  The two must be byte-equal on every
 :class:`CosimResult` field, and equal to the serial oracle, through
-same-cycle relaunches, barrier-exempt shutoffs, a lane quarantine,
-circuit- and sensor-fault lanes, random edge schedules and flight
-recorders.  The lanes' deferred mirrors (GPU cycle, memory-queue
-counters, solver time and step count) must read the same from a fault
-hook and after the run.  Call-count gates pin the edge schedule: fault
-hooks run on edge cycles only, and a cycle makes a second kernel call
-only on an edge with circuit or DFS hooks or a sensor cycle; the
-kernel makes every decision (the NumPy wave never runs) and leaves the
-loop the same GPU setter calls as the phased body.
+same-cycle relaunches, barrier-exempt shutoffs, a lane quarantine (also
+one that arises inside a span), circuit- and sensor-fault lanes, random
+edge schedules, flight recorders and arbitrary span boundaries.  The
+lanes' deferred mirrors (GPU cycle, memory-queue counters, solver time
+and step count) must read the same from a fault hook and after the
+run.  Call-count gates pin the edge schedule: fault hooks run on edge
+cycles only, a cycle makes a second kernel call only on an edge with
+circuit or DFS hooks or a sensor cycle, and the kernel's calls tile the
+run with about two per event; the kernel makes every decision (the
+NumPy wave never runs) and applies the fast lanes' commands itself,
+leaving the engines and DCC rows as the phased body's setters do.
 """
 
 import json
+import sys
 from collections import Counter
 from contextlib import nullcontext
 
@@ -50,9 +55,11 @@ from repro.faults.events import (
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.gpu import GPU, KernelSpec
+from repro.gpu.batch import GPUBatch
 from repro.gpu.isa import InstructionClass
-from repro.sim._cyclec import CycleKernel
+from repro.sim._cyclec import STAGE_GPU, SUSPECT, CycleKernel
 from repro.sim.cosim import (
+    _FLIGHT_BLOCK,
     CosimConfig,
     CosimLane,
     LayerShutoffEvent,
@@ -484,27 +491,230 @@ def _log_calls(monkeypatch, owner, name, log, key):
     monkeypatch.setattr(owner, name, wrapper)
 
 
-def test_fig9_shaped_batch_makes_one_kernel_call_per_cycle(monkeypatch):
+def _log_cover(monkeypatch, log):
+    """Log the cycles each CycleKernel.run (one) and span call runs."""
+    run, span = CycleKernel.run, CycleKernel.span
+
+    def run_logged(self, cycle, *stages):
+        log.append([cycle])
+        return run(self, cycle, *stages)
+
+    def span_logged(self, start, stop):
+        status, at = span(self, start, stop)
+        log.append(list(range(start, at + 1 if status else at)))
+        return status, at
+
+    monkeypatch.setattr(CycleKernel, "run", run_logged)
+    monkeypatch.setattr(CycleKernel, "span", span_logged)
+
+
+def _fig9_lanes():
     """Fig. 9's layer shutoff on every lane, half cross-layer (default
-    controller), half circuit-only: the halt edges stay off the kernel
-    call, so every cycle is exactly one."""
+    controller), half circuit-only."""
+    return [
+        CosimLane(bench, _cfg(
+            seed, shutoff=LayerShutoffEvent(layer=3, start_cycle=60),
+            use_controller=seed % 2 == 0,
+        ))
+        for seed, bench in enumerate((
+            "hotspot", "bfs", "srad", "backprop",
+            "pathfinder", "heartwall", "hotspot", "bfs",
+        ))
+    ]
+
+
+def test_fig9_shaped_batch_makes_one_kernel_call_per_cycle(monkeypatch):
+    """Fig. 9's shutoff batch: each cycle runs in exactly one kernel
+    call, and the halt edges stay off the calls' stages, so the calls
+    are spans between events (the edges and the warmup boundary) and a
+    single call on each edge cycle: at most two per event, plus one."""
+    calls = []
+    _log_cover(monkeypatch, calls)
+    _check(_fig9_lanes, monkeypatch)
+    assert [c for cover in calls for c in cover] == list(range(TOTAL))
+    events = {0, WARMUP, WARMUP + 60}
+    assert len(calls) <= 2 * len(events) + 1, calls
+
+
+# ---------------------------------------------------------------------------
+# Spans
+# ---------------------------------------------------------------------------
+# Batches whose cycles run as spans: (build, with flight recorders).
+_SPAN_BATCHES = {
+    "clean": (lambda: _faulted_lanes(CYCLES, WARMUP, faults=False), False),
+    "fig9": (_fig9_lanes, False),
+    "flight": (lambda: [
+        CosimLane(bench, _cfg(seed, **ACTIVE))
+        for seed, bench in ((1, "hotspot"), (2, "bfs"), (3, "srad"))
+    ], True),
+}
+_SPAN_REFERENCES: dict = {}
+
+
+def _span_run(lanes, recorded, phased=False):
+    flights = [_recorder() for _ in lanes] if recorded else None
+    with forced_fallback() if phased else nullcontext():
+        return run_cosim_batch(lanes, flights=flights)
+
+
+def _span_references(name):
+    """The batch uncapped, phased and lane by lane (computed once)."""
+    if name not in _SPAN_REFERENCES:
+        build, recorded = _SPAN_BATCHES[name]
+        _SPAN_REFERENCES[name] = {
+            "uncapped": _span_run(build(), recorded),
+            "phased": _span_run(build(), recorded, phased=True),
+            "solo": [_span_run([lane], recorded)[0] for lane in build()],
+        }
+    return _SPAN_REFERENCES[name]
+
+
+def _flight_bytes(result):
+    if result.flight is None:
+        return None
+    return (result.flight.summary(),
+            json.dumps([d.to_dict() for d in result.flight.dumps]))
+
+
+@settings(max_examples=8, deadline=None)
+@example(name="flight", caps=[1])
+@example(name="fig9", caps=[59, 2, 64])
+@given(name=st.sampled_from(sorted(_SPAN_BATCHES)),
+       caps=st.lists(st.integers(1, 64), min_size=1, max_size=6))
+def test_span_boundaries_change_nothing(name, caps):
+    """Spans cut short at drawn lengths (1-64 cycles, in turn) give the
+    uncapped run's bytes, the solo runs' and the phased body's, flight
+    dumps included: a clean acting batch, Fig. 9's halt edges, and
+    recorders that stop spans on every apply."""
+    build, recorded = _SPAN_BATCHES[name]
+    span, calls = CycleKernel.span, []
+
+    def capped(self, start, stop):
+        calls.append(start)
+        cap = caps[len(calls) % len(caps)]
+        return span(self, start, min(stop, start + cap))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(CycleKernel, "span", capped)
+        results = _span_run(build(), recorded)
+    assert calls, "the batch ran no span"
+    refs = _span_references(name)
+    for i, result in enumerate(results):
+        for label, other in (("uncapped", refs["uncapped"][i]),
+                             ("phased", refs["phased"][i]),
+                             ("solo", refs["solo"][i])):
+            _same(result, other, f"lane {i} vs {label}")
+            assert _flight_bytes(result) == _flight_bytes(other), label
+
+
+def test_flight_blocks_are_handed_over_as_on_the_phased_body(monkeypatch):
+    """Spans stop at each flight hand-over: the recorders get the same
+    blocks of at most _FLIGHT_BLOCK cycles, in the same order, as on
+    the phased body."""
+    build, recorded = _SPAN_BATCHES["flight"]
+    observe_runs = FlightRecorder.observe_runs
+
+    def blocks(phased):
+        sizes = []
+
+        def logged(self, volts, runs):
+            sizes.append((id(self), len(volts)))
+            return observe_runs(self, volts, runs)
+
+        with monkeypatch.context() as m:
+            m.setattr(FlightRecorder, "observe_runs", logged)
+            _span_run(build(), recorded, phased=phased)
+        order = {key: k for k, key in enumerate(dict.fromkeys(
+            key for key, _ in sizes))}
+        return [(order[key], n) for key, n in sizes]
+
+    fused = blocks(phased=False)
+    assert max(n for _, n in fused) <= _FLIGHT_BLOCK < TOTAL
+    assert fused == blocks(phased=True)
+
+
+def test_ring_growth_inside_spans(monkeypatch):
+    """Pipeline rings that start one entry deep grow inside spans (the
+    span finishes the cycle's decide stage and resumes) and change no
+    byte, flight dumps included."""
+    build, recorded = _SPAN_BATCHES["flight"]
+    alloc, grow, span = (
+        ControllerBank._alloc_ring, ControllerBank._grow, CycleKernel.span
+    )
+    in_span, grown = [], []
+
+    def shallow(self, cap):
+        if cap == self._cap:  # the first layout, not a growth
+            cap = self._cap = 1
+        alloc(self, cap)
+
+    def logged_grow(self):
+        grown.append(bool(in_span))
+        grow(self)
+
+    def spanning(self, start, stop):
+        in_span.append(start)
+        try:
+            return span(self, start, stop)
+        finally:
+            in_span.pop()
+
+    with monkeypatch.context() as m:
+        m.setattr(ControllerBank, "_alloc_ring", shallow)
+        m.setattr(ControllerBank, "_grow", logged_grow)
+        m.setattr(CycleKernel, "span", spanning)
+        results = _span_run(build(), recorded)
+    assert any(grown), "no ring grew inside a span"
+    for i, (a, b) in enumerate(zip(results,
+                                   _span_references("flight")["uncapped"])):
+        _same(a, b, f"lane {i} vs deep rings")
+        assert _flight_bytes(a) == _flight_bytes(b)
+
+
+def test_suspect_inside_a_span_quarantines_the_lane(monkeypatch):
+    """A divergence that arises inside a span, not on a chaos cycle: a
+    relaunch run by cosim_span poisons lane 1's solver state, the span
+    stops at the suspect cycle, the guard quarantines the lane there,
+    and the survivors stay byte-equal to their solo runs."""
     def build():
         return [
-            CosimLane(bench, _cfg(
-                seed, shutoff=LayerShutoffEvent(layer=3, start_cycle=60),
-                use_controller=seed % 2 == 0,
-            ))
-            for seed, bench in enumerate((
-                "hotspot", "bfs", "srad", "backprop",
-                "pathfinder", "heartwall", "hotspot", "bfs",
-            ))
+            CosimLane("hotspot", _cfg(3)),
+            CosimLane(config=_cfg(5, **ACTIVE), kernel=SHORT),
+            CosimLane("srad", _cfg(7, **ACTIVE)),
         ]
 
-    calls = []
-    _log_calls(monkeypatch, CycleKernel, "run", calls,
-               lambda self, cycle, *stages: cycle)
-    _check(build, monkeypatch)
-    assert calls == list(range(TOTAL))
+    solvers, poisoned, spans = [], [], []
+    solver_init, relaunch, span = (
+        TransientSolver.__init__, GPUBatch.relaunch, CycleKernel.span
+    )
+
+    def solver_new(self, *args, **kwargs):
+        solver_init(self, *args, **kwargs)
+        solvers.append(self)
+
+    def poison(self):
+        fused = self.fused()
+        if not poisoned and fused.clock[0] >= 150 and fused.relaunch[1]:
+            poisoned.append(int(fused.clock[0]))
+            solvers[1]._react_v[:] = np.nan
+        relaunch(self)
+
+    def span_logged(self, start, stop):
+        spans.append(span(self, start, stop))
+        return spans[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(TransientSolver, "__init__", solver_new)
+        m.setattr(GPUBatch, "relaunch", poison)
+        m.setattr(CycleKernel, "span", span_logged)
+        fused = run_cosim_batch(build())
+    assert poisoned, "lane 1 did not relaunch inside the window"
+    assert (SUSPECT, poisoned[0]) in spans
+    assert fused[1].diverged and fused[1].num_cycles == poisoned[0] - WARMUP
+    assert fused[1].divergence["lane"] == 1
+    assert not fused[0].diverged and not fused[2].diverged
+    for i in (0, 2):
+        _same(fused[i], run_cosim_batch([build()[i]])[0], f"lane {i} vs solo")
 
 
 SENSING = (SensorNoise, SensorQuantization, SensorStuck, SensorDropout,
@@ -579,10 +789,37 @@ def test_faulted_recipe_runs_hooks_only_on_edges(monkeypatch):
 
 
 def _decision_traffic(monkeypatch, lanes, phased):
-    """One run's NumPy waves (their cycles) and GPU setter calls (lane's
-    benchmark, setter, argument bytes), in call order."""
-    waves, setters = [], []
+    """One run's NumPy waves (their cycles), GPU setter calls (lane's
+    benchmark, setter, argument bytes) in call order, and the lanes'
+    actuation state — each engine's issue width and fake rate bytes and
+    its row of the loop's DCC block — at the top of every cycle and at
+    the end.  The kernel path runs spans of one cycle."""
+    waves, setters, states, gpus = [], [], [], []
+    gpu_init, span = GPU.__init__, CycleKernel.span
+
+    def gpu_new(self, *args, **kwargs):
+        gpu_init(self, *args, **kwargs)
+        gpus.append(self)
+
+    def actuation():
+        # The co-sim loop's frame holds its DCC block.
+        frame = sys._getframe()
+        while frame.f_code.co_name != "_simulate":
+            frame = frame.f_back
+        dcc = frame.f_locals["dcc_bt"]
+        return [(g.engine.issue_width.tobytes(), g.engine.fake_rate.tobytes(),
+                 dcc[i].tobytes()) for i, g in enumerate(gpus)]
+
+    def top_of_cycle(self, *args):
+        if len(args) < 2 or args[1] == STAGE_GPU:
+            states.append(actuation())
+
+    def span_one(self, start, stop):
+        states.append(actuation())
+        return span(self, start, start + 1)
+
     with monkeypatch.context() as m:
+        m.setattr(GPU, "__init__", gpu_new)
         _log_calls(m, ControllerBank, "_wave", waves,
                    lambda self, cycle, *args: cycle)
         for name in ("set_issue_widths", "set_fake_rates"):
@@ -591,9 +828,14 @@ def _decision_traffic(monkeypatch, lanes, phased):
                            self.kernel.name, name,
                            np.asarray(values, dtype=float).tobytes(),
                        ))
+        for owner, name in ((GPUBatch, "step_into"), (CycleKernel, "run")):
+            _log_calls(m, owner, name, [], top_of_cycle)
+        m.setattr(CycleKernel, "span", span_one)
         with forced_fallback() if phased else nullcontext():
-            run_cosim_batch(lanes)
-    return waves, setters
+            results = run_cosim_batch(lanes)
+    final = [(g.engine.issue_width.tobytes(), g.engine.fake_rate.tobytes())
+             for g in gpus]
+    return waves, setters, states, final, results
 
 
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulted"])
@@ -601,14 +843,25 @@ def test_decisions_run_in_the_kernel(monkeypatch, faults):
     """A clean B=8 batch with an acting controller and the
     ``b8_active_faulted`` recipe (shortened): on the kernel path every
     wave and pop runs compiled — the NumPy wave is never called — and
-    Python applies exactly the setter calls of the phased body, lane by
-    lane, argument bytes included."""
+    the kernel applies the fast lanes' new decisions itself.  After
+    every cycle each lane's engine widths and fake rates and its DCC
+    row equal the phased body's, and every setter call left to Python
+    (slow lanes, halt edges) is one the phased body makes, in order."""
     lanes = _faulted_lanes(500, 60, faults=faults)
-    waves, setters = _decision_traffic(monkeypatch, lanes, phased=False)
+    waves, setters, states, final, fused = _decision_traffic(
+        monkeypatch, lanes, phased=False
+    )
     assert waves == []
-    phased_waves, phased_setters = _decision_traffic(
-        monkeypatch, lanes, phased=True
+    phased_waves, phased_setters, phased_states, phased_final, phased = (
+        _decision_traffic(monkeypatch, lanes, phased=True)
     )
     assert phased_waves, "the phased body decides in NumPy"
-    assert len(setters) == len(phased_setters)
-    assert setters == phased_setters
+    assert len(states) == len(phased_states) == 560
+    for cycle, (a, b) in enumerate(zip(states, phased_states)):
+        assert a == b, f"actuation at the top of cycle {cycle}"
+    assert final == phased_final
+    remaining = iter(phased_setters)
+    assert all(call in remaining for call in setters), "setter order"
+    assert len(setters) < len(phased_setters)
+    for i, (a, b) in enumerate(zip(fused, phased)):
+        _same(a, b, f"lane {i} fused vs phased")

@@ -170,6 +170,35 @@ class TestRunnerInline:
             SweepRunner(expand_grid(["hotspot"]), FAST, chunksize=0)
 
 
+class TestBatchedFailureCapture:
+    """A point whose config cannot be built fails alone, as on the
+    serial path, whatever the batch size."""
+
+    @staticmethod
+    def _outcomes(points, batch_size):
+        result = SweepRunner(
+            points, CosimConfig(cycles=60, warmup_cycles=10),
+            max_workers=0, batch_size=batch_size,
+        ).run()
+        return [(r.ok, r.error) for r in result.points]
+
+    def test_batch_sizes_agree_on_an_unbuildable_point(self):
+        points = expand_grid(["hotspot"], {"warmup_cycles": [10, 5000]})
+        serial = self._outcomes(points, 1)
+        assert [ok for ok, _ in serial] == [True, False]
+        assert "warmup_cycles (5000)" in serial[1][1]
+        assert self._outcomes(points, 4) == serial
+
+    def test_bad_cr_ivr_area_fails_its_point(self):
+        points = expand_grid(
+            ["hotspot"], {"cr_ivr_area_mm2": [52.9, -5.0, float("nan")]}
+        )
+        outcomes = self._outcomes(points, 4)
+        assert [ok for ok, _ in outcomes] == [True, False, False]
+        assert all("cr_ivr_area_mm2" in error for _, error in outcomes[1:])
+        assert outcomes == self._outcomes(points, 1)
+
+
 class TestRunnerProcesses:
     def test_multiprocess_sweep_with_injected_failure(self):
         """One diverging point is reported, not fatal, across processes."""
