@@ -44,9 +44,13 @@ def main(out_dir: str) -> int:
     counters = tele.counters
     tele.set_metrics({
         "benchmark": "+".join(name for name, _ in LANES),
-        # Zero-tolerance gates: any lane diverging or burning guard
-        # recoveries on the baseline scenario is a regression.
+        # Zero-tolerance gates: any lane diverging, leaving the physical
+        # voltage range or burning guard recoveries on the baseline
+        # scenario is a regression.
         "diverged": float(sum(1 for r in results if r.diverged)),
+        "out_of_range_cycles": float(
+            sum(r.out_of_range_cycles for r in results)
+        ),
         "guard_recoveries": float(
             counters.get("guard_refactor_recoveries", 0)
             + counters.get("guard_dt_halving_recoveries", 0)

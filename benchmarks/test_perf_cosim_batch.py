@@ -59,11 +59,13 @@ LANE_BENCHMARKS = (
     "hotspot", "backprop", "bfs", "srad",
     "pathfinder", "heartwall", "hotspot", "bfs",
 )
-# Faulted lanes stay on the cycle kernel: process variation, the masked
-# sensor filter, the decision waves and the fast lanes' pops run in it,
-# the circuit, DFS and halt hooks only on their edge cycles; the oracle
-# pays a scalar controller, every hook and setter per cycle.
-FAULTED_SPEEDUP_FLOOR = 5.0
+# Faulted lanes stay on the cycle kernel, in spans between their edge
+# cycles: process variation, the injectors' sensor and jitter draws
+# (through their own bit generators), the masked sensor filter, the
+# decision waves and the fast lanes' pops run in it, the circuit, DFS
+# and halt hooks only on their edge cycles; the oracle pays a scalar
+# controller, every hook, draw and setter per cycle.
+FAULTED_SPEEDUP_FLOOR = 10.0
 FAULTED_SEED = 1
 
 

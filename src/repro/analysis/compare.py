@@ -92,6 +92,9 @@ DEFAULT_THRESHOLDS: Dict[str, Threshold] = {
     # regression workload is a numerical regression, not noise.
     "diverged": Threshold(LOWER, abs_tol=0.0),
     "guard_recoveries": Threshold(LOWER, abs_tol=0.0),
+    # Recorded cycles with a physically impossible SM voltage (below 0 V
+    # or above twice nominal): a stack driven into gross imbalance.
+    "out_of_range_cycles": Threshold(LOWER, abs_tol=0.0),
 }
 
 # Row outcomes.

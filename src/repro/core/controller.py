@@ -263,7 +263,7 @@ class ControlDecision:
  _I_SUBGUARD, _I_HEALTHY, _I_FB_SAMPLES, _I_NAN_SAMPLES, _I_LC_EVENTS,
  _I_LC_FLAGGED, _I_FLIPS, _I_FLAP_HEAD, _I_FLAP_LEN, _I_ACTIVE,
  _I_LAST_ID, _I_RING_HEAD, _I_RING_LEN, _I_ACTIVE_THR,
- _I_AT_DEFAULT, _NI) = range(32)
+ _I_AT_DEFAULT, _I_APPLIED, _NI) = range(33)
 # Columns of ControllerBank._iparams (per-lane integer config).
 (_Q_PERIOD, _Q_LATENCY, _Q_WATCHDOG, _Q_PATIENCE, _Q_RELEASE, _Q_WINDOW,
  _Q_MIN_FLIPS) = range(7)
@@ -528,7 +528,13 @@ class VoltageSmoothingController:
             "sensor_fallback_samples": row[_I_FB_SAMPLES],
             "nan_samples_seen": row[_I_NAN_SAMPLES],
             "limit_cycle_events": row[_I_LC_EVENTS],
+            "actuations_applied": row[_I_APPLIED],
         }
+
+    def note_applied(self) -> None:
+        """Count a new decision applied to the actuators (the co-sim's
+        cycle kernel counts the ones it applies itself)."""
+        self._bank._ints[self._row, _I_APPLIED] += 1
 
 
 # ControllerBank arrays the C wave reads, in BankState's field order.
@@ -1164,32 +1170,41 @@ class ControllerBank:
             state[_I_ACTIVE_THR] = self._store_thr[row, popped % (cap + 1)]
 
     def pop_fast(
-        self, cycle: int, fast: np.ndarray, applied: np.ndarray
+        self,
+        cycle: int,
+        fast: np.ndarray,
+        applied: np.ndarray,
+        reads: Optional[np.ndarray] = None,
     ) -> List[int]:
         """Advance the ``fast`` lanes' pipelines to ``cycle``.
 
         The co-sim's cycle kernel runs this stage in C.  ``fast``
         (``(B,)`` bool) marks the lanes whose actuation the caller applies
         only when a new decision pops; ``applied`` (``(B,)`` int64) holds
-        the id each last applied (-1: none) and is updated here.  Pops
-        each fast lane's due entries, counts the cycle as
+        the id each last applied (-1: none) and is updated here.
+        ``reads`` (``(B,)`` int64, default ``cycle`` everywhere) is the
+        cycle each lane reads its commands at: ``cycle`` less a loop-
+        jitter fault's extra latency.  Pops each fast lane's entries due
+        by its read cycle, counts that cycle as
         :meth:`VoltageSmoothingController.commands_for` does, and returns
         the rows whose active decision the caller must now apply.
         """
         ints = self._ints
         scal = self._scal
+        # Read cycles never exceed cycle: nothing is due before NEXT_POP.
         if cycle >= scal[_S_NEXT_POP]:
             next_pop = _NO_POP
             for row in np.flatnonzero(fast).tolist():
-                self._pop_lane(row, cycle)
+                self._pop_lane(row, cycle if reads is None else reads[row])
                 if ints[row, _I_RING_LEN]:
                     next_pop = min(next_pop, int(
                         self._ring_at[row, ints[row, _I_RING_HEAD]]
                     ))
             scal[_S_NEXT_POP] = next_pop
-        count = fast & (cycle > ints[:, _I_COUNTED])
+        at = cycle if reads is None else reads
+        count = fast & (at > ints[:, _I_COUNTED])
         ints[count & (ints[:, _I_ACTIVE_THR] != 0), _I_THROTTLED] += 1
-        ints[count, _I_COUNTED] = cycle
+        ints[count, _I_COUNTED] = at if reads is None else reads[count]
         changed = fast & (ints[:, _I_ACTIVE] != applied)
         applied[changed] = ints[changed, _I_ACTIVE]
         return np.flatnonzero(changed).tolist()

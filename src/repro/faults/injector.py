@@ -18,7 +18,12 @@ the points ``run_cosim`` exposes:
   sets; DFS transients drive the GPU's frequency-scale hook.
 
 Stochastic faults draw from the schedule's own seeded generator, so a
-scenario is reproducible independently of the workload RNG.
+scenario is reproducible independently of the workload RNG.  The
+sensor and jitter draws (``corrupt_sensors``, ``observation_allowed``,
+``extra_latency``) run here on the co-sim loop's NumPy body; the
+compiled cycle kernel (``repro/sim/_cyclec.c``) makes the same draws
+through this generator's bit generator, for the events
+``FaultInjector.sensing_events`` describes.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ class FaultInjector:
     power scales, frequency scales, halted SMs) can change their result
     only on the first cycle and on :meth:`edge_cycles`, where the loop
     calls them alone; the random draws happen only while an event of
-    their kind is active (:meth:`sensing`).
+    their kind is active (:meth:`sensing`).  Per cycle, a lane draws for
+    its sensor events, then its observation, then its extra latency.
     """
 
     def __init__(
@@ -240,6 +246,14 @@ class FaultInjector:
             any(e.active(cycle) for e in self._jitter_events),
         )
 
+    def sensing_events(self) -> List[Tuple[FaultEvent, np.ndarray]]:
+        """The sensor events, then the jitter events, in schedule order
+        (the order a cycle's draws visit them), each with its target SMs
+        (none for jitter): what the cycle kernel draws for."""
+        return list(zip(self._sensor_events, self._sensor_idx)) + [
+            (event, np.arange(0)) for event in self._jitter_events
+        ]
+
     # ------------------------------------------------------------------
     @staticmethod
     def _event_sms(event: FaultEvent, default=None):
@@ -309,7 +323,8 @@ class FaultInjector:
 
         Events apply in schedule order, so a stuck-at listed after a
         noise fault overrides it on the shared SMs — scenario files
-        control the composition.
+        control the composition.  The cycle kernel's filter stage is
+        this method in C, on the same generator.
         """
         seen = None
         for event, idx in zip(self._sensor_events, self._sensor_idx):
@@ -334,7 +349,8 @@ class FaultInjector:
         return voltages if seen is None else seen
 
     def observation_allowed(self, cycle: int) -> bool:
-        """False when loop jitter drops this cycle's observation."""
+        """False when loop jitter drops this cycle's observation (the
+        first drop ends the draws).  Drawn after the sensor events."""
         for event in self._jitter_events:
             if (
                 event.active(cycle)
@@ -346,7 +362,9 @@ class FaultInjector:
         return True
 
     def extra_latency(self, cycle: int) -> int:
-        """Additional command-readout latency injected this cycle."""
+        """Additional command-readout latency injected this cycle.
+        Drawn after the observation; the cycle kernel draws it for a
+        fast lane, the co-sim loop for a slow one."""
         extra = 0
         for event in self._jitter_events:
             if event.active(cycle) and event.extra_latency_cycles > 0:
@@ -448,10 +466,6 @@ class FaultInjector:
     @property
     def scales_frequency(self) -> bool:
         return bool(self._dfs_events)
-
-    @property
-    def touches_timing(self) -> bool:
-        return bool(self._jitter_events)
 
     def report(self) -> Dict[str, object]:
         """Injection summary for the manifest's ``faults`` section."""

@@ -13,7 +13,11 @@ loaded is the only compiled-or-NumPy decision: every layer asks
 The solver kernel back-substitutes through the very LAPACK ``dgetrs``
 scipy's ``getrs`` wrapper calls, so the library also needs that
 routine's address (:func:`dgetrs_pointer`); without it the load counts
-as failed.  Struct pointers cross as ``void *``: each layer owns the
+as failed.  The cycle kernel makes the fault injectors' random draws
+with NumPy's own distribution code, so the library links the
+``libnpyrandom.a`` archive NumPy ships for C extensions
+(:data:`ARCHIVES`); a missing or unlinkable archive is a failed load
+too.  Struct pointers cross as ``void *``: each layer owns the
 ``ctypes.Structure`` mirror of its own state struct.
 """
 
@@ -23,6 +27,8 @@ import ctypes
 from pathlib import Path
 from typing import Optional
 
+import numpy.random
+
 from repro.native.cbuild import CBUILD_ENV, COUNTER, KernelBuild
 
 _PKG = Path(__file__).resolve().parent.parent
@@ -31,6 +37,8 @@ SOURCES = (
     _PKG / "circuits" / "_solverc.c",
     _PKG / "sim" / "_cyclec.c",
 )
+#: NumPy's random-distribution library for C extensions.
+ARCHIVES = (Path(numpy.random.__file__).parent / "lib" / "libnpyrandom.a",)
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_longlong
@@ -92,6 +100,7 @@ LIBRARY = KernelBuild(
     sources=SOURCES,
     cache_dir=Path(__file__).with_name("_cbuild_cache"),
     configure=_configure,
+    archives=ARCHIVES,
 )
 
 

@@ -1,11 +1,13 @@
 """Compile-on-demand build of the repo's native library.
 
 No new dependencies: the C sources are plain C with no Python headers,
-so a stock system compiler (``cc``/``gcc``/``clang``) links them into
-one shared object and stdlib :mod:`ctypes` drives it.  The artifact is
-cached under ``_cbuild_cache/`` keyed by a hash of every source, so the
-compiler runs once per source revision; concurrent builds (e.g.
-parallel sweep workers) race benignly through an atomic rename.
+so a stock system compiler (``cc``/``gcc``/``clang``) links them, and
+any static archives given (NumPy's own C libraries), into one shared
+object and stdlib :mod:`ctypes` drives it.  The artifact is cached
+under ``_cbuild_cache/`` keyed by a hash of every source's and
+archive's bytes, so the compiler runs once per revision of either;
+concurrent builds (e.g. parallel sweep workers) race benignly through
+an atomic rename.  A missing source or archive is a failed load.
 
 When no compiler is available or the build fails, :meth:`KernelBuild.load`
 returns ``None`` and every consumer runs its pure-NumPy path — same
@@ -67,6 +69,8 @@ class KernelBuild:
         Called with the freshly loaded :class:`ctypes.CDLL` to set
         argtypes/restypes; an :class:`AttributeError` (missing symbol)
         or :class:`OSError` is treated as a failed load.
+    archives:
+        Static libraries linked after the sources.
     """
 
     def __init__(
@@ -74,8 +78,10 @@ class KernelBuild:
         sources: Sequence[Path],
         cache_dir: Path,
         configure: Callable[[ctypes.CDLL], None],
+        archives: Sequence[Path] = (),
     ) -> None:
         self.sources = list(sources)
+        self.archives = list(archives)
         self.cache_dir = cache_dir
         self.configure = configure
         self.cache: dict = {}
@@ -123,7 +129,8 @@ class KernelBuild:
         try:
             result = subprocess.run(
                 [compiler, *CFLAGS, "-o", tmp,
-                 *[str(src) for src in self.sources], "-lm"],
+                 *[str(src) for src in self.sources + self.archives],
+                 "-lm"],
                 capture_output=True,
                 timeout=120,
             )
@@ -158,7 +165,7 @@ class KernelBuild:
             return None
         try:
             digest = hashlib.sha256()
-            for src in self.sources:
+            for src in self.sources + self.archives:
                 digest.update(src.name.encode())
                 digest.update(src.read_bytes())
             so_path = self.cache_dir / f"native_{digest.hexdigest()[:16]}.so"

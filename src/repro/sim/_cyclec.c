@@ -12,7 +12,12 @@
  * pipeline pops and applies, the recording row — that the loop would
  * otherwise dispatch as many small NumPy calls and Python loops.  The
  * wave is also exported on its own (bank_wave), for ControllerBank.
- * observe (repro/core/controller.py).
+ * observe (repro/core/controller.py).  The fault injectors' sensor and
+ * jitter draws (repro/faults/injector.py) run here too, through each
+ * injector's own NumPy bit generator and the very distribution routines
+ * its Generator calls, from the libnpyrandom.a archive NumPy ships for C
+ * extensions: the streams, and the generators' final states, are the
+ * ones the Python draws would leave.
  *
  * The contract is bit-identical equivalence with the loop's NumPy
  * body (the phased path, which runs without the native library) and
@@ -37,14 +42,15 @@
  *      scale_powers);
  *   1  solve: powers + applied DCC -> PDN currents, then the guarded
  *      substeps (snapshot + health proof) on the shared batch clock;
- *   2  readout: SM voltages; a call that stops here also copies the
- *      bank lanes' rows into the seen block, for the caller to corrupt;
- *   3  filter: the bank's RC filter and quantizer (reading the seen
- *      block when the call starts here, the SM voltages otherwise),
- *      masked when a seen sample is non-finite or a row unobserved;
+ *   2  readout: SM voltages;
+ *   3  filter: each sensing lane's fault draws (the row its detectors
+ *      see, whether it observes, a fast lane's extra command latency),
+ *      then the bank's RC filter and quantizer, masked when a seen
+ *      sample is non-finite or a row unobserved;
  *   4  decide: the bank's decision wave when a lane is due, then the
- *      fast lanes' pops: each flags its lane in `apply` when its active
- *      decision differs from the one applied last;
+ *      fast lanes' pops (at the cycle less their extra latency): each
+ *      flags its lane in `apply` when its active decision differs from
+ *      the one applied last;
  *   then the recording row (in warmup, the flight recorders' voltage
  *   row when they ride along), which ledgers this cycle's DCC, then
  *   the apply stage: each flagged lane's active command row into its
@@ -65,6 +71,7 @@
  */
 
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <string.h>
 #include <time.h>
@@ -90,6 +97,17 @@ i64 solver_step_n_checked(struct SolverState *st, i64 nsub, double *snap,
 i64 engine_actuate(struct EngineState *st, const double *widths,
                    const double *fakes, const u8 *halted);
 
+/* NumPy's bit generator (numpy/random/bitgen.h; only passed through)
+ * and the three routines Generator.normal, .random and .integers call,
+ * from NumPy's libnpyrandom.a (numpy/random/distributions.h would pull
+ * in Python.h). */
+typedef struct bitgen bitgen_t;
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+double random_standard_uniform(bitgen_t *bitgen_state);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
+                                uint64_t rng, intptr_t cnt, bool use_masked,
+                                uint64_t *out);
+
 /* Columns of ControllerBank._ints / _iparams / _params and slots of
  * its _scal (repro/core/controller.py; the orders must match). */
 enum {
@@ -98,7 +116,7 @@ enum {
     I_SAT_DCC, I_WD_ENGAGE, I_SAFE_DEC, I_SAFE, I_SUBGUARD, I_HEALTHY,
     I_FB_SAMPLES, I_NAN_SAMPLES, I_LC_EVENTS, I_LC_FLAGGED, I_FLIPS,
     I_FLAP_HEAD, I_FLAP_LEN, I_ACTIVE, I_LAST_ID, I_RING_HEAD, I_RING_LEN,
-    I_ACTIVE_THR, I_AT_DEFAULT, NI
+    I_ACTIVE_THR, I_AT_DEFAULT, I_APPLIED, NI
 };
 enum { Q_PERIOD, Q_LATENCY, Q_WATCHDOG, Q_PATIENCE, Q_RELEASE, Q_WINDOW,
        Q_MIN_FLIPS, NQ };
@@ -107,6 +125,13 @@ enum { P_THR, P_THR_HIGH, P_WIDEN, P_IWMAX, P_V_NOM, P_K1W1, P_K2W2,
 enum { S_NEXT_DUE, S_UNIFORM, S_NEXT_POP, S_MIN_LATENCY };
 #define WAVE_GROW 2
 #define NO_POP ((i64)1 << 62)
+
+/* A sensing event's kind, its columns in the event table, and the
+ * columns of a lane's draw counters (SENSE_KINDS, SenseTable and
+ * SENSE_COUNTERS in repro/sim/_cyclec.py). */
+enum { K_NOISE, K_QUANT, K_STUCK, K_DROP, K_JITTER };
+enum { E_KIND, E_SM0, E_NSM, E_LATENCY, NE };
+enum { F_CORRUPTED, F_DROPPED, F_OBS_DROPPED, F_JITTER, NF };
 
 /* A ControllerBank's struct-of-arrays state (B lanes, S SMs). */
 typedef struct {
@@ -169,8 +194,17 @@ typedef struct {
     i64 bank_lanes;
     void *bank;         /* BankState */
     void *bank_rows;    /* i64[bank_lanes] batch row of each bank row */
-    void *seen;         /* double[bank_lanes*S] what the detectors see */
-    void *observed;     /* u8[bank_lanes] */
+    i64 sensing;        /* some sensing event below is active */
+    void *bitgens;      /* bitgen_t *[bank_lanes] each injector's, or NULL */
+    void *ev_off;       /* i64[bank_lanes+1] row j's events: ev_off[j].. */
+    void *ev;           /* i64[n_ev*NE] sensor events, then jitter events */
+    void *ev_param;     /* double[n_ev] */
+    void *ev_sms;       /* i64[] target SMs, ~s where s is listed again */
+    void *ev_on;        /* u8[n_ev] active flags */
+    void *fault_counts; /* i64[bank_lanes*NF] the draws' counters */
+    void *extra;        /* i64[bank_lanes] out: extra command latency */
+    void *seen;         /* double[bank_lanes*S] a corrupted sensor row */
+    void *observed;     /* u8[bank_lanes] out */
     void *measured;     /* double[bank_lanes*S] masked measurement block */
     i64 masked;         /* stage 3 ran masked (measured holds the block) */
     i64 unobserved;     /* ... and a row was unobserved */
@@ -290,7 +324,7 @@ static i64 stage_solve(CycleState *cs) {
     return rc > 0 ? CYC_SUSPECT : 0;
 }
 
-static void stage_readout(CycleState *cs, int to_seen) {
+static void stage_readout(CycleState *cs) {
     /* V_sm = V(top) - V(bottom), a grounded bottom reading 0.0. */
     const i64 S = cs->num_sms;
     const double *sol = (const double *)cs->sol;
@@ -303,37 +337,104 @@ static void stage_readout(CycleState *cs, int to_seen) {
         for (i64 s = 0; s < S; s++)
             v[s] = node[top[s]] - (bot[s] < 0 ? 0.0 : node[bot[s]]);
     }
-    /* The bank lanes' rows, for the caller to corrupt. */
-    const i64 *rows = (const i64 *)cs->bank_rows;
-    for (i64 j = 0; j < (to_seen ? cs->bank_lanes : 0); j++)
-        memcpy((double *)cs->seen + j * S, volts + rows[j] * S,
-               (size_t)S * sizeof(double));
 }
 
-/* The bank's RC filter and quantizer: ControllerBank._advance_masked,
+/* Bank row j's sensor and jitter draws on its SM voltages v, through
+ * its injector's bit generator, as FaultInjector.corrupt_sensors,
+ * observation_allowed and extra_latency make them, in that order (a
+ * slow lane's extra latency is drawn by the caller, after the call).
+ * Sensor events apply in schedule order; an SM listed again later in
+ * an event keeps only its last write, as NumPy's fancy-index store.
+ * Returns the row the detectors see (v, or j's seen row once a sensor
+ * event rewrote it) and sets *obs. */
+static const double *sense(CycleState *cs, i64 j, const double *v, int *obs) {
+    const i64 S = cs->num_sms;
+    bitgen_t *bg = ((bitgen_t **)cs->bitgens)[j];
+    const i64 *off = (const i64 *)cs->ev_off;
+    const i64 *ev = (const i64 *)cs->ev;
+    const double *param = (const double *)cs->ev_param;
+    const u8 *on = (const u8 *)cs->ev_on;
+    i64 *F = (i64 *)cs->fault_counts + j * NF;
+    double *seen = (double *)cs->seen + j * S;
+    const double *row = v;
+    i64 e = off[j];
+    for (; e < off[j + 1] && ev[e * NE + E_KIND] != K_JITTER; e++) {
+        if (!on[e])
+            continue;
+        if (row == v)
+            row = memcpy(seen, v, (size_t)S * sizeof(double));
+        const i64 kind = ev[e * NE + E_KIND], n = ev[e * NE + E_NSM];
+        const i64 *sm = (const i64 *)cs->ev_sms + ev[e * NE + E_SM0];
+        const double p = param[e];
+        for (i64 k = 0; k < n; k++) {
+            const i64 s = sm[k] < 0 ? ~sm[k] : sm[k];
+            if (kind == K_NOISE) {
+                const double z = random_normal(bg, 0.0, p);
+                if (sm[k] >= 0)
+                    seen[s] = seen[s] + z;
+            } else if (kind == K_DROP) {
+                if (random_standard_uniform(bg) < p) {
+                    seen[s] = NAN;
+                    F[F_DROPPED]++;
+                }
+            } else if (sm[k] >= 0) {
+                seen[s] = kind == K_STUCK ? p : rint(seen[s] / p) * p;
+            }
+        }
+        if (kind != K_DROP)
+            F[F_CORRUPTED] += n;
+    }
+    /* Jitter: the first dropped observation ends the drop draws. */
+    const i64 jitter = e;
+    *obs = 1;
+    for (e = jitter; e < off[j + 1] && *obs; e++) {
+        const double p = param[e];
+        if (on[e] && p > 0.0 && random_standard_uniform(bg) < p) {
+            *obs = 0;
+            F[F_OBS_DROPPED]++;
+        }
+    }
+    i64 extra = 0;
+    for (e = jitter; e < off[j + 1] && ((const u8 *)cs->fast)[j]; e++) {
+        const i64 n = ev[e * NE + E_LATENCY];
+        if (on[e] && n > 0) {
+            uint64_t x; /* Generator.integers(0, n + 1) */
+            random_bounded_uint64_fill(bg, 0, (uint64_t)n, 1, false, &x);
+            extra += (i64)x;
+        }
+    }
+    F[F_JITTER] += extra;
+    ((i64 *)cs->extra)[j] = extra;
+    return row;
+}
+
+/* The sensing lanes' draws, then the bank's RC filter and quantizer on
+ * what each lane's detectors see: ControllerBank._advance_masked,
  * element for element.  Only fresh (finite, observed) samples enter the
  * filter; a dropped sample holds its last good value (fallback on) or
  * reads NaN, and is counted in the lane's stats; an unobserved row
  * changes nowhere.  An all-fresh block is ControllerBank.observe's plain
  * advance (its measurement is last_good). */
-static void stage_filter(CycleState *cs, int from_seen) {
+static void stage_filter(CycleState *cs) {
     BankState *bs = (BankState *)cs->bank;
     const i64 S = cs->num_sms;
     const i64 *rows = (const i64 *)cs->bank_rows;
-    const u8 *observed = (const u8 *)cs->observed;
+    const i64 *ev_off = (const i64 *)cs->ev_off;
     const u8 *fb_on = bs->fb_on;
     int masked = 0, unobserved = 0;
     for (i64 j = 0; j < cs->bank_lanes; j++) {
-        const double *seen = from_seen
-                                 ? (const double *)cs->seen + j * S
-                                 : (const double *)cs->volts + rows[j] * S;
+        const double *seen = (const double *)cs->volts + rows[j] * S;
+        int obs = 1;
+        ((i64 *)cs->extra)[j] = 0;
+        if (cs->sensing && ev_off[j] < ev_off[j + 1])
+            seen = sense(cs, j, seen, &obs);
+        ((u8 *)cs->observed)[j] = (u8)obs;
         double *st = bs->filter_state + j * S;
         double *m = bs->last_good + j * S;
         double *out = (double *)cs->measured + j * S;
         u8 *f = bs->fallback + j * S;
         const double a = bs->alpha[j];
         const double q = bs->step_v[j];
-        const int obs = !from_seen || observed[j];
         i64 drops = 0;
         for (i64 s = 0; s < S; s++) {
             const int fresh = obs && isfinite(seen[s]);
@@ -553,9 +654,10 @@ i64 bank_wave(BankState *bs, i64 cycle, const double *measured,
     return ndue > 0;
 }
 
-/* ControllerBank.pop_fast: pop every fast lane's entries due by `cycle`
- * (the last popped id becomes active), count the cycle as commands_for
- * does, and flag the lanes whose active id is not the applied one. */
+/* ControllerBank.pop_fast: pop every fast lane's entries due by its read
+ * cycle, `cycle` less its extra latency (the last popped id becomes
+ * active), count the read cycle as commands_for does, and flag the
+ * lanes whose active id is not the applied one. */
 static void stage_pop(CycleState *cs, i64 cycle) {
     BankState *bs = (BankState *)cs->bank;
     const i64 cap = bs->cap;
@@ -570,9 +672,10 @@ static void stage_pop(CycleState *cs, i64 cycle) {
             continue;
         i64 *I = bs->ints + j * NI;
         const i64 *at = bs->ring_at + j * cap;
+        const i64 read = cycle - ((const i64 *)cs->extra)[j];
         if (scan) {
             i64 popped = -1;
-            while (I[I_RING_LEN] && at[I[I_RING_HEAD]] <= cycle) {
+            while (I[I_RING_LEN] && at[I[I_RING_HEAD]] <= read) {
                 popped = bs->ring_id[j * cap + I[I_RING_HEAD]];
                 I[I_RING_HEAD] = (I[I_RING_HEAD] + 1) % cap;
                 I[I_RING_LEN]--;
@@ -585,8 +688,8 @@ static void stage_pop(CycleState *cs, i64 cycle) {
             if (I[I_RING_LEN] && at[I[I_RING_HEAD]] < next_pop)
                 next_pop = at[I[I_RING_HEAD]];
         }
-        if (cycle > I[I_COUNTED]) {
-            I[I_COUNTED] = cycle;
+        if (read > I[I_COUNTED]) {
+            I[I_COUNTED] = read;
             I[I_THROTTLED] += I[I_ACTIVE_THR];
         }
         if (I[I_ACTIVE] != applied[j]) {
@@ -601,9 +704,9 @@ static void stage_pop(CycleState *cs, i64 cycle) {
 }
 
 /* The flagged fast lanes' active decisions, as the phased body's
- * setters and DCC row copy apply them. */
+ * setters and DCC row copy apply them, each counted. */
 static void stage_apply(CycleState *cs) {
-    const BankState *bs = (const BankState *)cs->bank;
+    BankState *bs = (BankState *)cs->bank;
     const i64 S = cs->num_sms, R = bs->cap + 1;
     const i64 *rows = (const i64 *)cs->bank_rows;
     for (i64 j = 0; j < cs->bank_lanes; j++) {
@@ -611,6 +714,7 @@ static void stage_apply(CycleState *cs) {
             continue;
         const i64 b = rows[j], id = bs->ints[j * NI + I_ACTIVE];
         const double *cat = bs->store + (j * R + id % R) * 3 * S;
+        bs->ints[j * NI + I_APPLIED]++;
         engine_actuate(((struct EngineState **)cs->engine_states)[b], cat,
                        cat + S, (const u8 *)cs->exempt + b * S);
         memcpy((double *)cs->dcc + b * S, cat + 2 * S,
@@ -682,14 +786,14 @@ i64 cosim_cycle(CycleState *cs, i64 cycle, i64 first, i64 last) {
         }
     }
     if (first <= 2 && last >= 2)
-        stage_readout(cs, last == 2);
+        stage_readout(cs);
     lap(cs, &t0, 1);
     if (last < 3)
         return 0;
     if (cs->bank_lanes) {
         BankState *bs = (BankState *)cs->bank;
         if (first <= 3)
-            stage_filter(cs, first == 3);
+            stage_filter(cs);
         rc = bank_wave(bs, cycle,
                        cs->masked ? (const double *)cs->measured
                                   : bs->last_good,

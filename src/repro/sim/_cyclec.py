@@ -2,10 +2,11 @@
 
 One :meth:`CycleKernel.run` call advances every lane of a batch through
 one co-sim cycle — GPU step and process-variation scaling, PDN
-currents, guarded solver substeps, SM-voltage readout, the controller
-bank's RC filter (masked for dropped samples and unobserved lanes), its
-decision wave, the fast lanes' pipeline pops and applies, and the
-recording row — in compiled code; :meth:`CycleKernel.span` runs many.
+currents, guarded solver substeps, SM-voltage readout, the fault
+injectors' sensor and jitter draws, the controller bank's RC filter
+(masked for dropped samples and unobserved lanes), its decision wave,
+the fast lanes' pipeline pops and applies, and the recording row — in
+compiled code; :meth:`CycleKernel.span` runs many.
 The kernel is part of the native library (:mod:`repro.native`) and
 calls the GPU engine and the PDN solver kernels linked beside it.  When
 the library is unavailable, the co-sim loop runs its NumPy body instead
@@ -20,6 +21,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.faults.events import (
+    ControlLoopJitter,
+    SensorDropout,
+    SensorNoise,
+    SensorQuantization,
+    SensorStuck,
+)
+
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_longlong
 _F64 = ctypes.c_double
@@ -28,6 +37,16 @@ _F64 = ctypes.c_double
 STAGE_GPU, STAGE_SOLVE, STAGE_READOUT, STAGE_FILTER, STAGE_DECIDE = range(5)
 #: Non-error return codes of ``cosim_cycle`` (APPLY: ``cosim_span``'s).
 RELAUNCH, SUSPECT, GROW, APPLY = 2, 3, 4, 5
+#: The sensing-event kinds, in the order of the ``K_*`` codes: each
+#: event class and the parameter its draws read.
+SENSE_KINDS = (
+    (SensorNoise, "sigma_v"), (SensorQuantization, "step_v"),
+    (SensorStuck, "value_v"), (SensorDropout, "probability"),
+    (ControlLoopJitter, "drop_probability"),
+)
+#: The injector counters of the draws, in ``F_*`` column order.
+SENSE_COUNTERS = ("sensor_samples_corrupted", "sensor_samples_dropped",
+                  "observations_dropped", "latency_jitter_cycles")
 
 
 class CCycleState(ctypes.Structure):
@@ -64,6 +83,15 @@ class CCycleState(ctypes.Structure):
         ("bank_lanes", _I64),
         ("bank", _PTR),
         ("bank_rows", _PTR),
+        ("sensing", _I64),
+        ("bitgens", _PTR),
+        ("ev_off", _PTR),
+        ("ev", _PTR),
+        ("ev_param", _PTR),
+        ("ev_sms", _PTR),
+        ("ev_on", _PTR),
+        ("fault_counts", _PTR),
+        ("extra", _PTR),
         ("seen", _PTR),
         ("observed", _PTR),
         ("measured", _PTR),
@@ -97,6 +125,70 @@ def _addr(arr: Optional[np.ndarray]) -> Optional[int]:
     return None if arr is None else arr.ctypes.data
 
 
+class SenseTable:
+    """The bank rows' sensor and jitter events, laid out for the filter
+    stage: one row per bank row, each with its injector (``None``: no
+    faults) and that injector's ``sensing_events``.  ``extra`` receives
+    each row's extra command latency, ``fault_counts`` its draws'
+    counters."""
+
+    def __init__(self, injectors: list) -> None:
+        self.injectors = injectors
+        self.events = []
+        off, ev, params, sms = [0], [], [], []
+        for inj in injectors:
+            for event, idx in (
+                inj.sensing_events() if inj is not None else ()
+            ):
+                kind, name = next(
+                    (k, name) for k, (cls, name) in enumerate(SENSE_KINDS)
+                    if isinstance(event, cls)
+                )
+                idx = [int(s) for s in idx]
+                last = {s: k for k, s in enumerate(idx)}
+                ev.append((kind, len(sms), len(idx),
+                           getattr(event, "extra_latency_cycles", 0)))
+                params.append(float(getattr(event, name)))
+                self.events.append(event)
+                # ~s marks an SM the event lists again later.
+                sms.extend(s if last[s] == k else ~s
+                           for k, s in enumerate(idx))
+            off.append(len(ev))
+        self.ev_off = np.array(off, dtype=np.int64)
+        self.ev = np.array(ev, dtype=np.int64).reshape(-1, 4)
+        self.ev_param = np.array(params, dtype=float)
+        self.ev_sms = np.array(sms, dtype=np.int64)
+        self.ev_on = np.zeros(len(ev), dtype=bool)
+        self.bitgens = np.array([
+            inj.rng.bit_generator.ctypes.bit_generator.value
+            if inj is not None else 0 for inj in injectors
+        ], dtype=np.uintp)
+        self.fault_counts = np.zeros((len(injectors), 4), dtype=np.int64)
+        self.extra = np.zeros(len(injectors), dtype=np.int64)
+
+    def fields(self) -> dict:
+        """The ``CCycleState`` pointer fields of the table."""
+        return {
+            name: _addr(getattr(self, name)) for name in (
+                "bitgens", "ev_off", "ev", "ev_param", "ev_sms", "ev_on",
+                "fault_counts", "extra",
+            )
+        }
+
+    def refresh(self, recorded_cycle: int) -> bool:
+        """Set the active flags at ``recorded_cycle``; whether any is."""
+        self.ev_on[:] = [e.active(recorded_cycle) for e in self.events]
+        return bool(self.ev_on.any())
+
+    def fold(self) -> None:
+        """Add the draws' counters into their injectors' and zero them."""
+        for inj, counts in zip(self.injectors, self.fault_counts.tolist()):
+            for name, count in zip(SENSE_COUNTERS, counts):
+                if count:
+                    inj.counters[name] += count
+        self.fault_counts[:] = 0
+
+
 class CycleKernel:
     """One compiled co-sim cycle over the loop's current batch.
 
@@ -106,13 +198,22 @@ class CycleKernel:
     rebuilds it after a lane quarantine compacts the batch.  Every
     array it points at is kept alive here.
 
-    With a bank it owns the filter's blocks — ``seen`` (filled by a
-    call that stops after the readout), ``observed`` and ``measured`` —
-    and the decide stage's ``apply`` flags (bank rows whose new active
-    decision the kernel applied; ``state.n_apply`` counts them).  The
-    loop passes ``fast`` (the bank rows the kernel pops and applies) and
-    ``applied`` (each row's last applied decision id, updated by the
-    kernel), and sets ``state.stop_on_apply`` for its recorders.
+    With a bank it owns the filter's blocks — ``seen``, ``observed``
+    and ``measured`` — and the decide stage's ``apply`` flags (bank rows
+    whose new active decision the kernel applied; ``state.n_apply``
+    counts them).  The loop passes ``fast`` (the bank rows the kernel
+    pops and applies) and ``applied`` (each row's last applied decision
+    id, updated by the kernel), and sets ``state.stop_on_apply`` for its
+    recorders.
+
+    ``injectors`` (one per bank row, ``None`` for none) describe their
+    sensor and jitter events once; the filter stage draws for the active
+    ones through each injector's bit generator (the co-sim loop is
+    single-threaded and never shares an injector, so the Generator's
+    lock is not needed), a fast lane's extra latency included.  The loop
+    refreshes the active flags on its edge cycles
+    (:meth:`refresh_sensing`) and folds the draws' counters back into
+    the injectors (``sense.fold``).
     """
 
     def __init__(
@@ -131,6 +232,7 @@ class CycleKernel:
         bot_idx: np.ndarray,
         bank,
         bank_rows: Optional[np.ndarray],
+        injectors: Optional[list],
         fast: Optional[np.ndarray],
         applied: Optional[np.ndarray],
         pv_rows: np.ndarray,
@@ -174,6 +276,7 @@ class CycleKernel:
             self.apply = np.zeros(bank_lanes, dtype=bool)
             if fast.dtype != bool or applied.dtype != np.int64:
                 raise ValueError("fast/applied must be bool / int64")
+        self.sense = SenseTable(injectors or [None] * bank_lanes)
         self._refs = [
             fused, dcc, currents, volts, top_idx, bot_idx, bank_rows,
             lane_index, rec_powers, rec_volts, rec_supply, dcc_accum,
@@ -211,6 +314,7 @@ class CycleKernel:
             bank_lanes=bank_lanes,
             bank=ctypes.addressof(bank._bind_c()) if bank_lanes else None,
             bank_rows=_addr(bank_rows) if bank_lanes else None,
+            **self.sense.fields(),
             seen=_addr(self.seen) if bank_lanes else None,
             observed=_addr(self.observed) if bank_lanes else None,
             measured=_addr(self.measured) if bank_lanes else None,
@@ -234,6 +338,11 @@ class CycleKernel:
         self.ptr = ctypes.pointer(self.state)
         self.call = fused.lib.cosim_cycle
         self.span_call = fused.lib.cosim_span
+
+    def refresh_sensing(self, recorded_cycle: int) -> None:
+        """Set the sensing events' active flags at ``recorded_cycle``
+        (they change only on their lanes' edge cycles)."""
+        self.state.sensing = self.sense.refresh(recorded_cycle)
 
     def sync_solver(self) -> None:
         """Repoint the kernel at the solver's current C state.

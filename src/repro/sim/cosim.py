@@ -60,7 +60,6 @@ from repro.pdn.efficiency import (
 )
 from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
 from repro.sim._cyclec import (
-    STAGE_FILTER,
     STAGE_GPU,
     STAGE_READOUT,
     STAGE_SOLVE,
@@ -74,6 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids import cost
     from repro.faults import FaultSchedule
     from repro.telemetry import Telemetry
 
+
+#: An SM voltage outside [0, OUT_OF_RANGE_FACTOR * sm_voltage] is
+#: physically impossible for a stacked layer (CosimResult.
+#: out_of_range_cycles).
+OUT_OF_RANGE_FACTOR = 2.0
 
 # Backend/shard facts from this process's most recent run_cosim_batch —
 # sweep workers thread it into their heartbeat files so `repro top` can
@@ -218,6 +222,15 @@ class CosimResult:
     @property
     def num_cycles(self) -> int:
         return self.sm_voltages.shape[0]
+
+    @property
+    def out_of_range_cycles(self) -> int:
+        """Recorded cycles in which some SM voltage is physically
+        impossible: below 0 V or above ``OUT_OF_RANGE_FACTOR`` times the
+        nominal layer voltage (a stack driven into gross imbalance)."""
+        v = self.sm_voltages
+        high = OUT_OF_RANGE_FACTOR * self.stack.sm_voltage
+        return int(((v < 0.0) | (v > high)).any(axis=1).sum())
 
     @property
     def min_voltage(self) -> float:
@@ -401,7 +414,7 @@ def _record_cosim_telemetry(
         stats = getattr(controller, "stats", None)
         stats = stats() if callable(stats) else {}
         for key in ("decisions_made", "triggers", "throttle_decisions",
-                    "boost_decisions"):
+                    "boost_decisions", "actuations_applied"):
             if key in stats:
                 tele.incr(f"controller_{key}", stats[key])
         for actuator, count in (stats.get("actuator_decisions") or {}).items():
@@ -418,6 +431,7 @@ def _record_cosim_telemetry(
         # carry zeros, so repro compare flags any diverged or
         # recovery-burning candidate with zero-tolerance thresholds.
         "diverged": 1.0 if result.diverged else 0.0,
+        "out_of_range_cycles": float(result.out_of_range_cycles),
         "guard_recoveries": (
             float(guard.recoveries) if guard is not None else 0.0
         ),
@@ -698,24 +712,24 @@ def _simulate(
     lane on the vectorized GPU engine, the co-sim's shared current
     base), clean cycles run in the cycle kernel (:mod:`repro.sim.
     _cyclec`): GPU step and process-variation scaling, currents, guarded
-    substeps, SM-voltage readout, the bank's RC filter (masked for
-    dropped samples and unobserved lanes), waves and pops, the
-    recording row and the fast lanes' new commands — a span of cycles
-    per call, up to the next event: a lane's edge cycle (its first
-    cycle and every fault or shutoff window start or end), the warmup
-    snapshot, a chaos cycle, a flight hand-over or (recorders attached)
-    an apply.  A lane that needs Python every cycle (sensing, a slow
-    controller, recorder marks) cuts spans to one cycle.  Python keeps
-    the event work: fault hooks (circuit and DFS hooks, like a chaos
-    event, split the cycle after the GPU stage; halt hooks re-apply
-    actuation after it), the injectors' sensor and jitter draws (the
-    kernel stops after the readout, a second call runs the rest), slow
-    lanes' commands, guard recovery and lane quarantine, the warmup
-    snapshot and flight-recorder blocks.  Lanes' deferred mirrors (GPU
-    cycle and memory queue, solver time and step count) are folded back
-    before hooks read them, at a quarantine and at the end.  Any other
-    batch runs the phased NumPy body instead (same edge schedule), byte
-    for byte the same results.
+    substeps, SM-voltage readout, the injectors' sensor and jitter
+    draws, the bank's RC filter (masked for dropped samples and
+    unobserved lanes), waves and pops, the recording row and the fast
+    lanes' new commands — a span of cycles per call, up to the next
+    event: a lane's edge cycle (its first cycle and every fault or
+    shutoff window start or end), the warmup snapshot, a chaos cycle, a
+    flight hand-over or (recorders attached) an apply.  A lane that
+    needs Python every cycle (a slow controller, recorder marks) cuts
+    spans to one cycle.  Python keeps the event work: fault hooks
+    (circuit and DFS hooks, like a chaos event, split the cycle after
+    the GPU stage; halt hooks re-apply actuation after it), slow lanes'
+    commands (and their extra latency draws), guard recovery and lane
+    quarantine, the warmup snapshot and flight-recorder blocks.  Lanes'
+    deferred mirrors (GPU cycle and memory queue, solver time and step
+    count) and the kernel's fault-draw counters are folded back before
+    hooks read them, at a quarantine and at the end.  Any other batch
+    runs the phased NumPy body instead (same edge schedule), byte for
+    byte the same results.
 
     Returns the per-lane states, each carrying its ``result``, the
     batch solver that finished the run, and how many cycles ran through
@@ -852,7 +866,7 @@ def _simulate(
         return rows, sensor, jitter
 
     bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
-    sensing = False  # a sensor cycle: some bank lane senses a fault
+    sensing = False  # the phased body: some bank lane draws this cycle
 
     # Per-SM voltage readout indices — identical across lanes (same
     # netlist builder); verified against lane 0 at setup.
@@ -930,13 +944,14 @@ def _simulate(
     pv_lanes = [ln for ln, k in zip(states, pv_k) if k]
     pv_rows_bt = np.zeros((num_lanes, max(pv_k), num))
     pv_count = np.zeros(num_lanes, dtype=np.int64)
-    # Fast lanes — bank-controlled, commands read on time and applied
-    # undistorted — apply actuation only when a new decision pops out of
-    # the latency pipeline (decisions are immutable once enqueued, so
-    # nothing can change between pops) or a halt edge changes the
-    # halted set; faults that touch the sensors, the circuit or the
-    # halted SMs leave that path intact.  The bank pops their pipelines
-    # and counts their cycles as commands_for would; the cycle kernel
+    # Fast lanes — bank-controlled, commands applied undistorted —
+    # apply actuation only when a new decision pops out of the latency
+    # pipeline (decisions are immutable once enqueued, so nothing can
+    # change between pops) or a halt edge changes the halted set; faults
+    # that touch the sensors, the loop timing, the circuit or the halted
+    # SMs leave that path intact.  The bank pops their pipelines at
+    # each lane's read cycle (the cycle less a jitter fault's extra
+    # latency) and counts it as commands_for would; the cycle kernel
     # applies the rows it flags (pop_fast's: the loop).  The rest
     # replicate the serial per-cycle commands_for path.  (A pre-used
     # controller object that already counted cycles keeps that path.)
@@ -944,9 +959,7 @@ def _simulate(
         ln for ln in states
         if ln.in_bank
         and ln.controller._counted_through_cycle < 0
-        and not (ln.injector is not None and (
-            ln.injector.touches_timing or ln.injector.touches_actuation
-        ))
+        and not (ln.injector is not None and ln.injector.touches_actuation)
     ]
     slow_ctrl_lanes = [
         ln for ln in states
@@ -1083,7 +1096,7 @@ def _simulate(
     # compacts it.
     stage_s = np.zeros(4) if timing else None
 
-    def _bind_kernel() -> Optional[CycleKernel]:
+    def _bind_kernel(recorded_cycle: int) -> Optional[CycleKernel]:
         if gpu_batch.fused() is None or not batch_solver._c_ready():
             return None
         bound = CycleKernel(
@@ -1092,6 +1105,7 @@ def _simulate(
             sm_voltage=stack.sm_voltage, conductance_bias=conductance_bias,
             substeps=substeps, top_idx=kernel_top_idx,
             bot_idx=kernel_bot_idx, bank=bank, bank_rows=bank_rows_arr,
+            injectors=[ln.injector for ln in bank_members],
             fast=fast_rows, applied=applied_ids,
             pv_rows=pv_rows_bt, pv_count=pv_count,
             warmup=warmup, cycles=cycles,
@@ -1106,9 +1120,10 @@ def _simulate(
         )
         # A recorder marks the cycle a fast lane applies a new decision.
         bound.state.stop_on_apply = bool(flight_lanes)
+        bound.refresh_sensing(recorded_cycle)
         return bound
 
-    kernel = _bind_kernel()
+    kernel = _bind_kernel(-warmup)
     if kernel is not None:
         powers_bt = gpu_batch.fused().powers
     fused_cycles = 0
@@ -1143,10 +1158,10 @@ def _simulate(
         # an event window is the end of warmup.
         recorded_cycle = cycle - warmup
         chaos_now = chaos_cycles is not None and recorded_cycle in chaos_cycles
-        # Edge cycles: refresh the edge lanes' sensing flags and PV
-        # rows (before the GPU stage scales this cycle's powers); the
-        # circuit and DFS hooks run after the GPU stage, the halt hooks
-        # after the solve.
+        # Edge cycles: refresh the edge lanes' sensing flags (and the
+        # kernel's) and PV rows (before the GPU stage scales this cycle's
+        # powers); the circuit and DFS hooks run after the GPU stage,
+        # the halt hooks after the solve.
         edge = hooks = ()
         if cycle == next_edge:
             next_edge = next(edge_order, total_cycles)
@@ -1162,6 +1177,8 @@ def _simulate(
                     pv_rows_bt[ln.row, k] = row
             bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
             sensing = bool(sensor_lanes or jitter_lanes)
+            if kernel is not None:
+                kernel.refresh_sensing(recorded_cycle)
             hooks = [
                 ln for ln in edge if ln.injector is not None and (
                     ln.injector.touches_circuit
@@ -1169,7 +1186,7 @@ def _simulate(
                 )
             ]
         # A clean cycle is one kernel call; edge hooks and chaos split
-        # it after the GPU stage, a sensor cycle after the readout.
+        # it after the GPU stage.
         split = kernel is None or bool(hooks) or chaos_now
 
         # 1. GPU cycle per lane (independent engines, lock-stepped).
@@ -1254,18 +1271,15 @@ def _simulate(
             # as one span up to the next event; the rest of this body
             # then runs for the span's last cycle.
             stop = cycle + 1
-            if not (split or sensing or edge or slow_ctrl_lanes
-                    or flight_every or flight_watch):
+            if not (split or edge or slow_ctrl_lanes or flight_every
+                    or flight_watch):
                 stop = min(next_edge, flight_due + 1,
                            span_stops[bisect_right(span_stops, cycle)])
             if stop > cycle + 1:
                 status, at = kernel.span(cycle, stop)
                 last = at if status else at - 1
             else:
-                status = kernel.run(
-                    cycle, STAGE_SOLVE if split else STAGE_GPU,
-                    STAGE_READOUT if sensing else STAGE_FILTER,
-                )
+                status = kernel.run(cycle, STAGE_SOLVE if split else STAGE_GPU)
                 last = cycle
             fused_cycles += last + 1 - cycle
             cycle = last
@@ -1297,11 +1311,13 @@ def _simulate(
                 if ln.injector is not None:
                     # Its last completed cycle closes its halt span.
                     ln.injector.credit_halted(recorded_cycle - 1)
-            # Every lane's deferred mirrors and dropped-sample counts go
-            # back to its objects before the batch front ends are
-            # rebuilt around them.
+            # Every lane's deferred mirrors and fault-draw counts go back
+            # to its objects before the batch front ends are rebuilt
+            # around them.
             gpu_batch.fold()
             batch_solver.fold_lanes()
+            if kernel is not None:
+                kernel.sense.fold()
             survivors = [ln for ln in alive if not ln.dead]
             edge = [ln for ln in edge if not ln.dead]
             pv_lanes = [ln for ln in pv_lanes if not ln.dead]
@@ -1368,7 +1384,7 @@ def _simulate(
             )
             node_bt = batch_solver._sol_bt[:, : batch_solver.num_nodes]
             if kernel is not None:
-                kernel = _bind_kernel()
+                kernel = _bind_kernel(recorded_cycle)
                 powers_bt = gpu_batch.fused().powers
         if kernel is None:
             # Bound-method take skips np.take's dispatch wrapper — this
@@ -1388,10 +1404,7 @@ def _simulate(
                 kernel.sync_solver()
                 if timing:
                     t_circuit += perf_counter() - t1
-                status = kernel.run(
-                    cycle, STAGE_READOUT,
-                    STAGE_READOUT if sensing else STAGE_FILTER,
-                )
+                status = kernel.run(cycle, STAGE_READOUT)
             if timing:
                 t2 = perf_counter()
         voltages_bt = volt_buf
@@ -1435,60 +1448,54 @@ def _simulate(
         # and decision waves batched, on what their detectors see; each
         # injector keeps its serial RNG call order (corrupt_sensors,
         # observation_allowed, then extra_latency at the command read),
-        # called only while an event of its kind is active.  On a sensor
-        # cycle the kernel stopped after the readout: the injectors
-        # write the seen block and observed mask, and a second call runs
-        # the filter (masked for dropped samples or unobserved lanes),
-        # the wave, the fast lanes' pops and applies and the recording
-        # row; the phased body applies the rows pop_fast flags.  A
-        # flagged row's recorder marks the cycle.  Duck-typed controllers
-        # replicate the serial path verbatim.  Actuation application is
-        # gated on decision identity (setters are idempotent; decisions
-        # are immutable once enqueued), except under actuation-distorting
-        # faults which may perturb every cycle.  Ownership contract:
-        # decision arrays belong to the controller, so every array this
-        # loop mutates (halted widths, distorted commands) or retains
-        # (DCC, in dcc_bt) is a copy.
-        observed = None
-        if sensing:
-            if kernel is not None:
-                seen = kernel.seen
-            elif all_banked:
-                seen = voltages_bt.copy()  # never write the physical voltages
-            else:
-                seen = voltages_bt[bank_rows_arr]
-            for j, ln in sensor_lanes:
-                seen[j] = ln.injector.corrupt_sensors(recorded_cycle, seen[j])
-            for j, ln in jitter_lanes:
-                if not ln.injector.observation_allowed(recorded_cycle):
-                    if observed is None:
-                        observed = (
-                            np.ones(len(bank_members), dtype=bool)
-                            if kernel is None else kernel.observed
-                        )
-                    observed[j] = False
-            if kernel is not None:
-                if timing:
-                    tk = perf_counter()
-                kernel.run(cycle, STAGE_FILTER, STAGE_FILTER)
-                if timing:
-                    t2 += perf_counter() - tk  # the kernel's own time
-        elif kernel is None and bank is not None:
-            seen = voltages_bt if all_banked else voltages_bt[bank_rows_arr]
+        # called only while an event of its kind is active.  The cycle
+        # kernel made the bank lanes' draws, waves, pops and applies;
+        # the phased body draws here, observes, then draws the fast
+        # jitter lanes' extra latency for pop_fast and applies the rows
+        # it flags.  A flagged row's recorder marks the cycle.  Slow
+        # lanes draw their extra latency at the command read, and
+        # duck-typed controllers replicate the serial path verbatim.
+        # Actuation application is gated on decision identity (setters
+        # are idempotent; decisions are immutable once enqueued), except
+        # under actuation-distorting faults which may perturb every
+        # cycle.  Ownership contract: decision arrays belong to the
+        # controller, so every array this loop mutates (halted widths,
+        # distorted commands) or retains (DCC, in dcc_bt) is a copy.
         applies = ()
         if bank is None:
             waved = False
         elif kernel is None:
+            observed = None
+            if sensing:
+                # Never write the physical voltages.
+                seen = (voltages_bt.copy() if all_banked
+                        else voltages_bt[bank_rows_arr])
+                for j, ln in sensor_lanes:
+                    seen[j] = ln.injector.corrupt_sensors(
+                        recorded_cycle, seen[j]
+                    )
+                for j, ln in jitter_lanes:
+                    if not ln.injector.observation_allowed(recorded_cycle):
+                        if observed is None:
+                            observed = np.ones(len(bank_members), dtype=bool)
+                        observed[j] = False
+            else:
+                seen = (voltages_bt if all_banked
+                        else voltages_bt[bank_rows_arr])
             waved = cycle >= bank.next_due
             bank.observe(cycle, seen, observed)
             if fast_lanes:
-                applies = bank.pop_fast(cycle, fast_rows, applied_ids)
+                reads = None
+                for j, ln in jitter_lanes:
+                    if fast_rows[j]:
+                        if reads is None:
+                            reads = np.full(len(bank_members), cycle)
+                        reads[j] -= ln.injector.extra_latency(recorded_cycle)
+                applies = bank.pop_fast(cycle, fast_rows, applied_ids, reads)
         else:
             waved = kernel.state.waved
             if flight_lanes and kernel.state.n_apply:
                 applies = np.flatnonzero(kernel.apply).tolist()
-        if observed is not None:
-            observed[:] = True
         for j in applies:
             ln = bank_members[j]
             if kernel is None:
@@ -1500,6 +1507,7 @@ def _simulate(
                 )
                 ln.gpu.set_fake_rates(decision.fake_rates)
                 np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
+                ln.controller.note_applied()
             if ln.flight is not None:
                 _flight_mark(ln, cycle)
         for ln in slow_ctrl_lanes:
@@ -1519,6 +1527,8 @@ def _simulate(
                 )
             else:
                 decision = controller.commands_for(cycle)
+            if ln.in_bank and decision is not ln.last_decision:
+                controller.note_applied()
             ln.last_decision = decision
             if inj is not None and inj.touches_actuation:
                 widths = decision.issue_widths.copy()
@@ -1595,10 +1605,12 @@ def _simulate(
         if ln.injector is not None:
             ln.injector.credit_halted(cycles - 1)
     if alive:
-        # The surviving lanes' deferred mirrors (quarantined lanes were
-        # folded at their eviction).
+        # The surviving lanes' deferred mirrors and fault-draw counts
+        # (quarantined lanes were folded at their eviction).
         gpu_batch.fold()
         batch_solver.fold_lanes()
+        if kernel is not None:
+            kernel.sense.fold()
     if timing:
         # The cycle kernel's own stage times join the Python-side ones;
         # the loop's residual (iteration overhead, kernel crossings,

@@ -208,6 +208,24 @@ class TestCompare:
         assert compare_manifests(base, base, gates).ok
 
 
+def test_out_of_range_cycles_fail_against_a_zero_baseline():
+    """A run that leaves the physical voltage range regresses against a
+    baseline that never did, under the default gates and the committed
+    CI thresholds."""
+    from pathlib import Path
+
+    base = manifest(metrics={"out_of_range_cycles": 0.0})
+    bad = manifest(metrics={"out_of_range_cycles": 3.0}, run_id="run-b")
+    committed = load_thresholds(
+        Path(__file__).resolve().parents[2]
+        / "benchmarks" / "baselines" / "thresholds.json"
+    )
+    for gates in (None, committed):
+        report = compare_manifests(base, bad, gates)
+        assert [r.name for r in report.regressions] == ["out_of_range_cycles"]
+        assert compare_manifests(base, base, gates).ok
+
+
 class TestThreshold:
     def test_tolerance_is_max_of_abs_and_rel(self):
         t = Threshold("higher", abs_tol=0.1, rel_tol=0.01)

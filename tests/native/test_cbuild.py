@@ -7,6 +7,7 @@ are only compiled to objects, to keep them warning-free.
 """
 
 import ctypes
+import shutil
 import subprocess
 import warnings
 
@@ -80,6 +81,50 @@ def test_failed_load_is_a_counted_fallback(tmp_path, kwargs):
         assert build.load() is None
     assert build.fallback_count() == 2
     assert sum("falling back" in str(w.message) for w in caught) == 1
+
+
+def _archive(tmp_path, source=ENGINE):
+    """``source`` compiled into a static archive, as NumPy ships one."""
+    (tmp_path / "engine.c").write_text(source)
+    obj, lib = tmp_path / "engine.o", tmp_path / "libengine.a"
+    flags = [f for f in CFLAGS if f != "-shared"]
+    subprocess.run([find_compiler(), *flags, "-c", str(tmp_path / "engine.c"),
+                    "-o", str(obj)], check=True, timeout=120)
+    lib.unlink(missing_ok=True)
+    subprocess.run(["ar", "rcs", str(lib), str(obj)], check=True, timeout=60)
+    return lib
+
+
+def _archive_build(tmp_path, archive):
+    (tmp_path / "cycle.c").write_text(CYCLE)
+    return KernelBuild([tmp_path / "cycle.c"], tmp_path / "cache",
+                       _configure, archives=[archive])
+
+
+@pytest.mark.skipif(shutil.which("ar") is None, reason="no ar available")
+def test_archive_bytes_are_part_of_the_cache_key(tmp_path):
+    """The library links its archives, and rebuilds when an archive's
+    bytes change with every source the same."""
+    archive = _archive(tmp_path)
+    assert _archive_build(tmp_path, archive).load().quad(3) == 12
+    archive = _archive(tmp_path, ENGINE.replace("2 * x", "3 * x"))
+    assert _archive_build(tmp_path, archive).load().quad(1) == 9
+    assert len(list((tmp_path / "cache").glob("*.so"))) == 2
+
+
+def test_missing_archive_is_a_loud_failed_load(tmp_path):
+    build = _archive_build(tmp_path, tmp_path / "libmissing.a")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert build.load() is None
+    assert build.fallback_count() == 1
+    assert any("libmissing.a" in str(w.message) for w in caught)
+    assert not (tmp_path / "cache").exists()
+
+
+def test_the_native_library_links_numpys_random_archive():
+    assert [a.name for a in native.ARCHIVES] == ["libnpyrandom.a"]
+    assert native.LIBRARY.archives == list(native.ARCHIVES)
 
 
 @pytest.mark.parametrize("source", native.SOURCES, ids=lambda p: p.name)

@@ -70,6 +70,15 @@ class ScalarController:
         self._default_issue_width = float(self.actuation.issue_width_max)
         self.active_decision = self._default_decision()
         self._last_enqueued = self._default_decision()
+        # The ControllerBank's decision ids: the active one, the last
+        # enqueued, and the pipeline's.  An idle decision (nothing
+        # triggered, no safe state, the last command the default) keeps
+        # the last id; any other takes the next.  A co-sim applies a
+        # decision when the active id changes (actuations_applied).
+        self.active_id, self._last_id = 0, 1
+        self._pipeline_ids: Deque[int] = deque()
+        self._at_default = True
+        self.actuations_applied = 0
         # Statistics for performance-penalty accounting.  throttled_cycles
         # counts *simulated* cycles (commands_for may be called more than
         # once for the same cycle without double counting).
@@ -211,6 +220,7 @@ class ScalarController:
         while self._pipeline and self._pipeline[0][0] <= cycle:
             _, decision = self._pipeline.popleft()
             self.active_decision = decision
+            self.active_id = self._pipeline_ids.popleft()
             # Decisions are immutable once enqueued (ownership contract:
             # actuation consumers copy at the boundary), so the throttle
             # scan happens once per decision pop, not once per cycle.
@@ -261,6 +271,8 @@ class ScalarController:
             "sensor_fallback_samples": self.sensor_fallback_samples,
             "nan_samples_seen": self.nan_samples_seen,
             "limit_cycle_events": self.limit_cycle_events,
+            # Counted by the co-sim loop that applies the decisions.
+            "actuations_applied": self.actuations_applied,
         }
 
     def _advance_filters(self, sm_voltages: np.ndarray) -> np.ndarray:
@@ -342,6 +354,15 @@ class ScalarController:
         self._pipeline.append(
             (cycle + self.config.total_latency_cycles, decision)
         )
+        busy = decision.triggered_sms or self.in_safe_state
+        if busy or not self._at_default:
+            self._last_id += 1
+        self._at_default = bool(
+            (decision.issue_widths == self._default_issue_width).all()
+            and not decision.fake_rates.any()
+            and not decision.dcc_powers_w.any()
+        )
+        self._pipeline_ids.append(self._last_id)
 
     def _update_watchdog(self, measured: np.ndarray) -> None:
         """Track sub-guardband streaks; escalate / release the safe state.

@@ -167,6 +167,7 @@ def run_cosim_reference(
     powers_rec = np.empty((config.cycles, num))
     supply_current = np.empty(config.cycles)
     dcc_powers = np.zeros(num)
+    applied_id = -1  # the decision id applied last (ScalarController)
     voltages_now = np.full(num, stack.sm_voltage)
     shutoff_sms: List[int] = (
         stack.sms_in_layer(config.shutoff.layer) if config.shutoff else []
@@ -321,6 +322,10 @@ def run_cosim_reference(
             gpu.set_issue_widths(widths)
             gpu.set_fake_rates(fakes)
             np.copyto(dcc_powers, dcc)
+            if (isinstance(controller, ScalarController)
+                    and controller.active_id != applied_id):
+                applied_id = controller.active_id
+                controller.actuations_applied += 1
         elif config.shutoff is not None or injector is not None:
             widths = np.full(num, 2.0)
             if halted_idx:

@@ -213,6 +213,27 @@ class TestWarmupWindowAccounting:
         assert result.num_cycles == self.WARMUP
 
 
+class TestOutOfRangeCycles:
+    def test_unstable_arm_is_flagged(self):
+        """The DIWS-only k1=15, slew 0.2 arm on blackscholes drives the
+        stack into gross imbalance: SM voltages below 0 V and above
+        twice nominal, on hundreds of recorded cycles."""
+        result = run_cosim("blackscholes", CosimConfig(
+            cycles=8000, seed=11,
+            controller=ControllerConfig(
+                v_threshold=0.9, k1=15.0, slew_per_decision=0.2,
+                allow_unstable=True,
+            ),
+            actuation=WeightedActuation(w1=1.0, w2=0.0, w3=0.0),
+        ))
+        assert result.min_voltage < 0.0
+        assert result.max_voltage > 2.0 * result.stack.sm_voltage
+        assert result.out_of_range_cycles > 100
+
+    def test_default_hotspot_reads_zero(self, short_run):
+        assert short_run.out_of_range_cycles == 0
+
+
 class TestKernelTimeReporting:
     def test_cycles_per_kernel_raises_without_completions(self):
         """Library callers keep the hard error."""
@@ -322,7 +343,7 @@ class TestDCCEngagement:
 
 class TestCosimTelemetry:
     @pytest.fixture(scope="class")
-    def recorded(self):
+    def recorded(self, request):
         from repro.telemetry import Telemetry
 
         tele = Telemetry(run_id="test")
@@ -331,14 +352,18 @@ class TestCosimTelemetry:
             CosimConfig(cycles=400, warmup_cycles=100),
             telemetry=tele,
         )
+        # The run's wall time, before pytest's own time between the
+        # fixture and the tests adds to the recorder's clock.
+        request.cls.wall_s = tele.elapsed_s
         return tele, result
 
     def test_stage_times_sum_to_wall(self, recorded):
         """The per-stage split must account for the run: stage sum
-        within 10% of the recorder's wall clock (the residual stages
-        ``setup``/``loop_other``/``finalize`` close the gap)."""
+        within 10% of the recorder's wall clock when run_cosim returned
+        (the residual stages ``setup``/``loop_other``/``finalize`` close
+        the gap)."""
         tele, _ = recorded
-        wall = tele.elapsed_s
+        wall = self.wall_s
         stage_sum = sum(tele.timings.values())
         assert wall > 0
         assert abs(stage_sum - wall) / wall <= 0.10

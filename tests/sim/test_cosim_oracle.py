@@ -207,7 +207,8 @@ def _manifest_view(tele):
 
 @pytest.mark.parametrize(
     "case", ["bench-hotspot", "faults-guardband-breaker",
-             "shutoff-controller-dcc", "nan-poisoned"]
+             "faults-scheduler-storm", "shutoff-controller-dcc",
+             "nan-poisoned"]
 )
 def test_telemetry_matches_serial_oracle(case, chaos_plan):
     teles = [Telemetry(run_id="oracle"), Telemetry(run_id="oracle")]

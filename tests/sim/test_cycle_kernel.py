@@ -8,19 +8,24 @@ needs Python every cycle.  Forcing the library's fallback
 NumPy GPU engine and solver.  The two must be byte-equal on every
 :class:`CosimResult` field, and equal to the serial oracle, through
 same-cycle relaunches, barrier-exempt shutoffs, a lane quarantine (also
-one that arises inside a span), circuit- and sensor-fault lanes, random
-edge schedules, flight recorders and arbitrary span boundaries.  The
-lanes' deferred mirrors (GPU cycle, memory-queue counters, solver time
-and step count) must read the same from a fault hook and after the
-run.  Call-count gates pin the edge schedule: fault hooks run on edge
-cycles only, a cycle makes a second kernel call only on an edge with
-circuit or DFS hooks or a sensor cycle, and the kernel's calls tile the
-run with about two per event; the kernel makes every decision (the
-NumPy wave never runs) and applies the fast lanes' commands itself,
-leaving the engines and DCC rows as the phased body's setters do.
+one that arises inside a span), circuit-, sensor- and jitter-fault
+lanes, random edge schedules, flight recorders and arbitrary span
+boundaries.  The kernel's fault draws, made through each injector's bit
+generator, equal the injector's own Python draws on a twin.  The lanes'
+deferred mirrors (GPU cycle, memory-queue counters, solver time and
+step count) must read the same from a fault hook and after the run.
+Call-count gates pin the edge schedule: fault hooks run on edge cycles
+only, a cycle makes a second kernel call only on an edge with circuit
+or DFS hooks, the injectors' draw methods never run on the kernel path,
+and the kernel's calls tile the run with about two per event; the
+kernel makes every decision (the NumPy wave never runs) and applies the
+fast lanes' commands itself, leaving the engines and DCC rows as the
+phased body's setters do, and counting the same applies.
 """
 
+import ctypes
 import json
+import random
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -29,9 +34,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import native
 from repro.circuits import TransientSolver
+from repro.config import StackConfig
 from repro.core.actuators import WeightedActuation
 from repro.core.controller import (
+    _S_NEXT_DUE,
     ControllerBank,
     ControllerConfig,
     VoltageSmoothingController,
@@ -57,7 +65,14 @@ from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.gpu import GPU, KernelSpec
 from repro.gpu.batch import GPUBatch
 from repro.gpu.isa import InstructionClass
-from repro.sim._cyclec import STAGE_GPU, SUSPECT, CycleKernel
+from repro.sim._cyclec import (
+    STAGE_FILTER,
+    STAGE_GPU,
+    SUSPECT,
+    CCycleState,
+    CycleKernel,
+    SenseTable,
+)
 from repro.sim.cosim import (
     _FLIGHT_BLOCK,
     CosimConfig,
@@ -230,11 +245,11 @@ def test_circuit_fault_lanes_take_two_halves(monkeypatch, scenario):
     _check(build, monkeypatch)
 
 
-def test_sensor_fault_lanes_keep_the_python_filter(monkeypatch):
-    """Sensor-fault and jitter lanes keep their injector draws in
-    Python, between a call that stops after the readout and one that
-    runs the kernel's masked filter; ControllerBank.observe stays the
-    phased body's filter."""
+def test_sensor_and_jitter_lanes_draw_in_the_kernel(monkeypatch):
+    """Sensor-fault and jitter lanes: the kernel's draws, masked filter
+    and jittered pops give the bytes of the phased body, whose injectors
+    draw in Python for ControllerBank.observe and pop_fast, and of the
+    oracle."""
     def build():
         return [
             CosimLane("hotspot", _cfg(2, faults=CANNED_SCENARIOS[
@@ -440,6 +455,14 @@ _LANE = st.tuples(
       PDNDrift(element_prefix="r_link", resistance_scale=4.0,
                start_cycle=CYCLES)],
      None, "active", 5, "bfs"),
+    # A slow lane that senses: a stuck actuator keeps it off the fast
+    # path while sensor noise and jitter draw, the kernel drawing the
+    # noise and the observation, Python the extra latency.
+    ([ControlLoopJitter(drop_probability=0.2, extra_latency_cycles=3,
+                        start_cycle=-10, end_cycle=90),
+      ActuatorStuck(actuator="diws", sms=(1, 5), start_cycle=0),
+      SensorNoise(sigma_v=0.01, start_cycle=-WARMUP, end_cycle=60)],
+     None, "active", 11, "hotspot"),
     # A stuck actuator, stuck sensors through warmup and a scheduled
     # layer shutoff on a lane whose own shutoff window closes early.
     ([ActuatorStuck(actuator="diws", sms=(1, 5), start_cycle=0,
@@ -736,25 +759,44 @@ def _faulted_lanes(cycles, warmup, faults=True):
     ]
 
 
+DRAWS = ("corrupt_sensors", "observation_allowed", "extra_latency")
+
+
 def test_faulted_recipe_runs_hooks_only_on_edges(monkeypatch):
     """The ``b8_active_faulted`` recipe, long enough to cross every
-    canned window: no ControllerBank.observe or scale_powers call, the
-    circuit, DFS and halt hooks once per edge cycle at most, and a
-    second kernel call only on a sensor cycle (a third on an edge with
-    circuit or DFS hooks)."""
+    canned window: no ControllerBank.observe, scale_powers, injector
+    draw or commands_for call (the phased body makes all but the last:
+    its jitter lanes are fast lanes too), the circuit, DFS and halt
+    hooks once per edge cycle at most, and kernel calls that tile the
+    run once, in order — a span between events, one call on an edge
+    cycle, two on one with circuit or DFS hooks: at most three per
+    event, plus one."""
     cycles, warmup = 900, 60
     lanes = _faulted_lanes(cycles, warmup)
-    runs, hooks, banned = [], [], []
-    _log_calls(monkeypatch, CycleKernel, "run", runs,
-               lambda self, cycle, *stages: cycle)
+    covers, hooks, banned = [], [], []
+    run, span = CycleKernel.run, CycleKernel.span
+
+    def run_logged(self, cycle, first=STAGE_GPU, *stages):
+        covers.append([cycle] if first == STAGE_GPU else [])
+        return run(self, cycle, first, *stages)
+
+    def span_logged(self, start, stop):
+        status, at = span(self, start, stop)
+        covers.append(list(range(start, at + 1 if status else at)))
+        return status, at
+
+    monkeypatch.setattr(CycleKernel, "run", run_logged)
+    monkeypatch.setattr(CycleKernel, "span", span_logged)
     for name in ("apply_circuit_faults", "frequency_scales", "halted_sms"):
         _log_calls(monkeypatch, FaultInjector, name, hooks,
                    lambda self, cycle, name=name:
                    (name, self.schedule.name, cycle))
-    _log_calls(monkeypatch, ControllerBank, "observe", banned,
-               lambda self, *args: "observe")
-    _log_calls(monkeypatch, FaultInjector, "scale_powers", banned,
-               lambda self, *args: "scale_powers")
+    for owner, names in ((ControllerBank, ("observe",)),
+                         (FaultInjector, ("scale_powers",) + DRAWS),
+                         (VoltageSmoothingController, ("commands_for",))):
+        for name in names:
+            _log_calls(monkeypatch, owner, name, banned,
+                       lambda self, *args, name=name: name)
     run_cosim_batch(lanes)
     assert banned == []
 
@@ -772,20 +814,21 @@ def test_faulted_recipe_runs_hooks_only_on_edges(monkeypatch):
     for (name, lane, cycle), count in seen.items():
         assert count == 1 and cycle in edges[lane], (name, lane, cycle)
 
-    hook_edges = {
-        c + warmup for s in schedules
-        if any(isinstance(e, (CRIVRPhaseLoss, PDNDrift, ProcessVariation,
-                              DFSTransient)) for e in s.events)
-        for c in edges[s.name]
-    }
-    calls = Counter(runs)
-    for cycle in range(cycles + warmup):
-        sensing = any(
-            isinstance(e, SENSING) and e.active(cycle - warmup)
-            for s in schedules for e in s.events
-        )
-        expected = 1 + (cycle in hook_edges) + sensing
-        assert calls[cycle] == expected, cycle
+    assert [c for cover in covers for c in cover] == list(
+        range(cycles + warmup)
+    )
+    events = {warmup}.union(
+        c + warmup for lane_edges in edges.values() for c in lane_edges
+    )
+    assert len(covers) <= 3 * len(events) + 1, covers
+
+    covers.clear()
+    with forced_fallback():
+        run_cosim_batch(_faulted_lanes(160, 20))
+    assert covers == []
+    assert set(banned) == {"observe", "scale_powers"}.union(DRAWS), (
+        set(banned)
+    )
 
 
 def _decision_traffic(monkeypatch, lanes, phased):
@@ -793,9 +836,15 @@ def _decision_traffic(monkeypatch, lanes, phased):
     benchmark, setter, argument bytes) in call order, and the lanes'
     actuation state — each engine's issue width and fake rate bytes and
     its row of the loop's DCC block — at the top of every cycle and at
-    the end.  The kernel path runs spans of one cycle."""
-    waves, setters, states, gpus = [], [], [], []
+    the end, then each lane's applied-decision count.  The kernel path
+    runs spans of one cycle."""
+    waves, setters, states, gpus, ctrls = [], [], [], [], []
     gpu_init, span = GPU.__init__, CycleKernel.span
+    ctrl_init = VoltageSmoothingController.__init__
+
+    def ctrl_new(self, *args, **kwargs):
+        ctrl_init(self, *args, **kwargs)
+        ctrls.append(self)
 
     def gpu_new(self, *args, **kwargs):
         gpu_init(self, *args, **kwargs)
@@ -820,6 +869,7 @@ def _decision_traffic(monkeypatch, lanes, phased):
 
     with monkeypatch.context() as m:
         m.setattr(GPU, "__init__", gpu_new)
+        m.setattr(VoltageSmoothingController, "__init__", ctrl_new)
         _log_calls(m, ControllerBank, "_wave", waves,
                    lambda self, cycle, *args: cycle)
         for name in ("set_issue_widths", "set_fake_rates"):
@@ -835,7 +885,8 @@ def _decision_traffic(monkeypatch, lanes, phased):
             results = run_cosim_batch(lanes)
     final = [(g.engine.issue_width.tobytes(), g.engine.fake_rate.tobytes())
              for g in gpus]
-    return waves, setters, states, final, results
+    applied = [c.stats()["actuations_applied"] for c in ctrls]
+    return waves, setters, states, final, results, applied
 
 
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulted"])
@@ -846,15 +897,22 @@ def test_decisions_run_in_the_kernel(monkeypatch, faults):
     the kernel applies the fast lanes' new decisions itself.  After
     every cycle each lane's engine widths and fake rates and its DCC
     row equal the phased body's, and every setter call left to Python
-    (slow lanes, halt edges) is one the phased body makes, in order."""
+    (slow lanes, halt edges) is one the phased body makes, in order.
+    Both bodies count the same applied decisions on every lane: one per
+    phased set_fake_rates call (no lane has an actuator fault)."""
     lanes = _faulted_lanes(500, 60, faults=faults)
-    waves, setters, states, final, fused = _decision_traffic(
+    waves, setters, states, final, fused, applied = _decision_traffic(
         monkeypatch, lanes, phased=False
     )
     assert waves == []
-    phased_waves, phased_setters, phased_states, phased_final, phased = (
-        _decision_traffic(monkeypatch, lanes, phased=True)
+    (phased_waves, phased_setters, phased_states, phased_final, phased,
+     phased_applied) = _decision_traffic(monkeypatch, lanes, phased=True)
+    assert applied == phased_applied
+    fake_calls = Counter(
+        bench for bench, name, _ in phased_setters if name == "set_fake_rates"
     )
+    assert applied == [fake_calls[lane.benchmark] for lane in lanes]
+    assert sum(applied) > len(lanes), "the acting recipe applies decisions"
     assert phased_waves, "the phased body decides in NumPy"
     assert len(states) == len(phased_states) == 560
     for cycle, (a, b) in enumerate(zip(states, phased_states)):
@@ -865,3 +923,131 @@ def test_decisions_run_in_the_kernel(monkeypatch, faults):
     assert len(setters) < len(phased_setters)
     for i, (a, b) in enumerate(zip(fused, phased)):
         _same(a, b, f"lane {i} fused vs phased")
+
+
+# ---------------------------------------------------------------------------
+# The kernel's fault draws
+# ---------------------------------------------------------------------------
+DRAW_CYCLES = 48
+_DRAW_MARKS = (0, 5, 12, 20, 31, 40, DRAW_CYCLES)
+# Target SMs: every SM, or a list that may name one twice.
+_SMS = st.one_of(st.none(), st.lists(st.integers(0, 15), min_size=1,
+                                     max_size=6).map(tuple))
+
+
+@st.composite
+def _draw_window(draw):
+    start = draw(st.sampled_from(_DRAW_MARKS[:-1]))
+    end = draw(st.sampled_from([m for m in _DRAW_MARKS if m > start]
+                               + [FOREVER]))
+    return {"start_cycle": start, "end_cycle": end}
+
+
+_SENSOR = st.one_of(
+    st.builds(lambda w, sigma, sms: SensorNoise(sigma_v=sigma, sms=sms, **w),
+              _draw_window(), st.sampled_from((0.0, 0.004, 0.03)), _SMS),
+    st.builds(lambda w, step, sms: SensorQuantization(step_v=step, sms=sms,
+                                                      **w),
+              _draw_window(), st.sampled_from((0.01, 0.07)), _SMS),
+    st.builds(lambda w, value, sms: SensorStuck(value_v=value,
+                                                sms=sms or (3,), **w),
+              _draw_window(), st.sampled_from((0.7, 1.0)), _SMS),
+    st.builds(lambda w, p, sms: SensorDropout(probability=p, sms=sms, **w),
+              _draw_window(), st.sampled_from((0.0, 0.3, 1.0)), _SMS),
+)
+_JITTER = st.builds(
+    lambda w, pn: ControlLoopJitter(drop_probability=pn[0],
+                                    extra_latency_cycles=pn[1], **w),
+    _draw_window(), st.sampled_from([
+        (p, n) for p in (0.0, 0.2, 0.7) for n in (0, 3, 8) if p or n
+    ]),
+)
+
+
+def _kernel_draws(schedule, fast, volts):
+    """Run the kernel's filter stage alone, cycle by cycle, on bank row 0
+    (``schedule``'s injector, a fast or slow lane) beside a row without
+    faults.  A slow row's extra latency is drawn after the call, as the
+    co-sim loop does.  Returns the injector and, per cycle, the row the
+    row-0 detectors saw (None: the SM voltages), whether it observed,
+    and its extra latency."""
+    stack = StackConfig()
+    S = stack.num_sms
+    inj = FaultInjector(schedule, stack)
+    table = SenseTable([inj, None])
+    bank = ControllerBank([VoltageSmoothingController(stack) for _ in "ab"])
+    bank._scal[_S_NEXT_DUE] = 1 << 62  # the filter alone: no wave
+    blocks = {name: np.zeros((2, S)) for name in ("volts", "seen",
+                                                   "measured")}
+    flags = {"observed": np.ones(2, dtype=bool),
+             "fast": np.array([fast, True]),
+             "apply": np.zeros(2, dtype=bool)}
+    # Active ids 0 count as applied: no apply stage, no engines.
+    ints = {"bank_rows": np.arange(2, dtype=np.int64),
+            "applied": np.zeros(2, dtype=np.int64)}
+    state = CCycleState(
+        n_lanes=2, num_sms=S, bank_lanes=2,
+        bank=ctypes.addressof(bank._bind_c()), warmup=1 << 62,
+        **{name: arr.ctypes.data
+           for arr_map in (blocks, flags, ints)
+           for name, arr in arr_map.items()},
+        **table.fields(),
+    )
+    out = []
+    for cycle, v in enumerate(volts):
+        blocks["volts"][:] = v
+        state.sensing = table.refresh(cycle)
+        assert native.load().cosim_cycle(
+            ctypes.byref(state), cycle, STAGE_FILTER, STAGE_FILTER
+        ) == 0
+        extra = (int(table.extra[0]) if fast
+                 else inj.extra_latency(cycle))
+        assert flags["observed"][1] and table.extra[1] == 0
+        sensor_on, _ = inj.sensing(cycle)
+        out.append((blocks["seen"][0].tobytes() if sensor_on else None,
+                    bool(flags["observed"][0]), extra))
+    table.fold()
+    return inj, out
+
+
+@settings(max_examples=40, deadline=None)
+@example(
+    # Every kind on SMs listed twice (noise keeps only its last draw on
+    # an SM), windows overlapping, two jitter events: both drop.
+    sensors=[SensorNoise(sigma_v=0.03, sms=(2, 5, 2), end_cycle=31),
+             SensorQuantization(step_v=0.07, sms=(5, 5), start_cycle=5),
+             SensorStuck(value_v=0.7, sms=(9, 9), start_cycle=12),
+             SensorDropout(probability=0.3, sms=(1, 4, 1))],
+    jitters=[ControlLoopJitter(drop_probability=0.2,
+                               extra_latency_cycles=3),
+             ControlLoopJitter(drop_probability=0.7, extra_latency_cycles=8,
+                               start_cycle=5, end_cycle=40)],
+    order=random.Random(3), fast=True, seed=21,
+)
+@given(
+    sensors=st.lists(_SENSOR, max_size=4),
+    jitters=st.lists(_JITTER, min_size=1, max_size=2),
+    order=st.randoms(use_true_random=False),
+    fast=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_kernel_draws_equal_the_injector_on_a_twin(sensors, jitters, order,
+                                                    fast, seed):
+    """Random mixes of the four sensor kinds and one or two jitter events,
+    windows overlapping: the kernel's seen rows (bytes, NaN positions
+    included), observed flags, extra latencies and counters, and its
+    generator's final state, equal corrupt_sensors, observation_allowed
+    and extra_latency on a twin injector with the same seed."""
+    events = sensors + jitters
+    order.shuffle(events)
+    schedule = FaultSchedule(events=tuple(events), seed=seed)
+    volts = np.random.default_rng(seed).normal(1.0, 0.05, (DRAW_CYCLES, 16))
+    inj, drawn = _kernel_draws(schedule, fast, volts)
+    twin = FaultInjector(schedule, StackConfig())
+    for cycle, (v, (seen, observed, extra)) in enumerate(zip(volts, drawn)):
+        expected = twin.corrupt_sensors(cycle, v)
+        assert seen == (None if expected is v else expected.tobytes()), cycle
+        assert observed == twin.observation_allowed(cycle), cycle
+        assert extra == twin.extra_latency(cycle), cycle
+    assert inj.counters == twin.counters
+    assert inj.rng.bit_generator.state == twin.rng.bit_generator.state
