@@ -5,10 +5,7 @@ retained per-object reference on a paper benchmark, asserting both the
 speedup floor and exact bit-identity of the per-cycle power traces (the
 engine's equivalence contract — see ``docs/performance.md``).
 
-The engine has two step backends (a compiled C kernel and a pure-NumPy
-fallback), each with its own floor; the floor of whichever backend
-resolves on this machine applies, and the active backend is recorded in
-the results JSON.
+The engine steps through the native library's C kernel.
 
 Writes ``benchmarks/results/perf_gpu.json`` so CI can upload the
 cycles/s numbers as an artifact.
@@ -28,9 +25,8 @@ from repro.workloads.benchmarks import get_benchmark
 BENCHMARK = "hotspot"
 COMPARE_CYCLES = 1500
 TIMING_ROUNDS = 3
-# Per step backend: the C floor is about half its measured speedup
-# (52.9x on hotspot); the NumPy fallback keeps the original 5x.
-SPEEDUP_FLOOR = {"c": 25.0, "numpy": 5.0}
+# About half the C engine's measured speedup (52.9x on hotspot).
+SPEEDUP_FLOOR = 25.0
 
 
 def _make(vectorized: bool) -> GPU:
@@ -67,12 +63,10 @@ def test_bit_identity():
 
 
 def test_gpu_cycles_per_second(benchmark):
-    backend = _make(vectorized=True).engine.backend
     reference = benchmark.pedantic(
         _cycles_per_second, args=(False, 2000), rounds=1, iterations=1
     )
-    fast_cycles = 50_000 if backend == "c" else 4000
-    fast = _cycles_per_second(True, fast_cycles)
+    fast = _cycles_per_second(True, 50_000)
     speedup = fast / reference
     emit(
         "GPU model hot path (16 SMs, hotspot kernel)",
@@ -80,7 +74,7 @@ def test_gpu_cycles_per_second(benchmark):
             ["path", "cycles/s"],
             [
                 ["per-object reference", f"{reference:,.0f}"],
-                [f"vectorized ({backend})", f"{fast:,.0f}"],
+                ["vectorized (C)", f"{fast:,.0f}"],
                 ["speedup", f"{speedup:.1f}x"],
             ],
             title=f"GPU stepping throughput ({BENCHMARK})",
@@ -91,14 +85,13 @@ def test_gpu_cycles_per_second(benchmark):
         json.dump(
             {
                 "benchmark": BENCHMARK,
-                "backend": backend,
                 "reference_cycles_per_s": reference,
                 "vectorized_cycles_per_s": fast,
                 "speedup": speedup,
-                "floor": SPEEDUP_FLOOR[backend],
+                "floor": SPEEDUP_FLOOR,
             },
             handle,
             indent=2,
         )
         handle.write("\n")
-    assert speedup >= SPEEDUP_FLOOR[backend]
+    assert speedup >= SPEEDUP_FLOOR

@@ -563,14 +563,16 @@ class BatchTransientSolver:
     and the surviving shard is untouched, so fault injection and guard
     recovery keep working unchanged.
 
-    ``step_n`` and ``step_n_checked`` run compiled whenever the native
-    library (:mod:`repro.native`) loaded and the circuit is eligible
+    ``step_n`` and ``step_n_checked`` run compiled, in the native
+    library (:mod:`repro.native`), whenever the circuit is eligible
     (one shared C-contiguous current base, no plain current sources, no
     callable voltage sources): the whole cycle's substeps — companion
     update, source gather, RHS scatter, voltage-source stamp, per-lane
     LAPACK back-substitution through the genuine ``dgetrs`` pointer,
     and the reactive-state update — run in one crossing into
-    ``_solverc.c``.  The NumPy path remains the bit-identity oracle.
+    ``_solverc.c``.  Other batches step through the NumPy batch step
+    (:meth:`step`), which is also the C kernel's bit-identity
+    reference.
 
     Each lane's dynamic state (``_react_v`` / ``_react_i`` / ``solution``)
     is re-homed as a row view of the batch arrays, so per-lane reads
@@ -932,13 +934,14 @@ class BatchTransientSolver:
         return self._backend
 
     def _resolve_backend(self) -> None:
-        """Pick the ``step_n`` backend once: C when the native library
-        loaded and the circuit configuration is eligible.
+        """Pick the ``step_n`` backend once: C when the circuit
+        configuration is eligible (loading the native library raises
+        :class:`repro.native.NativeBuildError` when it is unavailable).
 
         Ineligible configurations (plain current sources, callable
-        voltage sources, no shared current base) stay on NumPy without
-        consulting the library — that is a modeling choice, not a
-        degradation.
+        voltage sources, no shared current base) stay on the NumPy
+        batch step without consulting the library — that is a modeling
+        choice, not a degradation.
         """
         self._clib = native.load() if self._c_eligible else None
         self._backend = "numpy" if self._clib is None else "c"

@@ -9,7 +9,7 @@ Subcommands mirror the library's main workflows:
   matches);
 * ``chaos``     — run a deterministic runtime-chaos scenario (NaN
   poisoning, lane quarantine, worker/checkpoint SIGKILL + resume, torn
-  store append, forced C-backend failure) and assert the self-healing
+  store append, a broken native build) and assert the self-healing
   invariants hold (exit 1 on any violated check; ``--output DIR``
   writes forensics JSON for CI artifact upload);
 * ``sweep``     — parallel co-simulation grid (area x benchmark x ...)
@@ -332,33 +332,34 @@ def _chaos_kill_resume(seed: int):
     base = CosimConfig(cycles=40, warmup_cycles=10)
     reference = SweepRunner(points, base, max_workers=1).run()
 
-    tmp = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-    checkpoint = tmp / "checkpoint.json"
-    plan = chaos.ChaosPlan("kill-resume", [
-        chaos.ChaosEvent("worker_point", "kill", at=1),
-        chaos.ChaosEvent("checkpoint_write", "kill", at=3),
-    ])
-    plan_path = plan.save(tmp / "plan.json")
-    import repro
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp_dir:
+        tmp = Path(tmp_dir)
+        checkpoint = tmp / "checkpoint.json"
+        plan = chaos.ChaosPlan("kill-resume", [
+            chaos.ChaosEvent("worker_point", "kill", at=1),
+            chaos.ChaosEvent("checkpoint_write", "kill", at=3),
+        ])
+        plan_path = plan.save(tmp / "plan.json")
+        import repro
 
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env[chaos.CHAOS_ENV] = str(plan_path)
-    env["PYTHONPATH"] = src_dir + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _KILL_RESUME_CHILD, str(checkpoint)],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    with open(checkpoint) as handle:
-        recovered = len(json_mod.load(handle).get("completed", []))
-    # Same attempt budget as the killed run: the checkpointed
-    # WorkerCrash failure carries its spent attempts and must still
-    # have headroom to retry.
-    resumed = SweepRunner.resume(
-        checkpoint, points, base, max_workers=1, max_attempts=3
-    ).run()
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env[chaos.CHAOS_ENV] = str(plan_path)
+        env["PYTHONPATH"] = src_dir + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILL_RESUME_CHILD, str(checkpoint)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        with open(checkpoint) as handle:
+            recovered = len(json_mod.load(handle).get("completed", []))
+        # Same attempt budget as the killed run: the checkpointed
+        # WorkerCrash failure carries its spent attempts and must still
+        # have headroom to retry.
+        resumed = SweepRunner.resume(
+            checkpoint, points, base, max_workers=1, max_attempts=3
+        ).run()
 
     ref_metrics = [r.metrics for r in reference.points]
     res_metrics = [r.metrics for r in resumed.points]
@@ -389,87 +390,74 @@ def _chaos_torn_store(seed: int):
     from repro.sim.store import ResultStore, point_key
     from repro.sim.sweep import SweepPointResult, expand_grid
 
-    tmp = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-    path = tmp / "store.jsonl"
     base = CosimConfig(cycles=40, warmup_cycles=10)
     points = expand_grid(["hotspot", "bfs"], base_seed=seed)
     results = [
         SweepPointResult(point=p, ok=True, metrics={"pde": 0.9 + i})
         for i, p in enumerate(points)
     ]
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp_dir:
+        path = Path(tmp_dir) / "store.jsonl"
+        store = ResultStore(path)
+        chaos.activate(chaos.ChaosPlan("torn-store", [
+            chaos.ChaosEvent("store_append", "torn_write", at=0),
+        ]))
+        try:
+            torn_ok = store.put(point_key(points[0], base), results[0])
+        finally:
+            chaos.deactivate()
+        clean_ok = store.put(point_key(points[1], base), results[1])
 
-    store = ResultStore(path)
-    chaos.activate(chaos.ChaosPlan("torn-store", [
-        chaos.ChaosEvent("store_append", "torn_write", at=0),
-    ]))
-    try:
-        torn_ok = store.put(point_key(points[0], base), results[0])
-    finally:
-        chaos.deactivate()
-    clean_ok = store.put(point_key(points[1], base), results[1])
-
-    reloaded = ResultStore(path)
-    checks = {
-        "torn_put_reported_failure": torn_ok is False,
-        "clean_put_after_torn": clean_ok is True,
-        "torn_line_is_cache_miss": reloaded.get(
-            point_key(points[0], base)
-        ) is None,
-        "clean_entry_survives": reloaded.serve(
-            point_key(points[1], base), points[1]
-        ) is not None,
-        "corruption_counted_not_raised": reloaded.corrupt_lines >= 1,
-    }
+        reloaded = ResultStore(path)
+        checks = {
+            "torn_put_reported_failure": torn_ok is False,
+            "clean_put_after_torn": clean_ok is True,
+            "torn_line_is_cache_miss": reloaded.get(
+                point_key(points[0], base)
+            ) is None,
+            "clean_entry_survives": reloaded.serve(
+                point_key(points[1], base), points[1]
+            ) is not None,
+            "corruption_counted_not_raised": reloaded.corrupt_lines >= 1,
+        }
     return checks, {"store_stats": dict(reloaded.stats())}
 
 
 def _chaos_cbuild_fail(seed: int):
-    """A forced native-library build failure falls back to NumPy loudly:
-    one RuntimeWarning and a ``native.backend_fallback`` counter."""
-    import os
-    import warnings
+    """A broken native build fails loudly — NativeBuildError with the
+    compiler's diagnostic — and the real library still loads and runs."""
+    import tempfile
 
     from repro import native
+    from repro.native import KernelBuild, NativeBuildError
     from repro.sim.cosim import CosimConfig, run_cosim
-    from repro.telemetry import Telemetry
 
-    saved = os.environ.get(native.CBUILD_ENV)
-    native.reset()
-    os.environ[native.CBUILD_ENV] = "fail"
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+        source = Path(tmp) / "broken.c"
+        source.write_text(
+            "long long broken(void) { return undeclared_symbol; }\n"
+        )
+        build = KernelBuild([source], Path(tmp) / "cache", lambda lib: None)
+        error = ""
+        try:
+            build.load()
+        except NativeBuildError as exc:
+            error = str(exc)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            lib = native.load()
-            tele = Telemetry(run_id="chaos-cbuild")
-            run_cosim(
-                "hotspot",
-                CosimConfig(cycles=60, warmup_cycles=20, seed=seed),
-                telemetry=tele,
-            )
-        fallback_count = native.fallback_count()
-    finally:
-        if saved is None:
-            del os.environ[native.CBUILD_ENV]
-        else:
-            os.environ[native.CBUILD_ENV] = saved
-        native.reset()
-    fallback_warnings = [
-        w for w in caught if issubclass(w.category, RuntimeWarning)
-        and "falling back" in str(w.message)
-    ]
+        native.load()
+        library_error = ""
+    except NativeBuildError as exc:
+        library_error = str(exc)
+    result = run_cosim(
+        "hotspot", CosimConfig(cycles=60, warmup_cycles=20, seed=seed)
+    )
     checks = {
-        "build_forced_to_fail": lib is None,
-        "fallback_warned_once": len(fallback_warnings) == 1,
-        "telemetry_counter_present": (
-            tele.counters.get(native.COUNTER, 0) > 0
-        ),
+        "broken_build_raises": bool(error),
+        "error_carries_compiler_diagnostic": "undeclared_symbol" in error,
+        "native_library_still_loads": not library_error,
+        "short_cosim_runs": not result.diverged and result.num_cycles == 60,
     }
-    return checks, {
-        "fallback_count": fallback_count,
-        "counters": {
-            k: v for k, v in tele.counters.items() if "fallback" in k
-        },
-    }
+    return checks, {"build_error": error, "library_error": library_error}
 
 
 CHAOS_SCENARIOS = {

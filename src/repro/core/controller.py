@@ -20,11 +20,10 @@ above the threshold its commands relax back to defaults.
 :class:`ControllerBank` is the one implementation of the filter
 advance and the decision arithmetic: it owns every lane's state as
 ``(B, ...)`` arrays, and its decision wave runs in C (the native
-library's ``bank_wave``, also called by the co-sim's cycle kernel) or,
-without the library, in NumPy.  A :class:`VoltageSmoothingController`
-is a view of its bank row, and its ``observe`` steps its one-lane bank.
-The per-SM scalar path the bank replaced is the test oracle
-``tests/oracles/scalar_controller.py``.
+library's ``bank_wave``, also called by the co-sim's cycle kernel).
+A :class:`VoltageSmoothingController` is a view of its bank row, and
+its ``observe`` steps its one-lane bank.  The per-SM scalar path the
+bank replaced is the test oracle ``tests/oracles/scalar_controller.py``.
 """
 
 from __future__ import annotations
@@ -274,8 +273,6 @@ class ControlDecision:
 _S_NEXT_DUE, _S_UNIFORM, _S_NEXT_POP, _S_MIN_LATENCY = range(4)
 #: Status of a wave that found a due lane's ring or store full.
 _WAVE_GROW = 2
-# ControllerBank next-pop bound when no lane has a queued decision.
-_NO_POP = 1 << 62
 
 
 def _lane_int(col: int, doc: str) -> property:
@@ -572,15 +569,18 @@ class ControllerBank:
     either grows both (``_grow``) first.
 
     A wave runs compiled (``bank_wave`` in ``repro/sim/_cyclec.c``, which
-    the co-sim's cycle kernel also calls) whenever the native library
-    loaded, and in NumPy (:meth:`_wave`) otherwise; the NumPy wave is
-    the C wave's oracle.  Every operation is elementwise per lane (or a
-    row-wise reduction), so each row is bit-identical to the per-SM
-    scalar reference (``tests/oracles/scalar_controller.py``) and B=1 is
-    the serial case: observable state after ``bank.observe(cycle, seen,
-    observed)`` is byte-equal to that reference observing ``seen[i]``
-    for every lane ``i`` with ``observed[i]`` set, and nothing for the
-    others.
+    the co-sim's cycle kernel also calls).  Per lane it is the
+    reference's ``_make_decision``: watchdog, Algorithm 1 (or the safe
+    state), slew limiting, statistics and enqueueing; an *idle* lane —
+    nothing triggered, not in the safe state, and its last command
+    exactly the default — re-enqueues its last id instead of storing a
+    value-identical command under a new one.  Every operation is
+    elementwise per lane (or a row-wise reduction), so each row is
+    bit-identical to the per-SM scalar reference
+    (``tests/oracles/scalar_controller.py``) and B=1 is the serial case:
+    observable state after ``bank.observe(cycle, seen, observed)`` is
+    byte-equal to that reference observing ``seen[i]`` for every lane
+    ``i`` with ``observed[i]`` set, and nothing for the others.
 
     Lanes may differ in gains, thresholds, detectors, periods, sensor
     fallback and actuation weights — only ``num_sms`` must match.  The
@@ -617,9 +617,7 @@ class ControllerBank:
         ).reshape(-1, 1)
         self._fb_all = bool(self._fb_on.all())
         # Per-lane wave parameters, one column each (the _P_* / _Q_*
-        # indices).  The stock actuation's per-SM proportional law
-        # vectorizes as (B, num_sms) array ops over these (see
-        # _decide_banked).
+        # indices), read by the C wave's per-SM proportional law.
         self._params = np.column_stack([
             [c.config.v_threshold for c in ctrls],
             [c.config.v_high_threshold for c in ctrls],
@@ -641,10 +639,9 @@ class ControllerBank:
              c.config.limit_cycle_window, c.config.limit_cycle_min_flips)
             for c in ctrls
         ], dtype=np.int64)
-        self._period = self._iparams[:, _Q_PERIOD]
+        period = self._iparams[:, _Q_PERIOD]
         # The three actuator command blocks live side by side in one
-        # (B, 3*num_sms) row, so the slew clamp and its saturation test
-        # run as single ufunc calls.
+        # (B, 3*num_sms) row, the layout of the store's command rows.
         self._cat_default = np.zeros((n_lanes, 3 * n))
         self._cat_default[:, :n] = self._params[:, _P_IWMAX:_P_IWMAX + 1]
         self._slew_cat = np.empty((n_lanes, 3 * n))
@@ -660,7 +657,7 @@ class ControllerBank:
         )
         self._fallback = np.zeros((n_lanes, n), dtype=bool)
         self._ints = np.zeros((n_lanes, _NI), dtype=np.int64)
-        self._ints[:, _I_LAST] = -self._period
+        self._ints[:, _I_LAST] = -period
         self._ints[:, _I_COUNTED] = -1
         self._ints[:, _I_LAST_ID] = 1
         self._ints[:, _I_AT_DEFAULT] = 1
@@ -668,7 +665,7 @@ class ControllerBank:
             (n_lanes, int(self._iparams[:, _Q_WINDOW].max())), dtype=np.uint8
         )
         self._cap = max(
-            [int(lat // period) + 2 for period, lat
+            [int(lat // every) + 2 for every, lat
              in self._iparams[:, :_Q_LATENCY + 1].tolist()]
             + [c._bank._cap for c in ctrls if c._bank is not None]
         )
@@ -691,19 +688,21 @@ class ControllerBank:
         # consumer raises it again.
         last = self._ints[:, _I_LAST]
         self._scal = np.zeros(4, dtype=np.int64)
-        periods = set(self._period.tolist())
+        periods = set(period.tolist())
         if len(periods) == 1 and len(set(last.tolist())) == 1:
             self._scal[_S_UNIFORM] = periods.pop()
-        self._scal[_S_NEXT_DUE] = (last + self._period).min()
+        self._scal[_S_NEXT_DUE] = (last + period).min()
         self._scal[_S_MIN_LATENCY] = self._iparams[:, _Q_LATENCY].min()
         self._due = np.zeros(n_lanes, dtype=np.uint8)  # C wave scratch
         # Per-cycle observe scratch (the filter advance is dispatch-
         # bound at small B; out= ufuncs avoid five temporaries a cycle).
         self._obs_buf = np.empty_like(self._state)
         self._finite_buf = np.empty(self._state.shape, dtype=bool)
+        # The C wave, and its view of this bank: bound on the first wave
+        # (a lane's own bank may never wave) and repointed on growth.
+        self._wave_fn = native.load().bank_wave
         self._c: Optional[_CBank] = None
-        # The C wave, resolved on first use (False: no native library).
-        self._wave_fn = None
+        self._c_ptr = None
 
     # -- ring and store layout ------------------------------------------
     def _alloc_ring(self, cap: int) -> None:
@@ -771,15 +770,6 @@ class ControllerBank:
             setattr(self._c, name, getattr(self, name).ctypes.data)
         return self._c
 
-    def _native_wave(self):
-        """The compiled wave, or ``None`` without the native library."""
-        if self._wave_fn is None:
-            lib = native.load()
-            self._wave_fn = False if lib is None else lib.bank_wave
-            if lib is not None:
-                self._c_ptr = ctypes.pointer(self._bind_c())
-        return self._wave_fn or None
-
     @property
     def next_due(self) -> int:
         """The next cycle any lane is due to decide."""
@@ -834,65 +824,34 @@ class ControllerBank:
             np.rint(measured, out=measured)
             measured *= self._step_v
             self._fallback[:] = False
-            self._decide_due(cycle, measured, None, False)
+            self._decide_due(cycle, measured, None)
             return
-        measured, has_nan = self._advance_masked(seen, finite, observed)
-        self._decide_due(cycle, measured, observed, has_nan)
+        measured = self._advance_masked(seen, finite, observed)
+        self._decide_due(cycle, measured, observed)
 
     def _decide_due(
         self,
         cycle: int,
         measured: np.ndarray,
         observed: Optional[np.ndarray],
-        has_nan: bool,
     ) -> None:
         """Run the decision wave of the lanes due at ``cycle``."""
-        scal = self._scal
-        if cycle < scal[_S_NEXT_DUE]:
+        if cycle < self._scal[_S_NEXT_DUE]:
             return
-        wave = self._native_wave()
-        if wave is not None:
-            obs = None if observed is None else observed.ctypes.data
-            while wave(self._c_ptr, cycle, measured.ctypes.data, obs) == (
-                _WAVE_GROW
-            ):
-                self._grow()
-            return
-        ints = self._ints
-        if scal[_S_UNIFORM] and observed is None:
-            rows = None
-        else:
-            due = cycle - ints[:, _I_LAST] >= self._period
-            if observed is not None:
-                due &= observed
-            rows = np.flatnonzero(due)
-        lanes = ints if rows is None else ints[rows]
-        cap = self._cap
-        if (
-            (lanes[:, _I_RING_LEN] >= cap)
-            | (lanes[:, _I_LAST_ID] - lanes[:, _I_ACTIVE] >= cap)
-        ).any():
+        if self._c_ptr is None:
+            self._c_ptr = ctypes.pointer(self._bind_c())
+        obs = None if observed is None else observed.ctypes.data
+        while self._wave_fn(self._c_ptr, cycle, measured.ctypes.data, obs) == (
+            _WAVE_GROW
+        ):
             self._grow()
-        if rows is None:
-            scal[_S_NEXT_DUE] = cycle + scal[_S_UNIFORM]
-            ints[:, _I_LAST] = cycle
-            self._wave(cycle, measured, None, has_nan)
-            return
-        scal[_S_UNIFORM] = 0
-        if rows.size:
-            ints[rows, _I_LAST] = cycle
-            self._wave(
-                cycle, measured, None if rows.size == len(ints) else rows,
-                has_nan,
-            )
-        scal[_S_NEXT_DUE] = (ints[:, _I_LAST] + self._period).min()
 
     def _advance_masked(
         self,
         seen: np.ndarray,
         finite: np.ndarray,
         observed: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, bool]:
+    ) -> np.ndarray:
         """Filter advance for blocks with NaN samples or unobserved rows.
 
         Row-for-row the reference's filter advance
@@ -902,9 +861,9 @@ class ControllerBank:
         measurement updates where they do, and a dropped sample either
         holds its last good value (fallback on, thresholds widened) or
         reads NaN.  Unobserved rows change nowhere.  Returns the
-        measurement block and whether it holds any NaN.  The co-sim's
-        cycle kernel (``repro/sim/_cyclec.c``) repeats this arithmetic
-        element for element; this body is its oracle.
+        measurement block.  The co-sim's cycle kernel
+        (``repro/sim/_cyclec.c``) repeats this arithmetic element for
+        element.
         """
         state = self._state
         if observed is None:
@@ -924,231 +883,12 @@ class ControllerBank:
         # dropped under an enabled fallback (a disabled lane's flags
         # never leave False).
         np.copyto(self._fallback, held, where=rows)
-        has_nan = False
         if not self._fb_all:
-            blind = dropped & ~self._fb_on
-            if blind.any():
-                measured[blind] = np.nan
-                has_nan = True
+            measured[dropped & ~self._fb_on] = np.nan
         counts = dropped.sum(axis=1)
         self._ints[:, _I_NAN_SAMPLES] += counts
         self._ints[:, _I_FB_SAMPLES] += counts * self._fb_on[:, 0]
-        return measured, has_nan
-
-    # ------------------------------------------------------------------
-    def _wave(
-        self,
-        cycle: int,
-        measured: np.ndarray,
-        rows: Optional[np.ndarray],
-        has_nan: bool,
-    ) -> None:
-        """One decision wave over the due lanes ``rows`` (None = all).
-
-        Per lane this is the reference's ``_make_decision``
-        (``tests/oracles/scalar_controller.py``): watchdog, Algorithm 1
-        (or the safe state), slew limiting, statistics and enqueueing.
-        An *idle* lane — nothing triggered, not in the safe state, and
-        its last command exactly the default — would enqueue a command
-        value-identical to its last one, so it re-enqueues that id
-        instead; every other lane stores its command under a new id.
-        ``bank_wave`` in ``repro/sim/_cyclec.c`` is this body in C.
-        """
-        scal = self._scal
-        scal[_S_NEXT_POP] = min(
-            scal[_S_NEXT_POP], cycle + scal[_S_MIN_LATENCY]
-        )
-        idx = np.arange(len(self.controllers)) if rows is None else rows
-        m = measured[idx]
-        P = self._params[idx]
-        Q = self._iparams[idx]
-        state = self._ints[idx]
-        # Watchdog streaks advance on each lane's worst measured SM; an
-        # all-NaN row (total sensor loss without fallback) is no
-        # evidence either way.
-        if has_nan:
-            worst = np.where(np.isfinite(m), m, np.inf).min(axis=1)
-        else:
-            worst = m.min(axis=1)
-        seen = worst != np.inf
-        below = worst < P[:, _P_GUARD]
-        sub = state[:, _I_SUBGUARD]
-        healthy = state[:, _I_HEALTHY]
-        safe = state[:, _I_SAFE] != 0
-        sub = np.where(seen, np.where(below, sub + 1, 0), sub)
-        healthy = np.where(seen, np.where(below, 0, healthy + 1), healthy)
-        engage = seen & (Q[:, _Q_WATCHDOG] != 0) & ~safe & (
-            sub >= Q[:, _Q_PATIENCE]
-        )
-        release = seen & ~engage & safe & (healthy >= Q[:, _Q_RELEASE])
-        safe = (safe | engage) & ~release
-        state[:, _I_SUBGUARD] = sub
-        state[:, _I_HEALTHY] = np.where(engage, 0, healthy)
-        state[:, _I_SAFE] = safe
-        state[:, _I_WD_ENGAGE] += engage
-        # A fallback-held SM's thresholds widen: protective throttling
-        # engages earlier on stale data, power-adding boosts later.
-        # NaN fails both comparisons — it never actuates.  The safe
-        # state replaces Algorithm 1 outright.
-        widen = np.where(
-            self._fallback[idx], P[:, _P_WIDEN:_P_WIDEN + 1], 0.0
-        )
-        live = ~safe[:, None]
-        low = (m < P[:, _P_THR:_P_THR + 1] + widen) & live
-        high = (m > P[:, _P_THR_HIGH:_P_THR_HIGH + 1] + widen) & live
-        trig_mask = low | high
-        trig = trig_mask.any(axis=1)
-        state[:, _I_DECISIONS] += 1
-        busy = np.flatnonzero(
-            (state[:, _I_AT_DEFAULT] == 0) | trig | safe
-        )
-        throttling = np.zeros(len(idx), dtype=bool)
-        if busy.size:
-            throttling[busy] = self._commands(
-                idx[busy], state, busy, m[busy], low[busy], high[busy],
-                P[busy], safe[busy], trig_mask[busy],
-            )
-            state[busy, _I_TRIGGERS] += trig[busy]
-        self._track_flaps(idx, state, Q, throttling)
-        cap = self._cap
-        slot = (state[:, _I_RING_HEAD] + state[:, _I_RING_LEN]) % cap
-        self._ring_at[idx, slot] = cycle + Q[:, _Q_LATENCY]
-        self._ring_id[idx, slot] = state[:, _I_LAST_ID]
-        state[:, _I_RING_LEN] += 1
-        self._ints[idx] = state
-
-    def _commands(self, lanes, state, busy, m, low, high, P, safe, trig_mask):
-        """Store the slew-limited commands of the non-idle ``lanes``
-        under new ids and count them; returns their throttle flags."""
-        n = self.num_sms
-        cat_default = self._cat_default[lanes]
-        cat = cat_default.copy()
-        widths = cat[:, :n]
-        if low.any() or high.any():
-            self._decide_banked(
-                m, low, high, P, widths, cat[:, n:2 * n], cat[:, 2 * n:]
-            )
-        if safe.any():
-            widths[safe] = P[safe, _P_SAFE_W:_P_SAFE_W + 1]
-            state[busy[safe], _I_SAFE_DEC] += 1
-        last = state[busy, _I_LAST_ID]
-        slots = self._cap + 1
-        prev = self._store[lanes, last % slots]
-        slew = self._slew_cat[lanes]
-        clamped = np.clip(cat, prev - slew, prev + slew)
-        k = len(lanes)
-        # Per lane and actuator (issue, fake, dcc): did the clamp bite?
-        saturated = (clamped != cat).reshape(k, 3, n).any(axis=2)
-        cat = clamped
-        throttling = (
-            cat[:, :n] < P[:, _P_IWMAX:_P_IWMAX + 1]
-        ).any(axis=1)
-        # Per lane: FII engaged, DCC engaged.
-        boosting = (cat[:, n:] > 0.0).reshape(k, 2, n).any(axis=2)
-        new = (last + 1) % slots
-        self._store[lanes, new] = cat
-        self._store_trig[lanes, new] = trig_mask
-        self._store_thr[lanes, new] = throttling
-        state[busy, _I_LAST_ID] = last + 1
-        state[busy, _I_AT_DEFAULT] = (cat == cat_default).all(axis=1)
-        state[busy, _I_SAT_ISSUE] += saturated[:, 0]
-        state[busy, _I_SAT_FAKE] += saturated[:, 1]
-        state[busy, _I_SAT_DCC] += saturated[:, 2]
-        state[busy, _I_THROTTLE] += throttling
-        state[busy, _I_ACT_DIWS] += throttling
-        state[busy, _I_ACT_FII] += boosting[:, 0]
-        state[busy, _I_ACT_DCC] += boosting[:, 1]
-        state[busy, _I_BOOST] += boosting.any(axis=1)
-        return throttling
-
-    def _track_flaps(self, idx, state, Q, throttling) -> None:
-        """Flag sustained on/off flapping of the throttle engagement.
-
-        Each lane keeps its last ``limit_cycle_window`` throttle flags in
-        a ring and an incrementally maintained count of adjacent flips:
-        appending to a full window evicts the oldest flag — removing the
-        (oldest, second) adjacency — and adds the (newest, new) one.
-        """
-        width = Q[:, _Q_WINDOW]
-        head = state[:, _I_FLAP_HEAD]
-        length = state[:, _I_FLAP_LEN]
-        flags = throttling.astype(np.uint8)
-        full = length == width
-        first = self._flap[idx, head]
-        second = self._flap[idx, (head + 1) % width]
-        newest = self._flap[idx, (head + length - 1) % width]
-        flips = (
-            state[:, _I_FLIPS] - (full & (first != second))
-            + ((length > 0) & (newest != flags))
-        )
-        self._flap[idx, (head + length) % width] = flags
-        state[:, _I_FLAP_HEAD] = np.where(full, (head + 1) % width, head)
-        length = np.where(full, length, length + 1)
-        state[:, _I_FLAP_LEN] = length
-        state[:, _I_FLIPS] = flips
-        ready = length == width
-        min_flips = Q[:, _Q_MIN_FLIPS]
-        on = ready & (flips >= min_flips)
-        off = ready & ~on & (flips <= min_flips // 2)
-        flagged = state[:, _I_LC_FLAGGED] != 0
-        state[:, _I_LC_EVENTS] += on & ~flagged
-        state[:, _I_LC_FLAGGED] = (flagged | on) & ~off
-
-    # ------------------------------------------------------------------
-    def _decide_banked(
-        self,
-        m: np.ndarray,
-        low: np.ndarray,
-        high: np.ndarray,
-        P: np.ndarray,
-        widths: np.ndarray,
-        fakes: np.ndarray,
-        dcc: np.ndarray,
-    ) -> None:
-        """Vectorized Algorithm 1 body across the wave's triggered SMs.
-
-        Bit-identical per triggered lane to the reference's per-SM
-        ``_decide`` (``tests/oracles/scalar_controller.py``) over the
-        stock :class:`WeightedActuation` /
-        :class:`CurrentCompensationDAC` law (``P`` holds the wave's
-        rows of ``_params``):
-
-        * low side writes ``min(iwmax, max(0, iwmax - (k1*w1)*err))``
-          (the clamps collapse to ``iwmax`` exactly where ``err <= 0``,
-          matching ``WeightedActuation.commands``'s early return, which
-          the ``np.where`` keeps exact even for pathological negative
-          gains);
-        * high side max-merges FII/DCC into default-zero rows, i.e.
-          plain masked assignment; the DAC quantization
-          ``min(max_code, round(p / unit))`` uses ``np.rint``, whose
-          half-to-even tie-breaking matches Python's ``round``.
-
-        ``k1*w1`` etc. are precomputed per lane so the product
-        associates exactly as ``WeightedActuation.commands``'s
-        ``k1 * self.w1 * error_v``.
-        """
-        iwmax = P[:, _P_IWMAX:_P_IWMAX + 1]
-        v_nom = P[:, _P_V_NOM:_P_V_NOM + 1]
-        err = v_nom - m
-        w_raw = np.minimum(
-            iwmax, np.maximum(0.0, iwmax - P[:, _P_K1W1:_P_K1W1 + 1] * err)
-        )
-        np.copyto(widths, np.where(err > 0, w_raw, iwmax), where=low)
-        high_eff = high & ~low
-        if high_eff.any():
-            over = m - v_nom
-            pos = over > 0
-            fake = np.minimum(
-                2.0, np.maximum(0.0, P[:, _P_K2W2:_P_K2W2 + 1] * over)
-            )
-            np.copyto(fakes, np.where(pos, fake, 0.0), where=high_eff)
-            unit = P[:, _P_UNIT:_P_UNIT + 1]
-            p = P[:, _P_K3W3:_P_K3W3 + 1] * over
-            code = np.minimum(
-                P[:, _P_MAX_CODE:_P_MAX_CODE + 1], np.rint(p / unit)
-            )
-            power = np.where(pos & (p > 0), code * unit, 0.0)
-            np.copyto(dcc, power, where=high_eff)
+        return measured
 
     # ------------------------------------------------------------------
     def _pop_lane(self, row: int, cycle: int) -> None:
@@ -1168,46 +908,6 @@ class ControllerBank:
         if popped >= 0 and popped != state[_I_ACTIVE]:
             state[_I_ACTIVE] = popped
             state[_I_ACTIVE_THR] = self._store_thr[row, popped % (cap + 1)]
-
-    def pop_fast(
-        self,
-        cycle: int,
-        fast: np.ndarray,
-        applied: np.ndarray,
-        reads: Optional[np.ndarray] = None,
-    ) -> List[int]:
-        """Advance the ``fast`` lanes' pipelines to ``cycle``.
-
-        The co-sim's cycle kernel runs this stage in C.  ``fast``
-        (``(B,)`` bool) marks the lanes whose actuation the caller applies
-        only when a new decision pops; ``applied`` (``(B,)`` int64) holds
-        the id each last applied (-1: none) and is updated here.
-        ``reads`` (``(B,)`` int64, default ``cycle`` everywhere) is the
-        cycle each lane reads its commands at: ``cycle`` less a loop-
-        jitter fault's extra latency.  Pops each fast lane's entries due
-        by its read cycle, counts that cycle as
-        :meth:`VoltageSmoothingController.commands_for` does, and returns
-        the rows whose active decision the caller must now apply.
-        """
-        ints = self._ints
-        scal = self._scal
-        # Read cycles never exceed cycle: nothing is due before NEXT_POP.
-        if cycle >= scal[_S_NEXT_POP]:
-            next_pop = _NO_POP
-            for row in np.flatnonzero(fast).tolist():
-                self._pop_lane(row, cycle if reads is None else reads[row])
-                if ints[row, _I_RING_LEN]:
-                    next_pop = min(next_pop, int(
-                        self._ring_at[row, ints[row, _I_RING_HEAD]]
-                    ))
-            scal[_S_NEXT_POP] = next_pop
-        at = cycle if reads is None else reads
-        count = fast & (at > ints[:, _I_COUNTED])
-        ints[count & (ints[:, _I_ACTIVE_THR] != 0), _I_THROTTLED] += 1
-        ints[count, _I_COUNTED] = at if reads is None else reads[count]
-        changed = fast & (ints[:, _I_ACTIVE] != applied)
-        applied[changed] = ints[changed, _I_ACTIVE]
-        return np.flatnonzero(changed).tolist()
 
     # ------------------------------------------------------------------
     def compact(self, keep: List[int]) -> "ControllerBank":

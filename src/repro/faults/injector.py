@@ -20,9 +20,10 @@ the points ``run_cosim`` exposes:
 Stochastic faults draw from the schedule's own seeded generator, so a
 scenario is reproducible independently of the workload RNG.  The
 sensor and jitter draws (``corrupt_sensors``, ``observation_allowed``,
-``extra_latency``) run here on the co-sim loop's NumPy body; the
-compiled cycle kernel (``repro/sim/_cyclec.c``) makes the same draws
-through this generator's bit generator, for the events
+``extra_latency``) run here for the serial test oracle, duck-typed
+controller lanes and a slow lane's command read; the compiled cycle
+kernel (``repro/sim/_cyclec.c``) makes the same draws through this
+generator's bit generator, for the events
 ``FaultInjector.sensing_events`` describes.
 """
 

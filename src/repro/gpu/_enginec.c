@@ -22,7 +22,7 @@
  * Scoreboards are the engine's (sms, warps, 17) ready-at table with
  * sentinels RA_NEVER (never written -> always ready) and RA_PENDING
  * (load in flight -> never ready).  Readiness is cached per warp in the
- * engine's head caches, shared with the NumPy step: ready_cycle is the
+ * engine's head caches: ready_cycle is the
  * max of the head instruction's dest/src1/src2 columns (RA_PENDING once
  * the warp is done) and head_unit its execution unit, so a warp is
  * ready iff ready_cycle <= cycle.  A warp's caches change only when it

@@ -7,7 +7,7 @@ lands as B independent engines behind one facade: per-lane state
 (kernels, RNG streams, barrier bookkeeping) stays exactly the serial
 model's, which is what keeps the batch bit-identical to B serial runs.
 
-When every lane runs the compiled engine backend, the facade steps all
+When every lane runs the struct-of-arrays engine, the facade steps all
 lanes through one ``engine_step_batch`` call per cycle instead of B
 ``engine_step`` calls — the per-lane C work is unchanged (lanes share
 nothing, so cross-lane order cannot affect results); only the Python
@@ -15,7 +15,8 @@ and ctypes dispatch around it is amortized.  The call also runs the
 launch barrier: the C census leaves per-SM kernel-done flags in a shared
 ``(B, num_sms)`` block, a lane's barrier fires on ``done | exempt``, and
 the call hands the flagged lanes back for relaunch before stepping.  A
-batch holding a NumPy engine steps every lane through ``GPU.step_into``.
+batch holding a per-object GPU (``vectorized=False``) steps every lane
+through ``GPU.step_into``.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class GPUBatch:
         if len(sizes) != 1:
             raise ValueError(f"lanes must share num_sms, got {sorted(sizes)}")
         self.num_sms = sizes.pop()
-        # None = not yet probed, False = ineligible (NumPy engine lane).
+        # Built on the first fused() call; None when a lane is ineligible.
         self._fused: Optional[object] = None
         self._fused_probed = False
 
@@ -118,13 +119,10 @@ class GPUBatch:
         return iter(self.gpus)
 
     def fused(self) -> Optional[_FusedDispatch]:
-        """The fused dispatch, or ``None`` when a lane is not on C."""
+        """The fused dispatch, or ``None`` when a lane is per-object."""
         if not self._fused_probed:
             self._fused_probed = True
-            if not all(
-                gpu.vectorized and getattr(gpu.engine, "backend", "") == "c"
-                for gpu in self.gpus
-            ):
+            if not all(gpu.vectorized for gpu in self.gpus):
                 return None
             # Alignment is invariant once established: the fused step
             # advances every lane exactly one cycle per call.
@@ -157,7 +155,7 @@ class GPUBatch:
     def relaunch(self) -> None:
         """Launch the next kernel on every lane the census flagged.
 
-        Mirrors ``VectorizedGPUEngine._step_c``'s launch: a fresh
+        Mirrors ``VectorizedGPUEngine.step``'s launch: a fresh
         generation (the lane's C state struct repointed in place), the
         done count cleared, and the launch recorded at the batch clock's
         cycle.  The flags stay set: the next

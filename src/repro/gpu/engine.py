@@ -1,41 +1,33 @@
-"""Struct-of-arrays GPU engine: all 16 SMs stepped as NumPy arrays.
+"""Struct-of-arrays GPU engine: all 16 SMs stepped by one C call.
 
 The per-object model (:class:`repro.gpu.sm.StreamingMultiprocessor`)
 walks Python objects per warp per cycle — scheduler scans, scoreboard
 dict lookups, a per-instruction modulo loop over the energy wheel — and
 the stage telemetry shows it dominating co-simulation wall time.  This
-module re-implements the *same* microarchitecture with the state held
-as ``(num_sms, ...)`` arrays, advancing every SM per cycle in one batch
-of vector operations.
+module holds the *same* microarchitecture's state as ``(num_sms, ...)``
+arrays, and the native library's step kernel (``_enginec.c``, see
+:mod:`repro.native`) advances every SM per cycle in place on them.
 
-The contract with the retained reference is **bit-identical** output:
-per-cycle power vectors and every statistic match the per-object model
-exactly for the same seed.  That dictates the implementation at the
-float-operation level; where it matters the code notes which reference
-ordering it is preserving:
+The contract with the per-object model, which is this engine's oracle,
+is **bit-identical** output: per-cycle power vectors and every
+statistic match exactly for the same seed.  The C step is a sequential
+transliteration of ``SM.step()``; the Python side keeps what must match
+the reference at the float-operation level outside it:
 
-* the DIWS budget uses the same ``round()`` (banker's) as the SM;
-* the FII accumulator is drained by *sequential* ``-= 1.0`` steps, not
-  one fused subtraction (``a - 1.0 - 1.0 != a - 2.0`` in floats);
-* energy-wheel deposits happen in reference order (first issue slot,
-  second slot, then fakes; offsets ascending) so per-cell float sums
-  associate identically;
-* memory requests are serviced in the reference's global order — SM 0's
-  issue slots before SM 1's — by collecting the cycle's loads and
-  replaying them through one cumulative-sum batch
-  (:meth:`repro.gpu.memory.MemorySystem.service_batch`);
+* the DIWS budget of a fresh window uses the same ``round()``
+  (banker's) as the SM;
 * leakage is computed by the *same* :meth:`SMPowerModel.leakage_w` on a
   mirrored per-SM ``set`` receiving the identical add/discard sequence,
-  so the set-iteration float-sum order matches.
+  so the set-iteration float-sum order matches;
+* the actuation setters clamp as the SM's per-SM setters do.
 
-Scoreboards become a ``(sms, warps, 17)`` ready-at table (column 16 is
-a dummy register for dest-less instructions, so readiness is a plain
-fancy-indexed ``max``), with sentinels for "never written" and "load in
-flight".  Both step backends keep each warp's head readiness and head
-unit cached (``_ready_cycle``, ``_head_unit``; see
-:meth:`VectorizedGPUEngine._refresh_heads`).  A launch drops the loads
-still in flight, as the reference does: they belong to the kernel that
-issued them.
+Scoreboards are a ``(sms, warps, 17)`` ready-at table (column 16 is a
+dummy register for dest-less instructions, so readiness is a plain
+``max``), with sentinels for "never written" and "load in flight".
+Each warp's head readiness and head unit are cached (``_ready_cycle``,
+``_head_unit``; see :meth:`VectorizedGPUEngine._refresh_heads`).  A
+launch drops the loads still in flight, as the reference does: they
+belong to the kernel that issued them.
 
 The GPU facade (:class:`repro.gpu.gpu.GPU`) selects this engine by
 default (``vectorized=True``) and exposes per-SM views so existing
@@ -47,7 +39,6 @@ per-object scheduler coupling and keeps using the reference model.
 from __future__ import annotations
 
 import ctypes
-import heapq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -64,20 +55,23 @@ from repro.gpu.kernels import (
 )
 from repro.gpu.memory import MemorySystem
 from repro.gpu.power import IDLE_DYNAMIC_ENERGY, SMPowerModel
-from repro.gpu.sm import DIWS_WINDOW, SMStatistics, UNIT_PORTS, WAKEUP_CYCLES
+from repro.gpu.sm import DIWS_WINDOW, SMStatistics, WAKEUP_CYCLES
 from repro.gpu.warp import Warp
 
 _UNIT_INDEX: Dict[ExecUnit, int] = {u: i for i, u in enumerate(UNIT_ORDER)}
-_PORTS_INIT = np.array([UNIT_PORTS[u] for u in UNIT_ORDER], dtype=np.int64)
 _FAKE_ENERGY = ENERGY[InstructionClass.FAKE]  # latency 1 -> span 1, share=E
 
-# Scoreboard sentinels in the int64 ready-at table.  "Ready" is the
-# single comparison ``ready_at <= cycle``: a register never written is
-# always ready (very negative), a load in flight never is (very
-# positive) until its completion pops and writes the release cycle.
+# Scoreboard sentinels in the int64 ready-at table (RA_NEVER and
+# RA_PENDING in _enginec.c).  "Ready" is the single comparison
+# ``ready_at <= cycle``: a register never written is always ready (very
+# negative), a load in flight never is (very positive) until its
+# completion pops and writes the release cycle.
 _NEVER = -(1 << 62)
-_PENDING = 1 << 62
-_FAR = 1 << 62  # done-warp ready cycle / argmin mask value
+_FAR = 1 << 62  # done-warp ready cycle
+
+#: Warps per SM the C engine can run: its pending-load heap keys pack
+#: the warp index into 16 bits.
+MAX_WARPS_PER_SM = (1 << 16) - 1
 
 
 _PTR = ctypes.c_void_p
@@ -156,9 +150,14 @@ _STREAM_COLUMNS = (
 
 
 class VectorizedGPUEngine:
-    """All SMs of one GPU as struct-of-arrays state, stepped per cycle."""
+    """All SMs of one GPU as struct-of-arrays state, stepped per cycle.
 
-    #: Pending-load heap capacity per SM for the C backend.
+    Raises :class:`ValueError` for a kernel with more warps per SM than
+    :data:`MAX_WARPS_PER_SM`, and :class:`repro.native.NativeBuildError`
+    when the native library is unavailable.
+    """
+
+    #: Pending-load heap capacity per SM.
     HEAP_CAPACITY = 4096
 
     def __init__(
@@ -170,6 +169,11 @@ class VectorizedGPUEngine:
         seed: int = 0,
         jitter: float = 0.0,
     ) -> None:
+        if kernel.warps_per_sm > MAX_WARPS_PER_SM:
+            raise ValueError(
+                f"kernel {kernel.name!r} has {kernel.warps_per_sm} warps per "
+                f"SM; the C engine runs at most {MAX_WARPS_PER_SM}"
+            )
         self.kernel = kernel
         self.num_sms = num_sms
         self.num_warps = kernel.warps_per_sm
@@ -181,6 +185,9 @@ class VectorizedGPUEngine:
         self._jitter_seeds = [seed * 65_537 + sm_id + 1 for sm_id in range(num_sms)]
         self.generation = 0
         self._clock_hz = power_model.gpu.sm_clock_hz
+        self._clib = native.load()
+        #: The step backend, read into bench fingerprints.
+        self.backend = "c"
 
         S, W = num_sms, self.num_warps
         # Actuation state -------------------------------------------------
@@ -227,44 +234,26 @@ class VectorizedGPUEngine:
         self._ready_cycle = np.full((S, W), _NEVER, dtype=np.int64)
         self._head_unit = np.zeros((S, W), dtype=np.int64)
         self._last_warp = np.full(S, -1, dtype=np.int64)
-
-        # Pending loads: per-SM heaps of (completion, warp, reg) exactly
-        # like the reference; _next_pending caches each heap's minimum
-        # for a vector gate.
-        self._pending: List[List[Tuple[int, int, int]]] = [[] for _ in range(S)]
-        self._next_pending = np.full(S, _FAR, dtype=np.int64)
-
-        # Preallocated per-cycle scratch ----------------------------------
-        self._rows = np.arange(S)
-        self._wids = np.arange(W)
-        self._all_s = np.repeat(self._rows, W)
-        self._all_w = np.tile(self._wids, S)
-        self._ports = np.empty((S, 3), dtype=np.int64)
-        self._used = np.zeros((S, 3), dtype=bool)
-        self._dyn = np.zeros(S)
-        self._n_issued = np.zeros(S, dtype=np.int64)
+        # Every warp, as the launch's head refresh indexes it.
+        self._all_s = np.repeat(np.arange(S), W)
+        self._all_w = np.tile(np.arange(W), S)
 
         self._streams: Optional[StreamArrays] = None
         self._miss_table: Optional[np.ndarray] = None
 
-        # The C kernel runs whenever the native library loaded and the
-        # warp index fits its packed heap keys; both step paths are
-        # bit-identical, the C one an order of magnitude faster.
-        self._clib = native.load() if self.num_warps < (1 << 16) else None
-        self.backend = "numpy" if self._clib is None else "c"
-        if self.backend == "c":
-            self._cheap = np.zeros((S, self.HEAP_CAPACITY), dtype=np.int64)
-            self._cheap_len = np.zeros(S, dtype=np.int64)
-            self._mem_slot = np.zeros(1)
-            self._mem_counters = np.zeros(2, dtype=np.int64)
-            self._powers_buf = np.zeros(S)
-            # Live warps per SM (not done, or loads outstanding); the C
-            # step keeps it, and its census reads it.
-            self._live = np.zeros(S, dtype=np.int64)
-            # The C census's per-SM kernel-done flags (count in _c_ndone):
-            # the launch barrier ORs a barrier-exempt mask into them.
-            self._done_buf = np.zeros(S, dtype=bool)
-            self._c_ndone = 0
+        # The C step's own state: per-SM pending-load heaps, the memory
+        # queue slot and counters, the power row, the live-warp count
+        # (not done, or loads outstanding; the step keeps it and its
+        # census reads it) and the census's kernel-done flags (count in
+        # _c_ndone; the launch barrier ORs a barrier-exempt mask in).
+        self._cheap = np.zeros((S, self.HEAP_CAPACITY), dtype=np.int64)
+        self._cheap_len = np.zeros(S, dtype=np.int64)
+        self._mem_slot = np.zeros(1)
+        self._mem_counters = np.zeros(2, dtype=np.int64)
+        self._powers_buf = np.zeros(S)
+        self._live = np.zeros(S, dtype=np.int64)
+        self._done_buf = np.zeros(S, dtype=bool)
+        self._c_ndone = 0
         self._load_generation(0, first=True)
 
     @property
@@ -301,28 +290,18 @@ class VectorizedGPUEngine:
         self._last_warp[:] = -1
         if not first:
             self.stat_kernels += 1
-        miss = self.memory.site_miss_table(
+        self._miss_table = self.memory.site_miss_table(
             self.num_warps, int(self._length.max()) + 1, generation
         )
-        self._miss_table = miss
         self._refresh_heads(self._all_s, self._all_w)  # also clears done
-        if self.backend == "c":
-            self._cheap_len[:] = 0
-            self._live[:] = self.num_warps
-            self._c_ndone = 0
-            self._done_buf[:] = False
-            if first:
-                self._build_cstate()
-            else:
-                self._point_cstate_at_generation()
-            return
-        for heap in self._pending:
-            heap.clear()
-        self._next_pending[:] = _FAR
-        timings = self.memory.timings
-        self._site_latency = np.where(
-            miss, timings.dram_cycles, timings.l2_hit_cycles
-        ).astype(np.int64)
+        self._cheap_len[:] = 0
+        self._live[:] = self.num_warps
+        self._c_ndone = 0
+        self._done_buf[:] = False
+        if first:
+            self._build_cstate()
+        else:
+            self._point_cstate_at_generation()
 
     def _build_cstate(self) -> None:
         """Build the C kernel's state struct over the engine's buffers.
@@ -399,11 +378,10 @@ class VectorizedGPUEngine:
     def _refresh_heads(self, s_idx: np.ndarray, w_idx: np.ndarray) -> None:
         """Recompute head instruction and readiness for the given warps.
 
-        Called after any event that moves a warp's head or touches a
-        register its head reads/writes: issue (PC advance + dest marked
-        pending), load completion (register released), kernel relaunch.
-        The C step keeps the same caches with its own refresh_head; the
-        launch calls this on both backends.
+        The launch refreshes every warp here; between launches the C
+        step keeps the same caches with its own refresh_head, after
+        each issue (PC advance + dest marked pending) and load
+        completion (register released).
         """
         if len(s_idx) == 0:
             return
@@ -507,28 +485,13 @@ class VectorizedGPUEngine:
         exempt_any: bool = False,
         out: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, bool]:
-        """Advance all SMs one nominal clock.
+        """Advance all SMs one nominal clock (one ``engine_step`` call).
 
         Returns ``(powers, launched)`` — the per-SM power vector and
         whether the kernel-launch barrier fired before stepping.  With
         ``out`` the powers are written into the caller's buffer (no
         allocation); otherwise a fresh array is returned each cycle.
         """
-        if self.backend == "c":
-            return self._step_c(cycle, exempt, exempt_any, out)
-        powers, launched = self._step_numpy(cycle, exempt)
-        if out is None:
-            return powers, launched
-        np.copyto(out, powers)
-        return out, launched
-
-    def _step_c(
-        self,
-        cycle: int,
-        exempt: np.ndarray,
-        exempt_any: bool,
-        out: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, bool]:
         launched = False
         if exempt_any:
             # _done_buf is the last step's census, i.e. the current
@@ -556,215 +519,6 @@ class VectorizedGPUEngine:
             return self._powers_buf.copy(), launched
         np.copyto(out, self._powers_buf)
         return out, launched
-
-    def _step_numpy(
-        self, cycle: int, exempt: np.ndarray
-    ) -> Tuple[np.ndarray, bool]:
-        launched = False
-        if bool(np.all(self.kernel_done_mask() | exempt)):
-            self._load_generation(self.generation + 1)
-            launched = True
-
-        S, W = self.num_sms, self.num_warps
-        rows = self._rows
-        self.stat_cycles += 1
-
-        # DFS clock masking: lanes whose accumulator stays below 1 skip
-        # execution this cycle (frequency_scale semantics of SM.step).
-        self._clock_acc += self.frequency_scale
-        active = self._clock_acc >= 1.0
-        self._clock_acc[active] -= 1.0
-        self.stat_active[active] += 1
-
-        # Load completions (before the kernel-done check, like the SM).
-        if bool(np.any(active & (self._next_pending <= cycle))):
-            self._complete_loads(cycle, active)
-
-        done_now = self.kernel_done_mask()
-        part = active & ~done_now  # lanes that execute the issue path
-
-        if bool(part.any()):
-            # DIWS window bookkeeping.
-            refresh = part & (cycle - self._window_start >= DIWS_WINDOW)
-            if bool(refresh.any()):
-                self._window_start[refresh] = cycle
-                self._issue_budget[refresh] = np.rint(
-                    self.issue_width[refresh] * DIWS_WINDOW
-                ).astype(np.int64)
-
-            ports = self._ports
-            ports[:] = _PORTS_INIT
-            used = self._used
-            used[:] = False
-            avail = (~self._gated) & (self._waking <= cycle)
-            n_issued = self._n_issued
-            n_issued[:] = 0
-            loads: List[Tuple[int, int, int, int, int]] = []
-            wave_deposits = []
-
-            elig = part & (self._issue_budget > 0)
-            for wave in range(2):
-                if not bool(elig.any()):
-                    break
-                ready = self._ready_cycle <= cycle
-                last = self._last_warp
-                safe_last = np.where(last >= 0, last, 0)
-                greedy = elig & (last >= 0) & ready[rows, safe_last]
-                any_ready = elig & ready.any(axis=1)
-                key = self._pc * W + self._wids
-                oldest = np.argmin(np.where(ready, key, _FAR), axis=1)
-                # GTO falls back to oldest-and-*remembers it* even when
-                # the subsequent issue is blocked by a structural hazard.
-                np.copyto(self._last_warp, oldest, where=any_ready & ~greedy)
-                sel = np.where(greedy, safe_last, oldest)
-                havesel = greedy | any_ready
-                selunit = self._head_unit[rows, sel]
-                free = (ports[rows, selunit] > 0) & avail[rows, selunit]
-                ok = havesel & free
-                blocked = havesel & ~free
-                if bool(blocked.any()):
-                    # Structural hazard: oldest ready warp (excluding the
-                    # selected one) whose head unit has a free, live port.
-                    port_free = (ports > 0) & avail
-                    head_free = port_free[rows[:, None], self._head_unit]
-                    alt_ok = ready & head_free
-                    alt_ok[rows, sel] = False
-                    alt = np.argmin(np.where(alt_ok, key, _FAR), axis=1)
-                    has_alt = alt_ok[rows, alt]
-                    issue = ok | (blocked & has_alt)
-                    sel = np.where(ok, sel, alt)
-                else:
-                    issue = ok
-                s_i = np.nonzero(issue)[0]
-                if len(s_i) == 0:
-                    break
-                w_i = sel[s_i]
-                u_i = self._head_unit[s_i, w_i]
-                ports[s_i, u_i] -= 1
-                used[s_i, u_i] = True
-                self._last_warp[s_i] = w_i
-                self._issue_budget[s_i] -= 1
-                self.stat_instructions[s_i] += 1
-                n_issued[s_i] += 1
-                self._totals[0] += len(s_i)
-
-                st = self._streams
-                pc_before = self._pc[s_i, w_i]
-                body = st.body_length
-                eff = np.where(pc_before >= body, pc_before - body, pc_before)
-                self._pc[s_i, w_i] = pc_before + 1
-                dest = st.dest[w_i, eff]
-                lat = st.latency[w_i, eff]
-                is_load = st.is_load[w_i, eff]
-                normal = (dest >= 0) & ~is_load
-                if bool(normal.any()):
-                    self._ready_at[s_i[normal], w_i[normal], dest[normal]] = (
-                        cycle + lat[normal]
-                    )
-                if bool(is_load.any()):
-                    # Defer the shared-memory request; serviced at end of
-                    # cycle in the reference's (sm, wave) global order.
-                    for s, w, r, p in zip(
-                        s_i[is_load], w_i[is_load], dest[is_load],
-                        pc_before[is_load] + 1,
-                    ):
-                        loads.append((int(s), wave, int(w), int(r), int(p)))
-                    self._ready_at[s_i[is_load], w_i[is_load], dest[is_load]] = (
-                        _PENDING
-                    )
-                    self._outstanding[s_i[is_load], w_i[is_load]] += 1
-                wave_deposits.append((s_i, st.span[w_i, eff], st.share[w_i, eff]))
-                self._refresh_heads(s_i, w_i)
-                elig = issue & (self._issue_budget > 0)
-
-            stall = part & (n_issued == 0)
-            self.stat_stalls[stall] += 1
-
-            # FII: fill leftover hardware slots with fake instructions.
-            self._fake_acc[part] += self.fake_rate[part]
-            can_fake = part & avail[:, 0]
-            kf = np.zeros(S, dtype=np.int64)
-            kf[can_fake] = np.minimum(
-                2 - n_issued[can_fake],
-                np.floor(self._fake_acc[can_fake]).astype(np.int64),
-            )
-            # Drain by sequential subtraction, matching the reference's
-            # per-fake ``accumulator -= 1.0`` float steps.
-            self._fake_acc[kf >= 1] -= 1.0
-            self._fake_acc[kf >= 2] -= 1.0
-            self.stat_fakes += kf
-            self._totals[1] += int(kf.sum())
-            self._fake_acc[part] = np.minimum(self._fake_acc[part], 2.0)
-
-            # PG idle accounting (real issues only; fakes never reset it).
-            pu = part[:, None]
-            self.unit_idle[pu & used] = 0
-            self.unit_idle[pu & ~used] += 1
-
-            # Shared-memory service, in reference global order: both of
-            # SM k's issue slots precede SM k+1's.
-            if loads:
-                loads.sort()
-                w_arr = np.array([l[2] for l in loads])
-                p_arr = np.array([l[4] for l in loads])
-                miss = self._miss_table[w_arr, p_arr]
-                completions = self.memory.service_batch(
-                    cycle, self._site_latency[w_arr, p_arr], int(miss.sum())
-                )
-                for (s, _wave, w, reg, _p), comp in zip(loads, completions):
-                    heapq.heappush(self._pending[s], (int(comp), w, reg))
-                for s in {l[0] for l in loads}:
-                    self._next_pending[s] = self._pending[s][0][0]
-
-            # Energy wheel: deposit in reference order (slot 0, slot 1,
-            # fakes; offsets ascending) — each (sm, cell) receives its
-            # float adds in the identical sequence.
-            wheel = self._wheel
-            pos = self._wheel_pos
-            for s_i, span, share in wave_deposits:
-                top = int(span.max()) if len(span) else 0
-                for off in range(top):
-                    m = span > off
-                    idx = s_i[m]
-                    wheel[idx, (pos[idx] + off) % 8] += share[m]
-            f1 = np.nonzero(kf >= 1)[0]
-            wheel[f1, pos[f1]] += _FAKE_ENERGY
-            f2 = np.nonzero(kf >= 2)[0]
-            wheel[f2, pos[f2]] += _FAKE_ENERGY
-        else:
-            stall = None
-
-        # Rotate the wheel and read this cycle's dynamic energy for the
-        # participating lanes only; masked and drained lanes burn idle.
-        dyn = self._dyn
-        dyn[:] = 0.0
-        p_i = np.nonzero(part)[0]
-        if len(p_i):
-            pos_p = self._wheel_pos[p_i]
-            dyn[p_i] = self._wheel[p_i, pos_p]
-            self._wheel[p_i, pos_p] = 0.0
-            self._wheel_pos[p_i] = (pos_p + 1) % 8
-
-        # leakage + (IDLE + dynamic) * (clock * f_scale), preserving the
-        # reference's operation association exactly.
-        f = self._clock_hz * np.where(active, self.frequency_scale, 0.0)
-        powers = self._leakage + (IDLE_DYNAMIC_ENERGY + dyn) * f
-        return powers, launched
-
-    def _complete_loads(self, cycle: int, active: np.ndarray) -> None:
-        refresh_s: List[int] = []
-        refresh_w: List[int] = []
-        for s in np.nonzero(active & (self._next_pending <= cycle))[0]:
-            heap = self._pending[s]
-            while heap and heap[0][0] <= cycle:
-                _, w, reg = heapq.heappop(heap)
-                if self._ready_at[s, w, reg] == _PENDING:
-                    self._ready_at[s, w, reg] = cycle
-                self._outstanding[s, w] -= 1
-                refresh_s.append(s)
-                refresh_w.append(w)
-            self._next_pending[s] = heap[0][0] if heap else _FAR
-        self._refresh_heads(np.asarray(refresh_s), np.asarray(refresh_w))
 
     # ------------------------------------------------------------------
     # Derived statistics

@@ -29,9 +29,9 @@ class GPU:
     Two interchangeable, bit-identical execution engines back the model:
 
     * ``vectorized=True`` (default): the struct-of-arrays engine in
-      :mod:`repro.gpu.engine`, stepping all SMs per cycle as NumPy
-      array operations.  ``self.sms`` holds per-SM views that expose
-      the same statistics/actuation surface as the object model.
+      :mod:`repro.gpu.engine`, stepping all SMs per cycle in one call
+      into the native library.  ``self.sms`` holds per-SM views that
+      expose the same statistics/actuation surface as the object model.
     * ``vectorized=False``: the retained per-object reference —
       :class:`StreamingMultiprocessor` instances stepped in a Python
       loop.  The equivalence suite (``tests/gpu/test_engine_equivalence``)

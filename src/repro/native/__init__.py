@@ -6,17 +6,18 @@ kernel (``repro/circuits/_solverc.c``) and the co-sim cycle kernel
 one cycle or a span of cycles per call, and also exports the controller
 bank's decision wave) are linked into one
 shared object, compiled by the system toolchain at
-first use and driven through :mod:`ctypes`.  Whether that library
-loaded is the only compiled-or-NumPy decision: every layer asks
-:func:`load`, and keeps only its own input-eligibility checks.
+first use and driven through :mod:`ctypes`.  The library is required:
+:func:`load` returns it or raises :class:`NativeBuildError` with the
+reason and the compiler's output.  The second implementation of each
+layer is its test oracle under ``tests/oracles/``.
 
 The solver kernel back-substitutes through the very LAPACK ``dgetrs``
 scipy's ``getrs`` wrapper calls, so the library also needs that
-routine's address (:func:`dgetrs_pointer`); without it the load counts
-as failed.  The cycle kernel makes the fault injectors' random draws
+routine's address (:func:`dgetrs_pointer`); without it the load fails.
+The cycle kernel makes the fault injectors' random draws
 with NumPy's own distribution code, so the library links the
 ``libnpyrandom.a`` archive NumPy ships for C extensions
-(:data:`ARCHIVES`); a missing or unlinkable archive is a failed load
+(:data:`ARCHIVES`); a missing or unlinkable archive fails the load
 too.  Struct pointers cross as ``void *``: each layer owns the
 ``ctypes.Structure`` mirror of its own state struct.
 """
@@ -29,7 +30,7 @@ from typing import Optional
 
 import numpy.random
 
-from repro.native.cbuild import CBUILD_ENV, COUNTER, KernelBuild
+from repro.native.cbuild import KernelBuild, NativeBuildError
 
 _PKG = Path(__file__).resolve().parent.parent
 SOURCES = (
@@ -104,28 +105,22 @@ LIBRARY = KernelBuild(
 )
 
 
-def load() -> Optional[ctypes.CDLL]:
-    """The native library, or ``None`` when it cannot be built or loaded."""
+def load() -> ctypes.CDLL:
+    """The native library; raises :class:`NativeBuildError` when it
+    cannot be built or loaded."""
     return LIBRARY.load()
 
 
-def fallback_count() -> int:
-    """How many consumers in this process fell back to a NumPy path."""
-    return LIBRARY.fallback_count()
-
-
 def reset() -> None:
-    """Test hook: forget the cached load and fallback accounting."""
+    """Forget the cached library and ``dgetrs`` address."""
     LIBRARY.reset()
     _DGETRS.clear()
 
 
 __all__ = [
-    "CBUILD_ENV",
-    "COUNTER",
     "KernelBuild",
+    "NativeBuildError",
     "dgetrs_pointer",
-    "fallback_count",
     "load",
     "reset",
 ]

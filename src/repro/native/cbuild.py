@@ -7,19 +7,12 @@ object and stdlib :mod:`ctypes` drives it.  The artifact is cached
 under ``_cbuild_cache/`` keyed by a hash of every source's and
 archive's bytes, so the compiler runs once per revision of either;
 concurrent builds (e.g. parallel sweep workers) race benignly through
-an atomic rename.  A missing source or archive is a failed load.
+an atomic rename.
 
-When no compiler is available or the build fails, :meth:`KernelBuild.load`
-returns ``None`` and every consumer runs its pure-NumPy path — same
-results (both are bit-identical by contract), just slower.  The
-fallback is *loud*: one :class:`RuntimeWarning` per process, a count of
-every consumer that landed on a NumPy path, and one
-``native.backend_fallback`` count in the telemetry of every co-sim run
-on the fallback, so a fleet silently running 10x slower shows up in the
-first manifest instead of in a profile.
-
-Setting ``REPRO_CBUILD=fail`` forces the build to fail (the test hook
-for the fallback paths).
+The library is required: when no compiler is found, the build fails, a
+source or archive is missing, or the shared object does not load,
+:meth:`KernelBuild.load` raises :class:`NativeBuildError` with the
+reason and the compiler's output.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import warnings
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -38,14 +30,9 @@ from typing import Callable, Optional, Sequence
 # arithmetic must match CPython's and NumPy's operation for operation.
 CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
-#: ``fail`` forces the build to fail (test hook for the fallback paths).
-CBUILD_ENV = "REPRO_CBUILD"
-#: Telemetry counter of co-sim runs on the NumPy fallback.
-COUNTER = "native.backend_fallback"
 
-#: Sentinel cached in :attr:`KernelBuild.cache` after a failed load, so
-#: repeated consumers hit the counter instead of re-running the compiler.
-LOAD_FAILED = object()
+class NativeBuildError(RuntimeError):
+    """The native library could not be built or loaded."""
 
 
 def find_compiler() -> Optional[str]:
@@ -68,7 +55,7 @@ class KernelBuild:
     configure:
         Called with the freshly loaded :class:`ctypes.CDLL` to set
         argtypes/restypes; an :class:`AttributeError` (missing symbol)
-        or :class:`OSError` is treated as a failed load.
+        or :class:`OSError` fails the load.
     archives:
         Static libraries linked after the sources.
     """
@@ -85,42 +72,18 @@ class KernelBuild:
         self.cache_dir = cache_dir
         self.configure = configure
         self.cache: dict = {}
-        self.fallbacks = {"count": 0, "warned": False}
-
-    # ------------------------------------------------------------------
-    # Fallback accounting
-    # ------------------------------------------------------------------
-    def fallback_count(self) -> int:
-        """How many times this process fell back to a NumPy path."""
-        return self.fallbacks["count"]
 
     def reset(self) -> None:
-        """Test hook: forget the cached load and fallback accounting."""
+        """Forget the cached library: the next :meth:`load` builds or
+        loads it again."""
         self.cache.pop("lib", None)
-        self.fallbacks["count"] = 0
-        self.fallbacks["warned"] = False
 
-    def _note_fallback(self, reason: str) -> None:
-        self.cache["lib"] = LOAD_FAILED
-        self.fallbacks["count"] += 1
-        if self.fallbacks["warned"]:
-            return
-        self.fallbacks["warned"] = True
-        warnings.warn(
-            f"native library unavailable ({reason}); falling back to the "
-            f"NumPy paths — results are identical but substantially "
-            f"slower (telemetry counter: {COUNTER})",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
-    # ------------------------------------------------------------------
-    # Build + load
-    # ------------------------------------------------------------------
-    def _build(self, so_path: Path) -> bool:
+    def _build(self, so_path: Path) -> None:
         compiler = find_compiler()
         if compiler is None:
-            return False
+            raise NativeBuildError(
+                "no C compiler found (tried cc, gcc and clang)"
+            )
         so_path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
             suffix=".so", prefix="native_", dir=str(so_path.parent)
@@ -132,14 +95,17 @@ class KernelBuild:
                  *[str(src) for src in self.sources + self.archives],
                  "-lm"],
                 capture_output=True,
+                text=True,
                 timeout=120,
             )
             if result.returncode != 0:
-                return False
+                raise NativeBuildError(
+                    f"{compiler} exited {result.returncode}:\n"
+                    f"{result.stderr}{result.stdout}"
+                )
             os.replace(tmp, so_path)  # atomic: concurrent builds race safely
-            return True
-        except (OSError, subprocess.SubprocessError):
-            return False
+        except (OSError, subprocess.SubprocessError) as exc:
+            raise NativeBuildError(f"{compiler} failed to run: {exc}") from exc
         finally:
             if os.path.exists(tmp):
                 try:
@@ -147,35 +113,24 @@ class KernelBuild:
                 except OSError:
                     pass
 
-    def load(self) -> Optional[ctypes.CDLL]:
-        """The compiled library, or ``None`` when unavailable."""
-        cached = self.cache.get("lib")
-        if cached is LOAD_FAILED:
-            # Count every consumer that lands on the slow path, not just
-            # the first failed build.
-            self.fallbacks["count"] += 1
-            return None
-        if cached is not None:
-            return cached
-        if os.environ.get(CBUILD_ENV) == "fail":
-            # Forced-failure test hook: behaves exactly like a failed
-            # build (short-circuits before the cached-.so check so a
-            # previously built artifact cannot mask the fallback path).
-            self._note_fallback(f"forced by {CBUILD_ENV}=fail")
-            return None
+    def load(self) -> ctypes.CDLL:
+        """The compiled library; raises :class:`NativeBuildError`."""
+        lib = self.cache.get("lib")
+        if lib is not None:
+            return lib
         try:
             digest = hashlib.sha256()
             for src in self.sources + self.archives:
                 digest.update(src.name.encode())
                 digest.update(src.read_bytes())
             so_path = self.cache_dir / f"native_{digest.hexdigest()[:16]}.so"
-            if not so_path.exists() and not self._build(so_path):
-                self._note_fallback("compiler missing or build failed")
-                return None
+            if not so_path.exists():
+                self._build(so_path)
             lib = ctypes.CDLL(str(so_path))
             self.configure(lib)
         except (OSError, AttributeError) as exc:
-            self._note_fallback(f"shared object failed to load: {exc}")
-            return None
+            raise NativeBuildError(
+                f"native library failed to load: {exc}"
+            ) from exc
         self.cache["lib"] = lib
         return lib

@@ -19,9 +19,10 @@
  * extensions: the streams, and the generators' final states, are the
  * ones the Python draws would leave.
  *
- * The contract is bit-identical equivalence with the loop's NumPy
- * body (the phased path, which runs without the native library) and
- * the bank's NumPy wave:
+ * The contract is bit-identical equivalence with the serial co-sim
+ * oracle (tests/oracles/serial_cosim.py) and its per-SM scalar
+ * controller (tests/oracles/scalar_controller.py), whose arithmetic is
+ * NumPy's:
  *
  *   - compile with -ffp-contract=off and without -ffast-math, so each
  *     double expression rounds exactly as NumPy's unfused ufuncs;
@@ -38,8 +39,8 @@
  * Stages (a call runs stages first..last):
  *
  *   0  GPU: launch barrier census, then one engine_step_batch, then
- *      each lane's active process-variation rows (FaultInjector.
- *      scale_powers);
+ *      each lane's active process-variation rows (the multiply of
+ *      FaultInjector.scale_powers);
  *   1  solve: powers + applied DCC -> PDN currents, then the guarded
  *      substeps (snapshot + health proof) on the shared batch clock;
  *   2  readout: SM voltages;
@@ -465,7 +466,7 @@ static void stage_filter(CycleState *cs) {
     cs->unobserved = unobserved;
 }
 
-/* ---- Algorithm 1's decision wave (ControllerBank._wave) ------------- */
+/* ---- Algorithm 1's decision wave (ScalarController._make_decision) -- */
 
 static double np_max(double a, double b) { return isnan(a) || a > b ? a : b; }
 static double np_min(double a, double b) { return isnan(a) || a < b ? a : b; }
@@ -608,7 +609,7 @@ static void decide_lane(BankState *bs, i64 b, i64 cycle, const double *m) {
     I[I_RING_LEN]++;
 }
 
-/* ControllerBank._decide_due: the wave of the lanes due at `cycle`, on
+/* For ControllerBank.observe: the wave of the lanes due at `cycle`, on
  * the measurement block `measured` (B*S); `observed` (u8[B]) or NULL
  * when every lane observed.  One shared cadence decides every lane
  * together; an observed mask splits the phases for good, and lanes are
@@ -654,10 +655,10 @@ i64 bank_wave(BankState *bs, i64 cycle, const double *measured,
     return ndue > 0;
 }
 
-/* ControllerBank.pop_fast: pop every fast lane's entries due by its read
- * cycle, `cycle` less its extra latency (the last popped id becomes
- * active), count the read cycle as commands_for does, and flag the
- * lanes whose active id is not the applied one. */
+/* Pop every fast lane's entries due by its read cycle, `cycle` less its
+ * extra latency (the last popped id becomes active, as in
+ * ControllerBank._pop_lane), count the read cycle as commands_for
+ * does, and flag the lanes whose active id is not the applied one. */
 static void stage_pop(CycleState *cs, i64 cycle) {
     BankState *bs = (BankState *)cs->bank;
     const i64 cap = bs->cap;
@@ -703,8 +704,8 @@ static void stage_pop(CycleState *cs, i64 cycle) {
     cs->n_apply = n_apply;
 }
 
-/* The flagged fast lanes' active decisions, as the phased body's
- * setters and DCC row copy apply them, each counted. */
+/* The flagged fast lanes' active decisions, as the GPU setters and a
+ * DCC row copy apply them, each counted. */
 static void stage_apply(CycleState *cs) {
     BankState *bs = (BankState *)cs->bank;
     const i64 S = cs->num_sms, R = bs->cap + 1;

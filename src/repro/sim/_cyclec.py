@@ -8,9 +8,8 @@ injectors' sensor and jitter draws, the controller bank's RC filter
 the fast lanes' pipeline pops and applies, and the recording row — in
 compiled code; :meth:`CycleKernel.span` runs many.
 The kernel is part of the native library (:mod:`repro.native`) and
-calls the GPU engine and the PDN solver kernels linked beside it.  When
-the library is unavailable, the co-sim loop runs its NumPy body instead
-— same results, more Python per cycle.
+calls the GPU engine and the PDN solver kernels linked beside it.  Its
+oracle is the serial co-sim loop ``tests/oracles/serial_cosim.py``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import native
 from repro.circuits import (
     BatchSolverGuard,
     BatchTransientSolver,
@@ -80,20 +79,18 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids import cost
 OUT_OF_RANGE_FACTOR = 2.0
 
 # Backend/shard facts from this process's most recent run_cosim_batch —
-# sweep workers thread it into their heartbeat files so `repro top` can
-# show a fleet that silently degraded to the NumPy solver fallback.
+# sweep workers thread it into their heartbeat files for `repro top`.
 _LAST_BATCH_SOLVER: Dict[str, object] = {}
 
 
 def last_batch_solver_info() -> Dict[str, object]:
     """Solver backend/shard info from the most recent batch run.
 
-    Returns a copy of ``{"backend": "c"|"numpy", "shards": int,
-    "lanes": int, "fused_cycles": int}`` — ``fused_cycles`` counts the
-    loop cycles that ran through the compiled cycle kernel (all of
-    them on an eligible batch when the native library loaded) — or an
-    empty dict until :func:`run_cosim_batch` has completed once in this
-    process.
+    Returns a copy of ``{"backend": "c", "shards": int, "lanes": int,
+    "fused_cycles": int}`` — ``fused_cycles`` counts the loop cycles
+    that ran through the compiled cycle kernel (all of them, up to the
+    cycle its last lane was quarantined) — or an empty dict until
+    :func:`run_cosim_batch` has completed once in this process.
     """
     return dict(_LAST_BATCH_SOLVER)
 
@@ -143,10 +140,6 @@ class CosimConfig:
     # observe / commands_for / throttled_cycles) — used by the
     # prior-art ablation (e.g. GlobalThrottleController).
     controller_object: Optional[object] = field(default=None, compare=False)
-    # GPU engine selection: the vectorized struct-of-arrays engine is
-    # bit-identical to the per-object reference (repro.gpu.engine), so
-    # this only matters when deliberately exercising the reference.
-    vectorized_gpu: bool = True
     # Numerical guard-rails (repro.circuits.SolverGuard): detect
     # non-finite / blown-up solves once per cycle and recover by
     # refactorizing, then substep halving, before declaring the run
@@ -406,7 +399,6 @@ def _record_cosim_telemetry(
     if guard is not None:
         for key, value in guard.counters().items():
             tele.incr(f"guard_{key}", value)
-    _count_native_fallbacks(tele)
     if result.divergence is not None:
         tele.event("numerical_divergence", **result.divergence)
     if controller is not None:
@@ -477,14 +469,6 @@ def _record_cosim_telemetry(
     )
 
 
-def _count_native_fallbacks(tele) -> None:
-    """Count a run that ran on the NumPy fallback (the native library
-    failed to build or load): bit-identical but slow, so campaigns must
-    see the perf cliff.  One per run, so merged counters count runs."""
-    if native.fallback_count():
-        tele.incr(native.COUNTER)
-
-
 def run_crosslayer_cosim(
     benchmark: str = "hotspot", cycles: int = 2000, **kwargs
 ) -> CosimResult:
@@ -538,7 +522,7 @@ class _LaneState:
         "index", "name", "config", "gpu", "pdn", "solver", "injector",
         "controller", "controller_power", "in_bank", "shutoff_sms",
         "instructions_at_start", "fakes_at_start", "throttled_at_start",
-        "applied_decision", "halted_idx", "sensor_on", "jitter_on",
+        "applied_decision", "halted_idx", "jitter_on",
         "in_fast", "last_decision", "flight", "flight_safe",
         "row", "dead", "dead_at", "divergence", "guard",
         "result", "dcc_trace", "flight_row", "flight_marks",
@@ -586,9 +570,9 @@ class _LaneState:
         # edge clears it.
         self.applied_decision = None
         self.halted_idx: List[int] = []
-        # Whether the injector's sensor-corruption / loop-jitter events
-        # are active (set on the lane's edge cycles).
-        self.sensor_on = False
+        # Whether the injector's loop-jitter events are active (set on
+        # the lane's edge cycles): a slow lane then draws its extra
+        # command latency.
         self.jitter_on = False
 
 
@@ -607,9 +591,9 @@ def run_cosim_batch(
     elementwise with per-lane broadcasts (or a row-wise reduction), the
     circuit back-substitution stays one LAPACK call per lane, and
     everything data-dependent (kernel scheduling, fault RNG, controller
-    watchdogs and latency pipelines) runs on per-lane objects.  The
-    batch exists for throughput (one NumPy dispatch per array op
-    instead of B).
+    watchdogs and latency pipelines) runs on per-lane state.  The
+    batch exists for throughput (one cycle-kernel call per span for
+    all B lanes instead of B).
 
     All lanes must share the topology-family fields of
     :class:`CosimLane`.  ``telemetry`` records batch-level stage timings
@@ -675,7 +659,6 @@ def run_cosim_batch(
         quarantined = sum(1 for ln in states if ln.dead)
         if quarantined:
             tele.incr("lanes_quarantined", quarantined)
-        _count_native_fallbacks(tele)
         for ln, result in zip(states, results):
             tele.event(
                 "cosim_batch_lane_done", lane=ln.index,
@@ -708,28 +691,24 @@ def _simulate(
 ) -> Tuple[List[_LaneState], BatchTransientSolver, int]:
     """The co-sim loop: step topology-compatible lanes lock-stepped.
 
-    When the native library loaded and the batch is eligible (every
-    lane on the vectorized GPU engine, the co-sim's shared current
-    base), clean cycles run in the cycle kernel (:mod:`repro.sim.
-    _cyclec`): GPU step and process-variation scaling, currents, guarded
-    substeps, SM-voltage readout, the injectors' sensor and jitter
-    draws, the bank's RC filter (masked for dropped samples and
-    unobserved lanes), waves and pops, the recording row and the fast
-    lanes' new commands — a span of cycles per call, up to the next
-    event: a lane's edge cycle (its first cycle and every fault or
-    shutoff window start or end), the warmup snapshot, a chaos cycle, a
-    flight hand-over or (recorders attached) an apply.  A lane that
-    needs Python every cycle (a slow controller, recorder marks) cuts
-    spans to one cycle.  Python keeps the event work: fault hooks
-    (circuit and DFS hooks, like a chaos event, split the cycle after
-    the GPU stage; halt hooks re-apply actuation after it), slow lanes'
-    commands (and their extra latency draws), guard recovery and lane
-    quarantine, the warmup snapshot and flight-recorder blocks.  Lanes'
-    deferred mirrors (GPU cycle and memory queue, solver time and step
-    count) and the kernel's fault-draw counters are folded back before
-    hooks read them, at a quarantine and at the end.  Any other batch
-    runs the phased NumPy body instead (same edge schedule), byte for
-    byte the same results.
+    Cycles run in the cycle kernel (:mod:`repro.sim._cyclec`): GPU step
+    and process-variation scaling, currents, guarded substeps,
+    SM-voltage readout, the injectors' sensor and jitter draws, the
+    bank's RC filter (masked for dropped samples and unobserved lanes),
+    waves and pops, the recording row and the fast lanes' new commands
+    — a span of cycles per call, up to the next event: a lane's edge
+    cycle (its first cycle and every fault or shutoff window start or
+    end), the warmup snapshot, a chaos cycle, a flight hand-over or
+    (recorders attached) an apply.  A lane that needs Python every
+    cycle (a slow controller, recorder marks) cuts spans to one cycle.
+    Python keeps the event work: fault hooks (circuit and DFS hooks,
+    like a chaos event, split the cycle after the GPU stage; halt hooks
+    re-apply actuation after it), slow lanes' commands (and their extra
+    latency draws), guard recovery and lane quarantine, the warmup
+    snapshot and flight-recorder blocks.  Lanes' deferred mirrors (GPU
+    cycle and memory queue, solver time and step count) and the
+    kernel's fault-draw counters are folded back before hooks read
+    them, at a quarantine and at the end.
 
     Returns the per-lane states, each carrying its ``result``, the
     batch solver that finished the run, and how many cycles ran through
@@ -769,14 +748,10 @@ def _simulate(
             ln.gpu = GPU(
                 spec.kernel, config=system, seed=config.seed,
                 miss_ratio=spec.miss_ratio, jitter=spec.jitter,
-                vectorized=config.vectorized_gpu,
             )
             ln.name = spec.name
         else:
-            ln.gpu = GPU(
-                lane.kernel, config=system, seed=config.seed,
-                vectorized=config.vectorized_gpu,
-            )
+            ln.gpu = GPU(lane.kernel, config=system, seed=config.seed)
             ln.name = lane.kernel.name
         ln.pdn = build_stacked_pdn(
             stack=stack, params=params, cr_ivr_area_mm2=config.cr_ivr_area_mm2
@@ -833,17 +808,18 @@ def _simulate(
     gpu_batch = GPUBatch([ln.gpu for ln in states])
     # Quarantine bookkeeping: ``alive`` is the current (compacted) lane
     # order — ``ln.row`` indexes the batch working arrays, ``ln.index``
-    # the full-size recording arrays.  ``alive_idx`` is the fancy-index
-    # map the recording block switches to once a lane has been evicted
-    # (None keeps the basic-slice fast path on the clean run).
+    # the full-size recording arrays.  ``alive_idx`` maps the kernel's
+    # rows to recording rows once a lane has been evicted (None: the
+    # identity).
     alive: List[_LaneState] = list(states)
     alive_idx: Optional[np.ndarray] = None
 
     # Batched sensor/decision front end: every stock-controller lane is
     # a bank row.  The bank is fed what each lane's detectors *see*:
     # the true voltages, or the fault injector's corrupted copy, with a
-    # per-lane observed mask for loop-jitter drops.  Only duck-typed
-    # controller objects observe on their own, per lane.
+    # per-lane observed mask for loop-jitter drops (the kernel draws
+    # both).  Only duck-typed controller objects observe on their own,
+    # per lane.
     bank = None
     bank_members = [
         ln for ln in states
@@ -854,34 +830,22 @@ def _simulate(
     if bank_members:
         bank = ControllerBank([ln.controller for ln in bank_members])
 
-    def _bank_feeds():
-        """Batch rows of the bank's current lanes, and the (bank row,
-        lane) pairs whose sensor-corruption / loop-jitter events are
-        active: those rewrite their row of the seen block / set their
-        slot of the observed mask.  Elsewhere the hooks are no-ops.
-        """
-        rows = np.array([ln.row for ln in bank_members], dtype=np.intp)
-        sensor = [(j, ln) for j, ln in enumerate(bank_members) if ln.sensor_on]
-        jitter = [(j, ln) for j, ln in enumerate(bank_members) if ln.jitter_on]
-        return rows, sensor, jitter
+    def _bank_rows() -> np.ndarray:
+        """Batch rows of the bank's current lanes."""
+        return np.array([ln.row for ln in bank_members], dtype=np.intp)
 
-    bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
-    sensing = False  # the phased body: some bank lane draws this cycle
+    bank_rows_arr = _bank_rows()
 
     # Per-SM voltage readout indices — identical across lanes (same
-    # netlist builder); verified against lane 0 at setup.
+    # netlist builder); verified against lane 0 at setup.  -1 marks a
+    # grounded bottom terminal.
     s0 = states[0]
-    top_idx = np.empty(num, dtype=int)
-    bot_idx = np.empty(num, dtype=int)
-    bot_is_ground = np.zeros(num, dtype=bool)
+    top_idx = np.empty(num, dtype=np.int64)
+    bot_idx = np.empty(num, dtype=np.int64)
     for sm in range(num):
         top, bottom = s0.pdn.sm_terminals(sm)
         top_idx[sm] = s0.solver.structure.node(top)
-        if bottom == "0":
-            bot_is_ground[sm] = True
-            bot_idx[sm] = 0
-        else:
-            bot_idx[sm] = s0.solver.structure.node(bottom)
+        bot_idx[sm] = -1 if bottom == "0" else s0.solver.structure.node(bottom)
     for ln in states[1:]:
         for sm in (0, num - 1):
             if ln.pdn.sm_terminals(sm) != s0.pdn.sm_terminals(sm):
@@ -889,27 +853,15 @@ def _simulate(
                     "lanes do not share a topology family (SM terminal "
                     "naming differs)"
                 )
-    # The cycle kernel's readout map: -1 marks a grounded bottom.
-    kernel_bot_idx = np.where(bot_is_ground, -1, bot_idx).astype(np.int64)
-    kernel_top_idx = top_idx.astype(np.int64)
     vdd_row = s0.solver.structure.branch_index["vdd"]
 
-    powers_bt = np.empty((num_lanes, num))
     dcc_bt = np.zeros((num_lanes, num))
-    voltages_bt = np.full((num_lanes, num), stack.sm_voltage)
-    # Per-cycle scratch blocks (rebuilt on quarantine compaction): the
-    # currents math and node->SM voltage extraction run as out= ufuncs
-    # on these, since at small B the loop is dispatch-bound and every
-    # avoided temporary counts.
-    cur_buf = np.empty((num_lanes, num))
-    bot_buf = np.empty((num_lanes, num))
+    # The kernel's SM-voltage readout (rebuilt on quarantine compaction).
     volt_buf = np.empty((num_lanes, num))
-    ground_cols = np.flatnonzero(bot_is_ground)
     powers_rec_bt = np.empty((num_lanes, cycles, num))
     sm_voltages_bt = np.empty((num_lanes, cycles, num))
     supply_bt = np.empty((num_lanes, cycles))
     dcc_accum = np.zeros(num_lanes)
-    dcc_applied = np.zeros(num_lanes)
     # Per-cycle applied DCC, for a telemetered run_cosim's dcc_power_w
     # channel (its only reader).
     trace_dcc = timing and serial
@@ -934,14 +886,13 @@ def _simulate(
                 edges.setdefault(mark + warmup, []).append(ln)
     edge_order = iter(sorted(edges))
     next_edge = next(edge_order, total_cycles)
-    # Process variation: the phased body scales powers per lane each
-    # cycle; the cycle kernel multiplies each lane's active rows of a
-    # (B, K, S) block, rewritten on the lane's edges.
+    # Process variation: the kernel multiplies each lane's active rows
+    # of a (B, K, S) block into its powers, rewritten on the lane's
+    # edges.
     pv_k = [
         len(ln.injector.schedule.of_kind("process_variation"))
         if ln.injector is not None else 0 for ln in states
     ]
-    pv_lanes = [ln for ln, k in zip(states, pv_k) if k]
     pv_rows_bt = np.zeros((num_lanes, max(pv_k), num))
     pv_count = np.zeros(num_lanes, dtype=np.int64)
     # Fast lanes — bank-controlled, commands applied undistorted —
@@ -949,27 +900,24 @@ def _simulate(
     # pipeline (decisions are immutable once enqueued, so nothing can
     # change between pops) or a halt edge changes the halted set; faults
     # that touch the sensors, the loop timing, the circuit or the halted
-    # SMs leave that path intact.  The bank pops their pipelines at
+    # SMs leave that path intact.  The kernel pops their pipelines at
     # each lane's read cycle (the cycle less a jitter fault's extra
-    # latency) and counts it as commands_for would; the cycle kernel
-    # applies the rows it flags (pop_fast's: the loop).  The rest
-    # replicate the serial per-cycle commands_for path.  (A pre-used
-    # controller object that already counted cycles keeps that path.)
-    fast_lanes = [
-        ln for ln in states
-        if ln.in_bank
-        and ln.controller._counted_through_cycle < 0
-        and not (ln.injector is not None and ln.injector.touches_actuation)
-    ]
+    # latency), counts it as commands_for would, and applies the rows
+    # it flags.  The rest replicate the serial per-cycle commands_for
+    # path.  (A pre-used controller object that already counted cycles
+    # keeps that path.)
+    for ln in bank_members:
+        ln.in_fast = (
+            ln.controller._counted_through_cycle < 0
+            and not (ln.injector is not None and ln.injector.touches_actuation)
+        )
     slow_ctrl_lanes = [
         ln for ln in states
-        if ln.controller is not None and ln not in fast_lanes
+        if ln.controller is not None and not ln.in_fast
     ]
     # Per bank row: whether the lane is fast, and the id of the decision
     # the loop applied to it last (-1: none yet).
-    fast_rows = np.array(
-        [ln in fast_lanes for ln in bank_members], dtype=bool
-    )
+    fast_rows = np.array([ln.in_fast for ln in bank_members], dtype=bool)
     applied_ids = np.full(len(bank_members), -1, dtype=np.int64)
     # Skip the per-cycle applied-DCC reduction when no lane can ever
     # command nonzero DCC power (w3 == 0 and no actuation-distorting
@@ -987,12 +935,9 @@ def _simulate(
         return w3 is None or w3 != 0.0
 
     dcc_possible = any(_lane_dcc_possible(ln) for ln in states)
-    all_banked = len(bank_members) == num_lanes
 
     # Droop flight recorders: one per lane alongside telemetry (or as
     # passed), observation-only so bit-identity with serial runs holds.
-    for ln in fast_lanes:
-        ln.in_fast = True
     if flights is None and tele is not None:
         from repro.telemetry.flight import FlightRecorder
 
@@ -1088,23 +1033,19 @@ def _simulate(
             ))
         ln.flight.observe_runs(volts, runs)
 
-    # The cycle kernel: when the native library loaded and the batch is
-    # eligible, clean cycles run in compiled code (repro.sim._cyclec), a
-    # span of them per call, and Python keeps only the event work around
-    # them.  Other batches run the phased NumPy body below.  The kernel
-    # binds the current batch shape and is rebuilt when a quarantine
-    # compacts it.
+    # The cycle kernel runs the cycles in compiled code
+    # (repro.sim._cyclec), a span of them per call, and Python keeps
+    # only the event work around them.  It binds the current batch
+    # shape and is rebuilt when a quarantine compacts it.
     stage_s = np.zeros(4) if timing else None
 
-    def _bind_kernel(recorded_cycle: int) -> Optional[CycleKernel]:
-        if gpu_batch.fused() is None or not batch_solver._c_ready():
-            return None
+    def _bind_kernel(recorded_cycle: int) -> CycleKernel:
         bound = CycleKernel(
             gpu_batch, batch_solver, batch_guard,
             dcc=dcc_bt, currents=batch_currents, volts=volt_buf,
             sm_voltage=stack.sm_voltage, conductance_bias=conductance_bias,
-            substeps=substeps, top_idx=kernel_top_idx,
-            bot_idx=kernel_bot_idx, bank=bank, bank_rows=bank_rows_arr,
+            substeps=substeps, top_idx=top_idx,
+            bot_idx=bot_idx, bank=bank, bank_rows=bank_rows_arr,
             injectors=[ln.injector for ln in bank_members],
             fast=fast_rows, applied=applied_ids,
             pv_rows=pv_rows_bt, pv_count=pv_count,
@@ -1124,8 +1065,6 @@ def _simulate(
         return bound
 
     kernel = _bind_kernel(-warmup)
-    if kernel is not None:
-        powers_bt = gpu_batch.fused().powers
     fused_cycles = 0
     status = 0
     # Cycles a span stops short of, besides edges and flight hand-overs:
@@ -1143,7 +1082,6 @@ def _simulate(
     loop_start = perf_counter()
     cycle = 0
     while cycle < total_cycles:
-        recording = cycle >= warmup
         if cycle == warmup:
             # Work counters cover the recorded window only: snapshot
             # them here, subtract at the end.  Lanes quarantined during
@@ -1158,10 +1096,10 @@ def _simulate(
         # an event window is the end of warmup.
         recorded_cycle = cycle - warmup
         chaos_now = chaos_cycles is not None and recorded_cycle in chaos_cycles
-        # Edge cycles: refresh the edge lanes' sensing flags (and the
-        # kernel's) and PV rows (before the GPU stage scales this cycle's
-        # powers); the circuit and DFS hooks run after the GPU stage,
-        # the halt hooks after the solve.
+        # Edge cycles: refresh the edge lanes' jitter flags, the
+        # kernel's sensing flags and the PV rows (before the GPU stage
+        # scales this cycle's powers); the circuit and DFS hooks run
+        # after the GPU stage, the halt hooks after the solve.
         edge = hooks = ()
         if cycle == next_edge:
             next_edge = next(edge_order, total_cycles)
@@ -1170,15 +1108,12 @@ def _simulate(
                 inj = ln.injector
                 if inj is None:
                     continue
-                ln.sensor_on, ln.jitter_on = inj.sensing(recorded_cycle)
+                ln.jitter_on = inj.sensing(recorded_cycle)[1]
                 scales = inj.power_scales(recorded_cycle)
                 pv_count[ln.row] = len(scales)
                 for k, row in enumerate(scales):
                     pv_rows_bt[ln.row, k] = row
-            bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
-            sensing = bool(sensor_lanes or jitter_lanes)
-            if kernel is not None:
-                kernel.refresh_sensing(recorded_cycle)
+            kernel.refresh_sensing(recorded_cycle)
             hooks = [
                 ln for ln in edge if ln.injector is not None and (
                     ln.injector.touches_circuit
@@ -1187,20 +1122,15 @@ def _simulate(
             ]
         # A clean cycle is one kernel call; edge hooks and chaos split
         # it after the GPU stage.
-        split = kernel is None or bool(hooks) or chaos_now
+        split = bool(hooks) or chaos_now
 
         # 1. GPU cycle per lane (independent engines, lock-stepped).
         # Python-side timing covers the Python work only: the kernel
         # times its own stages.
         if split:
+            kernel.run(cycle, STAGE_GPU, STAGE_GPU)
             if timing:
                 t0 = perf_counter()
-            if kernel is None:
-                gpu_batch.step_into(powers_bt)
-            else:
-                kernel.run(cycle, STAGE_GPU, STAGE_GPU)
-                if timing:
-                    t0 = perf_counter()
             if hooks:
                 # The hooks may read their lane's GPU and solver mirrors.
                 rows = [ln.row for ln in hooks]
@@ -1214,39 +1144,18 @@ def _simulate(
                 scales = ln.injector.frequency_scales(recorded_cycle)
                 if scales is not None:
                     ln.gpu.set_frequency_scales(scales)
-            if kernel is None:
-                # Process variation scales the emitted powers (in
-                # place) *before* they become currents or records,
-                # keeping the PDE ledger closed (the kernel does it in
-                # its GPU stage).
-                for ln in pv_lanes:
-                    ln.injector.scale_powers(
-                        recorded_cycle, powers_bt[ln.row]
-                    )
             if timing:
                 t1 = perf_counter()
                 t_gpu += t1 - t0
 
-        # 2. Powers -> PDN currents, all lanes at once.  Per the paper's
+        # 2. Powers -> PDN currents, in the kernel.  Per the paper's
         # convention each SM is a time-varying *ideal* current source:
         # I = P / V_nominal.  (Dividing by the instantaneous voltage
         # would add the classic constant-power negative resistance and
         # destabilize the grid.)  The netlist's small-signal load
         # conductance already draws ~g*V per SM, so that bias is
         # deducted from the source to keep the total SM draw equal to
-        # P / V_nominal.  (The cycle kernel does the same in C.)
-        if kernel is None:
-            np.add(powers_bt, dcc_bt, out=cur_buf)
-            cur_buf /= stack.sm_voltage
-            cur_buf -= conductance_bias
-            np.maximum(cur_buf, 0.0, out=batch_currents)
-            if recording and dcc_possible:
-                # The DCC power *applied* this cycle (the last
-                # decision's command, just injected as current),
-                # captured before the controller updates it:
-                # mean_dcc_power_w ledgers what the PDN saw, not the
-                # final cycle's never-applied command.
-                dcc_bt.sum(axis=1, out=dcc_applied)
+        # P / V_nominal.
 
         # 3. Circuit transient over one clock period, batched.  With the
         # guard on, a diverged lane is quarantined: marked dead, its row
@@ -1264,38 +1173,31 @@ def _simulate(
                     if event.lane is None or event.lane == ln.index:
                         ln.solver._react_v[:] = np.nan
         failures = None
-        if kernel is not None:
-            if hooks:
-                kernel.sync_solver()  # a circuit fault may refactor
-            # Without partial-stage calls or per-cycle work, cycles run
-            # as one span up to the next event; the rest of this body
-            # then runs for the span's last cycle.
-            stop = cycle + 1
-            if not (split or edge or slow_ctrl_lanes or flight_every
-                    or flight_watch):
-                stop = min(next_edge, flight_due + 1,
-                           span_stops[bisect_right(span_stops, cycle)])
-            if stop > cycle + 1:
-                status, at = kernel.span(cycle, stop)
-                last = at if status else at - 1
-            else:
-                status = kernel.run(cycle, STAGE_SOLVE if split else STAGE_GPU)
-                last = cycle
-            fused_cycles += last + 1 - cycle
-            cycle = last
-            recorded_cycle = cycle - warmup
-            if status == SUSPECT:
-                if timing:
-                    t1 = perf_counter()
-                failures = batch_guard.resolve(
-                    substeps, recorded_cycle, float(batch_solver._clock[1])
-                )
-        elif batch_guard is not None:
-            node_bt, failures = batch_guard.step_cycle(
-                substeps, cycle=recorded_cycle
-            )
+        if hooks:
+            kernel.sync_solver()  # a circuit fault may refactor
+        # Without partial-stage calls or per-cycle work, cycles run as
+        # one span up to the next event; the rest of this body then
+        # runs for the span's last cycle.
+        stop = cycle + 1
+        if not (split or edge or slow_ctrl_lanes or flight_every
+                or flight_watch):
+            stop = min(next_edge, flight_due + 1,
+                       span_stops[bisect_right(span_stops, cycle)])
+        if stop > cycle + 1:
+            status, at = kernel.span(cycle, stop)
+            last = at if status else at - 1
         else:
-            node_bt = batch_solver.step_n(substeps)
+            status = kernel.run(cycle, STAGE_SOLVE if split else STAGE_GPU)
+            last = cycle
+        fused_cycles += last + 1 - cycle
+        cycle = last
+        recorded_cycle = cycle - warmup
+        if status == SUSPECT:
+            if timing:
+                t1 = perf_counter()
+            failures = batch_guard.resolve(
+                substeps, recorded_cycle, float(batch_solver._clock[1])
+            )
         if failures:
             for row in sorted(failures):
                 ln = alive[row]
@@ -1316,12 +1218,9 @@ def _simulate(
             # around them.
             gpu_batch.fold()
             batch_solver.fold_lanes()
-            if kernel is not None:
-                kernel.sense.fold()
+            kernel.sense.fold()
             survivors = [ln for ln in alive if not ln.dead]
             edge = [ln for ln in edge if not ln.dead]
-            pv_lanes = [ln for ln in pv_lanes if not ln.dead]
-            fast_lanes = [ln for ln in fast_lanes if not ln.dead]
             slow_ctrl_lanes = [
                 ln for ln in slow_ctrl_lanes if not ln.dead
             ]
@@ -1342,8 +1241,6 @@ def _simulate(
             # untouched, so survivor physics continues bit-exactly.
             old_rows = [ln.row for ln in survivors]
             batch_currents = batch_currents[old_rows].copy()
-            cur_buf = np.empty((len(survivors), num))
-            bot_buf = np.empty((len(survivors), num))
             volt_buf = np.empty((len(survivors), num))
             for new_row, ln in enumerate(survivors):
                 ln.row = new_row
@@ -1370,44 +1267,24 @@ def _simulate(
                     bank_members = [bank_members[j] for j in keep]
                     fast_rows = fast_rows[keep]
                     applied_ids = applied_ids[keep]
-                bank_rows_arr, sensor_lanes, jitter_lanes = _bank_feeds()
-                sensing = bool(sensor_lanes or jitter_lanes)
-            all_banked = len(bank_members) == len(survivors)
+                bank_rows_arr = _bank_rows()
             pv_rows_bt = pv_rows_bt[old_rows]
             pv_count = pv_count[old_rows]
-            powers_bt = powers_bt[old_rows]
             dcc_bt = dcc_bt[old_rows]
-            dcc_applied = dcc_applied[old_rows]
             alive = survivors
             alive_idx = np.array(
                 [ln.index for ln in survivors], dtype=np.intp
             )
-            node_bt = batch_solver._sol_bt[:, : batch_solver.num_nodes]
-            if kernel is not None:
-                kernel = _bind_kernel(recorded_cycle)
-                powers_bt = gpu_batch.fused().powers
-        if kernel is None:
-            # Bound-method take skips np.take's dispatch wrapper — this
-            # runs twice per recorded cycle on the hot path.
-            node_bt.take(bot_idx, axis=1, out=bot_buf)
-            if ground_cols.size:
-                bot_buf[:, ground_cols] = 0.0
-            node_bt.take(top_idx, axis=1, out=volt_buf)
-            volt_buf -= bot_buf
+            kernel = _bind_kernel(recorded_cycle)
+        if status == SUSPECT:
+            # The guard settled the suspects (and a quarantine the
+            # batch): the cycle's tail runs on the survivors.
+            kernel.sync_solver()
             if timing:
-                t2 = perf_counter()
-                t_circuit += t2 - t1
-        else:
-            if status == SUSPECT:
-                # The guard settled the suspects (and a quarantine the
-                # batch): the cycle's tail runs on the survivors.
-                kernel.sync_solver()
-                if timing:
-                    t_circuit += perf_counter() - t1
-                status = kernel.run(cycle, STAGE_READOUT)
-            if timing:
-                t2 = perf_counter()
-        voltages_bt = volt_buf
+                t_circuit += perf_counter() - t1
+            status = kernel.run(cycle, STAGE_READOUT)
+        if timing:
+            t2 = perf_counter()
 
         # Halted SMs per lane (shutoff windows + fault-scheduled halts)
         # must not block the kernel-launch barrier.  The set changes only
@@ -1444,79 +1321,31 @@ def _simulate(
                     ln.halted_idx,
                 ))
 
-        # 4. Detection + control.  Bank lanes advance their RC filters
-        # and decision waves batched, on what their detectors see; each
-        # injector keeps its serial RNG call order (corrupt_sensors,
-        # observation_allowed, then extra_latency at the command read),
-        # called only while an event of its kind is active.  The cycle
-        # kernel made the bank lanes' draws, waves, pops and applies;
-        # the phased body draws here, observes, then draws the fast
-        # jitter lanes' extra latency for pop_fast and applies the rows
-        # it flags.  A flagged row's recorder marks the cycle.  Slow
-        # lanes draw their extra latency at the command read, and
-        # duck-typed controllers replicate the serial path verbatim.
-        # Actuation application is gated on decision identity (setters
-        # are idempotent; decisions are immutable once enqueued), except
-        # under actuation-distorting faults which may perturb every
-        # cycle.  Ownership contract: decision arrays belong to the
-        # controller, so every array this loop mutates (halted widths,
-        # distorted commands) or retains (DCC, in dcc_bt) is a copy.
-        applies = ()
-        if bank is None:
-            waved = False
-        elif kernel is None:
-            observed = None
-            if sensing:
-                # Never write the physical voltages.
-                seen = (voltages_bt.copy() if all_banked
-                        else voltages_bt[bank_rows_arr])
-                for j, ln in sensor_lanes:
-                    seen[j] = ln.injector.corrupt_sensors(
-                        recorded_cycle, seen[j]
-                    )
-                for j, ln in jitter_lanes:
-                    if not ln.injector.observation_allowed(recorded_cycle):
-                        if observed is None:
-                            observed = np.ones(len(bank_members), dtype=bool)
-                        observed[j] = False
-            else:
-                seen = (voltages_bt if all_banked
-                        else voltages_bt[bank_rows_arr])
-            waved = cycle >= bank.next_due
-            bank.observe(cycle, seen, observed)
-            if fast_lanes:
-                reads = None
-                for j, ln in jitter_lanes:
-                    if fast_rows[j]:
-                        if reads is None:
-                            reads = np.full(len(bank_members), cycle)
-                        reads[j] -= ln.injector.extra_latency(recorded_cycle)
-                applies = bank.pop_fast(cycle, fast_rows, applied_ids, reads)
-        else:
-            waved = kernel.state.waved
-            if flight_lanes and kernel.state.n_apply:
-                applies = np.flatnonzero(kernel.apply).tolist()
-        for j in applies:
-            ln = bank_members[j]
-            if kernel is None:
-                decision = ln.controller.active_decision
-                # The engine setters copy internally, so unhalted
-                # decision arrays pass through unmutated.
-                ln.gpu.set_issue_widths(
-                    _halted(decision.issue_widths, ln.halted_idx)
-                )
-                ln.gpu.set_fake_rates(decision.fake_rates)
-                np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-                ln.controller.note_applied()
-            if ln.flight is not None:
-                _flight_mark(ln, cycle)
+        # 4. Detection + control.  The kernel made the bank lanes' draws
+        # (each injector in its serial RNG call order), waves, pops and
+        # applies; a row it applied marks the cycle in its recorder.
+        # Slow lanes read their commands here, drawing their extra
+        # latency at the read, and duck-typed controllers replicate the
+        # serial path verbatim.  Actuation application is gated on
+        # decision identity (setters are idempotent; decisions are
+        # immutable once enqueued), except under actuation-distorting
+        # faults which may perturb every cycle.  Ownership contract:
+        # decision arrays belong to the controller, so every array this
+        # loop mutates (halted widths, distorted commands) or retains
+        # (DCC, in dcc_bt) is a copy.
+        waved = bank is not None and kernel.state.waved
+        if flight_lanes and bank is not None and kernel.state.n_apply:
+            for j in np.flatnonzero(kernel.apply).tolist():
+                ln = bank_members[j]
+                if ln.flight is not None:
+                    _flight_mark(ln, cycle)
         for ln in slow_ctrl_lanes:
             controller = ln.controller
             inj = ln.injector
             if not ln.in_bank:
                 # A duck-typed controller observes on its own, through
                 # the same injector hooks that feed the bank.
-                seen = voltages_bt[ln.row]
+                seen = volt_buf[ln.row]
                 if inj is not None:
                     seen = inj.corrupt_sensors(recorded_cycle, seen)
                 if inj is None or inj.observation_allowed(recorded_cycle):
@@ -1551,44 +1380,12 @@ def _simulate(
             t3 = perf_counter()
             t_controller += t3 - t2
 
-        if flight_every or flight_watch or (
-            flight_lanes and kernel is None and not recording
-        ):
-            if waved and flight_watch:
-                for ln in flight_watch:
-                    if ln.controller.in_safe_state != ln.flight_row[2]:
-                        _flight_mark(ln, cycle)
-            for ln in flight_every:
-                _flight_mark(ln, cycle)
-            if kernel is None and not recording:
-                if alive_idx is None:
-                    flight_warm_bt[:, cycle] = voltages_bt
-                else:
-                    flight_warm_bt[alive_idx, cycle] = voltages_bt
-
-        if recording and kernel is None:
-            k = recorded_cycle
-            if alive_idx is None:
-                powers_rec_bt[:, k, :] = powers_bt
-                sm_voltages_bt[:, k, :] = voltages_bt
-                batch_solver.vsource_currents("vdd", out=supply_bt[:, k])
-                if dcc_possible:
-                    dcc_accum += dcc_applied
-                    if trace_dcc:
-                        dcc_trace_bt[:, k] = dcc_applied
-            else:
-                # Post-eviction: dead lanes keep whatever they recorded
-                # before their divergence cycle (results are truncated
-                # to ``dead_at``); survivors scatter through alive_idx.
-                powers_rec_bt[alive_idx, k, :] = powers_bt
-                sm_voltages_bt[alive_idx, k, :] = voltages_bt
-                supply_bt[alive_idx, k] = batch_solver.vsource_currents(
-                    "vdd"
-                )
-                if dcc_possible:
-                    dcc_accum[alive_idx] += dcc_applied
-                    if trace_dcc:
-                        dcc_trace_bt[alive_idx, k] = dcc_applied
+        if waved and flight_watch:
+            for ln in flight_watch:
+                if ln.controller.in_safe_state != ln.flight_row[2]:
+                    _flight_mark(ln, cycle)
+        for ln in flight_every:
+            _flight_mark(ln, cycle)
         if cycle == flight_due:
             for ln in flight_lanes:
                 _flush_flight(ln, flight_sent, cycle + 1)
@@ -1609,8 +1406,7 @@ def _simulate(
         # (quarantined lanes were folded at their eviction).
         gpu_batch.fold()
         batch_solver.fold_lanes()
-        if kernel is not None:
-            kernel.sense.fold()
+        kernel.sense.fold()
     if timing:
         # The cycle kernel's own stage times join the Python-side ones;
         # the loop's residual (iteration overhead, kernel crossings,

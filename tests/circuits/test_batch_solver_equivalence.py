@@ -1,9 +1,10 @@
 """Cross-backend bit-identity of the compiled batch solver.
 
 ``BatchTransientSolver.step_n`` has two backends: the fused C substep
-kernel (``_solverc.c``, whenever the native library loaded) and the
-pure-NumPy per-step path (forced here through ``forced_fallback``).  The
-NumPy path is the bit-identity oracle, and both must reproduce B
+kernel (``_solverc.c``, for every eligible batch) and the pure-NumPy
+per-step path through ``BatchTransientSolver.step`` (the path of
+ineligible batches, selected here by marking a batch ineligible).  The
+NumPy path is the bit-identity reference, and both must reproduce B
 independent serial :class:`TransientSolver` runs byte for byte —
 through randomized lane counts / seeds / current schedules, a mid-run
 per-lane ``refactor()`` (shard split), guard recovery and lane
@@ -15,8 +16,6 @@ lane's copy-back without corrupting any other lane's solution row,
 even when copying and in-place shards coexist.
 """
 
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +26,6 @@ from repro.circuits.transient import TransientSolver
 from repro.config import StackConfig
 from repro.pdn.builder import build_stacked_pdn
 from repro.pdn.parameters import DEFAULT_PDN
-from tests.conftest import forced_fallback
 
 DT = 1.0 / 700e6
 NUM_SMS = StackConfig().num_sms
@@ -35,13 +33,16 @@ NOMINAL_A = 40.0 / NUM_SMS
 SUBSTEPS = 2
 
 
-#: The two legs of each cross-backend test; the C leg needs the library.
-BACKENDS = [pytest.param("c", marks=pytest.mark.native), "numpy"]
+#: The two legs of each cross-backend test.
+BACKENDS = ["c", "numpy"]
 
 
-def forced_backend(name):
-    """The compiled backend as loaded, or the NumPy one through the seam."""
-    return nullcontext() if name == "c" else forced_fallback()
+def select_backend(batch, name):
+    """Pin ``batch`` to the compiled step or, marked ineligible for it,
+    to the NumPy batch step; call before its first step."""
+    if name == "numpy":
+        batch._c_eligible = False
+    assert batch.active_backend == name
 
 
 def _make_lane(buffer=None):
@@ -64,15 +65,15 @@ def _run_batch(backend_name, schedules, cycles, mutate=None):
     batch = BatchTransientSolver(
         [s for _, s in lanes], shared_current_base=currents_bt
     )
+    select_backend(batch, backend_name)
     volts, supply = [], []
-    with forced_backend(backend_name):
-        for k in range(cycles):
-            if mutate is not None:
-                mutate(k, lanes)
-            for i in range(n_lanes):
-                lanes[i][0].set_sm_currents(schedules[i][k])
-            volts.append(batch.step_n(SUBSTEPS).copy())
-            supply.append(batch.vsource_currents("vdd").copy())
+    for k in range(cycles):
+        if mutate is not None:
+            mutate(k, lanes)
+        for i in range(n_lanes):
+            lanes[i][0].set_sm_currents(schedules[i][k])
+        volts.append(batch.step_n(SUBSTEPS).copy())
+        supply.append(batch.vsource_currents("vdd").copy())
     # The compiled path defers each lane's time/step count to the batch
     # clock; fold them back before the lanes are read.
     batch.fold_lanes()
@@ -111,7 +112,6 @@ def _assert_stats_match(batch, serial_lanes):
 class TestCrossBackendStepN:
     """Randomized lanes/seeds: c == numpy == serial, byte for byte."""
 
-    @pytest.mark.native
     @settings(max_examples=5, deadline=None)
     @given(
         n_lanes=st.integers(1, 3),
@@ -192,15 +192,15 @@ class TestGuardRecoveryAndQuarantine:
             [s for _, s in lanes], shared_current_base=currents_bt
         )
         guard = BatchSolverGuard(batch)
+        select_backend(batch, backend)
         volts = []
-        with forced_backend(backend):
-            for k in range(cycles):
-                poison_batch(k, lanes)
-                for i in range(n_lanes):
-                    lanes[i][0].set_sm_currents(schedules[i][k])
-                node_v, failures = guard.step_cycle(SUBSTEPS, cycle=k)
-                assert not failures, f"unexpected quarantine at cycle {k}"
-                volts.append(node_v.copy())
+        for k in range(cycles):
+            poison_batch(k, lanes)
+            for i in range(n_lanes):
+                lanes[i][0].set_sm_currents(schedules[i][k])
+            node_v, failures = guard.step_cycle(SUBSTEPS, cycle=k)
+            assert not failures, f"unexpected quarantine at cycle {k}"
+            volts.append(node_v.copy())
 
         # Serial oracle: each lane behind its own SolverGuard.
         from repro.circuits import SolverGuard
@@ -237,16 +237,16 @@ class TestGuardRecoveryAndQuarantine:
             [s for _, s in lanes], shared_current_base=currents_bt
         )
         guard = BatchSolverGuard(batch)
+        select_backend(batch, backend)
         failures = {}
-        with forced_backend(backend):
-            for k in range(cycles):
-                if k == poison_at:
-                    lanes[1][1]._react_v[:] = np.nan
-                for i in range(2):
-                    lanes[i][0].set_sm_currents(schedules[i][k])
-                _, failures = guard.step_cycle(SUBSTEPS, cycle=k)
-                if failures:
-                    break
+        for k in range(cycles):
+            if k == poison_at:
+                lanes[1][1]._react_v[:] = np.nan
+            for i in range(2):
+                lanes[i][0].set_sm_currents(schedules[i][k])
+            _, failures = guard.step_cycle(SUBSTEPS, cycle=k)
+            if failures:
+                break
         assert list(failures) == [1]
         assert guard.guards[1].counters()["divergences"] == 1
         assert guard.guards[0].counters()["divergences"] == 0
@@ -278,13 +278,12 @@ class TestInplaceProbeRegression:
             [s for _, s in lanes], shared_current_base=currents_bt
         )
         volts = []
-        with forced_backend("numpy"):
-            for k in range(cycles):
-                for i in range(n_lanes):
-                    lanes[i][0].set_sm_currents(schedules[i][k])
-                for _ in range(SUBSTEPS):
-                    node_v = batch.step()
-                volts.append(node_v.copy())
+        for k in range(cycles):
+            for i in range(n_lanes):
+                lanes[i][0].set_sm_currents(schedules[i][k])
+            for _ in range(SUBSTEPS):
+                node_v = batch.step()
+            volts.append(node_v.copy())
         v_ref, _s, _serial = _run_serial(schedules, cycles)
         assert np.array(volts).tobytes() == v_ref.tobytes()
         assert all(e[5] is False for e in batch._lane_solve)
@@ -312,14 +311,13 @@ class TestInplaceProbeRegression:
             [s for _, s in lanes], shared_current_base=currents_bt
         )
         volts = []
-        with forced_backend("numpy"):
-            for k in range(cycles):
-                split(k, lanes)
-                for i in range(n_lanes):
-                    lanes[i][0].set_sm_currents(schedules[i][k])
-                for _ in range(SUBSTEPS):
-                    node_v = batch.step()
-                volts.append(node_v.copy())
+        for k in range(cycles):
+            split(k, lanes)
+            for i in range(n_lanes):
+                lanes[i][0].set_sm_currents(schedules[i][k])
+            for _ in range(SUBSTEPS):
+                node_v = batch.step()
+            volts.append(node_v.copy())
         v_ref, _s, _serial = _run_serial(schedules, cycles, mutate=split)
         assert np.array(volts).tobytes() == v_ref.tobytes()
         # Lane 1 probed copy, its shard-mates probed in-place.
@@ -329,9 +327,9 @@ class TestInplaceProbeRegression:
 
 
 class TestCosimCrossBackend:
-    """End-to-end: run_cosim_batch under each backend == serial oracle."""
+    """End-to-end: run_cosim_batch on the compiled solver == the serial
+    oracle on the NumPy ``TransientSolver``."""
 
-    @pytest.mark.native
     @settings(max_examples=3, deadline=None)
     @given(
         seeds=st.lists(st.integers(0, 2**10), min_size=2, max_size=3),
@@ -363,19 +361,17 @@ class TestCosimCrossBackend:
             run_cosim_reference(ln.benchmark, config=ln.config)
             for ln in lanes
         ]
-        for backend in ("c", "numpy"):
-            with forced_backend(backend):
-                batch = run_cosim_batch(list(lanes))
-            for i, (b, s) in enumerate(zip(batch, serial)):
-                label = f"{backend} lane {i}"
-                assert np.array_equal(
-                    b.power_trace.data, s.power_trace.data
-                ), label
-                assert np.array_equal(b.sm_voltages, s.sm_voltages), label
-                assert np.array_equal(
-                    b.supply_current, s.supply_current
-                ), label
-                assert b.instructions == s.instructions, label
-                assert b.fake_instructions == s.fake_instructions, label
-                assert b.throttled_cycles == s.throttled_cycles, label
-                assert b.mean_dcc_power_w == s.mean_dcc_power_w, label
+        batch = run_cosim_batch(list(lanes))
+        for i, (b, s) in enumerate(zip(batch, serial)):
+            label = f"lane {i}"
+            assert np.array_equal(
+                b.power_trace.data, s.power_trace.data
+            ), label
+            assert np.array_equal(b.sm_voltages, s.sm_voltages), label
+            assert np.array_equal(
+                b.supply_current, s.supply_current
+            ), label
+            assert b.instructions == s.instructions, label
+            assert b.fake_instructions == s.fake_instructions, label
+            assert b.throttled_cycles == s.throttled_cycles, label
+            assert b.mean_dcc_power_w == s.mean_dcc_power_w, label

@@ -11,6 +11,8 @@ also keeps per-warp readiness caches and a per-SM live-warp count,
 checked here against a full recomputation after every step.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,12 +20,11 @@ from hypothesis import given, settings, strategies as st
 from repro import native
 from repro.config import SystemConfig
 from repro.faults.scenarios import CANNED_SCENARIOS
-from repro.gpu.engine import _FAR
+from repro.gpu.engine import _FAR, MAX_WARPS_PER_SM
 from repro.gpu.gpu import GPU
 from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import KernelSpec
 from repro.sim.cosim import CosimConfig, run_cosim
-from tests.conftest import forced_fallback
 from tests.oracles.serial_cosim import run_cosim_reference
 
 STAT_FIELDS = (
@@ -186,7 +187,7 @@ class TestRandomizedEquivalence:
         """The warp counts the paper kernels run (bfs 32, scalarprod and
         simpleatomic 20, pathfinder and fastwalsh 16) under random issue
         widths and halted sets that change across launches: the compiled
-        step and the NumPy fallback against the per-object reference."""
+        step against the per-object reference."""
         spec = KernelSpec("wide", body_length=body, warps_per_sm=warps)
         cycles = 320
         actuate = _halting_schedule(np.random.default_rng(sched_seed), cycles, 8)
@@ -195,11 +196,7 @@ class TestRandomizedEquivalence:
             return GPU(spec, seed=seed, miss_ratio=0.5, jitter=jitter,
                        vectorized=vectorized)
 
-        vecs = [build(True)]
-        with forced_fallback():
-            vecs.append(build(True))
-        assert vecs[1].engine.backend == "numpy"
-        _assert_equivalent(build(False), vecs, cycles, actuate)
+        _assert_equivalent(build(False), build(True), cycles, actuate)
 
 
 def _recomputed_caches(engine):
@@ -225,7 +222,6 @@ def _recomputed_caches(engine):
     return np.where(done, _FAR, ready), st.unit[w_idx, eff], live, done
 
 
-@pytest.mark.native
 class TestCompiledHeadCaches:
     @given(
         warps=st.integers(1, 40),
@@ -263,46 +259,20 @@ class TestFaultScenarioEquivalence:
 
     @pytest.mark.parametrize("scenario", sorted(CANNED_SCENARIOS))
     def test_cosim_fault_scenario(self, scenario):
-        results = []
-        legs = ((True, run_cosim), (False, run_cosim_reference))
-        for vectorized, run in legs:
-            config = CosimConfig(
-                cycles=900,
-                warmup_cycles=100,
-                faults=CANNED_SCENARIOS[scenario](),
-                vectorized_gpu=vectorized,
-            )
-            results.append(run("hotspot", config=config))
-        vec, ref = results
+        config = CosimConfig(
+            cycles=900,
+            warmup_cycles=100,
+            faults=CANNED_SCENARIOS[scenario](),
+        )
+        vec = run_cosim("hotspot", config=config)
+        ref = run_cosim_reference("hotspot", config=config,
+                                  per_object_gpu=True)
         assert np.array_equal(vec.power_trace.data, ref.power_trace.data)
         assert np.array_equal(vec.sm_voltages, ref.sm_voltages)
         assert vec.instructions == ref.instructions
         assert vec.fake_instructions == ref.fake_instructions
         assert vec.throttled_cycles == ref.throttled_cycles
         assert vec.kernels_completed == ref.kernels_completed
-
-
-class TestBackends:
-    def test_forced_fallback_selects_numpy(self):
-        with forced_fallback():
-            gpu = GPU(KernelSpec("np-backend", body_length=50),
-                      vectorized=True)
-        assert gpu.engine.backend == "numpy"
-
-    @pytest.mark.native
-    def test_numpy_and_c_backends_agree(self):
-        spec = KernelSpec("xback", body_length=90, warps_per_sm=5)
-
-        def run():
-            gpu = GPU(spec, seed=5, miss_ratio=0.4, jitter=0.1,
-                      vectorized=True)
-            return gpu.engine.backend, gpu.run(800)
-
-        with forced_fallback():
-            backend_np, trace_np = run()
-        backend_c, trace_c = run()
-        assert (backend_np, backend_c) == ("numpy", "c")
-        assert np.array_equal(trace_np, trace_c)
 
 
 class TestEngineSurface:
@@ -328,7 +298,6 @@ class TestEngineSurface:
             == 0.0
         )
 
-    @pytest.mark.native
     def test_compiled_actuation_matches_the_setters(self):
         """engine_actuate (the cycle kernel's apply stage) leaves the
         bytes set_issue_widths / set_fake_rates leave after the halted
@@ -359,6 +328,16 @@ class TestEngineSurface:
                     getattr(ref.engine, name).tobytes()
                 ), name
                 assert not np.signbit(written).any(), name
+
+    def test_too_many_warps_are_rejected_up_front(self):
+        """The C engine packs a warp index into 16 bits of its heap
+        keys: a kernel with more warps per SM is refused before any
+        per-warp array is allocated."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=str(MAX_WARPS_PER_SM)):
+            GPU(KernelSpec("huge", body_length=8, warps_per_sm=1 << 16))
+        assert time.perf_counter() - start < 1.0
+        assert MAX_WARPS_PER_SM == 65_535
 
     def test_gated_units_view(self):
         gpu = GPU(KernelSpec("gate", body_length=40), vectorized=True)

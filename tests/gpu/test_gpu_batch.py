@@ -73,7 +73,6 @@ class TestGPUBatch:
             g.total_fake_instructions() for g in serial
         )
 
-    @pytest.mark.native
     def test_exempt_lanes_stay_fused(self):
         """Lanes gaining and losing barrier-exempt sets mid-run stay on
         the fused step and equal per-lane ``GPU.step_into`` stepping."""

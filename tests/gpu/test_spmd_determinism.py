@@ -17,7 +17,6 @@ from repro.gpu import GPU, KernelSpec
 from repro.gpu.kernels import build_warps
 from repro.gpu.memory import MemorySystem
 from repro.workloads.benchmarks import get_benchmark
-from tests.conftest import forced_fallback
 
 
 class TestSharedStreams:
@@ -103,25 +102,15 @@ class TestKernelBarrier:
         gpu.run(2000)
         assert gpu.kernels_launched == 1  # stuck behind SM 0
 
-    @pytest.mark.parametrize(
-        "engine", [pytest.param("c", marks=pytest.mark.native), "numpy", "reference"]
-    )
+    @pytest.mark.parametrize("engine", ["c", "reference"])
     def test_launch_with_loads_in_flight_keeps_launching(self, engine):
         """Halting SMs 1-15 mid-kernel lets the barrier fire at once
         (SM 0 has drained) with their loads in flight.  Those loads
         belong to the old kernel: completing them into the new warps
         left outstanding counts at -1, and no kernel launched again."""
         bench = get_benchmark("hotspot")
-
-        def build():
-            return GPU(bench.kernel, seed=3, miss_ratio=bench.miss_ratio,
-                       jitter=bench.jitter, vectorized=engine != "reference")
-
-        if engine == "numpy":
-            with forced_fallback():
-                gpu = build()
-        else:
-            gpu = build()
+        gpu = GPU(bench.kernel, seed=3, miss_ratio=bench.miss_ratio,
+                  jitter=bench.jitter, vectorized=engine != "reference")
         assert getattr(gpu.engine, "backend", "reference") == engine
         gpu.run(2198)
         gpu.set_issue_widths([2.0] + [0.0] * 15)

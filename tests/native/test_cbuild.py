@@ -1,30 +1,23 @@
 """KernelBuild: one compiler call links every source into one library.
 
 Exercised on throwaway sources in a temporary directory, so nothing
-here touches the repo's own native library or its fallback counter
-(nor obeys a ``REPRO_CBUILD=fail`` set for it).  The repo's own sources
+here touches the repo's own native library.  The repo's own sources
 are only compiled to objects, to keep them warning-free.
 """
 
 import ctypes
 import shutil
 import subprocess
-import warnings
 
 import pytest
 
 from repro import native
-from repro.native.cbuild import CBUILD_ENV, CFLAGS, KernelBuild, find_compiler
-
-pytestmark = pytest.mark.skipif(
-    find_compiler() is None, reason="no C compiler available"
+from repro.native.cbuild import (
+    CFLAGS,
+    KernelBuild,
+    NativeBuildError,
+    find_compiler,
 )
-
-
-@pytest.fixture(autouse=True)
-def _real_builds(monkeypatch):
-    monkeypatch.delenv(CBUILD_ENV, raising=False)
-
 
 ENGINE = "long long twice(long long x) { return 2 * x; }\n"
 CYCLE = (
@@ -66,21 +59,19 @@ def test_editing_any_source_rebuilds(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, reason",
     [
-        {"cycle": "this is not C\n"},
-        {"configure": lambda lib: lib.no_such_symbol},
+        ({"cycle": "this is not C\n"}, "exited"),
+        ({"configure": lambda lib: lib.no_such_symbol}, "no_such_symbol"),
     ],
     ids=["build-error", "missing-symbol"],
 )
-def test_failed_load_is_a_counted_fallback(tmp_path, kwargs):
+def test_failed_load_raises(tmp_path, kwargs, reason):
+    """Every load of a broken library raises, with the reason."""
     build = _build(tmp_path, **kwargs)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert build.load() is None
-        assert build.load() is None
-    assert build.fallback_count() == 2
-    assert sum("falling back" in str(w.message) for w in caught) == 1
+    for _ in range(2):
+        with pytest.raises(NativeBuildError, match=reason):
+            build.load()
 
 
 def _archive(tmp_path, source=ENGINE):
@@ -114,11 +105,8 @@ def test_archive_bytes_are_part_of_the_cache_key(tmp_path):
 
 def test_missing_archive_is_a_loud_failed_load(tmp_path):
     build = _archive_build(tmp_path, tmp_path / "libmissing.a")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert build.load() is None
-    assert build.fallback_count() == 1
-    assert any("libmissing.a" in str(w.message) for w in caught)
+    with pytest.raises(NativeBuildError, match="libmissing.a"):
+        build.load()
     assert not (tmp_path / "cache").exists()
 
 

@@ -9,10 +9,11 @@ Stock controller lanes run the per-SM scalar Algorithm 1
 library's controller bank.  It shares nothing with the batched loop
 beyond the per-object models (GPU, netlist, fault injector), so the
 equivalence suites compare ``run_cosim`` and ``run_cosim_batch``
-against it byte for byte.
+against it byte for byte.  ``per_object_gpu`` swaps the GPU's C engine
+for the per-object reference SMs, so the GPU layer is checked too.
 
-The body below is the former shipped loop verbatim; only its name and
-its stock controller's class changed.
+The body below is the former shipped loop verbatim; only its name, its
+stock controller's class and its GPU engine switch changed.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def run_cosim_reference(
     kernel: Optional[KernelSpec] = None,
     telemetry: Optional["Telemetry"] = None,
     flight=None,
+    per_object_gpu: bool = False,
 ) -> CosimResult:
     """Run one coupled GPU/PDN/controller simulation.
 
@@ -64,6 +66,9 @@ def run_cosim_reference(
     telemetry is enabled; pass ``False`` to suppress that, or your own
     recorder to control the window geometry.  The finalized recorder is
     attached as ``result.flight``.
+
+    ``per_object_gpu`` runs the GPU on the per-object reference SMs
+    (``GPU(vectorized=False)``) instead of the C engine.
     """
     tele = telemetry if telemetry is not None and telemetry.enabled else None
     setup_start = perf_counter()
@@ -77,13 +82,13 @@ def run_cosim_reference(
         gpu = GPU(
             spec.kernel, config=system, seed=config.seed,
             miss_ratio=spec.miss_ratio, jitter=spec.jitter,
-            vectorized=config.vectorized_gpu,
+            vectorized=not per_object_gpu,
         )
         name = spec.name
     else:
         gpu = GPU(
             kernel, config=system, seed=config.seed,
-            vectorized=config.vectorized_gpu,
+            vectorized=not per_object_gpu,
         )
         name = kernel.name
 

@@ -6,8 +6,8 @@ serial loop kept in ``tests/oracles/serial_cosim.py`` is its
 bit-identity oracle — a B-lane batch must reproduce B independent
 serial runs *byte for byte*, for every field of
 every :class:`CosimResult`, under mixed benchmarks, seeds, controller
-gains, disabled controllers, per-object GPU lanes and canned fault
-scenarios.  These tests drive both paths side by side (randomized via
+gains, disabled controllers and canned fault scenarios, and against the
+oracle on the per-object GPU reference too.  These tests drive both paths side by side (randomized via
 hypothesis and through canned scenarios) and pin the three accounting
 bugfixes: decision-array ownership at the control boundary, completed
 kernel-interval counting, and applied-vs-commanded DCC ledgering.
@@ -71,11 +71,12 @@ def _assert_result_equal(batch, serial, label=""):
     assert batch.fault_report == serial.fault_report, label
 
 
-def _check_batch(lanes):
+def _check_batch(lanes, per_object_gpu=False):
     batch = run_cosim_batch(lanes)
     assert len(batch) == len(lanes)
     for i, (lane, result) in enumerate(zip(lanes, batch)):
-        serial = run_cosim_reference(lane.benchmark, config=lane.config)
+        serial = run_cosim_reference(lane.benchmark, config=lane.config,
+                                     per_object_gpu=per_object_gpu)
         _assert_result_equal(result, serial, label=f"lane {i} ({lane.benchmark})")
 
 
@@ -160,14 +161,14 @@ class TestRandomizedBatchEquivalence:
         _check_batch(lanes)
 
     def test_per_object_gpu_lane(self):
-        """A non-vectorized lane batches with vectorized ones."""
+        """Batch lanes on the C engine equal the oracle running the
+        per-object GPU reference."""
         _check_batch([
             CosimLane("hotspot", CosimConfig(
                 cycles=CYCLES, warmup_cycles=WARMUP, seed=3)),
             CosimLane("srad", CosimConfig(
-                cycles=CYCLES, warmup_cycles=WARMUP, seed=4,
-                vectorized_gpu=False)),
-        ])
+                cycles=CYCLES, warmup_cycles=WARMUP, seed=4)),
+        ], per_object_gpu=True)
 
     def test_single_lane_batch(self):
         _check_batch([

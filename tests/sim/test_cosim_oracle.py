@@ -143,7 +143,7 @@ CASES = {
             shutoff=LayerShutoffEvent(layer=3, start_cycle=100),
         )), None),
     "per-object-gpu": (lambda: dict(
-        benchmark="srad", config=_config(vectorized_gpu=False)), None),
+        benchmark="srad", config=_config()), None),
     "no-solver-guard": (lambda: dict(
         benchmark="bfs", config=_config(solver_guard=False)), None),
     "custom-kernel": (lambda: dict(
@@ -155,6 +155,11 @@ CASES = {
     "lane-targeted-poison-ignored": (lambda: dict(
         benchmark="hotspot", config=_config()), _poison(at=25, lane=0)),
 }
+
+
+# Arguments only the oracle takes: the shipped loop has one GPU engine,
+# the oracle can run the per-object reference instead.
+ORACLE_ARGS = {"per-object-gpu": dict(per_object_gpu=True)}
 
 
 # What the less ordinary cases must reach, so the matrix cannot pass
@@ -181,10 +186,11 @@ REACHES = {
 def test_run_cosim_matches_serial_oracle(case, chaos_plan):
     make, plan = CASES[case]
     results = []
-    for run in (run_cosim, run_cosim_reference):
+    for run, extra in ((run_cosim, {}),
+                       (run_cosim_reference, ORACLE_ARGS.get(case, {}))):
         if plan is not None:
             chaos_plan(plan)
-        results.append(run(**make()))
+        results.append(run(**make(), **extra))
     new, ref = results
     assert_identical(new, ref, case)
     reach = REACHES.get(case)

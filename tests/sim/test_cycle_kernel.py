@@ -1,26 +1,26 @@
-"""The compiled co-sim cycle kernel against the phased NumPy body.
+"""The compiled co-sim cycle kernel against the serial oracle.
 
-With the native library loaded, a batch runs clean co-sim cycles in
-``repro/sim/_cyclec.c``: a span of whole cycles per call up to the next
-cycle at which the loop has work, or one call per cycle while a lane
-needs Python every cycle.  Forcing the library's fallback
-(``forced_fallback``) runs the loop's phased NumPy body instead, on the
-NumPy GPU engine and solver.  The two must be byte-equal on every
-:class:`CosimResult` field, and equal to the serial oracle, through
-same-cycle relaunches, barrier-exempt shutoffs, a lane quarantine (also
-one that arises inside a span), circuit-, sensor- and jitter-fault
-lanes, random edge schedules, flight recorders and arbitrary span
-boundaries.  The kernel's fault draws, made through each injector's bit
-generator, equal the injector's own Python draws on a twin.  The lanes'
-deferred mirrors (GPU cycle, memory-queue counters, solver time and
-step count) must read the same from a fault hook and after the run.
-Call-count gates pin the edge schedule: fault hooks run on edge cycles
-only, a cycle makes a second kernel call only on an edge with circuit
-or DFS hooks, the injectors' draw methods never run on the kernel path,
-and the kernel's calls tile the run with about two per event; the
-kernel makes every decision (the NumPy wave never runs) and applies the
-fast lanes' commands itself, leaving the engines and DCC rows as the
-phased body's setters do, and counting the same applies.
+A batch runs its co-sim cycles in ``repro/sim/_cyclec.c``: a span of
+whole cycles per call up to the next cycle at which the loop has work,
+or one call per cycle while a lane needs Python every cycle.  Every
+lane must be byte-equal on every :class:`CosimResult` field to the
+serial oracle (``tests/oracles/serial_cosim.py``, whose stock
+controller is the per-SM ``ScalarController``) and to its solo run,
+through same-cycle relaunches, barrier-exempt shutoffs, a lane
+quarantine (also one that arises inside a span), circuit-, sensor- and
+jitter-fault lanes, random edge schedules, flight recorders and
+arbitrary span boundaries; each stock controller ends in its oracle
+controller's state.  The kernel's fault draws, made through each
+injector's bit generator, equal the injector's own Python draws on a
+twin.  The lanes' deferred mirrors (GPU cycle, memory-queue counters,
+solver time and step count) must read the same from a fault hook and
+after the run.  Call-count gates pin the edge schedule: fault hooks run
+on edge cycles only, a cycle makes a second kernel call only on an edge
+with circuit or DFS hooks, the injectors' draw methods never run on the
+kernel path, and the kernel's calls tile the run with about two per
+event; the kernel makes every decision (Python never enters the wave)
+and applies the fast lanes' commands itself, leaving the engines and
+DCC rows at the top of every cycle as the oracle's setters do.
 """
 
 import ctypes
@@ -28,7 +28,6 @@ import json
 import random
 import sys
 from collections import Counter
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -86,15 +85,14 @@ from repro.sim.sweep import point_seed
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 from repro.telemetry import Telemetry
 from repro.telemetry.flight import FlightRecorder
-from tests.conftest import forced_fallback
+from tests.oracles.scalar_controller import ScalarController
 from tests.oracles.serial_cosim import run_cosim_reference
 from tests.sim.test_cosim_batch import _assert_result_bytes_equal
+from tests.sim.test_cosim_oracle import _dump_view
 
 CYCLES = 260
 WARMUP = 40
 TOTAL = CYCLES + WARMUP
-
-pytestmark = pytest.mark.native
 
 # An ALU-only kernel: lanes relaunch about every hundred cycles.
 SHORT = KernelSpec(
@@ -125,57 +123,62 @@ def _same(a, b, label):
         a.divergence, b.divergence = verdicts
 
 
-def _run(build, monkeypatch, phased=False, controllers=None, **kwargs):
-    """One batch run; returns (results, last_batch_solver_info()).
-
-    ``phased`` forces the library's fallback (the phased NumPy body).
-    ``controllers`` (a list) collects each stock controller's end state:
-    RC filter, held measurement and statistics.
-    """
-    made = []
-    init = VoltageSmoothingController.__init__
+def _collecting(monkeypatch, cls, made):
+    """Append every ``cls`` built while the patch holds to ``made``."""
+    init = cls.__init__
 
     def register(self, *args, **kw):
         init(self, *args, **kw)
         made.append(self)
 
+    monkeypatch.setattr(cls, "__init__", register)
+
+
+def _controller_state(c):
+    """A stock controller's end state: RC filter, held measurement and
+    statistics (the bank's lanes and ScalarController alike)."""
+    return c._filter_state.tobytes(), c._last_good.tobytes(), c.stats()
+
+
+def _run(build, monkeypatch, controllers=None, **kwargs):
+    """One batch run; returns (results, last_batch_solver_info()).
+
+    ``controllers`` (a list) collects each stock controller's end state.
+    """
+    made = []
     with monkeypatch.context() as m:
-        m.setattr(VoltageSmoothingController, "__init__", register)
-        with forced_fallback() if phased else nullcontext():
-            results = run_cosim_batch(build(), **kwargs)
+        _collecting(m, VoltageSmoothingController, made)
+        results = run_cosim_batch(build(), **kwargs)
         info = last_batch_solver_info()
     if controllers is not None:
-        controllers.extend(
-            (c._filter_state.tobytes(), c._last_good.tobytes(), c.stats())
-            for c in made
-        )
+        controllers.extend(_controller_state(c) for c in made)
     return results, info
 
 
-def _check(build, monkeypatch, oracle=True, **kwargs):
-    """Fused == the phased body (== oracle), byte for byte; returns the
-    fused results."""
+def _check(build, monkeypatch, solo=True):
+    """Every lane == its oracle run (stock controllers ending in their
+    ScalarController's state) and, with ``solo``, its solo run, byte
+    for byte; returns the batch's results."""
     ctrl = []
-    fused, info = _run(build, monkeypatch, controllers=ctrl, **kwargs)
+    fused, info = _run(build, monkeypatch, controllers=ctrl)
     assert info["fused_cycles"] == TOTAL, "the batch left the cycle kernel"
-    phased_ctrl = []
-    phased, pinfo = _run(
-        build, monkeypatch, phased=True, controllers=phased_ctrl, **kwargs
-    )
-    assert pinfo["fused_cycles"] == 0
-    for i, (a, b) in enumerate(zip(fused, phased)):
-        _same(a, b, f"lane {i} fused vs phased")
-    for i, (a, b) in enumerate(zip(ctrl, phased_ctrl)):
-        assert a == b, f"controller {i}: filter/stats, fused vs phased"
-    if oracle:
+    refs = []
+    with monkeypatch.context() as m:
+        _collecting(m, ScalarController, refs)
         for i, lane in enumerate(build()):
             _same(fused[i], _oracle(lane), f"lane {i} vs oracle")
+    assert ctrl == [_controller_state(c) for c in refs], (
+        "controller filter/stats vs the oracle's"
+    )
+    if solo:
+        for i, lane in enumerate(build()):
+            _same(fused[i], run_cosim_batch([lane])[0], f"lane {i} vs solo")
     return fused
 
 
-def _oracle(lane):
+def _oracle(lane, **kwargs):
     return run_cosim_reference(
-        lane.benchmark, config=lane.config, kernel=lane.kernel
+        lane.benchmark, config=lane.config, kernel=lane.kernel, **kwargs
     )
 
 
@@ -210,10 +213,14 @@ def test_shutoff_lanes_with_barrier_exempt_sms(monkeypatch):
 def test_quarantine_mid_run_then_fused_survivors(monkeypatch, chaos_plan):
     """A lane-targeted NaN poison: the health proof flags it, the guard's
     recovery ladder fails, the lane is quarantined and the batch
-    compacted — and every later cycle still runs through the kernel."""
-    chaos_plan(ChaosPlan("kernel-quarantine", [ChaosEvent(
-        "cosim_cycle", "nan_poison", at=60, lane=1, once=False,
-    )]))
+    compacted — and every later cycle still runs through the kernel.
+    The survivors equal their oracle runs (which ignore lane-targeted
+    poison), and the quarantined lane equals its oracle run poisoned at
+    the same cycle, verdict included."""
+    def poison(lane):
+        return ChaosPlan("kernel-quarantine", [ChaosEvent(
+            "cosim_cycle", "nan_poison", at=60, lane=lane, once=False,
+        )])
 
     def build():
         return [
@@ -222,11 +229,20 @@ def test_quarantine_mid_run_then_fused_survivors(monkeypatch, chaos_plan):
             CosimLane("srad", _cfg(7, **ACTIVE)),
         ]
 
-    fused = _check(build, monkeypatch, oracle=False)
+    chaos_plan(poison(lane=1))
+    fused, info = _run(build, monkeypatch)
+    assert info["fused_cycles"] == TOTAL
     assert fused[1].diverged and fused[1].num_cycles == 60
+    assert fused[1].divergence["lane"] == 1
     assert not fused[0].diverged and not fused[2].diverged
     for i in (0, 2):
         _same(fused[i], _oracle(build()[i]), f"lane {i} vs oracle")
+    chaos_plan(poison(lane=None))
+    dead = _oracle(build()[1])
+    fused[1].divergence = {
+        k: v for k, v in fused[1].divergence.items() if k != "lane"
+    }
+    _same(fused[1], dead, "quarantined lane vs poisoned oracle")
 
 
 @pytest.mark.parametrize("scenario", ["pdn-aging", "guardband-breaker"])
@@ -247,9 +263,8 @@ def test_circuit_fault_lanes_take_two_halves(monkeypatch, scenario):
 
 def test_sensor_and_jitter_lanes_draw_in_the_kernel(monkeypatch):
     """Sensor-fault and jitter lanes: the kernel's draws, masked filter
-    and jittered pops give the bytes of the phased body, whose injectors
-    draw in Python for ControllerBank.observe and pop_fast, and of the
-    oracle."""
+    and jittered pops give the bytes of the oracle, whose injectors draw
+    in Python for its scalar controllers, and of the solo runs."""
     def build():
         return [
             CosimLane("hotspot", _cfg(2, faults=CANNED_SCENARIOS[
@@ -277,23 +292,14 @@ def test_flight_recorders_ride_the_kernel(monkeypatch):
             CosimLane("bfs", _cfg(4, **ACTIVE)),
         ]
 
-    def windows(result):
-        return json.dumps([d.to_dict() for d in result.flight.dumps])
-
-    def run(phased=False):
-        results, info = _run(
-            build, monkeypatch, phased, flights=[_recorder(), _recorder()]
-        )
-        return results, info["fused_cycles"]
-
-    fused, fused_cycles = run()
-    assert fused_cycles == TOTAL
+    fused, info = _run(build, monkeypatch,
+                       flights=[_recorder(), _recorder()])
+    assert info["fused_cycles"] == TOTAL
     assert any(r.flight.dumps for r in fused)
-    phased, _ = run(phased=True)
-    for i, (a, b) in enumerate(zip(fused, phased)):
-        _same(a, b, f"lane {i} fused vs phased")
-        assert a.flight.summary() == b.flight.summary()
-        assert windows(a) == windows(b)
+    for i, lane in enumerate(build()):
+        oracle = _oracle(lane, flight=_recorder())
+        _same(fused[i], oracle, f"lane {i} vs oracle")
+        assert _flight_values(fused[i]) == _flight_values(oracle)
 
 
 def test_telemetry_keeps_the_stage_names(monkeypatch):
@@ -316,9 +322,11 @@ def test_telemetry_keeps_the_stage_names(monkeypatch):
 # ---------------------------------------------------------------------------
 # Deferred mirrors
 # ---------------------------------------------------------------------------
-def _mirror_runs(monkeypatch, build, phased=False, oracle=False):
-    """Run once, recording each circuit hook's view of its own lane and
-    every lane's mirrors at the end: (hook reads, final reads)."""
+def _mirror_runs(monkeypatch, build, mode="batch"):
+    """Run ``build``'s lanes as one batch, one solo batch per lane or
+    through the oracle, recording each circuit hook's view of its own
+    lane and every lane's mirrors at the end: (hook reads, final
+    reads)."""
     gpus, solvers, owner, reads = [], [], {}, []
     gpu_init, solver_init = GPU.__init__, TransientSolver.__init__
     inj_init = FaultInjector.__init__
@@ -350,12 +358,13 @@ def _mirror_runs(monkeypatch, build, phased=False, oracle=False):
         m.setattr(TransientSolver, "__init__", solver_new)
         m.setattr(FaultInjector, "__init__", inj_new)
         m.setattr(FaultInjector, "apply_circuit_faults", hook)
-        if oracle:
-            for lane in build():
+        if mode == "batch":
+            run_cosim_batch(build())
+        for lane in build() if mode != "batch" else ():
+            if mode == "oracle":
                 _oracle(lane)
-        else:
-            with forced_fallback() if phased else nullcontext():
-                run_cosim_batch(build())
+            else:
+                run_cosim_batch([lane])
     final = [view(g, s) for g, s in zip(gpus, solvers)]
     return reads, final
 
@@ -375,9 +384,11 @@ def test_deferred_mirrors_fold_for_hooks_and_finalize(monkeypatch):
     # cycle, pdn-aging's process variation at 0 and guardband-breaker's
     # CR-IVR loss at 100 (their other windows open after the run).
     assert sorted(r[0] for r in reads) == [-WARMUP, -WARMUP, 0, 100]
-    assert _mirror_runs(monkeypatch, build, phased=True) == (reads, final)
+    # Lane by lane, the solo runs' hooks read the same views.
+    solo_reads, solo_final = _mirror_runs(monkeypatch, build, mode="solo")
+    assert sorted(solo_reads) == sorted(reads) and solo_final == final
     oracle_reads, oracle_final = _mirror_runs(
-        monkeypatch, build, oracle=True
+        monkeypatch, build, mode="oracle"
     )
     # The oracle calls the hook on every cycle of its own lanes, one run
     # at a time: each edge read is one of those.
@@ -479,7 +490,7 @@ _LANE = st.tuples(
 @given(lanes=st.lists(_LANE, min_size=1, max_size=3))
 def test_edge_schedules_match_solo_runs_and_the_oracle(lanes):
     """Random fault schedules and shutoff windows: every lane of the
-    kernel batch equals its solo run, the oracle and the phased body."""
+    kernel batch equals its solo run and the oracle."""
     def build():
         return [
             CosimLane(bench, _cfg(
@@ -494,10 +505,7 @@ def test_edge_schedules_match_solo_runs_and_the_oracle(lanes):
 
     fused = run_cosim_batch(build())
     assert last_batch_solver_info()["fused_cycles"] == TOTAL
-    with forced_fallback():
-        phased = run_cosim_batch(build())
     for i, lane in enumerate(build()):
-        _same(fused[i], phased[i], f"lane {i} fused vs phased")
         _same(fused[i], run_cosim(lane.benchmark, lane.config),
               f"lane {i} vs solo")
         _same(fused[i], _oracle(lane), f"lane {i} vs oracle")
@@ -553,7 +561,7 @@ def test_fig9_shaped_batch_makes_one_kernel_call_per_cycle(monkeypatch):
     single call on each edge cycle: at most two per event, plus one."""
     calls = []
     _log_cover(monkeypatch, calls)
-    _check(_fig9_lanes, monkeypatch)
+    _check(_fig9_lanes, monkeypatch, solo=False)
     assert [c for cover in calls for c in cover] == list(range(TOTAL))
     events = {0, WARMUP, WARMUP + 60}
     assert len(calls) <= 2 * len(events) + 1, calls
@@ -574,19 +582,22 @@ _SPAN_BATCHES = {
 _SPAN_REFERENCES: dict = {}
 
 
-def _span_run(lanes, recorded, phased=False):
+def _span_run(lanes, recorded):
     flights = [_recorder() for _ in lanes] if recorded else None
-    with forced_fallback() if phased else nullcontext():
-        return run_cosim_batch(lanes, flights=flights)
+    return run_cosim_batch(lanes, flights=flights)
 
 
 def _span_references(name):
-    """The batch uncapped, phased and lane by lane (computed once)."""
+    """The batch uncapped, lane by lane and through the oracle (computed
+    once)."""
     if name not in _SPAN_REFERENCES:
         build, recorded = _SPAN_BATCHES[name]
         _SPAN_REFERENCES[name] = {
             "uncapped": _span_run(build(), recorded),
-            "phased": _span_run(build(), recorded, phased=True),
+            "oracle": [
+                _oracle(lane, flight=_recorder() if recorded else None)
+                for lane in build()
+            ],
             "solo": [_span_run([lane], recorded)[0] for lane in build()],
         }
     return _SPAN_REFERENCES[name]
@@ -599,6 +610,16 @@ def _flight_bytes(result):
             json.dumps([d.to_dict() for d in result.flight.dumps]))
 
 
+def _flight_values(result):
+    """The recorder's summary and dumps with each cycle's actuation by
+    value: the oracle's scalar controller builds equal copies of a
+    decision where the bank re-enqueues one."""
+    if result.flight is None:
+        return None
+    return (result.flight.summary(),
+            [_dump_view(d) for d in result.flight.dumps])
+
+
 @settings(max_examples=8, deadline=None)
 @example(name="flight", caps=[1])
 @example(name="fig9", caps=[59, 2, 64])
@@ -606,9 +627,9 @@ def _flight_bytes(result):
        caps=st.lists(st.integers(1, 64), min_size=1, max_size=6))
 def test_span_boundaries_change_nothing(name, caps):
     """Spans cut short at drawn lengths (1-64 cycles, in turn) give the
-    uncapped run's bytes, the solo runs' and the phased body's, flight
-    dumps included: a clean acting batch, Fig. 9's halt edges, and
-    recorders that stop spans on every apply."""
+    uncapped run's bytes, the solo runs' and the oracle's, flight dumps
+    included: a clean acting batch, Fig. 9's halt edges, and recorders
+    that stop spans on every apply."""
     build, recorded = _SPAN_BATCHES[name]
     span, calls = CycleKernel.span, []
 
@@ -624,36 +645,40 @@ def test_span_boundaries_change_nothing(name, caps):
     refs = _span_references(name)
     for i, result in enumerate(results):
         for label, other in (("uncapped", refs["uncapped"][i]),
-                             ("phased", refs["phased"][i]),
                              ("solo", refs["solo"][i])):
             _same(result, other, f"lane {i} vs {label}")
             assert _flight_bytes(result) == _flight_bytes(other), label
+        _same(result, refs["oracle"][i], f"lane {i} vs oracle")
+        assert _flight_values(result) == _flight_values(refs["oracle"][i])
 
 
-def test_flight_blocks_are_handed_over_as_on_the_phased_body(monkeypatch):
-    """Spans stop at each flight hand-over: the recorders get the same
-    blocks of at most _FLIGHT_BLOCK cycles, in the same order, as on
-    the phased body."""
+def test_flight_blocks_are_handed_over_in_order(monkeypatch):
+    """Spans stop at each flight hand-over: every _FLIGHT_BLOCK cycles
+    each recorder, in lane order, gets the block just run, then the
+    rest at the end — and each recorder ends as the oracle's, which
+    observes cycle by cycle."""
     build, recorded = _SPAN_BATCHES["flight"]
     observe_runs = FlightRecorder.observe_runs
+    sizes = []
 
-    def blocks(phased):
-        sizes = []
+    def logged(self, volts, runs):
+        sizes.append((id(self), len(volts)))
+        return observe_runs(self, volts, runs)
 
-        def logged(self, volts, runs):
-            sizes.append((id(self), len(volts)))
-            return observe_runs(self, volts, runs)
-
-        with monkeypatch.context() as m:
-            m.setattr(FlightRecorder, "observe_runs", logged)
-            _span_run(build(), recorded, phased=phased)
-        order = {key: k for k, key in enumerate(dict.fromkeys(
-            key for key, _ in sizes))}
-        return [(order[key], n) for key, n in sizes]
-
-    fused = blocks(phased=False)
-    assert max(n for _, n in fused) <= _FLIGHT_BLOCK < TOTAL
-    assert fused == blocks(phased=True)
+    with monkeypatch.context() as m:
+        m.setattr(FlightRecorder, "observe_runs", logged)
+        results = _span_run(build(), recorded)
+    order = {key: k for k, key in enumerate(dict.fromkeys(
+        key for key, _ in sizes))}
+    lanes = range(len(results))
+    assert _FLIGHT_BLOCK < TOTAL < 2 * _FLIGHT_BLOCK
+    assert [(order[key], n) for key, n in sizes] == (
+        [(i, _FLIGHT_BLOCK) for i in lanes]
+        + [(i, TOTAL - _FLIGHT_BLOCK) for i in lanes]
+    )
+    for result, oracle in zip(results, _span_references("flight")["oracle"]):
+        assert result.flight.summary()["cycles_observed"] == TOTAL
+        assert _flight_values(result) == _flight_values(oracle)
 
 
 def test_ring_growth_inside_spans(monkeypatch):
@@ -765,11 +790,11 @@ DRAWS = ("corrupt_sensors", "observation_allowed", "extra_latency")
 def test_faulted_recipe_runs_hooks_only_on_edges(monkeypatch):
     """The ``b8_active_faulted`` recipe, long enough to cross every
     canned window: no ControllerBank.observe, scale_powers, injector
-    draw or commands_for call (the phased body makes all but the last:
-    its jitter lanes are fast lanes too), the circuit, DFS and halt
-    hooks once per edge cycle at most, and kernel calls that tile the
-    run once, in order — a span between events, one call on an edge
-    cycle, two on one with circuit or DFS hooks: at most three per
+    draw or commands_for call (the oracle and a standalone controller
+    make each of them, so the gate can see them), the circuit, DFS and
+    halt hooks once per edge cycle at most, and kernel calls that tile
+    the run once, in order — a span between events, one call on an
+    edge cycle, two on one with circuit or DFS hooks: at most three per
     event, plus one."""
     cycles, warmup = 900, 60
     lanes = _faulted_lanes(cycles, warmup)
@@ -823,39 +848,49 @@ def test_faulted_recipe_runs_hooks_only_on_edges(monkeypatch):
     assert len(covers) <= 3 * len(events) + 1, covers
 
     covers.clear()
-    with forced_fallback():
-        run_cosim_batch(_faulted_lanes(160, 20))
+    _oracle(_faulted_lanes(160, 20)[0])
+    controller = VoltageSmoothingController(StackConfig())
+    controller.observe(0, np.ones(16))
+    controller.commands_for(0)
     assert covers == []
-    assert set(banned) == {"observe", "scale_powers"}.union(DRAWS), (
-        set(banned)
-    )
+    assert set(banned) == {"observe", "scale_powers", "commands_for"}.union(
+        DRAWS
+    ), set(banned)
 
 
-def _decision_traffic(monkeypatch, lanes, phased):
-    """One run's NumPy waves (their cycles), GPU setter calls (lane's
-    benchmark, setter, argument bytes) in call order, and the lanes'
-    actuation state — each engine's issue width and fake rate bytes and
-    its row of the loop's DCC block — at the top of every cycle and at
-    the end, then each lane's applied-decision count.  The kernel path
-    runs spans of one cycle."""
-    waves, setters, states, gpus, ctrls = [], [], [], [], []
+def _frame_local(function, name):
+    """Local ``name`` of the innermost running ``function``."""
+    frame = sys._getframe()
+    while frame.f_code.co_name != function:
+        frame = frame.f_back
+    return frame.f_locals[name]
+
+
+def _log_setters(monkeypatch, log):
+    for name in ("set_issue_widths", "set_fake_rates"):
+        _log_calls(monkeypatch, GPU, name, log,
+                   lambda self, values, name=name: (
+                       self.kernel.name, name,
+                       np.asarray(values, dtype=float).tobytes(),
+                   ))
+
+
+def _decision_traffic(monkeypatch, lanes):
+    """The kernel batch's run in spans of one cycle: its Python entries
+    into the decision wave, its GPU setter calls (lane's benchmark,
+    setter, argument bytes) in call order, the lanes' actuation state —
+    each engine's issue width and fake rate bytes and its row of the
+    loop's DCC block — at the top of every cycle, the results and each
+    controller's end state."""
+    entries, setters, states, gpus, ctrls = [], [], [], [], []
     gpu_init, span = GPU.__init__, CycleKernel.span
-    ctrl_init = VoltageSmoothingController.__init__
-
-    def ctrl_new(self, *args, **kwargs):
-        ctrl_init(self, *args, **kwargs)
-        ctrls.append(self)
 
     def gpu_new(self, *args, **kwargs):
         gpu_init(self, *args, **kwargs)
         gpus.append(self)
 
     def actuation():
-        # The co-sim loop's frame holds its DCC block.
-        frame = sys._getframe()
-        while frame.f_code.co_name != "_simulate":
-            frame = frame.f_back
-        dcc = frame.f_locals["dcc_bt"]
+        dcc = _frame_local("_simulate", "dcc_bt")
         return [(g.engine.issue_width.tobytes(), g.engine.fake_rate.tobytes(),
                  dcc[i].tobytes()) for i, g in enumerate(gpus)]
 
@@ -869,60 +904,65 @@ def _decision_traffic(monkeypatch, lanes, phased):
 
     with monkeypatch.context() as m:
         m.setattr(GPU, "__init__", gpu_new)
-        m.setattr(VoltageSmoothingController, "__init__", ctrl_new)
-        _log_calls(m, ControllerBank, "_wave", waves,
+        _collecting(m, VoltageSmoothingController, ctrls)
+        _log_calls(m, ControllerBank, "_decide_due", entries,
                    lambda self, cycle, *args: cycle)
-        for name in ("set_issue_widths", "set_fake_rates"):
-            _log_calls(m, GPU, name, setters,
-                       lambda self, values, name=name: (
-                           self.kernel.name, name,
-                           np.asarray(values, dtype=float).tobytes(),
-                       ))
-        for owner, name in ((GPUBatch, "step_into"), (CycleKernel, "run")):
-            _log_calls(m, owner, name, [], top_of_cycle)
+        _log_setters(m, setters)
+        _log_calls(m, CycleKernel, "run", [], top_of_cycle)
         m.setattr(CycleKernel, "span", span_one)
-        with forced_fallback() if phased else nullcontext():
-            results = run_cosim_batch(lanes)
-    final = [(g.engine.issue_width.tobytes(), g.engine.fake_rate.tobytes())
-             for g in gpus]
-    applied = [c.stats()["actuations_applied"] for c in ctrls]
-    return waves, setters, states, final, results, applied
+        results = run_cosim_batch(lanes)
+    return entries, setters, states, results, ctrls
+
+
+def _oracle_traffic(monkeypatch, lane):
+    """The oracle's run of ``lane``: its GPU setter calls, its actuation
+    state at the top of every cycle (as ``_decision_traffic``), its
+    result and its controller."""
+    setters, states, ctrls = [], [], []
+
+    def top_of_cycle(self):
+        dcc = _frame_local("run_cosim_reference", "dcc_powers")
+        states.append((self.engine.issue_width.tobytes(),
+                       self.engine.fake_rate.tobytes(), dcc.tobytes()))
+
+    with monkeypatch.context() as m:
+        _collecting(m, ScalarController, ctrls)
+        _log_setters(m, setters)
+        _log_calls(m, GPU, "step", [], top_of_cycle)
+        result = _oracle(lane)
+    return setters, states, result, ctrls[0]
 
 
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulted"])
 def test_decisions_run_in_the_kernel(monkeypatch, faults):
     """A clean B=8 batch with an acting controller and the
-    ``b8_active_faulted`` recipe (shortened): on the kernel path every
-    wave and pop runs compiled — the NumPy wave is never called — and
-    the kernel applies the fast lanes' new decisions itself.  After
-    every cycle each lane's engine widths and fake rates and its DCC
-    row equal the phased body's, and every setter call left to Python
-    (slow lanes, halt edges) is one the phased body makes, in order.
-    Both bodies count the same applied decisions on every lane: one per
-    phased set_fake_rates call (no lane has an actuator fault)."""
+    ``b8_active_faulted`` recipe (shortened): every wave and pop runs
+    compiled — Python never enters the wave — and the kernel applies
+    the fast lanes' new decisions itself.  At the top of every cycle
+    each lane's engine widths and fake rates and its DCC row equal the
+    oracle's, whose setters run every cycle; every setter call left to
+    Python (slow lanes, halt edges) is one the oracle makes, in order;
+    and each controller ends in its oracle ScalarController's state,
+    counting the same applied decisions."""
     lanes = _faulted_lanes(500, 60, faults=faults)
-    waves, setters, states, final, fused, applied = _decision_traffic(
-        monkeypatch, lanes, phased=False
+    entries, setters, states, fused, ctrls = _decision_traffic(
+        monkeypatch, lanes
     )
-    assert waves == []
-    (phased_waves, phased_setters, phased_states, phased_final, phased,
-     phased_applied) = _decision_traffic(monkeypatch, lanes, phased=True)
-    assert applied == phased_applied
-    fake_calls = Counter(
-        bench for bench, name, _ in phased_setters if name == "set_fake_rates"
-    )
-    assert applied == [fake_calls[lane.benchmark] for lane in lanes]
+    assert entries == []
+    assert len(states) == 560
+    applied = [c.stats()["actuations_applied"] for c in ctrls]
     assert sum(applied) > len(lanes), "the acting recipe applies decisions"
-    assert phased_waves, "the phased body decides in NumPy"
-    assert len(states) == len(phased_states) == 560
-    for cycle, (a, b) in enumerate(zip(states, phased_states)):
-        assert a == b, f"actuation at the top of cycle {cycle}"
-    assert final == phased_final
-    remaining = iter(phased_setters)
-    assert all(call in remaining for call in setters), "setter order"
-    assert len(setters) < len(phased_setters)
-    for i, (a, b) in enumerate(zip(fused, phased)):
-        _same(a, b, f"lane {i} fused vs phased")
+    for i, lane in enumerate(lanes):
+        tag = f"lane {i}"
+        (oracle_setters, oracle_states, oracle,
+         ref) = _oracle_traffic(monkeypatch, lane)
+        assert [cycle[i] for cycle in states] == oracle_states, tag
+        assert _controller_state(ctrls[i]) == _controller_state(ref), tag
+        mine = [call for call in setters if call[0] == lane.benchmark]
+        remaining = iter(oracle_setters)
+        assert all(call in remaining for call in mine), f"{tag}: setters"
+        assert len(mine) < len(oracle_setters), tag
+        _same(fused[i], oracle, f"{tag} vs oracle")
 
 
 # ---------------------------------------------------------------------------

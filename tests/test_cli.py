@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CHAOS_SCENARIOS, build_parser, main
 
 
 class TestParser:
@@ -412,6 +412,16 @@ class TestFaultCommands:
         assert main(["trace", str(tele_dir)]) == 0
         out = capsys.readouterr().out
         assert "faults: schedule 'sensor-storm'" in out
+
+
+class TestChaosScenarios:
+    @pytest.mark.parametrize("name", list(CHAOS_SCENARIOS))
+    def test_every_check_holds(self, name):
+        """Each ``repro chaos`` scenario at seed 3, as the CI smoke job
+        runs it: every invariant it checks holds."""
+        checks, _ = CHAOS_SCENARIOS[name](3)
+        failed = [check for check, held in checks.items() if not held]
+        assert checks and not failed, f"{name}: {failed}"
 
 
 class TestSweepHardeningCommands:
