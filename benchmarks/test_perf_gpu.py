@@ -1,9 +1,10 @@
-"""GPU-model hot-path performance: vectorized engine vs reference SMs.
+"""GPU-model hot-path performance: the engine vs the per-object oracle.
 
 Times the struct-of-arrays engine (``repro.gpu.engine``) against the
-retained per-object reference on a paper benchmark, asserting both the
-speedup floor and exact bit-identity of the per-cycle power traces (the
-engine's equivalence contract — see ``docs/performance.md``).
+per-object oracle GPU (``tests/oracles/per_object_gpu.py``) on a paper
+benchmark, asserting both the speedup floor and exact bit-identity of
+the per-cycle power traces (the engine's equivalence contract — see
+``docs/performance.md``).
 
 The engine steps through the native library's C kernel.
 
@@ -21,6 +22,7 @@ from repro.analysis.report import format_table
 from repro.config import SystemConfig
 from repro.gpu.gpu import GPU
 from repro.workloads.benchmarks import get_benchmark
+from tests.oracles.per_object_gpu import PerObjectGPU
 
 BENCHMARK = "hotspot"
 COMPARE_CYCLES = 1500
@@ -29,21 +31,20 @@ TIMING_ROUNDS = 3
 SPEEDUP_FLOOR = 25.0
 
 
-def _make(vectorized: bool) -> GPU:
+def _make(per_object: bool):
     spec = get_benchmark(BENCHMARK)
-    return GPU(
+    return (PerObjectGPU if per_object else GPU)(
         spec.kernel,
         config=SystemConfig(),
         seed=SEED,
         miss_ratio=spec.miss_ratio,
         jitter=spec.jitter,
-        vectorized=vectorized,
     )
 
 
-def _cycles_per_second(vectorized: bool, cycles: int) -> float:
+def _cycles_per_second(per_object: bool, cycles: int) -> float:
     """Best of TIMING_ROUNDS rounds (robust on a noisy shared core)."""
-    gpu = _make(vectorized)
+    gpu = _make(per_object)
     gpu.run(50)  # warm caches / stream tables / allocator
     best = float("inf")
     for _ in range(TIMING_ROUNDS):
@@ -54,8 +55,8 @@ def _cycles_per_second(vectorized: bool, cycles: int) -> float:
 
 
 def test_bit_identity():
-    ref = _make(vectorized=False)
-    vec = _make(vectorized=True)
+    ref = _make(per_object=True)
+    vec = _make(per_object=False)
     assert np.array_equal(ref.run(COMPARE_CYCLES), vec.run(COMPARE_CYCLES))
     assert ref.total_instructions() == vec.total_instructions()
     assert ref.total_fake_instructions() == vec.total_fake_instructions()
@@ -64,17 +65,17 @@ def test_bit_identity():
 
 def test_gpu_cycles_per_second(benchmark):
     reference = benchmark.pedantic(
-        _cycles_per_second, args=(False, 2000), rounds=1, iterations=1
+        _cycles_per_second, args=(True, 2000), rounds=1, iterations=1
     )
-    fast = _cycles_per_second(True, 50_000)
+    fast = _cycles_per_second(False, 50_000)
     speedup = fast / reference
     emit(
         "GPU model hot path (16 SMs, hotspot kernel)",
         format_table(
             ["path", "cycles/s"],
             [
-                ["per-object reference", f"{reference:,.0f}"],
-                ["vectorized (C)", f"{fast:,.0f}"],
+                ["per-object oracle", f"{reference:,.0f}"],
+                ["engine (C)", f"{fast:,.0f}"],
                 ["speedup", f"{speedup:.1f}x"],
             ],
             title=f"GPU stepping throughput ({BENCHMARK})",

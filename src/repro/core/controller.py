@@ -771,11 +771,6 @@ class ControllerBank:
         return self._c
 
     @property
-    def next_due(self) -> int:
-        """The next cycle any lane is due to decide."""
-        return int(self._scal[_S_NEXT_DUE])
-
-    @property
     def _uniform_period(self) -> Optional[int]:
         """The shared control period while the lanes decide in phase."""
         return int(self._scal[_S_UNIFORM]) or None

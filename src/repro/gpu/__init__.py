@@ -3,9 +3,9 @@
 The model reproduces the architectural behaviour the paper's control
 scheme interacts with:
 
-* per-SM dual-issue front end with a GTO warp scheduler and a register
-  scoreboard (so issue rates land in the paper's observed 0.8-1.8
-  warps/cycle band);
+* per-SM dual-issue front end with a GTO warp scheduler (or the
+  gating-aware GATES scheduler) and a register scoreboard (so issue
+  rates land in the paper's observed 0.8-1.8 warps/cycle band);
 * ALU / SFU / LSU execution blocks with per-class latencies;
 * a shared L2/DRAM memory model with hit/miss latencies and a global
   bandwidth limit;
@@ -16,35 +16,26 @@ scheme interacts with:
   studies;
 * a GPUWattch-style event power model emitting per-SM power every cycle.
 
-Two engines implement the model: the per-object reference
-(``StreamingMultiprocessor``) and the default vectorized
-struct-of-arrays engine (``VectorizedGPUEngine``), bit-identical to it
-— see ``docs/performance.md``.
+One engine implements the model: the struct-of-arrays
+``VectorizedGPUEngine``, stepping every SM per cycle in the native
+library.  Its oracle, the per-object model (an object per SM and per
+warp), lives in ``tests/oracles/per_object_gpu.py`` — see
+``docs/performance.md``.
 """
 
-from repro.gpu.isa import InstructionClass, Instruction, UNIT_FOR_CLASS
-from repro.gpu.kernels import KernelSpec, build_warps
-from repro.gpu.warp import Warp, Scoreboard
-from repro.gpu.scheduler import GTOScheduler, GatingAwareScheduler
+from repro.gpu.isa import InstructionClass, UNIT_FOR_CLASS
+from repro.gpu.kernels import KernelSpec
 from repro.gpu.memory import MemorySystem
 from repro.gpu.power import SMPowerModel
-from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.engine import VectorizedGPUEngine
 from repro.gpu.gpu import GPU
 
 __all__ = [
     "GPU",
     "VectorizedGPUEngine",
-    "GTOScheduler",
-    "GatingAwareScheduler",
-    "Instruction",
     "InstructionClass",
     "KernelSpec",
     "MemorySystem",
     "SMPowerModel",
-    "Scoreboard",
-    "StreamingMultiprocessor",
     "UNIT_FOR_CLASS",
-    "Warp",
-    "build_warps",
 ]

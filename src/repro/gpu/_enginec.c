@@ -7,9 +7,10 @@
  * co-sim cycle kernel's apply stage, keeping EngineState private here.
  *
  * The contract is bit-identical equivalence with the per-object Python
- * reference (repro.gpu.sm.StreamingMultiprocessor).  This file is a
- * direct sequential transliteration of SM.step() — same operation
- * order, same IEEE-754 double arithmetic:
+ * model kept as the test oracle (StreamingMultiprocessor in
+ * tests/oracles/per_object_gpu.py).  This file is a direct sequential
+ * transliteration of its step() — same operation order, same IEEE-754
+ * double arithmetic:
  *
  *   - compile with -ffp-contract=off (no FMA contraction) and without
  *     -ffast-math, so double expressions evaluate exactly as CPython's;
@@ -18,6 +19,11 @@
  *   - (long long) casts of non-negative doubles truncate like int();
  *   - the memory-queue recurrence and energy-wheel deposits run in the
  *     reference's exact sequence (per SM, per issue slot, fakes last).
+ *
+ * Warp selection is GTO, or GATES (the oracle's GatingAwareScheduler)
+ * when the gates flag is set: GTO over the ready warps whose head unit
+ * is in the SM's active row, the units the power-gating controller last
+ * saw powered on.
  *
  * Scoreboards are the engine's (sms, warps, 17) ready-at table with
  * sentinels RA_NEVER (never written -> always ready) and RA_PENDING
@@ -61,6 +67,7 @@ typedef struct EngineState {
     i64 max_pc;
     i64 dram_cycles;
     i64 l2_cycles;
+    i64 gates; /* GATES warp selection instead of GTO */
     double clock_hz;
     double idle_energy;
     double fake_energy;
@@ -70,6 +77,7 @@ typedef struct EngineState {
     double *fake_rate;
     double *freq_scale;
     u8 *gated;
+    u8 *active;  /* GATES active units, as the PG controller last wrote them */
     i64 *waking; /* usable-at cycle; RA_NEVER when cleared */
     i64 *unit_idle;
     double *leakage;
@@ -215,6 +223,40 @@ static i64 gto_select(EngineState *st, i64 s, i64 cycle) {
     return best;
 }
 
+/* GATES select: GTO over a pool of the ready warps whose head unit is
+ * active, or over every ready warp when no ready warp's is.  Greedy
+ * keeps the last-issued warp only while it is in the pool. */
+static i64 gates_select(EngineState *st, i64 s, i64 cycle) {
+    i64 W = st->num_warps;
+    const u8 *active = st->active + s * 3;
+    i64 last = st->last_warp[s];
+    int last_ready = last >= 0 && warp_ready(st, s, last, cycle);
+    if (last_ready && active[st->head_unit[s * W + last]])
+        return last;
+    i64 best = -1, best_pc = 0, any = -1, any_pc = 0;
+    for (i64 w = 0; w < W; w++) {
+        if (!warp_ready(st, s, w, cycle))
+            continue;
+        i64 p = st->pc[s * W + w];
+        if (any < 0 || p < any_pc) {
+            any = w;
+            any_pc = p;
+        }
+        if (active[st->head_unit[s * W + w]] && (best < 0 || p < best_pc)) {
+            best = w;
+            best_pc = p;
+        }
+    }
+    if (best < 0) {
+        if (last_ready)
+            return last;
+        best = any;
+    }
+    if (best >= 0)
+        st->last_warp[s] = best;
+    return best;
+}
+
 /* One nominal clock for every SM.  Returns the number of kernel-done
  * SMs at end of cycle (for the GPU's launch barrier), or -1 if a
  * pending-load heap overflowed. */
@@ -271,7 +313,8 @@ i64 engine_step(EngineState *st, i64 cycle) {
         double iss_share[2];
 
         while (issued < 2 && st->budget[s] > 0) {
-            i64 w = gto_select(st, s, cycle);
+            i64 w = st->gates ? gates_select(st, s, cycle)
+                              : gto_select(st, s, cycle);
             if (w < 0)
                 break;
             i64 unit = st->head_unit[s * W + w];

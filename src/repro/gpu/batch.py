@@ -2,21 +2,20 @@
 
 The batched co-simulator (``repro.sim.cosim.run_cosim_batch``) steps B
 scenarios per cycle.  The GPU timing model is already vectorized *within*
-one GPU (PR 5's struct-of-arrays engine); batching across scenarios
-lands as B independent engines behind one facade: per-lane state
-(kernels, RNG streams, barrier bookkeeping) stays exactly the serial
-model's, which is what keeps the batch bit-identical to B serial runs.
+one GPU (the struct-of-arrays engine); batching across scenarios lands
+as B independent engines behind one facade: per-lane state (kernels,
+RNG streams, barrier bookkeeping) stays exactly the serial model's,
+which is what keeps the batch bit-identical to B serial runs.
 
-When every lane runs the struct-of-arrays engine, the facade steps all
-lanes through one ``engine_step_batch`` call per cycle instead of B
-``engine_step`` calls — the per-lane C work is unchanged (lanes share
-nothing, so cross-lane order cannot affect results); only the Python
-and ctypes dispatch around it is amortized.  The call also runs the
-launch barrier: the C census leaves per-SM kernel-done flags in a shared
-``(B, num_sms)`` block, a lane's barrier fires on ``done | exempt``, and
-the call hands the flagged lanes back for relaunch before stepping.  A
-batch holding a per-object GPU (``vectorized=False``) steps every lane
-through ``GPU.step_into``.
+The facade steps all lanes through one ``engine_step_batch`` call per
+cycle instead of B ``engine_step`` calls — the per-lane C work is
+unchanged (lanes share nothing, so cross-lane order cannot affect
+results); only the Python and ctypes dispatch around it is amortized.
+The call also runs the launch barrier: the C census leaves per-SM
+kernel-done flags in a shared ``(B, num_sms)`` block, a lane's barrier
+fires on ``done | exempt``, and the call hands the flagged lanes back
+for relaunch before stepping.  Lanes whose clocks differ when the batch
+first steps are stepped one by one through ``GPU.step_into``.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ class GPUBatch:
         if len(sizes) != 1:
             raise ValueError(f"lanes must share num_sms, got {sorted(sizes)}")
         self.num_sms = sizes.pop()
-        # Built on the first fused() call; None when a lane is ineligible.
+        # Built on the first fused() call; None when the lanes' clocks differ.
         self._fused: Optional[object] = None
         self._fused_probed = False
 
@@ -119,11 +118,9 @@ class GPUBatch:
         return iter(self.gpus)
 
     def fused(self) -> Optional[_FusedDispatch]:
-        """The fused dispatch, or ``None`` when a lane is per-object."""
+        """The fused dispatch, or ``None`` when the lanes' clocks differ."""
         if not self._fused_probed:
             self._fused_probed = True
-            if not all(gpu.vectorized for gpu in self.gpus):
-                return None
             # Alignment is invariant once established: the fused step
             # advances every lane exactly one cycle per call.
             if len({gpu.cycle for gpu in self.gpus}) != 1:
@@ -168,7 +165,6 @@ class GPUBatch:
             gpu, eng, _ = fused.lanes[i]
             eng._load_generation(eng.generation + 1)
             fused.ndone[i] = 0
-            gpu._generation = eng.generation
             gpu.kernels_launched += 1
             gpu.kernel_launch_cycles.append(cycle)
 

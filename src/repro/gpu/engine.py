@@ -1,18 +1,16 @@
 """Struct-of-arrays GPU engine: all 16 SMs stepped by one C call.
 
-The per-object model (:class:`repro.gpu.sm.StreamingMultiprocessor`)
-walks Python objects per warp per cycle — scheduler scans, scoreboard
-dict lookups, a per-instruction modulo loop over the energy wheel — and
-the stage telemetry shows it dominating co-simulation wall time.  This
-module holds the *same* microarchitecture's state as ``(num_sms, ...)``
-arrays, and the native library's step kernel (``_enginec.c``, see
-:mod:`repro.native`) advances every SM per cycle in place on them.
+The GPU model's state lives here as ``(num_sms, ...)`` arrays, and the
+native library's step kernel (``_enginec.c``, see :mod:`repro.native`)
+advances every SM per cycle in place on them.
 
-The contract with the per-object model, which is this engine's oracle,
-is **bit-identical** output: per-cycle power vectors and every
-statistic match exactly for the same seed.  The C step is a sequential
-transliteration of ``SM.step()``; the Python side keeps what must match
-the reference at the float-operation level outside it:
+Its oracle is the per-object model in ``tests/oracles/per_object_gpu.py``
+(a ``StreamingMultiprocessor`` object per SM, a ``Warp`` object per
+warp), and the contract is **bit-identical** output: per-cycle power
+vectors and every statistic match exactly for the same seed.  The C
+step is a sequential transliteration of the oracle SM's ``step()``; the
+Python side keeps what must match the oracle at the float-operation
+level outside it:
 
 * the DIWS budget of a fresh window uses the same ``round()``
   (banker's) as the SM;
@@ -26,20 +24,25 @@ dummy register for dest-less instructions, so readiness is a plain
 ``max``), with sentinels for "never written" and "load in flight".
 Each warp's head readiness and head unit are cached (``_ready_cycle``,
 ``_head_unit``; see :meth:`VectorizedGPUEngine._refresh_heads`).  A
-launch drops the loads still in flight, as the reference does: they
+launch drops the loads still in flight, as the oracle does: they
 belong to the kernel that issued them.
 
-The GPU facade (:class:`repro.gpu.gpu.GPU`) selects this engine by
-default (``vectorized=True``) and exposes per-SM views so existing
-consumers (experiments, tests) keep reading per-SM statistics and
-issuing per-SM actuation.  The Warped-Gates PG study needs the
-per-object scheduler coupling and keeps using the reference model.
+Warp selection is greedy-then-oldest, or GATES (gating-aware) for the
+Warped-Gates power-gating study: GTO over the ready warps whose next
+instruction targets a unit the power-gating controller last saw powered
+on (:meth:`VectorizedGPUEngine.set_active_units`).
+
+The GPU facade (:class:`repro.gpu.gpu.GPU`) owns one engine and exposes
+per-SM views (:class:`SMView`) so consumers (experiments, the
+power-gating controller, tests) read per-SM statistics and issue per-SM
+actuation.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,14 +52,36 @@ from repro.gpu.kernels import (
     KernelSpec,
     StreamArrays,
     UNIT_ORDER,
-    build_warps,
     jittered_lengths,
     stream_arrays,
 )
 from repro.gpu.memory import MemorySystem
 from repro.gpu.power import IDLE_DYNAMIC_ENERGY, SMPowerModel
-from repro.gpu.sm import DIWS_WINDOW, SMStatistics, WAKEUP_CYCLES
-from repro.gpu.warp import Warp
+
+# Cycles a gated unit needs to wake before accepting work (Blackout).
+WAKEUP_CYCLES = 3
+
+DIWS_WINDOW = 10  # cycles per issue-budget window
+
+
+@dataclass
+class SMStatistics:
+    """One SM's counters accumulated across a run."""
+
+    cycles: int = 0
+    active_cycles: int = 0
+    instructions_issued: int = 0
+    fake_instructions: int = 0
+    issue_stall_cycles: int = 0
+    kernels_completed: int = 0
+
+    @property
+    def issue_rate(self) -> float:
+        """Real warps issued per active cycle (paper band: 0.8-1.8)."""
+        if self.active_cycles == 0:
+            return 0.0
+        return self.instructions_issued / self.active_cycles
+
 
 _UNIT_INDEX: Dict[ExecUnit, int] = {u: i for i, u in enumerate(UNIT_ORDER)}
 _FAKE_ENERGY = ENERGY[InstructionClass.FAKE]  # latency 1 -> span 1, share=E
@@ -90,6 +115,7 @@ class CEngineState(ctypes.Structure):
         ("max_pc", _I64),
         ("dram_cycles", _I64),
         ("l2_cycles", _I64),
+        ("gates", _I64),
         ("clock_hz", _F64),
         ("idle_energy", _F64),
         ("fake_energy", _F64),
@@ -98,6 +124,7 @@ class CEngineState(ctypes.Structure):
         ("fake_rate", _PTR),
         ("freq_scale", _PTR),
         ("gated", _PTR),
+        ("active", _PTR),
         ("waking", _PTR),
         ("unit_idle", _PTR),
         ("leakage", _PTR),
@@ -152,6 +179,7 @@ _STREAM_COLUMNS = (
 class VectorizedGPUEngine:
     """All SMs of one GPU as struct-of-arrays state, stepped per cycle.
 
+    ``gating_aware`` selects GATES warp selection instead of GTO.
     Raises :class:`ValueError` for a kernel with more warps per SM than
     :data:`MAX_WARPS_PER_SM`, and :class:`repro.native.NativeBuildError`
     when the native library is unavailable.
@@ -168,6 +196,7 @@ class VectorizedGPUEngine:
         power_model: SMPowerModel,
         seed: int = 0,
         jitter: float = 0.0,
+        gating_aware: bool = False,
     ) -> None:
         if kernel.warps_per_sm > MAX_WARPS_PER_SM:
             raise ValueError(
@@ -181,7 +210,8 @@ class VectorizedGPUEngine:
         self.power_model = power_model
         self.jitter = jitter
         self._base_seed = seed
-        # Same per-SM jitter-seed derivation as the GPU's SM construction.
+        # SPMD: every SM shares the stream seed; only the jitter seed
+        # differs per SM.
         self._jitter_seeds = [seed * 65_537 + sm_id + 1 for sm_id in range(num_sms)]
         self.generation = 0
         self._clock_hz = power_model.gpu.sm_clock_hz
@@ -199,6 +229,10 @@ class VectorizedGPUEngine:
         # reference SM's ``gated_units`` so leakage_w's set-iteration
         # float-sum order is identical.
         self.gated_sets: List[Set[ExecUnit]] = [set() for _ in range(S)]
+        self.gating_aware = bool(gating_aware)
+        # GATES: the units each SM's power-gating controller last saw
+        # powered on (all on until it writes them).
+        self._active = np.ones((S, 3), dtype=bool)
         self._waking = np.full((S, 3), _NEVER, dtype=np.int64)  # usable-at
         self.unit_idle = np.zeros((S, 3), dtype=np.int64)
         self._leakage = np.full(S, power_model.leakage_w(()))
@@ -270,7 +304,7 @@ class VectorizedGPUEngine:
     def _load_generation(self, generation: int, first: bool = False) -> None:
         """(Re)launch the kernel on every SM — the global barrier.
 
-        Matches :meth:`StreamingMultiprocessor.start_new_kernel`: fresh
+        Matches the oracle SM's ``start_new_kernel``: fresh
         warps (PCs, scoreboards, outstanding counts), scheduler reset,
         ``kernels_completed`` bumped, and the loads still in flight
         dropped — they belong to the kernel that issued them (their
@@ -323,6 +357,7 @@ class VectorizedGPUEngine:
             heap_cap=self.HEAP_CAPACITY,
             dram_cycles=timings.dram_cycles,
             l2_cycles=timings.l2_hit_cycles,
+            gates=int(self.gating_aware),
             clock_hz=self._clock_hz,
             idle_energy=IDLE_DYNAMIC_ENERGY,
             fake_energy=_FAKE_ENERGY,
@@ -331,6 +366,7 @@ class VectorizedGPUEngine:
             fake_rate=ptr(self.fake_rate),
             freq_scale=ptr(self.frequency_scale),
             gated=ptr(self._gated),
+            active=ptr(self._active),
             waking=ptr(self._waking),
             unit_idle=ptr(self.unit_idle),
             leakage=ptr(self._leakage),
@@ -472,6 +508,27 @@ class VectorizedGPUEngine:
         self.unit_idle[sm_id, u] = -WAKEUP_CYCLES
         self._leakage[sm_id] = self.power_model.leakage_w(self.gated_sets[sm_id])
 
+    def set_active_units(self, sm_id: int, units: Iterable[ExecUnit]) -> None:
+        """GATES: the units SM ``sm_id``'s power-gating controller sees on.
+
+        A no-op under GTO, like the oracle SM's.  The row keeps what
+        was written: a unit the hypervisor wakes afterwards stays out
+        of it until the controller's next write.
+        """
+        if not self.gating_aware:
+            return
+        row = self._active[sm_id]
+        row[:] = False
+        for unit in units:
+            row[_UNIT_INDEX[unit]] = True
+
+    def has_demand(self, sm_id: int, unit: ExecUnit) -> bool:
+        """Does any unfinished warp's next instruction target ``unit``?"""
+        return bool(
+            (~self._warp_done[sm_id]
+             & (self._head_unit[sm_id] == _UNIT_INDEX[unit])).any()
+        )
+
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
@@ -575,7 +632,7 @@ class _SMStatsView:
         return self.instructions_issued / active
 
     def snapshot(self) -> SMStatistics:
-        """Detached copy as the reference dataclass."""
+        """Detached copy as an :class:`SMStatistics`."""
         return SMStatistics(
             cycles=self.cycles,
             active_cycles=self.active_cycles,
@@ -587,19 +644,17 @@ class _SMStatsView:
 
 
 class SMView:
-    """Per-SM facade over the vectorized engine.
+    """Per-SM facade over the engine.
 
-    Presents the :class:`StreamingMultiprocessor` surface that
-    experiments and tests use — actuation setters, live statistics,
-    gating, and the (lazily materialized) warp list describing the
-    current kernel generation's streams.
+    The per-SM surface that experiments, the power-gating controller
+    and tests use — actuation setters, live statistics, gating and
+    GATES's active units — the same surface as the oracle SM.
     """
 
     def __init__(self, engine: VectorizedGPUEngine, sm_id: int) -> None:
         self._engine = engine
         self.sm_id = sm_id
         self.stats = _SMStatsView(engine, sm_id)
-        self._warps_cache: Optional[Tuple[int, List[Warp]]] = None
 
     # -- actuation ------------------------------------------------------
     @property
@@ -634,6 +689,12 @@ class SMView:
     def ungate_unit(self, unit: ExecUnit, cycle: int) -> None:
         self._engine.ungate_unit(self.sm_id, unit, cycle)
 
+    def has_demand(self, unit: ExecUnit) -> bool:
+        return self._engine.has_demand(self.sm_id, unit)
+
+    def set_active_units(self, units: Iterable[ExecUnit]) -> None:
+        self._engine.set_active_units(self.sm_id, units)
+
     @property
     def unit_idle_cycles(self) -> Dict[ExecUnit, int]:
         return {
@@ -649,25 +710,3 @@ class SMView:
     @property
     def kernel_done(self) -> bool:
         return bool(self._engine.kernel_done_mask()[self.sm_id])
-
-    @property
-    def warps(self) -> List[Warp]:
-        """The current generation's warps, materialized as objects.
-
-        A *workload description* (instruction streams and jittered
-        lengths exactly as the reference would build them), not live
-        execution state — the engine holds PCs and scoreboards as
-        arrays.  Cached per kernel generation.
-        """
-        engine = self._engine
-        gen = engine.generation
-        if self._warps_cache is None or self._warps_cache[0] != gen:
-            seed = engine._base_seed + 7919 * gen
-            jseed = engine._jitter_seeds[self.sm_id] + 7919 * gen
-            self._warps_cache = (
-                gen,
-                build_warps(
-                    engine.kernel, seed, jitter=engine.jitter, jitter_seed=jseed
-                ),
-            )
-        return self._warps_cache[1]

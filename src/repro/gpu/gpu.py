@@ -10,36 +10,27 @@ converts to layer currents.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.config import GPUConfig, PowerConfig, StackConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.gpu.engine import SMView, VectorizedGPUEngine
 from repro.gpu.kernels import KernelSpec
 from repro.gpu.memory import MemorySystem
 from repro.gpu.power import SMPowerModel
-from repro.gpu.scheduler import GatingAwareScheduler, GTOScheduler
-from repro.gpu.sm import StreamingMultiprocessor
 
 
 class GPU:
     """A Fermi-class GPU: 16 SMs, shared memory system, per-cycle power.
 
-    Two interchangeable, bit-identical execution engines back the model:
-
-    * ``vectorized=True`` (default): the struct-of-arrays engine in
-      :mod:`repro.gpu.engine`, stepping all SMs per cycle in one call
-      into the native library.  ``self.sms`` holds per-SM views that
-      expose the same statistics/actuation surface as the object model.
-    * ``vectorized=False``: the retained per-object reference —
-      :class:`StreamingMultiprocessor` instances stepped in a Python
-      loop.  The equivalence suite (``tests/gpu/test_engine_equivalence``)
-      holds the two bit-identical per cycle.
-
-    The Warped-Gates study's gating-aware scheduler needs the
-    per-object scheduler coupling, so ``gating_aware_scheduler=True``
-    always uses the reference engine.
+    The struct-of-arrays engine in :mod:`repro.gpu.engine` steps all SMs
+    per cycle in one call into the native library; ``self.sms`` holds
+    per-SM views exposing statistics, actuation and power gating.
+    ``gating_aware_scheduler`` selects GATES warp selection (the
+    Warped-Gates study) instead of GTO.  The per-object model the engine
+    is held bit-identical to is the test oracle
+    ``tests/oracles/per_object_gpu.py``.
     """
 
     def __init__(
@@ -50,56 +41,28 @@ class GPU:
         miss_ratio: float = 0.3,
         jitter: float = 0.0,
         gating_aware_scheduler: bool = False,
-        vectorized: bool = True,
     ) -> None:
         self.config = config
         self.kernel = kernel
         self.memory = MemorySystem(miss_ratio=miss_ratio, seed=seed)
-        power_model = SMPowerModel(config.gpu, config.power)
-        self.vectorized = bool(vectorized) and not gating_aware_scheduler
-        if self.vectorized:
-            self.engine: Optional[VectorizedGPUEngine] = VectorizedGPUEngine(
-                kernel,
-                config.gpu.num_sms,
-                self.memory,
-                power_model,
-                seed=seed,
-                jitter=jitter,
-            )
-            self.sms = [
-                SMView(self.engine, sm_id)
-                for sm_id in range(config.gpu.num_sms)
-            ]
-        else:
-            self.engine = None
-            self.sms: List[StreamingMultiprocessor] = []
-            for sm_id in range(config.gpu.num_sms):
-                scheduler = (
-                    GatingAwareScheduler()
-                    if gating_aware_scheduler
-                    else GTOScheduler()
-                )
-                # SPMD: every SM runs the same instruction streams (same
-                # stream seed); only the jitter seed differs per SM.  SMs
-                # do not self-rearm — the GPU launches kernels at global
-                # barriers (below) so phase drift stays bounded.
-                self.sms.append(
-                    StreamingMultiprocessor(
-                        sm_id,
-                        kernel,
-                        self.memory,
-                        power_model=power_model,
-                        seed=seed,
-                        jitter=jitter,
-                        scheduler=scheduler,
-                        jitter_seed=seed * 65_537 + sm_id + 1,
-                        rearm=False,
-                    )
-                )
+        # SPMD: every SM runs the same instruction streams (same stream
+        # seed); only the jitter seed differs per SM.  The GPU launches
+        # kernels at global barriers (below) so phase drift stays bounded.
+        self.engine = VectorizedGPUEngine(
+            kernel,
+            config.gpu.num_sms,
+            self.memory,
+            SMPowerModel(config.gpu, config.power),
+            seed=seed,
+            jitter=jitter,
+            gating_aware=gating_aware_scheduler,
+        )
+        self.sms = [
+            SMView(self.engine, sm_id) for sm_id in range(config.gpu.num_sms)
+        ]
         self.cycle = 0
         self.kernels_launched = 1
         self.kernel_launch_cycles = [0]
-        self._generation = 0
         self._exempt_mask = np.zeros(config.gpu.num_sms, dtype=bool)
         self._barrier_exempt: frozenset = frozenset()
 
@@ -113,7 +76,7 @@ class GPU:
 
         Used to model halted/powered-off SMs in worst-case experiments.
         Assign a new set to change it: the setter keeps the per-SM mask
-        the engines (and a :class:`repro.gpu.batch.GPUBatch`) read in
+        the engine (and a :class:`repro.gpu.batch.GPUBatch`) reads in
         step with it.
         """
         return self._barrier_exempt
@@ -138,28 +101,12 @@ class GPU:
         early idle at base power until the barrier (the tail imbalance
         the per-SM jitter models).
         """
-        if self.vectorized:
-            powers, launched = self.engine.step(
-                self.cycle, self._exempt_mask, bool(self._barrier_exempt)
-            )
-            if launched:
-                self._generation = self.engine.generation
-                self.kernels_launched += 1
-                self.kernel_launch_cycles.append(self.cycle)
-            self.cycle += 1
-            return powers
-        if all(
-            sm.kernel_done or sm.sm_id in self.barrier_exempt
-            for sm in self.sms
-        ):
-            self._generation += 1
-            for sm in self.sms:
-                sm.start_new_kernel(self._generation)
+        powers, launched = self.engine.step(
+            self.cycle, self._exempt_mask, bool(self._barrier_exempt)
+        )
+        if launched:
             self.kernels_launched += 1
             self.kernel_launch_cycles.append(self.cycle)
-        powers = np.empty(self.num_sms)
-        for k, sm in enumerate(self.sms):
-            powers[k] = sm.step(self.cycle)
         self.cycle += 1
         return powers
 
@@ -170,14 +117,10 @@ class GPU:
         caller's buffer (one copy instead of copy-then-assign) — the hot
         path for the batched co-simulator's ``(B, num_sms)`` stepping.
         """
-        if not self.vectorized:
-            out[:] = self.step()
-            return out
         _, launched = self.engine.step(
             self.cycle, self._exempt_mask, bool(self._barrier_exempt), out=out
         )
         if launched:
-            self._generation = self.engine.generation
             self.kernels_launched += 1
             self.kernel_launch_cycles.append(self.cycle)
         self.cycle += 1
@@ -196,43 +139,25 @@ class GPU:
     # Actuation fan-out (used by the controller and the hypervisor)
     # ------------------------------------------------------------------
     def set_issue_widths(self, widths: Sequence[float]) -> None:
-        if self.vectorized:
-            self.engine.set_issue_widths(widths)
-            return
-        for sm, width in zip(self.sms, widths):
-            sm.set_issue_width(width)
+        self.engine.set_issue_widths(widths)
 
     def set_fake_rates(self, rates: Sequence[float]) -> None:
-        if self.vectorized:
-            self.engine.set_fake_rates(rates)
-            return
-        for sm, rate in zip(self.sms, rates):
-            sm.set_fake_rate(rate)
+        self.engine.set_fake_rates(rates)
 
     def set_frequency_scales(self, scales: Sequence[float]) -> None:
-        if self.vectorized:
-            self.engine.set_frequency_scales(scales)
-            return
-        for sm, scale in zip(self.sms, scales):
-            sm.set_frequency_scale(scale)
+        self.engine.set_frequency_scales(scales)
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def issue_rates(self) -> np.ndarray:
-        if self.vectorized:
-            return self.engine.issue_rates()
-        return np.array([sm.stats.issue_rate for sm in self.sms])
+        return self.engine.issue_rates()
 
     def total_instructions(self) -> int:
-        if self.vectorized:
-            return self.engine.total_instructions
-        return sum(sm.stats.instructions_issued for sm in self.sms)
+        return self.engine.total_instructions
 
     def total_fake_instructions(self) -> int:
-        if self.vectorized:
-            return self.engine.total_fakes
-        return sum(sm.stats.fake_instructions for sm in self.sms)
+        return self.engine.total_fakes
 
     def layer_powers(self, per_sm_power: np.ndarray) -> np.ndarray:
         """Aggregate a per-SM power vector into per-layer totals."""

@@ -12,8 +12,7 @@ Fermi-class power envelope (Table I / PowerConfig).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 
 class InstructionClass(enum.Enum):
@@ -74,31 +73,3 @@ ENERGY: Dict[InstructionClass, float] = {
     # Fake instructions are chosen to mimic a mid-weight ALU op.
     InstructionClass.FAKE: 3.8e-9,
 }
-
-
-@dataclass
-class Instruction:
-    """One warp-instruction with register dependencies.
-
-    ``dest`` is the written register id (-1 for none); ``srcs`` are read
-    register ids.  Register ids are small ints local to the warp.
-    """
-
-    op: InstructionClass
-    dest: int = -1
-    srcs: Tuple[int, ...] = field(default_factory=tuple)
-
-    @property
-    def unit(self) -> ExecUnit:
-        return UNIT_FOR_CLASS[self.op]
-
-    @property
-    def latency(self) -> int:
-        return LATENCY[self.op]
-
-    @property
-    def energy(self) -> float:
-        return ENERGY[self.op]
-
-
-FAKE_INSTRUCTION = Instruction(InstructionClass.FAKE)

@@ -2,9 +2,10 @@
 
 A :class:`KernelSpec` describes a GPU kernel statistically — instruction
 mix, memory intensity, dependence density, warp count, body length —
-and :func:`build_warps` expands it into concrete per-warp instruction
-streams with register dependencies.  All randomness flows through an
-explicit seed so every simulation is reproducible.
+and :func:`stream_arrays` expands it into concrete per-warp instruction
+streams with register dependencies, as ``(warps, body)`` column arrays
+for the GPU engine.  All randomness flows through an explicit seed so
+every simulation is reproducible.
 
 The specs are how the twelve paper benchmarks are realized (see
 ``repro.workloads.benchmarks``): each benchmark is a KernelSpec tuned to
@@ -15,7 +16,7 @@ phase-structured backprop, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -24,10 +25,8 @@ from repro.gpu.isa import (
     LATENCY,
     UNIT_FOR_CLASS,
     ExecUnit,
-    Instruction,
     InstructionClass,
 )
-from repro.gpu.warp import Warp
 
 # Register file window each warp cycles through; small enough to create
 # realistic read-after-write dependence chains.
@@ -82,10 +81,11 @@ def _draw_stream_fields(
 ):
     """The random draws behind ``count`` instruction streams.
 
-    Shared by the per-object stream builder (:func:`_sample_stream`, one
-    row) and the struct-of-arrays builder (:func:`stream_arrays`, one
-    row per warp) so both consume the generator identically — the draws,
-    not the container, define the workload.  Each stream makes its own
+    Shared by the struct-of-arrays builder (:func:`stream_arrays`, one
+    row per warp) and the per-object stream builder of the GPU oracle
+    (``tests/oracles/per_object_gpu.py``, one row) so both consume the
+    generator identically — the draws, not the container, define the
+    workload.  Each stream makes its own
     five generator calls, in order, into its row of the ``(count,
     length)`` blocks; calls are never merged across streams, because
     ``integers`` draws 32-bit halves and an odd ``length`` leaves one
@@ -137,48 +137,6 @@ def _draw_stream_fields(
     return classes, op_indices, use_chain, random_src1, add_src2, random_src2
 
 
-def _sample_stream(
-    spec: KernelSpec, rng: np.random.Generator, length: int
-) -> List[Instruction]:
-    """Draw one instruction stream from the spec's statistics.
-
-    All random draws are vectorized — streams run to thousands of
-    instructions and this is the hot path of GPU construction.
-    """
-    classes, *rows = _draw_stream_fields(spec, rng, 1, length)
-    op_indices, use_chain, random_src1, add_src2, random_src2 = (
-        row[0] for row in rows
-    )
-
-    stream: List[Instruction] = []
-    last_dest = -1
-    next_reg = 0
-    for position in range(length):
-        op = classes[op_indices[position]]
-        dest = next_reg
-        next_reg = (next_reg + 1) % _NUM_REGS
-        src1 = (
-            last_dest
-            if (last_dest >= 0 and use_chain[position])
-            else int(random_src1[position])
-        )
-        srcs = (
-            (src1, int(random_src2[position])) if add_src2[position] else (src1,)
-        )
-        if op is InstructionClass.STORE or op is InstructionClass.BRANCH:
-            dest = -1
-        stream.append(Instruction(op, dest, srcs))
-        if dest >= 0:
-            last_dest = dest
-    return stream
-
-
-# Cache of generated base streams: under SPMD all 16 SMs request the
-# same (spec, seed) streams, so generation runs once per GPU, not per SM.
-_STREAM_CACHE: dict = {}
-_STREAM_CACHE_LIMIT = 64
-
-
 def _spec_cache_key(spec: KernelSpec, seed: int, count: int) -> tuple:
     # The mix in insertion order: the draws map uniforms to classes in
     # that order, so two orders of one mix are different streams.
@@ -194,69 +152,18 @@ def _spec_cache_key(spec: KernelSpec, seed: int, count: int) -> tuple:
     )
 
 
-def _base_streams(
-    spec: KernelSpec, seed: int, count: int
-) -> List[List[Instruction]]:
-    key = _spec_cache_key(spec, seed, count)
-    cached = _STREAM_CACHE.get(key)
-    if cached is None:
-        rng = np.random.default_rng(seed)
-        cached = [_sample_stream(spec, rng, spec.body_length) for _ in range(count)]
-        if len(_STREAM_CACHE) >= _STREAM_CACHE_LIMIT:
-            _STREAM_CACHE.clear()
-        _STREAM_CACHE[key] = cached
-    return cached
-
-
-def build_warps(
-    spec: KernelSpec,
-    seed: int,
-    num_warps: Optional[int] = None,
-    jitter: float = 0.0,
-    jitter_seed: Optional[int] = None,
-) -> List[Warp]:
-    """Materialize the kernel's warps for one SM.
-
-    ``seed`` draws the instruction streams; under the SPMD execution
-    model every SM passes the *same* seed so all SMs run identical code
-    (the balance property that motivates GPU voltage stacking).
-
-    ``jitter`` in [0, 1) perturbs each warp's stream length, modelling
-    per-SM thread-block tail imbalance; it draws from ``jitter_seed``
-    (unique per SM) so SMs diverge only in workload tails, not code.
-    """
-    if jitter < 0 or jitter >= 1:
-        raise ValueError(f"jitter must be in [0,1), got {jitter}")
-    jitter_rng = np.random.default_rng(seed if jitter_seed is None else jitter_seed)
-    count = num_warps if num_warps is not None else spec.warps_per_sm
-    base = _base_streams(spec, seed, count)
-    warps: List[Warp] = []
-    for warp_id in range(count):
-        stream = base[warp_id]
-        if jitter > 0:
-            scale = 1.0 + jitter * float(jitter_rng.uniform(-1.0, 1.0))
-            length = max(1, int(round(spec.body_length * scale)))
-            if length <= spec.body_length:
-                stream = stream[:length]
-            else:
-                stream = stream + stream[: length - spec.body_length]
-        else:
-            stream = list(stream)
-        warps.append(Warp(warp_id, stream))
-    return warps
-
-
 # --------------------------------------------------------------------------
-# Struct-of-arrays stream representation (vectorized GPU engine)
+# Struct-of-arrays stream representation (the GPU engine's)
 # --------------------------------------------------------------------------
 
 #: Fixed execution-unit ordering used by all ``(…, 3)`` engine arrays.
 UNIT_ORDER = (ExecUnit.ALU, ExecUnit.SFU, ExecUnit.LSU)
 _UNIT_INDEX = {unit: idx for idx, unit in enumerate(UNIT_ORDER)}
 
-# Energy-smear bounds mirrored from the SM model (kept in sync with
-# repro.gpu.sm; the arrays bake span/share in so the engine's hot loop
-# never touches per-instruction Python objects).
+# An instruction's dynamic energy is drawn over this many cycles of
+# pipeline occupancy (bounded by its latency), which sets the spectral
+# content of the SM's power trace as seen by the PDN.  The arrays bake
+# span/share in so the engine's hot loop only adds.
 _SMEAR_LIMIT = 6
 
 
@@ -297,11 +204,10 @@ class StreamArrays:
 def _stream_block(spec: KernelSpec, seed: int, count: int) -> dict:
     """``count`` warps' streams as ``(count, body)`` column arrays.
 
-    Consumes the generator exactly like :func:`_base_streams` (both draw
-    through :func:`_draw_stream_fields`), then does the array work once
-    for the whole block; the sequential dest/chain recurrence of
-    :func:`_sample_stream` becomes a running maximum over writer
-    positions along the body axis.
+    Draws through :func:`_draw_stream_fields`, then does the array work
+    once for the whole block; the sequential dest/chain recurrence of
+    the oracle's per-instruction builder becomes a running maximum over
+    writer positions along the body axis.
     """
     length = spec.body_length
     classes, op_indices, use_chain, random_src1, add_src2, random_src2 = (
@@ -328,7 +234,7 @@ def _stream_block(spec: KernelSpec, seed: int, count: int) -> dict:
     dest = np.where(has_dest, positions % _NUM_REGS, -1)
 
     # src1 chains to the most recent written register strictly before the
-    # current position (the reference's running ``last_dest``).
+    # current position (the oracle builder's running ``last_dest``).
     writer_pos = np.where(has_dest, positions, -1)
     last_writer = np.empty((count, length), dtype=np.int64)
     last_writer[:, 0] = -1
@@ -354,16 +260,18 @@ def _stream_block(spec: KernelSpec, seed: int, count: int) -> dict:
     }
 
 
+# Cache of generated base streams: under SPMD all 16 SMs request the
+# same (spec, seed) streams, so generation runs once per GPU, not per SM.
 _ARRAY_CACHE: dict = {}
+_STREAM_CACHE_LIMIT = 64
 
 
 def stream_arrays(spec: KernelSpec, seed: int, count: int) -> StreamArrays:
     """The kernel's base streams for one SM in struct-of-arrays form.
 
-    Same cache discipline as :func:`_base_streams` (all SMs share the
-    (spec, seed) streams under SPMD), and drawn from an identically
-    consumed generator, so the arrays describe exactly the instructions
-    :func:`build_warps` would materialize as objects.
+    Cached per (spec, seed, count): all SMs share the streams under
+    SPMD.  The arrays describe exactly the instructions the GPU oracle's
+    ``build_warps`` materializes as objects from the same seed.
     """
     key = _spec_cache_key(spec, seed, count)
     cached = _ARRAY_CACHE.get(key)
@@ -386,13 +294,14 @@ def jittered_lengths(
     jitter_seed: Optional[int],
     seed: int,
 ) -> np.ndarray:
-    """Per-warp stream lengths exactly as :func:`build_warps` assigns them.
+    """Per-warp stream lengths, with jitter modelling tail imbalance.
 
-    Replays the same jitter-generator consumption (one draw per warp,
-    only when ``jitter > 0``) as one vector draw, which yields the same
-    values as ``count`` scalar draws; ``np.rint`` rounds half to even as
-    ``round`` does.  Lengths beyond ``body_length`` mean the stream wraps
-    around to its own head.
+    ``jitter`` in [0, 1) scales each warp's stream length by a uniform
+    draw in ``1 ± jitter`` from ``jitter_seed`` (unique per SM), so SMs
+    diverge only in workload tails, not code.  One vector draw yields
+    the same values as the GPU oracle's ``count`` scalar draws;
+    ``np.rint`` rounds half to even as ``round`` does.  Lengths beyond
+    ``body_length`` mean the stream wraps around to its own head.
     """
     if jitter < 0 or jitter >= 1:
         raise ValueError(f"jitter must be in [0,1), got {jitter}")

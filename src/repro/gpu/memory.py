@@ -6,9 +6,11 @@ the kernel's miss ratio) and queues against a global requests-per-cycle
 bandwidth limit shared by all SMs — the FR-FCFS controller and 179.2
 GB/s channel limit of Table I reduced to their timing effect.
 
-SMs call :meth:`request` at issue time and receive the absolute cycle
-the value becomes ready; completion releases the destination register in
-the warp's scoreboard (handled by the SM).
+:meth:`request` serves one load issued at a cycle and returns the
+absolute cycle the value becomes ready.  The GPU engine's step runs the
+same bandwidth recurrence inline, with each access site's hit/miss read
+from :meth:`site_miss_table`, and releases the destination register in
+the warp's scoreboard on completion.
 """
 
 from __future__ import annotations
@@ -80,31 +82,6 @@ class MemorySystem:
             latency = self.timings.l2_hit_cycles
         self.requests_served += 1
         return int(cycle + queue_delay + latency)
-
-    def service_batch(self, cycle: int, latencies: np.ndarray, miss_count: int) -> np.ndarray:
-        """Serve one cycle's loads in arrival order; return completion cycles.
-
-        Batched form of :meth:`request` for the vectorized engine: the
-        caller resolves hit/miss per request (via :meth:`site_miss_table`)
-        and passes the service ``latencies`` in the exact order the
-        reference model would have called :meth:`request`.  The bandwidth
-        recurrence ``start = max(cycle, slot); slot = start + width`` is
-        a running sum once the first start is pinned, so a cumulative sum
-        reproduces it add-for-add (bit-identical floats).
-        """
-        n = len(latencies)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        slot_width = 1.0 / self.timings.requests_per_cycle
-        increments = np.full(n, slot_width)
-        increments[0] = max(float(cycle), self._next_service_slot)
-        starts = np.cumsum(increments)
-        self._next_service_slot = float(starts[-1]) + slot_width
-        queue_delay = starts - float(cycle)
-        completions = ((cycle + queue_delay) + latencies).astype(np.int64)
-        self.requests_served += n
-        self.misses += int(miss_count)
-        return completions
 
     def site_miss_table(
         self, num_warps: int, max_pc: int, generation: int

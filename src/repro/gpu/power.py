@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.config import GPUConfig, PowerConfig
-from repro.gpu.isa import ExecUnit, Instruction
+from repro.gpu.isa import ExecUnit
 
 # Share of SM leakage attributable to each gateable execution block;
 # the rest (register file, fetch, L1) is ungateable.
@@ -30,7 +30,12 @@ IDLE_DYNAMIC_ENERGY = 0.6e-9
 
 @dataclass
 class SMPowerModel:
-    """Converts issue events into per-cycle SM power (watts)."""
+    """Per-SM leakage and power envelope.
+
+    The engine's step evaluates each cycle's power as
+    ``leakage_w(gated) + (IDLE_DYNAMIC_ENERGY + issued energy) * f``,
+    with ``f`` the SM clock times its DFS scale.
+    """
 
     gpu: GPUConfig = GPUConfig()
     power: PowerConfig = PowerConfig()
@@ -40,38 +45,6 @@ class SMPowerModel:
         total = self.power.sm_leakage_power_w
         gated = sum(LEAKAGE_SHARE[u] for u in set(gated_units))
         return total * (1.0 - gated)
-
-    def cycle_power_w(
-        self,
-        issued: Iterable[Instruction],
-        frequency_scale: float = 1.0,
-        gated_units: Iterable[ExecUnit] = (),
-    ) -> float:
-        """Total SM power for one cycle with all issue energy up front.
-
-        ``issued`` are the instructions dispatched this cycle (0-2 plus
-        fakes); ``frequency_scale`` is f/f_nominal from DFS.
-        """
-        return self.cycle_power_from_energy(
-            sum(i.energy for i in issued), frequency_scale, gated_units
-        )
-
-    def cycle_power_from_energy(
-        self,
-        dynamic_energy_j: float,
-        frequency_scale: float = 1.0,
-        gated_units: Iterable[ExecUnit] = (),
-    ) -> float:
-        """Total SM power for one cycle given its dynamic energy draw.
-
-        Used by the SM's energy wheel, which smears each instruction's
-        energy over its pipeline occupancy before calling this.
-        """
-        if frequency_scale < 0:
-            raise ValueError(f"frequency_scale must be >= 0, got {frequency_scale}")
-        f = self.gpu.sm_clock_hz * frequency_scale
-        energy = IDLE_DYNAMIC_ENERGY + dynamic_energy_j
-        return self.leakage_w(gated_units) + energy * f
 
     @property
     def peak_power_w(self) -> float:

@@ -13,19 +13,23 @@ leakage, using
   ``blackout_cycles`` before waking, preventing thrashing;
 
 and pairs with the gating-aware two-level scheduler (GATES,
-:class:`repro.gpu.scheduler.GatingAwareScheduler`), which steers issue
-toward already-on units so idle windows stretch past break-even.
+``GPU(gating_aware_scheduler=True)``), which steers issue toward
+already-on units so idle windows stretch past break-even.
+
+The controller drives one SM through its per-SM surface
+(:class:`repro.gpu.engine.SMView`, or the oracle's per-object SM):
+``gated_units``, ``unit_idle_cycles``, ``gate_unit``, ``ungate_unit``,
+``has_demand`` and ``set_active_units``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
+from repro.gpu.engine import SMView
 from repro.gpu.isa import ExecUnit
 from repro.gpu.power import LEAKAGE_SHARE
-from repro.gpu.scheduler import GatingAwareScheduler
-from repro.gpu.sm import StreamingMultiprocessor
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class WarpedGatesController:
 
     def __init__(
         self,
-        sm: StreamingMultiprocessor,
+        sm: SMView,
         config: PowerGatingConfig = PowerGatingConfig(),
     ) -> None:
         self.sm = sm
@@ -86,7 +90,7 @@ class WarpedGatesController:
                 gated_for = cycle - self._gated_since[unit]
                 if gated_for < cfg.blackout_cycles:
                     continue  # Blackout: hold the gate
-                if self._demand_for(unit):
+                if self.sm.has_demand(unit):
                     if gated_for < cfg.break_even_cycles:
                         self.stats.premature_wakes += 1
                     self.sm.ungate_unit(unit, cycle)
@@ -96,20 +100,10 @@ class WarpedGatesController:
                     self.sm.gate_unit(unit)
                     self._gated_since[unit] = cycle
                     self.stats.gating_events += 1
-        self._update_scheduler()
-
-    def _demand_for(self, unit: ExecUnit) -> bool:
-        """Does any ready warp's next instruction target ``unit``?"""
-        for warp in self.sm.warps:
-            instruction = warp.peek()
-            if instruction is not None and instruction.unit is unit:
-                return True
-        return False
-
-    def _update_scheduler(self) -> None:
-        if isinstance(self.sm.scheduler, GatingAwareScheduler):
-            active = [u for u in ExecUnit if u not in self.sm.gated_units]
-            self.sm.scheduler.set_active_units(active)
+        # GATES steers issue toward the units left on (a no-op under GTO).
+        self.sm.set_active_units(
+            [u for u in ExecUnit if u not in self.sm.gated_units]
+        )
 
     # ------------------------------------------------------------------
     def leakage_energy_saved_j(

@@ -1,14 +1,17 @@
-"""Equivalence contract of the vectorized GPU engine (property-based).
+"""Equivalence contract of the GPU engine (property-based).
 
 The struct-of-arrays engine (``repro.gpu.engine``) must be
-*bit-identical* to the per-object reference SMs for the same seed —
-power traces, statistics, kernel-launch accounting and shared-memory
-counters — under any kernel shape, actuation schedule, DFS setting,
-power gating sequence and fault scenario.  These tests drive both
-implementations side by side through randomized schedules (hypothesis)
-and through each canned cross-layer fault scenario.  The compiled step
-also keeps per-warp readiness caches and a per-SM live-warp count,
-checked here against a full recomputation after every step.
+*bit-identical* to the per-object oracle
+(``tests/oracles/per_object_gpu.py``) for the same seed — power traces,
+statistics, kernel-launch accounting and shared-memory counters — under
+any kernel shape, actuation schedule, DFS setting, power gating
+sequence, GTO or GATES warp selection and fault scenario.  These tests
+drive both implementations side by side through randomized schedules
+(hypothesis) and through each canned cross-layer fault scenario.  The
+compiled step also keeps per-warp readiness caches and a per-SM
+live-warp count, checked here against a full recomputation after every
+step, and the power-gating controller's demand query is checked against
+the oracle's warp scan.
 """
 
 import time
@@ -25,6 +28,7 @@ from repro.gpu.gpu import GPU
 from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import KernelSpec
 from repro.sim.cosim import CosimConfig, run_cosim
+from tests.oracles.per_object_gpu import PerObjectGPU
 from tests.oracles.serial_cosim import run_cosim_reference
 
 STAT_FIELDS = (
@@ -37,7 +41,7 @@ STAT_FIELDS = (
 )
 
 
-def _assert_equivalent(ref: GPU, vec, cycles: int, actuate=None) -> None:
+def _assert_equivalent(ref: PerObjectGPU, vec, cycles: int, actuate=None) -> None:
     """Step ``ref`` and ``vec`` (one GPU or a list) in lock-step."""
     vecs = vec if isinstance(vec, list) else [vec]
     for cycle in range(cycles):
@@ -126,32 +130,50 @@ class TestRandomizedEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_kernel_space(self, spec, seed, jitter, miss, cycles):
-        ref = GPU(spec, seed=seed, miss_ratio=miss, jitter=jitter,
-                  vectorized=False)
-        vec = GPU(spec, seed=seed, miss_ratio=miss, jitter=jitter,
-                  vectorized=True)
+        ref = PerObjectGPU(spec, seed=seed, miss_ratio=miss, jitter=jitter)
+        vec = GPU(spec, seed=seed, miss_ratio=miss, jitter=jitter)
         _assert_equivalent(ref, vec, cycles)
 
     @given(
         seed=st.integers(0, 2**31),
         sched_seed=st.integers(0, 2**31),
         cycles=st.integers(150, 400),
+        gating_aware=st.booleans(),
     )
     @settings(max_examples=15, deadline=None)
-    def test_actuation_dfs_and_gating(self, seed, sched_seed, cycles):
-        """Random per-cycle DIWS/FII/DFS commands, gating flips and
-        barrier-exempt (halted) SM sets."""
-        spec = KernelSpec("sched", body_length=120, warps_per_sm=6)
+    def test_actuation_dfs_and_gating(self, seed, sched_seed, cycles,
+                                      gating_aware):
+        """Random per-cycle DIWS/FII/DFS commands, gating flips,
+        barrier-exempt (halted) SM sets and GATES active-unit sets,
+        under GTO or GATES.  The active sets are drawn independently of
+        the gated sets: the engine must select on the set last written,
+        never on the live gating state."""
+        spec = KernelSpec(
+            "sched", body_length=120, warps_per_sm=6,
+            mix={
+                InstructionClass.FALU: 0.4,
+                InstructionClass.IALU: 0.2,
+                InstructionClass.SFU: 0.15,
+                InstructionClass.LOAD: 0.2,
+                InstructionClass.STORE: 0.05,
+            },
+        )
         rng = np.random.default_rng(sched_seed)
+        units = list(ExecUnit)
         events = {
             int(c): (
                 rng.uniform(0.0, 2.4, 16),
                 rng.uniform(0.0, 2.0, 16),
                 rng.uniform(0.05, 1.0, 16),
                 int(rng.integers(0, 16)),
-                ExecUnit(list(ExecUnit)[int(rng.integers(0, 3))]),
+                units[int(rng.integers(0, 3))],
                 bool(rng.integers(0, 2)),
                 set(rng.choice(16, int(rng.integers(0, 6)), replace=False)),
+                [
+                    (int(sm), [u for u in units if rng.random() < 0.5])
+                    for sm in rng.choice(16, int(rng.integers(0, 8)),
+                                         replace=False)
+                ],
             )
             for c in rng.integers(0, cycles, 12)
         }
@@ -159,7 +181,8 @@ class TestRandomizedEquivalence:
         def actuate(gpu, cycle):
             if cycle not in events:
                 return
-            widths, fakes, freqs, sm, unit, gate, exempt = events[cycle]
+            (widths, fakes, freqs, sm, unit, gate, exempt,
+             active) = events[cycle]
             gpu.barrier_exempt = {int(s) for s in exempt}
             gpu.set_issue_widths(widths)
             gpu.set_fake_rates(fakes)
@@ -168,9 +191,13 @@ class TestRandomizedEquivalence:
                 gpu.sms[sm].gate_unit(unit)
             else:
                 gpu.sms[sm].ungate_unit(unit, cycle)
+            for active_sm, active_units in active:
+                gpu.sms[active_sm].set_active_units(active_units)
 
-        ref = GPU(spec, seed=seed, miss_ratio=0.3, vectorized=False)
-        vec = GPU(spec, seed=seed, miss_ratio=0.3, vectorized=True)
+        ref = PerObjectGPU(spec, seed=seed, miss_ratio=0.3,
+                           gating_aware_scheduler=gating_aware)
+        vec = GPU(spec, seed=seed, miss_ratio=0.3,
+                  gating_aware_scheduler=gating_aware)
         _assert_equivalent(ref, vec, cycles, actuate)
 
     @given(
@@ -192,11 +219,9 @@ class TestRandomizedEquivalence:
         cycles = 320
         actuate = _halting_schedule(np.random.default_rng(sched_seed), cycles, 8)
 
-        def build(vectorized):
-            return GPU(spec, seed=seed, miss_ratio=0.5, jitter=jitter,
-                       vectorized=vectorized)
-
-        _assert_equivalent(build(False), build(True), cycles, actuate)
+        kwargs = dict(seed=seed, miss_ratio=0.5, jitter=jitter)
+        _assert_equivalent(PerObjectGPU(spec, **kwargs), GPU(spec, **kwargs),
+                           cycles, actuate)
 
 
 def _recomputed_caches(engine):
@@ -236,7 +261,7 @@ class TestCompiledHeadCaches:
         under DIWS, DFS, gating, halts and launches with loads in
         flight (jitter 0.9 makes streams wrap past their body)."""
         spec = KernelSpec("caches", body_length=body, warps_per_sm=warps)
-        gpu = GPU(spec, seed=seed, miss_ratio=0.6, jitter=0.9, vectorized=True)
+        gpu = GPU(spec, seed=seed, miss_ratio=0.6, jitter=0.9)
         engine = gpu.engine
         assert engine.backend == "c"
         cycles = 400
@@ -252,10 +277,53 @@ class TestCompiledHeadCaches:
             assert (engine._outstanding >= 0).all(), cycle
 
 
+class TestDemandQuery:
+    @given(
+        seed=st.integers(0, 2**31),
+        sched_seed=st.integers(0, 2**31),
+        jitter=st.sampled_from([0.1, 0.25]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_has_demand_matches_the_oracle_scan(self, seed, sched_seed,
+                                                jitter):
+        """``has_demand`` (read off the engine's head caches) equals the
+        oracle SM's ``peek()`` scan for every SM and unit on every
+        cycle, across kernel launches, jittered tails and random issue
+        widths and clock scales."""
+        spec = KernelSpec(
+            "demand", body_length=16, warps_per_sm=4,
+            mix={
+                InstructionClass.FALU: 0.6,
+                InstructionClass.SFU: 0.2,
+                InstructionClass.LOAD: 0.2,
+            },
+        )
+        kwargs = dict(seed=seed, miss_ratio=0.2, jitter=jitter)
+        ref, vec = PerObjectGPU(spec, **kwargs), GPU(spec, **kwargs)
+        rng = np.random.default_rng(sched_seed)
+        cycles = 1200  # the slowest seeds first relaunch near cycle 1,000
+        plan = {
+            int(c): (rng.uniform(1.0, 2.0, 16), rng.uniform(0.75, 1.0, 16))
+            for c in rng.integers(0, cycles, 6)
+        }
+        for cycle in range(cycles):
+            if cycle in plan:
+                for gpu in (ref, vec):
+                    gpu.set_issue_widths(plan[cycle][0])
+                    gpu.set_frequency_scales(plan[cycle][1])
+            for ref_sm, vec_sm in zip(ref.sms, vec.sms):
+                for unit in ExecUnit:
+                    assert vec_sm.has_demand(unit) == ref_sm.has_demand(unit), (
+                        cycle, ref_sm.sm_id, unit,
+                    )
+            assert np.array_equal(ref.step(), vec.step()), cycle
+        assert vec.kernels_launched >= 2
+
+
 class TestFaultScenarioEquivalence:
     """Whole-loop equivalence under each canned cross-layer fault: the
-    vectorized engine in the shipped loop against the per-object
-    reference in the serial oracle loop."""
+    engine in the shipped loop against the per-object oracle in the
+    serial oracle loop."""
 
     @pytest.mark.parametrize("scenario", sorted(CANNED_SCENARIOS))
     def test_cosim_fault_scenario(self, scenario):
@@ -279,7 +347,7 @@ class TestEngineSurface:
     def test_setter_prefix_semantics_on_bad_frequency(self):
         """A bad frequency scale raises after applying earlier SMs
         (the reference's zip-iteration semantics)."""
-        gpu = GPU(KernelSpec("prefix", body_length=40), vectorized=True)
+        gpu = GPU(KernelSpec("prefix", body_length=40))
         scales = np.full(16, 0.5)
         scales[10] = -1.0
         with pytest.raises(ValueError):
@@ -288,8 +356,8 @@ class TestEngineSurface:
         assert gpu.sms[11].frequency_scale == 1.0
 
     def test_nan_issue_width_clamps_to_zero(self):
-        ref = GPU(KernelSpec("nan", body_length=40), vectorized=False)
-        vec = GPU(KernelSpec("nan", body_length=40), vectorized=True)
+        ref = PerObjectGPU(KernelSpec("nan", body_length=40))
+        vec = GPU(KernelSpec("nan", body_length=40))
         for gpu in (ref, vec):
             gpu.set_issue_widths(np.full(16, np.nan))
         assert (
@@ -311,7 +379,7 @@ class TestEngineSurface:
             halted = np.zeros(16, dtype=np.uint8)
             halted[[0, 3, 8, 15]] = 1
             spec = KernelSpec("actuate", body_length=40)
-            ref, vec = (GPU(spec, vectorized=True) for _ in range(2))
+            ref, vec = (GPU(spec) for _ in range(2))
             zeroed = widths.copy()
             zeroed[halted.astype(bool)] = 0.0
             ref.set_issue_widths(zeroed)
@@ -340,14 +408,14 @@ class TestEngineSurface:
         assert MAX_WARPS_PER_SM == 65_535
 
     def test_gated_units_view(self):
-        gpu = GPU(KernelSpec("gate", body_length=40), vectorized=True)
+        gpu = GPU(KernelSpec("gate", body_length=40))
         gpu.sms[2].gate_unit(ExecUnit.SFU)
         assert gpu.sms[2].gated_units == {ExecUnit.SFU}
         gpu.sms[2].ungate_unit(ExecUnit.SFU, 10)
         assert gpu.sms[2].gated_units == set()
 
     def test_totals_are_o1_counters(self):
-        gpu = GPU(KernelSpec("tot", body_length=60), vectorized=True)
+        gpu = GPU(KernelSpec("tot", body_length=60))
         gpu.run(200)
         engine = gpu.engine
         assert gpu.total_instructions() == int(engine.stat_instructions.sum())

@@ -13,11 +13,8 @@ from repro.gpu import GPU, KernelSpec
 from repro.gpu.batch import GPUBatch
 
 
-def _gpu(seed, vectorized=True, body=250):
-    return GPU(
-        KernelSpec("t", body_length=body), seed=seed, jitter=0.05,
-        vectorized=vectorized,
-    )
+def _gpu(seed, body=250):
+    return GPU(KernelSpec("t", body_length=body), seed=seed, jitter=0.05)
 
 
 def _launches_without_exempt(seed, cycles):
@@ -28,10 +25,9 @@ def _launches_without_exempt(seed, cycles):
 
 
 class TestStepInto:
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_matches_step(self, vectorized):
-        a = _gpu(3, vectorized)
-        b = _gpu(3, vectorized)
+    def test_matches_step(self):
+        a = _gpu(3)
+        b = _gpu(3)
         out = np.empty(a.num_sms)
         for cycle in range(400):
             ref = a.step()

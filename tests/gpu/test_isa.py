@@ -4,13 +4,12 @@ import pytest
 
 from repro.gpu.isa import (
     ENERGY,
-    FAKE_INSTRUCTION,
     LATENCY,
     UNIT_FOR_CLASS,
     ExecUnit,
-    Instruction,
     InstructionClass,
 )
+from tests.oracles.per_object_gpu import FAKE_INSTRUCTION, Instruction
 
 
 class TestCoverage:

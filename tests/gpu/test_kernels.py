@@ -3,7 +3,9 @@
 A launch builds its streams as ``(warps, body)`` blocks and draws each
 SM's jitter in one call; ``tests/oracles/stream_reference.py`` keeps the
 per-warp builders they replaced, and the block builders must equal them
-byte for byte.
+byte for byte.  ``TestGeneration`` checks the generator's statistics
+through the GPU oracle's per-object builder (``build_warps``), which
+draws through the same ``_draw_stream_fields``.
 """
 
 import dataclasses
@@ -17,13 +19,13 @@ from repro.gpu.isa import InstructionClass
 from repro.gpu.kernels import (
     KernelSpec,
     StreamArrays,
-    build_warps,
     jittered_lengths,
     stream_arrays,
 )
 from repro.workloads.benchmarks import BENCHMARK_NAMES, get_benchmark
 from tests.gpu.test_engine_equivalence import kernel_specs
-from tests.oracles import stream_reference
+from tests.oracles import per_object_gpu, stream_reference
+from tests.oracles.per_object_gpu import build_warps
 
 
 class TestSpecValidation:
@@ -199,7 +201,7 @@ class TestBlockStreams:
         """The draws map uniforms to classes in the mix's insertion
         order, so the same mix in another order is another stream."""
         monkeypatch.setattr(kernels, "_ARRAY_CACHE", {})
-        monkeypatch.setattr(kernels, "_STREAM_CACHE", {})
+        monkeypatch.setattr(per_object_gpu, "_STREAM_CACHE", {})
         falu, load = InstructionClass.FALU, InstructionClass.LOAD
         falu_first = KernelSpec("k", mix={falu: 0.5, load: 0.5}, body_length=64)
         load_first = KernelSpec("k", mix={load: 0.5, falu: 0.5}, body_length=64)
@@ -210,7 +212,7 @@ class TestBlockStreams:
         cold_units = stream_arrays(load_first, 3, 4).unit
         cold_ops = ops(load_first)
         kernels._ARRAY_CACHE.clear()
-        kernels._STREAM_CACHE.clear()
+        per_object_gpu._STREAM_CACHE.clear()
         assert not np.array_equal(stream_arrays(falu_first, 3, 4).unit, cold_units)
         assert ops(falu_first) != cold_ops
         assert np.array_equal(stream_arrays(load_first, 3, 4).unit, cold_units)

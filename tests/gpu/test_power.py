@@ -1,14 +1,19 @@
-"""Tests for the SM power model."""
+"""Tests for the SM power model.
+
+Per-cycle power is evaluated in the engine's C step; ``TestCyclePower``
+checks its formula through the GPU oracle's ``cycle_power_w``.
+"""
 
 import pytest
 
 from repro.config import PowerConfig
-from repro.gpu.isa import ExecUnit, Instruction, InstructionClass
+from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.power import (
     LEAKAGE_SHARE,
     UNGATEABLE_LEAKAGE_SHARE,
     SMPowerModel,
 )
+from tests.oracles.per_object_gpu import Instruction, cycle_power_w
 
 
 @pytest.fixture
@@ -41,29 +46,29 @@ class TestLeakage:
 
 class TestCyclePower:
     def test_idle_cycle_draws_leakage_plus_base(self, model):
-        p = model.cycle_power_w([])
+        p = cycle_power_w(model, [])
         assert p > model.leakage_w()
 
     def test_power_grows_with_issued_instructions(self, model):
-        p0 = model.cycle_power_w([])
-        p1 = model.cycle_power_w([falu()])
-        p2 = model.cycle_power_w([falu(), falu()])
+        p0 = cycle_power_w(model, [])
+        p1 = cycle_power_w(model, [falu()])
+        p2 = cycle_power_w(model, [falu(), falu()])
         assert p0 < p1 < p2
 
     def test_frequency_scaling_reduces_dynamic_only(self, model):
-        full = model.cycle_power_w([falu()], frequency_scale=1.0)
-        half = model.cycle_power_w([falu()], frequency_scale=0.5)
+        full = cycle_power_w(model, [falu()], frequency_scale=1.0)
+        half = cycle_power_w(model, [falu()], frequency_scale=0.5)
         leak = model.leakage_w()
         assert half - leak == pytest.approx((full - leak) / 2)
 
     def test_zero_frequency_is_pure_leakage(self, model):
-        assert model.cycle_power_w([], frequency_scale=0.0) == pytest.approx(
+        assert cycle_power_w(model, [], frequency_scale=0.0) == pytest.approx(
             model.leakage_w()
         )
 
     def test_negative_frequency_rejected(self, model):
         with pytest.raises(ValueError):
-            model.cycle_power_w([], frequency_scale=-0.1)
+            cycle_power_w(model, [], frequency_scale=-0.1)
 
     def test_peak_power_near_config_envelope(self, model):
         # The dual-issue hot loop must land near the 8 W per-SM peak.

@@ -1,8 +1,12 @@
 """Tests for the GTO and gating-aware warp schedulers."""
 
-from repro.gpu.isa import ExecUnit, Instruction, InstructionClass
-from repro.gpu.scheduler import GatingAwareScheduler, GTOScheduler
-from repro.gpu.warp import Warp
+from repro.gpu.isa import ExecUnit, InstructionClass
+from tests.oracles.per_object_gpu import (
+    GatingAwareScheduler,
+    GTOScheduler,
+    Instruction,
+    Warp,
+)
 
 
 def alu_warp(warp_id, n=4):

@@ -1,4 +1,4 @@
-"""Tests for the streaming multiprocessor model."""
+"""Tests for the per-object streaming multiprocessor (the GPU oracle)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ import pytest
 from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import KernelSpec
 from repro.gpu.memory import MemorySystem
-from repro.gpu.sm import DIWS_WINDOW, StreamingMultiprocessor
+from repro.gpu.engine import DIWS_WINDOW
+from tests.oracles.per_object_gpu import StreamingMultiprocessor
 
 
 def make_sm(seed=0, kernel=None, rearm=True, **kernel_kwargs):

@@ -14,21 +14,36 @@ import numpy as np
 import pytest
 
 from repro.gpu import GPU, KernelSpec
-from repro.gpu.kernels import build_warps
+from repro.gpu.engine import DIWS_WINDOW
+from repro.gpu.kernels import UNIT_ORDER
 from repro.gpu.memory import MemorySystem
 from repro.workloads.benchmarks import get_benchmark
+from tests.oracles.per_object_gpu import (
+    PerObjectGPU,
+    StreamingMultiprocessor,
+    build_warps,
+)
 
 
 class TestSharedStreams:
     def test_same_seed_same_streams_across_sms(self):
-        gpu = GPU(KernelSpec("t", body_length=100), seed=5)
-        reference = [i.op for i in gpu.sms[0].warps[0].instructions]
-        for sm in gpu.sms[1:]:
-            assert [i.op for i in sm.warps[0].instructions] == reference
+        """The engine holds one ``(warps, body)`` stream block for every
+        SM, and each oracle SM built from the same seed runs exactly
+        that code."""
+        spec = KernelSpec("t", body_length=100)
+        engine = GPU(spec, seed=5).engine
+        units = engine._streams.unit
+        assert units.shape == (spec.warps_per_sm, spec.body_length)
+        assert (engine._length == spec.body_length).all()
+        for sm in PerObjectGPU(spec, seed=5).sms:
+            for warp in sm.warps:
+                assert [UNIT_ORDER.index(i.unit) for i in warp.instructions] == (
+                    units[warp.warp_id].tolist()
+                )
 
     def test_jitter_differs_across_sms(self):
         gpu = GPU(KernelSpec("t", body_length=200), seed=5, jitter=0.2)
-        lengths = {len(sm.warps[0].instructions) for sm in gpu.sms}
+        lengths = set(gpu.engine._length[:, 0].tolist())
         assert len(lengths) > 1
 
     def test_stream_cache_returns_equal_streams(self):
@@ -109,9 +124,10 @@ class TestKernelBarrier:
         belong to the old kernel: completing them into the new warps
         left outstanding counts at -1, and no kernel launched again."""
         bench = get_benchmark("hotspot")
-        gpu = GPU(bench.kernel, seed=3, miss_ratio=bench.miss_ratio,
-                  jitter=bench.jitter, vectorized=engine != "reference")
-        assert getattr(gpu.engine, "backend", "reference") == engine
+        gpu = (GPU if engine == "c" else PerObjectGPU)(
+            bench.kernel, seed=3, miss_ratio=bench.miss_ratio,
+            jitter=bench.jitter,
+        )
         gpu.run(2198)
         gpu.set_issue_widths([2.0] + [0.0] * 15)
         gpu.barrier_exempt = set(range(1, 16))
@@ -132,9 +148,6 @@ class TestKernelBarrier:
 
 class TestDIWSWindowSemantics:
     def test_budget_refreshes_each_window(self):
-        from repro.gpu.memory import MemorySystem
-        from repro.gpu.sm import DIWS_WINDOW, StreamingMultiprocessor
-
         spec = KernelSpec("t", body_length=400, dependence=0.0)
         sm = StreamingMultiprocessor(
             0, spec, MemorySystem(miss_ratio=0.0, seed=7), seed=7

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.gpu.isa import Instruction, InstructionClass
-from repro.gpu.warp import PENDING_MEMORY, Scoreboard, Warp
+from repro.gpu.isa import InstructionClass
+from tests.oracles.per_object_gpu import (
+    PENDING_MEMORY,
+    Instruction,
+    Scoreboard,
+    Warp,
+)
 
 
 def alu(dest, *srcs):

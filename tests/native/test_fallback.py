@@ -66,7 +66,7 @@ class TestForcedFailure:
 class TestBackendSelection:
     def test_every_layer_shares_the_one_library(self):
         lib = native.load()
-        gpu = GPU(KernelSpec("one-lib", body_length=40), vectorized=True)
+        gpu = GPU(KernelSpec("one-lib", body_length=40))
         assert gpu.engine.backend == "c" and gpu.engine._clib is lib
         run_cosim_batch([CosimLane("hotspot", CONFIG)])
         info = last_batch_solver_info()

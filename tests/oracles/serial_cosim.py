@@ -10,7 +10,8 @@ library's controller bank.  It shares nothing with the batched loop
 beyond the per-object models (GPU, netlist, fault injector), so the
 equivalence suites compare ``run_cosim`` and ``run_cosim_batch``
 against it byte for byte.  ``per_object_gpu`` swaps the GPU's C engine
-for the per-object reference SMs, so the GPU layer is checked too.
+for the per-object oracle GPU (``tests.oracles.per_object_gpu``), so the
+GPU layer is checked too.
 
 The body below is the former shipped loop verbatim; only its name, its
 stock controller's class and its GPU engine switch changed.
@@ -33,6 +34,7 @@ from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
 from repro.sim.cosim import CosimConfig, CosimResult, _record_cosim_telemetry
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.traces import PowerTrace
+from tests.oracles.per_object_gpu import PerObjectGPU
 from tests.oracles.scalar_controller import ScalarController
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
@@ -67,8 +69,9 @@ def run_cosim_reference(
     recorder to control the window geometry.  The finalized recorder is
     attached as ``result.flight``.
 
-    ``per_object_gpu`` runs the GPU on the per-object reference SMs
-    (``GPU(vectorized=False)``) instead of the C engine.
+    ``per_object_gpu`` runs the GPU on the per-object oracle
+    (:class:`tests.oracles.per_object_gpu.PerObjectGPU`) instead of the
+    C engine.
     """
     tele = telemetry if telemetry is not None and telemetry.enabled else None
     setup_start = perf_counter()
@@ -77,19 +80,16 @@ def run_cosim_reference(
                    warmup_cycles=config.warmup_cycles, seed=config.seed)
 
     stack = system.stack
+    gpu_class = PerObjectGPU if per_object_gpu else GPU
     if kernel is None:
         spec = get_benchmark(benchmark)
-        gpu = GPU(
+        gpu = gpu_class(
             spec.kernel, config=system, seed=config.seed,
             miss_ratio=spec.miss_ratio, jitter=spec.jitter,
-            vectorized=not per_object_gpu,
         )
         name = spec.name
     else:
-        gpu = GPU(
-            kernel, config=system, seed=config.seed,
-            vectorized=not per_object_gpu,
-        )
+        gpu = gpu_class(kernel, config=system, seed=config.seed)
         name = kernel.name
 
     pdn = build_stacked_pdn(

@@ -1,33 +1,67 @@
-"""Tests for the Warped-Gates power gating controller."""
+"""Tests for the Warped-Gates power gating controller.
+
+The controller drives one SM through its per-SM surface.  Each gating
+behaviour runs on two SMs: SM 0 of an engine GPU stepped whole
+(``gpu.step()``, the production path; :class:`TestGatingBehaviour`) and
+a standalone per-object oracle SM
+(:class:`TestGatingBehaviourOnTheOracle`).
+"""
 
 import pytest
 
+from repro.gpu import GPU
 from repro.gpu.isa import ExecUnit, InstructionClass
-from repro.gpu.kernels import KernelSpec
+from repro.gpu.kernels import UNIT_ORDER, KernelSpec
 from repro.gpu.memory import MemorySystem
-from repro.gpu.scheduler import GatingAwareScheduler
-from repro.gpu.sm import StreamingMultiprocessor
 from repro.power_mgmt.power_gating import (
     PowerGatingConfig,
     WarpedGatesController,
 )
+from tests.oracles.per_object_gpu import (
+    GatingAwareScheduler,
+    StreamingMultiprocessor,
+)
+
+ALU_ONLY = KernelSpec(
+    "alu_only", mix={InstructionClass.FALU: 1.0}, body_length=400,
+    dependence=0.2,
+)
+MIXED = KernelSpec(
+    "mixed",
+    mix={InstructionClass.FALU: 0.7, InstructionClass.LOAD: 0.3},
+    body_length=300,
+)
 
 
-def alu_only_sm(seed=0, scheduler=None):
-    spec = KernelSpec(
-        "alu_only", mix={InstructionClass.FALU: 1.0}, body_length=400,
-        dependence=0.2,
-    )
-    return StreamingMultiprocessor(
-        0, spec, MemorySystem(miss_ratio=0.0, seed=seed), seed=seed,
-        scheduler=scheduler,
-    )
+class EngineSM:
+    """SM 0 of an engine GPU; a step advances the whole GPU."""
+
+    def __init__(self, spec, seed=0, miss_ratio=0.0, gating_aware=False):
+        self.gpu = GPU(spec, seed=seed, miss_ratio=miss_ratio,
+                       gating_aware_scheduler=gating_aware)
+        self.sm = self.gpu.sms[0]
+
+    def step(self, cycle):
+        self.gpu.step()
 
 
-def run_with_pg(sm, controller, cycles):
+class OracleSM:
+    """A standalone per-object oracle SM."""
+
+    def __init__(self, spec, seed=0, miss_ratio=0.0, gating_aware=False):
+        self.sm = StreamingMultiprocessor(
+            0, spec, MemorySystem(miss_ratio=miss_ratio, seed=seed), seed=seed,
+            scheduler=GatingAwareScheduler() if gating_aware else None,
+        )
+
+    def step(self, cycle):
+        self.sm.step(cycle)
+
+
+def run_with_pg(harness, controller, cycles):
     for cycle in range(cycles):
         controller.step(cycle)
-        sm.step(cycle)
+        harness.step(cycle)
 
 
 class TestConfig:
@@ -48,60 +82,69 @@ class TestConfig:
 
 
 class TestGatingBehaviour:
+    """On SM 0 of an engine GPU."""
+
+    harness = EngineSM
+
     def test_idle_units_get_gated(self):
-        sm = alu_only_sm(seed=1)
-        pg = WarpedGatesController(sm)
-        run_with_pg(sm, pg, 300)
+        h = self.harness(ALU_ONLY, seed=1)
+        pg = WarpedGatesController(h.sm)
+        run_with_pg(h, pg, 300)
         # SFU and LSU never used by an ALU-only kernel: both gated.
-        assert ExecUnit.SFU in sm.gated_units
-        assert ExecUnit.LSU in sm.gated_units
+        assert ExecUnit.SFU in h.sm.gated_units
+        assert ExecUnit.LSU in h.sm.gated_units
         assert pg.stats.gating_events >= 2
 
     def test_alu_not_gateable_by_default(self):
-        sm = alu_only_sm(seed=2)
-        pg = WarpedGatesController(sm)
-        run_with_pg(sm, pg, 300)
-        assert ExecUnit.ALU not in sm.gated_units
+        h = self.harness(ALU_ONLY, seed=2)
+        pg = WarpedGatesController(h.sm)
+        run_with_pg(h, pg, 300)
+        assert ExecUnit.ALU not in h.sm.gated_units
 
     def test_gated_cycles_accumulate(self):
-        sm = alu_only_sm(seed=3)
-        pg = WarpedGatesController(sm)
-        run_with_pg(sm, pg, 500)
+        h = self.harness(ALU_ONLY, seed=3)
+        pg = WarpedGatesController(h.sm)
+        run_with_pg(h, pg, 500)
         assert pg.stats.gated_cycles[ExecUnit.SFU] > 300
 
     def test_demand_wakes_unit_after_blackout(self):
-        spec = KernelSpec(
-            "mixed",
-            mix={InstructionClass.FALU: 0.7, InstructionClass.LOAD: 0.3},
-            body_length=300,
-        )
-        sm = StreamingMultiprocessor(
-            0, spec, MemorySystem(miss_ratio=0.0, seed=4), seed=4
-        )
-        pg = WarpedGatesController(sm)
-        run_with_pg(sm, pg, 1500)
+        h = self.harness(MIXED, seed=4)
+        pg = WarpedGatesController(h.sm)
+        run_with_pg(h, pg, 1500)
         # LSU is in demand: it must not be permanently gated and loads
         # must keep flowing.
-        assert sm.stats.instructions_issued > 500
+        assert h.sm.stats.instructions_issued > 500
 
     def test_gating_saves_energy(self):
-        sm = alu_only_sm(seed=5)
-        pg = WarpedGatesController(sm)
-        run_with_pg(sm, pg, 800)
+        h = self.harness(ALU_ONLY, seed=5)
+        pg = WarpedGatesController(h.sm)
+        run_with_pg(h, pg, 800)
         saved = pg.leakage_energy_saved_j(sm_leakage_w=1.2)
         assert saved > 0
 
     def test_energy_accounting_validates(self):
-        pg = WarpedGatesController(alu_only_sm())
+        pg = WarpedGatesController(self.harness(ALU_ONLY).sm)
         with pytest.raises(ValueError):
             pg.leakage_energy_saved_j(sm_leakage_w=0.0)
 
 
+class TestGatingBehaviourOnTheOracle(TestGatingBehaviour):
+    """The same behaviours on a standalone per-object oracle SM."""
+
+    harness = OracleSM
+
+
 class TestGATESIntegration:
     def test_scheduler_active_units_updated(self):
-        scheduler = GatingAwareScheduler()
-        sm = alu_only_sm(seed=6, scheduler=scheduler)
-        pg = WarpedGatesController(sm)
-        run_with_pg(sm, pg, 300)
-        assert ExecUnit.SFU not in scheduler.active_units
-        assert ExecUnit.ALU in scheduler.active_units
+        """The controller writes the units it leaves on into the oracle
+        scheduler's ``active_units`` and the engine's active row alike."""
+        oracle = OracleSM(ALU_ONLY, seed=6, gating_aware=True)
+        engine = EngineSM(ALU_ONLY, seed=6, gating_aware=True)
+        for h in (oracle, engine):
+            run_with_pg(h, WarpedGatesController(h.sm), 300)
+        active = oracle.sm.scheduler.active_units
+        assert ExecUnit.SFU not in active
+        assert ExecUnit.ALU in active
+        assert engine.gpu.engine._active[0].tolist() == [
+            unit in active for unit in UNIT_ORDER
+        ]

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.config import SystemConfig
+from repro.core.hypervisor import HypervisorConfig, VSAwareHypervisor
+from repro.gpu.engine import SMView
+from repro.power_mgmt.power_gating import WarpedGatesController
+from repro.sim import power_experiments
 from repro.sim.power_experiments import (
     PowerManagementResult,
     run_baseline,
     run_dfs_experiment,
     run_pg_experiment,
 )
+from repro.workloads.benchmarks import get_benchmark
+from tests.oracles.per_object_gpu import PerObjectGPU
 
 CYCLES_DFS = 2 * 4096
 CYCLES_PG = 3000
@@ -106,3 +113,72 @@ class TestPG:
             stacked.energy_per_instruction_j()
             < conventional.energy_per_instruction_j()
         )
+
+
+def _per_object_gpu(benchmark, seed, gating_aware=False):
+    """``power_experiments._build_gpu`` on the per-object oracle."""
+    spec = get_benchmark(benchmark)
+    return PerObjectGPU(
+        spec.kernel,
+        config=SystemConfig(),
+        seed=seed,
+        miss_ratio=spec.miss_ratio,
+        jitter=spec.jitter,
+        gating_aware_scheduler=gating_aware,
+    )
+
+
+def _tight_hypervisor():
+    """A leakage budget small enough that stacked runs veto gatings."""
+    return VSAwareHypervisor(
+        config=HypervisorConfig(base_leakage_threshold_w=0.01)
+    )
+
+
+def _pg_run(monkeypatch, on_oracle, tight=False, **kwargs):
+    """``run_pg_experiment`` and its controllers, on the engine or the
+    oracle GPU."""
+    controllers = []
+
+    class Recorded(WarpedGatesController):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            controllers.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(power_experiments, "WarpedGatesController", Recorded)
+        if on_oracle:
+            patch.setattr(power_experiments, "_build_gpu", _per_object_gpu)
+        if tight:
+            patch.setattr(power_experiments, "VSAwareHypervisor",
+                          _tight_hypervisor)
+        result = run_pg_experiment(**kwargs)
+    return result, controllers
+
+
+class TestPGOnTheEngine:
+    """Warped-Gates PG with GATES runs on the C engine, byte-equal to the
+    same run on the per-object oracle GPU."""
+
+    @pytest.mark.parametrize("bench,stacked,tight", [
+        ("blackscholes", False, False),
+        ("heartwall", True, False),
+        ("srad", True, True),
+    ], ids=["conventional", "stacked", "forced-vetoes"])
+    def test_matches_the_per_object_oracle(self, monkeypatch, bench,
+                                           stacked, tight):
+        kwargs = dict(benchmark=bench, stacked=stacked, cycles=1000,
+                      hypervisor_period=16 if tight else 256)
+        run, controllers = _pg_run(monkeypatch, False, tight, **kwargs)
+        ref, ref_controllers = _pg_run(monkeypatch, True, tight, **kwargs)
+        assert all(isinstance(c.sm, SMView) for c in controllers)
+        assert run.trace.tobytes() == ref.trace.tobytes()
+        assert run.instructions == ref.instructions
+        assert run.gating_vetoes == ref.gating_vetoes
+        assert [c.stats for c in controllers] == [
+            c.stats for c in ref_controllers
+        ]
+        assert sum(c.stats.gating_events for c in controllers) > 0
+        if tight:
+            assert run.gating_vetoes > 0
+
