@@ -106,26 +106,22 @@ def _worker_table(
         if len(current) > 1:
             doing += f" (+{len(current) - 1} more)"
         rate = float(beat.get("lane_cycles_per_s") or 0.0)
-        backend = str(beat.get("solver_backend") or "")
-        if backend:
-            # "c/3" = compiled kernel, 3 shared-LU shards; a fleet-wide
-            # "numpy/..." column means the C build silently failed.
-            solver = f"{backend}/{int(beat.get('solver_shards') or 0)}"
-        else:
-            solver = "-"
+        # The batched solver's shared-LU shard count; "-" before a
+        # worker's first batch run.
+        shards = int(beat.get("solver_shards") or 0)
         rows.append([
             str(beat.get("worker", "?")) + (" [STALE]" if stale else ""),
             int(beat.get("points_done", 0)),
             int(beat.get("points_failed", 0)),
             int(beat.get("points_retried", 0)),
             f"{rate:,.0f}",
-            solver,
+            str(shards) if shards else "-",
             _fmt_eta(beat.get("eta_s")),
             _fmt_age(age),
             doing,
         ])
     return format_table(
-        ["worker", "done", "fail", "retry", "cyc/s", "solver", "eta", "beat",
+        ["worker", "done", "fail", "retry", "cyc/s", "shards", "eta", "beat",
          "doing"],
         rows,
         title=f"Workers ({len(beats)})",

@@ -7,8 +7,8 @@
  * co-sim cycle's worth of substeps in a single crossing of the ctypes
  * boundary.
  *
- * The contract is bit-identical equivalence with the NumPy batch step
- * (which is itself bit-identical to B serial TransientSolver runs):
+ * It is the batch solver's only step, and the contract is bit-identical
+ * equivalence with B serial TransientSolver runs:
  *
  *   - compile with -ffp-contract=off (no FMA contraction) and without
  *     -ffast-math, so double expressions evaluate exactly as NumPy's
@@ -22,7 +22,8 @@
  *     solve per lane on the lane's shard LU — same routine, same
  *     operands, same bits.  A hand-rolled P·L·U substitution was
  *     rejected: a blocked BLAS trsm reorders dot-product accumulation,
- *     so only the genuine dgetrs preserves the bit-identity oracle.
+ *     so only the genuine dgetrs preserves bit-identity with the
+ *     serial solver.
  *
  * Index arrays are the solver's flat-view gathers: lane-offset indices
  * into the flattened (B, ...) buffers, precomputed once in Python.

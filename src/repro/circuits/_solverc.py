@@ -1,17 +1,14 @@
 """ctypes mirror of the batched solver kernel's state (``_solverc.c``).
 
-The kernel is part of the native library (:mod:`repro.native`).  When
-the library is unavailable,
-:class:`repro.circuits.transient.BatchTransientSolver` runs its
-pure-NumPy batch step — same results (both are bit-identical to B
-serial runs), just slower.
-
-The kernel back-substitutes through the very LAPACK ``dgetrs`` scipy's
-``getrs`` wrapper calls (:func:`repro.native.dgetrs_pointer`), so the C
-path runs the same routine on the same operands and stays
-bit-identical to the NumPy oracle.  (A hand-rolled P·L·U substitution
-was rejected — a blocked BLAS ``trsm`` reorders dot-product
-accumulation, which breaks the bit-identity contract.)
+The kernel is part of the native library (:mod:`repro.native`) and is
+:class:`repro.circuits.transient.BatchTransientSolver`'s only step.  It
+back-substitutes through the very LAPACK ``dgetrs`` scipy's ``getrs``
+wrapper calls (:func:`repro.native.dgetrs_pointer`), so it runs the
+routine a serial :class:`~repro.circuits.transient.TransientSolver`
+runs on the same operands and stays bit-identical to B serial lanes.
+(A hand-rolled P·L·U substitution was rejected — a blocked BLAS
+``trsm`` reorders dot-product accumulation, which breaks that
+bit-identity.)
 """
 
 from __future__ import annotations

@@ -19,6 +19,10 @@ The solver exposes two usage styles:
 * :meth:`TransientSolver.run` — simulate an interval, return waveforms.
 * :meth:`TransientSolver.step` — advance one step; used by the GPU/PDN
   co-simulator, which overrides SM current sources between steps.
+
+:class:`BatchTransientSolver` steps B same-topology lanes in lock-step,
+only through the native library's compiled kernel (``_solverc.c``);
+B serial :class:`TransientSolver` runs are its reference.
 """
 
 from __future__ import annotations
@@ -533,13 +537,13 @@ class _SolverShard:
     block is bit-identical to solving against its own.
     """
 
-    __slots__ = ("getrs", "lu", "piv", "piv1")
+    __slots__ = ("lu", "piv1")
 
-    def __init__(self, getrs, lu: np.ndarray, piv: np.ndarray) -> None:
-        self.getrs = getrs
+    def __init__(self, lu: np.ndarray, piv: np.ndarray) -> None:
         self.lu = lu
-        self.piv = piv
-        self.piv1: Optional[np.ndarray] = None  # 1-based int32, C kernel
+        # scipy's lu_factor pivots are 0-based; the raw LAPACK routine
+        # wants 1-based int32.
+        self.piv1 = (piv + 1).astype(np.int32)
 
 
 class BatchTransientSolver:
@@ -548,11 +552,14 @@ class BatchTransientSolver:
     The batched co-simulator advances B independent scenarios per GPU
     cycle.  Their circuits share one topology family — identical node
     sets, element sets and step size (the MNA *structure* and scatter
-    index maps are equal) — while element *values*, source waveforms and
-    per-lane fault refactorizations may differ.  This class fuses the
-    per-step NumPy dispatch across lanes: companion currents, the RHS
-    scatter (one flat-index ``bincount`` over all lanes) and the
-    companion-state update run on ``(B, ...)`` arrays, while the LAPACK
+    index maps are equal) — while element *values* and per-lane fault
+    refactorizations may differ.  Every step runs compiled, in the
+    native library (:mod:`repro.native`): one call into ``_solverc.c``
+    advances every lane ``n`` substeps — companion update, source
+    gather, RHS scatter, voltage-source stamp, per-lane LAPACK
+    back-substitution through the genuine ``dgetrs`` pointer, and the
+    reactive-state update — bit-identical to B serial
+    :class:`TransientSolver` runs, the kernel's reference.  The
     back-substitution runs per shard of value-identical matrices
     (:class:`_SolverShard`): one shared ``lu_factor`` per shard and
     per-lane NRHS=1 solves against it.  (A multi-RHS ``getrs`` over a
@@ -563,29 +570,20 @@ class BatchTransientSolver:
     and the surviving shard is untouched, so fault injection and guard
     recovery keep working unchanged.
 
-    ``step_n`` and ``step_n_checked`` run compiled, in the native
-    library (:mod:`repro.native`), whenever the circuit is eligible
-    (one shared C-contiguous current base, no plain current sources, no
-    callable voltage sources): the whole cycle's substeps — companion
-    update, source gather, RHS scatter, voltage-source stamp, per-lane
-    LAPACK back-substitution through the genuine ``dgetrs`` pointer,
-    and the reactive-state update — run in one crossing into
-    ``_solverc.c``.  Other batches step through the NumPy batch step
-    (:meth:`step`), which is also the C kernel's bit-identity
-    reference.
+    The kernel steps the co-sim's lane sets, and construction raises
+    ``ValueError`` for any other: ``shared_current_base`` must be a
+    C-contiguous float64 ``(B, num_sources)`` array whose row i is lane
+    i's one bound current buffer (see
+    ``StackedPDN.bind_current_buffer``), and no lane may have an unbound
+    current source or a waveform-callable voltage source.
 
     Each lane's dynamic state (``_react_v`` / ``_react_i`` / ``solution``)
     is re-homed as a row view of the batch arrays, so per-lane reads
     (``vsource_current``, ``inductor_current``) stay coherent.  The
     lanes' ``time`` and ``stats.steps`` are mirrors of one shared batch
-    clock that the compiled path advances; call :meth:`fold_lanes`
-    before reading them.  Do not call ``lane.step()`` directly while a
-    batch owns the lanes.
-
-    ``shared_current_base`` is an optional ``(B, num_sources)`` array
-    whose row i is lane i's bound current buffer (see
-    ``StackedPDN.bind_current_buffer``); when given, all lanes' source
-    currents are gathered with a single 2-D fancy-indexed read per step.
+    clock that the kernel advances; call :meth:`fold_lanes` before
+    reading them.  Do not call ``lane.step()`` directly while a batch
+    owns the lanes.
     """
 
     def __init__(
@@ -619,11 +617,11 @@ class BatchTransientSolver:
                         "lanes do not share a topology family "
                         f"(index map {attr} differs)"
                     )
+        base, slots, gidx = self._check_sources(shared_current_base)
         self.dt = first.dt
         self.num_nodes = first.structure.num_nodes
         size = first.structure.size
-        n_lanes = len(self.solvers)
-        self._cs_offset = first._cs_offset
+        n_lanes = self._n_lanes = len(self.solvers)
 
         # Per-lane dynamic state re-homed as rows of batch arrays.
         # Companion gains are stacked per lane (fault refactorization
@@ -632,8 +630,9 @@ class BatchTransientSolver:
         self._react_g_bt = np.stack([s._react_g for s in self.solvers])
         # Reactive v/i live in one contiguous (2, B, R) block so the
         # guard's per-cycle snapshot/rollback is a single copy.
-        n_react_first = first._react_v.size
-        self._react_vi_bt = np.empty((2, n_lanes, n_react_first))
+        n_react = first._react_v.size
+        self._n_react = n_react
+        self._react_vi_bt = np.empty((2, n_lanes, n_react))
         self._react_v_bt = self._react_vi_bt[0]
         self._react_i_bt = self._react_vi_bt[1]
         self._react_v_bt[:] = [s._react_v for s in self.solvers]
@@ -653,345 +652,159 @@ class BatchTransientSolver:
             s._ind_i = s._react_i[nc:]
             s.solution = self._sol_bt[i]
             s._vs_values = self._vs_bt[i]
+            s._batch_owner = self
 
         # The shared batch clock: ``_clock`` is [time, time at the start
-        # of the last compiled step] and ``_csteps`` counts the substeps
-        # compiled steps took.  Compiled steps advance only these (one
-        # clock, not B lane updates); fold_lanes() writes them into the
-        # lanes, and ``_folded`` holds each lane's count at its last fold.
+        # of the last step] and ``_csteps`` counts the substeps taken.
+        # Steps advance only these (one clock, not B lane updates);
+        # fold_lanes() writes them into the lanes, and ``_folded`` holds
+        # each lane's count at its last fold.
         self._clock = np.array([first.time, first.time])
         self._csteps = np.zeros(1, dtype=np.int64)
         self._folded = [0] * n_lanes
         self._stats_list = [s.stats for s in self.solvers]
 
-        self._vals_bt = np.zeros((n_lanes, first._vals.size), dtype=float)
-        self._size = size
-        self._n_lanes = n_lanes
-        self._flat_size = n_lanes * size
-        # Flat-index scatter: view the (B, size) RHS as one vector and
-        # offset each lane's scatter indices by its row start, so a
-        # single bincount covers every lane.  Lanes never collide and
-        # within a lane the triple order is unchanged (bincount, like
-        # np.add.at, accumulates in input order), so the per-index
-        # accumulation order — hence every bit — matches the serial
-        # scatter.
-        self._flat_idx = (
-            np.arange(n_lanes, dtype=np.intp)[:, None] * size
-            + first._scatter_idx[None, :]
-        ).ravel()
-        # Flat-view gather indices: the batch buffers are C-contiguous,
-        # so every per-lane fancy gather collapses to one 1-D fancy
-        # read over the flattened buffer — same elements, same order,
-        # far fewer dispatches than a per-axis fancy index.
+        # The kernel's operands: lane-offset indices into the flattened
+        # (B, ...) buffers, so every per-lane scatter and gather is one
+        # flat loop.  Lanes never collide and within a lane the triple
+        # order is the serial solver's (np.bincount accumulates in input
+        # order), so each node sums its contributions in the same
+        # sequence — hence every bit — as the serial scatter.
         n_vals = first._vals.size
-        lane_off = np.arange(n_lanes, dtype=np.intp)[:, None]
-        self._vals_flat = self._vals_bt.reshape(-1)
-        self._scatter_src_flat = (
-            lane_off * n_vals + first._scatter_src[None, :]
-        ).ravel()
+        lane_off = np.arange(n_lanes, dtype=np.int64)[:, None]
+
+        def flat(stride: int, idx: np.ndarray) -> np.ndarray:
+            return (lane_off * stride + idx[None, :]).ravel()
+
+        self._vals_bt = np.zeros((n_lanes, n_vals), dtype=float)
+        self._rhs_bt = np.zeros((n_lanes, size), dtype=float)
+        self._base = base
+        self._scat_idx = flat(size, first._scatter_idx)
+        self._scat_src = flat(n_vals, first._scatter_src)
         self._gain_flat = np.tile(first._scatter_gain, n_lanes)
-        self._sol_flat = self._sol_bt.reshape(-1)
-        self._react_pos_flat = (
-            lane_off * size + first._react_pos[None, :]
-        ).ravel()
-        self._react_neg_flat = (
-            lane_off * size + first._react_neg[None, :]
-        ).ravel()
-        n_react = first._react_v.size
-        self._n_react = n_react
-        self._ieq_buf = np.empty((n_lanes, n_react))
-        # Shard map and per-lane solve cache (see _rebuild_lanes).  The
-        # refactor() hook below invalidates them when a fault injector
-        # re-factorizes any lane's matrix mid-run.
-        self._lanes_dirty = True
-        self._lane_solve: list = []
-        self._shards: List[_SolverShard] = []
-        self._lane_shard: List[_SolverShard] = []
-        for s in self.solvers:
-            s._batch_owner = self
-        self._scatter_gain = first._scatter_gain
-        self._scatter_src = first._scatter_src
-        self._vs_row_idx = first._vs_row_idx
-        self._react_pos = first._react_pos
-        self._react_neg = first._react_neg
+        self._react_pos_flat = flat(size, first._react_pos)
+        self._react_neg_flat = flat(size, first._react_neg)
+        self._cs_dst = flat(n_vals, np.asarray(slots))
+        self._cs_src = flat(base.shape[1], np.asarray(gidx))
+        self._vs_rows = first._vs_row_idx.astype(np.int64)
         self._react_pos_mask = first._react_pos_mask
         self._react_neg_mask = first._react_neg_mask
         self._react_sign = first._react_sign
-        self._has_vs_callable = any(s._vs_callable for s in self.solvers)
-        self._has_cs_plain = any(s._cs_plain for s in self.solvers)
         self._branch_rows: Dict[str, int] = {}
 
-        self._shared_cs = None
-        if shared_current_base is not None:
-            base = np.asarray(shared_current_base)
-            if base.shape[0] != n_lanes:
+        self._clib = native.load()
+        # Shard map and the kernel's state struct (see _rebuild_lanes).
+        # The refactor() hook invalidates them when a fault injector
+        # re-factorizes any lane's matrix mid-run.
+        self._lanes_dirty = True
+        self._shards: List[_SolverShard] = []
+        self._c_state_ptr = None
+        self._c_refs: list = []
+        # step_n_checked's (snap, limit_sq, snap address, limit address).
+        self._checked_args: Optional[tuple] = None
+
+    def _check_sources(self, shared_current_base):
+        """The lane set's current base and its (slots, gidx) gather map.
+
+        Raises ``ValueError`` unless the C kernel can step the lanes:
+        every lane's current sources bound to its row of one
+        C-contiguous float64 base, and no callable voltage source.
+        """
+        if shared_current_base is None:
+            raise ValueError(
+                "BatchTransientSolver needs shared_current_base, the "
+                "(B, num_sources) array whose rows are the lanes' bound "
+                "current buffers"
+            )
+        base = shared_current_base
+        n_lanes = len(self.solvers)
+        if (
+            not isinstance(base, np.ndarray)
+            or base.ndim != 2
+            or base.shape[0] != n_lanes
+            or base.dtype != np.float64
+            or not base.flags.c_contiguous
+        ):
+            raise ValueError(
+                "shared_current_base must be a C-contiguous float64 "
+                f"array with one row per lane ({n_lanes})"
+            )
+        ref = None
+        for i, s in enumerate(self.solvers):
+            if s._cs_plain:
                 raise ValueError(
-                    "shared_current_base must have one row per lane"
+                    f"lane {i}'s current source "
+                    f"{s._cs_plain[0][1].name!r} is not bound to "
+                    "shared_current_base"
                 )
-            ref_batch = first._cs_batches
-            if len(ref_batch) != 1:
+            if s._vs_callable:
+                raise ValueError(
+                    f"lane {i}'s voltage source {s._vs_callable[0][1].name!r} "
+                    "is a waveform callable; the batch steps constant "
+                    "voltage sources only"
+                )
+            if len(s._cs_batches) != 1:
                 raise ValueError(
                     "shared_current_base requires exactly one bound "
                     "current buffer per lane"
                 )
-            _, ref_slots, ref_gidx = ref_batch[0]
-            for i, s in enumerate(self.solvers):
-                if len(s._cs_batches) != 1:
-                    raise ValueError(
-                        "shared_current_base requires exactly one bound "
-                        "current buffer per lane"
-                    )
-                buf, slots, gidx = s._cs_batches[0]
-                if (
-                    not np.array_equal(slots, ref_slots)
-                    or not np.array_equal(gidx, ref_gidx)
-                    or np.asarray(buf).shape != (base.shape[1],)
-                    or not np.shares_memory(buf, base[i])
-                ):
-                    raise ValueError(
-                        f"lane {i}'s current buffer is not row {i} of "
-                        "shared_current_base"
-                    )
-            self._shared_cs = (base, ref_slots, ref_gidx)
-            # When the shared base is C-contiguous, both sides of the
-            # gather flatten to views, so one 1-D fancy read/write
-            # replaces the 2-D fancy gather (same elements, same
-            # per-element copy — bit-identical, just fewer dispatches).
-            if base.flags["C_CONTIGUOUS"]:
-                n_vals = self._vals_bt.shape[1]
-                lanes_idx = np.arange(n_lanes, dtype=np.intp)[:, None]
-                self._cs_flat_dst = (
-                    lanes_idx * n_vals + np.asarray(ref_slots)[None, :]
-                ).ravel()
-                self._cs_flat_src = (
-                    lanes_idx * base.shape[1]
-                    + np.asarray(ref_gidx)[None, :]
-                ).ravel()
-                self._vals_flat = self._vals_bt.reshape(-1)
-                self._base_flat = base.reshape(-1)
-            else:
-                self._cs_flat_dst = None
-        else:
-            self._cs_flat_dst = None
-
-        # Compiled-backend state (resolved lazily on the first step_n).
-        self._backend: Optional[str] = None
-        self._clib = None
-        self._c_state = None
-        self._c_state_ptr = None
-        self._c_refs: list = []
-        self._rhs_bt: Optional[np.ndarray] = None
-        # step_n_checked's (snap, limit_sq, snap address, limit address).
-        self._checked_args: Optional[tuple] = None
-        # The fused C kernel handles exactly the co-sim configuration:
-        # one shared C-contiguous current base, no plain (unbound)
-        # current sources, no waveform-callable voltage sources.
-        self._c_eligible = (
-            self._cs_flat_dst is not None
-            and not self._has_cs_plain
-            and not self._has_vs_callable
-        )
+            buf, slots, gidx = s._cs_batches[0]
+            if ref is None:
+                ref = (slots, gidx)
+            row = base[i]
+            if (
+                not isinstance(buf, np.ndarray)
+                or (buf.ctypes.data, buf.shape, buf.strides, buf.dtype)
+                != (row.ctypes.data, row.shape, row.strides, row.dtype)
+                or not np.array_equal(slots, ref[0])
+                or not np.array_equal(gidx, ref[1])
+            ):
+                raise ValueError(
+                    f"lane {i}'s current buffer is not row {i} of "
+                    "shared_current_base"
+                )
+        return base, ref[0], ref[1]
 
     # ------------------------------------------------------------------
     # Shard bookkeeping
     # ------------------------------------------------------------------
     def _rebuild_lanes(self) -> None:
-        """Regroup lanes into shards of value-identical MNA matrices.
+        """Regroup lanes into shards of value-identical MNA matrices and
+        rewire the C kernel's state struct to them.
 
         Runs lazily whenever ``_lanes_dirty`` — at construction and
         after any lane's :meth:`TransientSolver.refactor` (fault
         injection, guard recovery, ``set_dt``).  A refactored lane's
         matrix bytes change, so regrouping naturally splits it out of
-        its old shard without touching the other members.  Also drops
-        any cached C-kernel state (the shard LU pointers it holds are
-        stale).
+        its old shard without touching the other members.  The struct
+        holds raw addresses of each lane's shard LU block and 1-based
+        pivot vector and of the batch buffers; every referenced array
+        is pinned in ``_c_refs`` for the struct's lifetime.
         """
-        sol = self._sol_bt
         shard_map: Dict[bytes, _SolverShard] = {}
-        shards: List[_SolverShard] = []
-        lane_entries: list = []
-        lane_shard: List[_SolverShard] = []
+        n_lanes = len(self.solvers)
+        lu_addr = np.empty(n_lanes, dtype=np.int64)
+        piv_addr = np.empty(n_lanes, dtype=np.int64)
         for i, s in enumerate(self.solvers):
             key = s._matrix.tobytes()
             shard = shard_map.get(key)
             if shard is None:
-                lu, piv = s._lu
-                shard = _SolverShard(s._getrs, lu, piv)
-                shard_map[key] = shard
-                shards.append(shard)
-            # Per-lane solve entry against the *shard's* LU; the sixth
-            # slot is the per-entry in-place verdict for the lane's
-            # getrs wrapper, probed on its own first solve (a wrapper
-            # that copies for one lane must never be assumed in-place
-            # for another).
-            lane_entries.append(
-                [shard.getrs, shard.lu, shard.piv, sol[i], s, None]
-            )
-            lane_shard.append(shard)
-        self._shards = shards
-        self._lane_solve = lane_entries
-        self._lane_shard = lane_shard
-        self._lanes_dirty = False
-        self._c_state = None
-        self._c_state_ptr = None
-        self._c_refs = []
-
-    @property
-    def shard_count(self) -> int:
-        """How many distinct LU factorizations the lane set shares."""
-        if self._lanes_dirty:
-            self._rebuild_lanes()
-        return len(self._shards)
-
-    # ------------------------------------------------------------------
-    def step(self) -> np.ndarray:
-        """Advance every lane one trapezoidal step in lock-step.
-
-        Returns the ``(B, num_nodes)`` node voltages at the new time (a
-        view into batch state — copy before mutating).
-        """
-        self.fold_lanes()
-        solvers = self.solvers
-        t_next = solvers[0].time + self.dt
-
-        vals = self._vals_bt
-        ieq = self._ieq_buf
-        np.multiply(self._react_g_bt, self._react_v_bt, out=ieq)
-        ieq += self._react_i_bt
-        vals[:, : self._cs_offset] = ieq
-        if self._cs_flat_dst is not None:
-            self._vals_flat[self._cs_flat_dst] = (
-                self._base_flat[self._cs_flat_src]
-            )
-        elif self._shared_cs is not None:
-            base, slots, gidx = self._shared_cs
-            vals[:, slots] = base[:, gidx]
-        else:
-            for i, s in enumerate(solvers):
-                for buffer, slots, gidx in s._cs_batches:
-                    vals[i, slots] = np.asarray(buffer)[gidx]
-        if self._has_cs_plain:
-            for i, s in enumerate(solvers):
-                for slot, source in s._cs_plain:
-                    vals[i, slot] = source.current_at(t_next)
-
-        upd = self._vals_flat[self._scatter_src_flat]
-        upd *= self._gain_flat
-        rhs = np.bincount(
-            self._flat_idx, weights=upd, minlength=self._flat_size,
-        ).reshape(self._n_lanes, self._size)
-        if self._has_vs_callable:
-            for s in solvers:
-                for slot, source in s._vs_callable:
-                    s._vs_values[slot] = source.voltage_at(t_next)
-        rhs[:, self._vs_row_idx] = self._vs_bt
-
-        # Back-substitute per shard: every lane solves against its
-        # shard's shared LU (value-identical matrices factorize to
-        # bit-identical LU blocks).  LAPACK dgetrs overwrites a
-        # contiguous RHS when allowed to, skipping the copy-back; each
-        # lane's first solve probes whether its wrapper really solved
-        # in place (it copies when it must) and that lane alone falls
-        # back to an explicit copy-back — the verdict is never assumed
-        # across lanes or shards.
-        sol = self._sol_bt
-        sol[:] = rhs
-        if self._lanes_dirty:
-            self._rebuild_lanes()
-        for entry in self._lane_solve:
-            getrs_f, lu, piv, row, s, inplace = entry
-            solution, _info = getrs_f(lu, piv, row, overwrite_b=True)
-            if inplace is None:
-                inplace = bool(np.shares_memory(solution, row))
-                entry[5] = inplace
-            if not inplace:
-                row[:] = solution
-            s.stats.steps += 1
-            s.time = t_next
-
-        n_react = self._n_react
-        v_new = (
-            self._sol_flat[self._react_pos_flat].reshape(-1, n_react)
-            * self._react_pos_mask
-            - self._sol_flat[self._react_neg_flat].reshape(-1, n_react)
-            * self._react_neg_mask
-        )
-        self._react_i_bt[:] = (
-            self._react_g_bt * v_new + self._react_sign * ieq
-        )
-        self._react_v_bt[:] = v_new
-        self._clock[0] = t_next
-        return sol[:, : self.num_nodes]
-
-    # ------------------------------------------------------------------
-    # Fused multi-substep stepping (compiled backend)
-    # ------------------------------------------------------------------
-    @property
-    def active_backend(self) -> str:
-        """``"c"`` or ``"numpy"`` — the backend ``step_n`` will run."""
-        if self._backend is None:
-            self._resolve_backend()
-        return self._backend
-
-    def _resolve_backend(self) -> None:
-        """Pick the ``step_n`` backend once: C when the circuit
-        configuration is eligible (loading the native library raises
-        :class:`repro.native.NativeBuildError` when it is unavailable).
-
-        Ineligible configurations (plain current sources, callable
-        voltage sources, no shared current base) stay on the NumPy
-        batch step without consulting the library — that is a modeling
-        choice, not a degradation.
-        """
-        self._clib = native.load() if self._c_eligible else None
-        self._backend = "numpy" if self._clib is None else "c"
-
-    def _build_c_state(self) -> None:
-        """Wire the C kernel's state struct to the batch buffers.
-
-        Rebuilt whenever the shard map changes (lane refactorization) —
-        the struct holds raw addresses of each lane's shard LU block
-        and 1-based pivot vector.  Every referenced array is pinned in
-        ``_c_refs`` for the struct's lifetime.
-        """
-        n_lanes = self._n_lanes
-        size = self._size
-        if self._rhs_bt is None:
-            self._rhs_bt = np.zeros((n_lanes, size), dtype=float)
-        base, _slots, _gidx = self._shared_cs
-
-        def i64(arr: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray(arr, dtype=np.int64)
-
-        lu_addr = np.empty(n_lanes, dtype=np.int64)
-        piv_addr = np.empty(n_lanes, dtype=np.int64)
-        for i, shard in enumerate(self._lane_shard):
-            if shard.piv1 is None:
-                # scipy's lu_factor pivots are 0-based; the raw LAPACK
-                # routine wants 1-based int32.
-                shard.piv1 = (shard.piv + 1).astype(np.int32)
+                shard = shard_map[key] = _SolverShard(*s._lu)
             lu_addr[i] = shard.lu.ctypes.data
             piv_addr[i] = shard.piv1.ctypes.data
-
-        cs_dst = i64(self._cs_flat_dst)
-        cs_src = i64(self._cs_flat_src)
-        scat_idx = i64(self._flat_idx)
-        scat_src = i64(self._scatter_src_flat)
-        vs_rows = i64(self._vs_row_idx)
-        react_pos = i64(self._react_pos_flat)
-        react_neg = i64(self._react_neg_flat)
+        self._shards = list(shard_map.values())
 
         def ptr(arr: np.ndarray) -> int:
             return arr.ctypes.data
 
         st = CSolverState(
             n_lanes=n_lanes,
-            size=size,
+            size=self._sol_bt.shape[1],
             n_vals=self._vals_bt.shape[1],
             n_react=self._n_react,
-            n_scatter=self._flat_idx.size,
-            n_cs=cs_dst.size,
-            n_vs=vs_rows.size,
+            n_scatter=self._scat_idx.size,
+            n_cs=self._cs_dst.size,
+            n_vs=self._vs_rows.size,
             dgetrs=native.dgetrs_pointer(),
             lu_addr=ptr(lu_addr),
             piv_addr=ptr(piv_addr),
@@ -1001,46 +814,56 @@ class BatchTransientSolver:
             react_sign=ptr(self._react_sign),
             pos_mask=ptr(self._react_pos_mask),
             neg_mask=ptr(self._react_neg_mask),
-            react_pos=ptr(react_pos),
-            react_neg=ptr(react_neg),
+            react_pos=ptr(self._react_pos_flat),
+            react_neg=ptr(self._react_neg_flat),
             vals=ptr(self._vals_bt),
-            base=ptr(base),
-            cs_dst=ptr(cs_dst),
-            cs_src=ptr(cs_src),
-            scat_idx=ptr(scat_idx),
-            scat_src=ptr(scat_src),
+            base=ptr(self._base),
+            cs_dst=ptr(self._cs_dst),
+            cs_src=ptr(self._cs_src),
+            scat_idx=ptr(self._scat_idx),
+            scat_src=ptr(self._scat_src),
             scat_gain=ptr(self._gain_flat),
-            vs_rows=ptr(vs_rows),
+            vs_rows=ptr(self._vs_rows),
             vs_vals=ptr(self._vs_bt),
             rhs=ptr(self._rhs_bt),
             sol=ptr(self._sol_bt),
         )
-        self._c_refs = [
-            lu_addr, piv_addr, cs_dst, cs_src, scat_idx, scat_src,
-            vs_rows, react_pos, react_neg,
-            [shard.piv1 for shard in self._shards],
-        ]
-        self._c_state = st
-        self._c_state_ptr = ctypes.pointer(st)
+        self._c_refs = [lu_addr, piv_addr, self._shards]
+        self._c_state_ptr = ctypes.pointer(st)  # keeps st alive
+        self._lanes_dirty = False
+
+    def _c_pointer(self):
+        """Pointer to the C kernel's state struct, rewired first when a
+        lane refactorization dirtied the shard map."""
+        if self._lanes_dirty:
+            self._rebuild_lanes()
+        return self._c_state_ptr
+
+    @property
+    def shard_count(self) -> int:
+        """How many distinct LU factorizations the lane set shares."""
+        if self._lanes_dirty:
+            self._rebuild_lanes()
+        return len(self._shards)
+
+    # ------------------------------------------------------------------
+    # Stepping
+    # ------------------------------------------------------------------
+    def step(self) -> np.ndarray:
+        """Advance every lane one trapezoidal step: ``step_n(1)``."""
+        return self.step_n(1)
 
     def step_n(self, n: int) -> np.ndarray:
-        """Advance every lane ``n`` lock-stepped trapezoidal steps.
+        """Advance every lane ``n`` lock-stepped trapezoidal steps in one
+        C call (see ``_solverc.c``).
 
-        Bit-identical to ``n`` calls of :meth:`step` on either backend;
-        the compiled path additionally fuses all ``n`` substeps into
-        one C call (see ``_solverc.c``).  Defers to the per-step loop
-        when ``step`` has been instance-patched (fault hooks and tests
-        wrap ``batch.step``; a fused path must not bypass them).
+        Returns the ``(B, num_nodes)`` node voltages at the new time (a
+        view into batch state — copy before mutating).
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        if self._c_ready():
-            self._c_finish(self._clib.solver_step_n(self._c_state_ptr, n), n)
-            return self._sol_bt[:, : self.num_nodes]
-        node_bt = None
-        for _ in range(n):
-            node_bt = self.step()
-        return node_bt
+        self._c_finish(self._clib.solver_step_n(self._c_pointer(), n), n)
+        return self._sol_bt[:, : self.num_nodes]
 
     def step_n_checked(
         self, n: int, snap: np.ndarray, limit_sq: np.ndarray
@@ -1050,28 +873,21 @@ class BatchTransientSolver:
         Copies the reactive state into ``snap`` (shaped like the
         ``(2, B, n_react)`` reactive block) before stepping, then counts
         the lanes whose solution row fails the health proof
-        ``x . x < limit_sq[lane]`` (NaN/Inf fail it).  The compiled
-        backend does all three in one C call, so a clean guarded cycle
-        costs what an unguarded one does.
+        ``x . x < limit_sq[lane]`` (NaN/Inf fail it).  The kernel does
+        all three in one C call, so a clean guarded cycle costs what an
+        unguarded one does.
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        if self._c_ready():
-            args = self._checked_args
-            if args is None or args[0] is not snap or args[1] is not limit_sq:
-                args = self._bind_checked_args(snap, limit_sq)
-            return self._c_finish(
-                self._clib.solver_step_n_checked(
-                    self._c_state_ptr, n, args[2], args[3]
-                ),
-                n,
-            )
-        np.copyto(snap, self._react_vi_bt)
-        for _ in range(n):
-            self.step()
-        sol = self._sol_bt
-        sq = np.einsum("ij,ij->i", sol, sol)
-        return int(np.count_nonzero(~(sq < limit_sq)))
+        args = self._checked_args
+        if args is None or args[0] is not snap or args[1] is not limit_sq:
+            args = self._bind_checked_args(snap, limit_sq)
+        return self._c_finish(
+            self._clib.solver_step_n_checked(
+                self._c_pointer(), n, args[2], args[3]
+            ),
+            n,
+        )
 
     def _bind_checked_args(self, snap: np.ndarray, limit_sq: np.ndarray):
         """Validate and cache the raw addresses step_n_checked passes."""
@@ -1093,32 +909,15 @@ class BatchTransientSolver:
         )
         return self._checked_args
 
-    def _c_ready(self) -> bool:
-        """Whether the fused C path runs (building its state if so).
-
-        It defers to the per-step loop when ``step`` has been
-        instance-patched (fault hooks and tests wrap ``batch.step``; a
-        fused path must not bypass them).
-        """
-        if self._backend is None:
-            self._resolve_backend()
-        if self._backend != "c" or "step" in self.__dict__:
-            return False
-        if self._lanes_dirty:
-            self._rebuild_lanes()
-        if self._c_state is None:
-            self._build_c_state()
-        return True
-
     def _c_finish(self, rc: int, n: int) -> int:
-        """Bookkeeping after a fused C call of ``n`` substeps."""
+        """Bookkeeping after a C call of ``n`` substeps."""
         if rc < 0:
             raise RuntimeError(
                 "C solver kernel: dgetrs rejected its arguments "
                 f"on lane {-rc - 1}"
             )
-        # The clock advances by the same sequential accumulation the
-        # per-step path performs (t += dt, n times), keeping every
+        # The clock advances by the same sequential accumulation a
+        # serial lane performs (t += dt, n times), keeping every
         # recovered-lane/time comparison bit-aligned.
         clock = self._clock
         t = float(clock[0])
@@ -1133,8 +932,8 @@ class BatchTransientSolver:
     def fold_lanes(self, rows: Optional[Sequence[int]] = None) -> None:
         """Write the batch clock back into the lanes (``rows``, or all).
 
-        Each lane behind on compiled steps gets the clock's time and the
-        substeps it has not yet counted in ``stats.steps``.
+        Each lane behind on the batch's steps gets the clock's time and
+        the substeps it has not yet counted in ``stats.steps``.
         """
         n = int(self._csteps[0])
         folded = self._folded
@@ -1568,19 +1367,9 @@ class BatchSolverGuard:
         # squares under ``limit^2`` certifies every entry is inside the
         # spike limit (NaN/Inf contaminate the row's dot and fail).
         t0 = float(batch._clock[0])
-        try:
-            suspects = batch.step_n_checked(
-                substeps, self._snap_vi, self._limit_sq
-            )
-        except _SOLVE_ERRORS:
-            # The fused step died partway through a substep, so every
-            # lane's state is suspect: roll them all back and redo each
-            # serially (bit-identical to the fused path for lanes that
-            # behave).
-            batch._react_vi_bt[:] = self._snap_vi
-            return self._nodes, self._redo(
-                range(len(batch.solvers)), substeps, cycle, t0
-            )
+        suspects = batch.step_n_checked(
+            substeps, self._snap_vi, self._limit_sq
+        )
         if not suspects:
             return self._nodes, {}
         return self._nodes, self.resolve(substeps, cycle, t0)

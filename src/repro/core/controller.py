@@ -19,8 +19,9 @@ above the threshold its commands relax back to defaults.
 
 :class:`ControllerBank` is the one implementation of the filter
 advance and the decision arithmetic: it owns every lane's state as
-``(B, ...)`` arrays, and its decision wave runs in C (the native
-library's ``bank_wave``, also called by the co-sim's cycle kernel).
+``(B, ...)`` arrays, and its RC filter and decision wave run in C (the
+native library's ``bank_filter`` and ``bank_wave``, whose code the
+co-sim's cycle kernel shares).
 A :class:`VoltageSmoothingController` is a view of its bank row, and
 its ``observe`` steps its one-lane bank.  The per-SM scalar path the
 bank replaced is the test oracle ``tests/oracles/scalar_controller.py``.
@@ -568,10 +569,15 @@ class ControllerBank:
     store is indexed by ``id % (cap + 1)``; a wave that would overrun
     either grows both (``_grow``) first.
 
-    A wave runs compiled (``bank_wave`` in ``repro/sim/_cyclec.c``, which
-    the co-sim's cycle kernel also calls).  Per lane it is the
-    reference's ``_make_decision``: watchdog, Algorithm 1 (or the safe
-    state), slew limiting, statistics and enqueueing; an *idle* lane —
+    The filter advance and the wave run compiled (``bank_filter`` and
+    ``bank_wave`` in ``repro/sim/_cyclec.c``; the co-sim's cycle kernel
+    runs the same filter row helper and calls the same wave).  Per lane
+    the filter is the reference's ``_advance_filters``: only fresh
+    (finite, observed) samples enter the RC filter, and a dropped
+    sample holds its last good measurement (fallback on) or reads NaN.
+    The wave is the reference's ``_make_decision``: watchdog,
+    Algorithm 1 (or the safe state), slew limiting, statistics and
+    enqueueing; an *idle* lane —
     nothing triggered, not in the safe state, and its last command
     exactly the default — re-enqueues its last id instead of storing a
     value-identical command under a new one.  Every operation is
@@ -615,7 +621,6 @@ class ControllerBank:
         self._fb_on = np.array(
             [c.config.sensor_fallback_enabled for c in ctrls]
         ).reshape(-1, 1)
-        self._fb_all = bool(self._fb_on.all())
         # Per-lane wave parameters, one column each (the _P_* / _Q_*
         # indices), read by the C wave's per-SM proportional law.
         self._params = np.column_stack([
@@ -694,13 +699,11 @@ class ControllerBank:
         self._scal[_S_NEXT_DUE] = (last + period).min()
         self._scal[_S_MIN_LATENCY] = self._iparams[:, _Q_LATENCY].min()
         self._due = np.zeros(n_lanes, dtype=np.uint8)  # C wave scratch
-        # Per-cycle observe scratch (the filter advance is dispatch-
-        # bound at small B; out= ufuncs avoid five temporaries a cycle).
-        self._obs_buf = np.empty_like(self._state)
-        self._finite_buf = np.empty(self._state.shape, dtype=bool)
-        # The C wave, and its view of this bank: bound on the first wave
-        # (a lane's own bank may never wave) and repointed on growth.
-        self._wave_fn = native.load().bank_wave
+        self._measured = np.empty_like(self._state)  # C filter output
+        # The C filter and wave, and their view of this bank: bound on
+        # the first observe and repointed on growth.
+        lib = native.load()
+        self._filter_fn, self._wave_fn = lib.bank_filter, lib.bank_wave
         self._c: Optional[_CBank] = None
         self._c_ptr = None
 
@@ -791,37 +794,30 @@ class ControllerBank:
         observe at all this cycle; the other rows are left untouched,
         exactly as a serial run that skips the lane's observe.
         """
-        seen = np.asarray(seen, dtype=float)
-        expected = (len(self.controllers), self.num_sms)
+        seen = np.ascontiguousarray(seen, dtype=float)
+        n_lanes = len(self.controllers)
+        expected = (n_lanes, self.num_sms)
         if seen.shape != expected:
             raise ValueError(
                 f"expected voltages of shape {expected}, got {seen.shape}"
             )
         if observed is not None:
             observed = np.ascontiguousarray(observed, dtype=bool)
+            if observed.shape != (n_lanes,):
+                raise ValueError(
+                    f"expected an observed mask of shape ({n_lanes},), "
+                    f"got {observed.shape}"
+                )
             if observed.all():
                 observed = None
-        finite = self._finite_buf
-        np.isfinite(seen, out=finite)
-        if observed is None and finite.all():
-            # The reference's all-finite filter advance, broadcast over
-            # lanes.
-            state = self._state
-            buf = self._obs_buf
-            np.subtract(seen, state, out=buf)
-            buf *= self._alpha
-            state += buf
-            # Quantize straight into _last_good (the reference updates
-            # the held measurement with exactly this value on every
-            # finite sample), and clear the fallback flags.
-            measured = self._last_good
-            np.divide(state, self._step_v, out=measured)
-            np.rint(measured, out=measured)
-            measured *= self._step_v
-            self._fallback[:] = False
-            self._decide_due(cycle, measured, None)
-            return
-        measured = self._advance_masked(seen, finite, observed)
+        if self._c_ptr is None:
+            self._c_ptr = ctypes.pointer(self._bind_c())
+        measured = self._measured
+        self._filter_fn(
+            self._c_ptr, seen.ctypes.data,
+            None if observed is None else observed.ctypes.data,
+            measured.ctypes.data,
+        )
         self._decide_due(cycle, measured, observed)
 
     def _decide_due(
@@ -833,57 +829,11 @@ class ControllerBank:
         """Run the decision wave of the lanes due at ``cycle``."""
         if cycle < self._scal[_S_NEXT_DUE]:
             return
-        if self._c_ptr is None:
-            self._c_ptr = ctypes.pointer(self._bind_c())
         obs = None if observed is None else observed.ctypes.data
         while self._wave_fn(self._c_ptr, cycle, measured.ctypes.data, obs) == (
             _WAVE_GROW
         ):
             self._grow()
-
-    def _advance_masked(
-        self,
-        seen: np.ndarray,
-        finite: np.ndarray,
-        observed: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Filter advance for blocks with NaN samples or unobserved rows.
-
-        Row-for-row the reference's filter advance
-        (``ScalarController._advance_filters`` in
-        ``tests/oracles/scalar_controller.py``): only fresh
-        (finite, observed) samples enter the RC filter, the held
-        measurement updates where they do, and a dropped sample either
-        holds its last good value (fallback on, thresholds widened) or
-        reads NaN.  Unobserved rows change nowhere.  Returns the
-        measurement block.  The co-sim's cycle kernel
-        (``repro/sim/_cyclec.c``) repeats this arithmetic element for
-        element.
-        """
-        state = self._state
-        if observed is None:
-            rows = True
-            fresh = finite
-            dropped = ~finite
-        else:
-            rows = observed.reshape(-1, 1)
-            fresh = finite & rows
-            dropped = fresh ^ rows
-        np.copyto(state, state + self._alpha * (seen - state), where=fresh)
-        measured = np.rint(state / self._step_v) * self._step_v
-        np.copyto(self._last_good, measured, where=fresh)
-        held = dropped if self._fb_all else dropped & self._fb_on
-        np.copyto(measured, self._last_good, where=held)
-        # An observed SM is fallback-held exactly where its sample was
-        # dropped under an enabled fallback (a disabled lane's flags
-        # never leave False).
-        np.copyto(self._fallback, held, where=rows)
-        if not self._fb_all:
-            measured[dropped & ~self._fb_on] = np.nan
-        counts = dropped.sum(axis=1)
-        self._ints[:, _I_NAN_SAMPLES] += counts
-        self._ints[:, _I_FB_SAMPLES] += counts * self._fb_on[:, 0]
-        return measured
 
     # ------------------------------------------------------------------
     def _pop_lane(self, row: int, cycle: int) -> None:

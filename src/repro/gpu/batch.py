@@ -14,8 +14,8 @@ results); only the Python and ctypes dispatch around it is amortized.
 The call also runs the launch barrier: the C census leaves per-SM
 kernel-done flags in a shared ``(B, num_sms)`` block, a lane's barrier
 fires on ``done | exempt``, and the call hands the flagged lanes back
-for relaunch before stepping.  Lanes whose clocks differ when the batch
-first steps are stepped one by one through ``GPU.step_into``.
+for relaunch before stepping.  The lanes share one clock: a batch of
+lanes whose clocks differ is rejected at construction.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class _FusedDispatch:
 class GPUBatch:
     """B independent :class:`GPU` instances stepped in lock-step.
 
-    On the fused path the lanes' ``cycle`` and memory-queue mirrors are
-    deferred to the batch (see :class:`_FusedDispatch`): call
-    :meth:`fold` before reading them off a lane.
+    Once the batch steps, the lanes' ``cycle`` and memory-queue mirrors
+    are deferred to it (see :class:`_FusedDispatch`): call :meth:`fold`
+    before reading them off a lane.
     """
 
     def __init__(self, gpus: Sequence[GPU]) -> None:
@@ -104,9 +104,13 @@ class GPUBatch:
         if len(sizes) != 1:
             raise ValueError(f"lanes must share num_sms, got {sorted(sizes)}")
         self.num_sms = sizes.pop()
-        # Built on the first fused() call; None when the lanes' clocks differ.
-        self._fused: Optional[object] = None
-        self._fused_probed = False
+        cycles = {gpu.cycle for gpu in self.gpus}
+        if len(cycles) != 1:
+            raise ValueError(
+                f"lanes must share a clock, got cycles {sorted(cycles)}"
+            )
+        # Built on the first fused() call.
+        self._fused: Optional[_FusedDispatch] = None
 
     def __len__(self) -> int:
         return len(self.gpus)
@@ -117,14 +121,10 @@ class GPUBatch:
     def __iter__(self) -> Iterator[GPU]:
         return iter(self.gpus)
 
-    def fused(self) -> Optional[_FusedDispatch]:
-        """The fused dispatch, or ``None`` when the lanes' clocks differ."""
-        if not self._fused_probed:
-            self._fused_probed = True
-            # Alignment is invariant once established: the fused step
-            # advances every lane exactly one cycle per call.
-            if len({gpu.cycle for gpu in self.gpus}) != 1:
-                return None
+    def fused(self) -> _FusedDispatch:
+        """The fused dispatch (the lanes' clocks stay aligned: it
+        advances every lane exactly one cycle per call)."""
+        if self._fused is None:
             self._fused = _FusedDispatch(self.gpus)
         return self._fused
 
@@ -136,10 +136,6 @@ class GPUBatch:
         for fault power scaling).
         """
         fused = self.fused()
-        if fused is None:
-            for i, gpu in enumerate(self.gpus):
-                gpu.step_into(out[i])
-            return out
         rc = fused.call(*fused.args)
         if rc > 0:
             self.relaunch()

@@ -41,7 +41,6 @@ actuation.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -62,25 +61,6 @@ from repro.gpu.power import IDLE_DYNAMIC_ENERGY, SMPowerModel
 WAKEUP_CYCLES = 3
 
 DIWS_WINDOW = 10  # cycles per issue-budget window
-
-
-@dataclass
-class SMStatistics:
-    """One SM's counters accumulated across a run."""
-
-    cycles: int = 0
-    active_cycles: int = 0
-    instructions_issued: int = 0
-    fake_instructions: int = 0
-    issue_stall_cycles: int = 0
-    kernels_completed: int = 0
-
-    @property
-    def issue_rate(self) -> float:
-        """Real warps issued per active cycle (paper band: 0.8-1.8)."""
-        if self.active_cycles == 0:
-            return 0.0
-        return self.instructions_issued / self.active_cycles
 
 
 _UNIT_INDEX: Dict[ExecUnit, int] = {u: i for i, u in enumerate(UNIT_ORDER)}
@@ -592,7 +572,7 @@ class VectorizedGPUEngine:
 
 
 class _SMStatsView:
-    """Live :class:`SMStatistics`-shaped window into the engine arrays."""
+    """Live window into one SM's counters in the engine arrays."""
 
     __slots__ = ("_engine", "_sm_id")
 
@@ -630,17 +610,6 @@ class _SMStatsView:
         if active == 0:
             return 0.0
         return self.instructions_issued / active
-
-    def snapshot(self) -> SMStatistics:
-        """Detached copy as an :class:`SMStatistics`."""
-        return SMStatistics(
-            cycles=self.cycles,
-            active_cycles=self.active_cycles,
-            instructions_issued=self.instructions_issued,
-            fake_instructions=self.fake_instructions,
-            issue_stall_cycles=self.issue_stall_cycles,
-            kernels_completed=self.kernels_completed,
-        )
 
 
 class SMView:

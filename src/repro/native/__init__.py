@@ -4,7 +4,7 @@ The GPU step kernel (``repro/gpu/_enginec.c``), the batched PDN solver
 kernel (``repro/circuits/_solverc.c``) and the co-sim cycle kernel
 (``repro/sim/_cyclec.c``, which calls the other two directly, runs
 one cycle or a span of cycles per call, and also exports the controller
-bank's decision wave) are linked into one
+bank's RC filter and decision wave) are linked into one
 shared object, compiled by the system toolchain at
 first use and driven through :mod:`ctypes`.  The library is required:
 :func:`load` returns it or raises :class:`NativeBuildError` with the
@@ -54,6 +54,7 @@ _SYMBOLS = {
     "cosim_cycle": [_PTR, _I64, _I64, _I64],
     "cosim_span": [_PTR, _I64, _I64],
     "bank_wave": [_PTR, _I64, _PTR, _PTR],
+    "bank_filter": [_PTR, _PTR, _PTR, _PTR],
 }
 
 _DGETRS: dict = {}

@@ -11,9 +11,10 @@
  * quantizer, Algorithm 1's decision wave, the fast lanes' latency-
  * pipeline pops and applies, the recording row — that the loop would
  * otherwise dispatch as many small NumPy calls and Python loops.  The
- * wave is also exported on its own (bank_wave), for ControllerBank.
- * observe (repro/core/controller.py).  The fault injectors' sensor and
- * jitter draws (repro/faults/injector.py) run here too, through each
+ * filter and the wave are also exported on their own (bank_filter,
+ * bank_wave), for ControllerBank.observe (repro/core/controller.py).
+ * The fault injectors' sensor and jitter draws
+ * (repro/faults/injector.py) run here too, through each
  * injector's own NumPy bit generator and the very distribution routines
  * its Generator calls, from the libnpyrandom.a archive NumPy ships for C
  * extensions: the streams, and the generators' final states, are the
@@ -409,19 +410,68 @@ static const double *sense(CycleState *cs, i64 j, const double *v, int *obs) {
     return row;
 }
 
-/* The sensing lanes' draws, then the bank's RC filter and quantizer on
- * what each lane's detectors see: ControllerBank._advance_masked,
- * element for element.  Only fresh (finite, observed) samples enter the
- * filter; a dropped sample holds its last good value (fallback on) or
- * reads NaN, and is counted in the lane's stats; an unobserved row
- * changes nowhere.  An all-fresh block is ControllerBank.observe's plain
- * advance (its measurement is last_good). */
+/* Bank row j's RC filter and quantizer on the samples `seen` its
+ * detectors read this cycle (`obs`: whether the row observes at all):
+ * only fresh (finite, observed) samples enter the filter; a dropped
+ * sample holds its last good value (fallback on) or reads NaN, and is
+ * counted in the lane's stats; an unobserved row changes nowhere.
+ * Writes the row's measurement to `out` (for an all-fresh row, its
+ * last_good row); returns the row's dropped samples. */
+static i64 filter_row(BankState *bs, i64 j, const double *seen, int obs,
+                      double *out) {
+    const i64 S = bs->num_sms;
+    double *st = bs->filter_state + j * S;
+    double *m = bs->last_good + j * S;
+    u8 *f = bs->fallback + j * S;
+    const double a = bs->alpha[j];
+    const double q = bs->step_v[j];
+    const u8 fb = bs->fb_on[j];
+    i64 drops = 0;
+    for (i64 s = 0; s < S; s++) {
+        const int fresh = obs && isfinite(seen[s]);
+        if (fresh) {
+            double d = seen[s] - st[s];
+            d = d * a;
+            st[s] = st[s] + d;
+        }
+        double v = st[s] / q;
+        v = rint(v);
+        v = v * q;
+        if (fresh) {
+            m[s] = v;
+            f[s] = 0;
+        } else if (obs) {
+            drops++;
+            f[s] = fb;
+        }
+        out[s] = fresh || !obs ? v : fb ? m[s] : NAN;
+    }
+    i64 *I = bs->ints + j * NI;
+    I[I_NAN_SAMPLES] += drops;
+    I[I_FB_SAMPLES] += fb ? drops : 0;
+    return drops;
+}
+
+/* For ControllerBank.observe: every row's filter_row on the (B*S)
+ * block `seen`, its measurement into `measured`; `observed` (u8[B]) or
+ * NULL when every lane observed. */
+i64 bank_filter(BankState *bs, const double *seen, const u8 *observed,
+                double *measured) {
+    const i64 S = bs->num_sms;
+    for (i64 j = 0; j < bs->n_lanes; j++)
+        filter_row(bs, j, seen + j * S, !observed || observed[j],
+                   measured + j * S);
+    return 0;
+}
+
+/* The sensing lanes' draws, then filter_row on what each lane's
+ * detectors see (the block's measurement is last_good unless a row
+ * dropped a sample or did not observe: `masked`). */
 static void stage_filter(CycleState *cs) {
     BankState *bs = (BankState *)cs->bank;
     const i64 S = cs->num_sms;
     const i64 *rows = (const i64 *)cs->bank_rows;
     const i64 *ev_off = (const i64 *)cs->ev_off;
-    const u8 *fb_on = bs->fb_on;
     int masked = 0, unobserved = 0;
     for (i64 j = 0; j < cs->bank_lanes; j++) {
         const double *seen = (const double *)cs->volts + rows[j] * S;
@@ -430,35 +480,8 @@ static void stage_filter(CycleState *cs) {
         if (cs->sensing && ev_off[j] < ev_off[j + 1])
             seen = sense(cs, j, seen, &obs);
         ((u8 *)cs->observed)[j] = (u8)obs;
-        double *st = bs->filter_state + j * S;
-        double *m = bs->last_good + j * S;
-        double *out = (double *)cs->measured + j * S;
-        u8 *f = bs->fallback + j * S;
-        const double a = bs->alpha[j];
-        const double q = bs->step_v[j];
-        i64 drops = 0;
-        for (i64 s = 0; s < S; s++) {
-            const int fresh = obs && isfinite(seen[s]);
-            if (fresh) {
-                double d = seen[s] - st[s];
-                d = d * a;
-                st[s] = st[s] + d;
-            }
-            double v = st[s] / q;
-            v = rint(v);
-            v = v * q;
-            if (fresh) {
-                m[s] = v;
-                f[s] = 0;
-            } else if (obs) {
-                drops++;
-                f[s] = fb_on[j];
-            }
-            out[s] = fresh || !obs ? v : fb_on[j] ? m[s] : NAN;
-        }
-        i64 *I = bs->ints + j * NI;
-        I[I_NAN_SAMPLES] += drops;
-        I[I_FB_SAMPLES] += fb_on[j] ? drops : 0;
+        const i64 drops =
+            filter_row(bs, j, seen, obs, (double *)cs->measured + j * S);
         masked |= !obs || drops;
         unobserved |= !obs;
     }

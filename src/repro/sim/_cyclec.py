@@ -253,8 +253,6 @@ class CycleKernel:
         self.gpu_batch = gpu_batch
         self.solver = solver
         self.stage_s = stage_s
-        if not solver._c_ready():
-            raise RuntimeError("batch solver is not on its compiled backend")
         n_lanes, num_sms = fused.powers.shape
         for name, arr in (("dcc", dcc), ("currents", currents),
                           ("volts", volts)):
@@ -298,7 +296,7 @@ class CycleKernel:
             conductance_bias=conductance_bias,
             dcc=_addr(dcc),
             currents=_addr(currents),
-            solver_state=ctypes.addressof(solver._c_state),
+            solver_state=ctypes.addressof(solver._c_pointer().contents),
             substeps=substeps,
             snap=None if guard is None else _addr(guard._snap_vi),
             limit_sq=None if guard is None else _addr(guard._limit_sq),
@@ -346,14 +344,12 @@ class CycleKernel:
     def sync_solver(self) -> None:
         """Repoint the kernel at the solver's current C state.
 
-        A lane refactorization (fault injection, guard recovery) drops
-        the batch solver's C state; this rebuilds it.
+        A lane refactorization (fault injection, guard recovery) makes
+        the batch solver rewire its C state; this picks up the new one.
         """
-        solver = self.solver
-        if solver._lanes_dirty or solver._c_state is None:
-            if not solver._c_ready():
-                raise RuntimeError("batch solver left its compiled backend")
-            self.state.solver_state = ctypes.addressof(solver._c_state)
+        self.state.solver_state = ctypes.addressof(
+            self.solver._c_pointer().contents
+        )
 
     def run(
         self, cycle: int, first: int = STAGE_GPU, last: int = STAGE_FILTER

@@ -78,8 +78,9 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids import cost
 #: out_of_range_cycles).
 OUT_OF_RANGE_FACTOR = 2.0
 
-# Backend/shard facts from this process's most recent run_cosim_batch —
-# sweep workers thread it into their heartbeat files for `repro top`.
+# Solver facts from this process's most recent run_cosim_batch — sweep
+# workers thread the shard count into their heartbeat files for
+# `repro top`.
 _LAST_BATCH_SOLVER: Dict[str, object] = {}
 
 
@@ -669,11 +670,10 @@ def run_cosim_batch(
             )
         tele.event(
             "cosim_batch_done", lanes=len(lanes),
-            solver_backend=batch_solver.active_backend,
             solver_shards=batch_solver.shard_count,
         )
     _LAST_BATCH_SOLVER.update(
-        backend=batch_solver.active_backend,
+        backend="c",
         shards=batch_solver.shard_count,
         lanes=len(lanes),
         fused_cycles=fused_cycles,

@@ -503,7 +503,6 @@ def _run_task(task: _Task) -> List[SweepPointResult]:
                 retried=len(results) if task.retry else 0,
                 lane_cycles=_task_lane_cycles(task, results),
                 busy_s=sum(r.elapsed_s for r in results),
-                solver_backend=solver_info.get("backend"),
                 solver_shards=solver_info.get("shards"),
             )
         except Exception:  # noqa: BLE001 — observability must not fail work

@@ -338,10 +338,8 @@ class WorkerHeartbeat:
     points_retried: int = 0
     lane_cycles: int = 0
     busy_s: float = 0.0
-    # Latest observed batched-solver backend ("c"/"numpy", "" = no
-    # batch run yet) and shard count — lets `repro top` flag workers
-    # that degraded to the NumPy fallback.
-    solver_backend: str = ""
+    # Shared-LU shard count of the latest batched solver (0 = no batch
+    # run yet), shown by `repro top`.
     solver_shards: int = 0
     current: List[str] = field(default_factory=list)
     _last_write: Optional[float] = None
@@ -354,7 +352,6 @@ class WorkerHeartbeat:
             self.points_retried = int(existing.get("points_retried", 0))
             self.lane_cycles = int(existing.get("lane_cycles", 0))
             self.busy_s = float(existing.get("busy_s", 0.0))
-            self.solver_backend = str(existing.get("solver_backend", ""))
             self.solver_shards = int(existing.get("solver_shards", 0))
 
     @property
@@ -383,7 +380,6 @@ class WorkerHeartbeat:
         retried: int,
         lane_cycles: int,
         busy_s: float,
-        solver_backend: Optional[str] = None,
         solver_shards: Optional[int] = None,
     ) -> None:
         self.points_done += done
@@ -391,8 +387,6 @@ class WorkerHeartbeat:
         self.points_retried += retried
         self.lane_cycles += lane_cycles
         self.busy_s += busy_s
-        if solver_backend is not None:
-            self.solver_backend = str(solver_backend)
         if solver_shards is not None:
             self.solver_shards = int(solver_shards)
         self.current = []
@@ -417,7 +411,6 @@ class WorkerHeartbeat:
             "busy_s": self.busy_s,
             "eta_s": eta_s,
             "last_checkpoint": self.config.checkpoint_path,
-            "solver_backend": self.solver_backend,
             "solver_shards": self.solver_shards,
             "current": list(self.current),
         }

@@ -1,18 +1,19 @@
 """Bit-identity contract of the lock-stepped batch transient solver.
 
-``BatchTransientSolver`` fuses the per-step NumPy dispatch of B
-same-topology :class:`TransientSolver` lanes; every step must return
-node voltages byte-equal to stepping each lane alone — including after
-a mid-run per-lane ``refactor()`` (a fault injector mutating one lane's
-element values), and with per-lane state (``solution`` rows, vsource
-currents, step statistics) staying coherent through the batch views.
+``BatchTransientSolver`` steps B same-topology :class:`TransientSolver`
+lanes in one compiled call; every step must return node voltages
+byte-equal to stepping each lane alone — including after a mid-run
+per-lane ``refactor()`` (a fault injector mutating one lane's element
+values), and with per-lane state (``solution`` rows, vsource currents,
+step statistics) staying coherent through the batch views.  A lane set
+the compiled kernel cannot step is rejected at construction.
 """
 
 import numpy as np
 import pytest
 
 from repro.circuits import BatchTransientSolver
-from repro.circuits.elements import Resistor
+from repro.circuits.elements import Resistor, VoltageSource
 from repro.circuits.transient import TransientSolver
 from repro.config import StackConfig
 from repro.pdn.builder import build_stacked_pdn
@@ -62,6 +63,8 @@ class TestBatchStepEquivalence:
                 batch.vsource_currents("vdd"),
                 [s.vsource_current("vdd") for _, s in serial_lanes],
             ), f"vsource currents diverged at step {k}"
+        # Lane time and step counts are deferred to the batch clock.
+        batch.fold_lanes()
         for i, (_, s) in enumerate(serial_lanes):
             bs = batch.solvers[i]
             assert bs.stats.steps == s.stats.steps
@@ -107,6 +110,56 @@ class TestBatchValidation:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             BatchTransientSolver([])
+
+    def test_missing_current_base_rejected(self):
+        currents = np.zeros((2, NUM_SMS))
+        solvers = [_make_lane(currents[i])[1] for i in range(2)]
+        with pytest.raises(ValueError, match="needs shared_current_base"):
+            BatchTransientSolver(solvers)
+
+    def test_non_contiguous_current_base_rejected(self):
+        block = np.zeros((NUM_SMS, 2))
+        currents = block.T  # (2, NUM_SMS), Fortran-ordered
+        solvers = [_make_lane(currents[i])[1] for i in range(2)]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            BatchTransientSolver(solvers, shared_current_base=currents)
+
+    def test_unbound_current_source_rejected(self):
+        currents = np.zeros((2, NUM_SMS))
+        solvers = []
+        for i in range(2):
+            pdn = build_stacked_pdn(stack=StackConfig(), params=DEFAULT_PDN)
+            pdn.bind_current_buffer(currents[i])
+            pdn.circuit.add_current_source(
+                "leak", pdn.sm_sources[0].node_pos, "0", 0.1
+            )
+            solvers.append(TransientSolver(pdn.circuit, dt=DT))
+        with pytest.raises(ValueError, match="'leak' is not bound"):
+            BatchTransientSolver(solvers, shared_current_base=currents)
+
+    def test_callable_voltage_source_rejected(self):
+        currents = np.zeros((2, NUM_SMS))
+        _, lane0 = _make_lane(currents[0])
+        other, _ = _make_lane(currents[1])
+        vdd = other.circuit.elements_of_type(VoltageSource)[0]
+        level = float(vdd.value)
+        vdd.value = lambda t: level
+        lane1 = TransientSolver(other.circuit, dt=DT)
+        with pytest.raises(ValueError, match="waveform callable"):
+            BatchTransientSolver(
+                [lane0, lane1], shared_current_base=currents
+            )
+
+    def test_buffer_outside_its_base_row_rejected(self):
+        currents = np.zeros((2, NUM_SMS))
+        # Lane 1 bound to row 0: both lanes would read one row.
+        solvers = [_make_lane(currents[0])[1], _make_lane(currents[0])[1]]
+        with pytest.raises(ValueError, match="not row 1"):
+            BatchTransientSolver(solvers, shared_current_base=currents)
+        elsewhere = np.zeros(NUM_SMS)
+        solvers[1] = _make_lane(elsewhere)[1]
+        with pytest.raises(ValueError, match="not row 1"):
+            BatchTransientSolver(solvers, shared_current_base=currents)
 
     def test_unknown_vsource_rejected(self):
         currents = np.zeros((1, NUM_SMS))

@@ -190,8 +190,16 @@ class TestDivergence:
 
 class TestBatchGuard:
     def _batch(self, loads):
-        solvers = [make_solver(a) for a in loads]
-        return BatchTransientSolver(solvers), solvers
+        """Rail lanes whose loads read row i of one shared (B, 1) base."""
+        base = np.array(loads, dtype=float).reshape(-1, 1)
+        solvers = []
+        for row, load_a in zip(base, loads):
+            circuit = rail_circuit(load_a)
+            circuit.element("load").bind_batch(row, 0)
+            solver = TransientSolver(circuit, dt=DT)
+            solver.initialize_dc()
+            solvers.append(solver)
+        return BatchTransientSolver(solvers, shared_current_base=base), solvers
 
     def test_clean_batch_cycle_matches_serial(self):
         batch, solvers = self._batch([0.5, 1.0, 1.5])

@@ -10,9 +10,9 @@ same decision object), droop storms, NaN sensor dropouts with the
 fallback on and off, observation drops that split the lanes' decision
 phases, and the watchdog's safe state.  ``VoltageSmoothingController.
 observe`` is the bank's one-lane case and meets the same contract.  The
-bank's wave runs compiled (``bank_wave``); multi-lane banks with random
-configurations, observed masks and command-read lags meet the oracle
-too.
+bank's filter and wave run compiled (``bank_filter``, ``bank_wave``);
+multi-lane banks with random configurations, observed masks and
+command-read lags meet the oracle too.
 """
 
 import numpy as np
@@ -311,6 +311,18 @@ class TestBankValidation:
             _make_lane(
                 ControllerConfig(), WeightedActuation(dac=_CoarseDAC())
             )
+
+    def test_observe_rejects_misshapen_blocks(self):
+        """The C filter reads B*S samples and B mask bytes, so a block
+        of any other shape is refused before it is called."""
+        bank = ControllerBank([_make_lane(ControllerConfig())
+                               for _ in range(2)])
+        start = bank._state.copy()
+        with pytest.raises(ValueError, match=r"shape \(2, 16\)"):
+            bank.observe(0, np.ones((1, NUM_SMS)))
+        with pytest.raises(ValueError, match=r"mask of shape \(2,\)"):
+            bank.observe(0, np.ones((2, NUM_SMS)), np.ones(3, dtype=bool))
+        assert np.array_equal(bank._state, start)  # no filter advanced
 
 
 class TestLaneOwnership:

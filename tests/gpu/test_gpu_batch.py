@@ -3,7 +3,8 @@
 ``GPU.step_into(out)`` must be bit-identical to ``out[:] = gpu.step()``
 — including around barrier-exempt changes, which exercise the exempt
 mask the ``barrier_exempt`` setter maintains — and ``GPUBatch`` must
-keep B independent lanes byte-equal to B serial GPUs.
+keep B independent lanes byte-equal to B serial GPUs, and reject lanes
+whose clocks differ.
 """
 
 import numpy as np
@@ -120,6 +121,12 @@ class TestGPUBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             GPUBatch([])
+
+    def test_misaligned_clocks_rejected(self):
+        ahead = _gpu(2)
+        ahead.step()
+        with pytest.raises(ValueError, match=r"share a clock.*\[0, 1\]"):
+            GPUBatch([_gpu(1), ahead])
 
     def test_lane_access(self):
         gpus = [_gpu(1), _gpu(2)]

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.gpu.engine import DIWS_WINDOW, SMStatistics, WAKEUP_CYCLES
+from repro.gpu.engine import DIWS_WINDOW, WAKEUP_CYCLES
 from repro.gpu.isa import (
     ENERGY,
     LATENCY,
@@ -368,6 +368,25 @@ UNIT_PORTS = {ExecUnit.ALU: 2, ExecUnit.SFU: 1, ExecUnit.LSU: 1}
 # An instruction's dynamic energy is drawn over this many cycles of
 # pipeline occupancy (bounded by its latency).
 ENERGY_SMEAR_LIMIT = 6
+
+
+@dataclass
+class SMStatistics:
+    """One SM's counters accumulated across a run."""
+
+    cycles: int = 0
+    active_cycles: int = 0
+    instructions_issued: int = 0
+    fake_instructions: int = 0
+    issue_stall_cycles: int = 0
+    kernels_completed: int = 0
+
+    @property
+    def issue_rate(self) -> float:
+        """Real warps issued per active cycle (paper band: 0.8-1.8)."""
+        if self.active_cycles == 0:
+            return 0.0
+        return self.instructions_issued / self.active_cycles
 
 
 class StreamingMultiprocessor:
