@@ -16,7 +16,11 @@ that contract, against the oracle:
   lanes (the repo benchmark's ``b8_active_faulted`` recipe, shorter)
   must run at least ``FAULTED_SPEEDUP_FLOOR`` times faster than its 8
   oracle runs;
-* all must be byte-equal to the oracle's results.
+* all must be byte-equal to the oracle's results;
+* one 128-lane call must spend at most ``WIDE_GPU_RATIO_CEILING`` times
+  the GPU-stage time of the same lanes run as sixteen 8-lane calls:
+  the call steps its lanes in groups of ``LANE_GROUP``, so each group's
+  engines stay in cache.
 
 Timing is min-of-``TIMING_ROUNDS`` (robust on a noisy shared CI core).
 Writes ``benchmarks/results/perf_cosim_batch.json`` so CI can upload
@@ -34,6 +38,7 @@ from repro.core.actuators import WeightedActuation
 from repro.core.controller import ControllerConfig
 from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.sim.cosim import (
+    LANE_GROUP,
     CosimConfig,
     CosimLane,
     last_batch_solver_info,
@@ -41,6 +46,7 @@ from repro.sim.cosim import (
     run_cosim_batch,
 )
 from repro.sim.sweep import point_seed
+from repro.telemetry import Telemetry
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 from tests.oracles.serial_cosim import run_cosim_reference
 
@@ -67,6 +73,16 @@ LANE_BENCHMARKS = (
 # controller, every hook, draw and setter per cycle.
 FAULTED_SPEEDUP_FLOOR = 10.0
 FAULTED_SEED = 1
+# The wide-call gate: 128 clean lanes over the twelve benchmarks.  Its
+# clock is the Telemetry GPU stage (the cycle kernel's own GPU-stage
+# timer), not wall time: per-lane set-up and the solve dilute the
+# end-to-end ratio.  With all 128 lanes stepping as one group, three
+# runs on a 2-vCPU VM read 2.40-2.88x on the GPU stage but only
+# 1.12-1.33x end to end; in groups of 8 the GPU stage read 0.85-1.05x.
+WIDE_LANES = 128
+WIDE_CYCLES = 400
+WIDE_WARMUP = 100
+WIDE_GPU_RATIO_CEILING = 1.3
 
 
 def _lanes():
@@ -97,6 +113,33 @@ def _faulted_lanes():
         )
         for i in range(BATCH)
     ]
+
+
+def _wide_lanes():
+    return [
+        CosimLane(
+            benchmark=BENCHMARK_NAMES[i % len(BENCHMARK_NAMES)],
+            config=CosimConfig(
+                cycles=WIDE_CYCLES, warmup_cycles=WIDE_WARMUP,
+                seed=point_seed(FAULTED_SEED, i),
+            ),
+        )
+        for i in range(WIDE_LANES)
+    ]
+
+
+def _gpu_stage_best(calls):
+    """Min over rounds of the GPU-stage seconds and of the wall seconds
+    of running each lane list in ``calls`` through run_cosim_batch."""
+    gpu_s = wall_s = float("inf")
+    for _ in range(TIMING_ROUNDS):
+        tele = Telemetry(run_id="perf-wide")
+        start = time.perf_counter()
+        for lanes in calls:
+            run_cosim_batch(lanes, telemetry=tele, flights=False)
+        wall_s = min(wall_s, time.perf_counter() - start)
+        gpu_s = min(gpu_s, tele.timings["gpu_model"])
+    return gpu_s, wall_s
 
 
 def _time_best(fn) -> float:
@@ -256,6 +299,55 @@ def test_faulted_batch_speedup_floor():
     assert speedup >= FAULTED_SPEEDUP_FLOOR, (
         f"faulted B={BATCH} batch is only {speedup:.2f}x faster than the "
         f"serial oracle (floor {FAULTED_SPEEDUP_FLOOR}x)"
+    )
+
+
+def test_wide_batch_gpu_stage():
+    """One 128-lane call against the same lanes in sixteen 8-lane calls."""
+    lanes = _wide_lanes()
+    narrow = [
+        lanes[i:i + LANE_GROUP] for i in range(0, WIDE_LANES, LANE_GROUP)
+    ]
+    run_cosim_batch(narrow[0])  # warm caches outside the timed region
+    wide_gpu_s, wide_wall_s = _gpu_stage_best([lanes])
+    narrow_gpu_s, narrow_wall_s = _gpu_stage_best(narrow)
+    gpu_ratio = wide_gpu_s / narrow_gpu_s
+    wall_ratio = wide_wall_s / narrow_wall_s
+    lane_cycles = WIDE_LANES * (WIDE_CYCLES + WIDE_WARMUP)
+    emit(
+        f"Wide co-sim call (B={WIDE_LANES}) against {len(narrow)} calls "
+        f"of {LANE_GROUP}",
+        format_table(
+            ["path", "GPU stage s", "us/lane-cycle", "wall s"],
+            [
+                [f"one call of {WIDE_LANES}", f"{wide_gpu_s:.3f}",
+                 f"{1e6 * wide_gpu_s / lane_cycles:.2f}",
+                 f"{wide_wall_s:.2f}"],
+                [f"{len(narrow)} calls of {LANE_GROUP}",
+                 f"{narrow_gpu_s:.3f}",
+                 f"{1e6 * narrow_gpu_s / lane_cycles:.2f}",
+                 f"{narrow_wall_s:.2f}"],
+                ["ratio", f"{gpu_ratio:.2f}x", "", f"{wall_ratio:.2f}x"],
+            ],
+            title="GPU-stage time of a wide call vs narrow calls",
+        ),
+    )
+    _write_results({
+        "wide_lanes": WIDE_LANES,
+        "wide_cycles": WIDE_CYCLES,
+        "wide_warmup_cycles": WIDE_WARMUP,
+        "wide_gpu_s": wide_gpu_s,
+        "narrow_gpu_s": narrow_gpu_s,
+        "wide_gpu_ratio": gpu_ratio,
+        "wide_wall_s": wide_wall_s,
+        "narrow_wall_s": narrow_wall_s,
+        "wide_wall_ratio": wall_ratio,
+        "wide_gpu_ratio_ceiling": WIDE_GPU_RATIO_CEILING,
+    })
+    assert gpu_ratio <= WIDE_GPU_RATIO_CEILING, (
+        f"a {WIDE_LANES}-lane call spends {gpu_ratio:.2f}x the GPU-stage "
+        f"time of {len(narrow)} calls of {LANE_GROUP} (ceiling "
+        f"{WIDE_GPU_RATIO_CEILING}x)"
     )
 
 

@@ -1061,7 +1061,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunksize", type=int, default=1)
     p.add_argument("--batch-size", type=int, default=1, metavar="B",
                    help="co-simulate up to B compatible grid points per "
-                        "task with the lock-stepped batched engine "
+                        "task with the lock-stepped batched engine, "
+                        "stepped in lane groups of at most 8 "
                         "(bit-identical to per-point runs; 1 = off)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--no-controller", action="store_true")
@@ -1115,7 +1116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: one per CPU; 1 = inline)")
     p.add_argument("--batch-size", type=int, default=1, metavar="B",
-                   help="batched co-sim lanes per task (1 = off)")
+                   help="batched co-sim lanes per task, stepped in lane "
+                        "groups of at most 8 (1 = off)")
     p.add_argument("--timeout", type=float, default=0.0, metavar="S",
                    help="per-point wall-clock timeout (0 = none)")
     p.add_argument("--retries", type=int, default=0,

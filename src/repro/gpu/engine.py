@@ -48,6 +48,7 @@ import numpy as np
 from repro import native
 from repro.gpu.isa import ENERGY, ExecUnit, InstructionClass
 from repro.gpu.kernels import (
+    _NUM_REGS,
     KernelSpec,
     StreamArrays,
     UNIT_ORDER,
@@ -165,9 +166,6 @@ class VectorizedGPUEngine:
     when the native library is unavailable.
     """
 
-    #: Pending-load heap capacity per SM.
-    HEAP_CAPACITY = 4096
-
     def __init__(
         self,
         kernel: KernelSpec,
@@ -260,7 +258,10 @@ class VectorizedGPUEngine:
         # (not done, or loads outstanding; the step keeps it and its
         # census reads it) and the census's kernel-done flags (count in
         # _c_ndone; the launch barrier ORs a barrier-exempt mask in).
-        self._cheap = np.zeros((S, self.HEAP_CAPACITY), dtype=np.int64)
+        # A heap holds at most one load per (warp, register): a warp
+        # cannot issue while a register its head instruction reads or
+        # writes has a load in flight, and a launch empties the heaps.
+        self._cheap = np.zeros((S, W * _NUM_REGS), dtype=np.int64)
         self._cheap_len = np.zeros(S, dtype=np.int64)
         self._mem_slot = np.zeros(1)
         self._mem_counters = np.zeros(2, dtype=np.int64)
@@ -334,7 +335,7 @@ class VectorizedGPUEngine:
         cs = CEngineState(
             num_sms=self.num_sms,
             num_warps=self.num_warps,
-            heap_cap=self.HEAP_CAPACITY,
+            heap_cap=self._cheap.shape[1],
             dram_cycles=timings.dram_cycles,
             l2_cycles=timings.l2_hit_cycles,
             gates=int(self.gating_aware),

@@ -15,8 +15,8 @@ Per GPU clock cycle:
    the GPU's actuation for subsequent cycles.
 
 One loop does this for B lock-stepped scenarios at once:
-:func:`run_cosim_batch` runs it over a list of lanes and
-:func:`run_cosim` runs it with one.
+:func:`run_cosim_batch` runs it over a list of lanes, in groups of at
+most :data:`LANE_GROUP`, and :func:`run_cosim` runs it with one.
 
 :class:`LayerShutoffEvent` reproduces the paper's synthetic worst-case
 imbalance (Fig. 9): at a chosen time a whole layer's SMs are forced to
@@ -78,6 +78,13 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids import cost
 #: out_of_range_cycles).
 OUT_OF_RANGE_FACTOR = 2.0
 
+#: Widest lane group :func:`run_cosim_batch` steps at once.  A wider
+#: call runs as consecutive groups of near-equal size: the per-cycle
+#: state of eight GPU engines stays in cache, while 128 engines'
+#: outgrows a 2 MB L2 and the GPU stage slows per lane-cycle
+#: (docs/performance.md, "Lane groups").
+LANE_GROUP = 8
+
 # Solver facts from this process's most recent run_cosim_batch — sweep
 # workers thread the shard count into their heartbeat files for
 # `repro top`.
@@ -88,10 +95,12 @@ def last_batch_solver_info() -> Dict[str, object]:
     """Solver backend/shard info from the most recent batch run.
 
     Returns a copy of ``{"backend": "c", "shards": int, "lanes": int,
-    "fused_cycles": int}`` — ``fused_cycles`` counts the loop cycles
-    that ran through the compiled cycle kernel (all of them, up to the
-    cycle its last lane was quarantined) — or an empty dict until
-    :func:`run_cosim_batch` has completed once in this process.
+    "fused_cycles": int}`` — ``shards`` summed over the call's lane
+    groups, ``lanes`` the call's lane count and ``fused_cycles`` the
+    loop cycles the longest-running group ran through the compiled
+    cycle kernel (all of them, up to the cycle its last lane was
+    quarantined) — or an empty dict until :func:`run_cosim_batch` has
+    completed once in this process.
     """
     return dict(_LAST_BATCH_SOLVER)
 
@@ -500,7 +509,9 @@ class CosimLane:
     ``cr_ivr_area_mm2`` (the knobs that shape the netlist and the
     lock-stepped timeline) — while benchmark/kernel, seed, controller
     gains, actuation weights, shutoff events and fault schedules may
-    vary freely per lane.
+    vary freely per lane.  A lane steps lock-stepped with the others of
+    its lane group (at most :data:`LANE_GROUP`), and its result is
+    byte-identical to its solo run whatever its group.
     """
 
     benchmark: str = "hotspot"
@@ -520,7 +531,7 @@ class _LaneState:
     """Internal per-lane simulation state of the co-sim loop."""
 
     __slots__ = (
-        "index", "name", "config", "gpu", "pdn", "solver", "injector",
+        "index", "lane", "name", "config", "gpu", "pdn", "solver", "injector",
         "controller", "controller_power", "in_bank", "shutoff_sms",
         "instructions_at_start", "fakes_at_start", "throttled_at_start",
         "applied_decision", "halted_idx", "jitter_on",
@@ -529,8 +540,12 @@ class _LaneState:
         "result", "dcc_trace", "flight_row", "flight_marks",
     )
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, lane: int) -> None:
+        # ``index``: the lane's row in its group's recording arrays;
+        # ``lane``: its index in the run_cosim_batch call, which names
+        # it to chaos targeting, guards and verdicts.
         self.index = index
+        self.lane = lane
         self.result: Optional[CosimResult] = None
         # Per-cycle applied DCC power over the recorded window, kept on
         # telemetered runs for run_cosim's channel replay.
@@ -577,6 +592,14 @@ class _LaneState:
         self.jitter_on = False
 
 
+def _lane_groups(count: int) -> List[Tuple[int, int]]:
+    """``[start, stop)`` of each lane group: consecutive, of near-equal
+    size, none wider than :data:`LANE_GROUP`."""
+    groups = -(-count // LANE_GROUP)
+    cuts = [count * g // groups for g in range(groups + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
 def run_cosim_batch(
     lanes: List[CosimLane],
     system: SystemConfig = SystemConfig(),
@@ -584,7 +607,7 @@ def run_cosim_batch(
     telemetry: Optional["Telemetry"] = None,
     flights=None,
 ) -> List[CosimResult]:
-    """Run B co-simulation scenarios lock-stepped as one batch.
+    """Run B co-simulation scenarios lock-stepped, in lane groups.
 
     Bit-identical to running each lane alone (``run_cosim`` is this
     same loop at B=1) and to the serial one-scenario oracle the test
@@ -594,12 +617,25 @@ def run_cosim_batch(
     everything data-dependent (kernel scheduling, fault RNG, controller
     watchdogs and latency pipelines) runs on per-lane state.  The
     batch exists for throughput (one cycle-kernel call per span for
-    all B lanes instead of B).
+    all lanes of a group instead of one per lane).
+
+    The lanes run as consecutive groups of near-equal size, none wider
+    than :data:`LANE_GROUP` (a call of at most that many lanes is one
+    group), one :func:`_simulate` each, and the results come back in
+    lane order.  A group's engines, netlists and solvers are dropped
+    once its results are built, so only one group's state is live at a
+    time.  What spans groups stays call-wide: a lane is named by its
+    index in the call (lane-targeted chaos poison, divergence
+    verdicts, quarantine and ``cosim_batch_lane_done`` events); the
+    first group to reach a chaos cycle claims its events and later
+    groups replay them; ``flights`` is checked against the whole call
+    before any lane runs.
 
     All lanes must share the topology-family fields of
     :class:`CosimLane`.  ``telemetry`` records batch-level stage timings
-    and events only; per-lane manifest sections (noise report, decimated
-    channels) remain a ``run_cosim`` feature.
+    (summed over the groups) and events only; per-lane manifest
+    sections (noise report, decimated channels) remain a ``run_cosim``
+    feature.
 
     ``flights`` is a per-lane list of
     :class:`repro.telemetry.FlightRecorder` (``None`` entries skip a
@@ -633,6 +669,12 @@ def run_cosim_batch(
                     f"lanes {j} and {i} share one controller_object; give "
                     "each lane its own controller"
                 )
+    per_lane_flights = flights is not None and flights is not False
+    if per_lane_flights and len(flights) != len(lanes):
+        raise ValueError(
+            f"flights must have one entry per lane ({len(lanes)}), "
+            f"got {len(flights)}"
+        )
 
     tele = telemetry if telemetry is not None and telemetry.enabled else None
     if tele is not None:
@@ -641,40 +683,49 @@ def run_cosim_batch(
             warmup_cycles=first_cfg.warmup_cycles,
             benchmarks=[lane.benchmark for lane in lanes],
         )
-    states, batch_solver, fused_cycles = _simulate(
-        lanes, system, params, tele, flights
-    )
-    results = [ln.result for ln in states]
-    if tele is not None:
-        if first_cfg.solver_guard:
-            # Aggregate over every lane's guard directly — a rebuilt
-            # batch guard only wraps the survivors, but quarantined
-            # lanes' recovery/divergence counts must still be reported.
-            totals: Dict[str, int] = {}
+    results: List[CosimResult] = []
+    shards = fused_cycles = 0
+    # Every lane's guard counters, quarantined lanes' included (a
+    # rebuilt batch guard only wraps a group's survivors).
+    guard_totals: Dict[str, int] = {}
+    chaos_claims: Dict[int, list] = {}
+    for start, stop in _lane_groups(len(lanes)):
+        states, batch_solver, group_fused = _simulate(
+            lanes[start:stop], system, params, tele,
+            flights[start:stop] if per_lane_flights else flights,
+            first_lane=start, chaos_claims=chaos_claims,
+        )
+        results.extend(ln.result for ln in states)
+        shards += batch_solver.shard_count
+        fused_cycles = max(fused_cycles, group_fused)
+        if tele is not None and first_cfg.solver_guard:
             for ln in states:
                 for key, value in ln.guard.counters().items():
-                    totals[key] = totals.get(key, 0) + value
-            for key, value in totals.items():
-                if value:
-                    tele.incr(f"guard_{key}", value)
-        quarantined = sum(1 for ln in states if ln.dead)
+                    guard_totals[key] = guard_totals.get(key, 0) + value
+        # Release the group's engines, netlists and solvers before the
+        # next group builds its own.
+        del states, batch_solver
+    if tele is not None:
+        for key, value in guard_totals.items():
+            if value:
+                tele.incr(f"guard_{key}", value)
+        quarantined = sum(1 for result in results if result.diverged)
         if quarantined:
             tele.incr("lanes_quarantined", quarantined)
-        for ln, result in zip(states, results):
+        for i, result in enumerate(results):
             tele.event(
-                "cosim_batch_lane_done", lane=ln.index,
+                "cosim_batch_lane_done", lane=i,
                 benchmark=result.benchmark,
                 min_voltage_v=result.min_voltage,
                 throughput_ipc=result.throughput(),
-                diverged=bool(ln.dead),
+                diverged=result.diverged,
             )
         tele.event(
-            "cosim_batch_done", lanes=len(lanes),
-            solver_shards=batch_solver.shard_count,
+            "cosim_batch_done", lanes=len(lanes), solver_shards=shards,
         )
     _LAST_BATCH_SOLVER.update(
         backend="c",
-        shards=batch_solver.shard_count,
+        shards=shards,
         lanes=len(lanes),
         fused_cycles=fused_cycles,
     )
@@ -688,8 +739,11 @@ def _simulate(
     tele: Optional["Telemetry"],
     flights,
     serial: bool = False,
+    first_lane: int = 0,
+    chaos_claims: Optional[Dict[int, list]] = None,
 ) -> Tuple[List[_LaneState], BatchTransientSolver, int]:
-    """The co-sim loop: step topology-compatible lanes lock-stepped.
+    """The co-sim loop: step one group of topology-compatible lanes
+    lock-stepped.
 
     Cycles run in the cycle kernel (:mod:`repro.sim._cyclec`): GPU step
     and process-variation scaling, currents, guarded substeps,
@@ -714,7 +768,15 @@ def _simulate(
     batch solver that finished the run, and how many cycles ran through
     the cycle kernel.  ``tele`` (an enabled recorder or ``None``) gets
     the stage split (the kernel times its own stages); ``None`` keeps
-    the loop untimed.  ``flights`` follows :func:`run_cosim_batch`.
+    the loop untimed.  ``flights`` follows :func:`run_cosim_batch`, one
+    entry per lane of this group.
+
+    ``first_lane`` is the group's first lane's index in its
+    :func:`run_cosim_batch` call: lane ``i`` of the group is lane
+    ``first_lane + i`` to chaos targeting, its guard and its verdict.
+    ``chaos_claims`` maps a recorded cycle to the chaos events claimed
+    for it by the call's first group to reach it (``take_cycle`` is
+    fire-once); a later group replays them.
 
     ``serial`` gives a single lane :func:`run_cosim`'s contract rather
     than a batch lane's: lane-targeted chaos events are ignored, and a
@@ -741,7 +803,7 @@ def _simulate(
     states: List[_LaneState] = []
     for i, lane in enumerate(lanes):
         config = lane.config
-        ln = _LaneState(i)
+        ln = _LaneState(i, first_lane + i)
         ln.config = config
         if lane.kernel is None:
             spec = get_benchmark(lane.benchmark)
@@ -793,16 +855,18 @@ def _simulate(
     if first_cfg.solver_guard:
         for ln in states:
             ln.guard = SolverGuard(
-                ln.solver, lane=None if serial else ln.index
+                ln.solver, lane=None if serial else ln.lane
             )
         batch_guard = BatchSolverGuard(
             batch_solver, guards=[ln.guard for ln in states]
         )
     # Chaos harness: pre-resolved scheduled cycles (one None check per
     # cycle when inactive); lane-targeted NaN poisoning keys on the
-    # lane's *original* index.
+    # lane's index in the call.
     monkey = chaos.current()
     chaos_cycles = monkey.cycle_schedule() if monkey is not None else None
+    if chaos_claims is None:
+        chaos_claims = {}
     from repro.gpu.batch import GPUBatch
 
     gpu_batch = GPUBatch([ln.gpu for ln in states])
@@ -951,11 +1015,6 @@ def _simulate(
         ]
     elif flights is False:
         flights = None
-    if flights is not None and len(flights) != num_lanes:
-        raise ValueError(
-            f"flights must have one entry per lane ({num_lanes}), "
-            f"got {len(flights)}"
-        )
     flight_lanes: List[_LaneState] = []
     if flights is not None:
         for ln, fr in zip(states, flights):
@@ -1164,13 +1223,18 @@ def _simulate(
         # redoes suspect cycles per-lane, and compaction only rebuilds
         # views/wrappers around untouched per-lane state).
         if chaos_now:
-            for event in monkey.take_cycle(recorded_cycle):
+            events = chaos_claims.get(recorded_cycle)
+            if events is None:
+                events = chaos_claims[recorded_cycle] = monkey.take_cycle(
+                    recorded_cycle
+                )
+            for event in events:
                 if event.action != "nan_poison" or (
                     serial and event.lane is not None
                 ):
                     continue
                 for ln in alive:
-                    if event.lane is None or event.lane == ln.index:
+                    if event.lane is None or event.lane == ln.lane:
                         ln.solver._react_v[:] = np.nan
         failures = None
         if hooks:
@@ -1205,7 +1269,7 @@ def _simulate(
                 ln.dead_at = max(0, recorded_cycle)
                 info = failures[row].forensics()
                 if not serial:
-                    info["lane"] = ln.index
+                    info["lane"] = ln.lane
                 info["benchmark"] = ln.name
                 ln.divergence = info
                 if timing and not serial:

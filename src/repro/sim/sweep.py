@@ -585,9 +585,13 @@ class SweepRunner:
 
     ``batch_size > 1`` groups compatible points (same cycle counts,
     circuit substeps and CR-IVR area — the topology-family contract of
-    :func:`repro.sim.cosim.run_cosim_batch`) into lock-stepped batched
-    co-simulations, which amortize the per-cycle Python overhead across
-    lanes while staying bit-identical to per-point runs.  A batch that
+    :func:`repro.sim.cosim.run_cosim_batch`) into tasks of up to
+    ``batch_size`` points, one ``run_cosim_batch`` call each, which
+    amortize the per-cycle Python overhead across lanes while staying
+    bit-identical to per-point runs.  ``batch_size`` sets the task
+    size; inside a call the lanes step in groups of at most
+    :data:`repro.sim.cosim.LANE_GROUP`, so a wider task's GPU stage
+    costs no more per lane-cycle.  A batch that
     fails as a whole falls back to independent serial runs of its
     points; an injected ``point_runner`` disables batching (tasks stay
     one point each so the injected runner actually runs).

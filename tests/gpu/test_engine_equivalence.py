@@ -26,8 +26,9 @@ from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.gpu.engine import _FAR, MAX_WARPS_PER_SM
 from repro.gpu.gpu import GPU
 from repro.gpu.isa import ExecUnit, InstructionClass
-from repro.gpu.kernels import KernelSpec
+from repro.gpu.kernels import _NUM_REGS, KernelSpec
 from repro.sim.cosim import CosimConfig, run_cosim
+from repro.workloads.benchmarks import get_benchmark
 from tests.oracles.per_object_gpu import PerObjectGPU
 from tests.oracles.serial_cosim import run_cosim_reference
 
@@ -406,6 +407,26 @@ class TestEngineSurface:
             GPU(KernelSpec("huge", body_length=8, warps_per_sm=1 << 16))
         assert time.perf_counter() - start < 1.0
         assert MAX_WARPS_PER_SM == 65_535
+
+    def test_pending_load_heap_is_sized_to_its_bound(self):
+        """A heap holds at most one load per (warp, register): a warp
+        cannot issue while a register its head instruction reads or
+        writes has a load in flight, and a launch empties the heaps.
+        bfs, the most load-heavy benchmark at 32 warps, steps three
+        kernel generations without overflowing it, and a warp keeps
+        more than one load in flight at its peak."""
+        spec = get_benchmark("bfs")
+        gpu = GPU(spec.kernel, seed=1, miss_ratio=spec.miss_ratio,
+                  jitter=spec.jitter)
+        engine = gpu.engine
+        assert engine.num_warps == 32
+        assert engine._cheap.shape == (gpu.num_sms, 32 * _NUM_REGS)
+        assert engine._cstate.heap_cap == 32 * _NUM_REGS
+        peak = 0
+        while engine.generation < 3:
+            gpu.step()
+            peak = max(peak, int(engine._cheap_len.max()))
+        assert peak > engine.num_warps
 
     def test_gated_units_view(self):
         gpu = GPU(KernelSpec("gate", body_length=40))

@@ -14,9 +14,11 @@ kernel-interval counting, and applied-vs-commanded DCC ledgering.
 
 The lane-independence property closes the loop: for any lane mix, lane
 i of a batch equals the same lane run alone (``run_cosim``, the loop at
-B=1) and the oracle, byte for byte.
+B=1) and the oracle, byte for byte.  A call wider than ``LANE_GROUP``
+runs as several lane groups; the same holds across their boundaries.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -33,13 +35,18 @@ from repro.core.controller import (
 from repro.core.prior_art import GlobalThrottleController
 from repro.faults.events import ActuatorStuck, FaultSchedule
 from repro.faults.scenarios import CANNED_SCENARIOS
+from repro.sim import cosim
 from repro.sim.cosim import (
+    LANE_GROUP,
     CosimConfig,
     CosimLane,
     LayerShutoffEvent,
+    last_batch_solver_info,
     run_cosim,
     run_cosim_batch,
 )
+from repro.telemetry.flight import FlightRecorder
+from repro.workloads.benchmarks import BENCHMARK_NAMES
 from tests.oracles.serial_cosim import run_cosim_reference
 
 CYCLES = 260
@@ -293,6 +300,130 @@ class TestLaneIndependence:
                 lane.benchmark, config=build()[i].config
             )
             _assert_result_bytes_equal(batch[i], oracle, f"{label} vs oracle")
+
+
+# ---------------------------------------------------------------------------
+# Lane groups: a wide call runs as groups of at most LANE_GROUP lanes
+# ---------------------------------------------------------------------------
+GROUP_CYCLES = 300
+GROUP_WARMUP = 50
+GROUP_LANES = 19  # three groups: lanes 0-5, 6-11 and 12-18
+
+
+def _group_lanes():
+    """Nineteen fresh lanes spreading every lane kind over the groups:
+    twelve benchmarks and nineteen seeds, an acting controller with DCC
+    on every third lane, one canned fault schedule in each group (the
+    fourth in the first), a layer shutoff in the second and a
+    duck-typed global throttle in the third."""
+    active = ControllerConfig(v_threshold=0.97, k1=15.0)
+    dcc = WeightedActuation(w1=1.0, w2=1.0, w3=1.0)
+    faults = dict(zip((2, 5, 9, 15), sorted(CANNED_SCENARIOS)))
+    lanes = []
+    for i in range(GROUP_LANES):
+        kwargs = dict(cycles=GROUP_CYCLES, warmup_cycles=GROUP_WARMUP,
+                      seed=500 + 7 * i)
+        if i % 3 == 0:
+            kwargs.update(controller=active, actuation=dcc)
+        if i in faults:
+            kwargs["faults"] = CANNED_SCENARIOS[faults[i]]()
+        if i == 11:
+            kwargs["shutoff"] = LayerShutoffEvent(layer=3, start_cycle=100)
+        if i == 16:
+            kwargs["controller_object"] = GlobalThrottleController(
+                v_threshold=0.97
+            )
+        lanes.append(CosimLane(
+            BENCHMARK_NAMES[i % len(BENCHMARK_NAMES)], CosimConfig(**kwargs)
+        ))
+    return lanes
+
+
+def _group_recorder():
+    # A guardband at the top of the droop band, so every lane dumps.
+    return FlightRecorder(
+        num_sms=16, guardband_v=0.99, pre_cycles=8, post_cycles=8,
+        scan_interval=4, cycle_offset=-GROUP_WARMUP,
+    )
+
+
+def _flight_json(recorder):
+    return json.dumps(
+        [recorder.summary()] + [dump.to_dict() for dump in recorder.dumps]
+    )
+
+
+class TestLaneGroups:
+    def test_group_bounds(self):
+        """Consecutive groups of near-equal size, none wider than
+        LANE_GROUP; a call of at most LANE_GROUP lanes is one group."""
+        assert LANE_GROUP == 8
+        for count, sizes in ((1, [1]), (8, [8]), (9, [4, 5]),
+                             (19, [6, 6, 7]), (128, [8] * 16)):
+            bounds = cosim._lane_groups(count)
+            assert [stop - start for start, stop in bounds] == sizes
+            assert bounds[0][0] == 0 and bounds[-1][1] == count
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+    def test_each_group_is_one_loop_run(self, monkeypatch):
+        widths = []
+        simulate = cosim._simulate
+
+        def spy(lanes, *args, **kwargs):
+            widths.append((kwargs.get("first_lane", 0), len(lanes)))
+            return simulate(lanes, *args, **kwargs)
+
+        monkeypatch.setattr(cosim, "_simulate", spy)
+        config = CosimConfig(cycles=40, warmup_cycles=10)
+        run_cosim_batch([CosimLane("hotspot", config)] * LANE_GROUP)
+        assert widths == [(0, LANE_GROUP)]
+        widths.clear()
+        run_cosim_batch([CosimLane("hotspot", config)] * 9)
+        assert widths == [(0, 4), (4, 5)]
+
+    def test_every_lane_equals_its_solo_batch(self):
+        """Each of 19 lanes in three groups equals the same lane run
+        alone through run_cosim_batch, byte for byte, its fault report
+        and flight recording included."""
+        flights = [_group_recorder() for _ in range(GROUP_LANES)]
+        batch = run_cosim_batch(_group_lanes(), flights=flights)
+        info = last_batch_solver_info()
+        assert info["lanes"] == GROUP_LANES
+        assert info["fused_cycles"] == GROUP_CYCLES + GROUP_WARMUP
+        assert len(batch) == GROUP_LANES
+        # The call's shards are its groups' shards, summed.
+        shards = 0
+        for start, stop in cosim._lane_groups(GROUP_LANES):
+            run_cosim_batch(_group_lanes()[start:stop])
+            shards += last_batch_solver_info()["shards"]
+        assert info["shards"] == shards
+        for i, lane in enumerate(_group_lanes()):
+            (solo,) = run_cosim_batch([lane], flights=[_group_recorder()])
+            label = f"lane {i} ({lane.benchmark})"
+            _assert_result_bytes_equal(batch[i], solo, label)
+            assert batch[i].flight is flights[i]
+            assert batch[i].flight.dumps, label
+            assert _flight_json(batch[i].flight) == _flight_json(
+                solo.flight
+            ), label
+        kinds = {
+            i for i, lane in enumerate(_group_lanes())
+            if lane.config.faults is not None
+        }
+        assert kinds == {2, 5, 9, 15}
+        for i in kinds:
+            assert batch[i].fault_report is not None
+
+    def test_wrong_length_flights_rejected_before_any_lane_runs(
+        self, monkeypatch
+    ):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("a lane group ran")
+
+        monkeypatch.setattr(cosim, "_simulate", no_loop)
+        flights = [_group_recorder() for _ in range(GROUP_LANES - 1)]
+        with pytest.raises(ValueError, match=r"one entry per lane \(19\)"):
+            run_cosim_batch(_group_lanes(), flights=flights)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ quarantine semantics: an evicted lane yields a structured ``diverged``
 verdict with its clean waveform prefix, every surviving lane finishes
 byte-identical to its serial run (the oracle loop in
 ``tests/oracles/serial_cosim.py``), and a fully-dead batch degrades to
-truncated results instead of a crash.
+truncated results instead of a crash.  A call wider than ``LANE_GROUP``
+runs as lane groups, and quarantine stays call-wide: a verdict names
+the lane's index in the call, and one claimed poison reaches every
+group.
 """
 
 import json
@@ -24,7 +27,13 @@ from repro.faults.events import (
     ProcessVariation,
     SensorDropout,
 )
-from repro.sim.cosim import CosimConfig, CosimLane, run_cosim, run_cosim_batch
+from repro.sim.cosim import (
+    LANE_GROUP,
+    CosimConfig,
+    CosimLane,
+    run_cosim,
+    run_cosim_batch,
+)
 from repro.telemetry import Telemetry
 from repro.telemetry.flight import FlightRecorder
 from tests.oracles.serial_cosim import run_cosim_reference
@@ -155,6 +164,54 @@ class TestEviction:
         assert batch[1].throttled_cycles == serial.throttled_cycles
         # The survivors crossed the boundary normally.
         assert batch[0].num_cycles == CYCLES
+
+
+def nineteen_lanes():
+    """Three lane groups: lanes 0-5, 6-11 and 12-18."""
+    names = ("hotspot", "bfs", "srad", "backprop")
+    return [CosimLane(names[i % 4], cfg(3 + i)) for i in range(19)]
+
+
+class TestAcrossLaneGroups:
+    def test_targeted_poison_in_the_last_group(self, chaos_plan):
+        """Lane 17 sits in the third group: only it is quarantined,
+        its verdict and events name it by its index in the call, and
+        the lanes around it equal their solo runs."""
+        lanes = nineteen_lanes()
+        assert len(lanes) > 2 * LANE_GROUP
+        chaos_plan(ChaosPlan("last-group", [poison(at=25, lane=17)]))
+        tele = Telemetry(run_id="groups")
+        batch = run_cosim_batch(lanes, telemetry=tele)
+        assert [r.diverged for r in batch] == [i == 17 for i in range(19)]
+        info = batch[17].divergence
+        assert info["lane"] == 17 and info["benchmark"] == "bfs"
+        assert info["cycle"] == 25 and batch[17].num_cycles == 25
+        quarantined = [
+            e for e in tele.events if e["kind"] == "lane_quarantined"
+        ]
+        assert [e["lane"] for e in quarantined] == [17]
+        done = [e for e in tele.events if e["kind"] == "cosim_batch_lane_done"]
+        assert [e["lane"] for e in done] == list(range(19))
+        assert [e["diverged"] for e in done] == [i == 17 for i in range(19)]
+        assert tele.counters.get("lanes_quarantined") == 1
+        for row in (0, 16, 18):
+            (solo,) = run_cosim_batch([lanes[row]])
+            _assert_result_bytes_equal(batch[row], solo, f"lane {row}")
+
+    def test_once_poison_is_claimed_once_and_reaches_every_group(
+        self, chaos_plan
+    ):
+        """A fire-once untargeted poison: the first group claims it,
+        the later groups replay the claim."""
+        monkey = chaos_plan(ChaosPlan("once", [
+            ChaosEvent("cosim_cycle", "nan_poison", at=40),
+        ]))
+        batch = run_cosim_batch(nineteen_lanes())
+        for i, result in enumerate(batch):
+            assert result.diverged, f"lane {i}"
+            assert result.divergence["lane"] == i
+            assert result.num_cycles == 40
+        assert monkey.take_cycle(40) == []  # claimed by the call
 
 
 class TestFaultedLaneQuarantine:
