@@ -18,13 +18,14 @@ actuate + wire delay), modeled by a delay queue.  When the SM recovers
 above the threshold its commands relax back to defaults.
 
 :class:`ControllerBank` is the one implementation of the filter
-advance and the decision arithmetic: it owns every lane's state as
-``(B, ...)`` arrays, and its RC filter and decision wave run in C (the
-native library's ``bank_filter`` and ``bank_wave``, whose code the
-co-sim's cycle kernel shares).
-A :class:`VoltageSmoothingController` is a view of its bank row, and
-its ``observe`` steps its one-lane bank.  The per-SM scalar path the
-bank replaced is the test oracle ``tests/oracles/scalar_controller.py``.
+advance, the decision arithmetic and the command read: it owns every
+lane's state as ``(B, ...)`` arrays, and its RC filter, decision wave
+and pipeline pop run in C (the native library's ``bank_filter``,
+``bank_wave`` and ``bank_pop``, whose code the co-sim's cycle kernel
+shares).  A :class:`VoltageSmoothingController` is a view of its bank
+row, and its ``observe`` and ``commands_for`` step its one-lane bank.
+The per-SM scalar path the bank replaced is the test oracle
+``tests/oracles/scalar_controller.py``.
 """
 
 from __future__ import annotations
@@ -263,17 +264,38 @@ class ControlDecision:
  _I_SUBGUARD, _I_HEALTHY, _I_FB_SAMPLES, _I_NAN_SAMPLES, _I_LC_EVENTS,
  _I_LC_FLAGGED, _I_FLIPS, _I_FLAP_HEAD, _I_FLAP_LEN, _I_ACTIVE,
  _I_LAST_ID, _I_RING_HEAD, _I_RING_LEN, _I_ACTIVE_THR,
- _I_AT_DEFAULT, _I_APPLIED, _NI) = range(33)
+ _I_AT_DEFAULT, _I_APPLIED, _I_APPLIED_ID, _I_UNTIL, _I_STEPPED,
+ _I_FLIP_AT, _NI) = range(37)
 # Columns of ControllerBank._iparams (per-lane integer config).
 (_Q_PERIOD, _Q_LATENCY, _Q_WATCHDOG, _Q_PATIENCE, _Q_RELEASE, _Q_WINDOW,
- _Q_MIN_FLIPS) = range(7)
+ _Q_MIN_FLIPS, _Q_LAW, _Q_HOLD, _NQ) = range(10)
 # Columns of ControllerBank._params (per-lane float config).
 (_P_THR, _P_THR_HIGH, _P_WIDEN, _P_IWMAX, _P_V_NOM, _P_K1W1, _P_K2W2,
- _P_K3W3, _P_UNIT, _P_MAX_CODE, _P_GUARD, _P_SAFE_W) = range(12)
-# Slots of ControllerBank._scal (bank-wide due and pop bookkeeping).
-_S_NEXT_DUE, _S_UNIFORM, _S_NEXT_POP, _S_MIN_LATENCY = range(4)
+ _P_K3W3, _P_UNIT, _P_MAX_CODE, _P_GUARD, _P_SAFE_W, _NP) = range(13)
+# Slots of ControllerBank._scal (bank-wide due bookkeeping).
+_S_NEXT_DUE, _S_UNIFORM = range(2)
+# A lane's law: Algorithm 1, or the prior-art global throttle
+# (repro.core.prior_art.GlobalThrottleController).
+LAW_ALG1, LAW_THROTTLE = range(2)
 #: Status of a wave that found a due lane's ring or store full.
-_WAVE_GROW = 2
+_WAVE_GROW = -1
+
+
+@dataclass(frozen=True)
+class LaneRow:
+    """A lane's bank row: its ``_P_*`` and ``_Q_*`` columns, detector
+    filter, quantizer and fallback, slew limits (issue, fake, DCC), the
+    filters' and held samples' first values, and its pipeline depth."""
+
+    params: Tuple[float, ...]
+    iparams: Tuple[int, ...]
+    alpha: float = 0.0
+    step_v: float = 1.0
+    fallback: bool = False
+    slews: Tuple[float, float, float] = (0.0, 0.0, 0.0)
+    v_filter: float = 1.0
+    v_held: float = 1.0
+    depth: int = 2
 
 
 def _lane_int(col: int, doc: str) -> property:
@@ -288,18 +310,110 @@ def _lane_flag(col: int, doc: str) -> property:
     )
 
 
-class VoltageSmoothingController:
+class BankLane:
+    """One lane of a :class:`ControllerBank`: a view of its bank row.
+
+    Every piece of the lane's mutable state lives in one row of its
+    bank's arrays.  A lane gets its own one-lane bank when it is built;
+    joining a multi-lane bank (or being compacted) moves the row there.
+    The attributes below read that row: counters as Python ``int`` /
+    ``bool``, decisions as :class:`ControlDecision` objects built once
+    per (lane, decision id) and kept while the id is live, so an
+    unchanged command is the same object.  A subclass has a ``stack``
+    and gives its law and parameters in :meth:`_lane_row`.
+    """
+
+    stack: StackConfig
+
+    def _join_own_bank(self) -> None:
+        # Decision objects of the lane's live ids (see _decision).
+        self._decisions: Dict[int, ControlDecision] = {}
+        self._bank: Optional[ControllerBank] = None
+        self._row = 0
+        ControllerBank([self])
+
+    decisions_made = _lane_int(_I_DECISIONS, "Decisions made.")
+    triggers = _lane_int(_I_TRIGGERS, "Decisions that triggered.")
+    # Simulated cycles under a throttling command, as read.
+    throttled_cycles = _lane_int(_I_THROTTLED, "Throttled simulated cycles.")
+    in_safe_state = _lane_flag(_I_SAFE, "Whether the watchdog holds the lane.")
+    stepped = _lane_flag(_I_STEPPED, "Whether it observed or read a command.")
+
+    @property
+    def active_decision(self) -> ControlDecision:
+        return self._decision(int(self._bank._ints[self._row, _I_ACTIVE]))
+
+    def _decision(self, ident: int) -> ControlDecision:
+        """The object of live decision ``ident``, built on first use.
+
+        It owns copies of its store rows: the slot is reused once the id
+        retires, while consumers (flight recorders) may keep it longer.
+        """
+        cache = self._decisions
+        decision = cache.get(ident)
+        if decision is None:
+            bank, row = self._bank, self._row
+            active = bank._ints[row, _I_ACTIVE]
+            for old in [k for k in cache if k < active]:
+                del cache[old]
+            slot = ident % (bank._cap + 1)
+            cat = bank._store[row, slot].copy()
+            n = bank.num_sms
+            decision = cache[ident] = ControlDecision(
+                issue_widths=cat[:n], fake_rates=cat[n:2 * n],
+                dcc_powers_w=cat[2 * n:],
+                triggered_sms=np.flatnonzero(
+                    bank._store_trig[row, slot]
+                ).tolist(),
+            )
+        return decision
+
+    def observe(self, cycle: int, sm_voltages: np.ndarray) -> None:
+        """Feed this cycle's SM voltages to the lane's detectors.
+
+        This is the one-lane case of :class:`ControllerBank`: it steps
+        the lane's own bank.  A lane of a multi-lane bank is stepped
+        through that bank only.
+        """
+        sm_voltages = np.asarray(sm_voltages, dtype=float)
+        if sm_voltages.shape != (self.stack.num_sms,):
+            raise ValueError(
+                f"expected {self.stack.num_sms} SM voltages, got "
+                f"{sm_voltages.shape}"
+            )
+        bank = self._bank
+        if len(bank.controllers) != 1:
+            raise RuntimeError(
+                "this controller is one of the "
+                f"{len(bank.controllers)} lanes of a ControllerBank; step "
+                "it through ControllerBank.observe"
+            )
+        bank.observe(cycle, sm_voltages[None, :])
+
+    def commands_for(self, cycle: int) -> ControlDecision:
+        """The actuation in force at ``cycle`` (after loop latency).
+
+        The bank's C pop (``bank_pop``, the cycle kernel's own) pops
+        what is due and counts the read into ``throttled_cycles``.
+        """
+        bank = self._bank
+        ident = bank._pop_fn(bank._c_pointer(), self._row, cycle)
+        return self._decisions.get(ident) or self._decision(ident)
+
+
+class VoltageSmoothingController(BankLane):
     """One Algorithm 1 lane: its config, and a view of its bank row.
 
-    Every piece of the lane's mutable state — RC filters, decision
-    counters, watchdog and limit-cycle state, the latency pipeline —
-    lives in one row of its :class:`ControllerBank`'s arrays.  A lane
-    gets its own one-lane bank when it is built; joining a multi-lane
-    bank (or being compacted) moves the row there.  The attributes below
-    read that row: counters as Python ``int`` / ``bool``, decisions as
-    :class:`ControlDecision` objects built once per (lane, decision id)
-    and kept while the id is live, so an unchanged command is the same
-    object.  Only the stock :class:`WeightedActuation` /
+    ``observe`` runs the per-SM RC filters every cycle, makes a control
+    decision every ``control_period_cycles`` and enqueues it to apply
+    after the loop latency.  A non-finite sample means "no reading this
+    cycle" (sensor dropout): it never enters the RC filter and never
+    produces actuation.  With the sensor fallback enabled the SM's last
+    good measurement is held instead, with widened trigger thresholds;
+    otherwise the SM cannot trigger until a real sample returns.
+
+    Besides the :class:`BankLane` row it reads its RC filters, watchdog
+    and limit-cycle state.  Only the stock :class:`WeightedActuation` /
     :class:`CurrentCompensationDAC` law is vectorized there, so other
     actuation classes are rejected.
     """
@@ -334,33 +448,47 @@ class VoltageSmoothingController:
         self._filter_alpha = dt_s / (tau + dt_s)
         self._resolution_v = config.detector.resolution_v
         self._default_issue_width = float(self.actuation.issue_width_max)
-        # Decision objects of the lane's live ids (see _decision).
-        self._decisions: Dict[int, ControlDecision] = {}
-        self._bank: Optional[ControllerBank] = None
-        self._row = 0
-        ControllerBank([self])
+        self._join_own_bank()
+
+    def _lane_row(self) -> LaneRow:
+        c, a = self.config, self.actuation
+        return LaneRow(
+            params=(
+                c.v_threshold, c.v_high_threshold, c.fallback_widen_v,
+                self._default_issue_width, c.v_nominal, c.k1 * a.w1,
+                c.k2 * a.w2, c.k3 * a.w3, a.dac.unit_power_w,
+                a.dac.max_code, c.guardband_v, c.safe_issue_width,
+            ),
+            iparams=(
+                c.control_period_cycles, c.total_latency_cycles,
+                c.watchdog_enabled, c.watchdog_patience,
+                c.safe_state_release_decisions, c.limit_cycle_window,
+                c.limit_cycle_min_flips, LAW_ALG1, 0,
+            ),
+            alpha=self._filter_alpha, step_v=self._resolution_v,
+            fallback=c.sensor_fallback_enabled,
+            slews=(c.slew_issue, c.slew_fake, c.slew_dcc_w),
+            v_filter=self.stack.sm_voltage, v_held=c.v_nominal,
+            depth=c.total_latency_cycles // c.control_period_cycles + 2,
+        )
+
+    # Bound on this class too: benchmarks/bench/tracer.py wraps them by
+    # the class's own attributes.
+    observe = BankLane.observe
+    commands_for = BankLane.commands_for
 
     # -- the lane's bank row ----------------------------------------------
-    decisions_made = _lane_int(_I_DECISIONS, "Decisions made.")
-    triggers = _lane_int(_I_TRIGGERS, "Decisions that triggered an SM.")
     throttle_decisions = _lane_int(_I_THROTTLE, "Decisions cutting issue.")
     boost_decisions = _lane_int(_I_BOOST, "Decisions engaging FII or DCC.")
-    # Simulated cycles under a throttling command; commands_for may be
-    # called more than once for the same cycle without double counting.
-    throttled_cycles = _lane_int(_I_THROTTLED, "Throttled simulated cycles.")
-    _counted_through_cycle = _lane_int(_I_COUNTED, "Last counted cycle.")
     _last_decision_cycle = _lane_int(_I_LAST, "Cycle of the last decision.")
     watchdog_engagements = _lane_int(_I_WD_ENGAGE, "Safe-state entries.")
     safe_state_decisions = _lane_int(_I_SAFE_DEC, "Decisions in safe state.")
-    in_safe_state = _lane_flag(_I_SAFE, "Whether the watchdog holds the lane.")
     _subguard_streak = _lane_int(_I_SUBGUARD, "Sub-guardband decision streak.")
     _healthy_streak = _lane_int(_I_HEALTHY, "Healthy decision streak.")
     sensor_fallback_samples = _lane_int(_I_FB_SAMPLES, "Held samples.")
     nan_samples_seen = _lane_int(_I_NAN_SAMPLES, "Dropped samples.")
     limit_cycle_events = _lane_int(_I_LC_EVENTS, "Limit cycles flagged.")
-    _limit_cycle_flagged = _lane_flag(_I_LC_FLAGGED, "In a limit cycle.")
     _flap_flips = _lane_int(_I_FLIPS, "Throttle-flag flips in the window.")
-    _active_throttling = _lane_flag(_I_ACTIVE_THR, "Active command throttles.")
 
     @property
     def actuator_decisions(self) -> Dict[str, int]:
@@ -399,10 +527,6 @@ class VoltageSmoothingController:
                 for k in range(int(row[_I_FLAP_LEN]))]
 
     @property
-    def active_decision(self) -> ControlDecision:
-        return self._decision(int(self._bank._ints[self._row, _I_ACTIVE]))
-
-    @property
     def _last_enqueued(self) -> ControlDecision:
         return self._decision(int(self._bank._ints[self._row, _I_LAST_ID]))
 
@@ -412,82 +536,6 @@ class VoltageSmoothingController:
         at, ids = self._bank._ring(self._row)[:2]
         return [(int(a), self._decision(int(i)))
                 for a, i in zip(at.tolist(), ids.tolist())]
-
-    def _decision(self, ident: int) -> ControlDecision:
-        """The object of live decision ``ident``, built on first use.
-
-        It owns copies of its store rows: the slot is reused once the id
-        retires, while consumers (flight recorders) may keep it longer.
-        """
-        cache = self._decisions
-        decision = cache.get(ident)
-        if decision is None:
-            bank, row = self._bank, self._row
-            active = bank._ints[row, _I_ACTIVE]
-            for old in [k for k in cache if k < active]:
-                del cache[old]
-            slot = ident % (bank._cap + 1)
-            cat = bank._store[row, slot].copy()
-            n = bank.num_sms
-            decision = cache[ident] = ControlDecision(
-                issue_widths=cat[:n], fake_rates=cat[n:2 * n],
-                dcc_powers_w=cat[2 * n:],
-                triggered_sms=np.flatnonzero(
-                    bank._store_trig[row, slot]
-                ).tolist(),
-            )
-        return decision
-
-    # ------------------------------------------------------------------
-    def observe(self, cycle: int, sm_voltages: np.ndarray) -> None:
-        """Feed this cycle's true SM voltages through the detectors.
-
-        Runs the per-SM RC filters every cycle; makes a control decision
-        every ``control_period_cycles`` and enqueues it to apply after
-        the loop latency.
-
-        A non-finite sample means "no reading this cycle" (sensor
-        dropout): it never enters the RC filter (NaN would poison the
-        filter state permanently) and never produces actuation.  With
-        the sensor fallback enabled the SM's last good measurement is
-        held instead, with widened trigger thresholds; otherwise the SM
-        simply cannot trigger until a real sample returns.
-
-        This is the one-lane case of :class:`ControllerBank`: it steps
-        the lane's own bank.  A lane of a multi-lane bank is stepped
-        through that bank only.
-        """
-        sm_voltages = np.asarray(sm_voltages, dtype=float)
-        if sm_voltages.shape != (self.stack.num_sms,):
-            raise ValueError(
-                f"expected {self.stack.num_sms} SM voltages, got "
-                f"{sm_voltages.shape}"
-            )
-        bank = self._bank
-        if len(bank.controllers) != 1:
-            raise RuntimeError(
-                "this controller is one of the "
-                f"{len(bank.controllers)} lanes of a ControllerBank; step "
-                "it through ControllerBank.observe"
-            )
-        bank.observe(cycle, sm_voltages[None, :])
-
-    def commands_for(self, cycle: int) -> ControlDecision:
-        """The actuation in force at ``cycle`` (after loop latency)."""
-        bank, row = self._bank, self._row
-        state = bank._ints[row]
-        if state[_I_RING_LEN] and (
-            bank._ring_at[row, state[_I_RING_HEAD]] <= cycle
-        ):
-            bank._pop_lane(row, cycle)
-        # Count each simulated cycle at most once, so callers that read
-        # the same cycle's commands twice do not double-count.
-        if cycle > state[_I_COUNTED]:
-            state[_I_COUNTED] = cycle
-            if state[_I_ACTIVE_THR]:
-                state[_I_THROTTLED] += 1
-        ident = int(state[_I_ACTIVE])
-        return self._decisions.get(ident) or self._decision(ident)
 
     # ------------------------------------------------------------------
     @property
@@ -529,18 +577,13 @@ class VoltageSmoothingController:
             "actuations_applied": row[_I_APPLIED],
         }
 
-    def note_applied(self) -> None:
-        """Count a new decision applied to the actuators (the co-sim's
-        cycle kernel counts the ones it applies itself)."""
-        self._bank._ints[self._row, _I_APPLIED] += 1
-
 
 # ControllerBank arrays the C wave reads, in BankState's field order.
 _C_ARRAYS = (
     "_ints", "_iparams", "_params", "_cat_default", "_slew_cat",
     "_fallback", "_flap", "_ring_at", "_ring_id", "_store", "_store_trig",
     "_store_thr", "_scal", "_due", "_state", "_last_good", "_alpha",
-    "_step_v", "_fb_on",
+    "_step_v", "_fb_on", "_in_force",
 )
 
 
@@ -555,23 +598,29 @@ class _CBank(ctypes.Structure):
 
 
 class ControllerBank:
-    """Algorithm 1 over B lock-stepped, independent lanes.
+    """Algorithm 1 (and the prior-art global throttle) over B
+    lock-stepped, independent lanes.
 
-    The one implementation of the per-cycle RC filter advance and the
-    per-decision wave, over struct-of-arrays state: each lane's filter,
-    counters, watchdog and limit-cycle state and latency pipeline are
-    one row of ``(B, ...)`` arrays (the ``_I_*`` columns of ``_ints``;
-    :class:`VoltageSmoothingController` is a view of its row).  The
-    pipeline is a per-lane ring of ``(apply cycle, decision id)``
-    entries beside a store of each live id's ``3 * num_sms`` command row,
-    triggered-SM mask and throttle flag.  A lane's live ids — active,
-    queued, last enqueued — span at most the ring depth plus one, so the
-    store is indexed by ``id % (cap + 1)``; a wave that would overrun
-    either grows both (``_grow``) first.
+    The one implementation of the per-cycle RC filter advance, the
+    per-decision wave and the command read, over struct-of-arrays state:
+    each lane's filter, counters, watchdog and limit-cycle state,
+    latency pipeline and command in force are one row of ``(B, ...)``
+    arrays (the ``_I_*`` columns of ``_ints``; each lane object, a
+    :class:`BankLane`, is a view of its row, and its ``_lane_row`` gives
+    the row's parameters and law).  The pipeline is a per-lane ring of
+    ``(apply cycle, decision id)`` entries beside a store of each live
+    id's ``3 * num_sms`` command row, triggered-SM mask and throttle
+    flag.  A lane's live ids — active, queued, last enqueued — span at
+    most the ring depth plus one, so the store is indexed by
+    ``id % (cap + 1)``; a wave that would overrun either grows both
+    (``_grow``) first.
 
-    The filter advance and the wave run compiled (``bank_filter`` and
-    ``bank_wave`` in ``repro/sim/_cyclec.c``; the co-sim's cycle kernel
-    runs the same filter row helper and calls the same wave).  Per lane
+    The filter advance, the wave and the pop run compiled
+    (``bank_filter``, ``bank_wave`` and ``bank_pop`` in
+    ``repro/sim/_cyclec.c``; the co-sim's cycle kernel runs the same
+    filter row helper and calls the same wave and pop).  A throttle
+    lane decides on its raw samples every observed cycle and holds its
+    throttle from the read that pops its trigger.  Per Algorithm 1 lane
     the filter is the reference's ``_advance_filters``: only fresh
     (finite, observed) samples enter the RC filter, and a dropped
     sample holds its last good measurement (fallback on) or reads NaN.
@@ -588,21 +637,22 @@ class ControllerBank:
     byte-equal to that reference observing ``seen[i]`` for every lane
     ``i`` with ``observed[i]`` set, and nothing for the others.
 
-    Lanes may differ in gains, thresholds, detectors, periods, sensor
-    fallback and actuation weights — only ``num_sms`` must match.  The
-    bank owns its lanes' ``observe`` duty: ``lane.observe`` raises while
-    a multi-lane bank owns the lane.
+    Lanes may differ in law, gains, thresholds, detectors, periods,
+    sensor fallback and actuation weights — only ``num_sms`` must match.
+    The bank owns its lanes' ``observe`` duty: ``lane.observe`` raises
+    while a multi-lane bank owns the lane.
     """
 
-    def __init__(self, controllers: List[VoltageSmoothingController]) -> None:
+    def __init__(self, controllers: List[BankLane]) -> None:
         self.controllers = list(controllers)
         if not self.controllers:
             raise ValueError("need at least one controller lane")
         for c in self.controllers:
-            if not isinstance(c, VoltageSmoothingController):
+            if not isinstance(c, BankLane):
                 raise TypeError(
-                    "ControllerBank requires VoltageSmoothingController "
-                    f"lanes, got {type(c).__name__}"
+                    "ControllerBank requires BankLane lanes (a "
+                    "VoltageSmoothingController or a "
+                    f"GlobalThrottleController), got {type(c).__name__}"
                 )
         if len({id(c) for c in self.controllers}) != len(self.controllers):
             raise ValueError("a controller can be only one lane of a bank")
@@ -612,66 +662,46 @@ class ControllerBank:
         self.num_sms = n = sizes.pop()
         ctrls = self.controllers
         n_lanes = len(ctrls)
+        rows = [c._lane_row() for c in ctrls]
 
-        def col(values) -> np.ndarray:
-            return np.asarray(values, dtype=float).reshape(-1, 1)
+        def col(name: str) -> np.ndarray:
+            return np.array([getattr(r, name) for r in rows]).reshape(-1, 1)
 
-        self._alpha = col([c._filter_alpha for c in ctrls])
-        self._step_v = col([c._resolution_v for c in ctrls])
-        self._fb_on = np.array(
-            [c.config.sensor_fallback_enabled for c in ctrls]
-        ).reshape(-1, 1)
-        # Per-lane wave parameters, one column each (the _P_* / _Q_*
-        # indices), read by the C wave's per-SM proportional law.
-        self._params = np.column_stack([
-            [c.config.v_threshold for c in ctrls],
-            [c.config.v_high_threshold for c in ctrls],
-            [c.config.fallback_widen_v for c in ctrls],
-            [c._default_issue_width for c in ctrls],
-            [c.config.v_nominal for c in ctrls],
-            [c.config.k1 * c.actuation.w1 for c in ctrls],
-            [c.config.k2 * c.actuation.w2 for c in ctrls],
-            [c.config.k3 * c.actuation.w3 for c in ctrls],
-            [c.actuation.dac.unit_power_w for c in ctrls],
-            [c.actuation.dac.max_code for c in ctrls],
-            [c.config.guardband_v for c in ctrls],
-            [c.config.safe_issue_width for c in ctrls],
-        ]).astype(float)
-        self._iparams = np.array([
-            (c.config.control_period_cycles, c.config.total_latency_cycles,
-             c.config.watchdog_enabled, c.config.watchdog_patience,
-             c.config.safe_state_release_decisions,
-             c.config.limit_cycle_window, c.config.limit_cycle_min_flips)
-            for c in ctrls
-        ], dtype=np.int64)
+        self._alpha = col("alpha").astype(float)
+        self._step_v = col("step_v").astype(float)
+        self._fb_on = col("fallback").astype(bool)
+        # Per-lane parameters, one column each (the _P_* / _Q_* indices),
+        # read by the C wave's laws.
+        self._params = np.array([r.params for r in rows], dtype=float)
+        self._iparams = np.array([r.iparams for r in rows], dtype=np.int64)
         period = self._iparams[:, _Q_PERIOD]
         # The three actuator command blocks live side by side in one
         # (B, 3*num_sms) row, the layout of the store's command rows.
         self._cat_default = np.zeros((n_lanes, 3 * n))
         self._cat_default[:, :n] = self._params[:, _P_IWMAX:_P_IWMAX + 1]
-        self._slew_cat = np.empty((n_lanes, 3 * n))
-        self._slew_cat[:, :n] = col([c.config.slew_issue for c in ctrls])
-        self._slew_cat[:, n:2 * n] = col([c.config.slew_fake for c in ctrls])
-        self._slew_cat[:, 2 * n:] = col([c.config.slew_dcc_w for c in ctrls])
+        self._slew_cat = np.repeat(
+            np.array([r.slews for r in rows], dtype=float), n, axis=1
+        )
         # A fresh lane's state: filters at their initial voltage, the
         # default decision active (id 0) and last enqueued (id 1, a
-        # distinct object), nothing queued.
-        self._state = np.repeat(col([c.stack.sm_voltage for c in ctrls]), n, 1)
-        self._last_good = np.repeat(
-            col([c.config.v_nominal for c in ctrls]), n, 1
-        )
+        # distinct object), nothing queued, nothing applied.
+        self._state = np.repeat(col("v_filter").astype(float), n, 1)
+        self._last_good = np.repeat(col("v_held").astype(float), n, 1)
         self._fallback = np.zeros((n_lanes, n), dtype=bool)
+        self._in_force = np.zeros((n_lanes, 3 * n))
         self._ints = np.zeros((n_lanes, _NI), dtype=np.int64)
         self._ints[:, _I_LAST] = -period
         self._ints[:, _I_COUNTED] = -1
         self._ints[:, _I_LAST_ID] = 1
         self._ints[:, _I_AT_DEFAULT] = 1
+        self._ints[:, _I_APPLIED_ID] = -1
+        self._ints[:, _I_UNTIL] = -1
+        self._ints[:, _I_FLIP_AT] = -1
         self._flap = np.zeros(
             (n_lanes, int(self._iparams[:, _Q_WINDOW].max())), dtype=np.uint8
         )
         self._cap = max(
-            [int(lat // every) + 2 for every, lat
-             in self._iparams[:, :_Q_LATENCY + 1].tolist()]
+            [r.depth for r in rows]
             + [c._bank._cap for c in ctrls if c._bank is not None]
         )
         self._alloc_ring(self._cap)
@@ -688,22 +718,21 @@ class ControllerBank:
         # cycle needs no per-lane test and the wave covers all lanes.
         # An observed mask that drops a lane's due cycle splits the
         # phases, as in a serial run, and the bank falls back to
-        # per-lane due tests.  NEXT_POP is a lower bound on the next
-        # cycle a lane's pipeline head pops: waves lower it, the pop
-        # consumer raises it again.
+        # per-lane due tests.
         last = self._ints[:, _I_LAST]
-        self._scal = np.zeros(4, dtype=np.int64)
+        self._scal = np.zeros(2, dtype=np.int64)
         periods = set(period.tolist())
         if len(periods) == 1 and len(set(last.tolist())) == 1:
             self._scal[_S_UNIFORM] = periods.pop()
         self._scal[_S_NEXT_DUE] = (last + period).min()
-        self._scal[_S_MIN_LATENCY] = self._iparams[:, _Q_LATENCY].min()
         self._due = np.zeros(n_lanes, dtype=np.uint8)  # C wave scratch
         self._measured = np.empty_like(self._state)  # C filter output
-        # The C filter and wave, and their view of this bank: bound on
-        # the first observe and repointed on growth.
+        # The C filter, wave and pop, and their view of this bank: bound
+        # on first use and repointed on growth.
         lib = native.load()
-        self._filter_fn, self._wave_fn = lib.bank_filter, lib.bank_wave
+        self._filter_fn, self._wave_fn, self._pop_fn = (
+            lib.bank_filter, lib.bank_wave, lib.bank_pop
+        )
         self._c: Optional[_CBank] = None
         self._c_ptr = None
 
@@ -746,7 +775,8 @@ class ControllerBank:
 
     def _adopt(self, row: int, old: "ControllerBank", old_row: int) -> None:
         """Take over a lane's state from its previous bank's row."""
-        for name in ("_state", "_last_good", "_fallback", "_ints"):
+        for name in ("_state", "_last_good", "_fallback", "_in_force",
+                     "_ints"):
             getattr(self, name)[row] = getattr(old, name)[old_row]
         width = int(self._iparams[row, _Q_WINDOW])
         self._flap[row, :width] = old._flap[old_row, :width]
@@ -772,6 +802,12 @@ class ControllerBank:
         for name in _C_ARRAYS:
             setattr(self._c, name, getattr(self, name).ctypes.data)
         return self._c
+
+    def _c_pointer(self):
+        """A pointer to :meth:`_bind_c`'s view, made on first use."""
+        if self._c_ptr is None:
+            self._c_ptr = ctypes.pointer(self._bind_c())
+        return self._c_ptr
 
     @property
     def _uniform_period(self) -> Optional[int]:
@@ -810,11 +846,9 @@ class ControllerBank:
                 )
             if observed.all():
                 observed = None
-        if self._c_ptr is None:
-            self._c_ptr = ctypes.pointer(self._bind_c())
         measured = self._measured
         self._filter_fn(
-            self._c_ptr, seen.ctypes.data,
+            self._c_pointer(), seen.ctypes.data,
             None if observed is None else observed.ctypes.data,
             measured.ctypes.data,
         )
@@ -834,25 +868,6 @@ class ControllerBank:
             _WAVE_GROW
         ):
             self._grow()
-
-    # ------------------------------------------------------------------
-    def _pop_lane(self, row: int, cycle: int) -> None:
-        """Pop lane ``row``'s entries due by ``cycle``; the last popped
-        id becomes active (its throttle flag with it)."""
-        state = self._ints[row]
-        cap = self._cap
-        head, length = int(state[_I_RING_HEAD]), int(state[_I_RING_LEN])
-        at, ids = self._ring_at[row], self._ring_id[row]
-        popped = -1
-        while length and at[head] <= cycle:
-            popped = int(ids[head])
-            head = (head + 1) % cap
-            length -= 1
-        state[_I_RING_HEAD] = head
-        state[_I_RING_LEN] = length
-        if popped >= 0 and popped != state[_I_ACTIVE]:
-            state[_I_ACTIVE] = popped
-            state[_I_ACTIVE_THR] = self._store_thr[row, popped % (cap + 1)]
 
     # ------------------------------------------------------------------
     def compact(self, keep: List[int]) -> "ControllerBank":

@@ -24,12 +24,14 @@ in the ablation benchmark (`benchmarks/test_ablation_prior_art.py`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.config import StackConfig
-from repro.core.controller import ControlDecision
+from repro.core.controller import (
+    _NP, _NQ, _P_IWMAX, _P_SAFE_W, _P_THR, _Q_HOLD, _Q_LATENCY, _Q_LAW,
+    _Q_PERIOD, _Q_WINDOW, LAW_THROTTLE, BankLane, LaneRow,
+)
 
 
 @dataclass(frozen=True)
@@ -80,17 +82,24 @@ class CheckpointRecoveryModel:
         return (1.0 + self.checkpoint_overhead) * (1.0 + wasted / cycles)
 
 
-class GlobalThrottleController:
+class GlobalThrottleController(BankLane):
     """Conventional detection-throttle, applied chip-wide.
 
-    Duck-type compatible with the co-simulator's controller interface
-    (``observe`` / ``commands_for`` / ``throttled_cycles``): when *any*
-    SM droops below the threshold, every SM's issue width is throttled
-    to ``throttle_width`` for ``hold_cycles``.  This is what a
-    single-layer scheme would do — and in a voltage stack it cannot
-    meet the guardband, because scaling all layer currents together
-    shrinks the *imbalance* (the actual noise source) only by the same
+    A lane of the controller bank under its second law: every observed
+    cycle counts a decision, and when *any* SM reads below
+    ``v_threshold`` (a NaN sample blocks it) and no trigger is pending,
+    a trigger is queued ``latency_cycles`` ahead.  The read that pops it
+    starts a hold of ``hold_cycles`` from that read cycle, and every SM's
+    issue width is ``throttle_width`` while a read falls inside the
+    hold, each such read counting a throttled cycle.  This is what a
+    single-layer scheme would do — and in a voltage stack it cannot meet
+    the guardband, because scaling all layer currents together shrinks
+    the *imbalance* (the actual noise source) only by the same
     proportion it costs in performance.
+
+    Pass one as ``CosimConfig.controller_object`` to swap it in for
+    Algorithm 1; the per-cycle Python reference it equals is
+    ``tests/oracles/global_throttle.py``.
     """
 
     def __init__(
@@ -105,46 +114,29 @@ class GlobalThrottleController:
             raise ValueError("bad threshold")
         if not 0 <= throttle_width <= 2.0:
             raise ValueError("bad throttle width")
+        # A hold under one cycle never throttles, and a negative latency
+        # would arm a trigger that is already due.
+        if hold_cycles < 1:
+            raise ValueError("hold_cycles must be at least 1")
+        if latency_cycles < 0:
+            raise ValueError("latency_cycles cannot be negative")
         self.stack = stack
         self.v_threshold = v_threshold
         self.throttle_width = throttle_width
         self.hold_cycles = hold_cycles
         self.latency_cycles = latency_cycles
-        self._throttle_until = -1
-        self._pending_trigger: Optional[int] = None
-        self.throttled_cycles = 0
-        self.triggers = 0
-        self.decisions_made = 0
+        self._join_own_bank()
 
-    def observe(self, cycle: int, sm_voltages: np.ndarray) -> None:
-        sm_voltages = np.asarray(sm_voltages, dtype=float)
-        if sm_voltages.shape != (self.stack.num_sms,):
-            raise ValueError(
-                f"expected {self.stack.num_sms} SM voltages"
-            )
-        self.decisions_made += 1
-        if self._pending_trigger is None and float(sm_voltages.min()) < self.v_threshold:
-            self._pending_trigger = cycle + self.latency_cycles
-            self.triggers += 1
-
-    def commands_for(self, cycle: int) -> ControlDecision:
-        if self._pending_trigger is not None and cycle >= self._pending_trigger:
-            self._throttle_until = cycle + self.hold_cycles
-            self._pending_trigger = None
-        n = self.stack.num_sms
-        throttling = cycle < self._throttle_until
-        if throttling:
-            self.throttled_cycles += 1
-        width = self.throttle_width if throttling else 2.0
-        return ControlDecision(
-            issue_widths=np.full(n, width),
-            fake_rates=np.zeros(n),
-            dcc_powers_w=np.zeros(n),
-            triggered_sms=list(range(n)) if throttling else [],
-        )
-
-    @property
-    def throttle_fraction(self) -> float:
-        if self.decisions_made == 0:
-            return 0.0
-        return self.triggers / self.decisions_made
+    def _lane_row(self) -> LaneRow:
+        # It decides every observed cycle, releases to the full issue
+        # width and throttles to throttle_width (the safe-width column).
+        params = [0.0] * _NP
+        params[_P_THR] = self.v_threshold
+        params[_P_IWMAX] = 2.0
+        params[_P_SAFE_W] = self.throttle_width
+        iparams = [0] * _NQ
+        iparams[_Q_PERIOD] = iparams[_Q_WINDOW] = 1
+        iparams[_Q_LATENCY] = self.latency_cycles
+        iparams[_Q_LAW] = LAW_THROTTLE
+        iparams[_Q_HOLD] = self.hold_cycles
+        return LaneRow(tuple(params), tuple(iparams))

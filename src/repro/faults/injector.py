@@ -20,11 +20,12 @@ the points ``run_cosim`` exposes:
 Stochastic faults draw from the schedule's own seeded generator, so a
 scenario is reproducible independently of the workload RNG.  The
 sensor and jitter draws (``corrupt_sensors``, ``observation_allowed``,
-``extra_latency``) run here for the serial test oracle, duck-typed
-controller lanes and a slow lane's command read; the compiled cycle
-kernel (``repro/sim/_cyclec.c``) makes the same draws through this
-generator's bit generator, for the events
-``FaultInjector.sensing_events`` describes.
+``extra_latency``) and the actuator distortion (``distort_actuation``)
+run here for the serial test oracle; the compiled cycle kernel
+(``repro/sim/_cyclec.c``) makes the same draws through this generator's
+bit generator, for the events ``FaultInjector.sensing_events``
+describes, and distorts every applied command with the actuator
+faults, sharing their frozen commands with this object.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class FaultInjector:
     power scales, frequency scales, halted SMs) can change their result
     only on the first cycle and on :meth:`edge_cycles`, where the loop
     calls them alone; the random draws happen only while an event of
-    their kind is active (:meth:`sensing`).  Per cycle, a lane draws for
-    its sensor events, then its observation, then its extra latency.
+    their kind is active.  Per cycle, a lane draws for its sensor
+    events, then its observation, then its extra latency.
     """
 
     def __init__(
@@ -189,7 +190,9 @@ class FaultInjector:
                 )
             self._pv_scales.append(scales)
 
-        # Actuator-stuck frozen snapshots (filled at activation edges).
+        # Actuator-stuck frozen snapshots (filled at activation edges),
+        # and whether each fault was active at the last distortion; the
+        # cycle kernel's fault table takes and hands back both.
         self._act_frozen: List[Optional[np.ndarray]] = [
             None for _ in self._actuator_events
         ]
@@ -212,26 +215,13 @@ class FaultInjector:
         self._halted_count = 0
         self._halted_through = 0
 
-        # Active-kind signature cache for the flight recorder: event
-        # windows are fixed, so the kinds tuple only changes at edges.
-        self._kinds_sig: Optional[Tuple[bool, ...]] = None
-        self._kinds_active: Tuple[str, ...] = ()
-
     # ------------------------------------------------------------------
     def active_kinds(self, cycle: int) -> Tuple[str, ...]:
-        """The kinds of every event active this recorded cycle.
-
-        Cheap enough for per-cycle sampling (the droop flight recorder
-        stores it alongside each ring row): the tuple is rebuilt only
-        when the activation signature changes.
-        """
-        sig = tuple(e.active(cycle) for e in self.schedule.events)
-        if sig != self._kinds_sig:
-            self._kinds_sig = sig
-            self._kinds_active = tuple(
-                e.kind for e, on in zip(self.schedule.events, sig) if on
-            )
-        return self._kinds_active
+        """The kinds of every event active this recorded cycle (the
+        droop flight recorder's fault column)."""
+        return tuple(
+            e.kind for e in self.schedule.events if e.active(cycle)
+        )
 
     def edge_cycles(self) -> List[int]:
         """Recorded cycles at which an event window opens or closes."""
@@ -239,13 +229,6 @@ class FaultInjector:
             c for e in self.schedule.events
             for c in (e.start_cycle, e.end_cycle)
         })
-
-    def sensing(self, cycle: int) -> Tuple[bool, bool]:
-        """Whether sensor-corruption / loop-jitter events are active."""
-        return (
-            any(e.active(cycle) for e in self._sensor_events),
-            any(e.active(cycle) for e in self._jitter_events),
-        )
 
     def sensing_events(self) -> List[Tuple[FaultEvent, np.ndarray]]:
         """The sensor events, then the jitter events, in schedule order
@@ -364,8 +347,7 @@ class FaultInjector:
 
     def extra_latency(self, cycle: int) -> int:
         """Additional command-readout latency injected this cycle.
-        Drawn after the observation; the cycle kernel draws it for a
-        fast lane, the co-sim loop for a slow one."""
+        Drawn after the observation."""
         extra = 0
         for event in self._jitter_events:
             if event.active(cycle) and event.extra_latency_cycles > 0:
@@ -455,10 +437,6 @@ class FaultInjector:
     @property
     def touches_circuit(self) -> bool:
         return bool(self._netlist_events or self._pv_events)
-
-    @property
-    def touches_actuation(self) -> bool:
-        return bool(self._actuator_events)
 
     @property
     def halts_sms(self) -> bool:

@@ -8,13 +8,14 @@
  * (repro/circuits/_solverc.c), linked into the same library, and glues
  * them with the loop's array work — process-variation scaling,
  * currents, SM-voltage readout, the controller bank's RC filter and
- * quantizer, Algorithm 1's decision wave, the fast lanes' latency-
- * pipeline pops and applies, the recording row — that the loop would
- * otherwise dispatch as many small NumPy calls and Python loops.  The
- * filter and the wave are also exported on their own (bank_filter,
- * bank_wave), for ControllerBank.observe (repro/core/controller.py).
- * The fault injectors' sensor and jitter draws
- * (repro/faults/injector.py) run here too, through each
+ * quantizer, its decision wave (Algorithm 1, or the prior-art global
+ * throttle), every lane's latency-pipeline pop and apply, the recording
+ * row — that the loop would otherwise dispatch as many small NumPy calls
+ * and Python loops.  The filter, the wave and the pop are also exported
+ * on their own (bank_filter, bank_wave, bank_pop), for the controllers'
+ * observe and commands_for (repro/core/controller.py).  The fault
+ * injectors' sensor and jitter draws and their actuator faults
+ * (repro/faults/injector.py) run here too, the draws through each
  * injector's own NumPy bit generator and the very distribution routines
  * its Generator calls, from the libnpyrandom.a archive NumPy ships for C
  * extensions: the streams, and the generators' final states, are the
@@ -45,20 +46,24 @@
  *   1  solve: powers + applied DCC -> PDN currents, then the guarded
  *      substeps (snapshot + health proof) on the shared batch clock;
  *   2  readout: SM voltages;
- *   3  filter: each sensing lane's fault draws (the row its detectors
- *      see, whether it observes, a fast lane's extra command latency),
- *      then the bank's RC filter and quantizer, masked when a seen
- *      sample is non-finite or a row unobserved;
- *   4  decide: the bank's decision wave when a lane is due, then the
- *      fast lanes' pops (at the cycle less their extra latency): each
- *      flags its lane in `apply` when its active decision differs from
- *      the one applied last;
+ *   3  filter: each faulted lane's draws (the row its detectors see,
+ *      whether it observes, its extra command latency) and actuator-
+ *      fault count, then the bank's RC filter and quantizer, masked when
+ *      a seen sample is non-finite or a row unobserved (a throttle row
+ *      reads its seen samples raw);
+ *   4  decide: the bank's decision wave when a lane is due, then every
+ *      lane's pop (bank_pop, at the cycle less its extra latency): each
+ *      flags its lane in `apply` when its active decision is a new one
+ *      or the loop asked for a re-apply (`reapply`), and counts in
+ *      n_stop the `watch` lanes with a new decision or a safe-state flip
+ *      this cycle;
  *   then the recording row (in warmup, the flight recorders' voltage
  *   row when they ride along), which ledgers this cycle's DCC, then
- *   the apply stage: each flagged lane's active command row into its
- *   engine (engine_actuate; its halted SMs, which are its barrier-exempt
- *   row, get width 0) and its dcc row.  A call with last >= 3 runs to
- *   the end.
+ *   the apply stage: each flagged lane's active command row, distorted
+ *   by its active actuator faults, becomes its row in force, goes into
+ *   its engine (engine_actuate; its halted SMs, which are its barrier-
+ *   exempt row, get width 0) and its dcc row.  A call with last >= 3
+ *   runs to the end.
  *
  * cosim_cycle returns 0 when every requested stage ran, CYC_RELAUNCH
  * (stage 0 flagged lanes for a kernel launch; nothing ran), CYC_SUSPECT
@@ -68,8 +73,8 @@
  * a negative error code with the offending lane in err_lane.
  *
  * cosim_span runs whole cycles start..stop-1 and stops at the first that
- * returns non-zero, or (stop_on_apply) with CYC_APPLY after one that
- * applied; span_at is the cycle it stopped at, stop when all ran.
+ * returns non-zero, or with CYC_APPLY after one with n_stop set; span_at
+ * is the cycle it stopped at, stop when all ran.
  */
 
 #include <math.h>
@@ -118,22 +123,27 @@ enum {
     I_SAT_DCC, I_WD_ENGAGE, I_SAFE_DEC, I_SAFE, I_SUBGUARD, I_HEALTHY,
     I_FB_SAMPLES, I_NAN_SAMPLES, I_LC_EVENTS, I_LC_FLAGGED, I_FLIPS,
     I_FLAP_HEAD, I_FLAP_LEN, I_ACTIVE, I_LAST_ID, I_RING_HEAD, I_RING_LEN,
-    I_ACTIVE_THR, I_AT_DEFAULT, I_APPLIED, NI
+    I_ACTIVE_THR, I_AT_DEFAULT, I_APPLIED, I_APPLIED_ID, I_UNTIL,
+    I_STEPPED, I_FLIP_AT, NI
 };
 enum { Q_PERIOD, Q_LATENCY, Q_WATCHDOG, Q_PATIENCE, Q_RELEASE, Q_WINDOW,
-       Q_MIN_FLIPS, NQ };
+       Q_MIN_FLIPS, Q_LAW, Q_HOLD, NQ };
 enum { P_THR, P_THR_HIGH, P_WIDEN, P_IWMAX, P_V_NOM, P_K1W1, P_K2W2,
        P_K3W3, P_UNIT, P_MAX_CODE, P_GUARD, P_SAFE_W, NP };
-enum { S_NEXT_DUE, S_UNIFORM, S_NEXT_POP, S_MIN_LATENCY };
-#define WAVE_GROW 2
-#define NO_POP ((i64)1 << 62)
+enum { S_NEXT_DUE, S_UNIFORM };
+/* A lane's law: Algorithm 1, or the prior-art global throttle (every SM
+ * at P_SAFE_W for Q_HOLD cycles after a trigger). */
+enum { LAW_ALG1, LAW_THROTTLE };
+#define WAVE_GROW (-1)
+#define NO_DUE ((i64)1 << 62)
 
-/* A sensing event's kind, its columns in the event table, and the
- * columns of a lane's draw counters (SENSE_KINDS, SenseTable and
- * SENSE_COUNTERS in repro/sim/_cyclec.py). */
-enum { K_NOISE, K_QUANT, K_STUCK, K_DROP, K_JITTER };
-enum { E_KIND, E_SM0, E_NSM, E_LATENCY, NE };
-enum { F_CORRUPTED, F_DROPPED, F_OBS_DROPPED, F_JITTER, NF };
+/* A fault event's kind (the sensing kinds, then an actuator fault's
+ * actuator), its columns in the event table (E_ARG: a jitter event's
+ * extra latency, or 1 when an actuator fault freezes), and a lane's
+ * counters (SENSE_KINDS, FaultTable, FAULT_COUNTERS in _cyclec.py). */
+enum { K_NOISE, K_QUANT, K_STUCK, K_DROP, K_JITTER, K_DIWS, K_FII, K_DCC };
+enum { E_KIND, E_SM0, E_NSM, E_ARG, NE };
+enum { F_CORRUPTED, F_DROPPED, F_OBS_DROPPED, F_JITTER, F_OVERRIDES, NF };
 
 /* A ControllerBank's struct-of-arrays state (B lanes, S SMs). */
 typedef struct {
@@ -159,6 +169,7 @@ typedef struct {
     const double *alpha;  /* double[B] */
     const double *step_v; /* double[B] */
     const u8 *fb_on;      /* u8[B] sensor fallback enabled */
+    double *in_force;     /* double[B*3S] command row last applied */
 } BankState;
 
 typedef struct {
@@ -196,26 +207,27 @@ typedef struct {
     i64 bank_lanes;
     void *bank;         /* BankState */
     void *bank_rows;    /* i64[bank_lanes] batch row of each bank row */
-    i64 sensing;        /* some sensing event below is active */
+    i64 faulted;        /* some event below is active */
     void *bitgens;      /* bitgen_t *[bank_lanes] each injector's, or NULL */
     void *ev_off;       /* i64[bank_lanes+1] row j's events: ev_off[j].. */
-    void *ev;           /* i64[n_ev*NE] sensor events, then jitter events */
+    void *ev;           /* i64[n_ev*NE] sensor, jitter, actuator events */
     void *ev_param;     /* double[n_ev] */
-    void *ev_sms;       /* i64[] target SMs, ~s where s is listed again */
+    void *ev_sms;       /* i64[] target SMs, ~s: a sensor event's repeat */
     void *ev_on;        /* u8[n_ev] active flags */
-    void *fault_counts; /* i64[bank_lanes*NF] the draws' counters */
+    void *ev_live;      /* u8[n_ev] an actuator fault applied since it began */
+    void *ev_frozen;    /* double[] a freezing fault's command, per ev_sms */
+    void *fault_counts; /* i64[bank_lanes*NF] the events' counters */
     void *extra;        /* i64[bank_lanes] out: extra command latency */
+    void *reapply;      /* u8[bank_lanes] re-apply in force (stage 4 clears) */
     void *seen;         /* double[bank_lanes*S] a corrupted sensor row */
     void *observed;     /* u8[bank_lanes] out */
     void *measured;     /* double[bank_lanes*S] masked measurement block */
     i64 masked;         /* stage 3 ran masked (measured holds the block) */
     i64 unobserved;     /* ... and a row was unobserved */
-    void *fast;         /* u8[bank_lanes] lanes whose pipeline stage 4 pops */
-    void *applied;      /* i64[bank_lanes] decision id applied last, -1 none */
     void *apply;        /* u8[bank_lanes] out: lanes applied this cycle */
     i64 n_apply;        /* out: how many */
-    i64 waved;          /* out: a wave ran */
-    i64 stop_on_apply;  /* cosim_span stops after a cycle that applied */
+    void *watch;        /* u8[bank_lanes] lanes whose changes stop a span */
+    i64 n_stop;         /* out: watch lanes with a new decision or flip */
     i64 span_at;        /* out: the cycle cosim_span stopped at */
     /* stage 3: the recording row */
     i64 warmup;
@@ -225,7 +237,6 @@ typedef struct {
     void *rec_volts;  /* double[lanes*cycles*S] */
     void *rec_supply; /* double[lanes*cycles] */
     i64 vdd_row;
-    i64 dcc_possible;
     void *dcc_accum; /* double[lanes] */
     void *dcc_trace; /* double[lanes*cycles], or NULL */
     void *flight_warm; /* double[lanes*warmup*S] warmup voltages, or NULL */
@@ -343,12 +354,12 @@ static void stage_readout(CycleState *cs) {
 
 /* Bank row j's sensor and jitter draws on its SM voltages v, through
  * its injector's bit generator, as FaultInjector.corrupt_sensors,
- * observation_allowed and extra_latency make them, in that order (a
- * slow lane's extra latency is drawn by the caller, after the call).
- * Sensor events apply in schedule order; an SM listed again later in
- * an event keeps only its last write, as NumPy's fancy-index store.
- * Returns the row the detectors see (v, or j's seen row once a sensor
- * event rewrote it) and sets *obs. */
+ * observation_allowed and extra_latency make them, in that order, then
+ * its active actuator faults' count (distort_actuation's).  Sensor
+ * events apply in schedule order; an SM listed again later in an event
+ * keeps only its last write, as NumPy's fancy-index store.  Returns the
+ * row the detectors see (v, or j's seen row once a sensor event rewrote
+ * it) and sets *obs. */
 static const double *sense(CycleState *cs, i64 j, const double *v, int *obs) {
     const i64 S = cs->num_sms;
     bitgen_t *bg = ((bitgen_t **)cs->bitgens)[j];
@@ -360,7 +371,7 @@ static const double *sense(CycleState *cs, i64 j, const double *v, int *obs) {
     double *seen = (double *)cs->seen + j * S;
     const double *row = v;
     i64 e = off[j];
-    for (; e < off[j + 1] && ev[e * NE + E_KIND] != K_JITTER; e++) {
+    for (; e < off[j + 1] && ev[e * NE + E_KIND] < K_JITTER; e++) {
         if (!on[e])
             continue;
         if (row == v)
@@ -389,7 +400,7 @@ static const double *sense(CycleState *cs, i64 j, const double *v, int *obs) {
     /* Jitter: the first dropped observation ends the drop draws. */
     const i64 jitter = e;
     *obs = 1;
-    for (e = jitter; e < off[j + 1] && *obs; e++) {
+    for (; e < off[j + 1] && ev[e * NE + E_KIND] == K_JITTER && *obs; e++) {
         const double p = param[e];
         if (on[e] && p > 0.0 && random_standard_uniform(bg) < p) {
             *obs = 0;
@@ -397,8 +408,8 @@ static const double *sense(CycleState *cs, i64 j, const double *v, int *obs) {
         }
     }
     i64 extra = 0;
-    for (e = jitter; e < off[j + 1] && ((const u8 *)cs->fast)[j]; e++) {
-        const i64 n = ev[e * NE + E_LATENCY];
+    for (e = jitter; e < off[j + 1] && ev[e * NE + E_KIND] == K_JITTER; e++) {
+        const i64 n = ev[e * NE + E_ARG];
         if (on[e] && n > 0) {
             uint64_t x; /* Generator.integers(0, n + 1) */
             random_bounded_uint64_fill(bg, 0, (uint64_t)n, 1, false, &x);
@@ -407,6 +418,8 @@ static const double *sense(CycleState *cs, i64 j, const double *v, int *obs) {
     }
     F[F_JITTER] += extra;
     ((i64 *)cs->extra)[j] = extra;
+    for (; e < off[j + 1]; e++)
+        F[F_OVERRIDES] += on[e] ? ev[e * NE + E_NSM] : 0;
     return row;
 }
 
@@ -414,12 +427,19 @@ static const double *sense(CycleState *cs, i64 j, const double *v, int *obs) {
  * detectors read this cycle (`obs`: whether the row observes at all):
  * only fresh (finite, observed) samples enter the filter; a dropped
  * sample holds its last good value (fallback on) or reads NaN, and is
- * counted in the lane's stats; an unobserved row changes nowhere.
- * Writes the row's measurement to `out` (for an all-fresh row, its
- * last_good row); returns the row's dropped samples. */
-static i64 filter_row(BankState *bs, i64 j, const double *seen, int obs,
+ * counted in the lane's stats; an unobserved row changes nowhere.  A
+ * throttle row's measurement is `seen` itself.  Writes the row's
+ * measurement to `out` (for an all-fresh Algorithm 1 row, its last_good
+ * row); returns whether it may differ from last_good. */
+static int filter_row(BankState *bs, i64 j, const double *seen, int obs,
                       double *out) {
     const i64 S = bs->num_sms;
+    i64 *I = bs->ints + j * NI;
+    I[I_STEPPED] = 1;
+    if (bs->iparams[j * NQ + Q_LAW] == LAW_THROTTLE) {
+        memcpy(out, seen, (size_t)S * sizeof(double));
+        return 1;
+    }
     double *st = bs->filter_state + j * S;
     double *m = bs->last_good + j * S;
     u8 *f = bs->fallback + j * S;
@@ -446,10 +466,9 @@ static i64 filter_row(BankState *bs, i64 j, const double *seen, int obs,
         }
         out[s] = fresh || !obs ? v : fb ? m[s] : NAN;
     }
-    i64 *I = bs->ints + j * NI;
     I[I_NAN_SAMPLES] += drops;
     I[I_FB_SAMPLES] += fb ? drops : 0;
-    return drops;
+    return drops > 0;
 }
 
 /* For ControllerBank.observe: every row's filter_row on the (B*S)
@@ -464,9 +483,9 @@ i64 bank_filter(BankState *bs, const double *seen, const u8 *observed,
     return 0;
 }
 
-/* The sensing lanes' draws, then filter_row on what each lane's
+/* The faulted lanes' draws, then filter_row on what each lane's
  * detectors see (the block's measurement is last_good unless a row
- * dropped a sample or did not observe: `masked`). */
+ * dropped a sample, did not observe or throttles: `masked`). */
 static void stage_filter(CycleState *cs) {
     BankState *bs = (BankState *)cs->bank;
     const i64 S = cs->num_sms;
@@ -477,12 +496,11 @@ static void stage_filter(CycleState *cs) {
         const double *seen = (const double *)cs->volts + rows[j] * S;
         int obs = 1;
         ((i64 *)cs->extra)[j] = 0;
-        if (cs->sensing && ev_off[j] < ev_off[j + 1])
+        if (cs->faulted && ev_off[j] < ev_off[j + 1])
             seen = sense(cs, j, seen, &obs);
         ((u8 *)cs->observed)[j] = (u8)obs;
-        const i64 drops =
-            filter_row(bs, j, seen, obs, (double *)cs->measured + j * S);
-        masked |= !obs || drops;
+        masked |= filter_row(bs, j, seen, obs,
+                             (double *)cs->measured + j * S) || !obs;
         unobserved |= !obs;
     }
     cs->masked = masked;
@@ -494,8 +512,9 @@ static void stage_filter(CycleState *cs) {
 static double np_max(double a, double b) { return isnan(a) || a > b ? a : b; }
 static double np_min(double a, double b) { return isnan(a) || a < b ? a : b; }
 
-/* The watchdog streaks on the decision's worst measured SM. */
-static void watchdog(i64 *I, const i64 *Q, const double *P, double worst) {
+/* The watchdog streaks on the decision's worst measured SM; returns
+ * whether the safe state flipped (the only place it does). */
+static int watchdog(i64 *I, const i64 *Q, const double *P, double worst) {
     if (worst < P[P_GUARD]) {
         I[I_SUBGUARD]++;
         I[I_HEALTHY] = 0;
@@ -507,9 +526,13 @@ static void watchdog(i64 *I, const i64 *Q, const double *P, double worst) {
         I[I_SAFE] = 1;
         I[I_WD_ENGAGE]++;
         I[I_HEALTHY] = 0;
-    } else if (I[I_SAFE] && I[I_HEALTHY] >= Q[Q_RELEASE]) {
-        I[I_SAFE] = 0;
+        return 1;
     }
+    if (I[I_SAFE] && I[I_HEALTHY] >= Q[Q_RELEASE]) {
+        I[I_SAFE] = 0;
+        return 1;
+    }
+    return 0;
 }
 
 /* Append the throttle flag t to the limit-cycle window ring, keeping
@@ -537,10 +560,36 @@ static void track_flap(i64 *I, const i64 *Q, u8 *flap, u8 t) {
     }
 }
 
-/* Lane b's decision on its measurement row m: watchdog, Algorithm 1 (or
- * the safe state), the slew clamp, the counters and the enqueue.  An
- * idle lane re-enqueues its last id; any other stores its command under
- * the next id (the slot of last id + 1 is free: see bank_wave). */
+/* Queue lane b's last id to take effect at cycle + its latency. */
+static void enqueue(BankState *bs, i64 b, i64 cycle) {
+    i64 *I = bs->ints + b * NI;
+    const i64 pos = (I[I_RING_HEAD] + I[I_RING_LEN]) % bs->cap;
+    bs->ring_at[b * bs->cap + pos] = cycle + bs->iparams[b * NQ + Q_LATENCY];
+    bs->ring_id[b * bs->cap + pos] = I[I_LAST_ID];
+    I[I_RING_LEN]++;
+}
+
+/* A throttle lane's decision on its seen samples m: when no trigger is
+ * pending and an SM reads below the threshold (NaN blocks it, as
+ * NumPy's min), queue one (GlobalThrottleController). */
+static void throttle_decide(BankState *bs, i64 b, i64 cycle,
+                            const double *m) {
+    i64 *I = bs->ints + b * NI;
+    double low = m[0];
+    for (i64 s = 1; s < bs->num_sms; s++)
+        low = np_min(low, m[s]);
+    I[I_DECISIONS]++;
+    if (!I[I_RING_LEN] && low < bs->params[b * NP + P_THR]) {
+        enqueue(bs, b, cycle);
+        I[I_TRIGGERS]++;
+    }
+}
+
+/* Lane b's decision on its measurement row m: watchdog (a flip notes
+ * its cycle), Algorithm 1 (or the safe state), the slew clamp, the
+ * counters and the enqueue.  An idle lane re-enqueues its last id; any
+ * other stores its command under the next id (the slot of last id + 1
+ * is free: see bank_wave). */
 static void decide_lane(BankState *bs, i64 b, i64 cycle, const double *m) {
     const i64 S = bs->num_sms, N = 3 * S, R = bs->cap + 1;
     i64 *I = bs->ints + b * NI;
@@ -552,8 +601,8 @@ static void decide_lane(BankState *bs, i64 b, i64 cycle, const double *m) {
     for (i64 s = 0; s < S; s++)
         if (m[s] < worst)
             worst = m[s];
-    if (worst != INFINITY)
-        watchdog(I, Q, P, worst);
+    if (worst != INFINITY && watchdog(I, Q, P, worst))
+        I[I_FLIP_AT] = cycle;
     const int safe = (int)I[I_SAFE];
     const i64 slot = (I[I_LAST_ID] + 1) % R;
     u8 *trig = bs->store_trig + (b * R + slot) * S;
@@ -626,18 +675,15 @@ static void decide_lane(BankState *bs, i64 b, i64 cycle, const double *m) {
         I[I_BOOST] += fii || dcc_on;
     }
     track_flap(I, Q, bs->flap + b * bs->flap_width, throttling);
-    const i64 pos = (I[I_RING_HEAD] + I[I_RING_LEN]) % bs->cap;
-    bs->ring_at[b * bs->cap + pos] = cycle + Q[Q_LATENCY];
-    bs->ring_id[b * bs->cap + pos] = I[I_LAST_ID];
-    I[I_RING_LEN]++;
+    enqueue(bs, b, cycle);
 }
 
 /* For ControllerBank.observe: the wave of the lanes due at `cycle`, on
  * the measurement block `measured` (B*S); `observed` (u8[B]) or NULL
  * when every lane observed.  One shared cadence decides every lane
  * together; an observed mask splits the phases for good, and lanes are
- * then due one by one.  Returns 1 when a wave ran, 0 when none was due,
- * or WAVE_GROW, changing nothing, when a due lane's ring is full or its
+ * then due one by one.  Returns 0, or WAVE_GROW, changing nothing, when
+ * a due lane's ring is full or its
  * next id's store slot is still live (its live ids, active through last
  * enqueued, must stay within cap + 1 consecutive values). */
 i64 bank_wave(BankState *bs, i64 cycle, const double *measured,
@@ -646,7 +692,6 @@ i64 bank_wave(BankState *bs, i64 cycle, const double *measured,
     if (cycle < scal[S_NEXT_DUE])
         return 0;
     const int uniform = scal[S_UNIFORM] && !observed;
-    i64 ndue = 0;
     for (i64 b = 0; b < bs->n_lanes; b++) {
         const i64 *I = bs->ints + b * NI;
         bs->due[b] = uniform ||
@@ -655,14 +700,17 @@ i64 bank_wave(BankState *bs, i64 cycle, const double *measured,
         if (bs->due[b] && (I[I_RING_LEN] >= bs->cap ||
                            I[I_LAST_ID] - I[I_ACTIVE] >= bs->cap))
             return WAVE_GROW;
-        ndue += bs->due[b];
     }
-    i64 next_due = NO_POP;
+    i64 next_due = NO_DUE;
     for (i64 b = 0; b < bs->n_lanes; b++) {
         i64 *I = bs->ints + b * NI;
+        const double *m = measured + b * bs->num_sms;
         if (bs->due[b]) {
             I[I_LAST] = cycle;
-            decide_lane(bs, b, cycle, measured + b * bs->num_sms);
+            if (bs->iparams[b * NQ + Q_LAW] == LAW_THROTTLE)
+                throttle_decide(bs, b, cycle, m);
+            else
+                decide_lane(bs, b, cycle, m);
         }
         const i64 due_at = I[I_LAST] + bs->iparams[b * NQ + Q_PERIOD];
         next_due = due_at < next_due ? due_at : next_due;
@@ -673,75 +721,135 @@ i64 bank_wave(BankState *bs, i64 cycle, const double *measured,
         scal[S_UNIFORM] = 0;
         scal[S_NEXT_DUE] = next_due;
     }
-    if (ndue && cycle + scal[S_MIN_LATENCY] < scal[S_NEXT_POP])
-        scal[S_NEXT_POP] = cycle + scal[S_MIN_LATENCY];
-    return ndue > 0;
+    return 0;
 }
 
-/* Pop every fast lane's entries due by its read cycle, `cycle` less its
- * extra latency (the last popped id becomes active, as in
- * ControllerBank._pop_lane), count the read cycle as commands_for
- * does, and flag the lanes whose active id is not the applied one. */
+/* A throttle lane's read at cycle `read`: a trigger that came due
+ * (`due`) starts the hold there; the lane throttles while the read is
+ * inside it, counting every read that does, and a change of state is a
+ * new command (the next id, its row stored as the wave stores one). */
+static void throttle_read(BankState *bs, i64 j, i64 read, int due) {
+    const i64 S = bs->num_sms, N = 3 * S, R = bs->cap + 1;
+    i64 *I = bs->ints + j * NI;
+    if (due)
+        I[I_UNTIL] = read + bs->iparams[j * NQ + Q_HOLD];
+    const u8 thr = read < I[I_UNTIL];
+    I[I_THROTTLED] += thr;
+    if (thr == I[I_ACTIVE_THR])
+        return;
+    const i64 slot = ++I[I_LAST_ID] % R;
+    double *cat = bs->store + (j * R + slot) * N;
+    memcpy(cat, bs->cat_default + j * N, (size_t)N * sizeof(double));
+    for (i64 s = 0; thr && s < S; s++)
+        cat[s] = bs->params[j * NP + P_SAFE_W];
+    memset(bs->store_trig + (j * R + slot) * S, thr, (size_t)S);
+    bs->store_thr[j * R + slot] = thr;
+    I[I_ACTIVE] = I[I_LAST_ID];
+    I[I_ACTIVE_THR] = thr;
+}
+
+/* For the controllers' commands_for, and stage 4: lane j's command read
+ * at cycle `read`.  Pops the entries due by then (the last popped id
+ * becomes active) and counts the read into throttled_cycles, once per
+ * cycle (a throttle lane: per read).  Returns the active id. */
+i64 bank_pop(BankState *bs, i64 j, i64 read) {
+    const i64 cap = bs->cap;
+    i64 *I = bs->ints + j * NI;
+    const i64 *at = bs->ring_at + j * cap;
+    i64 popped = -1;
+    I[I_STEPPED] = 1;
+    while (I[I_RING_LEN] && at[I[I_RING_HEAD]] <= read) {
+        popped = bs->ring_id[j * cap + I[I_RING_HEAD]];
+        I[I_RING_HEAD] = (I[I_RING_HEAD] + 1) % cap;
+        I[I_RING_LEN]--;
+    }
+    if (bs->iparams[j * NQ + Q_LAW] == LAW_THROTTLE) {
+        throttle_read(bs, j, read, popped >= 0);
+        return I[I_ACTIVE];
+    }
+    if (popped >= 0 && popped != I[I_ACTIVE]) {
+        I[I_ACTIVE] = popped;
+        I[I_ACTIVE_THR] = bs->store_thr[j * (cap + 1) + popped % (cap + 1)];
+    }
+    if (read > I[I_COUNTED]) {
+        I[I_COUNTED] = read;
+        I[I_THROTTLED] += I[I_ACTIVE_THR];
+    }
+    return I[I_ACTIVE];
+}
+
+/* Every lane's read at `cycle` less its extra latency; flag the lanes
+ * whose active id is new (counted as applied) or that must re-apply,
+ * and count the watch lanes that changed. */
 static void stage_pop(CycleState *cs, i64 cycle) {
     BankState *bs = (BankState *)cs->bank;
-    const i64 cap = bs->cap;
-    const u8 *fast = (const u8 *)cs->fast;
-    i64 *applied = (i64 *)cs->applied;
-    u8 *apply = (u8 *)cs->apply;
-    const int scan = cycle >= bs->scal[S_NEXT_POP];
-    i64 next_pop = NO_POP, n_apply = 0;
+    u8 *apply = (u8 *)cs->apply, *reapply = (u8 *)cs->reapply;
+    const u8 *watch = (const u8 *)cs->watch;
+    i64 n_apply = 0, n_stop = 0;
     for (i64 j = 0; j < cs->bank_lanes; j++) {
-        apply[j] = 0;
-        if (!fast[j])
-            continue;
         i64 *I = bs->ints + j * NI;
-        const i64 *at = bs->ring_at + j * cap;
-        const i64 read = cycle - ((const i64 *)cs->extra)[j];
-        if (scan) {
-            i64 popped = -1;
-            while (I[I_RING_LEN] && at[I[I_RING_HEAD]] <= read) {
-                popped = bs->ring_id[j * cap + I[I_RING_HEAD]];
-                I[I_RING_HEAD] = (I[I_RING_HEAD] + 1) % cap;
-                I[I_RING_LEN]--;
-            }
-            if (popped >= 0 && popped != I[I_ACTIVE]) {
-                I[I_ACTIVE] = popped;
-                I[I_ACTIVE_THR] =
-                    bs->store_thr[j * (cap + 1) + popped % (cap + 1)];
-            }
-            if (I[I_RING_LEN] && at[I[I_RING_HEAD]] < next_pop)
-                next_pop = at[I[I_RING_HEAD]];
+        const i64 id = bank_pop(bs, j, cycle - ((const i64 *)cs->extra)[j]);
+        const int fresh = id != I[I_APPLIED_ID];
+        if (fresh) {
+            I[I_APPLIED_ID] = id;
+            I[I_APPLIED]++;
         }
-        if (read > I[I_COUNTED]) {
-            I[I_COUNTED] = read;
-            I[I_THROTTLED] += I[I_ACTIVE_THR];
-        }
-        if (I[I_ACTIVE] != applied[j]) {
-            applied[j] = I[I_ACTIVE];
-            apply[j] = 1;
-            n_apply++;
-        }
+        apply[j] = fresh || reapply[j];
+        reapply[j] = 0;
+        n_apply += apply[j];
+        n_stop += watch && watch[j] && (fresh || I[I_FLIP_AT] == cycle);
     }
-    if (scan)
-        bs->scal[S_NEXT_POP] = next_pop;
     cs->n_apply = n_apply;
+    cs->n_stop = n_stop;
 }
 
-/* The flagged fast lanes' active decisions, as the GPU setters and a
- * DCC row copy apply them, each counted. */
+/* Bank row j's actuator faults on its command row cmd, in schedule
+ * order, as FaultInjector.distort_actuation: an active fault jams its
+ * SMs' command at its value, or freezes it at the command they had on
+ * its first active apply (earlier faults' distortion included). */
+static void distort(CycleState *cs, i64 j, double *cmd) {
+    const i64 *off = (const i64 *)cs->ev_off, *ev = (const i64 *)cs->ev;
+    const u8 *on = (const u8 *)cs->ev_on;
+    u8 *live = (u8 *)cs->ev_live;
+    double *frozen = (double *)cs->ev_frozen;
+    for (i64 e = off[j]; e < off[j + 1]; e++) {
+        const i64 kind = ev[e * NE + E_KIND];
+        if (kind <= K_JITTER)
+            continue;
+        if (!on[e]) {
+            live[e] = 0;
+            continue;
+        }
+        const i64 at = ev[e * NE + E_SM0], n = ev[e * NE + E_NSM];
+        const i64 *sm = (const i64 *)cs->ev_sms + at;
+        double *target = cmd + (kind - K_DIWS) * cs->num_sms;
+        for (i64 k = 0; k < n && !live[e]; k++)
+            frozen[at + k] = target[sm[k]];
+        live[e] = 1;
+        for (i64 k = 0; k < n; k++)
+            target[sm[k]] = ev[e * NE + E_ARG]
+                                ? frozen[at + k]
+                                : ((const double *)cs->ev_param)[e];
+    }
+}
+
+/* The flagged lanes' active command rows, distorted, into force: each
+ * as the GPU setters and a DCC row copy apply it. */
 static void stage_apply(CycleState *cs) {
     BankState *bs = (BankState *)cs->bank;
-    const i64 S = cs->num_sms, R = bs->cap + 1;
+    const i64 S = cs->num_sms, N = 3 * S, R = bs->cap + 1;
     const i64 *rows = (const i64 *)cs->bank_rows;
     for (i64 j = 0; j < cs->bank_lanes; j++) {
         if (!((const u8 *)cs->apply)[j])
             continue;
         const i64 b = rows[j], id = bs->ints[j * NI + I_ACTIVE];
-        const double *cat = bs->store + (j * R + id % R) * 3 * S;
-        bs->ints[j * NI + I_APPLIED]++;
-        engine_actuate(((struct EngineState **)cs->engine_states)[b], cat,
-                       cat + S, (const u8 *)cs->exempt + b * S);
-        memcpy((double *)cs->dcc + b * S, cat + 2 * S,
+        double *cmd = bs->in_force + j * N;
+        memcpy(cmd, bs->store + (j * R + id % R) * N,
+               (size_t)N * sizeof(double));
+        distort(cs, j, cmd);
+        engine_actuate(((struct EngineState **)cs->engine_states)[b], cmd,
+                       cmd + S, (const u8 *)cs->exempt + b * S);
+        memcpy((double *)cs->dcc + b * S, cmd + 2 * S,
                (size_t)S * sizeof(double));
     }
 }
@@ -763,13 +871,11 @@ static void stage_record(CycleState *cs, i64 cycle) {
         memcpy(rec_p + row * S, powers + b * S, (size_t)S * sizeof(double));
         memcpy(rec_v + row * S, volts + b * S, (size_t)S * sizeof(double));
         rec_i[row] = -sol[b * cs->sol_size + cs->vdd_row];
-        if (cs->dcc_possible) {
-            /* The DCC power applied this cycle, ledgered. */
-            double applied = 0.0 + pairwise_sum(dcc + b * S, S);
-            accum[lane[b]] = accum[lane[b]] + applied;
-            if (trace)
-                trace[row] = applied;
-        }
+        /* The DCC power applied this cycle, ledgered. */
+        const double applied = 0.0 + pairwise_sum(dcc + b * S, S);
+        accum[lane[b]] = accum[lane[b]] + applied;
+        if (trace)
+            trace[row] = applied;
     }
 }
 
@@ -826,7 +932,6 @@ i64 cosim_cycle(CycleState *cs, i64 cycle, i64 first, i64 last) {
             lap(cs, &t0, 2);
             return CYC_GROW;
         }
-        cs->waved = rc;
         stage_pop(cs, cycle);
         lap(cs, &t0, 2);
     }
@@ -846,7 +951,7 @@ i64 cosim_span(CycleState *cs, i64 start, i64 stop) {
     i64 rc = 0;
     for (cs->span_at = start; cs->span_at < stop && !rc; cs->span_at++) {
         rc = cosim_cycle(cs, cs->span_at, 0, 3);
-        if (!rc && cs->stop_on_apply && cs->n_apply)
+        if (!rc && cs->n_stop)
             rc = CYC_APPLY;
     }
     cs->span_at -= rc != 0;

@@ -5,8 +5,9 @@ one co-sim cycle — GPU step and process-variation scaling, PDN
 currents, guarded solver substeps, SM-voltage readout, the fault
 injectors' sensor and jitter draws, the controller bank's RC filter
 (masked for dropped samples and unobserved lanes), its decision wave,
-the fast lanes' pipeline pops and applies, and the recording row — in
-compiled code; :meth:`CycleKernel.span` runs many.
+every controller lane's pipeline pop and apply (actuator faults
+included), and the recording row — in compiled code;
+:meth:`CycleKernel.span` runs many.
 The kernel is part of the native library (:mod:`repro.native`) and
 calls the GPU engine and the PDN solver kernels linked beside it.  Its
 oracle is the serial co-sim loop ``tests/oracles/serial_cosim.py``.
@@ -21,6 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.faults.events import (
+    ActuatorStuck,
     ControlLoopJitter,
     SensorDropout,
     SensorNoise,
@@ -37,15 +39,18 @@ STAGE_GPU, STAGE_SOLVE, STAGE_READOUT, STAGE_FILTER, STAGE_DECIDE = range(5)
 #: Non-error return codes of ``cosim_cycle`` (APPLY: ``cosim_span``'s).
 RELAUNCH, SUSPECT, GROW, APPLY = 2, 3, 4, 5
 #: The sensing-event kinds, in the order of the ``K_*`` codes: each
-#: event class and the parameter its draws read.
+#: event class and the parameter its draws read.  The actuator faults'
+#: codes follow, one per actuator of :data:`ACTUATORS`.
 SENSE_KINDS = (
     (SensorNoise, "sigma_v"), (SensorQuantization, "step_v"),
     (SensorStuck, "value_v"), (SensorDropout, "probability"),
     (ControlLoopJitter, "drop_probability"),
 )
-#: The injector counters of the draws, in ``F_*`` column order.
-SENSE_COUNTERS = ("sensor_samples_corrupted", "sensor_samples_dropped",
-                  "observations_dropped", "latency_jitter_cycles")
+ACTUATORS = ("diws", "fii", "dcc")
+#: The injector counters of the events, in ``F_*`` column order.
+FAULT_COUNTERS = ("sensor_samples_corrupted", "sensor_samples_dropped",
+                  "observations_dropped", "latency_jitter_cycles",
+                  "actuation_overrides")
 
 
 class CCycleState(ctypes.Structure):
@@ -82,26 +87,27 @@ class CCycleState(ctypes.Structure):
         ("bank_lanes", _I64),
         ("bank", _PTR),
         ("bank_rows", _PTR),
-        ("sensing", _I64),
+        ("faulted", _I64),
         ("bitgens", _PTR),
         ("ev_off", _PTR),
         ("ev", _PTR),
         ("ev_param", _PTR),
         ("ev_sms", _PTR),
         ("ev_on", _PTR),
+        ("ev_live", _PTR),
+        ("ev_frozen", _PTR),
         ("fault_counts", _PTR),
         ("extra", _PTR),
+        ("reapply", _PTR),
         ("seen", _PTR),
         ("observed", _PTR),
         ("measured", _PTR),
         ("masked", _I64),
         ("unobserved", _I64),
-        ("fast", _PTR),
-        ("applied", _PTR),
         ("apply", _PTR),
         ("n_apply", _I64),
-        ("waved", _I64),
-        ("stop_on_apply", _I64),
+        ("watch", _PTR),
+        ("n_stop", _I64),
         ("span_at", _I64),
         ("warmup", _I64),
         ("cycles", _I64),
@@ -110,7 +116,6 @@ class CCycleState(ctypes.Structure):
         ("rec_volts", _PTR),
         ("rec_supply", _PTR),
         ("vdd_row", _I64),
-        ("dcc_possible", _I64),
         ("dcc_accum", _PTR),
         ("dcc_trace", _PTR),
         ("flight_warm", _PTR),
@@ -124,16 +129,21 @@ def _addr(arr: Optional[np.ndarray]) -> Optional[int]:
     return None if arr is None else arr.ctypes.data
 
 
-class SenseTable:
-    """The bank rows' sensor and jitter events, laid out for the filter
-    stage: one row per bank row, each with its injector (``None``: no
-    faults) and that injector's ``sensing_events``.  ``extra`` receives
-    each row's extra command latency, ``fault_counts`` its draws'
-    counters."""
+class FaultTable:
+    """The bank rows' fault events, laid out for the kernel: per bank
+    row its injector's (``None``: no faults) ``sensing_events``, then
+    its actuator faults.  ``extra`` receives each row's extra command
+    latency, ``fault_counts`` its counters.  An actuator fault's frozen
+    command (``ev_frozen``) and whether it applied since it began
+    (``ev_live``) are the injector's ``_act_frozen`` /
+    ``_act_was_active``, taken here and handed back by :meth:`fold`, so
+    a table rebuilt mid-run goes on from them."""
 
     def __init__(self, injectors: list) -> None:
         self.injectors = injectors
         self.events = []
+        # (table row, injector, index among its actuator faults)
+        self.actuators = []
         off, ev, params, sms = [0], [], [], []
         for inj in injectors:
             for event, idx in (
@@ -152,40 +162,71 @@ class SenseTable:
                 # ~s marks an SM the event lists again later.
                 sms.extend(s if last[s] == k else ~s
                            for k, s in enumerate(idx))
+            for k, event in enumerate(
+                inj.schedule.of_kind(ActuatorStuck.kind)
+                if inj is not None else ()
+            ):
+                self.actuators.append((len(ev), inj, k))
+                ev.append((len(SENSE_KINDS) + ACTUATORS.index(event.actuator),
+                           len(sms), len(event.sms), event.value is None))
+                params.append(0.0 if event.value is None else event.value)
+                self.events.append(event)
+                sms.extend(event.sms)
             off.append(len(ev))
         self.ev_off = np.array(off, dtype=np.int64)
         self.ev = np.array(ev, dtype=np.int64).reshape(-1, 4)
         self.ev_param = np.array(params, dtype=float)
         self.ev_sms = np.array(sms, dtype=np.int64)
         self.ev_on = np.zeros(len(ev), dtype=bool)
+        self.ev_live = np.zeros(len(ev), dtype=bool)
+        self.ev_frozen = np.zeros(len(sms))
+        for e, inj, k in self.actuators:
+            if inj._act_was_active[k]:
+                self.ev_live[e] = True
+                self.ev_frozen[self._sms(e)] = inj._act_frozen[k]
         self.bitgens = np.array([
             inj.rng.bit_generator.ctypes.bit_generator.value
             if inj is not None else 0 for inj in injectors
         ], dtype=np.uintp)
-        self.fault_counts = np.zeros((len(injectors), 4), dtype=np.int64)
+        self.fault_counts = np.zeros(
+            (len(injectors), len(FAULT_COUNTERS)), dtype=np.int64
+        )
         self.extra = np.zeros(len(injectors), dtype=np.int64)
+        self.reapply = np.zeros(len(injectors), dtype=bool)
+
+    def _sms(self, e: int) -> slice:
+        """Event ``e``'s slice of the target-SM table."""
+        return slice(self.ev[e, 1], self.ev[e, 1] + self.ev[e, 2])
 
     def fields(self) -> dict:
         """The ``CCycleState`` pointer fields of the table."""
         return {
             name: _addr(getattr(self, name)) for name in (
                 "bitgens", "ev_off", "ev", "ev_param", "ev_sms", "ev_on",
-                "fault_counts", "extra",
+                "ev_live", "ev_frozen", "fault_counts", "extra", "reapply",
             )
         }
 
     def refresh(self, recorded_cycle: int) -> bool:
-        """Set the active flags at ``recorded_cycle``; whether any is."""
+        """Set the active flags at ``recorded_cycle`` and ask every row
+        to re-apply its command in force, whose actuator faults may have
+        changed; whether any event is active."""
         self.ev_on[:] = [e.active(recorded_cycle) for e in self.events]
+        self.reapply[:] = True
         return bool(self.ev_on.any())
 
     def fold(self) -> None:
-        """Add the draws' counters into their injectors' and zero them."""
+        """Add the counters into their injectors' and zero them; hand
+        the actuator faults' state back."""
         for inj, counts in zip(self.injectors, self.fault_counts.tolist()):
-            for name, count in zip(SENSE_COUNTERS, counts):
+            for name, count in zip(FAULT_COUNTERS, counts):
                 if count:
                     inj.counters[name] += count
         self.fault_counts[:] = 0
+        for e, inj, k in self.actuators:
+            inj._act_was_active[k] = live = bool(self.ev_live[e])
+            if live:
+                inj._act_frozen[k] = self.ev_frozen[self._sms(e)].copy()
 
 
 class CycleKernel:
@@ -199,20 +240,22 @@ class CycleKernel:
 
     With a bank it owns the filter's blocks — ``seen``, ``observed``
     and ``measured`` — and the decide stage's ``apply`` flags (bank rows
-    whose new active decision the kernel applied; ``state.n_apply``
-    counts them).  The loop passes ``fast`` (the bank rows the kernel
-    pops and applies) and ``applied`` (each row's last applied decision
-    id, updated by the kernel), and sets ``state.stop_on_apply`` for its
-    recorders.
+    the kernel applied to this cycle; ``state.n_apply`` counts them).
+    Every bank row is popped and applied here: the bank keeps which
+    decision each row applied last and the row in force.  ``watch``
+    (bool per bank row, or ``None``) names the rows whose new decisions
+    and safe-state flips end a span (``state.n_stop`` counts them): the
+    loop's recorder lanes.
 
     ``injectors`` (one per bank row, ``None`` for none) describe their
-    sensor and jitter events once; the filter stage draws for the active
-    ones through each injector's bit generator (the co-sim loop is
-    single-threaded and never shares an injector, so the Generator's
-    lock is not needed), a fast lane's extra latency included.  The loop
-    refreshes the active flags on its edge cycles
-    (:meth:`refresh_sensing`) and folds the draws' counters back into
-    the injectors (``sense.fold``).
+    fault events once (:class:`FaultTable`): the filter stage draws for
+    the active sensing events through each injector's bit generator
+    (the co-sim loop is single-threaded and never shares an injector, so
+    the Generator's lock is not needed), its extra command latency
+    included, and the apply stage distorts with the active actuator
+    faults.  The loop refreshes the active flags on its edge cycles
+    (:meth:`refresh_faults`) and folds the counters back into the
+    injectors (``faults.fold``).
     """
 
     def __init__(
@@ -232,8 +275,7 @@ class CycleKernel:
         bank,
         bank_rows: Optional[np.ndarray],
         injectors: Optional[list],
-        fast: Optional[np.ndarray],
-        applied: Optional[np.ndarray],
+        watch: Optional[np.ndarray],
         pv_rows: np.ndarray,
         pv_count: np.ndarray,
         warmup: int,
@@ -243,7 +285,6 @@ class CycleKernel:
         rec_volts: np.ndarray,
         rec_supply: np.ndarray,
         vdd_row: int,
-        dcc_possible: bool,
         dcc_accum: np.ndarray,
         dcc_trace: Optional[np.ndarray],
         flight_warm: Optional[np.ndarray],
@@ -271,14 +312,14 @@ class CycleKernel:
             self.measured = np.empty((bank_lanes, num_sms))
             self.observed = np.ones(bank_lanes, dtype=bool)
             self.apply = np.zeros(bank_lanes, dtype=bool)
-            if fast.dtype != bool or applied.dtype != np.int64:
-                raise ValueError("fast/applied must be bool / int64")
-        self.sense = SenseTable(injectors or [None] * bank_lanes)
+            if watch.dtype != bool or watch.shape != (bank_lanes,):
+                raise ValueError("watch must hold one bool per bank row")
+        self.faults = FaultTable(injectors or [None] * bank_lanes)
         self._refs = [
             fused, dcc, currents, volts, top_idx, bot_idx, bank_rows,
             lane_index, rec_powers, rec_volts, rec_supply, dcc_accum,
             dcc_trace, flight_warm, stage_s, guard, bank, pv_rows, pv_count,
-            fast, applied,
+            watch,
         ]
         self.state = CCycleState(
             n_lanes=n_lanes,
@@ -311,13 +352,12 @@ class CycleKernel:
             bank_lanes=bank_lanes,
             bank=ctypes.addressof(bank._bind_c()) if bank_lanes else None,
             bank_rows=_addr(bank_rows) if bank_lanes else None,
-            **self.sense.fields(),
+            **self.faults.fields(),
             seen=_addr(self.seen) if bank_lanes else None,
             observed=_addr(self.observed) if bank_lanes else None,
             measured=_addr(self.measured) if bank_lanes else None,
-            fast=_addr(fast) if bank_lanes else None,
-            applied=_addr(applied) if bank_lanes else None,
             apply=_addr(self.apply) if bank_lanes else None,
+            watch=_addr(watch) if bank_lanes else None,
             warmup=warmup,
             cycles=cycles,
             lane_index=_addr(lane_index),
@@ -325,7 +365,6 @@ class CycleKernel:
             rec_volts=_addr(rec_volts),
             rec_supply=_addr(rec_supply),
             vdd_row=vdd_row,
-            dcc_possible=int(dcc_possible),
             dcc_accum=_addr(dcc_accum),
             dcc_trace=_addr(dcc_trace),
             flight_warm=_addr(flight_warm),
@@ -336,10 +375,10 @@ class CycleKernel:
         self.call = fused.lib.cosim_cycle
         self.span_call = fused.lib.cosim_span
 
-    def refresh_sensing(self, recorded_cycle: int) -> None:
-        """Set the sensing events' active flags at ``recorded_cycle``
+    def refresh_faults(self, recorded_cycle: int) -> None:
+        """Set the fault events' active flags at ``recorded_cycle``
         (they change only on their lanes' edge cycles)."""
-        self.state.sensing = self.sense.refresh(recorded_cycle)
+        self.state.faulted = self.faults.refresh(recorded_cycle)
 
     def sync_solver(self) -> None:
         """Repoint the kernel at the solver's current C state.
@@ -369,9 +408,10 @@ class CycleKernel:
     def span(self, start: int, stop: int) -> Tuple[int, int]:
         """Run whole cycles ``start``..``stop - 1``, each as :meth:`run`
         does (relaunches and ring growth included).  Returns ``(0, stop)``,
-        ``(APPLY, at)`` (``state.stop_on_apply``: cycle ``at`` applied a
-        new decision) or ``(SUSPECT, at)`` (cycle ``at`` ran through the
-        health proof, which flagged lanes)."""
+        ``(APPLY, at)`` (a ``watch`` row applied a new decision or
+        flipped its safe state at cycle ``at``) or ``(SUSPECT, at)``
+        (cycle ``at`` ran through the health proof, which flagged
+        lanes)."""
         state = self.state
         while True:
             rc = self.span_call(self.ptr, start, stop)
@@ -381,7 +421,7 @@ class CycleKernel:
                 start = at
             elif rc == GROW:
                 self._finish(rc, at)
-                if state.stop_on_apply and state.n_apply:
+                if state.n_stop:
                     return APPLY, at
                 start = at + 1
                 if start == stop:

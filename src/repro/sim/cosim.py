@@ -47,6 +47,7 @@ from repro.core.controller import (
     ControllerConfig,
     VoltageSmoothingController,
 )
+from repro.core.prior_art import GlobalThrottleController
 from repro.gpu.gpu import GPU
 from repro.gpu.kernels import KernelSpec
 from repro.pdn.builder import (
@@ -146,9 +147,11 @@ class CosimConfig:
     # threaded through the loop by a FaultInjector.  Event cycles use
     # the same convention as ``shutoff`` (0 = end of warmup).
     faults: Optional["FaultSchedule"] = None
-    # Swap in an alternative controller implementation (duck-typed:
-    # observe / commands_for / throttled_cycles) — used by the
-    # prior-art ablation (e.g. GlobalThrottleController).
+    # Swap in a controller object for the lane: a fresh
+    # VoltageSmoothingController, or the prior-art
+    # GlobalThrottleController of the ablation.  Either runs as a lane
+    # of the loop's controller bank; any other object, or one that has
+    # already stepped, is rejected when the run is built.
     controller_object: Optional[object] = field(default=None, compare=False)
     # Numerical guard-rails (repro.circuits.SolverGuard): detect
     # non-finite / blown-up solves once per cycle and recover by
@@ -351,11 +354,12 @@ def run_cosim(
                 "faults_armed", schedule=config.faults.name,
                 num_events=len(config.faults), seed=config.faults.seed,
             )
+    lane = CosimLane(benchmark, config, kernel)
+    _check_controller_objects([lane])
     # None (a recorder only alongside telemetry) and False pass through.
     flights = flight if flight is None or flight is False else [flight]
     (ln,), _, _ = _simulate(
-        [CosimLane(benchmark, config, kernel)], system, params, tele,
-        flights, serial=True,
+        [lane], system, params, tele, flights, serial=True,
     )
     result = ln.result
     if tele is not None:
@@ -412,7 +416,7 @@ def _record_cosim_telemetry(
     if result.divergence is not None:
         tele.event("numerical_divergence", **result.divergence)
     if controller is not None:
-        # Duck-typed controllers (prior-art ablations) expose a subset.
+        # The prior-art throttle keeps no statistics.
         stats = getattr(controller, "stats", None)
         stats = stats() if callable(stats) else {}
         for key in ("decisions_made", "triggers", "throttle_decisions",
@@ -491,15 +495,6 @@ def run_crosslayer_cosim(
 # ---------------------------------------------------------------------------
 # The co-sim loop: B lock-stepped lanes (run_cosim is B=1)
 # ---------------------------------------------------------------------------
-def _halted(widths: np.ndarray, halted_idx: List[int]) -> np.ndarray:
-    """Issue widths with the halted SMs' zeroed, on a copy when any are."""
-    if not halted_idx:
-        return widths
-    widths = widths.copy()
-    widths[halted_idx] = 0.0
-    return widths
-
-
 @dataclass(frozen=True)
 class CosimLane:
     """One scenario of a batched co-simulation.
@@ -523,8 +518,35 @@ _LANE_SHARED_FIELDS = (
     "cycles", "warmup_cycles", "circuit_substeps", "cr_ivr_area_mm2",
     "solver_guard",
 )
-# Cycles of flight-recorder state the co-sim loop stages per hand-over.
-_FLIGHT_BLOCK = 256
+def _check_controller_objects(lanes: List[CosimLane]) -> None:
+    """Reject a controller object the controller bank cannot own: one of
+    another class, one that has already stepped (its pipeline and
+    counters belong to another run), or one shared by two lanes."""
+    owner: Dict[int, int] = {}
+    for i, lane in enumerate(lanes):
+        obj = lane.config.controller_object
+        if obj is None or not lane.config.use_controller:
+            continue
+        if type(obj) not in (VoltageSmoothingController,
+                             GlobalThrottleController):
+            raise TypeError(
+                f"lane {i}: controller_object must be a "
+                "VoltageSmoothingController or a GlobalThrottleController, "
+                f"got {type(obj).__name__}"
+            )
+        if obj.stepped:
+            raise ValueError(
+                f"lane {i}: its controller_object has already stepped; "
+                "give each run a fresh controller"
+            )
+        # A controller object carries one lane's state: two lanes
+        # stepping the same one would corrupt each other.
+        j = owner.setdefault(id(obj), i)
+        if j != i:
+            raise ValueError(
+                f"lanes {j} and {i} share one controller_object; give "
+                "each lane its own controller"
+            )
 
 
 class _LaneState:
@@ -532,12 +554,10 @@ class _LaneState:
 
     __slots__ = (
         "index", "lane", "name", "config", "gpu", "pdn", "solver", "injector",
-        "controller", "controller_power", "in_bank", "shutoff_sms",
+        "controller", "controller_power", "shutoff_sms",
         "instructions_at_start", "fakes_at_start", "throttled_at_start",
-        "applied_decision", "halted_idx", "jitter_on",
-        "in_fast", "last_decision", "flight", "flight_safe",
-        "row", "dead", "dead_at", "divergence", "guard",
-        "result", "dcc_trace", "flight_row", "flight_marks",
+        "halted_idx", "flight", "row", "dead", "dead_at", "divergence",
+        "guard", "result", "dcc_trace", "flight_row", "flight_marks",
     )
 
     def __init__(self, index: int, lane: int) -> None:
@@ -562,34 +582,17 @@ class _LaneState:
         self.injector = None
         self.controller = None
         self.controller_power = 0.0
-        self.in_bank = False
-        # Flight-recorder sampling state: fast lanes read the bank's
-        # active decision; slow lanes record the last commands_for
-        # return here (what the serial oracle loop sees each cycle).
-        self.in_fast = False
-        self.last_decision = None
         self.flight = None
-        self.flight_safe = False
         # The lane's current (decision, fault kinds, safe) flight row,
-        # and the (cycle, row) marks of its changes not yet handed to
-        # the flight recorder.
+        # and the (cycle, row) marks of its changes, handed to the
+        # flight recorder at the end of the run.
         self.flight_row = None
         self.flight_marks: list = []
         self.shutoff_sms: List[int] = []
         self.instructions_at_start = 0
         self.fakes_at_start = 0
         self.throttled_at_start = 0
-        # Actuation gating of a slow lane: the last applied decision.
-        # GPU setters are idempotent for identical values, so re-applying
-        # an unchanged decision is skipped; holding a strong reference to
-        # the applied decision keeps the identity check sound.  A halt
-        # edge clears it.
-        self.applied_decision = None
         self.halted_idx: List[int] = []
-        # Whether the injector's loop-jitter events are active (set on
-        # the lane's edge cycles): a slow lane then draws its extra
-        # command latency.
-        self.jitter_on = False
 
 
 def _lane_groups(count: int) -> List[Tuple[int, int]]:
@@ -628,8 +631,8 @@ def run_cosim_batch(
     index in the call (lane-targeted chaos poison, divergence
     verdicts, quarantine and ``cosim_batch_lane_done`` events); the
     first group to reach a chaos cycle claims its events and later
-    groups replay them; ``flights`` is checked against the whole call
-    before any lane runs.
+    groups replay them; ``flights`` and the lanes' controller objects
+    are checked against the whole call before any lane runs.
 
     All lanes must share the topology-family fields of
     :class:`CosimLane`.  ``telemetry`` records batch-level stage timings
@@ -657,18 +660,7 @@ def run_cosim_batch(
                     f"{field_name} differs ({a} != {b}); run incompatible "
                     "scenarios in separate batches"
                 )
-    # A controller object carries one lane's state: two lanes stepping
-    # the same one would corrupt each other.
-    owner: Dict[int, int] = {}
-    for i, lane in enumerate(lanes):
-        obj = lane.config.controller_object
-        if obj is not None and lane.config.use_controller:
-            j = owner.setdefault(id(obj), i)
-            if j != i:
-                raise ValueError(
-                    f"lanes {j} and {i} share one controller_object; give "
-                    "each lane its own controller"
-                )
+    _check_controller_objects(lanes)
     per_lane_flights = flights is not None and flights is not False
     if per_lane_flights and len(flights) != len(lanes):
         raise ValueError(
@@ -749,20 +741,19 @@ def _simulate(
     and process-variation scaling, currents, guarded substeps,
     SM-voltage readout, the injectors' sensor and jitter draws, the
     bank's RC filter (masked for dropped samples and unobserved lanes),
-    waves and pops, the recording row and the fast lanes' new commands
-    — a span of cycles per call, up to the next event: a lane's edge
-    cycle (its first cycle and every fault or shutoff window start or
-    end), the warmup snapshot, a chaos cycle, a flight hand-over or
-    (recorders attached) an apply.  A lane that needs Python every
-    cycle (a slow controller, recorder marks) cuts spans to one cycle.
-    Python keeps the event work: fault hooks (circuit and DFS hooks,
-    like a chaos event, split the cycle after the GPU stage; halt hooks
-    re-apply actuation after it), slow lanes' commands (and their extra
-    latency draws), guard recovery and lane quarantine, the warmup
-    snapshot and flight-recorder blocks.  Lanes' deferred mirrors (GPU
-    cycle and memory queue, solver time and step count) and the
-    kernel's fault-draw counters are folded back before hooks read
-    them, at a quarantine and at the end.
+    waves and pops, the recording row and every controller lane's new
+    commands, distorted by its actuator faults — a span of cycles per
+    call, up to the next event: a lane's edge cycle (its first cycle
+    and every fault or shutoff window start or end), the warmup
+    snapshot, a chaos cycle, a guard suspect, or a recorder lane's
+    apply or safe-state flip.  Python keeps the event work: fault hooks
+    (circuit and DFS hooks, like a chaos event, split the cycle after
+    the GPU stage; halt hooks re-apply actuation after it), guard
+    recovery and lane quarantine, the warmup snapshot, the recorders'
+    marks and, at the end (or a lane's eviction), their hand-over.
+    Lanes' deferred mirrors (GPU cycle and memory queue, solver time and
+    step count) and the kernel's fault counters are folded back before
+    hooks read them, at a quarantine and at the end.
 
     Returns the per-lane states, each carrying its ``result``, the
     batch solver that finished the run, and how many cycles ran through
@@ -878,19 +869,13 @@ def _simulate(
     alive: List[_LaneState] = list(states)
     alive_idx: Optional[np.ndarray] = None
 
-    # Batched sensor/decision front end: every stock-controller lane is
-    # a bank row.  The bank is fed what each lane's detectors *see*:
-    # the true voltages, or the fault injector's corrupted copy, with a
+    # Batched sensor/decision front end: every controller lane is a
+    # bank row.  The bank is fed what each lane's detectors *see*: the
+    # true voltages, or the fault injector's corrupted copy, with a
     # per-lane observed mask for loop-jitter drops (the kernel draws
-    # both).  Only duck-typed controller objects observe on their own,
-    # per lane.
+    # both), and the kernel pops and applies every row's commands.
     bank = None
-    bank_members = [
-        ln for ln in states
-        if isinstance(ln.controller, VoltageSmoothingController)
-    ]
-    for ln in bank_members:
-        ln.in_bank = True
+    bank_members = [ln for ln in states if ln.controller is not None]
     if bank_members:
         bank = ControllerBank([ln.controller for ln in bank_members])
 
@@ -932,7 +917,7 @@ def _simulate(
     dcc_trace_bt = np.zeros((num_lanes, cycles)) if trace_dcc else None
     # The edge schedule.  Fault and shutoff windows are fixed, so the
     # circuit, DFS and halt hooks, the process-variation rows and the
-    # lanes' sensing flags can change only on a lane's edge cycles: its
+    # lanes' fault flags can change only on a lane's edge cycles: its
     # first cycle and every window start or end inside the run.  The
     # hooks run there alone (keyed by loop cycle).
     edges: Dict[int, List[_LaneState]] = {}
@@ -959,47 +944,6 @@ def _simulate(
     ]
     pv_rows_bt = np.zeros((num_lanes, max(pv_k), num))
     pv_count = np.zeros(num_lanes, dtype=np.int64)
-    # Fast lanes — bank-controlled, commands applied undistorted —
-    # apply actuation only when a new decision pops out of the latency
-    # pipeline (decisions are immutable once enqueued, so nothing can
-    # change between pops) or a halt edge changes the halted set; faults
-    # that touch the sensors, the loop timing, the circuit or the halted
-    # SMs leave that path intact.  The kernel pops their pipelines at
-    # each lane's read cycle (the cycle less a jitter fault's extra
-    # latency), counts it as commands_for would, and applies the rows
-    # it flags.  The rest replicate the serial per-cycle commands_for
-    # path.  (A pre-used controller object that already counted cycles
-    # keeps that path.)
-    for ln in bank_members:
-        ln.in_fast = (
-            ln.controller._counted_through_cycle < 0
-            and not (ln.injector is not None and ln.injector.touches_actuation)
-        )
-    slow_ctrl_lanes = [
-        ln for ln in states
-        if ln.controller is not None and not ln.in_fast
-    ]
-    # Per bank row: whether the lane is fast, and the id of the decision
-    # the loop applied to it last (-1: none yet).
-    fast_rows = np.array([ln.in_fast for ln in bank_members], dtype=bool)
-    applied_ids = np.full(len(bank_members), -1, dtype=np.int64)
-    # Skip the per-cycle applied-DCC reduction when no lane can ever
-    # command nonzero DCC power (w3 == 0 and no actuation-distorting
-    # faults): the serial ledger accumulates exact 0.0 adds, which is
-    # bitwise what an untouched accumulator holds.
-    def _lane_dcc_possible(ln: _LaneState) -> bool:
-        if ln.injector is not None and ln.injector.touches_actuation:
-            return True
-        if ln.controller is None:
-            return False
-        if ln.config.controller_object is not None:
-            return True
-        actuation = getattr(ln.controller, "actuation", None)
-        w3 = getattr(actuation, "w3", None)
-        return w3 is None or w3 != 0.0
-
-    dcc_possible = any(_lane_dcc_possible(ln) for ln in states)
-
     # Droop flight recorders: one per lane alongside telemetry (or as
     # passed), observation-only so bit-identity with serial runs holds.
     if flights is None and tele is not None:
@@ -1015,52 +959,29 @@ def _simulate(
         ]
     elif flights is False:
         flights = None
-    flight_lanes: List[_LaneState] = []
-    if flights is not None:
-        for ln, fr in zip(states, flights):
-            ln.flight = fr
-            if fr is not None:
-                ln.flight_safe = hasattr(ln.controller, "in_safe_state")
-                flight_lanes.append(ln)
-    # Recorders take the loop's state in blocks: a lane marks the cycle
-    # its (decision, fault kinds, safe) row changes, and every
-    # _FLIGHT_BLOCK cycles the rows go over as runs with their
-    # voltages, read back from the recorded waveform (or a warmup
-    # buffer).  A fast lane without an injector changes row only when
-    # a pop applies a new decision or (watchdog on) a wave flips its
-    # safe state, so only those cycles look at it; the other lanes
-    # look every cycle.
+    for ln, fr in zip(states, flights or ()):
+        ln.flight = fr
+    flight_lanes = [ln for ln in states if ln.flight is not None]
+    # A recorder lane's (decision, fault kinds, safe) row changes only on
+    # its edge cycles, applies and safe-state flips, where spans stop and
+    # the loop marks it.  At the end (or its eviction) the recorder gets
+    # its warmup window, kept here, and its recorded window.
     flight_warm_bt = (
         np.empty((num_lanes, warmup, num)) if flight_lanes else None
     )
-    flight_sent = 0  # cycles handed over to the live lanes' recorders
-    flight_every = [
-        ln for ln in flight_lanes
-        if not (ln.in_fast and ln.injector is None)
-    ]
-    # Quiet lanes whose safe state can flip: only the watchdog sets it.
-    flight_watch = [
-        ln for ln in flight_lanes
-        if ln not in flight_every and ln.controller.config.watchdog_enabled
-    ]
-    # The next cycle whose end hands a block to the recorders.
-    flight_due = _FLIGHT_BLOCK - 1 if flight_lanes else total_cycles
 
     def _flight_mark(ln: _LaneState, cycle: int) -> None:
         """Mark ``cycle`` when the lane's flight row changed."""
         ctrl = ln.controller
         row = (
-            ctrl.active_decision if ln.in_fast else ln.last_decision,
+            None if ctrl is None else ctrl.active_decision,
             ln.injector.active_kinds(cycle - warmup)
             if ln.injector is not None
             else None,
-            ctrl.in_safe_state if ln.flight_safe else False,
+            ctrl is not None and ctrl.in_safe_state,
         )
         last = ln.flight_row
-        if (
-            last is not None and row[0] is last[0] and row[1] is last[1]
-            and row[2] == last[2]
-        ):
+        if last is not None and row[0] is last[0] and row[1:] == last[1:]:
             return
         ln.flight_row = row
         marks = ln.flight_marks
@@ -1069,28 +990,21 @@ def _simulate(
         else:
             marks.append((cycle, row))
 
-    def _flush_flight(ln: _LaneState, start: int, end: int) -> None:
-        """Hand cycles [start, end) to the lane's recorder."""
-        if end <= start:
-            return
-        marks = ln.flight_marks
-        runs = []
-        for i, (first, row) in enumerate(marks):
-            stop = marks[i + 1][0] if i + 1 < len(marks) else end
-            count = min(stop, end) - max(first, start)
-            if count > 0:
-                runs.append((count, row))
-        ln.flight_marks = marks[-1:]
-        if end <= warmup:
-            volts = flight_warm_bt[ln.index, start:end]
-        elif start >= warmup:
-            volts = sm_voltages_bt[ln.index, start - warmup:end - warmup]
-        else:
-            volts = np.concatenate((
-                flight_warm_bt[ln.index, start:],
-                sm_voltages_bt[ln.index, :end - warmup],
-            ))
-        ln.flight.observe_runs(volts, runs)
+    def _hand_over(ln: _LaneState, end: int) -> None:
+        """Hand the lane's recorder its first ``end`` cycles: the warmup
+        window, then the recorded window, each as runs of its marks."""
+        marks = ln.flight_marks + [(end, None)]
+        for first, stop, volts in (
+            (0, min(end, warmup), flight_warm_bt[ln.index]),
+            (warmup, end, sm_voltages_bt[ln.index]),
+        ):
+            runs = [
+                (min(b, stop) - max(a, first), row)
+                for (a, row), (b, _) in zip(marks, marks[1:])
+                if min(b, stop) > max(a, first)
+            ]
+            if runs:
+                ln.flight.observe_runs(volts[:stop - first], runs)
 
     # The cycle kernel runs the cycles in compiled code
     # (repro.sim._cyclec), a span of them per call, and Python keeps
@@ -1106,28 +1020,27 @@ def _simulate(
             substeps=substeps, top_idx=top_idx,
             bot_idx=bot_idx, bank=bank, bank_rows=bank_rows_arr,
             injectors=[ln.injector for ln in bank_members],
-            fast=fast_rows, applied=applied_ids,
+            # A recorder marks the cycle its lane applies a new decision
+            # or flips its safe state: spans stop there.
+            watch=np.array([ln.flight is not None for ln in bank_members]),
             pv_rows=pv_rows_bt, pv_count=pv_count,
             warmup=warmup, cycles=cycles,
             lane_index=(
                 np.arange(num_lanes) if alive_idx is None else alive_idx
             ),
             rec_powers=powers_rec_bt, rec_volts=sm_voltages_bt,
-            rec_supply=supply_bt, vdd_row=vdd_row,
-            dcc_possible=dcc_possible, dcc_accum=dcc_accum,
+            rec_supply=supply_bt, vdd_row=vdd_row, dcc_accum=dcc_accum,
             dcc_trace=dcc_trace_bt, flight_warm=flight_warm_bt,
             stage_s=stage_s,
         )
-        # A recorder marks the cycle a fast lane applies a new decision.
-        bound.state.stop_on_apply = bool(flight_lanes)
-        bound.refresh_sensing(recorded_cycle)
+        bound.refresh_faults(recorded_cycle)
         return bound
 
     kernel = _bind_kernel(-warmup)
     fused_cycles = 0
     status = 0
-    # Cycles a span stops short of, besides edges and flight hand-overs:
-    # the warmup snapshot, the chaos harness's cycles and the end.
+    # Cycles a span stops short of, besides edges: the warmup snapshot,
+    # the chaos harness's cycles and the end.
     span_stops = sorted(
         {warmup, total_cycles}.union(c + warmup for c in chaos_cycles or ())
     )
@@ -1155,10 +1068,10 @@ def _simulate(
         # an event window is the end of warmup.
         recorded_cycle = cycle - warmup
         chaos_now = chaos_cycles is not None and recorded_cycle in chaos_cycles
-        # Edge cycles: refresh the edge lanes' jitter flags, the
-        # kernel's sensing flags and the PV rows (before the GPU stage
-        # scales this cycle's powers); the circuit and DFS hooks run
-        # after the GPU stage, the halt hooks after the solve.
+        # Edge cycles: refresh the kernel's fault flags and the PV rows
+        # (before the GPU stage scales this cycle's powers); the circuit
+        # and DFS hooks run after the GPU stage, the halt hooks after
+        # the solve.
         edge = hooks = ()
         if cycle == next_edge:
             next_edge = next(edge_order, total_cycles)
@@ -1167,12 +1080,11 @@ def _simulate(
                 inj = ln.injector
                 if inj is None:
                     continue
-                ln.jitter_on = inj.sensing(recorded_cycle)[1]
                 scales = inj.power_scales(recorded_cycle)
                 pv_count[ln.row] = len(scales)
                 for k, row in enumerate(scales):
                     pv_rows_bt[ln.row, k] = row
-            kernel.refresh_sensing(recorded_cycle)
+            kernel.refresh_faults(recorded_cycle)
             hooks = [
                 ln for ln in edge if ln.injector is not None and (
                     ln.injector.touches_circuit
@@ -1239,14 +1151,12 @@ def _simulate(
         failures = None
         if hooks:
             kernel.sync_solver()  # a circuit fault may refactor
-        # Without partial-stage calls or per-cycle work, cycles run as
-        # one span up to the next event; the rest of this body then
-        # runs for the span's last cycle.
-        stop = cycle + 1
-        if not (split or edge or slow_ctrl_lanes or flight_every
-                or flight_watch):
-            stop = min(next_edge, flight_due + 1,
-                       span_stops[bisect_right(span_stops, cycle)])
+        # Without partial-stage calls, cycles run as one span up to the
+        # next event; the rest of this body then runs for the span's
+        # last cycle.
+        start, stop = cycle, cycle + 1
+        if not (split or edge):
+            stop = min(next_edge, span_stops[bisect_right(span_stops, cycle)])
         if stop > cycle + 1:
             status, at = kernel.span(cycle, stop)
             last = at if status else at - 1
@@ -1282,18 +1192,13 @@ def _simulate(
             # around them.
             gpu_batch.fold()
             batch_solver.fold_lanes()
-            kernel.sense.fold()
+            kernel.faults.fold()
             survivors = [ln for ln in alive if not ln.dead]
             edge = [ln for ln in edge if not ln.dead]
-            slow_ctrl_lanes = [
-                ln for ln in slow_ctrl_lanes if not ln.dead
-            ]
             for ln in flight_lanes:
                 if ln.dead:
-                    _flush_flight(ln, flight_sent, cycle)
+                    _hand_over(ln, cycle)
             flight_lanes = [ln for ln in flight_lanes if not ln.dead]
-            flight_every = [ln for ln in flight_every if not ln.dead]
-            flight_watch = [ln for ln in flight_watch if not ln.dead]
             if not survivors:
                 alive = []
                 break
@@ -1329,8 +1234,6 @@ def _simulate(
                 elif len(keep) != len(bank_members):
                     bank = bank.compact(keep)
                     bank_members = [bank_members[j] for j in keep]
-                    fast_rows = fast_rows[keep]
-                    applied_ids = applied_ids[keep]
                 bank_rows_arr = _bank_rows()
             pv_rows_bt = pv_rows_bt[old_rows]
             pv_count = pv_count[old_rows]
@@ -1352,11 +1255,10 @@ def _simulate(
 
         # Halted SMs per lane (shutoff windows + fault-scheduled halts)
         # must not block the kernel-launch barrier.  The set changes only
-        # on the lane's edges; a change re-applies the actuation in force
-        # under it: a lane without a controller runs at full width, a
-        # fast lane re-applies its active decision once one was applied
-        # (the kernel's apply this cycle used the old set), a slow lane
-        # re-applies at its next command read.
+        # on the lane's edges, after the kernel's apply for the cycle
+        # used the old set; a change re-applies the actuation in force
+        # under it: full width without a controller, else the command
+        # row the kernel applied last (actuator faults included).
         for ln in edge:
             inj = ln.injector
             halts = inj is not None and inj.halts_sms
@@ -1373,93 +1275,33 @@ def _simulate(
                 continue
             ln.gpu.barrier_exempt = halted
             ln.halted_idx = halted_idx
-            if ln.controller is None:
-                ln.gpu.set_issue_widths(
-                    _halted(np.full(num, 2.0), ln.halted_idx)
-                )
-            elif not ln.in_fast:
-                ln.applied_decision = None
-            elif applied_ids[bank_members.index(ln)] >= 0:
-                ln.gpu.set_issue_widths(_halted(
-                    ln.controller.active_decision.issue_widths,
-                    ln.halted_idx,
-                ))
+            widths = (
+                np.full(num, 2.0) if ln.controller is None
+                else bank._in_force[bank_members.index(ln), :num].copy()
+            )
+            widths[halted_idx] = 0.0
+            ln.gpu.set_issue_widths(widths)
 
-        # 4. Detection + control.  The kernel made the bank lanes' draws
-        # (each injector in its serial RNG call order), waves, pops and
-        # applies; a row it applied marks the cycle in its recorder.
-        # Slow lanes read their commands here, drawing their extra
-        # latency at the read, and duck-typed controllers replicate the
-        # serial path verbatim.  Actuation application is gated on
-        # decision identity (setters are idempotent; decisions are
-        # immutable once enqueued), except under actuation-distorting
-        # faults which may perturb every cycle.  Ownership contract:
-        # decision arrays belong to the controller, so every array this
-        # loop mutates (halted widths, distorted commands) or retains
-        # (DCC, in dcc_bt) is a copy.
-        waved = bank is not None and kernel.state.waved
-        if flight_lanes and bank is not None and kernel.state.n_apply:
-            for j in np.flatnonzero(kernel.apply).tolist():
-                ln = bank_members[j]
-                if ln.flight is not None:
-                    _flight_mark(ln, cycle)
-        for ln in slow_ctrl_lanes:
-            controller = ln.controller
-            inj = ln.injector
-            if not ln.in_bank:
-                # A duck-typed controller observes on its own, through
-                # the same injector hooks that feed the bank.
-                seen = volt_buf[ln.row]
-                if inj is not None:
-                    seen = inj.corrupt_sensors(recorded_cycle, seen)
-                if inj is None or inj.observation_allowed(recorded_cycle):
-                    controller.observe(cycle, seen)
-            if ln.jitter_on:
-                decision = controller.commands_for(
-                    cycle - inj.extra_latency(recorded_cycle)
-                )
-            else:
-                decision = controller.commands_for(cycle)
-            if ln.in_bank and decision is not ln.last_decision:
-                controller.note_applied()
-            ln.last_decision = decision
-            if inj is not None and inj.touches_actuation:
-                widths = decision.issue_widths.copy()
-                fakes = decision.fake_rates.copy()
-                dcc = decision.dcc_powers_w.copy()
-                inj.distort_actuation(recorded_cycle, widths, fakes, dcc)
-                if ln.halted_idx:
-                    widths[ln.halted_idx] = 0.0
-                ln.gpu.set_issue_widths(widths)
-                ln.gpu.set_fake_rates(fakes)
-                np.copyto(dcc_bt[ln.row], dcc)
-            elif decision is not ln.applied_decision:
-                ln.gpu.set_issue_widths(
-                    _halted(decision.issue_widths, ln.halted_idx)
-                )
-                ln.gpu.set_fake_rates(decision.fake_rates)
-                np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-                ln.applied_decision = decision
+        # 4. Detection + control ran in the kernel: its draws (each
+        # injector in its serial RNG call order), waves, pops and
+        # applies.  A recorder marks the lane's first cycle, its edges,
+        # and the cycle a span stopped at for a recorder lane's apply or
+        # flip.
         if timing:
             t3 = perf_counter()
             t_controller += t3 - t2
-
-        if waved and flight_watch:
-            for ln in flight_watch:
-                if ln.controller.in_safe_state != ln.flight_row[2]:
-                    _flight_mark(ln, cycle)
-        for ln in flight_every:
-            _flight_mark(ln, cycle)
-        if cycle == flight_due:
+        if flight_lanes and (start == 0 or edge or kernel.state.n_stop):
             for ln in flight_lanes:
-                _flush_flight(ln, flight_sent, cycle + 1)
-            flight_sent = cycle + 1
-            flight_due = cycle + _FLIGHT_BLOCK
+                _flight_mark(ln, cycle if start else 0)
         if timing:
             t_record += perf_counter() - t3
         cycle += 1
+    if timing:
+        t3 = perf_counter()
     for ln in flight_lanes:
-        _flush_flight(ln, flight_sent, total_cycles)
+        _hand_over(ln, total_cycles)
+    if timing:
+        t_record += perf_counter() - t3
     # Settle the open halt spans so injectors end bit-equal to serial
     # post-run state.
     for ln in alive:
@@ -1470,7 +1312,7 @@ def _simulate(
         # (quarantined lanes were folded at their eviction).
         gpu_batch.fold()
         batch_solver.fold_lanes()
-        kernel.sense.fold()
+        kernel.faults.fold()
     if timing:
         # The cycle kernel's own stage times join the Python-side ones;
         # the loop's residual (iteration overhead, kernel crossings,

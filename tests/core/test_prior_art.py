@@ -1,4 +1,9 @@
-"""Tests for the prior-art mitigation baselines (Section II-C)."""
+"""Tests for the prior-art mitigation baselines (Section II-C).
+
+The global throttle's semantics run twice: on the controller bank's
+throttle law (``GlobalThrottleController``) and on the per-cycle Python
+reference it replaced (``tests/oracles/global_throttle.py``).
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from repro.core.prior_art import (
     CheckpointRecoveryModel,
     GlobalThrottleController,
 )
+from tests.oracles.global_throttle import GlobalThrottleReference
 
 
 class TestCheckpointRecovery:
@@ -51,10 +57,12 @@ class TestCheckpointRecovery:
 
 
 class TestGlobalThrottle:
+    cls = GlobalThrottleController
+
     def make(self, **kwargs):
         defaults = dict(latency_cycles=10, hold_cycles=50)
         defaults.update(kwargs)
-        return GlobalThrottleController(**defaults)
+        return self.cls(**defaults)
 
     def healthy(self):
         return np.full(16, 1.0)
@@ -97,11 +105,51 @@ class TestGlobalThrottle:
         assert np.all(decision.fake_rates == 0.0)
         assert np.all(decision.dcc_powers_w == 0.0)
 
+    def test_nan_blocks_the_trigger(self):
+        # NumPy's min of a row holding NaN is NaN, which never droops.
+        ctl = self.make()
+        voltages = self.healthy()
+        voltages[[3, 5]] = [np.nan, 0.5]
+        ctl.observe(0, voltages)
+        assert ctl.triggers == 0 and ctl.decisions_made == 1
+
+    def test_hold_starts_at_the_read_and_counts_every_read(self):
+        """The hold runs from the read that pops the trigger; a trigger
+        arms only when none is pending; every throttled read counts."""
+        ctl = self.make()
+        droop = self.healthy()
+        droop[0] = 0.7
+        ctl.observe(0, droop)
+        ctl.observe(1, droop)  # pending: not armed again
+        assert ctl.triggers == 1 and ctl.decisions_made == 2
+        assert np.all(ctl.commands_for(9).issue_widths == 2.0)
+        assert ctl.commands_for(15).triggered_sms  # pops at 15: hold to 65
+        ctl.commands_for(15)
+        assert np.all(ctl.commands_for(64).issue_widths == ctl.throttle_width)
+        assert np.all(ctl.commands_for(65).issue_widths == 2.0)
+        assert ctl.throttled_cycles == 3
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            GlobalThrottleController(v_threshold=0.0)
+            self.cls(v_threshold=0.0)
         with pytest.raises(ValueError):
-            GlobalThrottleController(throttle_width=3.0)
+            self.cls(throttle_width=3.0)
         ctl = self.make()
         with pytest.raises(ValueError):
             ctl.observe(0, np.ones(4))
+
+    def test_hold_must_be_at_least_one_cycle(self):
+        # A hold of 0 would count triggers but never throttle.
+        with pytest.raises(ValueError, match="hold_cycles"):
+            self.cls(hold_cycles=0)
+
+    def test_latency_cannot_be_negative(self):
+        # A negative latency would arm a trigger that is already due.
+        with pytest.raises(ValueError, match="latency_cycles"):
+            self.cls(latency_cycles=-1)
+
+
+class TestGlobalThrottleReference(TestGlobalThrottle):
+    """The same semantics on the per-cycle Python reference."""
+
+    cls = GlobalThrottleReference

@@ -4,9 +4,12 @@
 This module keeps the one-scenario loop that loop replaced: a scalar
 ``observe`` + ``commands_for`` each cycle, ``SolverGuard`` over the
 NumPy ``TransientSolver.step_n``, and both GPU setters every cycle.
-Stock controller lanes run the per-SM scalar Algorithm 1
-(:class:`tests.oracles.scalar_controller.ScalarController`), not the
-library's controller bank.  It shares nothing with the batched loop
+Algorithm 1 lanes — a stock config or a ``VoltageSmoothingController``
+controller object — run the per-SM scalar Algorithm 1
+(:class:`tests.oracles.scalar_controller.ScalarController`), and a
+``GlobalThrottleController`` runs its Python reference
+(:class:`tests.oracles.global_throttle.GlobalThrottleReference`), not
+the library's controller bank.  It shares nothing with the batched loop
 beyond the per-object models (GPU, netlist, fault injector), so the
 equivalence suites compare ``run_cosim`` and ``run_cosim_batch``
 against it byte for byte.  ``per_object_gpu`` swaps the GPU's C engine
@@ -14,7 +17,7 @@ for the per-object oracle GPU (``tests.oracles.per_object_gpu``), so the
 GPU layer is checked too.
 
 The body below is the former shipped loop verbatim; only its name, its
-stock controller's class and its GPU engine switch changed.
+controllers' classes and its GPU engine switch changed.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from repro.circuits import NumericalDivergence, SolverGuard, TransientSolver
 from repro.config import SystemConfig
+from repro.core.prior_art import GlobalThrottleController
 from repro.faults import chaos
 from repro.gpu.gpu import GPU
 from repro.gpu.kernels import KernelSpec
@@ -34,6 +38,7 @@ from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
 from repro.sim.cosim import CosimConfig, CosimResult, _record_cosim_telemetry
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.traces import PowerTrace
+from tests.oracles.global_throttle import GlobalThrottleReference
 from tests.oracles.per_object_gpu import PerObjectGPU
 from tests.oracles.scalar_controller import ScalarController
 
@@ -116,6 +121,7 @@ def run_cosim_reference(
         injector = FaultInjector(
             config.faults, stack, pdn=pdn, solver=solver
         )
+        distorts = bool(config.faults.of_kind("actuator_stuck"))
         if tele is not None:
             tele.event(
                 "faults_armed", schedule=config.faults.name,
@@ -125,8 +131,14 @@ def run_cosim_reference(
     controller = None
     controller_power = 0.0
     if config.use_controller:
-        if config.controller_object is not None:
-            controller = config.controller_object
+        obj = config.controller_object
+        if isinstance(obj, GlobalThrottleController):
+            controller = GlobalThrottleReference.of(obj)
+        elif obj is not None:
+            controller = ScalarController(
+                stack=obj.stack, config=obj.config,
+                actuation=obj.actuation, dt_s=obj.dt_s,
+            )
         else:
             controller = ScalarController(
                 stack=stack,
@@ -152,7 +164,7 @@ def run_cosim_reference(
     elif flight is False:
         flight = None
     # Whether the controller exposes the safe-state flag the recorder
-    # samples (duck-typed alternatives may not).
+    # samples (the throttle reference does not).
     flight_safe = flight is not None and hasattr(controller, "in_safe_state")
 
     # Vectorized SM-voltage readout: (top, bottom) node indices per SM.
@@ -316,7 +328,7 @@ def run_cosim_reference(
                 widths = decision.issue_widths.copy()
                 fakes = decision.fake_rates
                 dcc = decision.dcc_powers_w
-                if injector.touches_actuation:
+                if distorts:
                     fakes = fakes.copy()
                     dcc = dcc.copy()
                     injector.distort_actuation(

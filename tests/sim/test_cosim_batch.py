@@ -28,7 +28,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.analysis import pde_loss_ledger
 from repro.core.actuators import WeightedActuation
 from repro.core.controller import (
-    ControlDecision,
     ControllerConfig,
     VoltageSmoothingController,
 )
@@ -121,7 +120,7 @@ class TestBatchValidation:
         lambda: VoltageSmoothingController(
             config=ControllerConfig(v_threshold=0.99, k1=2)
         ),
-    ], ids=["duck_typed", "stock"])
+    ], ids=["throttle", "stock"])
     def test_shared_controller_object_rejected(self, make):
         """``dataclasses.replace(config, seed=s)`` hands every lane the
         same controller object; two lanes stepping one object would
@@ -137,6 +136,45 @@ class TestBatchValidation:
         ))
         with pytest.raises(ValueError, match="lanes 0 and 2 share"):
             run_cosim_batch(lanes)
+
+    def test_other_controller_objects_rejected(self, monkeypatch):
+        """The controller bank runs two laws: any other object is refused
+        before any lane runs, by run_cosim_batch and run_cosim alike."""
+        def no_loop(*args, **kwargs):
+            raise AssertionError("a lane group ran")
+
+        monkeypatch.setattr(cosim, "_simulate", no_loop)
+        config = CosimConfig(cycles=CYCLES, warmup_cycles=WARMUP,
+                             controller_object=object())
+        accepted = "VoltageSmoothingController or a GlobalThrottleController"
+        with pytest.raises(TypeError, match=f"lane 1: .*{accepted}"):
+            run_cosim_batch([CosimLane(config=replace(config,
+                                                      controller_object=None)),
+                             CosimLane(config=config)])
+        with pytest.raises(TypeError, match=accepted):
+            run_cosim("hotspot", config)
+
+    @pytest.mark.parametrize("step", [
+        lambda c: c.observe(0, np.ones(16)),
+        lambda c: c.commands_for(0),
+    ], ids=["observed", "read"])
+    def test_stepped_controller_object_rejected(self, step):
+        """A controller that has already stepped carries another run's
+        pipeline and counters: the batch refuses it, naming its lane."""
+        ctrl = VoltageSmoothingController(
+            config=ControllerConfig(v_threshold=0.99, k1=2)
+        )
+        step(ctrl)
+        config = CosimConfig(cycles=CYCLES, warmup_cycles=WARMUP)
+        lanes = [CosimLane(config=config),
+                 CosimLane(config=replace(config, controller_object=ctrl))]
+        with pytest.raises(ValueError, match="lane 1: .*already stepped"):
+            run_cosim_batch(lanes)
+        # So does a controller that ran a co-sim before.
+        fresh = GlobalThrottleController()
+        run_cosim("hotspot", replace(config, controller_object=fresh))
+        with pytest.raises(ValueError, match="lane 0: .*already stepped"):
+            run_cosim("hotspot", replace(config, controller_object=fresh))
 
 
 class TestRandomizedBatchEquivalence:
@@ -315,7 +353,7 @@ def _group_lanes():
     twelve benchmarks and nineteen seeds, an acting controller with DCC
     on every third lane, one canned fault schedule in each group (the
     fourth in the first), a layer shutoff in the second and a
-    duck-typed global throttle in the third."""
+    global throttle in the third."""
     active = ControllerConfig(v_threshold=0.97, k1=15.0)
     dcc = WeightedActuation(w1=1.0, w2=1.0, w3=1.0)
     faults = dict(zip((2, 5, 9, 15), sorted(CANNED_SCENARIOS)))
@@ -429,77 +467,69 @@ class TestLaneGroups:
 # ---------------------------------------------------------------------------
 # Accounting regressions (serial path)
 # ---------------------------------------------------------------------------
-class _ScriptedController:
-    """Minimal controller duck-type: fixed widths, scripted DCC."""
-
-    def __init__(self, num_sms, dcc_w=1.0, final_dcc_w=None):
-        self.num_sms = num_sms
-        self.throttled_cycles = 0
-        self.dcc_w = dcc_w
-        self.final_dcc_w = final_dcc_w
-        self.last_observe_cycle = -1
-        self.decision = ControlDecision(
-            issue_widths=np.full(num_sms, 2.0),
-            fake_rates=np.zeros(num_sms),
-            dcc_powers_w=np.full(num_sms, dcc_w),
-        )
-        # Snapshots taken at hand-off: the ownership contract says the
-        # loop must never write into these controller-owned arrays.
-        self.handed_out = (
-            self.decision.issue_widths.copy(),
-            self.decision.fake_rates.copy(),
-            self.decision.dcc_powers_w.copy(),
-        )
-
-    def observe(self, cycle, voltages):
-        self.last_observe_cycle = cycle
-
-    def commands_for(self, cycle):
-        return self.decision
-
-    def arrays_unmutated(self):
-        return (
-            np.array_equal(self.decision.issue_widths, self.handed_out[0])
-            and np.array_equal(self.decision.fake_rates, self.handed_out[1])
-            and np.array_equal(self.decision.dcc_powers_w, self.handed_out[2])
-        )
-
-
 class TestDecisionOwnershipRegression:
-    """The control boundary copies what it retains or mutates.
+    """The control boundary never writes into the controller's decisions.
 
-    ``run_cosim`` zeroes halted SMs' issue widths and holds the DCC
-    command across cycles; both must act on loop-owned copies.  Before
-    the fix the DCC vector was aliased (``dcc_powers = dcc``), so a
-    controller reusing its decision buffer — or the loop mutating
-    ``widths`` in place for a halted layer — corrupted the enqueued
-    decision the controller still owned.
+    ``run_cosim`` zeroes halted SMs' issue widths, distorts commands
+    under actuator faults and holds the DCC command across cycles; all
+    of it must act on the loop's own rows.  Before the fix the DCC
+    vector was aliased (``dcc_powers = dcc``), so the loop's writes
+    corrupted the enqueued decision the controller still owned.
     """
 
-    def test_loop_never_mutates_controller_arrays(self):
-        from repro.sim.cosim import LayerShutoffEvent
+    def test_loop_never_mutates_controller_arrays(self, monkeypatch):
+        """A stock lane under a layer shutoff and a DIWS actuator jammed
+        at 0 on SM 1, with a recorder reading its decisions at every
+        apply: each decision keeps the arrays it was built with, the
+        last one still commands the halted and jammed SMs, and the GPU
+        ran them idle all the same."""
+        from repro.core.controller import BankLane
 
-        num_sms = 16
-        ctrl = _ScriptedController(num_sms, dcc_w=0.25)
-        result = run_cosim(
-            "hotspot",
-            CosimConfig(
-                cycles=CYCLES, warmup_cycles=WARMUP,
-                controller_object=ctrl,
-                # A shutoff forces the halted-SM width zeroing that
-                # would corrupt an aliased issue_widths array.
-                shutoff=LayerShutoffEvent(layer=3, start_cycle=0),
-            ),
+        built = []
+        decision = BankLane._decision
+
+        def keep(self, ident):
+            fresh = ident not in self._decisions
+            made = decision(self, ident)
+            if fresh:
+                built.append((made, made.issue_widths.copy(),
+                              made.fake_rates.copy(),
+                              made.dcc_powers_w.copy()))
+            return made
+
+        monkeypatch.setattr(BankLane, "_decision", keep)
+        # DIWS and DCC, without FII: fakes would light the halted layer.
+        ctrl = VoltageSmoothingController(
+            config=ControllerConfig(v_threshold=1.0, k1=15.0),
+            actuation=WeightedActuation(w1=1.0, w2=0.0, w3=1.0),
         )
-        assert ctrl.last_observe_cycle == CYCLES + WARMUP - 1
-        assert ctrl.arrays_unmutated(), (
-            "co-sim loop wrote into controller-owned decision arrays"
+        config = CosimConfig(
+            cycles=CYCLES, warmup_cycles=WARMUP, controller_object=ctrl,
+            shutoff=LayerShutoffEvent(layer=3, start_cycle=0),
+            faults=FaultSchedule(name="jam", events=(
+                ActuatorStuck(actuator="diws", sms=(1,), value=0.0),
+            )),
         )
-        # The halted layer was still actuated (widths were zeroed on the
-        # loop's own copy): its SMs idle at leakage-level power.
-        halted = result.power_trace.data[:, 12:16]
-        live = result.power_trace.data[:, 0:4]
-        assert halted.mean() < 0.5 * live.mean()
+        result = run_cosim("hotspot", config, flight=FlightRecorder(
+            num_sms=16, guardband_v=0.8, cycle_offset=-WARMUP,
+        ))
+        assert ctrl.stats()["actuations_applied"] > 2
+        assert len(built) > 2
+        for made, widths, fakes, dcc in built:
+            assert np.array_equal(made.issue_widths, widths)
+            assert np.array_equal(made.fake_rates, fakes)
+            assert np.array_equal(made.dcc_powers_w, dcc)
+        assert (ctrl.active_decision.issue_widths[[1, 12, 13, 14, 15]]
+                > 0).all()
+        powers = result.power_trace.data
+        live = powers[:, [0, 2, 3]].mean()
+        assert powers[:, 12:16].mean() < 0.5 * live
+        assert powers[:, 1].mean() < 0.5 * live
+        twin = VoltageSmoothingController(config=ctrl.config,
+                                          actuation=ctrl.actuation)
+        _assert_result_equal(result, run_cosim_reference(
+            "hotspot", replace(config, controller_object=twin),
+        ), "jammed, halted lane vs oracle")
 
 
 class TestKernelAccountingRegression:
@@ -534,29 +564,36 @@ class TestAppliedDccLedgerRegression:
     the final cycle is never applied and must not enter the mean."""
 
     def test_final_cycle_command_never_ledgered(self):
-        num_sms = 16
-        cycles, warmup = 200, 30
+        """A stock lane cut on a cycle that issues a new DCC command:
+        the mean ledgers the DCC each recorded cycle ran under, which the
+        telemetry's dcc_power_w channel lists, and not that command."""
+        from repro.telemetry import Telemetry
 
-        class FinalSpikeController(_ScriptedController):
-            def commands_for(self, cycle):
-                if cycle == cycles + warmup - 1:
-                    # Never applied: there is no next cycle.
-                    self.decision.dcc_powers_w[:] = 50.0
-                return self.decision
+        def run(cycles):
+            tele = Telemetry(run_id="dcc-ledger")
+            result = run_cosim("heartwall", CosimConfig(
+                cycles=cycles, warmup_cycles=30, seed=7,
+                cr_ivr_area_mm2=52.9,
+                controller=ControllerConfig(
+                    v_threshold=0.98, v_high_threshold=1.0, k1=15.0
+                ),
+                actuation=WeightedActuation(w1=1.0, w2=1.0, w3=1.0),
+            ), telemetry=tele)
+            return result, tele.channels["dcc_power_w"].values
 
-        ctrl = FinalSpikeController(num_sms, dcc_w=1.0)
-        result = run_cosim(
-            "hotspot",
-            CosimConfig(
-                cycles=cycles, warmup_cycles=warmup,
-                controller_object=ctrl,
-            ),
+        _, applied = run(400)
+        # A cycle whose end applies a new DCC command: the next cycle
+        # runs under another power.
+        last = next(
+            k for k in range(31, len(applied) - 1)
+            if applied[k + 1] != applied[k]
         )
-        # Every recorded cycle applied exactly 1.0 W/SM (commanded one
-        # cycle earlier); the 50 W/SM final command never reached the
-        # PDN, so the mean is exactly num_sms * 1.0.
-        assert result.mean_dcc_power_w == pytest.approx(float(num_sms))
-        assert result.mean_dcc_power_w < 2.0 * num_sms
+        result, ledgered = run(last + 1)
+        assert ledgered == applied[:last + 1]
+        total = 0.0
+        for watts in ledgered:
+            total += watts
+        assert result.mean_dcc_power_w == total / (last + 1)
 
     def test_pde_ledger_closes_with_dcc_active(self):
         result = run_cosim("heartwall", CosimConfig(
