@@ -1,8 +1,9 @@
 """Observability hot-loop overhead gate.
 
-The droop flight recorder rides inside the per-cycle co-simulation
-loop on every telemetry-enabled run, so its ``observe()`` must be an
-O(num_sms) row copy and its scan must amortize to nothing.  This
+The droop flight recorder rides along on every telemetry-enabled
+run: the co-simulation loop marks the cycles a recorder lane's
+metadata changes and hands the recorder its windows once, and the
+recorder's ``finalize()`` analyzes them in one vectorized pass.  This
 benchmark times the same co-simulation with and without a flight
 recorder attached (no ``Telemetry``, so the recorder is the *only*
 difference between the legs) and gates the overhead.
@@ -102,5 +103,6 @@ def test_flight_recorder_overhead():
 
     assert overhead <= MAX_OVERHEAD, (
         f"flight recorder costs {overhead:.2%} of the plain co-sim loop "
-        f"(gate {MAX_OVERHEAD:.0%}); observe()/scan() must stay O(num_sms)"
+        f"(gate {MAX_OVERHEAD:.0%}); the loop's marks and hand-over plus "
+        "finalize()'s one pass over the window must stay small"
     )

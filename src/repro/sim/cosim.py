@@ -397,7 +397,7 @@ def _record_cosim_channels(
         ),
     )
     for name, values in series:
-        tele.channel(name).record_series(0, values.tolist())
+        tele.channel(name).record_series(0, values)
 
 
 def _record_cosim_telemetry(

@@ -56,12 +56,11 @@ from repro.sim.sweep import (
     SweepPoint,
     SweepPointResult,
     SweepRunner,
-    _atomic_write_json,
     _jsonable,
     expand_grid,
 )
 from repro.telemetry import Telemetry, config_hash
-from repro.telemetry.live import LiveRun
+from repro.telemetry.live import LiveRun, atomic_write_json
 
 #: Paper guardband: the supply floor below which timing is not safe.
 DEFAULT_GUARDBAND_V = 0.8
@@ -167,7 +166,7 @@ class ExploreResult:
 
     def write_json(self, path) -> Path:
         """Atomically write ``pareto.json`` to ``path``."""
-        return _atomic_write_json(path, self.to_dict())
+        return atomic_write_json(path, self.to_dict(), "checkpoint_write")
 
     def render(self) -> str:
         """The frontier table plus the exploration accounting lines."""

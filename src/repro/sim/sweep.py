@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -53,7 +52,7 @@ from repro.faults import chaos
 from repro.sim.cosim import CosimConfig
 from repro.sim.cosim import _LANE_SHARED_FIELDS as _BATCH_COMPAT_FIELDS
 from repro.telemetry import Telemetry, config_hash, to_jsonable
-from repro.telemetry.live import LiveRun, WorkerLiveConfig
+from repro.telemetry.live import LiveRun, WorkerLiveConfig, atomic_write_json
 
 # Seed derivation: a fixed odd multiplier keeps per-point seeds distinct
 # for any base seed while staying deterministic across runs and worker
@@ -219,36 +218,7 @@ class SweepResult:
         ``os.replace``, so a sweep killed mid-write never leaves a
         truncated/corrupt results JSON behind.
         """
-        return _atomic_write_json(path, self.to_dict())
-
-
-def _atomic_write_json(path, payload: Dict[str, object]) -> Path:
-    """Write ``payload`` as JSON via temp file + ``os.replace``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            event = chaos.fire("checkpoint_write")
-            if event is not None:
-                # Sabotaged write: a SIGKILL here leaves only the torn
-                # temp file behind — os.replace never runs, so readers
-                # keep the previous checkpoint (what resume relies on).
-                chaos.sabotage_write(
-                    event, handle, json.dumps(payload, indent=2) + "\n"
-                )
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
+        return atomic_write_json(path, self.to_dict(), "checkpoint_write")
 
 
 def _jsonable(value):
@@ -694,7 +664,9 @@ class SweepRunner:
             results_by_index[i].to_record() for i in sorted(results_by_index)
         ]
         try:
-            _atomic_write_json(self.checkpoint_path, payload)
+            atomic_write_json(
+                self.checkpoint_path, payload, "checkpoint_write"
+            )
         except OSError:
             # A checkpoint is a recovery aid, not the product: a failed
             # write must not kill a sweep that is making progress.  The

@@ -20,8 +20,8 @@ point failed.  This package provides that layer:
   rendering behind ``repro metrics`` / the dashboard behind
   ``repro top``;
 * :class:`~repro.telemetry.flight.FlightRecorder` — the droop flight
-  recorder: an always-on ring buffer of full-resolution per-cycle state
-  dumped around every guardband-violation onset and safe-state edge.
+  recorder: a run's full-resolution per-cycle state, dumped around
+  every guardband-violation onset and safe-state edge when it ends.
 
 See ``docs/telemetry.md`` and ``docs/observability.md`` for the
 schemas and usage patterns.

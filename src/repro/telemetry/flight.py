@@ -2,11 +2,11 @@
 
 The telemetry channels of PR 2 are stride-decimated: for million-cycle
 runs the exact cycles around a guardband violation are usually thinned
-away before anyone looks.  This module keeps a small always-on ring
-buffer of *full-resolution* per-cycle state — per-SM voltages, the
-controller decision in force (the commanded actuation), the active
-fault kinds, and the controller's safe-state flag — and dumps a bounded
-window around every interesting edge:
+away before anyone looks.  This module keeps the *full-resolution*
+per-cycle state of a run — per-SM voltages, the controller decision in
+force (the commanded actuation), the active fault kinds, and the
+controller's safe-state flag — and dumps a bounded window around every
+interesting edge:
 
 * a **guardband-violation onset** — the minimum SM voltage crossing
   from at-or-above ``guardband_v`` to below it;
@@ -15,14 +15,16 @@ window around every interesting edge:
   ``safe_state`` verdict).
 
 Cost discipline (the live plane must stay honest about "always-on"):
-the per-cycle :meth:`FlightRecorder.observe` is one ring-row copy plus
-a tuple store; all detection is deferred to a vectorized scan every
-``scan_interval`` cycles.  Loops that already keep the voltages can
-hand whole blocks to :meth:`FlightRecorder.observe_runs`, with the
-metadata as runs of unchanged rows (the co-sim loop does), and a quiet
-block skips its scans in one step.
-``benchmarks/test_perf_observability.py``
-gates the whole thing at <= 2% of the hot co-sim loop.
+observing only appends.  The co-sim loop already keeps the voltages,
+so it hands each recorder its warmup window and its recorded window
+once each through :meth:`FlightRecorder.observe_runs`, as views with
+the metadata as runs of unchanged rows; the recorder keeps those views.
+Per-cycle :meth:`FlightRecorder.observe` keeps a copy of every row
+until :meth:`FlightRecorder.finalize`; its only callers are the serial
+co-sim oracle and the tests.  :meth:`FlightRecorder.finalize` then
+finds every edge and builds every dump in one vectorized pass over the
+whole window.  ``benchmarks/test_perf_observability.py`` gates the
+recorder at <= 2% of the co-sim loop.
 
 Windows that attract further triggers while still open are *coalesced*
 (the trigger list grows, the window extends) up to a hard length cap,
@@ -36,6 +38,7 @@ and render through ``repro observe``.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,39 +60,30 @@ class FlightDump:
         "voltages", "meta", "cycle_offset",
     )
 
-    def __init__(self, index: int, start_cycle: int, cycle_offset: int) -> None:
+    def __init__(self, index: int, start_cycle: int, end_cycle: int,
+                 cycle_offset: int, triggers: List[Dict[str, object]],
+                 voltages: np.ndarray,
+                 meta: List[Tuple[object, object, bool]]) -> None:
         self.index = index
         self.start_cycle = start_cycle  # observed-cycle numbering
-        self.end_cycle = start_cycle  # exclusive; grows as rows append
+        self.end_cycle = end_cycle  # exclusive
         self.cycle_offset = cycle_offset  # observed -> recorded cycles
-        self.triggers: List[Dict[str, object]] = []
-        self.voltages: List[np.ndarray] = []  # blocks, concatenated late
-        self.meta: List[Tuple[object, object, bool]] = []
-
-    @property
-    def last_trigger_cycle(self) -> int:
-        return int(self.triggers[-1]["cycle"]) if self.triggers else 0
+        self.triggers = triggers
+        self.voltages = voltages  # (cycles, num_sms), owned
+        self.meta = meta  # (decision, fault kinds, safe) per cycle
 
     def num_cycles(self) -> int:
         return self.end_cycle - self.start_cycle
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-able full-resolution window (recorded-cycle numbering)."""
-        volts = (
-            np.concatenate(self.voltages)
-            if self.voltages
-            else np.empty((0, 0))
-        )
-        n = self.num_cycles()
-        volts = volts[:n]
-        meta = self.meta[:n]
         off = self.cycle_offset
         # Consecutive cycles usually share one immutable decision object:
         # dedup by identity into an actuation table + per-cycle ids.
         actuations: List[Dict[str, object]] = []
         actuation_ids: List[Optional[int]] = []
         seen: Dict[int, int] = {}
-        for decision, _, _ in meta:
+        for decision, _, _ in self.meta:
             if decision is None:
                 actuation_ids.append(None)
                 continue
@@ -116,50 +110,35 @@ class FlightDump:
                 {**t, "cycle": int(t["cycle"]) + off} for t in self.triggers
             ],
             "cycles": list(range(self.start_cycle + off, self.end_cycle + off)),
-            "voltages": volts.tolist(),
-            "min_voltage_v": volts.min(axis=1).tolist() if n else [],
-            "safe_state": [bool(s) for _, _, s in meta],
+            "voltages": self.voltages.tolist(),
+            "min_voltage_v": self.voltages.min(axis=1).tolist(),
+            "safe_state": [bool(s) for _, _, s in self.meta],
             "active_faults": [
-                list(kinds) if kinds else [] for _, kinds, _ in meta
+                list(kinds) if kinds else [] for _, kinds, _ in self.meta
             ],
             "actuation_id": actuation_ids,
             "actuations": actuations,
         }
 
 
-class _RunCursor:
-    """Walks ``(count, row)`` runs a given number of cycles at a time."""
-
-    __slots__ = ("runs", "i", "left")
-
-    def __init__(self, runs) -> None:
-        self.runs = runs
-        self.i = 0
-        self.left = runs[0][0] if runs else 0
-
-    def take(self, k: int) -> List[Tuple[int, object]]:
-        out = []
-        while k:
-            if not self.left:
-                self.i += 1
-                self.left = self.runs[self.i][0]
-                continue
-            m = min(k, self.left)
-            out.append((m, self.runs[self.i][1]))
-            self.left -= m
-            k -= m
-        return out
-
-    def skip(self, k: int) -> None:
-        self.take(k)
+def _row_mins(block: np.ndarray) -> np.ndarray:
+    """``block.min(axis=1)`` (NaN where a row holds one), a column at a
+    time: on a few SMs and many cycles, ~4x faster than the row-wise
+    reduction."""
+    mins = block[:, 0].copy()
+    for column in block.T[1:]:
+        np.minimum(mins, column, out=mins)
+    return mins
 
 
 class FlightRecorder:
-    """Always-on ring buffer + edge-triggered window dumper.
+    """Keeps a run's full-resolution window; dumps its edges at the end.
 
-    ``observe`` must be called once per simulated cycle (warmup
-    included); ``cycle_offset`` maps observed cycles to the recorded
-    numbering (pass ``-warmup_cycles`` so dump cycle labels match the
+    Hand the recorder every simulated cycle (warmup included), per
+    cycle through :meth:`observe` or as blocks through
+    :meth:`observe_runs`, then call :meth:`finalize` once.
+    ``cycle_offset`` maps observed cycles to the recorded numbering
+    (pass ``-warmup_cycles`` so dump cycle labels match the
     fault/guardband convention).  Triggers fire only at recorded cycle
     >= 0 — warmup settling transients produce context, not dumps.
     """
@@ -170,320 +149,160 @@ class FlightRecorder:
         guardband_v: float,
         pre_cycles: int = 64,
         post_cycles: int = 64,
-        scan_interval: int = 32,
         max_dumps: int = 32,
         max_window_cycles: Optional[int] = None,
         cycle_offset: int = 0,
     ) -> None:
         if pre_cycles < 0 or post_cycles < 0:
             raise ValueError("pre/post window cycles cannot be negative")
-        if scan_interval < 1:
-            raise ValueError("scan_interval must be >= 1")
+        if max_dumps < 0:
+            raise ValueError("max_dumps cannot be negative")
+        if max_window_cycles is None:
+            max_window_cycles = pre_cycles + post_cycles + 256
+        if max_window_cycles < 1:
+            raise ValueError("max_window_cycles must be >= 1")
         self.num_sms = int(num_sms)
         self.guardband_v = float(guardband_v)
         self.pre_cycles = int(pre_cycles)
         self.post_cycles = int(post_cycles)
-        self.scan_interval = int(scan_interval)
         self.max_dumps = int(max_dumps)
-        self.max_window_cycles = int(
-            max_window_cycles
-            if max_window_cycles is not None
-            else (pre_cycles + post_cycles + 8 * scan_interval)
-        )
+        self.max_window_cycles = int(max_window_cycles)
         self.cycle_offset = int(cycle_offset)
-        # Ring capacity: a trigger inside the current scan block needs
-        # pre_cycles of history behind it, plus the unscanned block.
-        self._W = self.pre_cycles + 2 * self.scan_interval
-        self._volts = np.empty((self._W, self.num_sms))
-        # Each row's minimum SM voltage, kept beside the ring so a scan
-        # reduces a vector, not the whole block.
-        self._mins = np.empty(self._W)
-        self._meta: List[Optional[Tuple[object, object, bool]]] = (
-            [None] * self._W
-        )
-        self._safe = np.zeros(self._W, dtype=bool)
-        self._safe_unscanned = 0  # safe-state rows since the last scan
+        # The observed window until finalize(): voltage blocks, and the
+        # (count, (decision, fault kinds, safe)) runs that cover them.
+        # None once finalized.
+        self._blocks: Optional[List[np.ndarray]] = []
+        self._runs: Optional[List[Tuple[int, Tuple[object, ...]]]] = []
+        self._forced: Optional[List[Tuple[int, str, float]]] = []
         self._n = 0  # observed cycles
-        self._scanned = 0  # cycles processed by the scanner
-        self._prev_below = False
-        self._prev_safe = False
         self.dumps: List[FlightDump] = []
-        self._pending: List[FlightDump] = []
         self.onsets = 0
         self.safe_edges = 0
         self.dumps_suppressed = 0
 
-    # -- hot path ------------------------------------------------------
     def observe(self, voltages, decision=None, fault_kinds=None,
                 safe: bool = False) -> None:
-        """Record one cycle of state.  O(num_sms) copy, no detection."""
-        n = self._n
-        slot = n % self._W
-        self._volts[slot] = voltages
-        self._mins[slot] = self._volts[slot].min()
-        self._meta[slot] = (decision, fault_kinds, safe)
-        self._safe[slot] = safe
-        if safe:
-            self._safe_unscanned += 1
-        self._n = n = n + 1
-        if n - self._scanned >= self.scan_interval:
-            self._scan()
+        """Record one cycle of state: a copy of the row, kept until
+        :meth:`finalize`."""
+        row = np.empty((1, self.num_sms))
+        row[0] = voltages
+        self.observe_runs(row, [(1, (decision, fault_kinds, safe))])
 
     def observe_runs(self, voltages: np.ndarray,
                      runs: Sequence[Tuple[int, Tuple[object, object, bool]]]
                      ) -> None:
         """Record ``len(voltages)`` consecutive cycles in one call.
 
-        ``runs`` lists ``(count, (decision, fault_kinds, safe))`` in
-        cycle order, the counts summing to ``len(voltages)``: a hot loop
-        whose metadata changes only now and then hands over a block with
-        a handful of runs instead of a row per cycle.  Exactly
-        equivalent to one :meth:`observe` per cycle — scans fire at the
-        same cycles — but the ring takes block copies and slice fills.
-        Once the recorder has settled (no open window, no edge pending),
-        a quiet stretch (every SM at or above the guardband, no safe
-        state) up to the next row that is not is skipped in one step:
-        its scans could only advance the scan mark.
+        ``voltages`` is ``(cycles, num_sms)`` and is kept as given (a
+        view stays a view) until :meth:`finalize`, so its rows must not
+        change before then.  ``runs`` lists ``(count, (decision,
+        fault_kinds, safe))`` in cycle order, the counts summing to
+        ``len(voltages)``: a loop whose metadata changes only now and
+        then hands over a block with a handful of runs instead of a row
+        per cycle.
         """
-        total = len(voltages)
-        if not total:
-            return
-        mins = voltages.min(axis=1)
-        # Rows that could fire a trigger: below the guardband (NaN
-        # fails the comparison too) or in the safe state.
-        loud = ~(mins >= self.guardband_v)
-        pos = 0
-        for count, row in runs:
-            if row[2]:
-                loud[pos:pos + count] = True
-            pos += count
-        loud_at = np.flatnonzero(loud).tolist() + [total]
-        cursor = _RunCursor(runs)
-        nxt = 0  # index into loud_at: the first loud row at or after done
-        done = 0
-        while done < total:
-            while loud_at[nxt] < done:
-                nxt += 1
-            quiet_to = loud_at[nxt]
-            if quiet_to > done and self._settled():
-                self._skip(voltages[done:quiet_to], mins[done:quiet_to],
-                           cursor)
-                done = quiet_to
-                continue
-            n = self._n
-            # Stop each chunk at the next scan point (never longer than
-            # the ring, since scan_interval < _W).
-            take = min(total - done, self.scan_interval - (n - self._scanned))
-            end = done + take
-            self._put(n, voltages[done:end], mins[done:end], cursor.take(take))
-            self._n = n = n + take
-            done = end
-            if n - self._scanned >= self.scan_interval:
-                self._scan()
-
-    def _settled(self) -> bool:
-        """No open window, no edge pending, nothing unscanned that could
-        fire: while the input stays quiet, scans only advance the mark."""
-        if (
-            self._pending or self._prev_below or self._prev_safe
-            or self._safe_unscanned
-        ):
-            return False
-        if self._n > self._scanned:
-            return bool(
-                self._ring(self._mins, self._scanned, self._n).min()
-                >= self.guardband_v
+        if self._blocks is None:
+            raise RuntimeError("the recorder was finalized")
+        voltages = np.asarray(voltages, dtype=float)
+        if voltages.ndim != 2 or voltages.shape[1] != self.num_sms:
+            raise ValueError(
+                f"voltages must be (cycles, {self.num_sms}), "
+                f"got {voltages.shape}"
             )
-        return True
-
-    def _skip(self, voltages: np.ndarray, mins: np.ndarray,
-              cursor: _RunCursor) -> None:
-        """Fast-forward a quiet stretch: keep its last ``_W`` rows (all a
-        later backfill can reach) and advance the scan mark as its
-        scans would have."""
-        total = len(voltages)
-        keep = min(total, self._W)
-        cursor.skip(total - keep)
-        self._put(self._n + total - keep, voltages[total - keep:],
-                  mins[total - keep:], cursor.take(keep))
-        n = self._n + total
-        self._scanned += (
-            (n - self._scanned) // self.scan_interval * self.scan_interval
-        )
-        self._n = n
-
-    def _put(self, n: int, voltages: np.ndarray, mins: np.ndarray,
-             runs) -> None:
-        """Write observed cycles ``n, n+1, ...`` into the ring."""
-        W = self._W
-        k = len(voltages)
-        slot = n % W
-        first = min(k, W - slot)
-        self._volts[slot:slot + first] = voltages[:first]
-        self._mins[slot:slot + first] = mins[:first]
-        if k > first:
-            self._volts[:k - first] = voltages[first:]
-            self._mins[:k - first] = mins[first:]
-        for count, row in runs:
-            if row[2]:
-                self._safe_unscanned += count
-            while count:
-                m = min(count, W - slot)
-                self._meta[slot:slot + m] = [row] * m
-                self._safe[slot:slot + m] = row[2]
-                count -= m
-                slot = (slot + m) % W
-
-    # -- deferred detection --------------------------------------------
-    def _ring(self, ring: np.ndarray, start: int, end: int) -> np.ndarray:
-        """``ring`` entries for observed cycles [start, end) (may wrap)."""
-        lo = start % self._W
-        hi = lo + (end - start)
-        if hi <= self._W:
-            return ring[lo:hi]
-        return np.concatenate([ring[lo:], ring[: hi - self._W]])
-
-    def _rows(self, start: int, end: int) -> np.ndarray:
-        """Ring rows for observed cycles [start, end) (may wrap)."""
-        return self._ring(self._volts, start, end)
-
-    def _meta_rows(self, start: int, end: int) -> list:
-        lo = start % self._W
-        hi = lo + (end - start)
-        if hi <= self._W:
-            return self._meta[lo:hi]
-        return self._meta[lo:] + self._meta[: hi - self._W]
-
-    def _scan(self) -> None:
-        start, end = self._scanned, self._n
-        if end <= start:
-            return
-        mins = self._ring(self._mins, start, end)
-        any_safe = self._safe_unscanned or self._prev_safe
-        self._safe_unscanned = 0
-        if (
-            not self._prev_below
-            and not any_safe
-            and mins.min() >= self.guardband_v
-        ):
-            # Quiet block (the common case): above the guardband and out
-            # of the safe state throughout, after a quiet cycle — no edge
-            # can fire, and a NaN row fails the comparison to the full
-            # scan below.
-            self._scanned = end
-            self._extend_pending(end)
-            return
-        below = mins < self.guardband_v
-
-        # Edges vs the previous scanned cycle (block-boundary carry).
-        prev_below = np.empty_like(below)
-        prev_below[0] = self._prev_below
-        prev_below[1:] = below[:-1]
-
-        triggers: List[Tuple[int, str, float]] = []
-        first_recorded = max(0, -self.cycle_offset - start)
-        onset_pos = np.flatnonzero(below & ~prev_below)
-        for pos in onset_pos:
-            if pos < first_recorded:
-                continue  # warmup settling, context only
-            self.onsets += 1
-            triggers.append((start + int(pos), ONSET, float(mins[pos])))
-        if any_safe:
-            safe = self._ring(self._safe, start, end)
-            prev_safe = np.empty_like(safe)
-            prev_safe[0] = self._prev_safe
-            prev_safe[1:] = safe[:-1]
-            for pos in np.flatnonzero(safe != prev_safe):
-                if pos < first_recorded:
-                    continue
-                self.safe_edges += 1
-                kind = SAFE_ENTER if safe[pos] else SAFE_EXIT
-                triggers.append((start + int(pos), kind, float(mins[pos])))
-            triggers.sort(key=lambda t: t[0])
-            self._prev_safe = bool(safe[-1])
-
-        self._prev_below = bool(below[-1])
-        self._scanned = end
-
-        for cycle, kind, min_v in triggers:
-            self._trigger(cycle, kind, min_v)
-        self._extend_pending(end)
-
-    def _trigger(self, cycle: int, kind: str, min_v: float) -> None:
-        record = {"cycle": cycle, "kind": kind, "min_voltage_v": min_v}
-        if self._pending:
-            dump = self._pending[-1]
-            window_end = dump.last_trigger_cycle + self.post_cycles
-            grown = cycle + self.post_cycles - dump.start_cycle + 1
-            if cycle <= window_end and grown <= self.max_window_cycles:
-                dump.triggers.append(record)
-                return
-        if len(self.dumps) + len(self._pending) >= self.max_dumps:
-            self.dumps_suppressed += 1
-            return
-        start = max(0, cycle - self.pre_cycles)
-        dump = FlightDump(
-            index=len(self.dumps) + len(self._pending),
-            start_cycle=start,
-            cycle_offset=self.cycle_offset,
-        )
-        dump.triggers.append(record)
-        # Backfill history from the ring (guaranteed present: the ring
-        # holds pre_cycles + the unscanned block), clamped to the close
-        # point so a short post window never over-collects.
-        close_at = min(
-            cycle + self.post_cycles + 1, start + self.max_window_cycles
-        )
-        take_to = min(self._scanned, close_at)
-        dump.voltages.append(self._rows(start, take_to).copy())
-        dump.meta.extend(self._meta_rows(start, take_to))
-        dump.end_cycle = take_to
-        self._pending.append(dump)
-
-    def _extend_pending(self, now: int) -> None:
-        """Append newly scanned rows to open windows; close filled ones."""
-        still_open: List[FlightDump] = []
-        for dump in self._pending:
-            close_at = min(
-                dump.last_trigger_cycle + self.post_cycles + 1,
-                dump.start_cycle + self.max_window_cycles,
+        counts = [count for count, _ in runs]
+        if min(counts, default=0) < 0 or sum(counts) != len(voltages):
+            raise ValueError(
+                f"run counts {counts} do not cover {len(voltages)} cycles"
             )
-            take_to = min(now, close_at)
-            if take_to > dump.end_cycle:
-                dump.voltages.append(
-                    self._rows(dump.end_cycle, take_to).copy()
-                )
-                dump.meta.extend(self._meta_rows(dump.end_cycle, take_to))
-                dump.end_cycle = take_to
-            if now >= close_at:
-                self.dumps.append(dump)
-            else:
-                still_open.append(dump)
-        self._pending = still_open
+        if len(voltages):
+            self._blocks.append(voltages)
+            self._runs.extend(runs)
+            self._n += len(voltages)
 
     def force_dump(self, kind: str,
                    min_voltage_v: float = float("nan")) -> None:
-        """Force a window ending at the last observed cycle.
+        """Trigger a window ending at the last observed cycle.
 
         For terminal events that are not voltage or safe-state edges —
         e.g. a solver :data:`NUMERICAL_DIVERGENCE` verdict — so the
         full-resolution history behind the failure is captured even
-        though no guardband edge fired.  Coalesces into an open window
-        when one covers the tail; otherwise opens a new dump (subject
-        to the usual ``max_dumps`` suppression accounting).
+        though no guardband edge fired.  The trigger follows the natural
+        triggers of its cycle and joins a window that stays open past
+        it; otherwise it opens a new dump (subject to the usual
+        ``max_dumps`` suppression accounting).
         """
-        self._scan()
-        if self._n == 0:
-            return
-        self._trigger(self._n - 1, kind, float(min_voltage_v))
-        self._extend_pending(self._n)
+        if self._blocks is None:
+            raise RuntimeError("the recorder was finalized")
+        if self._n:
+            self._forced.append((self._n - 1, kind, float(min_voltage_v)))
 
     def finalize(self) -> None:
-        """Scan the tail and close still-open windows (truncated post)."""
-        self._scan()
-        for dump in self._pending:
-            self.dumps.append(dump)
-        self._pending = []
+        """Find every trigger in the observed window and build its dumps.
+
+        Ends the recording: afterwards the recorder holds only its
+        dumps, each owning a copy of its window.  A window still open at
+        the end is truncated there.
+        """
+        blocks, runs, forced = self._blocks, self._runs, self._forced
+        if blocks is None:
+            return
+        self._blocks = self._runs = self._forced = None
+        if not blocks:
+            return
+        mins = np.concatenate([_row_mins(block) for block in blocks])
+        run_of = np.repeat(np.arange(len(runs)), [c for c, _ in runs])
+        safe = np.array([bool(row[2]) for _, row in runs])[run_of]
+        below = mins < self.guardband_v  # a NaN row is not below
+        # Edges against the previous cycle (none before the first; a
+        # boolean diff is "differs"), at recorded cycles >= 0 only.
+        first = max(0, -self.cycle_offset)
+        onsets = np.flatnonzero(
+            (below & np.diff(below, prepend=False))[first:]
+        ) + first
+        flips = np.flatnonzero(np.diff(safe, prepend=False)[first:]) + first
+        self.onsets = len(onsets)
+        self.safe_edges = len(flips)
+        # An onset comes before a safe edge of its cycle, a forced
+        # trigger after both.
+        triggers = sorted(
+            [(c, 0, ONSET, float(mins[c])) for c in onsets.tolist()]
+            + [
+                (c, 1, SAFE_ENTER if safe[c] else SAFE_EXIT, float(mins[c]))
+                for c in flips.tolist()
+            ]
+            + [(c, 2, kind, v) for c, kind, v in forced],
+            key=lambda t: t[:2],
+        )
+        post, cap = self.post_cycles, self.max_window_cycles
+        windows: List[Tuple[int, List[Dict[str, object]]]] = []
+        for cycle, rank, kind, min_v in triggers:
+            record = {"cycle": cycle, "kind": kind, "min_voltage_v": min_v}
+            if windows:
+                start, joined = windows[-1]
+                close = min(joined[-1]["cycle"] + post + 1, start + cap)
+                # A trigger joins the last window while it is open (a
+                # forced one: open past its cycle) and the grown window
+                # stays within the cap.
+                if cycle + (rank == 2) < close and cycle + post < start + cap:
+                    joined.append(record)
+                    continue
+            if len(windows) >= self.max_dumps:
+                self.dumps_suppressed += 1
+                continue
+            windows.append((max(0, cycle - self.pre_cycles), [record]))
+        offsets = np.cumsum([0] + [len(block) for block in blocks]).tolist()
+        for index, (start, joined) in enumerate(windows):
+            end = min(joined[-1]["cycle"] + post + 1, start + cap, self._n)
+            lo = bisect_right(offsets, start) - 1
+            hi = bisect_left(offsets, end)
+            self.dumps.append(FlightDump(
+                index, start, end, self.cycle_offset, joined,
+                np.concatenate([
+                    block[max(start - o, 0):end - o]
+                    for block, o in zip(blocks[lo:hi], offsets[lo:hi])
+                ]),
+                [runs[j][1] for j in run_of[start:end].tolist()],
+            ))
 
     # -- reporting -----------------------------------------------------
     @property
@@ -496,7 +315,7 @@ class FlightRecorder:
             "cycles_observed": self._n,
             "onsets": self.onsets,
             "safe_state_edges": self.safe_edges,
-            "dumps": len(self.dumps) + len(self._pending),
+            "dumps": len(self.dumps),
             "dumps_suppressed": self.dumps_suppressed,
             "pre_cycles": self.pre_cycles,
             "post_cycles": self.post_cycles,
@@ -508,7 +327,7 @@ class FlightRecorder:
                     "num_triggers": len(d.triggers),
                     "kinds": sorted({t["kind"] for t in d.triggers}),
                 }
-                for d in self.dumps + self._pending
+                for d in self.dumps
             ],
         }
 
@@ -517,7 +336,7 @@ class FlightRecorder:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         paths = []
-        for dump in self.dumps + self._pending:
+        for dump in self.dumps:
             path = directory / f"{dump.index:03d}.json"
             with open(path, "w") as handle:
                 json.dump(dump.to_dict(), handle)

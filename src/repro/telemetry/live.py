@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -214,32 +215,40 @@ def render_prometheus(snapshot: Dict[str, object]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def atomic_write_json(path, payload) -> None:
+def atomic_write_json(path, payload, site: str = "status_write") -> Path:
     """Write JSON so a concurrent reader sees the old or the new file,
-    never a torn one (temp file in the same directory + ``os.replace``)."""
+    never a torn one: a ``mkstemp`` temp file in the same directory,
+    published by ``os.replace`` and removed on any exception.
+
+    ``site`` is the chaos write site that may sabotage the write
+    (``status_write`` for status and heartbeats, ``checkpoint_write``
+    for sweep checkpoints and results); a kill there strands only the
+    temp file, so readers keep the previous file.
+    """
     from repro.faults import chaos
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
     try:
-        with open(tmp, "w") as handle:
-            event = chaos.fire("status_write")
+        with os.fdopen(fd, "w") as handle:
+            event = chaos.fire(site)
             if event is not None:
-                # A kill/torn write here strands only the temp file;
-                # readers of the published path never see a torn JSON.
                 chaos.sabotage_write(
                     event, handle, json.dumps(payload, indent=2) + "\n"
                 )
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-        os.replace(tmp, path)
-    except OSError:
+        os.replace(tmp_name, path)
+    except BaseException:
         try:
-            os.unlink(tmp)
+            os.unlink(tmp_name)
         except OSError:
             pass
         raise
+    return path
 
 
 class StatusPublisher:

@@ -30,6 +30,8 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
+import numpy as np
+
 
 class MetricChannel:
     """A bounded per-cycle sample series with stride decimation.
@@ -67,38 +69,31 @@ class MetricChannel:
             self.values = self.values[::2]
             self.stride *= 2
 
-    def record_series(self, first_cycle: int, values: List[float]) -> None:
-        """Offer ``values`` at consecutive cycles from ``first_cycle``.
+    def record_series(self, first_cycle: int, values) -> None:
+        """Offer ``values`` (a sequence or NumPy array) at consecutive
+        cycles from ``first_cycle``.
 
         Leaves the channel exactly as one :meth:`record` per value
-        would, at the cost of a few list slices instead of a call per
-        value.
+        would, in one step: the stride becomes the smallest power of
+        two, at least the current one, that keeps fewer than
+        ``capacity`` of all offers so far, and the channel keeps every
+        stride-th offer of its old samples and of ``values``.
         """
-        n = len(values)
-        i = 0  # next value to offer; self.offered is its offer index
-        while i < n:
-            stride = self.stride
-            # The next offer this stride keeps, and the kept offers that
-            # fit before the retained set fills.
-            first = i + (-self.offered) % stride
-            stop = min(n, first + (self.capacity - len(self.values)) * stride)
-            kept = values[first:stop:stride]
-            if not kept:
-                break
-            self.cycles.extend(range(
-                first_cycle + first, first_cycle + first + len(kept) * stride,
-                stride,
-            ))
-            self.values.extend(map(float, kept))
-            if len(self.values) < self.capacity:
-                break
-            last = first + (len(kept) - 1) * stride
-            self.offered += last + 1 - i
-            i = last + 1
-            self.cycles = self.cycles[::2]
-            self.values = self.values[::2]
-            self.stride *= 2
-        self.offered += n - i
+        values = np.asarray(values, dtype=float)
+        first_offer = self.offered
+        self.offered += len(values)
+        stride = self.stride
+        while -(-self.offered // stride) >= self.capacity:
+            stride *= 2
+        step = stride // self.stride
+        self.cycles = self.cycles[::step]
+        self.values = self.values[::step]
+        self.stride = stride
+        first = -first_offer % stride
+        self.cycles.extend(
+            range(first_cycle + first, first_cycle + len(values), stride)
+        )
+        self.values.extend(values[first::stride].tolist())
 
     def __len__(self) -> int:
         return len(self.values)

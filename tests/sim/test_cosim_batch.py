@@ -381,7 +381,7 @@ def _group_recorder():
     # A guardband at the top of the droop band, so every lane dumps.
     return FlightRecorder(
         num_sms=16, guardband_v=0.99, pre_cycles=8, post_cycles=8,
-        scan_interval=4, cycle_offset=-GROUP_WARMUP,
+        max_window_cycles=48, cycle_offset=-GROUP_WARMUP,
     )
 
 

@@ -280,7 +280,7 @@ def test_sensor_and_jitter_lanes_draw_in_the_kernel(monkeypatch):
 def _recorder():
     return FlightRecorder(
         num_sms=16, guardband_v=0.8, pre_cycles=8, post_cycles=8,
-        scan_interval=4, cycle_offset=-WARMUP,
+        max_window_cycles=48, cycle_offset=-WARMUP,
     )
 
 

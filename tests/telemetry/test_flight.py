@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import ControllerConfig
 from repro.faults import get_scenario, list_scenarios
@@ -22,6 +23,7 @@ from repro.telemetry.flight import (
     read_flight_dir,
     render_flight,
 )
+from tests.oracles.streaming_flight import StreamingFlightRecorder
 
 GUARD = 0.8
 
@@ -42,8 +44,7 @@ def dipped(n, dips):
 
 class TestOnsetDetection:
     def test_single_dip_one_dump(self):
-        rec = FlightRecorder(2, GUARD, pre_cycles=8, post_cycles=8,
-                             scan_interval=4)
+        rec = FlightRecorder(2, GUARD, pre_cycles=8, post_cycles=8)
         feed(rec, dipped(100, [50]))
         rec.finalize()
         assert rec.onsets == 1
@@ -60,8 +61,7 @@ class TestOnsetDetection:
 
     def test_every_onset_counted_and_covered(self):
         dips = [20, 60, 100, 140, 180]
-        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4,
-                             scan_interval=8)
+        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4)
         feed(rec, dipped(220, dips))
         rec.finalize()
         assert rec.onsets == len(dips)
@@ -74,8 +74,7 @@ class TestOnsetDetection:
     def test_sustained_violation_is_one_onset(self):
         mins = np.full(100, 0.9)
         mins[40:90] = 0.7  # one long droop
-        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4,
-                             scan_interval=8)
+        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4)
         feed(rec, mins)
         rec.finalize()
         assert rec.onsets == 1
@@ -84,16 +83,14 @@ class TestOnsetDetection:
         # The below/not-below edge must carry across scan blocks.
         scan = 8
         for dip in (scan - 1, scan, scan + 1, 3 * scan):
-            rec = FlightRecorder(2, GUARD, pre_cycles=2, post_cycles=2,
-                                 scan_interval=scan)
+            rec = FlightRecorder(2, GUARD, pre_cycles=2, post_cycles=2)
             feed(rec, dipped(6 * scan, [dip]))
             rec.finalize()
             assert rec.onsets == 1, f"dip at {dip}"
 
     def test_run_starting_below_guardband_is_an_onset(self):
         mins = np.full(40, 0.7)
-        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4,
-                             scan_interval=8)
+        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4)
         feed(rec, mins)
         rec.finalize()
         assert rec.onsets == 1
@@ -126,7 +123,7 @@ class TestObserveBlock:
             for c in range(n)
         ]
         geometry = dict(num_sms=3, guardband_v=GUARD, pre_cycles=10,
-                        post_cycles=6, scan_interval=8, cycle_offset=-30)
+                        post_cycles=6, cycle_offset=-30)
         ref = FlightRecorder(**geometry)
         for c in range(n):
             ref.observe(volts[c], *meta[c])
@@ -146,8 +143,8 @@ class TestObserveBlock:
 
 
 class TestObserveRuns:
-    """``observe_runs`` (and its quiet skip) leaves a recorder exactly as
-    per-cycle ``observe``, with the metadata handed over as runs."""
+    """``observe_runs`` leaves a recorder exactly as per-cycle
+    ``observe``, with the metadata handed over as runs."""
 
     @pytest.mark.parametrize("block", [5, 32, 64, 250])
     def test_matches_per_cycle_observe(self, block):
@@ -173,10 +170,10 @@ class TestObserveRuns:
             )
 
         geometry = dict(num_sms=3, guardband_v=GUARD, pre_cycles=10,
-                        post_cycles=6, scan_interval=8, cycle_offset=-40)
+                        post_cycles=6, cycle_offset=-40)
         ref = FlightRecorder(**geometry)
         rec = FlightRecorder(**geometry)
-        # An odd first block, and a forced dump off the scan grid.
+        # An odd first block, and a forced dump between blocks.
         edges = sorted({0, 3, 203, n} | set(range(3, n, block)))
         for start, stop in zip(edges, edges[1:]):
             for c in range(start, stop):
@@ -201,10 +198,191 @@ class TestObserveRuns:
         )
 
 
+class TestInputValidation:
+    def test_runs_must_cover_the_block(self):
+        rec = FlightRecorder(2, GUARD)
+        row = (None, None, False)
+        with pytest.raises(ValueError, match="do not cover"):
+            rec.observe_runs(np.full((5, 2), 0.9), [(2, row), (2, row)])
+        with pytest.raises(ValueError, match="do not cover"):
+            rec.observe_runs(np.full((2, 2), 0.9), [(3, row), (-1, row)])
+        assert rec.cycles_observed == 0
+
+    def test_block_must_be_cycles_by_sms(self):
+        rec = FlightRecorder(2, GUARD)
+        row = (None, None, False)
+        with pytest.raises(ValueError, match="cycles, 2"):
+            rec.observe_runs(np.full((4, 3), 0.9), [(4, row)])
+        with pytest.raises(ValueError, match="cycles, 2"):
+            rec.observe_runs(np.full(4, 0.9), [(4, row)])
+
+    def test_negative_max_dumps_rejected(self):
+        with pytest.raises(ValueError, match="max_dumps"):
+            FlightRecorder(2, GUARD, max_dumps=-1)
+
+    def test_empty_window_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_window_cycles"):
+            FlightRecorder(2, GUARD, max_window_cycles=0)
+
+    def test_scan_interval_is_gone(self):
+        with pytest.raises(TypeError):
+            FlightRecorder(2, GUARD, scan_interval=8)
+        assert FlightRecorder(2, GUARD).max_window_cycles == 384
+
+
+def _random_stream(rng, num_sms, n):
+    """Per-cycle voltages and (decision, fault kinds, safe) rows with
+    dips, clustered onsets, NaN rows, safe-state runs and fault runs."""
+    volts = 0.85 + 0.02 * rng.standard_normal((n, num_sms))
+    for _ in range(rng.integers(0, 8)):
+        at = int(rng.integers(0, max(n, 1)))
+        volts[at:at + int(rng.integers(1, 6)), rng.integers(num_sms)] = 0.7
+    for _ in range(rng.integers(0, 3) if n else 0):
+        volts[rng.integers(n), rng.integers(num_sms)] = np.nan
+    decisions = [
+        SimpleNamespace(
+            issue_widths=[2.0 - 0.1 * j] * num_sms,
+            fake_rates=[0.05 * j] * num_sms, dcc_powers_w=[0.0] * num_sms,
+        )
+        for j in range(3)
+    ] + [None]
+    kinds = [None, ("sensor_bias",), ("pdn_drift", "sensor_bias")]
+    rows, row = [], (None, None, False)
+    for _ in range(n):
+        if rng.random() < 0.08:
+            row = (
+                decisions[rng.integers(len(decisions))],
+                kinds[rng.integers(len(kinds))],
+                bool(rng.random() < 0.3),
+            )
+        rows.append(row)
+    return volts, rows
+
+
+def _as_runs(rows, merge):
+    """Runs of rows, merged by identity when ``merge``, with a few
+    zero-count runs mixed in."""
+    runs = []
+    for row in rows:
+        if merge and runs and all(a is b for a, b in zip(runs[-1][1], row)):
+            runs[-1][0] += 1
+        else:
+            runs.append([1, row])
+        if len(runs) % 5 == 0:
+            runs.append([0, (None, None, True)])
+    return [(count, row) for count, row in runs]
+
+
+class TestAgainstStreamingOracle:
+    """The post-run analysis equals the streaming recorder it replaced
+    (``tests/oracles/streaming_flight.py``, at any scan interval) on
+    random streams fed per cycle and as blocks of runs."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_sms=st.integers(1, 4),
+        n=st.integers(0, 400),
+        pre=st.integers(0, 24),
+        post=st.integers(0, 24),
+        max_dumps=st.integers(0, 6),
+        max_window=st.one_of(st.none(), st.integers(1, 90)),
+        warmup=st.integers(-20, 120),
+        scan_interval=st.integers(1, 40),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_same_summary_and_dump_bytes(
+        self, seed, num_sms, n, pre, post, max_dumps, max_window, warmup,
+        scan_interval,
+    ):
+        rng = np.random.default_rng(seed)
+        volts, rows = _random_stream(rng, num_sms, n)
+        geometry = dict(
+            num_sms=num_sms, guardband_v=GUARD, pre_cycles=pre,
+            post_cycles=post, max_dumps=max_dumps, cycle_offset=-warmup,
+        )
+        rec = (
+            FlightRecorder(**geometry) if max_window is None
+            else FlightRecorder(max_window_cycles=max_window, **geometry)
+        )
+        ref = StreamingFlightRecorder(
+            scan_interval=scan_interval,
+            max_window_cycles=rec.max_window_cycles, **geometry,
+        )
+        forced = set(rng.integers(0, n + 1, size=rng.integers(0, 3)).tolist())
+        cycle = 0
+        while cycle <= n:
+            if cycle in forced:
+                for recorder in (ref, rec):
+                    recorder.force_dump(
+                        "numerical_divergence", min_voltage_v=0.5 + cycle,
+                    )
+            if cycle == n:
+                break
+            size = int(rng.choice([0, 1, 1, 2, 7, 30, 120]))
+            stop = min(n, cycle + max(size, 1))
+            if forced:
+                stop = min([stop] + [f for f in forced if f > cycle])
+            if size == 0 and rng.random() < 0.5:
+                # An empty block changes nothing.
+                for recorder in (ref, rec):
+                    recorder.observe_runs(volts[cycle:cycle], [])
+            if rng.random() < 0.4:
+                for c in range(cycle, stop):
+                    for recorder in (ref, rec):
+                        recorder.observe(volts[c], *rows[c])
+            else:
+                merge = bool(rng.random() < 0.7)
+                for recorder in (ref, rec):
+                    recorder.observe_runs(
+                        volts[cycle:stop], _as_runs(rows[cycle:stop], merge)
+                    )
+            cycle = stop
+        ref.finalize()
+        rec.finalize()
+        assert rec.summary() == ref.summary()
+        assert [json.dumps(d.to_dict()) for d in rec.dumps] == [
+            json.dumps(d.to_dict()) for d in ref.dumps
+        ]
+
+
+class TestWindowOwnership:
+    def test_block_kept_as_given_then_dumps_own_their_windows(self):
+        volts = np.full((40, 2), 0.9)
+        volts[20] = 0.7
+        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4)
+        rec.observe_runs(volts[:], [(40, (None, None, False))])
+        assert np.shares_memory(rec._blocks[0], volts)  # no copy
+        rec.finalize()
+        assert rec._blocks is None and rec._runs is None
+        with pytest.raises(RuntimeError, match="finalized"):
+            rec.observe(np.full(2, 0.9))
+        dump = rec.dumps[0].to_dict()
+        volts[:] = np.nan
+        assert rec.dumps[0].to_dict() == dump
+        assert dump["start_cycle"] == 16 and dump["end_cycle"] == 25
+
+    def test_cosim_hands_over_views_of_its_windows(self, monkeypatch):
+        handed = []
+        observe_runs = FlightRecorder.observe_runs
+
+        def spy(self, volts, runs):
+            handed.append(volts)
+            return observe_runs(self, volts, runs)
+
+        monkeypatch.setattr(FlightRecorder, "observe_runs", spy)
+        config = _fault_config("guardband-breaker", cycles=200, warmup=40)
+        result = run_cosim("hotspot", config, flight=FlightRecorder(
+            num_sms=16, guardband_v=0.8, cycle_offset=-40,
+        ))
+        warm, recorded = handed
+        assert warm.base is not None and len(warm) == 40
+        assert np.shares_memory(recorded, result.sm_voltages)
+
+
 class TestWarmupOffset:
     def test_warmup_dip_is_context_not_trigger(self):
         rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4,
-                             scan_interval=8, cycle_offset=-50)
+                             cycle_offset=-50)
         feed(rec, dipped(120, [20, 80]))  # recorded cycles -30 and +30
         rec.finalize()
         assert rec.onsets == 1
@@ -214,7 +392,7 @@ class TestWarmupOffset:
 
     def test_summary_windows_use_recorded_numbering(self):
         rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4,
-                             scan_interval=8, cycle_offset=-50)
+                             cycle_offset=-50)
         feed(rec, dipped(120, [80]))
         rec.finalize()
         window = rec.summary()["windows"][0]
@@ -223,8 +401,7 @@ class TestWarmupOffset:
 
 class TestSafeStateEdges:
     def test_enter_and_exit_edges(self):
-        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4,
-                             scan_interval=8)
+        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4)
         for c in range(120):
             rec.observe(np.array([0.9, 0.95]), safe=40 <= c < 60)
         rec.finalize()
@@ -245,8 +422,7 @@ class TestSafeStateEdges:
 
 class TestCoalescingAndBounds:
     def test_burst_coalesces_into_one_window(self):
-        rec = FlightRecorder(2, GUARD, pre_cycles=8, post_cycles=16,
-                             scan_interval=8)
+        rec = FlightRecorder(2, GUARD, pre_cycles=8, post_cycles=16)
         feed(rec, dipped(200, [100, 104, 108]))
         rec.finalize()
         assert rec.onsets == 3
@@ -258,7 +434,7 @@ class TestCoalescingAndBounds:
     def test_window_length_capped(self):
         cap = 40
         rec = FlightRecorder(2, GUARD, pre_cycles=8, post_cycles=16,
-                             scan_interval=8, max_window_cycles=cap)
+                             max_window_cycles=cap)
         feed(rec, dipped(400, list(range(100, 300, 10))))
         rec.finalize()
         for dump in rec.dumps:
@@ -273,7 +449,7 @@ class TestCoalescingAndBounds:
 
     def test_max_dumps_suppresses_not_crashes(self):
         rec = FlightRecorder(2, GUARD, pre_cycles=2, post_cycles=2,
-                             scan_interval=8, max_dumps=2)
+                             max_dumps=2)
         feed(rec, dipped(400, list(range(50, 350, 50))))
         rec.finalize()
         assert len(rec.dumps) == 2
@@ -281,8 +457,7 @@ class TestCoalescingAndBounds:
         assert rec.summary()["dumps_suppressed"] == rec.dumps_suppressed
 
     def test_voltages_match_window_length(self):
-        rec = FlightRecorder(3, GUARD, pre_cycles=5, post_cycles=3,
-                             scan_interval=4)
+        rec = FlightRecorder(3, GUARD, pre_cycles=5, post_cycles=3)
         for v in dipped(64, [30]):
             rec.observe(np.array([v, v + 0.05, v + 0.1]))
         rec.finalize()
@@ -296,8 +471,7 @@ class TestCoalescingAndBounds:
         assert all(len(row) == 3 for row in dump["voltages"])
 
     def test_truncated_post_window_on_finalize(self):
-        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=50,
-                             scan_interval=8)
+        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=50)
         feed(rec, dipped(60, [55]))
         rec.finalize()
         dump = rec.dumps[0].to_dict()
@@ -313,8 +487,7 @@ class TestActuationTable:
 
         shared = Decision()
         other = Decision()
-        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4,
-                             scan_interval=4)
+        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4)
         mins = dipped(40, [20])
         for c, v in enumerate(mins):
             rec.observe(
@@ -327,8 +500,7 @@ class TestActuationTable:
         assert dump["actuation_id"][:2] == [0, 0]  # same object, one id
 
     def test_no_decision_records_none(self):
-        rec = FlightRecorder(2, GUARD, pre_cycles=2, post_cycles=2,
-                             scan_interval=4)
+        rec = FlightRecorder(2, GUARD, pre_cycles=2, post_cycles=2)
         feed(rec, dipped(20, [10]))
         rec.finalize()
         dump = rec.dumps[0].to_dict()
@@ -338,8 +510,7 @@ class TestActuationTable:
 
 class TestPersistence:
     def test_write_and_read_roundtrip(self, tmp_path):
-        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4,
-                             scan_interval=8)
+        rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4)
         feed(rec, dipped(100, [30, 70]))
         rec.finalize()
         paths = rec.write(tmp_path / "flight")

@@ -9,6 +9,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.telemetry.live import Histogram
@@ -71,6 +72,29 @@ class TestChannelDecimationProperties:
             ref.record(pre + k, value)
         chan.record_series(pre, values)
         assert chan.to_dict() == ref.to_dict()
+
+    @given(
+        capacity=capacities,
+        sizes=st.lists(
+            st.integers(min_value=0, max_value=400), min_size=2, max_size=3
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_record_series_calls_in_a_row_match_record(
+        self, capacity, sizes
+    ):
+        # Windows of a NumPy array, back to back across halvings, with
+        # a gap in the cycle numbering between calls.
+        ref = MetricChannel("v", capacity=capacity)
+        chan = MetricChannel("v", capacity=capacity)
+        cycle = 0
+        for size in sizes:
+            values = np.arange(cycle, cycle + size) * 0.25
+            for k, value in enumerate(values.tolist()):
+                ref.record(cycle + k, value)
+            chan.record_series(cycle, values)
+            assert chan.to_dict() == ref.to_dict()
+            cycle += size + 3
 
 
 observations = st.lists(
