@@ -16,43 +16,72 @@
  *   - the RHS scatter accumulates gain*value contributions in triple
  *     order, matching np.bincount's (and np.add.at's) input-order
  *     accumulation per index;
- *   - the back-substitution calls the very LAPACK dgetrs scipy's
- *     getrs wrapper calls (function pointer extracted from
- *     scipy.linalg.cython_lapack by the Python side), one NRHS=1
- *     solve per lane on the lane's shard LU — same routine, same
- *     operands, same bits.  A hand-rolled P·L·U substitution was
- *     rejected: a blocked BLAS trsm reorders dot-product accumulation,
- *     so only the genuine dgetrs preserves bit-identity with the
- *     serial solver.
+ *   - the back-substitution runs the operation sequence of the NRHS=1
+ *     LAPACK getrs the serial solver calls (OpenBLAS: laswp, then two
+ *     column-oriented trsv, unblocked up to 64 unknowns): the pivot
+ *     swaps, then the unit-lower and the upper triangle column by
+ *     column, each update x_i = fma(-x_k, LU[i,k], x_i) (x_i + -x_k *
+ *     LU[i,k] on a CPU without FMA, as BLAS's non-FMA axpy) and each
+ *     diagonal step a true division.  Updates into one column touch
+ *     distinct rows, so every x_i sees the same rounded operations in
+ *     the same order as under getrs, and the result is getrs's bit for
+ *     bit.  Past 64 unknowns BLAS blocks the triangles and folds the
+ *     off-block part into a gemv, which reorders the sums, so the
+ *     Python side rejects larger systems.
+ *
+ * The substitution solves each shard's lanes (those sharing one LU)
+ * together, CHUNK lanes at a time laid out lanes-inner, so each LU
+ * entry is loaded once per chunk; a lone lane runs the same body at
+ * width 1 and a chunk of 2..CHUNK-1 lanes is padded with zero lanes.
+ * It walks only the entries that were nonzero when the shard was
+ * built.  Skipping an update by a zero entry leaves x_i as it was,
+ * which getrs's update also does unless the multiplier is not finite
+ * (inf * 0 is NaN) or x_i is a zero whose sign the update would flip.
+ * Either case leaves a zero or non-finite value in the lane's
+ * solution (a non-finite multiplier stays non-finite through the rest
+ * of the substitution), so a chunk with such a value is solved again
+ * walking every entry: the result is always getrs's.
  *
  * Index arrays are the solver's flat-view gathers: lane-offset indices
  * into the flattened (B, ...) buffers, precomputed once in Python.
  */
 
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 typedef int64_t i64;
 
-/* LAPACK dgetrs, Fortran calling convention: all arguments by
- * reference, pivots 1-based int32, matrices column-major. */
-typedef void (*dgetrs_t)(char *trans, int *n, int *nrhs, double *a,
-                         int *lda, int *ipiv, double *b, int *ldb,
-                         int *info);
+/* Largest system the substitution reproduces getrs on (BLAS's trsv
+ * block), and the chunk width (the co-sim's lane group). */
+#define MAX_UNKNOWNS 64
+#define CHUNK 8
+
+/* One shard: its lanes and the F-ordered LU they share. */
+typedef struct ShardLU {
+    i64 n_lanes;
+    void *lanes;  /* (n_lanes,) i64 lane indices, ascending */
+    void *lu;     /* (size, size) F-ordered LU block (lu_factor's) */
+    void *perm;   /* (size,) i64: row i of P·b is b[perm[i]] */
+    void *l_ptr;  /* (size + 1,) i64 column offsets into l_row */
+    void *l_row;  /* strict-lower nonzero rows, column by column */
+    void *u_ptr;  /* (size + 1,) i64 column offsets into u_row */
+    void *u_row;  /* strict-upper nonzero rows, column by column */
+} ShardLU;
 
 typedef struct SolverState {
     /* dimensions */
     i64 n_lanes;    /* B */
-    i64 size;       /* MNA system size per lane */
+    i64 size;       /* MNA system size per lane (<= MAX_UNKNOWNS) */
     i64 n_vals;     /* per-lane value-vector length [ieq | sources] */
     i64 n_react;    /* reactive elements per lane (== cs offset) */
     i64 n_scatter;  /* total flat scatter triples (B * per-lane) */
     i64 n_cs;       /* total flat current-source gather length */
     i64 n_vs;       /* voltage-source rows per lane */
-    /* LAPACK back-substitution */
-    void *dgetrs;   /* dgetrs function pointer */
-    void *lu_addr;  /* (B,) i64 addresses of F-ordered shard LU blocks */
-    void *piv_addr; /* (B,) i64 addresses of 1-based int32 pivot vectors */
+    /* back-substitution: the shards partition the lanes */
+    i64 n_shards;
+    void *shards;   /* (n_shards,) ShardLU */
     /* reactive companion state, (B, n_react) unless noted */
     void *react_g;
     void *react_v;
@@ -80,12 +109,170 @@ typedef struct SolverState {
     void *sol;
 } SolverState;
 
-/* Advance every lane `nsub` trapezoidal steps.  Returns 0, or
- * -(lane + 1) if dgetrs reports a bad argument for that lane (a
- * wiring bug, not a numerical event — NaNs propagate silently just
- * like the NumPy path and are caught by the solver guard's health
- * proof afterwards). */
-i64 solver_step_n(SolverState *st, i64 nsub) {
+/* One getrs update x + -x_k * a, NaN operands included: BLAS's axpy
+ * runs y = fma(alpha, x, y), and an x86 FMA returns the NaN of a
+ * multiplicand before the addend's, so a NaN multiplier wins over a NaN
+ * entry, which wins over a NaN x (the walk over nonzeros leaves NaNs to
+ * the full walk, which runs this). */
+static inline __attribute__((always_inline)) double
+update(double m, double a, double x, int fused) {
+    if (isnan(m))
+        return m;
+    if (isnan(a))
+        return a;
+    if (isnan(x))
+        return x;
+    return fused ? fma(m, a, x) : x + m * a;
+}
+
+/* One column's updates x_i = x_i + m * col[i] for the entries e in
+ * [beg, end): row e itself (`dense`) or rows[e]. */
+static inline __attribute__((always_inline)) void
+column(const double *col, const i64 *rows, i64 beg, i64 end,
+       const double *m, double *x, i64 w, int dense, int fused) {
+    for (i64 e = beg; e < end; e++) {
+        const i64 i = dense ? e : rows[e];
+        const double a = col[i];
+        double *xi = x + i * w;
+        for (i64 l = 0; l < w; l++)
+            xi[l] = dense ? update(m[l], a, xi[l], fused)
+                    : fused ? fma(m[l], a, xi[l]) : xi[l] + m[l] * a;
+    }
+}
+
+/* P·L·U x = b on `w` lanes held lanes-inner in x (row i of lane l at
+ * x[i*w + l]), walking the shard's nonzeros or (`dense`) every entry.
+ * Always inlined with constant w, dense and fused, so each variant
+ * compiles to its own loop nest. */
+static inline __attribute__((always_inline)) void
+substitute(const ShardLU *sh, i64 n, double *x, i64 w, int dense,
+           int fused) {
+    const double *lu = (const double *)sh->lu;
+    const i64 *l_ptr = (const i64 *)sh->l_ptr;
+    const i64 *u_ptr = (const i64 *)sh->u_ptr;
+    double m[CHUNK];
+    for (i64 k = 0; k < n; k++) {
+        for (i64 l = 0; l < w; l++)
+            m[l] = -x[k * w + l];
+        column(lu + k * n, (const i64 *)sh->l_row,
+               dense ? k + 1 : l_ptr[k], dense ? n : l_ptr[k + 1],
+               m, x, w, dense, fused);
+    }
+    for (i64 k = n - 1; k >= 0; k--) {
+        const double d = lu[k * n + k];
+        double *xk = x + k * w;
+        for (i64 l = 0; l < w; l++) {
+            xk[l] = xk[l] / d;
+            m[l] = -xk[l];
+        }
+        column(lu + k * n, (const i64 *)sh->u_row,
+               dense ? 0 : u_ptr[k], dense ? k : u_ptr[k + 1],
+               m, x, w, dense, fused);
+    }
+}
+
+/* Load the chunk's permuted right-hand sides into x (`nl` lanes of
+ * `w`; padding lanes are zero). */
+static inline __attribute__((always_inline)) void
+load_chunk(const ShardLU *sh, i64 n, const i64 *lanes, i64 nl, i64 w,
+           const double *rhs, double *x) {
+    const i64 *perm = (const i64 *)sh->perm;
+    if (nl < w)
+        memset(x, 0, (size_t)(n * w) * sizeof(double));
+    for (i64 l = 0; l < nl; l++) {
+        const double *b = rhs + lanes[l] * n;
+        for (i64 i = 0; i < n; i++)
+            x[i * w + l] = b[perm[i]];
+    }
+}
+
+/* Write the chunk's real lanes into sol; returns whether any value is
+ * zero or not finite (the cases a skipped entry can change). */
+static inline __attribute__((always_inline)) int
+store_chunk(i64 n, const i64 *lanes, i64 nl, i64 w, const double *x,
+            double *sol) {
+    int redo = 0;
+    for (i64 l = 0; l < nl; l++) {
+        double *row = sol + lanes[l] * n;
+        for (i64 i = 0; i < n; i++) {
+            const double v = x[i * w + l];
+            const double a = fabs(v);
+            redo |= !(a > 0.0 && a <= DBL_MAX);
+            row[i] = v;
+        }
+    }
+    return redo;
+}
+
+static inline __attribute__((always_inline)) void
+solve_chunk(const ShardLU *sh, i64 n, const i64 *lanes, i64 nl, i64 w,
+            const double *rhs, double *sol, int fused) {
+    double x[MAX_UNKNOWNS * CHUNK];
+    load_chunk(sh, n, lanes, nl, w, rhs, x);
+    substitute(sh, n, x, w, 0, fused);
+    if (store_chunk(n, lanes, nl, w, x, sol)) {
+        load_chunk(sh, n, lanes, nl, w, rhs, x);
+        substitute(sh, n, x, w, 1, fused);
+        store_chunk(n, lanes, nl, w, x, sol);
+    }
+}
+
+/* Solve every lane: rhs -> sol, shard by shard, chunk by chunk. */
+static inline __attribute__((always_inline)) void
+solve_lanes(const SolverState *st, int fused) {
+    const ShardLU *shards = (const ShardLU *)st->shards;
+    const double *rhs = (const double *)st->rhs;
+    double *sol = (double *)st->sol;
+    const i64 n = st->size;
+    for (i64 s = 0; s < st->n_shards; s++) {
+        const ShardLU *sh = shards + s;
+        const i64 *lanes = (const i64 *)sh->lanes;
+        for (i64 c = 0; c < sh->n_lanes; c += CHUNK) {
+            const i64 nl = sh->n_lanes - c < CHUNK ? sh->n_lanes - c
+                                                   : CHUNK;
+            if (nl == 1)
+                solve_chunk(sh, n, lanes + c, 1, 1, rhs, sol, fused);
+            else
+                solve_chunk(sh, n, lanes + c, nl, CHUNK, rhs, sol, fused);
+        }
+    }
+}
+
+/* The fused body is compiled for the FMA instruction set (without it,
+ * fma() is a libm call) and picked at run time when the CPU has it; the
+ * plain body rounds the product and the sum apart, as BLAS's axpy does
+ * on a CPU without FMA. */
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("fma"))) static void
+solve_lanes_fma(const SolverState *st) {
+    solve_lanes(st, 1);
+}
+
+static void solve_lanes_plain(const SolverState *st) {
+    solve_lanes(st, 0);
+}
+
+static void solve_all(const SolverState *st) {
+    static int has_fma = -1;
+    if (has_fma < 0) {
+        __builtin_cpu_init();
+        has_fma = __builtin_cpu_supports("fma") ? 1 : 0;
+    }
+    if (has_fma)
+        solve_lanes_fma(st);
+    else
+        solve_lanes_plain(st);
+}
+#else
+static void solve_all(const SolverState *st) {
+    solve_lanes(st, 1);
+}
+#endif
+
+/* Advance every lane `nsub` trapezoidal steps.  NaNs propagate
+ * silently, as in the serial solver, and are caught by the solver
+ * guard's health proof afterwards. */
+void solver_step_n(SolverState *st, i64 nsub) {
     const i64 B = st->n_lanes;
     const i64 SZ = st->size;
     const i64 NV = st->n_vals;
@@ -110,12 +297,6 @@ i64 solver_step_n(SolverState *st, i64 nsub) {
     double *vs_vals = (double *)st->vs_vals;
     double *rhs = (double *)st->rhs;
     double *sol = (double *)st->sol;
-    i64 *lu_addr = (i64 *)st->lu_addr;
-    i64 *piv_addr = (i64 *)st->piv_addr;
-    dgetrs_t dgetrs = (dgetrs_t)st->dgetrs;
-    char trans = 'N';
-    int n = (int)SZ;
-    int one = 1;
 
     for (i64 sub = 0; sub < nsub; sub++) {
         /* Companion injections ieq = g*v + i land in the head of each
@@ -149,17 +330,8 @@ i64 solver_step_n(SolverState *st, i64 nsub) {
                 rb[vs_rows[m]] = vv[m];
         }
 
-        /* Back-substitute each lane in place on its solution row
-         * against its shard's LU. */
-        for (i64 b = 0; b < B; b++) {
-            double *row = sol + b * SZ;
-            int info = 0;
-            memcpy(row, rhs + b * SZ, (size_t)SZ * sizeof(double));
-            dgetrs(&trans, &n, &one, (double *)(void *)lu_addr[b], &n,
-                   (int *)(void *)piv_addr[b], row, &n, &info);
-            if (info != 0)
-                return -(b + 1);
-        }
+        /* Back-substitute every lane against its shard's LU. */
+        solve_all(st);
 
         /* Reactive-state update: v' across every terminal pair,
          * i' = g*v' + sign*ieq. */
@@ -178,7 +350,6 @@ i64 solver_step_n(SolverState *st, i64 nsub) {
             }
         }
     }
-    return 0;
 }
 
 /* One guarded co-sim cycle (BatchSolverGuard's clean path) in one call:
@@ -187,8 +358,7 @@ i64 solver_step_n(SolverState *st, i64 nsub) {
  * substeps, then run the guard's health proof on every lane.  A sum
  * of squares under limit_sq[b] certifies every entry of the lane's
  * solution row is inside the spike limit; NaN/Inf fail the compare.
- * Returns how many lanes failed the proof, or the step's negative
- * error code. */
+ * Returns how many lanes failed the proof. */
 i64 solver_step_n_checked(SolverState *st, i64 nsub, double *snap,
                           const double *limit_sq) {
     const i64 B = st->n_lanes;
@@ -196,9 +366,7 @@ i64 solver_step_n_checked(SolverState *st, i64 nsub, double *snap,
     const size_t plane = (size_t)(B * st->n_react) * sizeof(double);
     memcpy(snap, st->react_v, plane);
     memcpy((char *)snap + plane, st->react_i, plane);
-    i64 rc = solver_step_n(st, nsub);
-    if (rc < 0)
-        return rc;
+    solver_step_n(st, nsub);
     const double *sol = (const double *)st->sol;
     i64 bad = 0;
     for (i64 b = 0; b < B; b++) {

@@ -1,14 +1,13 @@
-"""ctypes mirror of the batched solver kernel's state (``_solverc.c``).
+"""ctypes mirrors of the batched solver kernel's state (``_solverc.c``).
 
 The kernel is part of the native library (:mod:`repro.native`) and is
 :class:`repro.circuits.transient.BatchTransientSolver`'s only step.  It
-back-substitutes through the very LAPACK ``dgetrs`` scipy's ``getrs``
-wrapper calls (:func:`repro.native.dgetrs_pointer`), so it runs the
-routine a serial :class:`~repro.circuits.transient.TransientSolver`
-runs on the same operands and stays bit-identical to B serial lanes.
-(A hand-rolled P·L·U substitution was rejected — a blocked BLAS
-``trsm`` reorders dot-product accumulation, which breaks that
-bit-identity.)
+back-substitutes each shard's lanes together with the operation
+sequence of the NRHS=1 LAPACK ``getrs`` a serial
+:class:`~repro.circuits.transient.TransientSolver` calls — pivot swaps,
+then both triangles column by column, one ``fma`` per update and one
+division per diagonal — so it stays bit-identical to B serial lanes on
+systems of up to :data:`MAX_UNKNOWNS` unknowns.
 """
 
 from __future__ import annotations
@@ -17,6 +16,25 @@ import ctypes
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_longlong
+
+#: Largest system the kernel's substitution reproduces ``getrs`` on
+#: (``MAX_UNKNOWNS`` in ``_solverc.c``: BLAS's unblocked trsv).
+MAX_UNKNOWNS = 64
+
+
+class CShardLU(ctypes.Structure):
+    """Mirror of ``ShardLU`` in ``_solverc.c`` (field order matters)."""
+
+    _fields_ = [
+        ("n_lanes", _I64),
+        ("lanes", _PTR),
+        ("lu", _PTR),
+        ("perm", _PTR),
+        ("l_ptr", _PTR),
+        ("l_row", _PTR),
+        ("u_ptr", _PTR),
+        ("u_row", _PTR),
+    ]
 
 
 class CSolverState(ctypes.Structure):
@@ -30,9 +48,8 @@ class CSolverState(ctypes.Structure):
         ("n_scatter", _I64),
         ("n_cs", _I64),
         ("n_vs", _I64),
-        ("dgetrs", _PTR),
-        ("lu_addr", _PTR),
-        ("piv_addr", _PTR),
+        ("n_shards", _I64),
+        ("shards", _PTR),
         ("react_g", _PTR),
         ("react_v", _PTR),
         ("react_i", _PTR),

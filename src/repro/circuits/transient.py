@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor
 
 from repro import native
-from repro.circuits._solverc import CSolverState
+from repro.circuits._solverc import MAX_UNKNOWNS, CShardLU, CSolverState
 from repro.circuits.elements import Capacitor, Inductor
 from repro.circuits.mna import MNAStructure
 from repro.circuits.netlist import Circuit
@@ -156,6 +156,8 @@ class TransientSolver:
         # The step calls LAPACK ``getrs`` directly — the same
         # routine ``scipy.linalg.lu_solve`` wraps (bit-identical result),
         # minus per-call validation that would dominate small systems.
+        # It is the bit-identity reference of the batch kernel's own
+        # substitution (_solverc.c).
         self._getrs = get_lapack_funcs(("getrs",), (self._lu[0],))[0]
 
         # Fast-path caches for per-step RHS assembly (the inner loop of
@@ -528,22 +530,44 @@ class TransientSolver:
         return TransientResult(times, nodes, voltages)
 
 
+def _column_rows(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The True entries of a square mask, column by column: per-column
+    offsets (``size + 1``) into their row indices (ascending)."""
+    cols, rows = np.nonzero(mask.T)
+    ptr = np.zeros(mask.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=mask.shape[1]), out=ptr[1:])
+    return ptr, rows.astype(np.int64)
+
+
 class _SolverShard:
     """Lanes whose MNA matrices are value-identical, sharing one LU.
 
     The representative lane's factorization serves every member:
     ``lu_factor`` is deterministic, so value-identical matrices produce
     bit-identical LU blocks and solving any member against the shared
-    block is bit-identical to solving against its own.
+    block is bit-identical to solving against its own.  The kernel
+    solves the members together, reading the F-ordered LU in place; the
+    shard holds the pivots as one row permutation and the rows of each
+    column's strict-lower and strict-upper nonzeros (a NaN counts as
+    nonzero), the entries the kernel walks.
     """
 
-    __slots__ = ("lu", "piv1")
+    __slots__ = ("lanes", "lu", "perm", "l_ptr", "l_row", "u_ptr", "u_row")
 
-    def __init__(self, lu: np.ndarray, piv: np.ndarray) -> None:
+    def __init__(
+        self, lu: np.ndarray, piv: np.ndarray, lanes: Sequence[int]
+    ) -> None:
+        self.lanes = np.asarray(lanes, dtype=np.int64)
         self.lu = lu
-        # scipy's lu_factor pivots are 0-based; the raw LAPACK routine
-        # wants 1-based int32.
-        self.piv1 = (piv + 1).astype(np.int32)
+        # getrs swaps row k with row piv[k] for k = 0, 1, ...; the
+        # swaps compose into one gather.
+        perm = list(range(lu.shape[0]))
+        for k, p in enumerate(piv.tolist()):
+            perm[k], perm[p] = perm[p], perm[k]
+        self.perm = np.array(perm, dtype=np.int64)
+        nonzero = lu != 0.0
+        self.l_ptr, self.l_row = _column_rows(np.tril(nonzero, -1))
+        self.u_ptr, self.u_row = _column_rows(np.triu(nonzero, 1))
 
 
 class BatchTransientSolver:
@@ -556,26 +580,29 @@ class BatchTransientSolver:
     refactorizations may differ.  Every step runs compiled, in the
     native library (:mod:`repro.native`): one call into ``_solverc.c``
     advances every lane ``n`` substeps — companion update, source
-    gather, RHS scatter, voltage-source stamp, per-lane LAPACK
-    back-substitution through the genuine ``dgetrs`` pointer, and the
-    reactive-state update — bit-identical to B serial
+    gather, RHS scatter, voltage-source stamp, back-substitution and
+    the reactive-state update — bit-identical to B serial
     :class:`TransientSolver` runs, the kernel's reference.  The
     back-substitution runs per shard of value-identical matrices
-    (:class:`_SolverShard`): one shared ``lu_factor`` per shard and
-    per-lane NRHS=1 solves against it.  (A multi-RHS ``getrs`` over a
-    shard's block reorders dot-product accumulation in a blocked BLAS
-    ``trsm`` and breaks bit-identity against ``run_cosim``.)  A mid-run
+    (:class:`_SolverShard`): one shared ``lu_factor`` per shard, whose
+    lanes the kernel substitutes together, eight at a time, with the
+    operation sequence of the NRHS=1 ``getrs`` each serial lane calls
+    (one ``fma`` per update, a division per diagonal, columns in
+    order), walking only the LU's nonzeros.  A mid-run
     :meth:`TransientSolver.refactor` marks the lane map dirty, and the
     next step regroups: the refactored lane splits into its own shard
     and the surviving shard is untouched, so fault injection and guard
     recovery keep working unchanged.
 
     The kernel steps the co-sim's lane sets, and construction raises
-    ``ValueError`` for any other: ``shared_current_base`` must be a
-    C-contiguous float64 ``(B, num_sources)`` array whose row i is lane
-    i's one bound current buffer (see
-    ``StackedPDN.bind_current_buffer``), and no lane may have an unbound
-    current source or a waveform-callable voltage source.
+    ``ValueError`` for any other: the system may have at most
+    :data:`~repro.circuits._solverc.MAX_UNKNOWNS` (64) unknowns, past
+    which BLAS's blocked ``trsv`` sums in another order (the co-sim's
+    PDN has 51); ``shared_current_base`` must be a C-contiguous float64
+    ``(B, num_sources)`` array whose row i is lane i's one bound current
+    buffer (see ``StackedPDN.bind_current_buffer``); and no lane may
+    have an unbound current source or a waveform-callable voltage
+    source.
 
     Each lane's dynamic state (``_react_v`` / ``_react_i`` / ``solution``)
     is re-homed as a row view of the batch arrays, so per-lane reads
@@ -595,6 +622,11 @@ class BatchTransientSolver:
         if not self.solvers:
             raise ValueError("need at least one lane solver")
         first = self.solvers[0]
+        if first.structure.size > MAX_UNKNOWNS:
+            raise ValueError(
+                f"the batch solver steps systems of at most {MAX_UNKNOWNS} "
+                f"unknowns; this one has {first.structure.size}"
+            )
         for s in self.solvers:
             if s.dt != first.dt:
                 raise ValueError(
@@ -777,37 +809,44 @@ class BatchTransientSolver:
         injection, guard recovery, ``set_dt``).  A refactored lane's
         matrix bytes change, so regrouping naturally splits it out of
         its old shard without touching the other members.  The struct
-        holds raw addresses of each lane's shard LU block and 1-based
-        pivot vector and of the batch buffers; every referenced array
-        is pinned in ``_c_refs`` for the struct's lifetime.
+        holds raw addresses of each shard's lanes, LU block and column
+        index and of the batch buffers; every referenced array is
+        pinned in ``_c_refs`` for the struct's lifetime.
         """
-        shard_map: Dict[bytes, _SolverShard] = {}
-        n_lanes = len(self.solvers)
-        lu_addr = np.empty(n_lanes, dtype=np.int64)
-        piv_addr = np.empty(n_lanes, dtype=np.int64)
+        groups: Dict[bytes, List[int]] = {}
         for i, s in enumerate(self.solvers):
-            key = s._matrix.tobytes()
-            shard = shard_map.get(key)
-            if shard is None:
-                shard = shard_map[key] = _SolverShard(*s._lu)
-            lu_addr[i] = shard.lu.ctypes.data
-            piv_addr[i] = shard.piv1.ctypes.data
-        self._shards = list(shard_map.values())
+            groups.setdefault(s._matrix.tobytes(), []).append(i)
+        self._shards = [
+            _SolverShard(*self.solvers[lanes[0]]._lu, lanes)
+            for lanes in groups.values()
+        ]
 
         def ptr(arr: np.ndarray) -> int:
             return arr.ctypes.data
 
+        shards = (CShardLU * len(self._shards))(*[
+            CShardLU(
+                n_lanes=sh.lanes.size,
+                lanes=ptr(sh.lanes),
+                lu=ptr(sh.lu),
+                perm=ptr(sh.perm),
+                l_ptr=ptr(sh.l_ptr),
+                l_row=ptr(sh.l_row),
+                u_ptr=ptr(sh.u_ptr),
+                u_row=ptr(sh.u_row),
+            )
+            for sh in self._shards
+        ])
         st = CSolverState(
-            n_lanes=n_lanes,
+            n_lanes=len(self.solvers),
             size=self._sol_bt.shape[1],
             n_vals=self._vals_bt.shape[1],
             n_react=self._n_react,
             n_scatter=self._scat_idx.size,
             n_cs=self._cs_dst.size,
             n_vs=self._vs_rows.size,
-            dgetrs=native.dgetrs_pointer(),
-            lu_addr=ptr(lu_addr),
-            piv_addr=ptr(piv_addr),
+            n_shards=len(self._shards),
+            shards=ctypes.addressof(shards),
             react_g=ptr(self._react_g_bt),
             react_v=ptr(self._react_v_bt),
             react_i=ptr(self._react_i_bt),
@@ -828,7 +867,7 @@ class BatchTransientSolver:
             rhs=ptr(self._rhs_bt),
             sol=ptr(self._sol_bt),
         )
-        self._c_refs = [lu_addr, piv_addr, self._shards]
+        self._c_refs = [shards, self._shards]
         self._c_state_ptr = ctypes.pointer(st)  # keeps st alive
         self._lanes_dirty = False
 
@@ -862,7 +901,8 @@ class BatchTransientSolver:
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        self._c_finish(self._clib.solver_step_n(self._c_pointer(), n), n)
+        self._clib.solver_step_n(self._c_pointer(), n)
+        self._advance_clock(n)
         return self._sol_bt[:, : self.num_nodes]
 
     def step_n_checked(
@@ -882,12 +922,11 @@ class BatchTransientSolver:
         args = self._checked_args
         if args is None or args[0] is not snap or args[1] is not limit_sq:
             args = self._bind_checked_args(snap, limit_sq)
-        return self._c_finish(
-            self._clib.solver_step_n_checked(
-                self._c_pointer(), n, args[2], args[3]
-            ),
-            n,
+        bad = self._clib.solver_step_n_checked(
+            self._c_pointer(), n, args[2], args[3]
         )
+        self._advance_clock(n)
+        return bad
 
     def _bind_checked_args(self, snap: np.ndarray, limit_sq: np.ndarray):
         """Validate and cache the raw addresses step_n_checked passes."""
@@ -909,13 +948,8 @@ class BatchTransientSolver:
         )
         return self._checked_args
 
-    def _c_finish(self, rc: int, n: int) -> int:
+    def _advance_clock(self, n: int) -> None:
         """Bookkeeping after a C call of ``n`` substeps."""
-        if rc < 0:
-            raise RuntimeError(
-                "C solver kernel: dgetrs rejected its arguments "
-                f"on lane {-rc - 1}"
-            )
         # The clock advances by the same sequential accumulation a
         # serial lane performs (t += dt, n times), keeping every
         # recovered-lane/time comparison bit-aligned.
@@ -927,7 +961,6 @@ class BatchTransientSolver:
             t = t + dt
         clock[0] = t
         self._csteps[0] += n
-        return rc
 
     def fold_lanes(self, rows: Optional[Sequence[int]] = None) -> None:
         """Write the batch clock back into the lanes (``rows``, or all).

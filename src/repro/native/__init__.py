@@ -11,11 +11,11 @@ first use and driven through :mod:`ctypes`.  The library is required:
 reason and the compiler's output.  The second implementation of each
 layer is its test oracle under ``tests/oracles/``.
 
-The solver kernel back-substitutes through the very LAPACK ``dgetrs``
-scipy's ``getrs`` wrapper calls, so the library also needs that
-routine's address (:func:`dgetrs_pointer`); without it the load fails.
-The cycle kernel makes the fault injectors' random draws
-with NumPy's own distribution code, so the library links the
+The solver kernel back-substitutes on its own, with the operation
+sequence of the LAPACK ``getrs`` the serial solver calls; its fused
+body is compiled for the FMA instruction set and picked at run time on
+a CPU that has it.  The cycle kernel makes the fault injectors' random
+draws with NumPy's own distribution code, so the library links the
 ``libnpyrandom.a`` archive NumPy ships for C extensions
 (:data:`ARCHIVES`); a missing or unlinkable archive fails the load
 too.  Struct pointers cross as ``void *``: each layer owns the
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ctypes
 from pathlib import Path
-from typing import Optional
 
 import numpy.random
 
@@ -44,7 +43,8 @@ ARCHIVES = (Path(numpy.random.__file__).parent / "lib" / "libnpyrandom.a",)
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_longlong
 
-#: Exported symbol -> argtypes; every one returns an int64 status.
+#: Exported symbol -> argtypes; every one returns an int64 status
+#: except the ones in _VOID.
 _SYMBOLS = {
     "engine_step": [_PTR, _I64],
     "engine_step_batch": [_PTR, _I64, _PTR, _PTR, _PTR, _PTR],
@@ -58,45 +58,14 @@ _SYMBOLS = {
     "bank_pop": [_PTR, _I64, _I64],
 }
 
-_DGETRS: dict = {}
-
-
-def dgetrs_pointer() -> Optional[int]:
-    """Raw address of LAPACK ``dgetrs``, or ``None`` when unavailable.
-
-    Extracted from scipy's cython_lapack capsule table so the C kernel
-    calls the identical routine scipy's ``getrs`` wrapper dispatches
-    to.  The caller passes Fortran-ordered LU blocks and *1-based*
-    int32 pivot vectors (scipy's ``lu_factor`` returns 0-based pivots;
-    its f2py wrapper converts internally, the raw routine does not).
-    """
-    if "ptr" in _DGETRS:
-        return _DGETRS["ptr"]
-    ptr: Optional[int] = None
-    try:
-        import scipy.linalg.cython_lapack as cython_lapack
-
-        capsule = cython_lapack.__pyx_capi__["dgetrs"]
-        get_name = ctypes.pythonapi.PyCapsule_GetName
-        get_name.restype = ctypes.c_char_p
-        get_name.argtypes = [ctypes.py_object]
-        get_ptr = ctypes.pythonapi.PyCapsule_GetPointer
-        get_ptr.restype = ctypes.c_void_p
-        get_ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
-        ptr = get_ptr(capsule, get_name(capsule))
-    except Exception:
-        ptr = None
-    _DGETRS["ptr"] = ptr
-    return ptr
+_VOID = frozenset({"solver_step_n"})
 
 
 def _configure(lib: ctypes.CDLL) -> None:
     for name, argtypes in _SYMBOLS.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
-        fn.restype = _I64
-    if dgetrs_pointer() is None:
-        raise OSError("scipy's LAPACK dgetrs capsule is unavailable")
+        fn.restype = None if name in _VOID else _I64
 
 
 LIBRARY = KernelBuild(
@@ -114,15 +83,13 @@ def load() -> ctypes.CDLL:
 
 
 def reset() -> None:
-    """Forget the cached library and ``dgetrs`` address."""
+    """Forget the cached library."""
     LIBRARY.reset()
-    _DGETRS.clear()
 
 
 __all__ = [
     "KernelBuild",
     "NativeBuildError",
-    "dgetrs_pointer",
     "load",
     "reset",
 ]

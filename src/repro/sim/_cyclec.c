@@ -91,14 +91,13 @@ typedef uint8_t u8;
 #define CYC_GROW 4
 #define CYC_APPLY 5
 #define CYC_GPU_ERROR (-1)
-#define CYC_SOLVER_ERROR (-2)
 
 /* Defined in _enginec.c and _solverc.c. */
 struct EngineState;
 struct SolverState;
 i64 engine_step_batch(struct EngineState **sts, i64 nlanes, i64 *clock,
                       i64 *ndone, const u8 *exempt, u8 *relaunch);
-i64 solver_step_n(struct SolverState *st, i64 nsub);
+void solver_step_n(struct SolverState *st, i64 nsub);
 i64 solver_step_n_checked(struct SolverState *st, i64 nsub, double *snap,
                           const double *limit_sq);
 i64 engine_actuate(struct EngineState *st, const double *widths,
@@ -318,14 +317,12 @@ static i64 stage_solve(CycleState *cs) {
         cur[k] = (c >= 0.0 || isnan(c)) ? c : 0.0;
     }
     struct SolverState *st = (struct SolverState *)cs->solver_state;
-    i64 rc = cs->snap ? solver_step_n_checked(st, cs->substeps,
-                                              (double *)cs->snap,
-                                              (const double *)cs->limit_sq)
-                      : solver_step_n(st, cs->substeps);
-    if (rc < 0) {
-        cs->err_lane = -rc - 1;
-        return CYC_SOLVER_ERROR;
-    }
+    i64 bad = 0;
+    if (cs->snap)
+        bad = solver_step_n_checked(st, cs->substeps, (double *)cs->snap,
+                                    (const double *)cs->limit_sq);
+    else
+        solver_step_n(st, cs->substeps);
     /* The batch clock advances as the per-step path's t += dt. */
     double *clock = (double *)cs->clock;
     double t = clock[0];
@@ -334,7 +331,7 @@ static i64 stage_solve(CycleState *cs) {
         t = t + cs->dt;
     clock[0] = t;
     ((i64 *)cs->csteps)[0] += cs->substeps;
-    return rc > 0 ? CYC_SUSPECT : 0;
+    return bad > 0 ? CYC_SUSPECT : 0;
 }
 
 static void stage_readout(CycleState *cs) {

@@ -436,17 +436,14 @@ class CycleKernel:
             self.stage_s[0] += perf_counter() - start
 
     def _finish(self, rc: int, cycle: int) -> int:
-        """Grow the ring and finish ``cycle`` on GROW; raise on errors."""
+        """Grow the ring and finish ``cycle`` on GROW; raise on an engine
+        error."""
         while rc == GROW:
             self.bank._grow()
             rc = self.call(self.ptr, cycle, STAGE_DECIDE, STAGE_DECIDE)
         if rc < 0:
-            lane = self.state.err_lane
-            if rc == -1:
-                raise RuntimeError(
-                    f"C engine pending-load heap overflow on lane {lane}"
-                )
             raise RuntimeError(
-                f"C solver kernel: dgetrs rejected its arguments on lane {lane}"
+                "C engine pending-load heap overflow on lane "
+                f"{self.state.err_lane}"
             )
         return rc

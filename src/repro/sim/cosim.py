@@ -382,13 +382,16 @@ def _record_cosim_channels(
     power, the DCC power applied that cycle, and the worst layer's
     excess over the mean layer power.
     """
+    from repro.telemetry.flight import _row_mins
+
     stack = result.stack
     powers = result.power_trace.data
     layer_powers = powers.reshape(
         len(powers), stack.num_layers, stack.num_columns
     ).sum(axis=2)
     series = (
-        ("min_sm_voltage_v", result.sm_voltages.min(axis=1)),
+        # A minimum is exact in any order; the sums keep NumPy's.
+        ("min_sm_voltage_v", _row_mins(result.sm_voltages)),
         ("total_power_w", powers.sum(axis=1)),
         ("dcc_power_w", dcc_applied_w[: len(powers)]),
         (
@@ -616,11 +619,12 @@ def run_cosim_batch(
     same loop at B=1) and to the serial one-scenario oracle the test
     suite keeps: every array op that crosses the batch axis is
     elementwise with per-lane broadcasts (or a row-wise reduction), the
-    circuit back-substitution stays one LAPACK call per lane, and
-    everything data-dependent (kernel scheduling, fault RNG, controller
-    watchdogs and latency pipelines) runs on per-lane state.  The
-    batch exists for throughput (one cycle-kernel call per span for
-    all lanes of a group instead of one per lane).
+    circuit back-substitution runs each lane through the serial
+    solver's ``getrs`` operation sequence, and everything data-dependent
+    (kernel scheduling, fault RNG, controller watchdogs and latency
+    pipelines) runs on per-lane state.  The batch exists for throughput
+    (one cycle-kernel call per span for all lanes of a group instead of
+    one per lane).
 
     The lanes run as consecutive groups of near-equal size, none wider
     than :data:`LANE_GROUP` (a call of at most that many lanes is one

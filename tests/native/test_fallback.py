@@ -2,9 +2,9 @@
 
 The library is required: every way it can fail to build or load raises
 :class:`NativeBuildError` with the reason — no compiler, a source that
-does not compile (the message carries the compiler's diagnostic), a
-missing LAPACK ``dgetrs`` capsule — and ``reset`` forgets the cached
-library.  Every compiled layer runs on the one library.
+does not compile (the message carries the compiler's diagnostic) — and
+``reset`` forgets the cached library.  Every compiled layer runs on the
+one library.
 """
 
 import pytest
@@ -42,17 +42,6 @@ class TestForcedFailure:
             build.load()
         assert "no_such_name" in str(failure.value)
         assert not list(tmp_path.rglob("*.so"))
-
-    def test_missing_dgetrs_capsule_fails_the_load(self, monkeypatch):
-        native.reset()
-        monkeypatch.setitem(native._DGETRS, "ptr", None)
-        try:
-            with pytest.raises(NativeBuildError, match="dgetrs"):
-                native.load()
-            # A failed load caches nothing: the next one tries again.
-            assert native.LIBRARY.cache == {}
-        finally:
-            native.reset()
 
     def test_reset_forgets_the_cached_library(self):
         lib = native.load()
