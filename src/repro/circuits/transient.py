@@ -27,8 +27,9 @@ B serial :class:`TransientSolver` runs are its reference.
 
 from __future__ import annotations
 
+import copy
 import ctypes
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -332,15 +333,63 @@ class TransientSolver:
         self._g_ind[:] = [dt / (2.0 * l.inductance) for l in self.inductors]
         self.refactor()
 
-    def rebind_sources(self) -> None:
-        """Re-scan current sources' bound batch buffers.
+    def rebind_sources(self, buffer: np.ndarray) -> None:
+        """Gather the bound current sources from ``buffer`` instead.
 
-        Lane quarantine re-binds a surviving PDN's current sources to a
-        row of a freshly compacted batch array
-        (``StackedPDN.bind_current_buffer``); this refreshes the cached
-        buffer handles the step's gather reads from.
+        Only this solver's gather map moves: the circuit's sources keep
+        their own binding, so solvers sharing one circuit
+        (:meth:`fork`) bind independently.  ``buffer`` must be shaped
+        like the one bound at construction.  Lane quarantine moves a
+        surviving lane onto its row of a freshly compacted batch array
+        this way.
         """
-        self._build_cs_gathers()
+        if len(self._cs_batches) != 1:
+            raise ValueError(
+                "rebind_sources needs exactly one bound current buffer, "
+                f"found {len(self._cs_batches)}"
+            )
+        bound, slots, gidx = self._cs_batches[0]
+        if np.shape(buffer) != np.shape(bound):
+            raise ValueError(
+                f"current buffer must have shape {np.shape(bound)}, got "
+                f"{np.shape(buffer)}"
+            )
+        self._cs_batches = [(buffer, slots, gidx)]
+
+    def fork(self, current_buffer: np.ndarray) -> "TransientSolver":
+        """A solver over this one's circuit and LU, from a copy of its state.
+
+        The fork shares what its steps only read: the circuit and MNA
+        structure, the assembled matrix, its LU factors and the index
+        maps.  It owns what a step, :meth:`set_dt`, :meth:`refactor` or
+        a batch writes: reactive state, solution, time, companion
+        gains, RHS scratch and stats (which start from this solver's:
+        its LU and operating point are this solver's work), and it
+        gathers the bound current sources from ``current_buffer``
+        (:meth:`rebind_sources`).  Its refactorization or new step size
+        rebinds its own matrix and LU and leaves this solver's, and
+        every other fork's, alone.  The element values stay shared: a
+        solver whose netlist changes mid-run needs a circuit of its own.
+        """
+        lane = copy.copy(self)
+        lane.__dict__.pop("_batch_owner", None)
+        nc = self._num_cap
+        lane._react_g = self._react_g.copy()
+        lane._g_cap = lane._react_g[:nc]
+        lane._g_ind = lane._react_g[nc:]
+        lane._react_v = self._react_v.copy()
+        lane._react_i = self._react_i.copy()
+        lane._cap_v = lane._react_v[:nc]
+        lane._ind_v = lane._react_v[nc:]
+        lane._cap_i = lane._react_i[:nc]
+        lane._ind_i = lane._react_i[nc:]
+        lane.solution = self.solution.copy()
+        lane._vals = np.zeros_like(self._vals)
+        lane._vs_values = self._vs_values.copy()
+        lane.stats = replace(self.stats)
+        lane._last_rhs = None
+        lane.rebind_sources(current_buffer)
+        return lane
 
     # ------------------------------------------------------------------
     # Initialization

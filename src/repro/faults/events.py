@@ -416,6 +416,15 @@ class FaultSchedule:
     def of_kind(self, kind: str) -> List[FaultEvent]:
         return [e for e in self.events if e.kind == kind]
 
+    @property
+    def netlist_events(self) -> List[FaultEvent]:
+        """The events that edit PDN element values mid-run (CR-IVR
+        phase loss, drift): a lane running any needs a netlist of its
+        own."""
+        return [
+            e for e in self.events if isinstance(e, (CRIVRPhaseLoss, PDNDrift))
+        ]
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,

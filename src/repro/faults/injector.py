@@ -84,9 +84,7 @@ class FaultInjector:
         num = stack.num_sms
 
         ev = schedule.events
-        self._netlist_events: List[FaultEvent] = [
-            e for e in ev if isinstance(e, (CRIVRPhaseLoss, PDNDrift))
-        ]
+        self._netlist_events = schedule.netlist_events
         self._pv_events: List[ProcessVariation] = [
             e for e in ev if isinstance(e, ProcessVariation)
         ]

@@ -3,7 +3,9 @@
  * Compiled on demand into the native library (repro.native: plain cc,
  * no Python headers) and driven through ctypes.  Operates in place on
  * the NumPy buffers of repro.gpu.engine.VectorizedGPUEngine; one call
- * advances all SMs one nominal clock cycle.  engine_actuate serves the
+ * advances all SMs one nominal clock cycle.  engine_launch launches a
+ * kernel generation (the streams, jittered lengths, site miss table and
+ * warp resets) into the engine's own buffers.  engine_actuate serves the
  * co-sim cycle kernel's apply stage, keeping EngineState private here.
  *
  * The contract is bit-identical equivalence with the per-object Python
@@ -33,7 +35,7 @@
  * the warp is done) and head_unit its execution unit, so a warp is
  * ready iff ready_cycle <= cycle.  A warp's caches change only when it
  * issues or one of its loads completes; both refresh them here, and
- * the launch refreshes every warp (VectorizedGPUEngine._refresh_heads).
+ * engine_launch refreshes every warp.
  * live[s] counts SM s's warps that are not done or have loads
  * outstanding; the SM is drained when it reaches 0.
  *
@@ -42,9 +44,16 @@
  * equals the reference's (completion, warp, reg) tuple order, so pop
  * order is identical.  A launch empties the heaps: loads still in
  * flight belong to the kernel that issued them.
+ *
+ * A launch draws the generation's instruction streams and jittered
+ * lengths through NumPy's own Generator routines on the bit generators
+ * the engine seeded (PCG64), so every value, and each generator's state
+ * after the launch, equal the per-warp Python builders kept as the
+ * stream oracle (tests/oracles/stream_reference.py).
  */
 
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 
 typedef int64_t i64;
@@ -52,6 +61,26 @@ typedef uint8_t u8;
 
 #define RA_NEVER (-(1LL << 62))
 #define RA_PENDING (1LL << 62)
+
+#define NUM_REGS 16 /* a warp's register window; column 16 is the dummy */
+
+/* Site-hash constants of MemorySystem._site_hash. */
+#define SITE_SEED 0x9E3779B1ULL
+#define SITE_C1 0x7F4A7C15ULL
+#define SITE_C2 0x85EBCA6BULL
+#define SITE_MASK 0xFFFFFFFFULL
+
+/* NumPy's bit generator (numpy/random/bitgen.h; only passed through)
+ * and the routines Generator.random, .integers and .uniform call, from
+ * NumPy's libnpyrandom.a (numpy/random/distributions.h would pull in
+ * Python.h). */
+typedef struct bitgen bitgen_t;
+void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt,
+                                  double *out);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
+                                uint64_t rng, intptr_t cnt, bool use_masked,
+                                uint64_t *out);
+double random_uniform(bitgen_t *bitgen_state, double lower, double range);
 
 #define HEAP_PACK(comp, w, reg) (((comp) << 24) | ((i64)(w) << 8) | (i64)(reg))
 #define HEAP_COMP(e) ((e) >> 24)
@@ -127,14 +156,33 @@ typedef struct EngineState {
     /* output */
     double *powers; /* (S,) */
     u8 *done;       /* (S,) per-SM kernel-done flags of the last census */
+    /* kernel launch: the spec's per-class tables (classes in the mix's
+     * insertion order), its constants and the launch's scratch */
+    i64 n_classes;
+    i64 phase_period; /* <= 0: no memory phases */
+    i64 miss_cap;     /* miss_table capacity, entries */
+    double dependence;
+    double jitter;
+    double miss_ratio;
+    uint64_t miss_seed; /* MemorySystem._seed modulo 2**64 */
+    double *cum_base;   /* (K,) cumulative class probabilities */
+    double *cum_boost;  /* (K,) the same in memory phases */
+    i64 *c_latency;     /* (K,) */
+    i64 *c_span;
+    double *c_share;
+    i64 *c_unit;
+    u8 *c_has_dest;
+    u8 *c_is_load;
+    double *draws;    /* (3, body) uniform scratch */
+    uint64_t *idraws; /* (2, body) register-draw scratch */
 } EngineState;
 
 static inline int warp_ready(const EngineState *st, i64 s, i64 w, i64 cycle) {
     return st->ready_cycle[s * st->num_warps + w] <= cycle;
 }
 
-/* Recompute warp w's head caches after it issued or a load of its
- * completed: the same values as the engine's _refresh_heads. */
+/* Recompute warp w's head caches after a launch, an issue or a
+ * completed load. */
 static void refresh_head(EngineState *st, i64 s, i64 w) {
     const i64 body = st->body;
     i64 sw = s * st->num_warps + w;
@@ -255,6 +303,147 @@ static i64 gates_select(EngineState *st, i64 s, i64 cycle) {
     if (best >= 0)
         st->last_warp[s] = best;
     return best;
+}
+
+/* Branch-free select: a if cond else b (the launch's selects depend on
+ * random draws, so branches on them would mispredict). */
+static inline i64 pick(int cond, i64 a, i64 b) {
+    const i64 mask = -(i64)(cond != 0);
+    return (a & mask) | (b & ~mask);
+}
+
+/* One warp's stream, as the oracle's per-warp builder makes it: five
+ * draws in order (class uniforms, chain uniforms, random src1, src2
+ * uniforms, random src2; never merged across warps, because integers()
+ * draws 32-bit halves and an odd body leaves one buffered in the
+ * generator for the next warp), then per position the class lookup,
+ * searchsorted(cum, u, side="right") clipped to the last class (cum is
+ * non-decreasing with any NaN last, so that is the count of entries
+ * <= u), the src1 chain to the last written register and the per-class
+ * table gathers. */
+static void launch_stream(EngineState *st, bitgen_t *bg, i64 w) {
+    const i64 body = st->body, K = st->n_classes, period = st->phase_period;
+    const double dependence = st->dependence;
+    double *uni = st->draws, *chain = uni + body, *pick2 = chain + body;
+    uint64_t *reg1 = st->idraws, *reg2 = reg1 + body;
+    random_standard_uniform_fill(bg, body, uni);
+    random_standard_uniform_fill(bg, body, chain);
+    random_bounded_uint64_fill(bg, 0, NUM_REGS - 1, body, false, reg1);
+    random_standard_uniform_fill(bg, body, pick2);
+    random_bounded_uint64_fill(bg, 0, NUM_REGS - 1, body, false, reg2);
+
+    const double *cum_base = st->cum_base, *cum_boost = st->cum_boost;
+    const i64 *c_latency = st->c_latency, *c_span = st->c_span;
+    const i64 *c_unit = st->c_unit;
+    const double *c_share = st->c_share;
+    const u8 *c_has_dest = st->c_has_dest, *c_is_load = st->c_is_load;
+    const i64 row = w * body;
+    i64 *unit = st->s_unit + row, *latency = st->s_latency + row;
+    i64 *span = st->s_span + row, *dest = st->s_dest + row;
+    i64 *dest_col = st->s_dest_col + row, *src1_col = st->s_src1_col + row;
+    i64 *src2_col = st->s_src2_col + row;
+    double *share = st->s_share + row;
+    u8 *is_load = st->s_is_load + row;
+    i64 last_writer = -1;
+    for (i64 p = 0; p < body; p++) {
+        const double *cum =
+            period > 0 && (p / period) % 2 == 1 ? cum_boost : cum_base;
+        const double u = uni[p];
+        i64 k = 0;
+        for (i64 j = 0; j < K; j++)
+            k += cum[j] <= u;
+        k = pick(k < K - 1, k, K - 1);
+        const int writes = c_has_dest[k];
+        const i64 reg = p % NUM_REGS;
+        unit[p] = c_unit[k];
+        latency[p] = c_latency[k];
+        span[p] = c_span[k];
+        share[p] = c_share[k];
+        is_load[p] = c_is_load[k];
+        dest[p] = pick(writes, reg, -1);
+        dest_col[p] = pick(writes, reg, NUM_REGS);
+        src1_col[p] = pick((chain[p] < dependence) & (last_writer >= 0),
+                           last_writer % NUM_REGS, (i64)reg1[p]);
+        src2_col[p] = pick(pick2[p] < 0.5, (i64)reg2[p], NUM_REGS);
+        last_writer = pick(writes, p, last_writer);
+    }
+}
+
+/* Launch kernel generation `generation` on every SM: the oracle SM's
+ * start_new_kernel plus the launch-time builders.  bitgens[0] draws the
+ * streams (one set for every SM, SPMD); with jitter > 0, bitgens[1 + s]
+ * draws SM s's lengths, round(body * (1 + jitter * U(-1, 1))) at least
+ * 1, where a length past the body wraps to the stream's head (with
+ * jitter 0 every length is the body and nothing is drawn).  Then the
+ * site miss table over every (warp, pc) up to the longest stream, the
+ * warp resets (PCs, scoreboards, outstanding loads, the scheduler's
+ * last warp; loads in flight are dropped with the heaps) and every
+ * warp's head caches.  Returns 0, or -1 when the miss table would
+ * outgrow its capacity (nothing launched). */
+i64 engine_launch(EngineState *st, bitgen_t *const *bitgens,
+                  uint64_t generation) {
+    const i64 S = st->num_sms, W = st->num_warps, body = st->body;
+    i64 max_len = body;
+    if (st->jitter > 0.0) {
+        max_len = 1;
+        for (i64 s = 0; s < S; s++) {
+            bitgen_t *bg = bitgens[1 + s];
+            for (i64 w = 0; w < W; w++) {
+                const double scale =
+                    1.0 + st->jitter * random_uniform(bg, -1.0, 2.0);
+                const double r = rint((double)body * scale);
+                const i64 len = (i64)(r < 1.0 ? 1.0 : r);
+                st->length[s * W + w] = len;
+                if (len > max_len)
+                    max_len = len;
+            }
+        }
+    }
+    const i64 max_pc = max_len + 1;
+    if (W * max_pc > st->miss_cap)
+        return -1;
+    if (st->jitter <= 0.0) {
+        for (i64 i = 0; i < S * W; i++)
+            st->length[i] = body;
+    }
+    for (i64 w = 0; w < W; w++)
+        launch_stream(st, bitgens[0], w);
+
+    /* MemorySystem._site_hash of (warp, pc, generation), whose first
+     * product is an unbounded Python int: only its low 32 bits survive
+     * the next mask, and those are the wrapped product's. */
+    const uint64_t gen_mix = generation + SITE_C1;
+    for (i64 w = 0; w < W; w++) {
+        const uint64_t h1 =
+            ((st->miss_seed * SITE_SEED) ^ ((uint64_t)w + SITE_C1)) * SITE_C2
+            & SITE_MASK;
+        u8 *row = st->miss_table + w * max_pc;
+        for (i64 pc = 0; pc < max_pc; pc++) {
+            const uint64_t h2 = ((h1 ^ ((uint64_t)pc + SITE_C1)) * SITE_C2)
+                                & SITE_MASK;
+            const uint64_t h3 = ((h2 ^ gen_mix) * SITE_C2) & SITE_MASK;
+            row[pc] = (double)h3 / 4294967296.0 < st->miss_ratio;
+        }
+    }
+    st->max_pc = max_pc;
+
+    for (i64 s = 0; s < S; s++) {
+        for (i64 w = 0; w < W; w++) {
+            const i64 sw = s * W + w;
+            i64 *ra = st->ready_at + sw * 17;
+            for (int r = 0; r < 17; r++)
+                ra[r] = RA_NEVER;
+            st->pc[sw] = 0;
+            st->outstanding[sw] = 0;
+            st->warp_done[sw] = st->length[sw] <= 0;
+            refresh_head(st, s, w);
+        }
+        st->last_warp[s] = -1;
+        st->heap_len[s] = 0;
+        st->live[s] = W;
+        st->done[s] = 0;
+    }
+    return 0;
 }
 
 /* One nominal clock for every SM.  Returns the number of kernel-done

@@ -23,9 +23,13 @@ Scoreboards are a ``(sms, warps, 17)`` ready-at table (column 16 is a
 dummy register for dest-less instructions, so readiness is a plain
 ``max``), with sentinels for "never written" and "load in flight".
 Each warp's head readiness and head unit are cached (``_ready_cycle``,
-``_head_unit``; see :meth:`VectorizedGPUEngine._refresh_heads`).  A
-launch drops the loads still in flight, as the oracle does: they
-belong to the kernel that issued them.
+``_head_unit``).  A kernel launch is one C call too
+(:meth:`VectorizedGPUEngine._load_generation`): Python seeds the
+generation's bit generators, and the native library draws the streams
+and jittered lengths through NumPy's own Generator routines, builds the
+site miss table and resets the warps, into buffers the engine owns.  A
+launch drops the loads still in flight, as the oracle does: they belong
+to the kernel that issued them.
 
 Warp selection is greedy-then-oldest, or GATES (gating-aware) for the
 Warped-Gates power-gating study: GTO over the ready warps whose next
@@ -52,8 +56,7 @@ from repro.gpu.kernels import (
     KernelSpec,
     StreamArrays,
     UNIT_ORDER,
-    jittered_lengths,
-    stream_arrays,
+    class_tables,
 )
 from repro.gpu.memory import MemorySystem
 from repro.gpu.power import IDLE_DYNAMIC_ENERGY, SMPowerModel
@@ -82,7 +85,17 @@ MAX_WARPS_PER_SM = (1 << 16) - 1
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_longlong
+_U64 = ctypes.c_uint64
 _F64 = ctypes.c_double
+
+# A bit generator's ``bitgen_t`` address, read off its capsule.
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.restype = ctypes.c_void_p
+_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+
+
+def _bitgen_address(bit_generator: np.random.BitGenerator) -> int:
+    return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
 
 
 class CEngineState(ctypes.Structure):
@@ -146,11 +159,27 @@ class CEngineState(ctypes.Structure):
         ("miss_table", _PTR),
         ("powers", _PTR),
         ("done", _PTR),
+        ("n_classes", _I64),
+        ("phase_period", _I64),
+        ("miss_cap", _I64),
+        ("dependence", _F64),
+        ("jitter", _F64),
+        ("miss_ratio", _F64),
+        ("miss_seed", _U64),
+        ("cum_base", _PTR),
+        ("cum_boost", _PTR),
+        ("c_latency", _PTR),
+        ("c_span", _PTR),
+        ("c_share", _PTR),
+        ("c_unit", _PTR),
+        ("c_has_dest", _PTR),
+        ("c_is_load", _PTR),
+        ("draws", _PTR),
+        ("idraws", _PTR),
     ]
 
 
-# The current generation's stream columns, repointed in the C state at
-# every launch as ``s_<column>``.
+# The stream columns, pointed at in the C state as ``s_<column>``.
 _STREAM_COLUMNS = (
     "unit", "latency", "dest", "is_load", "span", "share",
     "dest_col", "src1_col", "src2_col",
@@ -162,8 +191,9 @@ class VectorizedGPUEngine:
 
     ``gating_aware`` selects GATES warp selection instead of GTO.
     Raises :class:`ValueError` for a kernel with more warps per SM than
-    :data:`MAX_WARPS_PER_SM`, and :class:`repro.native.NativeBuildError`
-    when the native library is unavailable.
+    :data:`MAX_WARPS_PER_SM` or a ``jitter`` outside [0, 1), and
+    :class:`repro.native.NativeBuildError` when the native library is
+    unavailable.
     """
 
     def __init__(
@@ -181,6 +211,8 @@ class VectorizedGPUEngine:
                 f"kernel {kernel.name!r} has {kernel.warps_per_sm} warps per "
                 f"SM; the C engine runs at most {MAX_WARPS_PER_SM}"
             )
+        if not 0.0 <= jitter < 1.0:
+            raise ValueError(f"jitter must be in [0,1), got {jitter}")
         self.kernel = kernel
         self.num_sms = num_sms
         self.num_warps = kernel.warps_per_sm
@@ -246,12 +278,22 @@ class VectorizedGPUEngine:
         self._ready_cycle = np.full((S, W), _NEVER, dtype=np.int64)
         self._head_unit = np.zeros((S, W), dtype=np.int64)
         self._last_warp = np.full(S, -1, dtype=np.int64)
-        # Every warp, as the launch's head refresh indexes it.
-        self._all_s = np.repeat(np.arange(S), W)
-        self._all_w = np.tile(np.arange(W), S)
 
-        self._streams: Optional[StreamArrays] = None
-        self._miss_table: Optional[np.ndarray] = None
+        # Launch state: the generation's streams (one set for every SM,
+        # SPMD), the spec's class tables, the site miss table (its
+        # stride, the longest stream + 1, is set per launch; sized for
+        # the longest a jittered stream can be), the launch's draw
+        # scratch and its bit-generator addresses.
+        body = kernel.body_length
+        self._streams = StreamArrays.allocate(W, body)
+        self._tables = class_tables(kernel)
+        longest = body if jitter == 0 else max(
+            1, int(np.rint(body * (1.0 + jitter)))
+        )
+        self._miss_buf = np.zeros(W * (longest + 1), dtype=bool)
+        self._draws = np.zeros((3, body))
+        self._idraws = np.zeros((2, body), dtype=np.uint64)
+        self._bitgens = np.zeros(1 + S, dtype=np.uintp)
 
         # The C step's own state: per-SM pending-load heaps, the memory
         # queue slot and counters, the power row, the live-warp count
@@ -269,6 +311,7 @@ class VectorizedGPUEngine:
         self._live = np.zeros(S, dtype=np.int64)
         self._done_buf = np.zeros(S, dtype=bool)
         self._c_ndone = 0
+        self._build_cstate()
         self._load_generation(0, first=True)
 
     @property
@@ -289,45 +332,57 @@ class VectorizedGPUEngine:
         warps (PCs, scoreboards, outstanding counts), scheduler reset,
         ``kernels_completed`` bumped, and the loads still in flight
         dropped — they belong to the kernel that issued them (their
-        bandwidth slot and miss were booked at issue).
+        bandwidth slot and miss were booked at issue).  Python keeps
+        only NumPy's seeding: one PCG64 for the generation's streams
+        and, with jitter, one per SM for its lengths; the rest is one
+        C call (:meth:`_launch`).
         """
-        self.generation = generation
         seed = self._base_seed + 7919 * generation
-        self._streams = stream_arrays(self.kernel, seed, self.num_warps)
-        for s in range(self.num_sms):
-            jseed = self._jitter_seeds[s] + 7919 * generation
-            self._length[s] = jittered_lengths(
-                self.kernel, self.num_warps, self.jitter, jseed, seed
-            )
-        self._pc[:] = 0
-        self._ready_at[:] = _NEVER
-        self._outstanding[:] = 0
-        self._last_warp[:] = -1
+        jitter_rngs = [
+            np.random.PCG64(jseed + 7919 * generation)
+            for jseed in self._jitter_seeds
+        ] if self.jitter > 0 else []
+        self._launch(generation, np.random.PCG64(seed), jitter_rngs)
         if not first:
             self.stat_kernels += 1
-        self._miss_table = self.memory.site_miss_table(
-            self.num_warps, int(self._length.max()) + 1, generation
-        )
-        self._refresh_heads(self._all_s, self._all_w)  # also clears done
-        self._cheap_len[:] = 0
-        self._live[:] = self.num_warps
+
+    def _launch(
+        self,
+        generation: int,
+        streams: np.random.BitGenerator,
+        jitter_rngs: Sequence[np.random.BitGenerator],
+    ) -> None:
+        """Launch ``generation``, drawing its streams from ``streams``
+        and, with jitter, SM s's lengths from ``jitter_rngs[s]``.
+
+        ``engine_launch`` (``_enginec.c``) makes the draws through
+        NumPy's Generator routines on these bit generators, so the
+        streams, lengths and site miss table equal the per-warp
+        builders of ``tests/oracles/stream_reference.py`` over
+        ``default_rng`` generators of the same seeds, and each bit
+        generator ends in the state those builders leave it in.
+        """
+        ptrs = self._bitgens
+        ptrs[0] = _bitgen_address(streams)
+        for s, rng in enumerate(jitter_rngs):
+            ptrs[1 + s] = _bitgen_address(rng)
+        if self._clib.engine_launch(
+            self._cstate_ptr, self._bitgens_addr, generation
+        ) < 0:
+            raise RuntimeError("C engine miss table outgrew its capacity")
+        self.generation = generation
         self._c_ndone = 0
-        self._done_buf[:] = False
-        if first:
-            self._build_cstate()
-        else:
-            self._point_cstate_at_generation()
 
     def _build_cstate(self) -> None:
         """Build the C kernel's state struct over the engine's buffers.
 
-        Built once, at construction.  A launch repoints the generation's
-        fields in place (:meth:`_point_cstate_at_generation`), and a
-        :class:`repro.gpu.batch.GPUBatch` the buffers it re-homes.
-        Holding the arrays as attributes keeps every pointer alive for
-        the struct's lifetime.
+        Built once, at construction; a
+        :class:`repro.gpu.batch.GPUBatch` repoints the buffers it
+        re-homes.  Holding the arrays as attributes keeps every pointer
+        alive for the struct's lifetime.
         """
         timings = self.memory.timings
+        tables = self._tables
 
         def ptr(arr: np.ndarray) -> int:
             return arr.ctypes.data
@@ -335,6 +390,7 @@ class VectorizedGPUEngine:
         cs = CEngineState(
             num_sms=self.num_sms,
             num_warps=self.num_warps,
+            body=self.kernel.body_length,
             heap_cap=self._cheap.shape[1],
             dram_cycles=timings.dram_cycles,
             l2_cycles=timings.l2_hit_cycles,
@@ -376,51 +432,34 @@ class VectorizedGPUEngine:
             mem_slot=ptr(self._mem_slot),
             mem_counters=ptr(self._mem_counters),
             totals=ptr(self._totals),
+            miss_table=ptr(self._miss_buf),
             powers=ptr(self._powers_buf),
             done=ptr(self._done_buf),
+            n_classes=tables["cum_base"].size,
+            phase_period=self.kernel.phase_period,
+            miss_cap=self._miss_buf.size,
+            dependence=self.kernel.dependence,
+            jitter=self.jitter,
+            miss_ratio=self.memory.miss_ratio,
+            miss_seed=self.memory._seed & ((1 << 64) - 1),
+            cum_base=ptr(tables["cum_base"]),
+            cum_boost=ptr(tables["cum_boost"]),
+            c_latency=ptr(tables["latency"]),
+            c_span=ptr(tables["span"]),
+            c_share=ptr(tables["share"]),
+            c_unit=ptr(tables["unit"]),
+            c_has_dest=ptr(tables["has_dest"]),
+            c_is_load=ptr(tables["is_load"]),
+            draws=ptr(self._draws),
+            idraws=ptr(self._idraws),
+            **{
+                "s_" + name: ptr(getattr(self._streams, name))
+                for name in _STREAM_COLUMNS
+            },
         )
         self._cstate = cs
         self._cstate_ptr = ctypes.pointer(cs)
-        self._point_cstate_at_generation()
-
-    def _point_cstate_at_generation(self) -> None:
-        """Repoint the C state at this generation's streams and miss table."""
-        cs, st = self._cstate, self._streams
-        cs.body = st.body_length
-        cs.max_pc = self._miss_table.shape[1]
-        cs.miss_table = self._miss_table.ctypes.data
-        for name in _STREAM_COLUMNS:
-            setattr(cs, "s_" + name, getattr(st, name).ctypes.data)
-
-    def _refresh_heads(self, s_idx: np.ndarray, w_idx: np.ndarray) -> None:
-        """Recompute head instruction and readiness for the given warps.
-
-        The launch refreshes every warp here; between launches the C
-        step keeps the same caches with its own refresh_head, after
-        each issue (PC advance + dest marked pending) and load
-        completion (register released).
-        """
-        if len(s_idx) == 0:
-            return
-        st = self._streams
-        pc = self._pc[s_idx, w_idx]
-        done = pc >= self._length[s_idx, w_idx]
-        self._warp_done[s_idx, w_idx] = done
-        body = st.body_length
-        # Jitter-lengthened streams wrap to their own head; clamp keeps
-        # the (unused) index of just-done warps in bounds when a stream
-        # runs to exactly twice the body.
-        eff = np.where(pc >= body, pc - body, pc)
-        eff = np.minimum(eff, body - 1)
-        rc = np.maximum(
-            np.maximum(
-                self._ready_at[s_idx, w_idx, st.dest_col[w_idx, eff]],
-                self._ready_at[s_idx, w_idx, st.src1_col[w_idx, eff]],
-            ),
-            self._ready_at[s_idx, w_idx, st.src2_col[w_idx, eff]],
-        )
-        self._ready_cycle[s_idx, w_idx] = np.where(done, _FAR, rc)
-        self._head_unit[s_idx, w_idx] = st.unit[w_idx, eff]
+        self._bitgens_addr = ptr(self._bitgens)
 
     # ------------------------------------------------------------------
     # Actuation

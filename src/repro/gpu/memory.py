@@ -9,8 +9,10 @@ GB/s channel limit of Table I reduced to their timing effect.
 :meth:`request` serves one load issued at a cycle and returns the
 absolute cycle the value becomes ready.  The GPU engine's step runs the
 same bandwidth recurrence inline, with each access site's hit/miss read
-from :meth:`site_miss_table`, and releases the destination register in
-the warp's scoreboard on completion.
+from a table of :meth:`_site_hash` over the kernel generation's
+``(warp, pc)`` grid that each launch builds in compiled code, and
+releases the destination register in the warp's scoreboard on
+completion.
 """
 
 from __future__ import annotations
@@ -82,36 +84,6 @@ class MemorySystem:
             latency = self.timings.l2_hit_cycles
         self.requests_served += 1
         return int(cycle + queue_delay + latency)
-
-    def site_miss_table(
-        self, num_warps: int, max_pc: int, generation: int
-    ) -> np.ndarray:
-        """Hit/miss for every ``(warp_id, pc, generation)`` access site.
-
-        Precomputes :meth:`_site_hash` over the full (warp, pc) grid of
-        one kernel generation — the site key is SM-independent under
-        SPMD, so one table serves all SMs.  Entry ``[warp_id, pc]`` is
-        True when a load issued from that site misses to DRAM.
-        """
-        mask = (1 << 32) - 1
-        c1, c2 = 0x7F4A7C15, 0x85EBCA6B
-        # First mixing step in Python ints: the seed product is taken
-        # unreduced in the reference, so it may exceed 64 bits.
-        h1 = np.array(
-            [
-                ((self._seed * 0x9E3779B1) ^ (warp_id + c1)) * c2 & mask
-                for warp_id in range(num_warps)
-            ],
-            dtype=np.uint64,
-        )
-        # The rest wraps in uint64 on the whole (warp, pc) grid: only the
-        # low 32 bits of each product survive the mask.
-        pcs = np.arange(max_pc, dtype=np.uint64)
-        u_c2, u_mask = np.uint64(c2), np.uint64(mask)
-        h2 = ((h1[:, None] ^ (pcs + np.uint64(c1))) * u_c2) & u_mask
-        h3 = ((h2 ^ np.uint64((int(generation) + c1) & ((1 << 64) - 1))) * u_c2) & u_mask
-        draws = h3.astype(float) / float(1 << 32)
-        return draws < self.miss_ratio
 
     def _site_hash(self, key: tuple) -> float:
         """Stable uniform draw in [0, 1) from an access-site key."""

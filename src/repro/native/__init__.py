@@ -14,11 +14,11 @@ layer is its test oracle under ``tests/oracles/``.
 The solver kernel back-substitutes on its own, with the operation
 sequence of the LAPACK ``getrs`` the serial solver calls; its fused
 body is compiled for the FMA instruction set and picked at run time on
-a CPU that has it.  The cycle kernel makes the fault injectors' random
-draws with NumPy's own distribution code, so the library links the
-``libnpyrandom.a`` archive NumPy ships for C extensions
-(:data:`ARCHIVES`); a missing or unlinkable archive fails the load
-too.  Struct pointers cross as ``void *``: each layer owns the
+a CPU that has it.  The GPU engine's kernel launch draws its streams
+and the cycle kernel the fault injectors' random draws with NumPy's own
+distribution code, so the library links the ``libnpyrandom.a`` archive
+NumPy ships for C extensions (:data:`ARCHIVES`); a missing or
+unlinkable archive fails the load too.  Struct pointers cross as ``void *``: each layer owns the
 ``ctypes.Structure`` mirror of its own state struct.
 """
 
@@ -42,11 +42,13 @@ ARCHIVES = (Path(numpy.random.__file__).parent / "lib" / "libnpyrandom.a",)
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_longlong
+_U64 = ctypes.c_uint64
 
 #: Exported symbol -> argtypes; every one returns an int64 status
 #: except the ones in _VOID.
 _SYMBOLS = {
     "engine_step": [_PTR, _I64],
+    "engine_launch": [_PTR, _PTR, _U64],
     "engine_step_batch": [_PTR, _I64, _PTR, _PTR, _PTR, _PTR],
     "engine_actuate": [_PTR, _PTR, _PTR, _PTR],
     "solver_step_n": [_PTR, _I64],

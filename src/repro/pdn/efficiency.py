@@ -179,12 +179,32 @@ def layer_shuffle_power(
         raise ValueError(
             f"expected {stack.num_sms} SM columns, got {per_sm_power.shape[1]}"
         )
-    layers = per_sm_power.reshape(
-        per_sm_power.shape[0], stack.num_layers, stack.num_columns
-    ).sum(axis=2)
-    mean_layer = layers.mean(axis=1, keepdims=True)
-    excess = np.clip(layers - mean_layer, 0.0, None).sum(axis=1)
+    # Column by column, each sum in index order: NumPy adds a row
+    # shorter than eight in that order too, so these are the bits of its
+    # row reductions (NaN payloads and signed zeros included), at a
+    # fraction of their cost on a trace's short rows.
+    columns = stack.num_columns
+    layers = [
+        _ordered_sum(
+            per_sm_power[:, layer * columns + column]
+            for column in range(columns)
+        )
+        for layer in range(stack.num_layers)
+    ]
+    mean_layer = _ordered_sum(layers) / stack.num_layers
+    excess = _ordered_sum(
+        np.clip(layer - mean_layer, 0.0, None) for layer in layers
+    )
     return float(excess.mean())
+
+
+def _ordered_sum(arrays) -> np.ndarray:
+    """``((a0 + a1) + a2) + ...`` of equal-shape arrays."""
+    arrays = iter(arrays)
+    total = next(arrays)
+    for arr in arrays:
+        total = total + arr
+    return total
 
 
 def imbalance_fraction(

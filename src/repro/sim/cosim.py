@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -259,11 +260,17 @@ class CosimResult:
         """Per-cycle minimum SM voltage (Fig. 9's critical waveform)."""
         return self.sm_voltages.min(axis=1)
 
+    @cached_property
+    def mean_power_w(self) -> float:
+        """Mean chip power over the recorded window (the trace's, summed
+        once: a result's trace is final)."""
+        return self.power_trace.mean_power_w
+
     def efficiency(
         self, params: PDNParameters = DEFAULT_PDN
     ) -> EfficiencyBreakdown:
         """PDE breakdown of this run, from the measured trace imbalance."""
-        load = self.power_trace.mean_power_w
+        load = self.mean_power_w
         shuffle = layer_shuffle_power(self.power_trace.data, self.stack)
         return pde_voltage_stacked(
             load, shuffle, self.stack, params,
@@ -300,7 +307,7 @@ class CosimResult:
             kernel_time = "cycles/kernel n/a"
         return (
             f"{self.benchmark}: {self.num_cycles} cycles, "
-            f"mean power {self.power_trace.mean_power_w:.1f} W, "
+            f"mean power {self.mean_power_w:.1f} W, "
             f"PDE {eff.pde:.1%}, "
             f"V(min) {self.min_voltage:.3f} V, "
             f"throughput {self.throughput():.1f} instr/cycle, "
@@ -449,7 +456,7 @@ def _record_cosim_telemetry(
         metrics.update({
             "min_voltage_v": result.min_voltage,
             "max_voltage_v": result.max_voltage,
-            "mean_power_w": result.power_trace.mean_power_w,
+            "mean_power_w": result.mean_power_w,
             "pde": result.efficiency().pde,
             "throughput_ipc": result.throughput(),
             "mean_dcc_power_w": result.mean_dcc_power_w,
@@ -598,6 +605,65 @@ class _LaneState:
         self.halted_idx: List[int] = []
 
 
+class _PDNTopology:
+    """One PDN topology's netlist, solver and DC operating point.
+
+    A :func:`run_cosim_batch` call's lanes share their CR-IVR area,
+    substeps and PDN parameters, hence the netlist, the MNA matrix and
+    its LU, and the DC operating point at the nominal SM current: the
+    topology builds them once, on first use, and every lane that never
+    edits its netlist forks its own solver from them
+    (:meth:`TransientSolver.fork`), so a guard's ``set_dt``, a
+    quarantine's ``rebind_sources`` or another lane's refactorization
+    stays in its lane.  A lane whose faults edit element values (CR-IVR
+    phase loss, drift) gets a netlist and solver of its own.
+    """
+
+    def __init__(
+        self,
+        system: SystemConfig,
+        params: PDNParameters,
+        cr_ivr_area_mm2: float,
+        substeps: int,
+    ) -> None:
+        self.stack = system.stack
+        self.params = params
+        self.cr_ivr_area_mm2 = cr_ivr_area_mm2
+        self.dt = system.gpu.cycle_time_s / substeps
+        #: The SM draw the DC operating point is solved at.
+        self.nominal_current = (
+            system.power.sm_peak_power_w * 0.5 / self.stack.sm_voltage
+        )
+        self._shared: Optional[Tuple[StackedPDN, TransientSolver]] = None
+
+    def _build(self) -> Tuple[StackedPDN, TransientSolver]:
+        """A netlist, its solver and their DC operating point."""
+        pdn = build_stacked_pdn(
+            stack=self.stack, params=self.params,
+            cr_ivr_area_mm2=self.cr_ivr_area_mm2,
+        )
+        solver = TransientSolver(pdn.circuit, dt=self.dt)
+        pdn.set_sm_currents(np.full(self.stack.num_sms, self.nominal_current))
+        solver.initialize_dc()
+        return pdn, solver
+
+    def lane(
+        self, current_buffer: np.ndarray, own_netlist: bool
+    ) -> Tuple[StackedPDN, TransientSolver]:
+        """A lane's PDN and solver, gathering its SM currents from
+        ``current_buffer``: the shared netlist and a fork of its solver,
+        or with ``own_netlist`` a netlist and solver of the lane's
+        own."""
+        if own_netlist:
+            pdn, solver = self._build()
+            solver.rebind_sources(current_buffer)
+            return pdn, solver
+        if self._shared is None:
+            self._shared = self._build()
+        pdn, solver = self._shared
+        return pdn, solver.fork(current_buffer)
+
+
 def _lane_groups(count: int) -> List[Tuple[int, int]]:
     """``[start, stop)`` of each lane group: consecutive, of near-equal
     size, none wider than :data:`LANE_GROUP`."""
@@ -629,14 +695,17 @@ def run_cosim_batch(
     The lanes run as consecutive groups of near-equal size, none wider
     than :data:`LANE_GROUP` (a call of at most that many lanes is one
     group), one :func:`_simulate` each, and the results come back in
-    lane order.  A group's engines, netlists and solvers are dropped
-    once its results are built, so only one group's state is live at a
-    time.  What spans groups stays call-wide: a lane is named by its
-    index in the call (lane-targeted chaos poison, divergence
-    verdicts, quarantine and ``cosim_batch_lane_done`` events); the
-    first group to reach a chaos cycle claims its events and later
-    groups replay them; ``flights`` and the lanes' controller objects
-    are checked against the whole call before any lane runs.
+    lane order.  A group's engines and solvers are dropped once its
+    results are built, so only one group's state is live at a time.
+    What spans groups stays call-wide: the PDN topology the lanes share
+    (one netlist, solver and DC operating point, built on first use,
+    that every lane forks its solver from; a lane whose faults edit
+    element values builds its own, see :class:`_PDNTopology`); a lane
+    is named by its index in the call (lane-targeted chaos poison,
+    divergence verdicts, quarantine and ``cosim_batch_lane_done``
+    events); the first group to reach a chaos cycle claims its events
+    and later groups replay them; ``flights`` and the lanes' controller
+    objects are checked against the whole call before any lane runs.
 
     All lanes must share the topology-family fields of
     :class:`CosimLane`.  ``telemetry`` records batch-level stage timings
@@ -685,11 +754,15 @@ def run_cosim_batch(
     # rebuilt batch guard only wraps a group's survivors).
     guard_totals: Dict[str, int] = {}
     chaos_claims: Dict[int, list] = {}
+    topology = _PDNTopology(
+        system, params, first_cfg.cr_ivr_area_mm2,
+        first_cfg.circuit_substeps,
+    )
     for start, stop in _lane_groups(len(lanes)):
         states, batch_solver, group_fused = _simulate(
             lanes[start:stop], system, params, tele,
             flights[start:stop] if per_lane_flights else flights,
-            first_lane=start, chaos_claims=chaos_claims,
+            first_lane=start, chaos_claims=chaos_claims, topology=topology,
         )
         results.extend(ln.result for ln in states)
         shards += batch_solver.shard_count
@@ -737,9 +810,16 @@ def _simulate(
     serial: bool = False,
     first_lane: int = 0,
     chaos_claims: Optional[Dict[int, list]] = None,
+    topology: Optional["_PDNTopology"] = None,
 ) -> Tuple[List[_LaneState], BatchTransientSolver, int]:
     """The co-sim loop: step one group of topology-compatible lanes
     lock-stepped.
+
+    Set-up gives each lane a GPU, its PDN and solver from ``topology``
+    (the call's shared netlist, forked per lane; a fresh one when
+    ``None``), its fault injector and controller, then the batch front
+    ends over them: the batch solver and guard, the GPU batch and the
+    controller bank.
 
     Cycles run in the cycle kernel (:mod:`repro.sim._cyclec`): GPU step
     and process-variation scaling, currents, guarded substeps,
@@ -771,7 +851,8 @@ def _simulate(
     ``first_lane + i`` to chaos targeting, its guard and its verdict.
     ``chaos_claims`` maps a recorded cycle to the chaos events claimed
     for it by the call's first group to reach it (``take_cycle`` is
-    fire-once); a later group replays them.
+    fire-once); a later group replays them.  ``topology`` is the call's
+    :class:`_PDNTopology`, built once for all its groups.
 
     ``serial`` gives a single lane :func:`run_cosim`'s contract rather
     than a batch lane's: lane-targeted chaos events are ignored, and a
@@ -785,15 +866,21 @@ def _simulate(
     num = stack.num_sms
     cycle_s = system.gpu.cycle_time_s
     conductance_bias = params.sm_conductance * stack.sm_voltage
-    nominal_current = system.power.sm_peak_power_w * 0.5 / stack.sm_voltage
     warmup = first_cfg.warmup_cycles
     cycles = first_cfg.cycles
     substeps = first_cfg.circuit_substeps
     total_cycles = warmup + cycles
+    if topology is None:
+        topology = _PDNTopology(
+            system, params, first_cfg.cr_ivr_area_mm2, substeps
+        )
 
-    # The batch axis: row i of this array is lane i's bound SM current
-    # buffer (the PDN sources read it directly; see bind_current_buffer).
-    batch_currents = np.zeros((num_lanes, num), dtype=float)
+    # The batch axis: row i of this array is the SM current buffer lane
+    # i's solver gathers from (see TransientSolver.rebind_sources); it
+    # starts at the DC operating point's currents.
+    batch_currents = np.full(
+        (num_lanes, num), topology.nominal_current, dtype=float
+    )
 
     states: List[_LaneState] = []
     for i, lane in enumerate(lanes):
@@ -810,15 +897,13 @@ def _simulate(
         else:
             ln.gpu = GPU(lane.kernel, config=system, seed=config.seed)
             ln.name = lane.kernel.name
-        ln.pdn = build_stacked_pdn(
-            stack=stack, params=params, cr_ivr_area_mm2=config.cr_ivr_area_mm2
+        ln.pdn, ln.solver = topology.lane(
+            batch_currents[i],
+            own_netlist=(
+                config.faults is not None
+                and bool(config.faults.netlist_events)
+            ),
         )
-        # Re-bind the lane's current sources onto its batch row *before*
-        # the solver caches its gather maps.
-        ln.pdn.bind_current_buffer(batch_currents[i])
-        ln.solver = TransientSolver(ln.pdn.circuit, dt=cycle_s / substeps)
-        ln.pdn.set_sm_currents(np.full(num, nominal_current))
-        ln.solver.initialize_dc()
         if config.faults is not None:
             from repro.faults.injector import FaultInjector
 
@@ -1207,18 +1292,17 @@ def _simulate(
                 alive = []
                 break
             # Compact the batch axis around the survivors: new
-            # shared current base, re-bound PDN sources + solver
-            # gather maps, rebuilt batch solver/guard/GPU front
-            # ends, compacted controller bank.  Per-lane objects
-            # (solver state, controllers, GPU engines) carry over
-            # untouched, so survivor physics continues bit-exactly.
+            # shared current base, re-bound solver gather maps,
+            # rebuilt batch solver/guard/GPU front ends, compacted
+            # controller bank.  Per-lane objects (solver state,
+            # controllers, GPU engines) carry over untouched, so
+            # survivor physics continues bit-exactly.
             old_rows = [ln.row for ln in survivors]
             batch_currents = batch_currents[old_rows].copy()
             volt_buf = np.empty((len(survivors), num))
             for new_row, ln in enumerate(survivors):
                 ln.row = new_row
-                ln.pdn.bind_current_buffer(batch_currents[new_row])
-                ln.solver.rebind_sources()
+                ln.solver.rebind_sources(batch_currents[new_row])
             batch_solver = BatchTransientSolver(
                 [ln.solver for ln in survivors],
                 shared_current_base=batch_currents,

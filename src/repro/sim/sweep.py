@@ -308,7 +308,7 @@ def _point_metrics(result) -> Tuple[Dict[str, object], Optional[str]]:
         "min_voltage_v": result.min_voltage,
         "max_voltage_v": result.max_voltage,
         "p1_voltage_v": float(result.voltage_percentiles(1)),
-        "mean_power_w": result.power_trace.mean_power_w,
+        "mean_power_w": result.mean_power_w,
         "pde": eff.pde,
         "throughput_ipc": result.throughput(),
         "instructions": result.instructions,

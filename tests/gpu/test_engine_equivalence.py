@@ -29,6 +29,7 @@ from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import _NUM_REGS, KernelSpec
 from repro.sim.cosim import CosimConfig, run_cosim
 from repro.workloads.benchmarks import get_benchmark
+from tests.oracles import stream_reference
 from tests.oracles.per_object_gpu import PerObjectGPU
 from tests.oracles.serial_cosim import run_cosim_reference
 
@@ -225,11 +226,15 @@ class TestRandomizedEquivalence:
                            cycles, actuate)
 
 
-def _recomputed_caches(engine):
-    """Head caches, live counts and done flags from scratch, as
-    ``_refresh_heads`` defines them: ``(ready_cycle, head_unit, live,
-    done)``."""
-    st = engine._streams
+def _recomputed_caches(engine, streams):
+    """Head caches, live counts and done flags from scratch over the
+    generation's oracle ``streams``: ``(ready_cycle, head_unit, live,
+    done)``.  A warp's head is its instruction at ``pc`` (a
+    jitter-lengthened stream wraps to its own head; a done warp's index
+    is clamped into the body), its readiness the latest ready-at of the
+    registers that instruction writes and reads, and a done warp is
+    never ready."""
+    st = streams
     pc = engine._pc
     done = pc >= engine._length
     body = st.body_length
@@ -267,10 +272,18 @@ class TestCompiledHeadCaches:
         assert engine.backend == "c"
         cycles = 400
         actuate = _halting_schedule(np.random.default_rng(sched_seed), cycles, 10)
+        streams = {}
         for cycle in range(cycles):
             actuate(gpu, cycle)
             gpu.step()
-            ready, unit, live, done = _recomputed_caches(engine)
+            generation = engine.generation
+            if generation not in streams:
+                streams[generation] = stream_reference.stream_arrays(
+                    spec, seed + 7919 * generation, warps
+                )
+            ready, unit, live, done = _recomputed_caches(
+                engine, streams[generation]
+            )
             assert np.array_equal(engine._warp_done, done), cycle
             assert np.array_equal(engine._ready_cycle, ready), cycle
             assert np.array_equal(engine._head_unit, unit), cycle

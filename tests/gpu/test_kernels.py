@@ -1,11 +1,12 @@
 """Tests for kernel specs and warp-stream generation.
 
-A launch builds its streams as ``(warps, body)`` blocks and draws each
-SM's jitter in one call; ``tests/oracles/stream_reference.py`` keeps the
-per-warp builders they replaced, and the block builders must equal them
-byte for byte.  ``TestGeneration`` checks the generator's statistics
-through the GPU oracle's per-object builder (``build_warps``), which
-draws through the same ``_draw_stream_fields``.
+A launch builds its streams in compiled code (``engine_launch``), and
+``tests/oracles/stream_reference.py`` keeps the per-warp Python
+builders it must equal byte for byte (``tests/gpu/test_launch.py``
+holds the launch property, generator states included).
+``TestGeneration`` checks the generator's statistics through the GPU
+oracle's per-object builder (``build_warps``), which draws through the
+reference's ``_draw_stream_fields``.
 """
 
 import dataclasses
@@ -14,17 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu import kernels
+from repro.gpu import GPU
 from repro.gpu.isa import InstructionClass
-from repro.gpu.kernels import (
-    KernelSpec,
-    StreamArrays,
-    jittered_lengths,
-    stream_arrays,
-)
+from repro.gpu.kernels import KernelSpec
 from repro.workloads.benchmarks import BENCHMARK_NAMES, get_benchmark
 from tests.gpu.test_engine_equivalence import kernel_specs
-from tests.oracles import per_object_gpu, stream_reference
+from tests.gpu.test_launch import assert_launch_matches
+from tests.oracles import per_object_gpu
 from tests.oracles.per_object_gpu import build_warps
 
 
@@ -129,49 +126,24 @@ class TestGeneration:
         assert memory_loads > 3 * compute_loads
 
 
-def _block_streams(spec: KernelSpec, seed: int, count: int) -> StreamArrays:
-    """A cold ``stream_arrays`` build (what a cache miss constructs)."""
-    return StreamArrays(
-        num_warps=count,
-        body_length=spec.body_length,
-        **kernels._stream_block(spec, seed, count),
-    )
-
-
-def _assert_same_streams(got: StreamArrays, want: StreamArrays) -> None:
-    for field in dataclasses.fields(StreamArrays):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if not isinstance(b, np.ndarray):
-            assert a == b, field.name
-            continue
-        assert a.dtype == b.dtype, field.name
-        assert a.shape == b.shape, field.name
-        assert a.flags.c_contiguous, field.name  # the C step reads it raw
-        assert a.tobytes() == b.tobytes(), field.name
-
-
 class TestBlockStreams:
-    """Block-built launches against the per-warp oracle."""
+    """Compiled launches against the per-warp oracle."""
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_paper_kernels_match_the_per_warp_oracle(self, name):
         bench = get_benchmark(name)
         spec = bench.kernel
-        count = spec.warps_per_sm
         for seed in range(5):
+            gpu = GPU(spec, seed=seed, miss_ratio=bench.miss_ratio,
+                      jitter=bench.jitter)
             for generation in range(4):
-                stream_seed = seed + 7919 * generation
-                _assert_same_streams(
-                    _block_streams(spec, stream_seed, count),
-                    stream_reference.stream_arrays(spec, stream_seed, count),
+                if generation:
+                    gpu.engine._load_generation(generation)
+                assert_launch_matches(
+                    gpu, generation, seed + 7919 * generation,
+                    [seed * 65_537 + sm_id + 1 + 7919 * generation
+                     for sm_id in range(16)],
                 )
-                for sm_id in range(16):
-                    jitter_seed = seed * 65_537 + sm_id + 1 + 7919 * generation
-                    args = (spec, count, bench.jitter, jitter_seed, stream_seed)
-                    got = jittered_lengths(*args)
-                    want = stream_reference.jittered_lengths(*args)
-                    assert got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes()
 
     @given(
         spec=kernel_specs,
@@ -187,33 +159,31 @@ class TestBlockStreams:
         """Odd and even bodies down to one instruction: an odd body
         leaves half an ``integers`` draw buffered between warps."""
         spec = dataclasses.replace(spec, body_length=body, warps_per_sm=warps)
-        _assert_same_streams(
-            _block_streams(spec, seed, warps),
-            stream_reference.stream_arrays(spec, seed, warps),
-        )
-        args = (spec, warps, jitter, seed + 1, seed)
-        assert (
-            jittered_lengths(*args).tobytes()
-            == stream_reference.jittered_lengths(*args).tobytes()
+        gpu = GPU(spec, seed=seed, jitter=jitter)
+        assert_launch_matches(
+            gpu, 0, seed, [seed * 65_537 + sm_id + 1 for sm_id in range(16)]
         )
 
     def test_stream_caches_key_the_mix_in_order(self, monkeypatch):
         """The draws map uniforms to classes in the mix's insertion
-        order, so the same mix in another order is another stream."""
-        monkeypatch.setattr(kernels, "_ARRAY_CACHE", {})
+        order, so the same mix in another order is another stream — in
+        the compiled launch and in the per-object oracle's cache."""
         monkeypatch.setattr(per_object_gpu, "_STREAM_CACHE", {})
         falu, load = InstructionClass.FALU, InstructionClass.LOAD
-        falu_first = KernelSpec("k", mix={falu: 0.5, load: 0.5}, body_length=64)
-        load_first = KernelSpec("k", mix={load: 0.5, falu: 0.5}, body_length=64)
+        falu_first = KernelSpec("k", mix={falu: 0.5, load: 0.5},
+                                body_length=64, warps_per_sm=4)
+        load_first = KernelSpec("k", mix={load: 0.5, falu: 0.5},
+                                body_length=64, warps_per_sm=4)
 
         def ops(spec):
             return [[i.op for i in w.instructions] for w in build_warps(spec, 3)]
 
-        cold_units = stream_arrays(load_first, 3, 4).unit
+        def units(spec):
+            return GPU(spec, seed=3).engine._streams.unit.copy()
+
+        cold_units = units(load_first)
         cold_ops = ops(load_first)
-        kernels._ARRAY_CACHE.clear()
-        per_object_gpu._STREAM_CACHE.clear()
-        assert not np.array_equal(stream_arrays(falu_first, 3, 4).unit, cold_units)
+        assert not np.array_equal(units(falu_first), cold_units)
         assert ops(falu_first) != cold_ops
-        assert np.array_equal(stream_arrays(load_first, 3, 4).unit, cold_units)
+        assert np.array_equal(units(load_first), cold_units)
         assert ops(load_first) == cold_ops

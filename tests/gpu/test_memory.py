@@ -1,8 +1,11 @@
 """Tests for the shared memory system model."""
 
+import numpy as np
 import pytest
 
+from repro.gpu import GPU, KernelSpec
 from repro.gpu.memory import MemorySystem, MemoryTimings
+from tests.gpu.test_launch import launched_miss_table
 from tests.oracles import stream_reference
 
 
@@ -66,12 +69,19 @@ class TestBandwidth:
 class TestSiteMissTable:
     @pytest.mark.parametrize("seed", [0, 3, 2**40])
     def test_grid_hash_matches_the_per_warp_oracle(self, seed):
-        """One pass over the (warp, pc) grid equals hashing warp by warp,
-        including seeds whose first mixing product exceeds 64 bits."""
+        """A launch's one pass over the (warp, pc) grid equals hashing
+        warp by warp, including seeds whose first mixing product
+        exceeds 64 bits and generations past 2**63."""
         for miss_ratio in (0.0, 0.3, 0.75, 1.0):
-            m = MemorySystem(miss_ratio=miss_ratio, seed=seed)
-            for warps, max_pc, generation in ((1, 1, 0), (12, 241, 3), (40, 97, 2**63)):
-                got = m.site_miss_table(warps, max_pc, generation)
-                want = stream_reference.site_miss_table(m, warps, max_pc, generation)
+            for warps, body, generation in ((1, 1, 0), (12, 240, 3),
+                                            (40, 96, 2**63)):
+                spec = KernelSpec("miss", body_length=body,
+                                  warps_per_sm=warps)
+                gpu = GPU(spec, seed=seed, miss_ratio=miss_ratio)
+                gpu.engine._launch(generation, np.random.PCG64(1), [])
+                got = launched_miss_table(gpu.engine)
+                want = stream_reference.site_miss_table(
+                    gpu.memory, warps, body + 1, generation
+                )
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()

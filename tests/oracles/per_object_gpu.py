@@ -36,15 +36,10 @@ from repro.gpu.isa import (
     ExecUnit,
     InstructionClass,
 )
-from repro.gpu.kernels import (
-    _NUM_REGS,
-    _STREAM_CACHE_LIMIT,
-    KernelSpec,
-    _draw_stream_fields,
-    _spec_cache_key,
-)
+from repro.gpu.kernels import _NUM_REGS, KernelSpec
 from repro.gpu.memory import MemorySystem
 from repro.gpu.power import IDLE_DYNAMIC_ENERGY, SMPowerModel
+from tests.oracles.stream_reference import _draw_stream_fields
 
 
 # --------------------------------------------------------------------------
@@ -209,9 +204,8 @@ def _sample_stream(
     spec: KernelSpec, rng: np.random.Generator, length: int
 ) -> List[Instruction]:
     """Draw one instruction stream from the spec's statistics."""
-    classes, *rows = _draw_stream_fields(spec, rng, 1, length)
-    op_indices, use_chain, random_src1, add_src2, random_src2 = (
-        row[0] for row in rows
+    classes, op_indices, use_chain, random_src1, add_src2, random_src2 = (
+        _draw_stream_fields(spec, rng, length)
     )
 
     stream: List[Instruction] = []
@@ -240,6 +234,22 @@ def _sample_stream(
 # Cache of generated base streams: under SPMD all 16 SMs request the
 # same (spec, seed) streams, so generation runs once per GPU, not per SM.
 _STREAM_CACHE: dict = {}
+_STREAM_CACHE_LIMIT = 64
+
+
+def _spec_cache_key(spec: KernelSpec, seed: int, count: int) -> tuple:
+    # The mix in insertion order: the draws map uniforms to classes in
+    # that order, so two orders of one mix are different streams.
+    return (
+        spec.name,
+        tuple((c.value, w) for c, w in spec.mix.items()),
+        spec.dependence,
+        spec.body_length,
+        spec.phase_period,
+        spec.phase_memory_boost,
+        seed,
+        count,
+    )
 
 
 def _base_streams(

@@ -1,19 +1,22 @@
 """The per-warp kernel-launch builders, kept as the stream oracle.
 
-``repro.gpu.kernels.stream_arrays`` builds a launch's streams as
-``(warps, body)`` blocks, ``jittered_lengths`` draws an SM's jitter in
-one vector call, and ``MemorySystem.site_miss_table`` hashes the whole
-``(warp, pc)`` grid at once.  This module keeps the per-warp code those
-replaced: the draws as one stream per call, ``_stream_fields_to_arrays``
-stacked warp by warp, one scalar jitter draw per warp, and one hashed
-row per warp.  The function bodies are the former shipped code
-verbatim; only ``site_miss_table`` takes the memory system as an
-argument instead of ``self``.
+A GPU engine launch is one call into the native library
+(``engine_launch`` in ``repro/gpu/_enginec.c``): it draws every warp's
+stream and every SM's jittered lengths through NumPy's Generator
+routines, hashes the site miss table and resets the warps.  This module
+keeps the Python builders it must equal: the draws as one stream per
+call, ``_stream_fields_to_arrays`` stacked warp by warp, one scalar
+jitter draw per warp, and one hashed row per warp.  The per-object GPU
+oracle (``per_object_gpu.py``) builds its instruction objects from the
+same draws (:func:`_draw_stream_fields`).  The function bodies are the
+former shipped code; ``site_miss_table`` takes the memory system as an
+argument instead of ``self``, and the stream arrays leave out the
+per-instruction energy, which the engine bakes into ``share``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Union
 
 import numpy as np
 
@@ -31,11 +34,12 @@ from repro.gpu.memory import MemorySystem
 def _draw_stream_fields(spec: KernelSpec, rng: np.random.Generator, length: int):
     """The random draws behind one instruction stream, vectorized.
 
-    Shared by the per-object stream builder (:func:`_sample_stream`) and
-    the struct-of-arrays builder (:func:`stream_arrays`) so both consume
-    the generator identically — the draws, not the container, define the
-    workload.  Returns ``(classes, op_indices, use_chain, random_src1,
-    add_src2, random_src2)``.
+    Shared by the per-object stream builder
+    (``per_object_gpu._sample_stream``) and the struct-of-arrays builder
+    (:func:`stream_arrays`) so both consume the generator identically —
+    the draws, not the container, define the workload.  Returns
+    ``(classes, op_indices, use_chain, random_src1, add_src2,
+    random_src2)``.
     """
     classes = list(spec.mix.keys())
     weights = np.array([spec.mix[c] for c in classes], dtype=float)
@@ -132,9 +136,16 @@ def _stream_fields_to_arrays(
     }
 
 
-def stream_arrays(spec: KernelSpec, seed: int, count: int) -> StreamArrays:
-    """The launch's streams built warp by warp (no cache)."""
-    rng = np.random.default_rng(seed)
+def stream_arrays(spec: KernelSpec, seed, count: int) -> StreamArrays:
+    """The launch's streams built warp by warp (no cache).
+
+    ``seed`` seeds the streams' ``default_rng``, or is the generator
+    itself (left in the state the draws end in).
+    """
+    rng = (
+        seed if isinstance(seed, np.random.Generator)
+        else np.random.default_rng(seed)
+    )
     columns = [
         _stream_fields_to_arrays(spec, rng, spec.body_length)
         for _ in range(count)
@@ -144,7 +155,7 @@ def stream_arrays(spec: KernelSpec, seed: int, count: int) -> StreamArrays:
         body_length=spec.body_length,
         **{
             name: np.stack([c[name] for c in columns])
-            for name in columns[0]
+            for name in columns[0] if name != "energy"
         },
     )
 
@@ -153,20 +164,24 @@ def jittered_lengths(
     spec: KernelSpec,
     count: int,
     jitter: float,
-    jitter_seed: Optional[int],
+    jitter_seed: Union[None, int, np.random.Generator],
     seed: int,
 ) -> np.ndarray:
-    """Per-warp stream lengths exactly as :func:`build_warps` assigns them.
+    """Per-warp stream lengths exactly as ``build_warps`` assigns them.
 
     Replays the same jitter-generator consumption (one scalar draw per
     warp, only when ``jitter > 0``); lengths beyond ``body_length`` mean
-    the stream wraps around to its own head.
+    the stream wraps around to its own head.  ``jitter_seed`` may also
+    be the generator itself (left in the state the draws end in).
     """
     if jitter < 0 or jitter >= 1:
         raise ValueError(f"jitter must be in [0,1), got {jitter}")
     if jitter == 0:
         return np.full(count, spec.body_length, dtype=np.int64)
-    jitter_rng = np.random.default_rng(seed if jitter_seed is None else jitter_seed)
+    jitter_rng = (
+        jitter_seed if isinstance(jitter_seed, np.random.Generator)
+        else np.random.default_rng(seed if jitter_seed is None else jitter_seed)
+    )
     lengths = np.empty(count, dtype=np.int64)
     for warp_id in range(count):
         scale = 1.0 + jitter * float(jitter_rng.uniform(-1.0, 1.0))

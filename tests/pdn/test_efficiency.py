@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import StackConfig
 from repro.pdn.efficiency import (
@@ -148,3 +149,54 @@ class TestShufflePower:
         stack = StackConfig(num_layers=2, num_columns=2, board_voltage=2.0)
         trace = np.array([[4.0, 4.0, 0.0, 0.0]])  # bottom layer only
         assert layer_shuffle_power(trace, stack) == pytest.approx(4.0)
+
+
+def _reshape_shuffle_power(per_sm_power, stack):
+    """``layer_shuffle_power`` as it reduced a (cycles, layers, columns)
+    reshape, kept as the reference of its column-by-column sums."""
+    per_sm_power = np.atleast_2d(np.asarray(per_sm_power, dtype=float))
+    layers = per_sm_power.reshape(
+        per_sm_power.shape[0], stack.num_layers, stack.num_columns
+    ).sum(axis=2)
+    mean_layer = layers.mean(axis=1, keepdims=True)
+    excess = np.clip(layers - mean_layer, 0.0, None).sum(axis=1)
+    return float(excess.mean())
+
+
+# Bit patterns a trace can hold: signed zeros, infinities, a tiny
+# subnormal, and NaNs of either sign with distinct payloads (a sum keeps
+# the payload of the NaN it meets first).
+_SPECIAL = np.array(
+    [0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
+     0xFFF0000000000000, 0x0000000000000001, 0x7FF8000000000000,
+     0xFFF8000000000123, 0x7FF0000000000456],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+class TestShufflePowerBits:
+    @given(
+        data=st.data(),
+        cycles=st.integers(1, 40),
+        shape=st.sampled_from([(4, 4), (2, 2), (1, 4), (4, 1), (3, 5), (7, 2)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_reshape_reduction(self, data, cycles, shape):
+        """Bit-equal to the reshape expression on random traces with
+        zeros, NaN and infinities, on the paper's 4x4 stack and other
+        stacks narrower than eight layers and columns."""
+        layers, columns = shape
+        stack = StackConfig(num_layers=layers, num_columns=columns)
+        values = data.draw(st.lists(
+            st.one_of(
+                st.floats(-1e3, 1e3),
+                st.sampled_from(list(_SPECIAL)),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=cycles * stack.num_sms, max_size=cycles * stack.num_sms,
+        ))
+        trace = np.array(values, dtype=float).reshape(cycles, stack.num_sms)
+        with np.errstate(all="ignore"):
+            got = layer_shuffle_power(trace, stack)
+            want = _reshape_shuffle_power(trace, stack)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

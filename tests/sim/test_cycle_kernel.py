@@ -77,6 +77,7 @@ from repro.sim.cosim import (
     CosimConfig,
     CosimLane,
     LayerShutoffEvent,
+    _PDNTopology,
     last_batch_solver_info,
     run_cosim,
     run_cosim_batch,
@@ -326,9 +327,12 @@ def _mirror_runs(monkeypatch, build, mode="batch"):
     """Run ``build``'s lanes as one batch, one solo batch per lane or
     through the oracle, recording each circuit hook's view of its own
     lane and every lane's mirrors at the end: (hook reads, final
-    reads)."""
+    reads).  A batch lane's solver is the one its PDN topology hands it
+    (a fork of the shared one, or its own); the oracle builds one per
+    lane."""
     gpus, solvers, owner, reads = [], [], {}, []
     gpu_init, solver_init = GPU.__init__, TransientSolver.__init__
+    lane_solver = _PDNTopology.lane
     inj_init = FaultInjector.__init__
     apply = FaultInjector.apply_circuit_faults
 
@@ -345,6 +349,11 @@ def _mirror_runs(monkeypatch, build, mode="batch"):
         solver_init(self, *args, **kwargs)
         solvers.append(self)
 
+    def lane_new(self, *args, **kwargs):
+        pdn, solver = lane_solver(self, *args, **kwargs)
+        solvers.append(solver)
+        return pdn, solver
+
     def inj_new(self, *args, **kwargs):
         inj_init(self, *args, **kwargs)
         owner[id(self)] = gpus[-1]  # built right after its lane's GPU
@@ -355,7 +364,10 @@ def _mirror_runs(monkeypatch, build, mode="batch"):
 
     with monkeypatch.context() as m:
         m.setattr(GPU, "__init__", gpu_new)
-        m.setattr(TransientSolver, "__init__", solver_new)
+        if mode == "oracle":
+            m.setattr(TransientSolver, "__init__", solver_new)
+        else:
+            m.setattr(_PDNTopology, "lane", lane_new)
         m.setattr(FaultInjector, "__init__", inj_new)
         m.setattr(FaultInjector, "apply_circuit_faults", hook)
         if mode == "batch":
@@ -838,13 +850,14 @@ def test_suspect_inside_a_span_quarantines_the_lane(monkeypatch):
         ]
 
     solvers, poisoned, spans = [], [], []
-    solver_init, relaunch, span = (
-        TransientSolver.__init__, GPUBatch.relaunch, CycleKernel.span
+    lane_solver, relaunch, span = (
+        _PDNTopology.lane, GPUBatch.relaunch, CycleKernel.span
     )
 
-    def solver_new(self, *args, **kwargs):
-        solver_init(self, *args, **kwargs)
-        solvers.append(self)
+    def lane_new(self, *args, **kwargs):
+        pdn, solver = lane_solver(self, *args, **kwargs)
+        solvers.append(solver)
+        return pdn, solver
 
     def poison(self):
         fused = self.fused()
@@ -858,7 +871,7 @@ def test_suspect_inside_a_span_quarantines_the_lane(monkeypatch):
         return spans[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(TransientSolver, "__init__", solver_new)
+        m.setattr(_PDNTopology, "lane", lane_new)
         m.setattr(GPUBatch, "relaunch", poison)
         m.setattr(CycleKernel, "span", span_logged)
         fused = run_cosim_batch(build())
