@@ -18,13 +18,17 @@ from typing import Dict, List
 
 import pytest
 
-from repro.config import SystemConfig
 from repro.core.actuators import WeightedActuation
 from repro.core.controller import ControllerConfig
-from repro.gpu.gpu import GPU
-from repro.sim.cosim import CosimConfig, CosimResult, run_cosim
-from repro.workloads.benchmarks import BENCHMARK_NAMES, get_benchmark
-from repro.workloads.traces import PowerTrace, capture_trace
+from repro.sim.cosim import (
+    CosimConfig,
+    CosimLane,
+    CosimResult,
+    run_cosim,
+    run_cosim_batch,
+)
+from repro.workloads.benchmarks import BENCHMARK_NAMES
+from repro.workloads.traces import PowerTrace
 
 RESULTS_DIR = Path(__file__).parent / "results"
 # The serial co-sim oracle lives with the tests (tests/oracles/); make the
@@ -84,17 +88,26 @@ def emit(name: str, text: str) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def benchmark_trace(name: str, cycles: int = TRACE_CYCLES) -> PowerTrace:
-    """GPU-only power trace of a paper benchmark (no PDN coupling)."""
-    spec = get_benchmark(name)
-    gpu = GPU(
-        spec.kernel,
-        config=SystemConfig(),
+def _benchmark_traces() -> Dict[str, PowerTrace]:
+    """Every paper benchmark's power trace, from one call of circuit-only
+    co-sim lanes (no controller, faults or shutoff: nothing from the PDN
+    reaches the GPU, so each trace is the GPU's own)."""
+    config = CosimConfig(
+        cycles=TRACE_CYCLES, warmup_cycles=300, use_controller=False,
         seed=SEED,
-        miss_ratio=spec.miss_ratio,
-        jitter=spec.jitter,
     )
-    return capture_trace(gpu, cycles, warmup_cycles=300, name=name)
+    results = run_cosim_batch(
+        [CosimLane(name, config) for name in BENCHMARK_NAMES]
+    )
+    return {
+        name: result.power_trace
+        for name, result in zip(BENCHMARK_NAMES, results)
+    }
+
+
+def benchmark_trace(name: str) -> PowerTrace:
+    """Power trace of a paper benchmark (Figs. 8 and 17, Table III)."""
+    return _benchmark_traces()[name]
 
 
 @functools.lru_cache(maxsize=None)

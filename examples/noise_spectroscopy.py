@@ -3,7 +3,9 @@
 
 Reproduces the paper's Section III-B reasoning on a real workload trace:
 
-1. run a benchmark on the GPU model and capture its per-SM power trace;
+1. run a benchmark as a circuit-only lane of the co-sim loop and take
+   its per-SM power trace (the GPU's own: no controller, so nothing
+   from the PDN reaches it);
 2. decompose the trace into the three orthogonal current components
    (global / stack / residual) and take each component's spectrum;
 3. weight each spectral line by the PDN's effective impedance for that
@@ -21,12 +23,9 @@ import numpy as np
 
 from repro.analysis.spectral import imbalance_spectrum
 from repro.circuits.ac import log_frequency_grid
-from repro.config import SystemConfig
-from repro.gpu.gpu import GPU
 from repro.pdn.builder import build_stacked_pdn
 from repro.pdn.impedance import ImpedanceAnalyzer, StimulusKind
-from repro.workloads.benchmarks import get_benchmark
-from repro.workloads.traces import capture_trace
+from repro.sim.cosim import CosimConfig, run_cosim
 
 BANDS = [
     ("low    (<6 MHz: controller's band)", 3e5, 6e6),
@@ -46,13 +45,10 @@ def band_noise(freqs, amps, z_of_f, lo, hi):
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "backprop"
-    spec = get_benchmark(name)
     print(f"Capturing {name!r} power trace...")
-    gpu = GPU(
-        spec.kernel, config=SystemConfig(), seed=11,
-        miss_ratio=spec.miss_ratio, jitter=spec.jitter,
-    )
-    trace = capture_trace(gpu, 4096, warmup_cycles=300)
+    trace = run_cosim(name, CosimConfig(
+        cycles=4096, warmup_cycles=300, use_controller=False, seed=11,
+    )).power_trace
     spectra = imbalance_spectrum(trace.data, trace.frequency_hz)
 
     print("Building impedance profiles (unregulated PDN)...")

@@ -58,6 +58,6 @@ def quick_cosim(benchmark: str = "hotspot", cycles: int = 2000, **kwargs):
     GPU/PDN/controller loop, and returns the
     :class:`repro.sim.cosim.CosimResult`.
     """
-    from repro.sim.cosim import run_crosslayer_cosim
+    from repro.sim.cosim import CosimConfig, run_cosim
 
-    return run_crosslayer_cosim(benchmark=benchmark, cycles=cycles, **kwargs)
+    return run_cosim(benchmark, CosimConfig(cycles=cycles, **kwargs))

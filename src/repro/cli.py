@@ -784,25 +784,43 @@ def _cmd_size(args: argparse.Namespace) -> int:
     return 0
 
 
+# ``repro pde`` settles the pipeline for this many cycles before it
+# records the trace it reports on.
+PDE_WARMUP_CYCLES = 300
+
+
+def _pde_cycles(text: str) -> int:
+    """``repro pde --cycles``: the recorded window must outlast the
+    warmup, as every co-sim run's must."""
+    try:
+        cycles = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if cycles <= PDE_WARMUP_CYCLES:
+        raise argparse.ArgumentTypeError(
+            f"must exceed the {PDE_WARMUP_CYCLES}-cycle warmup, got {cycles}"
+        )
+    return cycles
+
+
 def _cmd_pde(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
-    from repro.config import StackConfig, SystemConfig
-    from repro.gpu.gpu import GPU
+    from repro.config import StackConfig
     from repro.pdn.efficiency import (
         layer_shuffle_power,
         pde_conventional,
         pde_single_ivr,
         pde_voltage_stacked,
     )
-    from repro.workloads.benchmarks import get_benchmark
-    from repro.workloads.traces import capture_trace
+    from repro.sim.cosim import CosimConfig, run_cosim
 
-    spec = get_benchmark(args.benchmark)
-    gpu = GPU(
-        spec.kernel, config=SystemConfig(), seed=args.seed,
-        miss_ratio=spec.miss_ratio, jitter=spec.jitter,
-    )
-    trace = capture_trace(gpu, args.cycles, warmup_cycles=300)
+    # A circuit-only lane: its power trace is the GPU's own.
+    trace = run_cosim(args.benchmark, CosimConfig(
+        cycles=args.cycles, warmup_cycles=PDE_WARMUP_CYCLES,
+        use_controller=False, seed=args.seed,
+    )).power_trace
     load = trace.mean_power_w
     shuffle = layer_shuffle_power(trace.data, StackConfig())
     rows = []
@@ -821,7 +839,7 @@ def _cmd_pde(args: argparse.Namespace) -> int:
         format_table(
             ["PDS", "PDE", "loss"], rows,
             title=(
-                f"{spec.name}: load {load:.1f} W, layer imbalance "
+                f"{trace.name}: load {load:.1f} W, layer imbalance "
                 f"{shuffle / load:.1%}"
             ),
         )
@@ -1198,7 +1216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pde", help="PDE breakdown of a benchmark")
     p.add_argument("benchmark", nargs="?", default="hotspot")
-    p.add_argument("--cycles", type=int, default=3000)
+    p.add_argument("--cycles", type=_pde_cycles, default=3000,
+                   help="recorded cycles, after a "
+                        f"{PDE_WARMUP_CYCLES}-cycle warmup")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_pde)
 

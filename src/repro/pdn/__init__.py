@@ -33,7 +33,6 @@ from repro.pdn.level_shifters import (
     best_topology_for_rate,
     chip_interface_overhead,
 )
-from repro.pdn.switch_level import SwitchLevelLadder
 from repro.pdn.l2_stack import L2StackConfig
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "PDNParameters",
     "StackedPDN",
     "StimulusKind",
-    "SwitchLevelLadder",
     "best_topology_for_rate",
     "chip_interface_overhead",
     "build_conventional_pdn",

@@ -12,8 +12,11 @@ for 80 % and 93 % of the whole GPU").
 This module models the L2 stack at that level of need: per-layer bank
 groups with leakage plus access-proportional dynamic power, the
 resulting layer imbalance, and the (small) equalizer sizing — enough to
-(a) complete the whole-chip PDE picture and (b) verify the paper's
-premise that the L2 grid is not the bottleneck.
+verify the paper's premise that the L2 grid is not the bottleneck.  The
+PDE accounting does not read it: the SM-grid PDE of
+:mod:`repro.pdn.efficiency` charges its "other loss" as the CR-IVR
+quiescent power, a flat ``PDNParameters.level_shifter_overhead`` and
+the controller's power.
 """
 
 from __future__ import annotations

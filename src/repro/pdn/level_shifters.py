@@ -13,8 +13,10 @@ interface needs a level shifter.  The paper:
   candidates.
 
 This module models the candidate topologies' energy/delay/area and
-aggregates the interface overhead for a full chip, feeding the "other
-loss" term of the PDE accounting.
+aggregates the interface overhead for a full chip.  The PDE accounting
+does not read it: its "other loss" term charges a flat
+``PDNParameters.level_shifter_overhead`` (1 % of the load) in
+:func:`repro.pdn.efficiency.pde_voltage_stacked`.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from repro.sim.cosim import (
     CosimResult,
     LayerShutoffEvent,
     run_cosim,
-    run_crosslayer_cosim,
 )
 from repro.sim.explore import (
     ExploreResult,
@@ -56,7 +55,6 @@ __all__ = [
     "round_schedule",
     "run_baseline",
     "run_cosim",
-    "run_crosslayer_cosim",
     "run_current_pattern",
     "run_dfs_experiment",
     "run_exploration",

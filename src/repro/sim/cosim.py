@@ -493,15 +493,6 @@ def _record_cosim_telemetry(
     )
 
 
-def run_crosslayer_cosim(
-    benchmark: str = "hotspot", cycles: int = 2000, **kwargs
-) -> CosimResult:
-    """Convenience entry point: default cross-layer configuration."""
-    return run_cosim(
-        benchmark=benchmark, config=CosimConfig(cycles=cycles, **kwargs)
-    )
-
-
 # ---------------------------------------------------------------------------
 # The co-sim loop: B lock-stepped lanes (run_cosim is B=1)
 # ---------------------------------------------------------------------------

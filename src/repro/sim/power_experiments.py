@@ -9,7 +9,9 @@ hypervisor (Algorithm 2):
   stacked GPU;
 * :func:`run_pg_experiment` — Warped-Gates power gating with GATES
   scheduling, with the hypervisor vetoing column-unbalancing gatings on
-  the stacked GPU.
+  the stacked GPU;
+* :func:`run_baseline` — no power management: a circuit-only lane of
+  the co-sim loop, the reference both figures normalize by.
 
 Energy accounting: chip energy integrates the power trace; board input
 energy divides by the configuration's PDE (analytic model fed with the
@@ -39,6 +41,7 @@ from repro.power_mgmt.power_gating import (
     PowerGatingConfig,
     WarpedGatesController,
 )
+from repro.sim.cosim import CosimConfig, run_cosim
 from repro.workloads.benchmarks import get_benchmark
 
 
@@ -206,14 +209,19 @@ def run_pg_experiment(
 def run_baseline(
     benchmark: str, stacked: bool, cycles: int = 6000, seed: int = 3
 ) -> PowerManagementResult:
-    """No power management: the Fig. 15/16 normalization reference."""
-    gpu = _build_gpu(benchmark, seed)
-    instructions_before = gpu.total_instructions()
-    trace = gpu.run(cycles)
+    """No power management: the Fig. 15/16 normalization reference.
+
+    One circuit-only co-sim lane recorded from cycle 0: with no
+    controller, faults or shutoff nothing from the PDN reaches the GPU,
+    so its power trace is the unmanaged GPU's own.
+    """
+    run = run_cosim(benchmark, CosimConfig(
+        cycles=cycles, warmup_cycles=0, use_controller=False, seed=seed,
+    ))
     return PowerManagementResult(
         benchmark=benchmark,
         stacked=stacked,
-        trace=trace,
-        instructions=gpu.total_instructions() - instructions_before,
+        trace=run.power_trace.data,
+        instructions=run.instructions,
         cycles=cycles,
     )

@@ -16,7 +16,7 @@ from repro.workloads.benchmarks import (
     get_benchmark,
     list_benchmarks,
 )
-from repro.workloads.traces import PowerTrace, capture_trace
+from repro.workloads.traces import PowerTrace
 from repro.workloads.synthetic import (
     layer_shutoff_currents,
     resonance_currents,
@@ -28,7 +28,6 @@ __all__ = [
     "BENCHMARK_NAMES",
     "BenchmarkSpec",
     "PowerTrace",
-    "capture_trace",
     "get_benchmark",
     "layer_shutoff_currents",
     "list_benchmarks",

@@ -1,22 +1,26 @@
-"""Per-SM power trace container and capture utilities.
+"""Per-SM power trace container.
 
 A :class:`PowerTrace` is the interchange format between the GPU timing
 model and the PDN analysis: a ``(cycles, num_sms)`` array of watts at a
 fixed clock, with helpers for layer aggregation, imbalance statistics
 and (de)serialization.  Traces let expensive GPU simulations run once
 and feed many PDN experiments (the paper's trace-driven methodology).
+
+Every trace comes from the one co-sim loop: a circuit-only lane of
+:func:`repro.sim.cosim.run_cosim_batch` (``use_controller=False``, no
+faults, no shutoff), whose ``result.power_trace`` is the GPU's own
+waveform, since nothing from the PDN reaches the GPU in such a lane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from repro.config import StackConfig
-from repro.gpu.gpu import GPU
 from repro.pdn.efficiency import imbalance_fraction, layer_shuffle_power
 
 
@@ -109,26 +113,3 @@ class PowerTrace:
                 frequency_hz=float(archive["frequency_hz"]),
                 name=str(archive["name"]),
             )
-
-
-def capture_trace(
-    gpu: GPU,
-    cycles: int,
-    warmup_cycles: int = 0,
-    name: Optional[str] = None,
-) -> PowerTrace:
-    """Run ``gpu`` and record its per-SM power trace.
-
-    ``warmup_cycles`` are executed and discarded first so the pipeline
-    and memory queues reach steady state.
-    """
-    if warmup_cycles < 0:
-        raise ValueError("warmup_cycles cannot be negative")
-    if warmup_cycles:
-        gpu.run(warmup_cycles)
-    data = gpu.run(cycles)
-    return PowerTrace(
-        data,
-        frequency_hz=gpu.config.gpu.sm_clock_hz,
-        name=name or gpu.kernel.name,
-    )

@@ -5,7 +5,8 @@ difference conductance ``g = f_sw * C_fly`` (see
 :mod:`repro.pdn.cr_ivr`).  This module simulates the same ladder at the
 switch level: discrete two-phase operation of every flying capacitor,
 explicit charge sharing with the layer decoupling capacitors, and the
-resulting output ripple.  It exists to *validate the averaging*:
+resulting output ripple.  It exists to *validate the averaging*, so it
+lives with the test oracles (``tests/pdn/test_switch_level.py``):
 
 * the equalization rate of an initial layer-voltage imbalance matches
   the averaged model's ``g / C`` prediction;

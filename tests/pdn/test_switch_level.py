@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pdn.switch_level import SwitchLevelLadder, ripple_amplitude
+from tests.oracles.switch_level import SwitchLevelLadder, ripple_amplitude
 
 
 class TestConstruction:

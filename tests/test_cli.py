@@ -105,6 +105,17 @@ class TestParser:
         assert args.store == "explore_store.jsonl"
         assert args.output == "pareto.json"
 
+    @pytest.mark.parametrize("cycles", ["300", "0", "-5"])
+    def test_pde_cycles_must_outlast_the_warmup(self, capsys, cycles):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["pde", "hotspot", "--cycles", cycles])
+        assert exc.value.code == 2
+        assert "300-cycle warmup" in capsys.readouterr().err
+
+    def test_pde_cycles_past_the_warmup(self):
+        args = build_parser().parse_args(["pde", "--cycles", "301"])
+        assert args.cycles == 301
+
     def test_sweep_hardening_options(self):
         args = build_parser().parse_args(
             ["sweep", "--timeout", "30", "--retries", "2",

@@ -23,7 +23,6 @@ class TestSubpackageSurfaces:
             AreaModel,
             ImpedanceAnalyzer,
             L2StackConfig,
-            SwitchLevelLadder,
             build_stacked_pdn,
             chip_interface_overhead,
         )

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import StackConfig
-from repro.gpu import GPU, KernelSpec
-from repro.workloads.traces import PowerTrace, capture_trace
+from repro.workloads.traces import PowerTrace
 
 
 @pytest.fixture
@@ -79,17 +78,3 @@ class TestSerialization:
         assert loaded.name == trace.name
         assert loaded.frequency_hz == trace.frequency_hz
         assert np.array_equal(loaded.data, trace.data)
-
-
-class TestCapture:
-    def test_capture_from_gpu(self):
-        gpu = GPU(KernelSpec("cap", body_length=300), seed=2)
-        trace = capture_trace(gpu, cycles=200, warmup_cycles=50)
-        assert trace.num_cycles == 200
-        assert trace.name == "cap"
-        assert gpu.cycle == 250
-
-    def test_capture_rejects_negative_warmup(self):
-        gpu = GPU(KernelSpec("cap"), seed=2)
-        with pytest.raises(ValueError):
-            capture_trace(gpu, cycles=10, warmup_cycles=-1)
