@@ -6,7 +6,11 @@ benchmark, asserting both the speedup floor and exact bit-identity of
 the per-cycle power traces (the engine's equivalence contract — see
 ``docs/performance.md``).
 
-The engine steps through the native library's C kernel.
+The engine steps through the native library's C kernel.  A kernel
+launch seeds its own PCG64s in C: the launch floor holds a jittered
+hotspot launch (one stream seed and one per SM) under
+``LAUNCH_FLOOR`` times what building its 17 ``np.random.PCG64``s costs,
+both timed as the min of repeats in one process, so host speed cancels.
 
 Writes ``benchmarks/results/perf_gpu.json`` so CI can upload the
 cycles/s numbers as an artifact.
@@ -14,6 +18,7 @@ cycles/s numbers as an artifact.
 
 import json
 import time
+import timeit
 
 import numpy as np
 
@@ -29,6 +34,11 @@ COMPARE_CYCLES = 1500
 TIMING_ROUNDS = 3
 # About half the C engine's measured speedup (52.9x on hotspot).
 SPEEDUP_FLOOR = 25.0
+# A launch over the NumPy seeding it replaced (0.21-0.40x with C
+# seeding on a 2-vCPU VM; 1.28-1.40x when Python built the PCG64s).
+LAUNCH_FLOOR = 0.6
+LAUNCH_CALLS = 200
+LAUNCH_REPEATS = 7
 
 
 def _make(per_object: bool):
@@ -96,3 +106,37 @@ def test_gpu_cycles_per_second(benchmark):
         )
         handle.write("\n")
     assert speedup >= SPEEDUP_FLOOR
+
+
+def test_launch_costs_less_than_numpys_seeding():
+    engine = _make(per_object=False).engine
+    assert engine.jitter > 0  # one stream seed and one per SM
+    step = 7919 * (engine.generation + 1)
+    seeds = [SEED + step] + [s + step for s in engine._jitter_seeds]
+    assert len(seeds) == 17
+
+    def launch():
+        engine._load_generation(engine.generation + 1)
+
+    def numpy_seeding():
+        return [np.random.PCG64(seed) for seed in seeds]
+
+    best = {}
+    for name, call in (("launch", launch), ("seeding", numpy_seeding)):
+        best[name] = min(timeit.repeat(
+            call, number=LAUNCH_CALLS, repeat=LAUNCH_REPEATS
+        )) / LAUNCH_CALLS
+    ratio = best["launch"] / best["seeding"]
+    emit(
+        "GPU kernel launch (hotspot, jitter on, 17 seeds)",
+        format_table(
+            ["path", "ms per call"],
+            [
+                ["engine launch (C seeding)", f"{best['launch'] * 1e3:.3f}"],
+                ["17 np.random.PCG64", f"{best['seeding'] * 1e3:.3f}"],
+                ["ratio", f"{ratio:.2f}x (floor {LAUNCH_FLOOR}x)"],
+            ],
+            title="Kernel launch vs NumPy's seeding",
+        ),
+    )
+    assert ratio <= LAUNCH_FLOOR

@@ -993,6 +993,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _benchmark_name(name: str) -> str:
+    """A ``benchmark`` positional: one of the paper's twelve, or a usage
+    error that lists them.  (Not ``choices``: the names would load the
+    workload models whenever any command's parser is built.)"""
+    from repro.workloads.benchmarks import BENCHMARK_NAMES
+
+    if name not in BENCHMARK_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"unknown benchmark {name!r}; choose from "
+            f"{', '.join(BENCHMARK_NAMES)}"
+        )
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1007,7 +1021,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cosim", aliases=["run"], help="run the cross-layer co-simulation"
     )
-    p.add_argument("benchmark", nargs="?", default="hotspot")
+    p.add_argument("benchmark", nargs="?", default="hotspot",
+                   type=_benchmark_name)
     p.add_argument("--cycles", type=int, default=3000)
     p.add_argument("--warmup", type=int, default=300)
     p.add_argument("--area", type=float, default=105.8,
@@ -1215,7 +1230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_size)
 
     p = sub.add_parser("pde", help="PDE breakdown of a benchmark")
-    p.add_argument("benchmark", nargs="?", default="hotspot")
+    p.add_argument("benchmark", nargs="?", default="hotspot",
+                   type=_benchmark_name)
     p.add_argument("--cycles", type=_pde_cycles, default=3000,
                    help="recorded cycles, after a "
                         f"{PDE_WARMUP_CYCLES}-cycle warmup")

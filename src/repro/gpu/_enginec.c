@@ -45,11 +45,14 @@
  * order is identical.  A launch empties the heaps: loads still in
  * flight belong to the kernel that issued them.
  *
- * A launch draws the generation's instruction streams and jittered
- * lengths through NumPy's own Generator routines on the bit generators
- * the engine seeded (PCG64), so every value, and each generator's state
- * after the launch, equal the per-warp Python builders kept as the
- * stream oracle (tests/oracles/stream_reference.py).
+ * A launch seeds its own PCG64s from the generation's integer seeds,
+ * as np.random.PCG64(seed) seeds one (SeedSequence, then set_seed),
+ * and draws the generation's instruction streams and jittered lengths
+ * through NumPy's own Generator routines on them, so every value, and
+ * each generator's state after the launch, equal the per-warp Python
+ * builders kept as the stream oracle (tests/oracles/stream_reference.py).
+ * The generators live on the launch's stack behind a bitgen_t; Python
+ * builds no NumPy object for a launch.
  */
 
 #include <math.h>
@@ -70,17 +73,147 @@ typedef uint8_t u8;
 #define SITE_C2 0x85EBCA6BULL
 #define SITE_MASK 0xFFFFFFFFULL
 
-/* NumPy's bit generator (numpy/random/bitgen.h; only passed through)
- * and the routines Generator.random, .integers and .uniform call, from
- * NumPy's libnpyrandom.a (numpy/random/distributions.h would pull in
+/* NumPy's bit generator interface (numpy/random/bitgen.h) and the
+ * routines Generator.random, .integers and .uniform call, from NumPy's
+ * libnpyrandom.a (numpy/random/distributions.h would pull in
  * Python.h). */
-typedef struct bitgen bitgen_t;
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
 void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt,
                                   double *out);
 void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
                                 uint64_t rng, intptr_t cnt, bool use_masked,
                                 uint64_t *out);
 double random_uniform(bitgen_t *bitgen_state, double lower, double range);
+
+/* NumPy's PCG64 (XSL-RR 128/64): the 128-bit LCG state and increment,
+ * and the upper half of a 64-bit draw buffered for the next 32-bit one. */
+typedef unsigned __int128 u128;
+
+typedef struct Pcg64 {
+    u128 state;
+    u128 inc;
+    int has_uint32;
+    uint32_t uinteger;
+} Pcg64;
+
+#define PCG_MULT (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+
+static uint64_t pcg64_next64(void *st) {
+    Pcg64 *g = st;
+    g->state = g->state * PCG_MULT + g->inc;
+    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    const unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static uint32_t pcg64_next32(void *st) {
+    Pcg64 *g = st;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    const uint64_t next = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st) {
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* SeedSequence's hash constants (numpy/random/bit_generator.pyx). */
+#define SS_INIT_A 0x43b0d7e5U
+#define SS_MULT_A 0x931e8875U
+#define SS_INIT_B 0x8b51f9ddU
+#define SS_MULT_B 0x58f38dedU
+#define SS_MIX_L 0xca01f9ddU
+#define SS_MIX_R 0x4973f715U
+#define SS_POOL 4
+
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const) {
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y) {
+    const uint32_t r = SS_MIX_L * x - SS_MIX_R * y;
+    return r ^ (r >> 16);
+}
+
+static uint32_t le32(const uint8_t *p) {
+    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 |
+           (uint32_t)p[3] << 24;
+}
+
+/* Seed g as np.random.PCG64(seed) does, from the seed's nbytes
+ * little-endian bytes (a multiple of 4, at least 16, zero-padded):
+ * SeedSequence's mix_entropy of its 32-bit words into a four-word pool,
+ * generate_state(4, uint64), then PCG64's set_seed.  The entropy of a
+ * seed below 2**128 may be padded to the pool with zero words, since
+ * mix_entropy pads the pool with hashmix(0); past the pool, the zero
+ * words above the seed's top word are dropped, as NumPy never makes
+ * them. */
+static void pcg64_seed(Pcg64 *g, const uint8_t *bytes, i64 nbytes) {
+    i64 n = nbytes / 4;
+    while (n > SS_POOL && le32(bytes + 4 * (n - 1)) == 0)
+        n--;
+    uint32_t hash_const = SS_INIT_A;
+    uint32_t pool[SS_POOL];
+    for (int i = 0; i < SS_POOL; i++)
+        pool[i] = ss_hashmix(le32(bytes + 4 * i), &hash_const);
+    for (int src = 0; src < SS_POOL; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hash_const));
+    for (i64 src = SS_POOL; src < n; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            pool[dst] = ss_mix(pool[dst],
+                               ss_hashmix(le32(bytes + 4 * src), &hash_const));
+
+    uint32_t hash_b = SS_INIT_B;
+    uint64_t words[4] = {0, 0, 0, 0};
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % SS_POOL] ^ hash_b;
+        hash_b *= SS_MULT_B;
+        v *= hash_b;
+        v ^= v >> 16;
+        words[i / 2] |= (uint64_t)v << (32 * (i % 2));
+    }
+    /* set_seed's srandom: from state 0, step, add the seed, step. */
+    g->inc = ((u128)words[2] << 64 | words[3]) << 1 | 1;
+    g->state = (g->inc + ((u128)words[0] << 64 | words[1])) * PCG_MULT + g->inc;
+    g->has_uint32 = 0;
+    g->uinteger = 0;
+}
+
+/* g's state as six words: state and inc (high, low), has_uint32 and
+ * uinteger, the fields of PCG64.state. */
+static void pcg64_save(const Pcg64 *g, uint64_t *out) {
+    out[0] = (uint64_t)(g->state >> 64);
+    out[1] = (uint64_t)g->state;
+    out[2] = (uint64_t)(g->inc >> 64);
+    out[3] = (uint64_t)g->inc;
+    out[4] = (uint64_t)g->has_uint32;
+    out[5] = g->uinteger;
+}
+
+/* The state np.random.PCG64(seed) starts in, for a seed given as in
+ * pcg64_seed; written as pcg64_save writes it.  Returns 0. */
+i64 pcg64_seed_state(const uint8_t *bytes, i64 nbytes, uint64_t *out) {
+    Pcg64 g;
+    pcg64_seed(&g, bytes, nbytes);
+    pcg64_save(&g, out);
+    return 0;
+}
 
 #define HEAP_PACK(comp, w, reg) (((comp) << 24) | ((i64)(w) << 8) | (i64)(reg))
 #define HEAP_COMP(e) ((e) >> 24)
@@ -370,33 +503,42 @@ static void launch_stream(EngineState *st, bitgen_t *bg, i64 w) {
 }
 
 /* Launch kernel generation `generation` on every SM: the oracle SM's
- * start_new_kernel plus the launch-time builders.  bitgens[0] draws the
- * streams (one set for every SM, SPMD); with jitter > 0, bitgens[1 + s]
- * draws SM s's lengths, round(body * (1 + jitter * U(-1, 1))) at least
- * 1, where a length past the body wraps to the stream's head (with
- * jitter 0 every length is the body and nothing is drawn).  Then the
- * site miss table over every (warp, pc) up to the longest stream, the
- * warp resets (PCs, scoreboards, outstanding loads, the scheduler's
- * last warp; loads in flight are dropped with the heaps) and every
- * warp's head caches.  Returns 0, or -1 when the miss table would
- * outgrow its capacity (nothing launched). */
-i64 engine_launch(EngineState *st, bitgen_t *const *bitgens,
-                  uint64_t generation) {
+ * start_new_kernel plus the launch-time builders.  seeds holds the
+ * launch's PCG64 seeds, nbytes little-endian bytes each (see
+ * pcg64_seed): seed 0 draws the streams (one set for every SM, SPMD);
+ * with jitter > 0, seed 1 + s draws SM s's lengths,
+ * round(body * (1 + jitter * U(-1, 1))) at least 1, where a length past
+ * the body wraps to the stream's head (with jitter 0 every length is
+ * the body, and seed 0 is the only one).  Then the site miss table over
+ * every (warp, pc) up to the longest stream, the warp resets (PCs,
+ * scoreboards, outstanding loads, the scheduler's last warp; loads in
+ * flight are dropped with the heaps) and every warp's head caches.
+ * Unless end_states is NULL, generator g's state after its draws is
+ * written to end_states[6 g .. 6 g + 5] as pcg64_save writes it.
+ * Returns 0, or -1 when the miss table would outgrow its capacity
+ * (nothing launched). */
+i64 engine_launch(EngineState *st, const uint8_t *seeds, i64 nbytes,
+                  uint64_t generation, uint64_t *end_states) {
     const i64 S = st->num_sms, W = st->num_warps, body = st->body;
+    Pcg64 pcg;
+    bitgen_t bg = {&pcg, pcg64_next64, pcg64_next32, pcg64_next_double,
+                   pcg64_next64};
     i64 max_len = body;
     if (st->jitter > 0.0) {
         max_len = 1;
         for (i64 s = 0; s < S; s++) {
-            bitgen_t *bg = bitgens[1 + s];
+            pcg64_seed(&pcg, seeds + (1 + s) * nbytes, nbytes);
             for (i64 w = 0; w < W; w++) {
                 const double scale =
-                    1.0 + st->jitter * random_uniform(bg, -1.0, 2.0);
+                    1.0 + st->jitter * random_uniform(&bg, -1.0, 2.0);
                 const double r = rint((double)body * scale);
                 const i64 len = (i64)(r < 1.0 ? 1.0 : r);
                 st->length[s * W + w] = len;
                 if (len > max_len)
                     max_len = len;
             }
+            if (end_states)
+                pcg64_save(&pcg, end_states + 6 * (1 + s));
         }
     }
     const i64 max_pc = max_len + 1;
@@ -406,8 +548,11 @@ i64 engine_launch(EngineState *st, bitgen_t *const *bitgens,
         for (i64 i = 0; i < S * W; i++)
             st->length[i] = body;
     }
+    pcg64_seed(&pcg, seeds, nbytes);
     for (i64 w = 0; w < W; w++)
-        launch_stream(st, bitgens[0], w);
+        launch_stream(st, &bg, w);
+    if (end_states)
+        pcg64_save(&pcg, end_states);
 
     /* MemorySystem._site_hash of (warp, pc, generation), whose first
      * product is an unbounded Python int: only its low 32 bits survive

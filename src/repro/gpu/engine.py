@@ -24,12 +24,13 @@ dummy register for dest-less instructions, so readiness is a plain
 ``max``), with sentinels for "never written" and "load in flight".
 Each warp's head readiness and head unit are cached (``_ready_cycle``,
 ``_head_unit``).  A kernel launch is one C call too
-(:meth:`VectorizedGPUEngine._load_generation`): Python seeds the
-generation's bit generators, and the native library draws the streams
-and jittered lengths through NumPy's own Generator routines, builds the
-site miss table and resets the warps, into buffers the engine owns.  A
-launch drops the loads still in flight, as the oracle does: they belong
-to the kernel that issued them.
+(:meth:`VectorizedGPUEngine._load_generation`): Python packs the
+generation's integer seeds, and the native library seeds its own PCG64s
+from them as NumPy does, draws the streams and jittered lengths through
+NumPy's own Generator routines, builds the site miss table and resets
+the warps, into buffers the engine owns.  A launch drops the loads
+still in flight, as the oracle does: they belong to the kernel that
+issued them.
 
 Warp selection is greedy-then-oldest, or GATES (gating-aware) for the
 Warped-Gates power-gating study: GTO over the ready warps whose next
@@ -45,6 +46,7 @@ actuation.
 from __future__ import annotations
 
 import ctypes
+import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -88,14 +90,18 @@ _I64 = ctypes.c_longlong
 _U64 = ctypes.c_uint64
 _F64 = ctypes.c_double
 
-# A bit generator's ``bitgen_t`` address, read off its capsule.
-_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-_capsule_pointer.restype = ctypes.c_void_p
-_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
 
-
-def _bitgen_address(bit_generator: np.random.BitGenerator) -> int:
-    return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+def pack_seeds(seeds: Sequence[int]) -> Tuple[bytes, int]:
+    """Integer seeds as the native library's PCG64 seeding reads them:
+    ``(words, nbytes)``, each seed's little-endian 32-bit words padded
+    with zeros to ``nbytes`` bytes, at least 16 (four words).  A
+    negative seed raises :class:`ValueError`, as NumPy's
+    ``SeedSequence`` does."""
+    if min(seeds) < 0:
+        raise ValueError("expected non-negative integer")
+    top = max(seeds)
+    nbytes = 16 if top >> 128 == 0 else (top.bit_length() + 31) // 32 * 4
+    return b"".join([seed.to_bytes(nbytes, "little") for seed in seeds]), nbytes
 
 
 class CEngineState(ctypes.Structure):
@@ -219,7 +225,7 @@ class VectorizedGPUEngine:
         self.memory = memory
         self.power_model = power_model
         self.jitter = jitter
-        self._base_seed = seed
+        self._base_seed = seed = operator.index(seed)
         # SPMD: every SM shares the stream seed; only the jitter seed
         # differs per SM.
         self._jitter_seeds = [seed * 65_537 + sm_id + 1 for sm_id in range(num_sms)]
@@ -282,8 +288,8 @@ class VectorizedGPUEngine:
         # Launch state: the generation's streams (one set for every SM,
         # SPMD), the spec's class tables, the site miss table (its
         # stride, the longest stream + 1, is set per launch; sized for
-        # the longest a jittered stream can be), the launch's draw
-        # scratch and its bit-generator addresses.
+        # the longest a jittered stream can be) and the launch's draw
+        # scratch.
         body = kernel.body_length
         self._streams = StreamArrays.allocate(W, body)
         self._tables = class_tables(kernel)
@@ -293,7 +299,6 @@ class VectorizedGPUEngine:
         self._miss_buf = np.zeros(W * (longest + 1), dtype=bool)
         self._draws = np.zeros((3, body))
         self._idraws = np.zeros((2, body), dtype=np.uint64)
-        self._bitgens = np.zeros(1 + S, dtype=np.uintp)
 
         # The C step's own state: per-SM pending-load heaps, the memory
         # queue slot and counters, the power row, the live-warp count
@@ -332,42 +337,55 @@ class VectorizedGPUEngine:
         warps (PCs, scoreboards, outstanding counts), scheduler reset,
         ``kernels_completed`` bumped, and the loads still in flight
         dropped — they belong to the kernel that issued them (their
-        bandwidth slot and miss were booked at issue).  Python keeps
-        only NumPy's seeding: one PCG64 for the generation's streams
-        and, with jitter, one per SM for its lengths; the rest is one
-        C call (:meth:`_launch`).
+        bandwidth slot and miss were booked at issue).  Generation g's
+        streams are seeded with ``seed + 7919 g`` and, with jitter, SM
+        s's lengths with its jitter seed ``+ 7919 g``; the launch is one
+        C call (:meth:`_launch`), which seeds its own generators.
         """
-        seed = self._base_seed + 7919 * generation
-        jitter_rngs = [
-            np.random.PCG64(jseed + 7919 * generation)
-            for jseed in self._jitter_seeds
-        ] if self.jitter > 0 else []
-        self._launch(generation, np.random.PCG64(seed), jitter_rngs)
+        step = 7919 * generation
+        seeds = [self._base_seed + step]
+        if self.jitter > 0:
+            seeds += [jseed + step for jseed in self._jitter_seeds]
+        self._launch(generation, seeds)
         if not first:
             self.stat_kernels += 1
 
     def _launch(
         self,
         generation: int,
-        streams: np.random.BitGenerator,
-        jitter_rngs: Sequence[np.random.BitGenerator],
+        seeds: Sequence[int],
+        end_states: Optional[np.ndarray] = None,
     ) -> None:
-        """Launch ``generation``, drawing its streams from ``streams``
-        and, with jitter, SM s's lengths from ``jitter_rngs[s]``.
+        """Launch ``generation``, drawing its streams from a PCG64 seeded
+        with ``seeds[0]`` and, with jitter, SM s's lengths from one
+        seeded with ``seeds[1 + s]``.
 
-        ``engine_launch`` (``_enginec.c``) makes the draws through
-        NumPy's Generator routines on these bit generators, so the
-        streams, lengths and site miss table equal the per-warp
-        builders of ``tests/oracles/stream_reference.py`` over
-        ``default_rng`` generators of the same seeds, and each bit
-        generator ends in the state those builders leave it in.
+        ``engine_launch`` (``_enginec.c``) seeds each generator as
+        ``np.random.PCG64(seed)`` does and draws through NumPy's
+        Generator routines, so the streams, lengths and site miss table
+        equal the per-warp builders of ``tests/oracles/stream_reference.py``
+        over ``default_rng`` generators of the same seeds.  Python only
+        packs the seeds (:func:`pack_seeds`).  With
+        ``end_states``, a C-contiguous ``(len(seeds), 6)`` uint64 array,
+        each generator's state after the launch is written to its row:
+        the fields of ``PCG64.state``, state and inc as (high, low)
+        words, then ``has_uint32`` and ``uinteger``.
         """
-        ptrs = self._bitgens
-        ptrs[0] = _bitgen_address(streams)
-        for s, rng in enumerate(jitter_rngs):
-            ptrs[1 + s] = _bitgen_address(rng)
+        if len(seeds) != (1 + self.num_sms if self.jitter > 0 else 1):
+            raise ValueError(
+                f"a launch takes one stream seed and, with jitter, one per "
+                f"SM; got {len(seeds)} seeds"
+            )
+        if end_states is not None and not (
+            end_states.dtype == np.uint64
+            and end_states.shape == (len(seeds), 6)
+            and end_states.flags.c_contiguous
+        ):
+            raise ValueError("end_states must be C-contiguous (seeds, 6) uint64")
+        packed, nbytes = pack_seeds(seeds)
         if self._clib.engine_launch(
-            self._cstate_ptr, self._bitgens_addr, generation
+            self._cstate_ptr, packed, nbytes, generation,
+            None if end_states is None else end_states.ctypes.data,
         ) < 0:
             raise RuntimeError("C engine miss table outgrew its capacity")
         self.generation = generation
@@ -459,7 +477,6 @@ class VectorizedGPUEngine:
         )
         self._cstate = cs
         self._cstate_ptr = ctypes.pointer(cs)
-        self._bitgens_addr = ptr(self._bitgens)
 
     # ------------------------------------------------------------------
     # Actuation

@@ -14,12 +14,15 @@ layer is its test oracle under ``tests/oracles/``.
 The solver kernel back-substitutes on its own, with the operation
 sequence of the LAPACK ``getrs`` the serial solver calls; its fused
 body is compiled for the FMA instruction set and picked at run time on
-a CPU that has it.  The GPU engine's kernel launch draws its streams
-and the cycle kernel the fault injectors' random draws with NumPy's own
-distribution code, so the library links the ``libnpyrandom.a`` archive
-NumPy ships for C extensions (:data:`ARCHIVES`); a missing or
-unlinkable archive fails the load too.  Struct pointers cross as ``void *``: each layer owns the
-``ctypes.Structure`` mirror of its own state struct.
+a CPU that has it.  The GPU engine's kernel launch seeds its own
+PCG64s from integer seeds, as NumPy's ``SeedSequence`` and ``PCG64``
+do, and draws its streams with NumPy's own distribution code, as the
+cycle kernel draws the fault injectors' random numbers through their
+NumPy bit generators; so the library links the ``libnpyrandom.a``
+archive NumPy ships for C extensions (:data:`ARCHIVES`), and a missing
+or unlinkable archive fails the load too.  Struct pointers cross as
+``void *``: each layer owns the ``ctypes.Structure`` mirror of its own
+state struct.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ _U64 = ctypes.c_uint64
 #: except the ones in _VOID.
 _SYMBOLS = {
     "engine_step": [_PTR, _I64],
-    "engine_launch": [_PTR, _PTR, _U64],
+    "engine_launch": [_PTR, _PTR, _I64, _U64, _PTR],
+    "pcg64_seed_state": [_PTR, _I64, _PTR],
     "engine_step_batch": [_PTR, _I64, _PTR, _PTR, _PTR, _PTR],
     "engine_actuate": [_PTR, _PTR, _PTR, _PTR],
     "solver_step_n": [_PTR, _I64],

@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isqrt
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -179,6 +180,83 @@ class CosimConfig:
         check_cr_ivr_area(self.cr_ivr_area_mm2)
 
 
+#: A percentile's tail selection reads its threshold off every
+#: ``_SAMPLE_STRIDE``-th value (odd, so the sample walks across the SMs
+#: of a ``(cycles, sms)`` block) and runs on blocks of at least
+#: ``_TAIL_MIN`` values.
+_SAMPLE_STRIDE = 31
+_TAIL_MIN = 32 * _SAMPLE_STRIDE
+
+
+def _tail_percentiles(values: np.ndarray, q):
+    """``np.percentile(values, q)``, bit for bit, from one tail of
+    ``values``; or None where that cannot be sure of NumPy's bits.
+
+    NumPy's linear method takes the order statistics at
+    ``floor((n - 1) q)`` and the next index of the flattened block
+    (index n - 1 twice at the top) from a partition of all n values,
+    and interpolates with ``_lerp``.  When every such rank lies in the
+    lowest (or highest) eighth, the values on that side of a threshold
+    read off a strided sample hold them all, if there are enough of
+    them, and a partition of those alone finds them; NumPy's index and
+    ``_lerp`` arithmetic then runs on them as NumPy runs it.  None (the
+    caller partitions everything) for a small or non-float64 block, an
+    invalid or 2-D ``q``, ranks away from the ends, a sample that
+    misses, a NaN (the tail takes every NaN; NumPy returns one of them)
+    or a zero order statistic (tied zeros of both signs land where the
+    partition puts them).
+    """
+    if values.dtype != np.float64 or values.size < _TAIL_MIN:
+        return None
+    flat = values.reshape(-1)
+    n = flat.size
+    weak_q = type(q) in (int, float)
+    q = np.true_divide(q, 100, out=...)
+    if q.ndim > 1 or q.size == 0 or not (q.min() >= 0 and q.max() <= 1):
+        return None
+    virtual = np.asanyarray((n - 1) * q)
+    previous = np.floor(virtual, out=...)
+    following = np.add(previous, 1, out=...)
+    top = virtual >= n - 1
+    previous[top] = -1
+    following[top] = -1
+    previous = previous.astype(np.intp)
+    below, above = previous % n, following.astype(np.intp) % n
+    ranks = sorted(set(below.flat) | set(above.flat))
+    low = ranks[-1] < n // 8
+    if not (low or ranks[0] >= n - n // 8):
+        return None
+    need = ranks[-1] + 1 if low else n - ranks[0]
+    sample = flat[::_SAMPLE_STRIDE]
+    m = sample.size
+    # The sample's expected count of the needed values, plus four
+    # binomial deviations and some slack: waveforms are autocorrelated,
+    # and a miss costs a full partition, never a wrong bit.
+    expected = need * m // n
+    r = min(m - 1, expected + 4 * isqrt(expected) + 8)
+    r = r if low else m - 1 - r
+    outside = (np.greater if low else np.less)(
+        flat, np.partition(sample, r)[r]
+    )
+    tail = np.compress(np.logical_not(outside, out=outside), flat)
+    if tail.size < need or np.isnan(tail).any():
+        return None
+    first = 0 if low else n - tail.size
+    tail.partition([rank - first for rank in ranks])
+    a = tail[below - first]
+    b = tail[above - first]
+    if not (a.all() and b.all()):
+        return None
+    gamma = np.asanyarray(virtual - previous, dtype=virtual.dtype)
+    if weak_q:
+        gamma = float(gamma)
+    diff_b_a = b - a
+    result = np.add(a, diff_b_a * gamma, out=...)
+    np.subtract(b, diff_b_a * (1 - gamma), out=result, where=gamma >= 0.5,
+                casting="unsafe", dtype=type(result.dtype))
+    return result[()] if result.ndim == 0 else result
+
+
 class CosimResult:
     """Waveforms and statistics of one co-simulation."""
 
@@ -253,8 +331,14 @@ class CosimResult:
         return float(self.sm_voltages.max())
 
     def voltage_percentiles(self, q) -> np.ndarray:
-        """Noise-distribution percentiles over all SMs and cycles (Fig. 11)."""
-        return np.percentile(self.sm_voltages, q)
+        """Noise-distribution percentiles over all SMs and cycles (Fig. 11):
+        ``np.percentile(self.sm_voltages, q)``, bit for bit.  Order
+        statistics in the block's outer eighth (a sweep point's p1) are
+        one selection from that tail (:func:`_tail_percentiles`); other
+        q, or a tail it cannot vouch for, partition the whole block as
+        NumPy does."""
+        tail = _tail_percentiles(self.sm_voltages, q)
+        return np.percentile(self.sm_voltages, q) if tail is None else tail
 
     def worst_sm_voltage_trace(self) -> np.ndarray:
         """Per-cycle minimum SM voltage (Fig. 9's critical waveform)."""

@@ -1,6 +1,5 @@
 """Tests for the shared memory system model."""
 
-import numpy as np
 import pytest
 
 from repro.gpu import GPU, KernelSpec
@@ -78,7 +77,7 @@ class TestSiteMissTable:
                 spec = KernelSpec("miss", body_length=body,
                                   warps_per_sm=warps)
                 gpu = GPU(spec, seed=seed, miss_ratio=miss_ratio)
-                gpu.engine._launch(generation, np.random.PCG64(1), [])
+                gpu.engine._launch(generation, [1])
                 got = launched_miss_table(gpu.engine)
                 want = stream_reference.site_miss_table(
                     gpu.memory, warps, body + 1, generation

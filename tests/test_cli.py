@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import CHAOS_SCENARIOS, build_parser, main
+from repro.workloads.benchmarks import BENCHMARK_NAMES
 
 
 class TestParser:
@@ -115,6 +116,27 @@ class TestParser:
     def test_pde_cycles_past_the_warmup(self):
         args = build_parser().parse_args(["pde", "--cycles", "301"])
         assert args.cycles == 301
+
+    @pytest.mark.parametrize("command", ["cosim", "run", "pde"])
+    def test_unknown_benchmark_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown benchmark 'nope'" in err
+        assert all(name in err for name in BENCHMARK_NAMES)
+
+    @pytest.mark.parametrize("command", ["cosim", "run", "pde"])
+    def test_benchmark_positional_default_and_names(self, command):
+        assert build_parser().parse_args([command]).benchmark == "hotspot"
+        for name in BENCHMARK_NAMES:
+            assert build_parser().parse_args([command, name]).benchmark == name
+
+    def test_unknown_benchmark_exits_2_from_main(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pde", "nope"])
+        assert exc.value.code == 2
+        assert "unknown benchmark" in capsys.readouterr().err
 
     def test_sweep_hardening_options(self):
         args = build_parser().parse_args(
