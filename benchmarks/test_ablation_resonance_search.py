@@ -11,6 +11,10 @@ It also validates the residual story: a low-frequency residual pattern
 (intra-column imbalance) produces more droop per ampere than the same
 current applied globally — Fig. 3's Z_R >> Z_G finding, measured
 transiently.
+
+Both are open-loop runs of the stacked PDN: each stimulus is one lane of
+a batch-solver run (``tests/pdn/open_loop.py``), the eight frequencies
+one batch and the residual/global pair another.
 """
 
 import numpy as np
@@ -20,26 +24,26 @@ from repro.analysis.report import format_series, format_table
 from repro.circuits.ac import log_frequency_grid
 from repro.pdn.builder import build_stacked_pdn
 from repro.pdn.impedance import ImpedanceAnalyzer, StimulusKind
-from repro.sim.trace_cosim import run_current_pattern
 from repro.workloads.synthetic import (
     resonance_currents,
     worst_case_residual_currents,
 )
+from tests.pdn.open_loop import run_open_loop
 
 SWEEP_MHZ = [20, 35, 50, 63, 80, 110, 150, 220]
 
 
 def _sweep():
-    droops = []
-    for f_mhz in SWEEP_MHZ:
-        pattern = resonance_currents(
-            f_mhz * 1e6, low_activity=0.4, high_activity=0.9
+    patterns = [
+        resonance_currents(f_mhz * 1e6, low_activity=0.4, high_activity=0.9)
+        for f_mhz in SWEEP_MHZ
+    ]
+    droops = [
+        float(np.median(result.sm_voltages)) - result.min_voltage
+        for result in run_open_loop(
+            patterns, duration_s=0.8e-6, cr_ivr_area_mm2=0.0
         )
-        result = run_current_pattern(
-            pattern, duration_s=0.8e-6, cr_ivr_area_mm2=0.0
-        )
-        nominal = float(np.median(result.sm_voltages))
-        droops.append(nominal - result.min_voltage)
+    ]
     # AC-analysis prediction of the worst global frequency.
     analyzer = ImpedanceAnalyzer(build_stacked_pdn())
     freqs = log_frequency_grid(10e6, 300e6, points_per_decade=30)
@@ -82,8 +86,9 @@ def test_residual_hurts_more_than_global(benchmark):
         global_wave = resonance_currents(
             2e6, low_activity=0.56, high_activity=0.64
         )  # ~2 A total swing across 16 SMs
-        r_res = run_current_pattern(residual, 2.0e-6, cr_ivr_area_mm2=0.0)
-        r_glob = run_current_pattern(global_wave, 2.0e-6, cr_ivr_area_mm2=0.0)
+        r_res, r_glob = run_open_loop(
+            [residual, global_wave], 2.0e-6, cr_ivr_area_mm2=0.0
+        )
         droop_res = float(np.median(r_res.sm_voltages) - r_res.min_voltage)
         droop_glob = float(np.median(r_glob.sm_voltages) - r_glob.min_voltage)
         return droop_res, droop_glob

@@ -12,7 +12,7 @@ this library start well above DC — never singular.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -137,11 +137,13 @@ class MNAStructure:
         return matrix
 
     # ------------------------------------------------------------------
-    def rhs_sources(self, t: float) -> np.ndarray:
-        """Real RHS from independent sources evaluated at time ``t``."""
+    def rhs_sources(self, t: float, currents: Sequence[float]) -> np.ndarray:
+        """Real RHS from independent sources: the current sources' amps
+        ``currents`` (in circuit order, as the solver gathers them) and
+        the voltage sources evaluated at time ``t``."""
         rhs = np.zeros(self.size, dtype=float)
-        for cs in self.circuit.elements_of_type(CurrentSource):
-            current = cs.current_at(t)  # type: ignore[union-attr]
+        sources = self.circuit.elements_of_type(CurrentSource)
+        for cs, current in zip(sources, currents):
             p = self.node(cs.node_pos)
             n = self.node(cs.node_neg)
             if p is not None:

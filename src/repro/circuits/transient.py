@@ -399,13 +399,21 @@ class TransientSolver:
 
         Capacitors are open, inductors are (near-)shorts.  The computed
         node voltages seed capacitor voltages, and inductor currents are
-        read from the short-circuit branch currents.
+        read from the short-circuit branch currents.  Bound current
+        sources are read through this solver's own gathers, so a
+        :meth:`fork` or :meth:`rebind_sources` solver starts from the
+        currents in its own buffer, not the circuit's.
         """
         size = self.structure.size
         matrix = self.structure.assemble_resistive()
         for (p, n) in self._ind_nodes:
             self.structure.stamp_conductance(matrix, p, n, self._DC_SHORT_SIEMENS)
-        rhs = self.structure.rhs_sources(t)
+        vals = self._vals
+        for slot, source in self._cs_plain:
+            vals[slot] = source.current_at(t)
+        for buffer, slots, gidx in self._cs_batches:
+            vals[slots] = np.asarray(buffer)[gidx]
+        rhs = self.structure.rhs_sources(t, vals[self._cs_offset:])
         solution = np.linalg.solve(matrix, rhs)
         self.stats.dc_solves += 1
 

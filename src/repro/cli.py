@@ -525,7 +525,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         benchmarks = list(BENCHMARK_NAMES)
     else:
         benchmarks = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
-    areas = [float(a) for a in args.areas.split(",") if a.strip()]
+    areas = _area_values(args.areas)
     base = CosimConfig(
         cycles=args.cycles,
         warmup_cycles=args.warmup,
@@ -659,9 +659,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         benchmarks = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
     axes = {}
     if args.areas.strip():
-        axes["cr_ivr_area_mm2"] = [
-            float(a) for a in args.areas.split(",") if a.strip()
-        ]
+        axes["cr_ivr_area_mm2"] = _area_values(args.areas)
     for spec in args.axis:
         name, sep, values = spec.partition("=")
         if not sep or not name.strip() or not values.strip():
@@ -792,12 +790,7 @@ PDE_WARMUP_CYCLES = 300
 def _pde_cycles(text: str) -> int:
     """``repro pde --cycles``: the recorded window must outlast the
     warmup, as every co-sim run's must."""
-    try:
-        cycles = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
+    cycles = _parse(int, text)
     if cycles <= PDE_WARMUP_CYCLES:
         raise argparse.ArgumentTypeError(
             f"must exceed the {PDE_WARMUP_CYCLES}-cycle warmup, got {cycles}"
@@ -993,6 +986,96 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+# ---------------------------------------------------------------------------
+# Flag validation: a value the models reject is a usage error (exit 2)
+# carrying the model's own message, not a traceback.
+# ---------------------------------------------------------------------------
+def _parse(convert, text: str):
+    """``convert(text)``, or argparse's usage error for a malformed value."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {convert.__name__} value: {text!r}"
+        ) from None
+
+
+def _model_checked(check, value):
+    """``value`` once the model's ``check(value)`` accepts it; its
+    ``ValueError`` becomes a usage error with the model's message."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _cr_ivr_area(text: str) -> float:
+    """``--area``: a CR-IVR area ``check_cr_ivr_area`` accepts."""
+    from repro.pdn.builder import check_cr_ivr_area
+
+    return _model_checked(check_cr_ivr_area, _parse(float, text))
+
+
+def _area_values(text: str) -> List[float]:
+    """The CR-IVR areas of a comma-separated ``--areas`` list."""
+    return [_cr_ivr_area(a) for a in text.split(",") if a.strip()]
+
+
+def _area_axis(text: str) -> str:
+    """``explore --areas``: comma-separated CR-IVR areas, each one a
+    valid ``--area`` ('' drops the axis).  The text is kept; the command
+    reads it with :func:`_area_values`."""
+    _area_values(text)
+    return text
+
+
+def _sweep_areas(text: str) -> str:
+    """``sweep --areas``: like ``explore --areas``, but a sweep's grid
+    needs at least one area."""
+    from repro.sim.sweep import expand_grid
+
+    _model_checked(
+        lambda areas: expand_grid(["hotspot"], {"cr_ivr_area_mm2": areas}),
+        _area_values(text),
+    )
+    return text
+
+
+def _control_latency(text: str) -> float:
+    """``size --latency``: a control latency the area model accepts."""
+    from repro.pdn.area import AreaModel
+
+    return _model_checked(
+        AreaModel().effective_imbalance_a, _parse(float, text)
+    )
+
+
+def _droop_target(text: str) -> float:
+    """``size --guardband``: a droop target the area model accepts."""
+    from repro.pdn.area import AreaModel
+
+    return _model_checked(
+        lambda v: AreaModel().required_area_mm2(droop_target_v=v),
+        _parse(float, text),
+    )
+
+
+def _check_run_window(args: argparse.Namespace) -> None:
+    """A co-sim command's ``--cycles`` and ``--warmup`` must make a
+    ``CosimConfig``; otherwise its message is the command's usage error
+    (``run_window`` is the command parser's ``error``)."""
+    usage_error = getattr(args, "run_window", None)
+    if usage_error is None:
+        return
+    from repro.sim.cosim import CosimConfig
+
+    try:
+        CosimConfig(cycles=args.cycles, warmup_cycles=args.warmup)
+    except ValueError as exc:
+        usage_error(str(exc))
+
+
 def _benchmark_name(name: str) -> str:
     """A ``benchmark`` positional: one of the paper's twelve, or a usage
     error that lists them.  (Not ``choices``: the names would load the
@@ -1025,14 +1108,14 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_benchmark_name)
     p.add_argument("--cycles", type=int, default=3000)
     p.add_argument("--warmup", type=int, default=300)
-    p.add_argument("--area", type=float, default=105.8,
+    p.add_argument("--area", type=_cr_ivr_area, default=105.8,
                    help="CR-IVR area in mm^2")
     p.add_argument("--no-controller", action="store_true",
                    help="circuit-only voltage stacking")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--telemetry", default="", metavar="DIR",
                    help="write a run manifest + JSONL event log here")
-    p.set_defaults(func=_cmd_cosim)
+    p.set_defaults(func=_cmd_cosim, run_window=p.error)
 
     p = sub.add_parser(
         "faults",
@@ -1061,7 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--telemetry", default="", metavar="DIR",
                    help="write a run manifest + JSONL event log here")
-    p.set_defaults(func=_cmd_faults)
+    p.set_defaults(func=_cmd_faults, run_window=p.error)
 
     p = sub.add_parser(
         "chaos",
@@ -1085,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--benchmarks", default="hotspot,heartwall,fastwalsh,bfs",
                    help="comma-separated benchmark names, or 'all'")
-    p.add_argument("--areas", default="52.9,105.8,211.6",
+    p.add_argument("--areas", type=_sweep_areas, default="52.9,105.8,211.6",
                    help="comma-separated CR-IVR areas in mm^2")
     p.add_argument("--cycles", type=int, default=1000)
     p.add_argument("--warmup", type=int, default=200)
@@ -1116,7 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON results path ('' to skip writing)")
     p.add_argument("--telemetry", default="", metavar="DIR",
                    help="write a run manifest + JSONL event log here")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, run_window=p.error)
 
     p = sub.add_parser(
         "explore",
@@ -1125,7 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--benchmarks", default="hotspot,heartwall,fastwalsh,bfs",
                    help="comma-separated benchmark names, or 'all'")
-    p.add_argument("--areas", default="52.9,105.8,211.6",
+    p.add_argument("--areas", type=_area_axis, default="52.9,105.8,211.6",
                    help="CR-IVR area axis in mm^2 ('' to drop the axis)")
     p.add_argument(
         "--axis", action="append", default=[], metavar="FIELD=V1,V2",
@@ -1164,7 +1247,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print per-point progress lines")
     p.add_argument("--telemetry", default="", metavar="DIR",
                    help="write a run manifest + JSONL event log here")
-    p.set_defaults(func=_cmd_explore)
+    p.set_defaults(func=_cmd_explore, run_window=p.error)
 
     p = sub.add_parser(
         "trace", help="summarize a telemetry manifest (dir or file)"
@@ -1217,15 +1300,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("impedance", help="effective impedance curves (Fig 3)")
-    p.add_argument("--area", type=float, default=0.0)
+    p.add_argument("--area", type=_cr_ivr_area, default=0.0)
     p.add_argument("--points", type=int, default=8,
                    help="frequency points per decade")
     p.set_defaults(func=_cmd_impedance)
 
     p = sub.add_parser("size", help="CR-IVR area sizing (Table III)")
-    p.add_argument("--latency", type=float, default=60.0,
+    p.add_argument("--latency", type=_control_latency, default=60.0,
                    help="control loop latency in cycles")
-    p.add_argument("--guardband", type=float, default=0.2,
+    p.add_argument("--guardband", type=_droop_target, default=0.2,
                    help="voltage guardband in volts")
     p.set_defaults(func=_cmd_size)
 
@@ -1242,8 +1325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _check_run_window(args)
     return args.func(args)
 
 

@@ -35,7 +35,6 @@ from repro.core.detectors import (
 )
 from repro.core.actuators import (
     ACTUATION_TIMESCALES,
-    ActuationCommand,
     CurrentCompensationDAC,
     WeightedActuation,
 )
@@ -45,7 +44,6 @@ from repro.core.hypervisor import HypervisorConfig, VSAwareHypervisor
 
 __all__ = [
     "ACTUATION_TIMESCALES",
-    "ActuationCommand",
     "ControllerConfig",
     "ControllerOverheads",
     "CurrentCompensationDAC",

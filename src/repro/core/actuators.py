@@ -9,10 +9,16 @@ band the architecture layer must cover:
 * **DCC** — dynamic current compensation through a binary-weighted
   current DAC (increase layer current directly, at area/leakage cost).
 
-:class:`WeightedActuation` implements the weighted control input of
-eq. (9): a desired power adjustment is split across the three mechanisms
-by weights ``(w1, w2, w3)``, then each mechanism converts its share into
-its native command (issue width, fakes/cycle, DAC code).
+:class:`WeightedActuation` holds the weighted control input of eq. (9):
+the weights ``(w1, w2, w3)`` that split a proportional error across the
+three mechanisms, and the hardware each share lands on (the issue width,
+the per-instruction power, the DCC DAC).  The law itself — error to
+issue width, fakes/cycle and DAC code — runs in the controller bank's
+decision wave (``bank_wave`` in ``repro/sim/_cyclec.c``), which reads
+the weights, ``issue_width_max`` and the DAC's ``unit_power_w`` and
+``max_code``; ``instruction_power_w`` feeds the controller config's
+gain check.  The law's per-SM scalar form is the test oracle
+``tests/oracles/scalar_controller.py``.
 """
 
 from __future__ import annotations
@@ -77,34 +83,6 @@ class CurrentCompensationDAC:
     def leakage_w(self) -> float:
         return self.n_bits * self.leakage_w_per_bit
 
-    def code_for_power(self, power_w: float) -> int:
-        """Closest DAC code delivering ``power_w`` (clamped)."""
-        if power_w <= 0:
-            return 0
-        return min(self.max_code, int(round(power_w / self.unit_power_w)))
-
-    def power_for_code(self, code: int) -> float:
-        if not 0 <= code <= self.max_code:
-            raise ValueError(f"code {code} outside 0..{self.max_code}")
-        return code * self.unit_power_w
-
-
-@dataclass(frozen=True)
-class ActuationCommand:
-    """Per-SM actuation outputs of one control decision."""
-
-    issue_width: float = 2.0  # DIWS command for the drooping SM
-    fake_rate: float = 0.0  # FII command for the neighbouring layer
-    dcc_code: int = 0  # DCC command for the neighbouring layer
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.issue_width <= 2.0:
-            raise ValueError(f"issue width out of range: {self.issue_width}")
-        if not 0.0 <= self.fake_rate <= 2.0:
-            raise ValueError(f"fake rate out of range: {self.fake_rate}")
-        if self.dcc_code < 0:
-            raise ValueError("dcc code cannot be negative")
-
 
 @dataclass(frozen=True)
 class WeightedActuation:
@@ -128,54 +106,3 @@ class WeightedActuation:
             raise ValueError("weights must be non-negative")
         if self.w1 + self.w2 + self.w3 <= 0:
             raise ValueError("at least one weight must be positive")
-
-    def commands(
-        self, error_v: float, k1: float, k2: float, k3: float
-    ) -> ActuationCommand:
-        """Map a voltage error (``V_nominal - V_sm``, volts) to commands.
-
-        Follows Algorithm 1: DIWS throttles the drooping SM by
-        ``k1 * w1 * error`` issue slots, FII raises the layer above by
-        ``k2 * w2 * error`` fakes/cycle, and DCC adds
-        ``k3 * w3 * error`` watts of compensation current.
-        """
-        if error_v <= 0:
-            return ActuationCommand(self.issue_width_max, 0.0, 0)
-        width = self.issue_width_max - k1 * self.w1 * error_v
-        fake = k2 * self.w2 * error_v
-        dcc_power = k3 * self.w3 * error_v
-        return ActuationCommand(
-            issue_width=min(self.issue_width_max, max(0.0, width)),
-            fake_rate=min(2.0, max(0.0, fake)),
-            dcc_code=self.dac.code_for_power(dcc_power),
-        )
-
-    def boost_commands(
-        self, overvoltage_v: float, k2: float, k3: float
-    ) -> ActuationCommand:
-        """Power-adding commands for an *underdrawing* layer.
-
-        Realizes eq. (6)'s ``P_i = k V_i`` on the high side: a layer
-        whose voltage sits above nominal draws proportionally more power
-        through FII / DCC, which is self-limiting (commands vanish as
-        the layer returns to nominal).
-        """
-        if overvoltage_v <= 0:
-            return ActuationCommand(self.issue_width_max, 0.0, 0)
-        fake = k2 * self.w2 * overvoltage_v
-        dcc_power = k3 * self.w3 * overvoltage_v
-        return ActuationCommand(
-            issue_width=self.issue_width_max,
-            fake_rate=min(2.0, max(0.0, fake)),
-            dcc_code=self.dac.code_for_power(dcc_power),
-        )
-
-    def power_effect_w(self, command: ActuationCommand) -> float:
-        """Approximate eq. (9): power the command adds (+) or sheds (-)."""
-        diws_drop = (
-            -(self.issue_width_max - command.issue_width)
-            * self.instruction_power_w
-        )
-        fii_add = command.fake_rate * self.instruction_power_w
-        dcc_add = self.dac.power_for_code(command.dcc_code)
-        return diws_drop + fii_add + dcc_add

@@ -67,7 +67,8 @@ typedef uint8_t u8;
 
 #define NUM_REGS 16 /* a warp's register window; column 16 is the dummy */
 
-/* Site-hash constants of MemorySystem._site_hash. */
+/* Site-hash constants of the per-load oracle's hash
+ * (tests/oracles/per_object_gpu.py, PerRequestMemory._site_hash). */
 #define SITE_SEED 0x9E3779B1ULL
 #define SITE_C1 0x7F4A7C15ULL
 #define SITE_C2 0x85EBCA6BULL
@@ -554,7 +555,7 @@ i64 engine_launch(EngineState *st, const uint8_t *seeds, i64 nbytes,
     if (end_states)
         pcg64_save(&pcg, end_states);
 
-    /* MemorySystem._site_hash of (warp, pc, generation), whose first
+    /* The site hash of (warp, pc, generation), whose first
      * product is an unbounded Python int: only its low 32 bits survive
      * the next mask, and those are the wrapped product's. */
     const uint64_t gen_mix = generation + SITE_C1;

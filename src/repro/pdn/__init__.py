@@ -28,12 +28,6 @@ from repro.pdn.efficiency import (
     pde_voltage_stacked,
 )
 from repro.pdn.area import required_cr_ivr_area, AreaModel
-from repro.pdn.level_shifters import (
-    LEVEL_SHIFTER_OPTIONS,
-    best_topology_for_rate,
-    chip_interface_overhead,
-)
-from repro.pdn.l2_stack import L2StackConfig
 
 __all__ = [
     "AreaModel",
@@ -42,13 +36,9 @@ __all__ = [
     "DEFAULT_PDN",
     "EfficiencyBreakdown",
     "ImpedanceAnalyzer",
-    "L2StackConfig",
-    "LEVEL_SHIFTER_OPTIONS",
     "PDNParameters",
     "StackedPDN",
     "StimulusKind",
-    "best_topology_for_rate",
-    "chip_interface_overhead",
     "build_conventional_pdn",
     "build_stacked_pdn",
     "pde_conventional",

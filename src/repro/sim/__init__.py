@@ -35,7 +35,6 @@ from repro.sim.sweep import (
     run_sweep,
 )
 from repro.sim.store import ResultStore, point_key
-from repro.sim.trace_cosim import run_current_pattern
 
 __all__ = [
     "CosimConfig",
@@ -55,7 +54,6 @@ __all__ = [
     "round_schedule",
     "run_baseline",
     "run_cosim",
-    "run_current_pattern",
     "run_dfs_experiment",
     "run_exploration",
     "run_pg_experiment",

@@ -1,9 +1,11 @@
 """Synthetic current stimuli for worst-case reliability experiments.
 
 These generators produce per-SM *current* functions of time (amps) for
-driving the PDN directly, bypassing the GPU timing model — used by the
-Fig. 9 worst-imbalance experiment, the Fig. 10 sensitivity sweeps, and
-the impedance-validation tests.
+driving the PDN directly, bypassing the GPU timing model — the
+open-loop runs that validate the impedance analysis in the time domain
+(the resonance-search ablation and ``tests/pdn/test_open_loop.py``).
+Fig. 9's worst imbalance is a co-sim ``LayerShutoffEvent`` instead, and
+Fig. 10 reads the analytic ``AreaModel``.
 
 Each generator returns ``f(t) -> np.ndarray of shape (num_sms,)``.
 """

@@ -20,11 +20,14 @@ NUM_SMS = StackConfig().num_sms
 NOMINAL_A = 40.0 / NUM_SMS
 
 
-def _solver(area=105.8):
-    """A PDN solver at its DC operating point, as the co-sim builds it."""
+def _solver(area=105.8, currents=None):
+    """A PDN solver at its DC operating point, as the co-sim builds it
+    (at ``currents``, or the nominal draw on every SM)."""
     pdn = build_stacked_pdn(cr_ivr_area_mm2=area)
     solver = TransientSolver(pdn.circuit, dt=DT)
-    pdn.set_sm_currents(np.full(NUM_SMS, NOMINAL_A))
+    pdn.set_sm_currents(
+        np.full(NUM_SMS, NOMINAL_A) if currents is None else currents
+    )
     solver.initialize_dc()
     return solver
 
@@ -87,6 +90,19 @@ class TestFork:
         template = _solver()
         assert template.fork(np.zeros(NUM_SMS))._batch_owner is None
 
+    @pytest.mark.parametrize("area", [0.0, 105.8])
+    def test_fork_dc_point_comes_from_its_own_currents(self, area):
+        """A fork's ``initialize_dc()`` solves at the currents in its own
+        buffer, bit-equal to a solver over its own netlist at them, and
+        leaves the template's operating point alone."""
+        template = _solver(area)
+        before = _state(template)
+        row = NOMINAL_A * np.linspace(0.25, 1.75, NUM_SMS)
+        fork = template.fork(row)
+        fork.initialize_dc()
+        assert _state(fork) == _state(_solver(area, row))
+        assert _state(template) == before
+
 
 class TestRebindSources:
     def test_rebinding_moves_only_this_solvers_gather(self):
@@ -105,6 +121,13 @@ class TestRebindSources:
         assert _drive(a, second, 10).tobytes() == _drive(
             c, c._cs_batches[0][0], 10
         ).tobytes()
+
+    def test_rebound_dc_point_comes_from_the_new_buffer(self):
+        row = NOMINAL_A * np.linspace(1.75, 0.25, NUM_SMS)
+        solver = _solver()
+        solver.rebind_sources(row)
+        solver.initialize_dc()
+        assert _state(solver) == _state(_solver(currents=row))
 
     def test_wrong_shape_is_rejected(self):
         solver = _solver()

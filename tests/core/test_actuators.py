@@ -1,13 +1,23 @@
-"""Tests for actuation mechanisms and the weighted control input."""
+"""Tests for actuation mechanisms and the weighted control input.
+
+The scalar law (error to issue width, fakes/cycle and DAC code) is the
+oracle's (``tests/oracles/scalar_controller.py``); the controller bank
+runs it compiled and is held byte-equal to it in
+``tests/core/test_controller_bank.py``.
+"""
 
 import pytest
 
 from repro.core.actuators import (
     ACTUATION_TIMESCALES,
-    ActuationCommand,
     CurrentCompensationDAC,
     WeightedActuation,
     smoothing_capable,
+)
+from tests.oracles.scalar_controller import (
+    ActuationCommand,
+    code_for_power,
+    commands,
 )
 
 
@@ -40,20 +50,15 @@ class TestDAC:
 
     def test_code_roundtrip(self):
         dac = CurrentCompensationDAC()
-        code = dac.code_for_power(0.5)
-        assert dac.power_for_code(code) == pytest.approx(0.5, abs=dac.unit_power_w)
+        code = code_for_power(dac, 0.5)
+        assert code * dac.unit_power_w == pytest.approx(0.5, abs=dac.unit_power_w)
 
     def test_code_clamped_at_max(self):
         dac = CurrentCompensationDAC(n_bits=3, unit_power_w=0.1)
-        assert dac.code_for_power(100.0) == dac.max_code
+        assert code_for_power(dac, 100.0) == dac.max_code
 
     def test_nonpositive_power_gives_zero(self):
-        assert CurrentCompensationDAC().code_for_power(-1.0) == 0
-
-    def test_power_for_code_validates(self):
-        dac = CurrentCompensationDAC(n_bits=3)
-        with pytest.raises(ValueError):
-            dac.power_for_code(8)
+        assert code_for_power(CurrentCompensationDAC(), -1.0) == 0
 
     def test_overheads_scale_with_bits(self):
         small = CurrentCompensationDAC(n_bits=4)
@@ -85,47 +90,37 @@ class TestWeightedActuation:
 
     def test_no_error_no_actuation(self):
         act = WeightedActuation(w1=1.0, w2=1.0, w3=1.0)
-        cmd = act.commands(0.0, 10, 10, 10)
+        cmd = commands(act, 0.0, 10, 10, 10)
         assert cmd.issue_width == 2.0
         assert cmd.fake_rate == 0.0
         assert cmd.dcc_code == 0
 
     def test_diws_only_throttles_width(self):
         act = WeightedActuation(w1=1.0, w2=0.0, w3=0.0)
-        cmd = act.commands(0.1, k1=10, k2=10, k3=10)
+        cmd = commands(act, 0.1, k1=10, k2=10, k3=10)
         assert cmd.issue_width == pytest.approx(1.0)
         assert cmd.fake_rate == 0.0
         assert cmd.dcc_code == 0
 
     def test_fii_only_injects(self):
         act = WeightedActuation(w1=0.0, w2=1.0, w3=0.0)
-        cmd = act.commands(0.1, k1=10, k2=10, k3=10)
+        cmd = commands(act, 0.1, k1=10, k2=10, k3=10)
         assert cmd.issue_width == 2.0
         assert cmd.fake_rate == pytest.approx(1.0)
 
     def test_dcc_only_codes(self):
         act = WeightedActuation(w1=0.0, w2=0.0, w3=1.0)
-        cmd = act.commands(0.1, k1=10, k2=10, k3=30)
-        assert cmd.dcc_code == act.dac.code_for_power(3.0)
+        cmd = commands(act, 0.1, k1=10, k2=10, k3=30)
+        assert cmd.dcc_code == code_for_power(act.dac, 3.0)
 
     def test_commands_clamped(self):
         act = WeightedActuation(w1=1.0, w2=1.0, w3=0.0)
-        cmd = act.commands(10.0, k1=100, k2=100, k3=0)
+        cmd = commands(act, 10.0, k1=100, k2=100, k3=0)
         assert cmd.issue_width == 0.0
         assert cmd.fake_rate == 2.0
 
-    def test_power_effect_signs(self):
-        """Eq. (9): DIWS sheds power, FII and DCC add it."""
-        act = WeightedActuation(w1=1.0, w2=1.0, w3=1.0)
-        diws_cmd = ActuationCommand(issue_width=1.0)
-        fii_cmd = ActuationCommand(fake_rate=1.0)
-        dcc_cmd = ActuationCommand(dcc_code=10)
-        assert act.power_effect_w(diws_cmd) < 0
-        assert act.power_effect_w(fii_cmd) > 0
-        assert act.power_effect_w(dcc_cmd) > 0
-
     def test_mixed_weights_split_the_error(self):
         mixed = WeightedActuation(w1=0.8, w2=0.2, w3=0.0)
-        cmd = mixed.commands(0.1, k1=10, k2=10, k3=0)
+        cmd = commands(mixed, 0.1, k1=10, k2=10, k3=0)
         assert cmd.issue_width == pytest.approx(2.0 - 0.8)
         assert cmd.fake_rate == pytest.approx(0.2)

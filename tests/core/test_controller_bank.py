@@ -20,11 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.config import StackConfig
-from repro.core.actuators import (
-    ActuationCommand,
-    CurrentCompensationDAC,
-    WeightedActuation,
-)
+from repro.core.actuators import CurrentCompensationDAC, WeightedActuation
 from repro.core.controller import (
     ControllerBank,
     ControllerConfig,
@@ -272,15 +268,8 @@ class TestIdleWaveShortcut:
 
 
 class _GentleActuation(WeightedActuation):
-    """Throttles half as hard as the stock law (overrides ``commands``)."""
-
-    def commands(self, error_v, k1, k2, k3):
-        stock = super().commands(error_v, k1, k2, k3)
-        return ActuationCommand(
-            issue_width=(stock.issue_width + self.issue_width_max) / 2,
-            fake_rate=stock.fake_rate,
-            dcc_code=stock.dcc_code,
-        )
+    """An actuation subclass: the bank runs the stock law on the stock
+    fields, so it could not see anything a subclass changes."""
 
 
 class _CoarseDAC(CurrentCompensationDAC):

@@ -5,15 +5,17 @@ import pytest
 
 from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import KernelSpec
-from repro.gpu.memory import MemorySystem
 from repro.gpu.engine import DIWS_WINDOW
-from tests.oracles.per_object_gpu import StreamingMultiprocessor
+from tests.oracles.per_object_gpu import (
+    PerRequestMemory,
+    StreamingMultiprocessor,
+)
 
 
 def make_sm(seed=0, kernel=None, rearm=True, **kernel_kwargs):
     spec = kernel or KernelSpec("t", body_length=600, **kernel_kwargs)
     return StreamingMultiprocessor(
-        0, spec, MemorySystem(miss_ratio=0.2, seed=seed), seed=seed, rearm=rearm
+        0, spec, PerRequestMemory(miss_ratio=0.2, seed=seed), seed=seed, rearm=rearm
     )
 
 

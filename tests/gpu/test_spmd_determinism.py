@@ -16,10 +16,10 @@ import pytest
 from repro.gpu import GPU, KernelSpec
 from repro.gpu.engine import DIWS_WINDOW
 from repro.gpu.kernels import UNIT_ORDER
-from repro.gpu.memory import MemorySystem
 from repro.workloads.benchmarks import get_benchmark
 from tests.oracles.per_object_gpu import (
     PerObjectGPU,
+    PerRequestMemory,
     StreamingMultiprocessor,
     build_warps,
 )
@@ -58,20 +58,20 @@ class TestSharedStreams:
 
 class TestKeyedMemory:
     def test_same_key_same_outcome(self):
-        m = MemorySystem(miss_ratio=0.5, seed=3)
+        m = PerRequestMemory(miss_ratio=0.5, seed=3)
         first = m.request(0, key=(1, 10, 0)) - 0
         second = m.request(1000, key=(1, 10, 0)) - 1000
         assert first == second
 
     def test_different_keys_vary(self):
-        m = MemorySystem(miss_ratio=0.5, seed=3)
+        m = PerRequestMemory(miss_ratio=0.5, seed=3)
         latencies = {
             m.request(0, key=(w, pc, 0)) for w in range(8) for pc in range(8)
         }
         assert len(latencies) > 1
 
     def test_key_outcome_statistics_match_ratio(self):
-        m = MemorySystem(miss_ratio=0.3, seed=4)
+        m = PerRequestMemory(miss_ratio=0.3, seed=4)
         for k in range(4000):
             m.request(0, key=(k, k * 7, 0))
         assert m.observed_miss_ratio == pytest.approx(0.3, abs=0.03)
@@ -79,7 +79,7 @@ class TestKeyedMemory:
     def test_two_sms_same_sites_same_events(self):
         """The SPMD property end to end: two SMs running the same code
         against the shared memory system see identical hit/miss events."""
-        m = MemorySystem(miss_ratio=0.4, seed=5)
+        m = PerRequestMemory(miss_ratio=0.4, seed=5)
         outcomes_a = [
             m.request(0, key=(w, pc, 0)) for w in range(4) for pc in range(16)
         ]
@@ -150,7 +150,7 @@ class TestDIWSWindowSemantics:
     def test_budget_refreshes_each_window(self):
         spec = KernelSpec("t", body_length=400, dependence=0.0)
         sm = StreamingMultiprocessor(
-            0, spec, MemorySystem(miss_ratio=0.0, seed=7), seed=7
+            0, spec, PerRequestMemory(miss_ratio=0.0, seed=7), seed=7
         )
         sm.set_issue_width(1.5)
         for cycle in range(10 * DIWS_WINDOW):

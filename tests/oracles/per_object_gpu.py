@@ -14,9 +14,12 @@ byte.
 
 The bodies below are the former shipped code; what changed is where
 they live, the per-cycle power formula inlined from the power model
-(:func:`cycle_power_from_energy`), and the SM's two power-gating hooks
+(:func:`cycle_power_from_energy`), the SM's two power-gating hooks
 (``has_demand``, ``set_active_units``), which the power-gating
-controller calls on either model.
+controller calls on either model, and :class:`PerRequestMemory`, the
+memory system's per-load path (formerly ``MemorySystem``'s own
+methods), which the SMs call and the engine replaces with a launch's
+site miss table.
 """
 
 from __future__ import annotations
@@ -37,9 +40,68 @@ from repro.gpu.isa import (
     InstructionClass,
 )
 from repro.gpu.kernels import _NUM_REGS, KernelSpec
-from repro.gpu.memory import MemorySystem
+from repro.gpu.memory import MemorySystem, MemoryTimings
 from repro.gpu.power import IDLE_DYNAMIC_ENERGY, SMPowerModel
 from tests.oracles.stream_reference import _draw_stream_fields
+
+
+# --------------------------------------------------------------------------
+# Memory
+# --------------------------------------------------------------------------
+class PerRequestMemory(MemorySystem):
+    """The shared memory system served one load at a time."""
+
+    def __init__(
+        self,
+        miss_ratio: float = 0.3,
+        timings: MemoryTimings = MemoryTimings(),
+        seed: int = 0,
+    ) -> None:
+        super().__init__(miss_ratio, timings, seed)
+        self._rng = np.random.default_rng(seed)
+
+    def request(self, cycle: int, key: Optional[tuple] = None) -> int:
+        """Issue a load at ``cycle``; return its completion cycle.
+
+        ``key`` identifies the access site (e.g. ``(warp id, pc)``).
+        When given, hit/miss is a *deterministic* function of the key —
+        so under the SPMD model every SM executing the same code sees
+        the same microarchitectural events, the property that keeps
+        layer currents balanced (Section III-A).  Without a key the
+        outcome is drawn randomly at the configured miss ratio.
+        """
+        slot_width = 1.0 / self.timings.requests_per_cycle
+        start = max(float(cycle), self._next_service_slot)
+        self._next_service_slot = start + slot_width
+        queue_delay = start - cycle
+        if key is not None:
+            draw = self._site_hash(key)
+        else:
+            draw = self._rng.random()
+        if draw < self.miss_ratio:
+            latency = self.timings.dram_cycles
+            self.misses += 1
+        else:
+            latency = self.timings.l2_hit_cycles
+        self.requests_served += 1
+        return int(cycle + queue_delay + latency)
+
+    def _site_hash(self, key: tuple) -> float:
+        """Stable uniform draw in [0, 1) from an access-site key."""
+        h = self._seed * 0x9E3779B1
+        for part in key:
+            h = (h ^ (int(part) + 0x7F4A7C15)) * 0x85EBCA6B % (1 << 32)
+        return h / float(1 << 32)
+
+    @property
+    def observed_miss_ratio(self) -> float:
+        if self.requests_served == 0:
+            return 0.0
+        return self.misses / self.requests_served
+
+    def reset_statistics(self) -> None:
+        self.requests_served = 0
+        self.misses = 0
 
 
 # --------------------------------------------------------------------------
@@ -419,7 +481,7 @@ class StreamingMultiprocessor:
         self,
         sm_id: int,
         kernel: KernelSpec,
-        memory: MemorySystem,
+        memory: PerRequestMemory,
         power_model: Optional[SMPowerModel] = None,
         seed: int = 0,
         jitter: float = 0.0,
@@ -722,7 +784,7 @@ class PerObjectGPU:
     ) -> None:
         self.config = config
         self.kernel = kernel
-        self.memory = MemorySystem(miss_ratio=miss_ratio, seed=seed)
+        self.memory = PerRequestMemory(miss_ratio=miss_ratio, seed=seed)
         power_model = SMPowerModel(config.gpu, config.power)
         self.sms: List[StreamingMultiprocessor] = []
         for sm_id in range(config.gpu.num_sms):

@@ -4,22 +4,27 @@
 library: it keeps every lane's state as bank arrays and runs its
 decision waves in C or NumPy.  This module keeps the path the bank
 replaced, on plain per-object state: one decision loops over the SMs
-calling the actuation's scalar ``commands`` / ``boost_commands`` and
-the DAC's ``power_for_code``, then slew-limits each actuator with its
-own ``np.clip``, and a deque models the latency pipeline.  The
-bank-equivalence suite and the serial co-sim oracle run it as their
-reference.
+calling the scalar actuation law below (:func:`commands` /
+:func:`boost_commands`, which map one SM's voltage error to an
+:class:`ActuationCommand` through the DAC's :func:`code_for_power`),
+then slew-limits each actuator with its own ``np.clip``, and a deque
+models the latency pipeline.  The bank-equivalence suite and the serial
+co-sim oracle run it as their reference.
 
 The method bodies below are the former shipped path verbatim (the
 constructor, the watchdog and limit-cycle updates, ``commands_for`` and
 the statistics came from ``VoltageSmoothingController`` when its state
-moved into the bank); only ``_decide``'s ``decision`` argument, which
-served the bank's removed per-lane fallback, is gone.
+moved into the bank; the law's functions were ``WeightedActuation`` and
+``CurrentCompensationDAC`` methods, and a boost's DCC watts were the
+DAC's ``power_for_code``, ``code * unit_power_w``); only ``_decide``'s
+``decision`` argument, which served the bank's removed per-lane
+fallback, is gone.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
@@ -28,6 +33,77 @@ from repro.config import StackConfig
 from repro.core.actuators import CurrentCompensationDAC, WeightedActuation
 from repro.core.controller import ControlDecision, ControllerConfig
 from repro.core.detectors import VoltageDetector
+
+
+@dataclass(frozen=True)
+class ActuationCommand:
+    """Per-SM actuation outputs of one control decision."""
+
+    issue_width: float = 2.0  # DIWS command for the drooping SM
+    fake_rate: float = 0.0  # FII command for the neighbouring layer
+    dcc_code: int = 0  # DCC command for the neighbouring layer
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.issue_width <= 2.0:
+            raise ValueError(f"issue width out of range: {self.issue_width}")
+        if not 0.0 <= self.fake_rate <= 2.0:
+            raise ValueError(f"fake rate out of range: {self.fake_rate}")
+        if self.dcc_code < 0:
+            raise ValueError("dcc code cannot be negative")
+
+
+def code_for_power(dac: CurrentCompensationDAC, power_w: float) -> int:
+    """Closest DAC code delivering ``power_w`` (clamped)."""
+    if power_w <= 0:
+        return 0
+    return min(dac.max_code, int(round(power_w / dac.unit_power_w)))
+
+
+def commands(
+    actuation: WeightedActuation,
+    error_v: float,
+    k1: float,
+    k2: float,
+    k3: float,
+) -> ActuationCommand:
+    """Map a voltage error (``V_nominal - V_sm``, volts) to commands.
+
+    Follows Algorithm 1: DIWS throttles the drooping SM by
+    ``k1 * w1 * error`` issue slots, FII raises the layer above by
+    ``k2 * w2 * error`` fakes/cycle, and DCC adds
+    ``k3 * w3 * error`` watts of compensation current.
+    """
+    if error_v <= 0:
+        return ActuationCommand(actuation.issue_width_max, 0.0, 0)
+    width = actuation.issue_width_max - k1 * actuation.w1 * error_v
+    fake = k2 * actuation.w2 * error_v
+    dcc_power = k3 * actuation.w3 * error_v
+    return ActuationCommand(
+        issue_width=min(actuation.issue_width_max, max(0.0, width)),
+        fake_rate=min(2.0, max(0.0, fake)),
+        dcc_code=code_for_power(actuation.dac, dcc_power),
+    )
+
+
+def boost_commands(
+    actuation: WeightedActuation, overvoltage_v: float, k2: float, k3: float
+) -> ActuationCommand:
+    """Power-adding commands for an *underdrawing* layer.
+
+    Realizes eq. (6)'s ``P_i = k V_i`` on the high side: a layer
+    whose voltage sits above nominal draws proportionally more power
+    through FII / DCC, which is self-limiting (commands vanish as
+    the layer returns to nominal).
+    """
+    if overvoltage_v <= 0:
+        return ActuationCommand(actuation.issue_width_max, 0.0, 0)
+    fake = k2 * actuation.w2 * overvoltage_v
+    dcc_power = k3 * actuation.w3 * overvoltage_v
+    return ActuationCommand(
+        issue_width=actuation.issue_width_max,
+        fake_rate=min(2.0, max(0.0, fake)),
+        dcc_code=code_for_power(actuation.dac, dcc_power),
+    )
 
 
 class ScalarController:
@@ -426,21 +502,21 @@ class ScalarController:
             if v_sm < cfg.v_threshold + widen:
                 decision.triggered_sms.append(sm)
                 error = cfg.v_nominal - v_sm
-                command = self.actuation.commands(
-                    error, cfg.k1, cfg.k2, cfg.k3
+                command = commands(
+                    self.actuation, error, cfg.k1, cfg.k2, cfg.k3
                 )
                 decision.issue_widths[sm] = command.issue_width
             elif v_sm > cfg.v_high_threshold + widen:
                 decision.triggered_sms.append(sm)
-                boost = self.actuation.boost_commands(
-                    v_sm - cfg.v_nominal, cfg.k2, cfg.k3
+                boost = boost_commands(
+                    self.actuation, v_sm - cfg.v_nominal, cfg.k2, cfg.k3
                 )
                 decision.fake_rates[sm] = max(
                     decision.fake_rates[sm], boost.fake_rate
                 )
                 decision.dcc_powers_w[sm] = max(
                     decision.dcc_powers_w[sm],
-                    self.actuation.dac.power_for_code(boost.dcc_code),
+                    boost.dcc_code * self.actuation.dac.unit_power_w,
                 )
         return decision
 

@@ -12,13 +12,13 @@ import pytest
 from repro.gpu import GPU
 from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import UNIT_ORDER, KernelSpec
-from repro.gpu.memory import MemorySystem
 from repro.power_mgmt.power_gating import (
     PowerGatingConfig,
     WarpedGatesController,
 )
 from tests.oracles.per_object_gpu import (
     GatingAwareScheduler,
+    PerRequestMemory,
     StreamingMultiprocessor,
 )
 
@@ -50,7 +50,7 @@ class OracleSM:
 
     def __init__(self, spec, seed=0, miss_ratio=0.0, gating_aware=False):
         self.sm = StreamingMultiprocessor(
-            0, spec, MemorySystem(miss_ratio=miss_ratio, seed=seed), seed=seed,
+            0, spec, PerRequestMemory(miss_ratio=miss_ratio, seed=seed), seed=seed,
             scheduler=GatingAwareScheduler() if gating_aware else None,
         )
 

@@ -150,6 +150,68 @@ class TestParser:
         assert args.resume
 
 
+WINDOW = "must be smaller than the measured window"
+
+
+class TestUsageErrors:
+    """A flag value a model rejects exits 2 with the model's message
+    (argparse ``type=`` validators for single flags, one check of
+    ``--cycles`` against ``--warmup`` for the co-sim commands)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["cosim", "--cycles", "100", "--warmup", "100"],
+                     WINDOW, id="cosim-window"),
+        pytest.param(["faults", "guardband-breaker", "--cycles", "100",
+                      "--warmup", "150"], WINDOW, id="faults-window"),
+        pytest.param(["sweep", "--cycles", "100", "--warmup", "100",
+                      "--output", ""], WINDOW, id="sweep-window"),
+        pytest.param(["explore", "--cycles", "100", "--warmup", "100",
+                      "--output", ""], WINDOW, id="explore-window"),
+        pytest.param(["run", "--cycles", "0"], "cycles must be positive",
+                     id="run-zero-cycles"),
+        pytest.param(["run", "--cycles", "100", "--warmup", "-1"],
+                     "warmup cannot be negative", id="run-negative-warmup"),
+        pytest.param(["cosim", "--area", "-5"],
+                     "cr_ivr_area_mm2 must be finite, >= 0: -5.0",
+                     id="cosim-negative-area"),
+        pytest.param(["impedance", "--area", "-5"],
+                     "cr_ivr_area_mm2 must be finite, >= 0: -5.0",
+                     id="impedance-negative-area"),
+        pytest.param(["sweep", "--areas", ""],
+                     "axis 'cr_ivr_area_mm2' has no values",
+                     id="sweep-no-areas"),
+        pytest.param(["sweep", "--areas", "abc"],
+                     "invalid float value: 'abc'", id="sweep-bad-area"),
+        pytest.param(["sweep", "--areas", "52.9,-1"],
+                     "cr_ivr_area_mm2 must be finite, >= 0: -1.0",
+                     id="sweep-negative-area"),
+        pytest.param(["explore", "--areas", "abc"],
+                     "invalid float value: 'abc'", id="explore-bad-area"),
+        pytest.param(["size", "--latency", "-3"],
+                     "control latency cannot be negative",
+                     id="size-negative-latency"),
+        pytest.param(["size", "--guardband", "0"],
+                     "droop target must be positive, got 0.0",
+                     id="size-zero-guardband"),
+    ])
+    def test_bad_flag_exits_2_with_the_models_message(
+        self, capsys, argv, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+
+    def test_good_values_parse_as_before(self):
+        parser = build_parser()
+        assert parser.parse_args(["cosim", "--area", "0"]).area == 0.0
+        assert parser.parse_args(["size", "--latency", "0"]).latency == 0.0
+        assert parser.parse_args(["sweep", "--areas", "1, 2"]).areas == "1, 2"
+        assert parser.parse_args(["explore", "--areas", ""]).areas == ""
+
+
 class TestCommands:
     def test_benchmarks_lists_names(self, capsys):
         assert main(["benchmarks"]) == 0

@@ -7,7 +7,8 @@ Covers the mathematical core the figures rest on:
 * PDE accounting is monotone and bounded for any physical inputs;
 * the hypervisor's frequency mapping always satisfies its own budget
   and never slows any SM;
-* actuation commands are always within hardware ranges;
+* the scalar actuation law's commands (the oracle's, which the
+  controller bank runs compiled) are always within hardware ranges;
 * imbalance-distribution shares always form a probability distribution.
 """
 
@@ -24,6 +25,7 @@ from repro.pdn.efficiency import (
     pde_voltage_stacked,
 )
 from repro.pdn.impedance import decompose_currents
+from tests.oracles.scalar_controller import boost_commands, commands
 
 STACK = StackConfig()
 
@@ -151,11 +153,11 @@ class TestActuationProperties:
         if w1 + w2 == 0.0:
             w1 = 1.0
         act = WeightedActuation(w1=w1, w2=w2, w3=0.5)
-        cmd = act.commands(error, k1, k2, k3)
+        cmd = commands(act, error, k1, k2, k3)
         assert 0.0 <= cmd.issue_width <= 2.0
         assert 0.0 <= cmd.fake_rate <= 2.0
         assert 0 <= cmd.dcc_code <= act.dac.max_code
-        boost = act.boost_commands(error, k2, k3)
+        boost = boost_commands(act, error, k2, k3)
         assert 0.0 <= boost.fake_rate <= 2.0
         assert 0 <= boost.dcc_code <= act.dac.max_code
 

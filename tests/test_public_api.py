@@ -22,9 +22,7 @@ class TestSubpackageSurfaces:
         from repro.pdn import (
             AreaModel,
             ImpedanceAnalyzer,
-            L2StackConfig,
             build_stacked_pdn,
-            chip_interface_overhead,
         )
 
         assert callable(build_stacked_pdn)
@@ -43,7 +41,6 @@ class TestSubpackageSurfaces:
         from repro.sim import (
             PDS_CONFIGS,
             run_cosim,
-            run_current_pattern,
             run_dfs_experiment,
         )
 
